@@ -134,6 +134,25 @@ def overlap(a: JointSpectralAmplitude, b: JointSpectralAmplitude) -> complex:
     return complex(np.vdot(a.values, b.values) * a.grid.cell_area)
 
 
+def delayed_overlaps(a: JointSpectralAmplitude, b: JointSpectralAmplitude, signal_delays_fs,
+                     idler_delays_fs, signal_center: float, idler_center: float) -> np.ndarray:
+    """<a|b> with a retarded relative to b by each (signal, idler) group
+    delay pair as in apply_envelope_phase: all K pairs at once as
+    ((E_s @ P) * E_i).sum(1), with P = conj(a) b and E = exp(i T (w - W))."""
+    if not a.grid.matches(b.grid):
+        raise ConfigError("overlap requires amplitudes on the same grid")
+
+    def phase_rows(delays_fs, detunings):
+        rows = np.multiply.outer(delays_fs, 1j * detunings)
+        return np.exp(rows, out=rows)
+
+    kernel = np.conj(a.values)
+    kernel *= b.values
+    rows = phase_rows(signal_delays_fs, a.grid.signal_axis - signal_center) @ kernel
+    rows *= phase_rows(idler_delays_fs, a.grid.idler_axis - idler_center)
+    return rows.sum(axis=1) * a.grid.cell_area
+
+
 def normalized_overlap_magnitude(a: JointSpectralAmplitude, b: JointSpectralAmplitude) -> float:
     """|<a|b>| / (|a| |b|); 0 when either amplitude has zero norm."""
     na, nb = a.norm(), b.norm()

@@ -12,6 +12,7 @@ infeasible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -28,8 +29,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
-
-SWEEP_PARAMETERS = ("crystal_length", "filter_fwhm", "compensation_error_fs", "pump_ratio")
 
 
 @dataclass(frozen=True)
@@ -186,54 +185,45 @@ def _sweep_values(raw: str):
     return values
 
 
-def _sweep_visibility(source, knobs, grid_points, span_factor, override):
-    pair = scenario.build_amplitudes(
-        source, knobs, grid_points=grid_points, grid_span_factor=span_factor,
-        compensation_override_fs=override,
+def _sweep_filters(source, fwhm_nm):
+    """Gaussian filters of one FWHM on both arms, or none for ``None``."""
+    if fwhm_nm is None:
+        return (NO_FILTER, NO_FILTER)
+    centers = (source.crystals[0].signal_center_nm, source.crystals[0].idler_center_nm)
+    return tuple(
+        SpectralFilter(center_nm=f.center_nm if f.shape != "none" else c, fwhm_nm=fwhm_nm, shape="gaussian")
+        for f, c in zip(source.filters, centers)
     )
-    na, nb, cross = biphoton.interference_terms(pair)
-    return 2.0 * abs(cross) / (na + nb)
+
+
+# Sweep parameter -> the source it evaluates at one value.
+SWEEP_SOURCES = {
+    "crystal_length": lambda src, v: replace(
+        src, crystals=tuple(replace(c, thickness_mm=v) for c in src.crystals)),
+    "filter_fwhm": lambda src, v: replace(src, filters=_sweep_filters(src, v)),
+    "compensation_error_fs": lambda src, v: src,
+    "pump_ratio": lambda src, v: replace(src, pump_amplitude_ratio=v),
+}
+SWEEP_PARAMETERS = tuple(SWEEP_SOURCES)
 
 
 def cmd_sweep(args) -> int:
     config_path, cfg = _load(args)
     values = _sweep_values(args.grid)
-    source, knobs = cfg.source, cfg.knobs
-    gp, sf = cfg.scan.grid_points, cfg.scan.grid_span_factor
+    parameter, knobs = args.parameter, cfg.knobs
+    if None in values and parameter != "filter_fwhm":
+        raise ConfigError(f"{parameter} sweep values must be numbers")
 
     rows = []
     for value in values:
-        if args.parameter == "crystal_length":
-            if value is None:
-                raise ConfigError("crystal_length sweep values must be numbers")
-            src = replace(
-                source,
-                crystals=tuple(replace(c, thickness_mm=value) for c in source.crystals),
-            )
-            vis = _sweep_visibility(src, knobs, gp, sf, scenario.required_compensation_fs(src, knobs))
-        elif args.parameter == "filter_fwhm":
-            if value is None:
-                filters = (NO_FILTER, NO_FILTER)
-            else:
-                filters = tuple(
-                    SpectralFilter(center_nm=f.center_nm if f.shape != "none" else c,
-                                   fwhm_nm=value, shape="gaussian")
-                    for f, c in zip(source.filters, (source.crystals[0].signal_center_nm,
-                                                     source.crystals[0].idler_center_nm))
-                )
-            src = replace(source, filters=filters)
-            vis = _sweep_visibility(src, knobs, gp, sf, scenario.required_compensation_fs(src, knobs))
-        elif args.parameter == "compensation_error_fs":
-            if value is None:
-                raise ConfigError("compensation_error_fs sweep values must be numbers")
-            required = scenario.required_compensation_fs(source, knobs)
-            vis = _sweep_visibility(source, knobs, gp, sf, required + value)
-        else:  # pump_ratio
-            if value is None:
-                raise ConfigError("pump_ratio sweep values must be numbers")
-            src = replace(source, pump_amplitude_ratio=value)
-            vis = _sweep_visibility(src, knobs, gp, sf, scenario.required_compensation_fs(src, knobs))
-        rows.append(("none" if value is None else value, vis))
+        src = SWEEP_SOURCES[parameter](cfg.source, value)
+        # The source is compensated exactly, plus the swept error if any.
+        error = value if parameter == "compensation_error_fs" else 0.0
+        na, nb, cross = biphoton.interference_terms(scenario.build_amplitudes(
+            src, knobs, grid_points=cfg.scan.grid_points, grid_span_factor=cfg.scan.grid_span_factor,
+            compensation_override_fs=scenario.required_compensation_fs(src, knobs) + error,
+        ))
+        rows.append(("none" if value is None else value, 2.0 * abs(cross) / (na + nb)))
 
     prefix = Path(args.output)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -269,9 +259,12 @@ def _read_csv(path: Path):
         if len(parts) != 2:
             raise DataError(f"{path}: row {number} has {len(parts)} fields, expected 2")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            row = (float(parts[0]), float(parts[1]))
         except ValueError:
             raise DataError(f"{path}: row {number} is not numeric: {line!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"{path}: row {number} is not finite: {line!r}")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
     return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
@@ -287,15 +280,7 @@ def cmd_fit(args) -> int:
     manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
     _write_kv(report_path, [("input", str(args.input)), ("points", axis.size)]
               + _fit_report_items(fit, fitting.raw_visibility(rates)))
-    manifest = RunManifest(
-        config_path="-",
-        command="fit",
-        output_paths=(str(report_path),),
-        seed=args.seed,
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    _write_manifest(manifest_path, manifest)
+    _write_manifest(manifest_path, _manifest(args, "fit", (report_path,), args.seed))
     print(f"fit: visibility {fit.visibility:g}, period {fit.period:g} -> {report_path}")
     return EXIT_OK
 
@@ -310,14 +295,15 @@ def cmd_prepare(args) -> int:
     prepared = scenario.prepare_bell(source, phi_target, knobs, grid_points=gp, grid_span_factor=sf)
     state, visibility = scenario.effective_polarization_state(source, prepared, grid_points=gp,
                                                               grid_span_factor=sf)
+    # The HH and VV coefficients are the two amplitudes' normalized weights
+    # with the fringe phase; the coherence factor scales their interference.
+    c_hh, c_vv = state.coefficients[0], state.coefficients[3]
+    rate = scenario.analyzer_rate(abs(c_hh) ** 2, abs(c_vv) ** 2, visibility * c_hh * np.conj(c_vv),
+                                  45.0, 45.0)
     uses_hwp = target.startswith("psi")
     if uses_hwp:
         state = polarization.half_wave_plate(state, 1, PHI_TO_PSI_HWP_DEG)
     fid = polarization.fidelity(state, polarization.make_state(target))
-
-    pair = scenario.build_amplitudes(source, prepared, grid_points=gp, grid_span_factor=sf)
-    na, nb, cross = biphoton.interference_terms(pair)
-    rate = scenario._polarized_rate(source, na, nb, cross, 45.0, 45.0, pair.relative_phase_rad)
 
     prefix = Path(args.output)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -361,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", required=True, help="output path prefix")
         p.add_argument("--seed", type=int, default=None, help="noise seed (recorded in the manifest)")
         p.add_argument("--reference", action="store_true",
-                       help="force the single-threaded deterministic reference mode")
+                       help="write reference_mode = true into the scan, sweep and prepare reports")
 
     p = sub.add_parser("scan", help="run a fringe scan and fit it")
     common(p)

@@ -17,6 +17,15 @@ Timing model (collinear, crystals listed in beam order):
   polarization parallel to their axis; their phase delay difference is the
   fringe phase, their group-delay difference shifts the envelopes.
 
+Every element acts to first order, as a group delay plus a carrier phase;
+a ``DelayBudget`` holds each one's contribution to both amplitudes, and
+``required_compensation_fs``, the grid sizing and ``build_amplitudes`` read
+it.  Every fringe value is thus the kernel P = conj(J_a) J_b of the two
+JSAs at one (signal delay, idler delay, carrier phase).  A scan builds the
+JSAs once, on a grid sized for its largest delay, computes each step's
+plate terms, pump-knob phase or analyzer angle as arrays, and evaluates all
+distinct delays as one batched overlap ((E_s @ P) * E_i).sum(1).
+
 All constant carrier phases are folded into the amplitude values, so the
 fringe position is simply the argument of the complex overlap; the pump
 knob contributes the scanned phase 2 pi dx / lambda_p.
@@ -25,7 +34,7 @@ knob contributes the scanned phase 2 pi dx / lambda_p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import yaml
@@ -54,9 +63,18 @@ from .spectral import (
     build_jsa,
     make_grid,
 )
-from .units import C_NM_PER_FS
+from .units import C_NM_PER_FS, wavelength_to_angular_frequency
 
-SCAN_AXIS_KINDS = ("pump_delay", "signal_tilt", "idler_tilt", "both_tilts", "analyzer2_angle")
+# Scan axis -> the PhaseKnobs or AnalyzerSetting fields it sets to the
+# scanned value.
+SCAN_AXIS_FIELDS = {
+    "pump_delay": ("pump_delta_x_nm",),
+    "signal_tilt": ("signal_tilt_deg",),
+    "idler_tilt": ("idler_tilt_deg",),
+    "both_tilts": ("signal_tilt_deg", "idler_tilt_deg"),
+    "analyzer2_angle": ("theta2_deg",),
+}
+SCAN_AXIS_KINDS = tuple(SCAN_AXIS_FIELDS)
 
 # Grid spacing must stay below pi / (largest applied group delay) by this
 # safety factor, otherwise the discrete overlap aliases.
@@ -192,9 +210,11 @@ def crystal_cut_angle(crystal: CrystalConfig, pump: PumpPulse) -> float:
 
 
 def _crossing_delays(first: CrystalConfig, second: CrystalConfig, pump: PumpPulse):
-    """Group/phase delays of the first crystal's pairs crossing the second
-    as its extraordinary ray, and of the second crystal's pump component
-    crossing the first as an ordinary ray."""
+    """Delays (fs) of the crystal crossings, as three pairs: the first
+    crystal's pairs crossing the second as its extraordinary ray, (group,
+    phase) at the pair mean; the (signal, idler) group-delay excess of that
+    e-ray over ordinary-ray propagation; and the second crystal's pump
+    component crossing the first as an ordinary ray, (group, phase)."""
     theta2 = crystal_cut_angle(second, pump)
     m2 = second.material
     length2_nm = second.thickness_mm * MM_TO_NM
@@ -216,36 +236,39 @@ def _crossing_delays(first: CrystalConfig, second: CrystalConfig, pump: PumpPuls
     pump_o_group = group_index(first.material, "o", pump.center_wavelength_nm) * length1_nm / C_NM_PER_FS
     pump_o_phase = refractive_index(first.material, "o", pump.center_wavelength_nm) * length1_nm / C_NM_PER_FS
 
-    return {
-        "pair_e_group_mean": 0.5 * (sig_g + idl_g),
-        "pair_e_phase_mean": 0.5 * (sig_p + idl_p),
-        "xd_excess_signal": o_excess(first.signal_center_nm),
-        "xd_excess_idler": o_excess(first.idler_center_nm),
-        "pump_o_group": pump_o_group,
-        "pump_o_phase": pump_o_phase,
-    }
-
-
-def _plate_differential(plate: BirefringentElement, tilt_deg: float, wavelength_nm: float):
-    """(group, phase) delay of the plate's e-ray minus its o-ray at a tilt."""
-    tilted = replace(plate, tilt_deg=tilt_deg)
-    rep_e = element_delays(tilted, "e", wavelength_nm)
-    rep_o = element_delays(tilted, "o", wavelength_nm)
     return (
-        rep_e.group_delay_fs - rep_o.group_delay_fs,
-        rep_e.phase_delay_fs - rep_o.phase_delay_fs,
+        (0.5 * (sig_g + idl_g), 0.5 * (sig_p + idl_p)),
+        (o_excess(first.signal_center_nm), o_excess(first.idler_center_nm)),
+        (pump_o_group, pump_o_phase),
     )
 
 
-def _plate_effect_on_a(source: SourceConfig, plate, tilt_deg, arm_center_nm):
+def _plate_effect_on_a(source: SourceConfig, arm: str, tilt_deg: float):
     """(group, phase) retardation of amplitude a relative to amplitude b
-    caused by one per-arm plate: positive when amplitude a's photon rides
-    the slow extraordinary axis."""
-    diff_g, diff_p = _plate_differential(plate, tilt_deg, arm_center_nm)
-    pair_a = source.crystals[0].pair_polarization()
-    a_is_extraordinary = (pair_a == "V") == (plate.axis_orientation == "vertical")
+    caused by the per-arm plate of ``arm`` (signal|idler) at a tilt:
+    positive when amplitude a's photon rides the slow extraordinary axis."""
+    first = source.crystals[0]
+    plate, center_nm = {
+        "signal": (source.signal_plate, first.signal_center_nm),
+        "idler": (source.idler_plate, first.idler_center_nm),
+    }[arm]
+    tilted = replace(plate, tilt_deg=float(tilt_deg))
+    rep_e = element_delays(tilted, "e", center_nm)
+    rep_o = element_delays(tilted, "o", center_nm)
+    a_is_extraordinary = (first.pair_polarization() == "V") == (plate.axis_orientation == "vertical")
     sign = 1.0 if a_is_extraordinary else -1.0
-    return sign * diff_g, sign * diff_p
+    return (
+        sign * (rep_e.group_delay_fs - rep_o.group_delay_fs),
+        sign * (rep_e.phase_delay_fs - rep_o.phase_delay_fs),
+    )
+
+
+def _plate_terms(source: SourceConfig, arm: str, tilts: np.ndarray) -> tuple:
+    """(group, phase) arrays of ``_plate_effect_on_a`` at each tilt; each
+    distinct tilt is evaluated once."""
+    distinct, index = np.unique(tilts, return_inverse=True)
+    group, phase = np.array([_plate_effect_on_a(source, arm, t) for t in distinct]).T
+    return group[index], phase[index]
 
 
 def _compensator_advance(source: SourceConfig) -> tuple:
@@ -266,27 +289,97 @@ def _compensator_advance(source: SourceConfig) -> tuple:
     return adv_g, adv_p
 
 
+@dataclass(frozen=True)
+class DelayBudget:
+    """Each element's first-order (group, phase) delay, in fs, on the two
+    amplitudes, plus the center frequencies (rad/fs) the phases act on.
+
+    Amplitude a: ``crossing`` of crystal 2 by its pairs (collinear only),
+    their ``cross_dispersion`` (signal, idler) group excess (when enabled),
+    and the ``signal_plate`` and ``idler_plate`` retardations.  Amplitude b:
+    ``pump_crossing`` of crystal 1 by its pump component (collinear only),
+    less the ``compensation`` pre-advance.  A scan stores the plate terms of
+    all its steps as arrays; every derived delay broadcasts over them.
+    """
+
+    signal_center: float
+    idler_center: float
+    pump_center: float
+    compensation: tuple
+    signal_plate: tuple
+    idler_plate: tuple
+    crossing: tuple = (0.0, 0.0)
+    cross_dispersion: tuple = (0.0, 0.0)
+    pump_crossing: tuple = (0.0, 0.0)
+
+    @property
+    def required_compensation_fs(self):
+        """Group pre-advance of b's pump component that equalizes the two
+        amplitudes' symmetric envelope retardations."""
+        lag_a = (self.crossing[0] + 0.5 * (self.cross_dispersion[0] + self.cross_dispersion[1])
+                 + 0.5 * (self.signal_plate[0] + self.idler_plate[0]))
+        return self.pump_crossing[0] - lag_a
+
+    def amplitude_a(self) -> tuple:
+        """(signal group, idler group, carrier phase) retardation of a."""
+        group = self.crossing[0]
+        carrier = (self.signal_center + self.idler_center) * self.crossing[1]
+        return (
+            group + self.cross_dispersion[0] + self.signal_plate[0],
+            group + self.cross_dispersion[1] + self.idler_plate[0],
+            carrier + (self.signal_center * self.signal_plate[1] + self.idler_center * self.idler_plate[1]),
+        )
+
+    def amplitude_b(self) -> tuple:
+        """(group, carrier phase) retardation of b, equal in both arms."""
+        return (
+            self.pump_crossing[0] - self.compensation[0],
+            self.pump_center * self.pump_crossing[1] - self.pump_center * self.compensation[1],
+        )
+
+    def envelope_delay_fs(self):
+        """Largest net group retardation between the amplitudes; the grid
+        spacing must sample it."""
+        return (
+            np.abs(self.required_compensation_fs - self.compensation[0])
+            + np.abs(self.signal_plate[0]) + np.abs(self.idler_plate[0])
+            + abs(self.cross_dispersion[0] - self.cross_dispersion[1])
+        )
+
+
+def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
+                 compensation_override_fs: float | None = None) -> DelayBudget:
+    """The delay budget at the knobs' plate tilts.  A compensation override
+    replaces the compensator elements with an ideal nondispersive
+    pre-advance."""
+    knobs = knobs or PhaseKnobs()
+    first, second = source.crystals
+    crossings = {}
+    if source.scheme == "collinear":
+        crossing, excess, pump_crossing = _crossing_delays(first, second, source.pump)
+        crossings = {"crossing": crossing, "pump_crossing": pump_crossing}
+        if source.cross_dispersion_enabled:
+            crossings["cross_dispersion"] = excess
+    if compensation_override_fs is None:
+        compensation = _compensator_advance(source)
+    else:
+        compensation = (compensation_override_fs, compensation_override_fs)
+    return DelayBudget(
+        signal_center=float(wavelength_to_angular_frequency(first.signal_center_nm)),
+        idler_center=float(wavelength_to_angular_frequency(first.idler_center_nm)),
+        pump_center=source.pump.center_angular_frequency,
+        compensation=compensation,
+        signal_plate=_plate_effect_on_a(source, "signal", knobs.signal_tilt_deg),
+        idler_plate=_plate_effect_on_a(source, "idler", knobs.idler_tilt_deg),
+        **crossings,
+    )
+
+
 def required_compensation_fs(source: SourceConfig, knobs: PhaseKnobs | None = None) -> float:
     """Group pre-advance of amplitude b's pump component that equalizes the
     two amplitudes' symmetric envelope retardations (exact, nondegenerate;
     includes the standing per-arm plates and the cross-dispersion toggle)."""
-    knobs = knobs or PhaseKnobs()
-    lag_b = 0.0
-    lag_a = 0.0
-    if source.scheme == "collinear":
-        cross = _crossing_delays(source.crystals[0], source.crystals[1], source.pump)
-        lag_b += cross["pump_o_group"]
-        lag_a += cross["pair_e_group_mean"]
-        if source.cross_dispersion_enabled:
-            lag_a += 0.5 * (cross["xd_excess_signal"] + cross["xd_excess_idler"])
-    sig_g, _ = _plate_effect_on_a(
-        source, source.signal_plate, knobs.signal_tilt_deg, source.crystals[0].signal_center_nm
-    )
-    idl_g, _ = _plate_effect_on_a(
-        source, source.idler_plate, knobs.idler_tilt_deg, source.crystals[0].idler_center_nm
-    )
-    lag_a += 0.5 * (sig_g + idl_g)
-    return lag_b - lag_a
+    return delay_budget(source, knobs).required_compensation_fs
 
 
 # --------------------------------------------------------------------------
@@ -312,27 +405,13 @@ def _pump_weights(source: SourceConfig) -> tuple:
     return w[0] / norm, w[1] / norm
 
 
-def _grid_for(source: SourceConfig, knobs: PhaseKnobs, points: int, span_factor: float,
-              compensation_override_fs):
-    """Grid sized for the envelopes and refined to sample applied delays."""
+def _grid_for(source: SourceConfig, max_delay: float, points: int, span_factor: float):
+    """Grid sized for the envelopes and refined to sample a net group
+    retardation of ``max_delay`` fs between the amplitudes."""
     spec0 = phase_matching_spec(source.crystals[0], source.pump)
     base = make_grid(source.pump, spec0, filters=source.filters,
                      points=max(points, 8), span_factor=span_factor)
     half_span = 0.5 * float(base.signal_axis[-1] - base.signal_axis[0])
-
-    # Largest net group retardation difference between the amplitudes.
-    adv = compensation_override_fs
-    if adv is None:
-        adv, _ = _compensator_advance(source)
-    residual = abs(required_compensation_fs(source, knobs) - adv)
-    sig_g, _ = _plate_effect_on_a(source, source.signal_plate, knobs.signal_tilt_deg,
-                                  source.crystals[0].signal_center_nm)
-    idl_g, _ = _plate_effect_on_a(source, source.idler_plate, knobs.idler_tilt_deg,
-                                  source.crystals[0].idler_center_nm)
-    max_delay = residual + abs(sig_g) + abs(idl_g)
-    if source.scheme == "collinear" and source.cross_dispersion_enabled:
-        cross = _crossing_delays(source.crystals[0], source.crystals[1], source.pump)
-        max_delay += abs(cross["xd_excess_signal"] - cross["xd_excess_idler"])
 
     needed = points
     if max_delay > 0.0:
@@ -351,6 +430,21 @@ def _grid_for(source: SourceConfig, knobs: PhaseKnobs, points: int, span_factor:
     return refined, needed
 
 
+def _jsas(source: SourceConfig, grid: FrequencyGrid) -> tuple:
+    """Both crystals' joint spectral amplitudes; identical cuts share one."""
+    pump = source.pump
+    first, second = source.crystals
+    spec_a = phase_matching_spec(first, pump)
+    jsa_a = build_jsa(pump, spec_a, *source.filters, grid, label=first.axis_orientation)
+    spec_b = phase_matching_spec(second, pump)
+    if spec_b == spec_a:
+        jsa_b = JointSpectralAmplitude(grid=grid, values=jsa_a.values,
+                                       metadata=dict(jsa_a.metadata, crystal_label=second.axis_orientation))
+    else:
+        jsa_b = build_jsa(pump, spec_b, *source.filters, grid, label=second.axis_orientation)
+    return jsa_a, jsa_b
+
+
 def build_amplitudes(
     source: SourceConfig,
     knobs: PhaseKnobs | None = None,
@@ -359,93 +453,28 @@ def build_amplitudes(
     grid_span_factor: float = 5.0,
     compensation_override_fs: float | None = None,
 ) -> AmplitudePair:
-    """Assemble the two interfering amplitudes for the configured scheme.
+    """Assemble the two interfering amplitudes for the configured scheme:
+    the delay budget at ``knobs`` applied to both crystals' JSAs.
 
     ``compensation_override_fs`` replaces the compensator elements with an
     ideal nondispersive pre-advance (used by sweeps and exactness tests).
     """
     knobs = knobs or PhaseKnobs()
+    budget = delay_budget(source, knobs, compensation_override_fs)
     points_used = grid_points
     if grid is None:
-        grid, points_used = _grid_for(source, knobs, grid_points, grid_span_factor,
-                                      compensation_override_fs)
-
-    pump = source.pump
-    first, second = source.crystals
+        grid, points_used = _grid_for(source, budget.envelope_delay_fs(), grid_points,
+                                      grid_span_factor)
     w_a, w_b = _pump_weights(source)
+    jsa_a, jsa_b = _jsas(source, grid)
 
-    spec_a = phase_matching_spec(first, pump)
-    jsa = build_jsa(pump, spec_a, source.filters[0], source.filters[1], grid, label=first.axis_orientation)
-    same_cut = (
-        second.material.name == first.material.name
-        and second.thickness_mm == first.thickness_mm
-        and second.signal_center_nm == first.signal_center_nm
-        and second.idler_center_nm == first.idler_center_nm
-    )
-    if same_cut:
-        jsa_b = JointSpectralAmplitude(grid=grid, values=jsa.values,
-                                       metadata=dict(jsa.metadata, crystal_label=second.axis_orientation))
-    else:
-        spec_b = phase_matching_spec(second, pump)
-        jsa_b = build_jsa(pump, spec_b, source.filters[0], source.filters[1], grid,
-                          label=second.axis_orientation)
-
-    omega_s = spec_a.signal_center_angular_frequency
-    omega_i = spec_a.idler_center_angular_frequency
-    omega_p = pump.center_angular_frequency
-
-    # Amplitude a: crossing of the second crystal (collinear) + plate effects.
-    a_sig_group = a_idl_group = 0.0
-    a_carrier = 0.0
-    if source.scheme == "collinear":
-        cross = _crossing_delays(first, second, pump)
-        a_sig_group += cross["pair_e_group_mean"]
-        a_idl_group += cross["pair_e_group_mean"]
-        a_carrier += (omega_s + omega_i) * cross["pair_e_phase_mean"]
-        if source.cross_dispersion_enabled:
-            a_sig_group += cross["xd_excess_signal"]
-            a_idl_group += cross["xd_excess_idler"]
-    plate_sig_g, plate_sig_p = _plate_effect_on_a(source, source.signal_plate,
-                                                  knobs.signal_tilt_deg, first.signal_center_nm)
-    plate_idl_g, plate_idl_p = _plate_effect_on_a(source, source.idler_plate,
-                                                  knobs.idler_tilt_deg, first.idler_center_nm)
-    a_sig_group += plate_sig_g
-    a_idl_group += plate_idl_g
-    a_carrier += omega_s * plate_sig_p + omega_i * plate_idl_p
-
-    amp_a = biphoton.apply_envelope_phase(
-        jsa,
-        signal_group_delay_fs=-a_sig_group,
-        idler_group_delay_fs=-a_idl_group,
-        carrier_phase_rad=-a_carrier,
-        signal_center=omega_s,
-        idler_center=omega_i,
-        note="retard_a",
-    )
-
-    # Amplitude b: pump crossing of the first crystal minus compensation.
-    b_group = 0.0
-    b_carrier = 0.0
-    if source.scheme == "collinear":
-        b_group += cross["pump_o_group"]
-        b_carrier += omega_p * cross["pump_o_phase"]
-    if compensation_override_fs is not None:
-        b_group -= compensation_override_fs
-        b_carrier -= omega_p * compensation_override_fs
-    else:
-        adv_g, adv_p = _compensator_advance(source)
-        b_group -= adv_g
-        b_carrier -= omega_p * adv_p
-
-    amp_b = biphoton.apply_envelope_phase(
-        jsa_b,
-        signal_group_delay_fs=-b_group,
-        idler_group_delay_fs=-b_group,
-        carrier_phase_rad=-b_carrier,
-        signal_center=omega_s,
-        idler_center=omega_i,
-        note="retard_b",
-    )
+    a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
+    b_group, b_carrier = budget.amplitude_b()
+    centers = {"signal_center": budget.signal_center, "idler_center": budget.idler_center}
+    amp_a = biphoton.apply_envelope_phase(jsa_a, -a_sig_group, -a_idl_group, -a_carrier,
+                                          note="retard_a", **centers)
+    amp_b = biphoton.apply_envelope_phase(jsa_b, -b_group, -b_group, -b_carrier,
+                                          note="retard_b", **centers)
 
     if w_a != 1.0:
         amp_a = biphoton.scale(amp_a, w_a)
@@ -461,48 +490,31 @@ def build_amplitudes(
     )
 
 
-def pump_knob_phase(source: SourceConfig, delta_x_nm: float) -> float:
+def pump_knob_phase(source: SourceConfig, delta_x_nm):
     """The pump spatial-delay knob as a pure phase K_p dx = 2 pi dx / lambda_p."""
     return 2.0 * math.pi * delta_x_nm / source.pump.center_wavelength_nm
-
-
-def coherence_label(visibility: float) -> str:
-    """How to read a prepared state at this coherence factor."""
-    return "coherent" if visibility > 0.5 else "incoherent-mixture-equivalent"
 
 
 # --------------------------------------------------------------------------
 # Scans
 
 
-def _polarized_rate(source, norm_a_sq, norm_b_sq, cross_term, theta1_deg, theta2_deg, phase):
-    """Analyzer-resolved normalized rate; peak 2 for ideal Bell settings."""
-    t1, t2 = math.radians(theta1_deg), math.radians(theta2_deg)
-    pair_a = source.crystals[0].pair_polarization()
+def _h_and_v(source: SourceConfig, for_a, for_b) -> tuple:
+    """A quantity given for amplitudes a and b, as (H pairs, V pairs)."""
+    return (for_b, for_a) if source.crystals[0].pair_polarization() == "V" else (for_a, for_b)
+
+
+def analyzer_rate(norm_h_sq, norm_v_sq, cross_term, theta1_deg, theta2_deg):
+    """Normalized coincidence rate behind analyzers at theta1, theta2 of the
+    H- and V-polarized pair amplitudes with squared norms ``norm_h_sq``,
+    ``norm_v_sq`` and overlap ``cross_term`` (carrier phases included);
+    peak 2 for ideal Bell settings.  Broadcasts over every argument."""
+    t1, t2 = np.radians(theta1_deg), np.radians(theta2_deg)
     # <theta|V> = cos, <theta|H> = sin.
-    fa = (math.cos(t1) * math.cos(t2)) if pair_a == "V" else (math.sin(t1) * math.sin(t2))
-    fb = (math.sin(t1) * math.sin(t2)) if pair_a == "V" else (math.cos(t1) * math.cos(t2))
-    total = norm_a_sq + norm_b_sq
-    cross = (cross_term * np.exp(1j * phase)).real
-    return 4.0 * (fa * fa * norm_a_sq + fb * fb * norm_b_sq + 2.0 * fa * fb * cross) / total
-
-
-def _signal_plate_axis_value(source, knobs, tilt_deg) -> float:
-    """Effective optical path delay (nm) of the signal plate at a tilt,
-    relative to the standing tilt."""
-    _, p_now = _plate_effect_on_a(source, source.signal_plate, tilt_deg,
-                                  source.crystals[0].signal_center_nm)
-    _, p_ref = _plate_effect_on_a(source, source.signal_plate, knobs.signal_tilt_deg,
-                                  source.crystals[0].signal_center_nm)
-    return (p_now - p_ref) * C_NM_PER_FS
-
-
-def _idler_plate_axis_value(source, knobs, tilt_deg) -> float:
-    _, p_now = _plate_effect_on_a(source, source.idler_plate, tilt_deg,
-                                  source.crystals[0].idler_center_nm)
-    _, p_ref = _plate_effect_on_a(source, source.idler_plate, knobs.idler_tilt_deg,
-                                  source.crystals[0].idler_center_nm)
-    return (p_now - p_ref) * C_NM_PER_FS
+    f_h = np.sin(t1) * np.sin(t2)
+    f_v = np.cos(t1) * np.cos(t2)
+    cross = 2.0 * f_h * f_v * np.real(cross_term)
+    return 4.0 * (f_h * f_h * norm_h_sq + f_v * f_v * norm_v_sq + cross) / (norm_h_sq + norm_v_sq)
 
 
 def default_scan_range(source: SourceConfig, axis_kind: str) -> tuple:
@@ -529,7 +541,8 @@ def scan(
     mean_counts: float = 1000.0,
     seed: int | None = None,
 ) -> FringeScan:
-    """Coincidence fringe versus one scanned knob, analyzers fixed.
+    """Coincidence fringe versus one scanned knob or analyzer angle; all
+    steps share one grid, sized for the scan's largest delay.
 
     Sensible fits need steps >= 8 spanning >= 1.5 periods; shorter scans
     still produce data (the CLI writes the CSV before the fit rejects it).
@@ -547,50 +560,40 @@ def scan(
         raise ConfigError(f"scan range must satisfy stop > start, got ({start}, {stop})")
     values = np.linspace(start, stop, steps)
 
-    build = lambda kn: build_amplitudes(
-        source, kn, grid_points=grid_points, grid_span_factor=grid_span_factor,
-        compensation_override_fs=compensation_override_fs,
-    )
+    # Per-step knobs and analyzers: the scanned fields take the scanned values.
+    step = {name: np.full(steps, value) for name, value in (asdict(knobs) | asdict(analyzers)).items()}
+    step.update(dict.fromkeys(SCAN_AXIS_FIELDS[axis_kind], values))
 
-    axis = values.copy()
-    rates = np.empty_like(values)
-    if axis_kind in ("pump_delay", "analyzer2_angle"):
-        pair = build(knobs)
-        na, nb, cross = biphoton.interference_terms(pair)
-        grid_points_used = pair.amp_a.metadata.get("grid_points", grid_points)
-        for k, v in enumerate(values):
-            if axis_kind == "pump_delay":
-                phase = pump_knob_phase(source, v)
-                rates[k] = _polarized_rate(source, na, nb, cross,
-                                           analyzers.theta1_deg, analyzers.theta2_deg, phase)
-            else:
-                rates[k] = _polarized_rate(source, na, nb, cross,
-                                           analyzers.theta1_deg, v, pair.relative_phase_rad)
-    else:
-        grid_points_used = grid_points
-        for k, v in enumerate(values):
-            if axis_kind == "signal_tilt":
-                kn = replace(knobs, signal_tilt_deg=v)
-                axis[k] = _signal_plate_axis_value(source, knobs, v)
-            elif axis_kind == "idler_tilt":
-                kn = replace(knobs, idler_tilt_deg=v)
-                axis[k] = _idler_plate_axis_value(source, knobs, v)
-            else:  # both_tilts, equal angles; axis = mean effective delay
-                kn = replace(knobs, signal_tilt_deg=v, idler_tilt_deg=v)
-                axis[k] = 0.5 * (
-                    _signal_plate_axis_value(source, knobs, v)
-                    + _idler_plate_axis_value(source, knobs, v)
-                )
-            pair = build(kn)
-            na, nb, cross = biphoton.interference_terms(pair)
-            grid_points_used = pair.amp_a.metadata.get("grid_points", grid_points)
-            rates[k] = _polarized_rate(source, na, nb, cross,
-                                       analyzers.theta1_deg, analyzers.theta2_deg,
-                                       pair.relative_phase_rad)
-
+    # Only the plate terms change the delays; each distinct tilt is
+    # evaluated once, each distinct delay pair is one overlap row.
+    standing = delay_budget(source, knobs, compensation_override_fs)
+    budget = replace(standing, **{f"{arm}_plate": _plate_terms(source, arm, step[f"{arm}_tilt_deg"])
+                                  for arm in ("signal", "idler")})
+    grid, grid_points_used = _grid_for(source, float(np.max(budget.envelope_delay_fs())),
+                                       grid_points, grid_span_factor)
+    w_a, w_b = _pump_weights(source)
+    jsa_a, jsa_b = _jsas(source, grid)
+    a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
+    b_group, b_carrier = budget.amplitude_b()
+    delays, row_of = np.unique(np.column_stack((a_sig_group - b_group, a_idl_group - b_group)),
+                               axis=0, return_inverse=True)
+    overlaps = biphoton.delayed_overlaps(jsa_a, jsa_b, delays[:, 0], delays[:, 1],
+                                         budget.signal_center, budget.idler_center)
+    cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps[row_of.reshape(-1)]
+    norms_sq = _h_and_v(source, w_a * w_a * jsa_a.norm_squared(), w_b * w_b * jsa_b.norm_squared())
+    rates = analyzer_rate(*norms_sq, cross * np.exp(1j * pump_knob_phase(source, step["pump_delta_x_nm"])),
+                          step["theta1_deg"], step["theta2_deg"])
     # Rates are physically nonnegative; destructive-interference points can
     # round to tiny negative values.
     np.maximum(rates, 0.0, out=rates)
+
+    # Tilt axes plot the mean effective path delay of the scanned plates,
+    # relative to the standing tilts.
+    plate_delays = [
+        (getattr(budget, f"{arm}_plate")[1] - getattr(standing, f"{arm}_plate")[1]) * C_NM_PER_FS
+        for arm in ("signal", "idler") if f"{arm}_tilt_deg" in SCAN_AXIS_FIELDS[axis_kind]
+    ]
+    axis = np.mean(plate_delays, axis=0) if plate_delays else values.copy()
 
     metadata = {
         "axis_kind": axis_kind,
@@ -598,11 +601,7 @@ def scan(
         "steps": steps,
         "scanned_values": tuple(float(v) for v in values),
         "analyzers": (analyzers.theta1_deg, analyzers.theta2_deg),
-        "knobs": {
-            "pump_delta_x_nm": knobs.pump_delta_x_nm,
-            "signal_tilt_deg": knobs.signal_tilt_deg,
-            "idler_tilt_deg": knobs.idler_tilt_deg,
-        },
+        "knobs": asdict(knobs),
         "grid_points": grid_points_used,
         "grid_span_factor": grid_span_factor,
         "compensation_override_fs": compensation_override_fs,
@@ -671,18 +670,14 @@ def effective_polarization_state(
     phase = pair.relative_phase_rad + (np.angle(cross) if w_a * w_b > 0.0 else 0.0)
 
     # The fringe phase rides on the horizontally-polarized pair amplitude.
-    pair_a_pol = source.crystals[0].pair_polarization()
-    if pair_a_pol == "V":
-        c_hh, c_vv = w_b * np.exp(1j * phase), w_a + 0j
-    else:
-        c_hh, c_vv = w_a * np.exp(1j * phase), w_b + 0j
-    norm = math.hypot(w_a, w_b)
-    coeffs = np.array([c_hh, 0.0, 0.0, c_vv], dtype=complex) / norm
+    w_h, w_v = _h_and_v(source, w_a, w_b)
+    coeffs = np.array([w_h * np.exp(1j * phase), 0.0, 0.0, w_v], dtype=complex) / math.hypot(w_a, w_b)
     state = polarization.PolarizationState(
         coefficients=coeffs,
         labels=(source.crystals[0].signal_center_nm, source.crystals[0].idler_center_nm),
     )
     return state, visibility
+
 
 
 # --------------------------------------------------------------------------

@@ -26,11 +26,6 @@ def wavelength_to_angular_frequency(wavelength_nm):
     return 2.0 * np.pi * C_NM_PER_FS / np.asarray(wavelength_nm, dtype=float)
 
 
-def angular_frequency_to_wavelength(omega_rad_per_fs):
-    """Angular frequency (rad/fs) -> vacuum wavelength (nm)."""
-    return 2.0 * np.pi * C_NM_PER_FS / np.asarray(omega_rad_per_fs, dtype=float)
-
-
 def fwhm_nm_to_fwhm_omega(center_nm: float, fwhm_nm: float) -> float:
     """Intensity FWHM in wavelength -> intensity FWHM in angular frequency.
 

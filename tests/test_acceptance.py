@@ -195,9 +195,10 @@ def test_criterion_09_bell_preparation(config):
 
     minus = scenario.prepare_bell(source, "phi-", knobs)
     pair = scenario.build_amplitudes(source, minus)
+    # Amplitude a holds the V-polarized pairs of the default source.
     na, nb, cross = biphoton.interference_terms(pair)
-    rate_min = scenario._polarized_rate(source, na, nb, cross, 45.0, 45.0,
-                                        pair.relative_phase_rad)
+    rate_min = scenario.analyzer_rate(nb, na, cross * np.exp(1j * pair.relative_phase_rad),
+                                      45.0, 45.0)
     dense = scenario.scan(source, "pump_delay", steps=1025, knobs=minus)
     assert rate_min < 1e-3 * dense.rates.max()
 

@@ -151,6 +151,16 @@ class TestOverlap:
         shifted = apply_pair_delay(jsa, 40.0)
         assert normalized_overlap_magnitude(jsa, shifted) < 1.0 - 1e-6
 
+    def test_delayed_overlaps_match_phased_overlap(self):
+        jsa = reference_jsa(64)
+        centers = (SPEC.signal_center_angular_frequency, SPEC.idler_center_angular_frequency)
+        other = biphoton.apply_envelope_phase(jsa, 7.0, -3.0, 0.4, *centers)
+        delays = np.array([(0.0, 0.0), (25.0, -10.0), (-60.0, 45.0)])
+        batched = biphoton.delayed_overlaps(jsa, other, delays[:, 0], delays[:, 1], *centers)
+        for (t_s, t_i), got in zip(delays, batched):
+            retarded = biphoton.apply_envelope_phase(jsa, -t_s, -t_i, 0.0, *centers)
+            assert got == pytest.approx(overlap(retarded, other), abs=1e-12)
+
 
 class TestCoincidenceRate:
     def test_constructive(self):

@@ -179,6 +179,18 @@ class TestFitCommand:
         assert run(["fit", "--input", path, "--output", tmp_path / "x"]) == 3
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_row_names_the_row(self, tmp_path, capsys, bad):
+        x = np.linspace(0.0, 1600.0, 65)
+        y = 1.0 + np.cos(2 * np.pi * x / 400.0)
+        lines = [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)]
+        lines[10] = f"{float(x[10])!r},{bad}"
+        path = tmp_path / "gap.csv"
+        path.write_text("axis_value,rate\n" + "\n".join(lines) + "\n")
+        assert run(["fit", "--input", path, "--output", tmp_path / "x"]) == 3
+        err = capsys.readouterr().err
+        assert "row 12" in err and "not finite" in err
+
 
 class TestPrepareCommand:
     def test_phi_minus(self, tmp_path, config_file):

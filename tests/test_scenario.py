@@ -170,6 +170,34 @@ class TestScans:
         assert np.array_equal(a.rates, b.rates)
         assert a.metadata["seed"] == 99
 
+    @pytest.mark.parametrize("axis_kind, fields", [
+        ("signal_tilt", ("signal_tilt_deg",)),
+        ("idler_tilt", ("idler_tilt_deg",)),
+        ("both_tilts", ("signal_tilt_deg", "idler_tilt_deg")),
+    ])
+    def test_tilt_scan_runs_on_the_largest_step_grid(self, source, knobs, axis_kind, fields):
+        # 490 fs off compensation: the large-tilt steps need a 256^2 grid,
+        # the small-tilt steps at the end of the range only 128^2.
+        override = scenario.required_compensation_fs(source, knobs) + 490.0
+        result = scenario.scan(source, axis_kind, scan_range=(-35.0, 5.0), steps=9,
+                               knobs=knobs, compensation_override_fs=override)
+        step_knobs = [replace(knobs, **dict.fromkeys(fields, v))
+                      for v in result.metadata["scanned_values"]]
+        own = [scenario.build_amplitudes(source, kn, compensation_override_fs=override)
+               for kn in step_knobs]
+        sizes = [pair.amp_a.metadata["grid_points"] for pair in own]
+        assert sizes[0] > sizes[-1]
+        assert result.metadata["grid_points"] == max(sizes)
+
+        grid = own[sizes.index(max(sizes))].amp_a.grid
+        for kn, rate in zip(step_knobs, result.rates):
+            pair = scenario.build_amplitudes(source, kn, grid=grid,
+                                             compensation_override_fs=override)
+            na, nb, cross = biphoton.interference_terms(pair)
+            # 45/45 analyzers weight both amplitudes equally.
+            expected = (na + nb + 2.0 * (cross * np.exp(1j * pair.relative_phase_rad)).real) / (na + nb)
+            assert rate == pytest.approx(max(expected, 0.0), abs=1e-10)
+
     def test_metadata_snapshot(self, source, knobs):
         result = scenario.scan(source, "signal_tilt", steps=9, knobs=knobs)
         meta = result.metadata
@@ -191,18 +219,20 @@ class TestPrepareBell:
     def test_phi_plus_is_scan_maximum(self, source, knobs):
         prepared = scenario.prepare_bell(source, "phi+", knobs)
         pair = scenario.build_amplitudes(source, prepared)
+        # Amplitude a holds the V-polarized pairs of the default source.
         na, nb, cross = biphoton.interference_terms(pair)
-        rate = scenario._polarized_rate(source, na, nb, cross, 45.0, 45.0,
-                                        pair.relative_phase_rad)
+        rate = scenario.analyzer_rate(nb, na, cross * np.exp(1j * pair.relative_phase_rad),
+                                      45.0, 45.0)
         dense = scenario.scan(source, "pump_delay", steps=1025, knobs=prepared)
         assert rate >= dense.rates.max() - 1e-6
 
     def test_phi_minus_is_scan_minimum(self, source, knobs):
         prepared = scenario.prepare_bell(source, "phi-", knobs)
         pair = scenario.build_amplitudes(source, prepared)
+        # Amplitude a holds the V-polarized pairs of the default source.
         na, nb, cross = biphoton.interference_terms(pair)
-        rate = scenario._polarized_rate(source, na, nb, cross, 45.0, 45.0,
-                                        pair.relative_phase_rad)
+        rate = scenario.analyzer_rate(nb, na, cross * np.exp(1j * pair.relative_phase_rad),
+                                      45.0, 45.0)
         dense = scenario.scan(source, "pump_delay", steps=1025, knobs=prepared)
         assert rate <= dense.rates.min() + 1e-6
         assert rate < 1e-3 * dense.rates.max()
