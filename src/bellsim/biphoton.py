@@ -44,7 +44,7 @@ class JointSpectralAmplitude:
             )
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2)) * self.grid.cell_area
+        return float(np.vdot(self.values, self.values).real) * self.grid.cell_area
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, biphoton, fitting, polarization, scenario
+from . import __version__, fitting, polarization, scenario
 from .errors import ConfigError, DataError, InfeasibleError, InsufficientDataError
 from .polarization import PHI_TO_PSI_HWP_DEG
 from .spectral import NO_FILTER, SpectralFilter
@@ -219,10 +219,10 @@ def cmd_sweep(args) -> int:
         src = SWEEP_SOURCES[parameter](cfg.source, value)
         # The source is compensated exactly, plus the swept error if any.
         error = value if parameter == "compensation_error_fs" else 0.0
-        na, nb, cross = biphoton.interference_terms(scenario.build_amplitudes(
+        na, nb, cross = scenario.interference_terms(
             src, knobs, grid_points=cfg.scan.grid_points, grid_span_factor=cfg.scan.grid_span_factor,
             compensation_override_fs=scenario.required_compensation_fs(src, knobs) + error,
-        ))
+        )
         rows.append(("none" if value is None else value, 2.0 * abs(cross) / (na + nb)))
 
     prefix = Path(args.output)
@@ -292,9 +292,11 @@ def cmd_prepare(args) -> int:
 
     target = args.target
     phi_target = {"phi+": "phi+", "phi-": "phi-", "psi+": "phi+", "psi-": "phi-"}[target]
-    prepared = scenario.prepare_bell(source, phi_target, knobs, grid_points=gp, grid_span_factor=sf)
-    state, visibility = scenario.effective_polarization_state(source, prepared, grid_points=gp,
-                                                              grid_span_factor=sf)
+    # The pump knob only moves the carrier phase: one evaluation of the
+    # terms serves both the solve and the prepared state.
+    terms = scenario.interference_terms(source, knobs, grid_points=gp, grid_span_factor=sf)
+    prepared = scenario.prepare_bell(source, phi_target, knobs, terms=terms)
+    state, visibility = scenario.effective_polarization_state(source, prepared, terms=terms)
     # The HH and VV coefficients are the two amplitudes' normalized weights
     # with the fringe phase; the coherence factor scales their interference.
     c_hh, c_vv = state.coefficients[0], state.coefficients[3]

@@ -33,6 +33,10 @@ from .units import C_NM_PER_FS
 
 MM_TO_NM = 1.0e6
 
+# The libyaml-backed safe loader when PyYAML was built with it (about ten
+# times faster); the pure-Python one otherwise.  Both build the same data.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class Material:
@@ -244,7 +248,7 @@ def compensation_delay(crystals, pump_wavelength_nm: float) -> float:
 
 
 def _load_records(stream) -> dict:
-    records = yaml.safe_load(stream)
+    records = yaml.load(stream, Loader=YAML_LOADER)
     if not isinstance(records, list):
         raise ConfigError("material data file must contain a list of records")
     by_name: dict = {}

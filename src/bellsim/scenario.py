@@ -25,6 +25,12 @@ JSAs at one (signal delay, idler delay, carrier phase).  A scan builds the
 JSAs once, on a grid sized for its largest delay, computes each step's
 plate terms, pump-knob phase or analyzer angle as arrays, and evaluates all
 distinct delays as one batched overlap ((E_s @ P) * E_i).sum(1).
+``interference_terms`` is the same path with one delay row, on the grid
+sized for that one budget: the CLI sweeps (one call per swept value, each on
+its own grid), ``prepare_bell`` and ``effective_polarization_state`` use it,
+and never phase or scale a 2-D amplitude.  ``build_amplitudes`` still
+assembles the two phased amplitudes explicitly, for the tests and the
+time-domain oracle.
 
 All constant carrier phases are folded into the amplitude values, so the
 fringe position is simply the argument of the complex overlap; the pump
@@ -52,6 +58,7 @@ from .dispersion import (
     phase_matching_cut_angle,
     refractive_index,
     MM_TO_NM,
+    YAML_LOADER,
 )
 from .errors import ConfigError, GridTruncationError, InfeasibleError
 from .spectral import (
@@ -155,6 +162,10 @@ class ScanSettings:
             raise ConfigError(f"axis_kind must be one of {SCAN_AXIS_KINDS}, got {self.axis_kind!r}")
         if self.noise not in ("none", "poisson"):
             raise ConfigError(f"noise must be none|poisson, got {self.noise!r}")
+        if not 8 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ConfigError(f"scan.grid_points must be in [8, {MAX_GRID_POINTS}], got {self.grid_points}")
+        if not (math.isfinite(self.mean_counts) and self.mean_counts > 0.0):
+            raise ConfigError(f"scan.mean_counts must be finite and positive, got {self.mean_counts!r}")
 
 
 @dataclass(frozen=True)
@@ -408,9 +419,14 @@ def _pump_weights(source: SourceConfig) -> tuple:
 def _grid_for(source: SourceConfig, max_delay: float, points: int, span_factor: float):
     """Grid sized for the envelopes and refined to sample a net group
     retardation of ``max_delay`` fs between the amplitudes."""
+    if not math.isfinite(max_delay):
+        raise ConfigError(
+            f"the net group delay between the amplitudes is {max_delay!r} fs; check every "
+            "thickness_mm (crystals, compensator, knob plates)"
+        )
     spec0 = phase_matching_spec(source.crystals[0], source.pump)
     base = make_grid(source.pump, spec0, filters=source.filters,
-                     points=max(points, 8), span_factor=span_factor)
+                     points=points, span_factor=span_factor)
     half_span = 0.5 * float(base.signal_axis[-1] - base.signal_axis[0])
 
     needed = points
@@ -443,6 +459,43 @@ def _jsas(source: SourceConfig, grid: FrequencyGrid) -> tuple:
     else:
         jsa_b = build_jsa(pump, spec_b, *source.filters, grid, label=second.axis_orientation)
     return jsa_a, jsa_b
+
+
+def _budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
+                  grid_span_factor: float) -> tuple:
+    """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
+    amplitudes the budget makes of both JSAs, on one grid sized for its
+    largest delay.  Every distinct (signal, idler) delay pair is one row of
+    a batched overlap; the carrier phases and pump weights are applied to
+    the overlaps, never to the 2-D amplitudes."""
+    grid, points_used = _grid_for(source, float(np.max(budget.envelope_delay_fs())),
+                                  grid_points, grid_span_factor)
+    w_a, w_b = _pump_weights(source)
+    jsa_a, jsa_b = _jsas(source, grid)
+    a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
+    b_group, b_carrier = budget.amplitude_b()
+    delays, row_of = np.unique(np.column_stack((a_sig_group - b_group, a_idl_group - b_group)),
+                               axis=0, return_inverse=True)
+    overlaps = biphoton.delayed_overlaps(jsa_a, jsa_b, delays[:, 0], delays[:, 1],
+                                         budget.signal_center, budget.idler_center)
+    cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps[row_of.reshape(-1)]
+    return w_a * w_a * jsa_a.norm_squared(), w_b * w_b * jsa_b.norm_squared(), cross, points_used
+
+
+def interference_terms(
+    source: SourceConfig,
+    knobs: PhaseKnobs | None = None,
+    grid_points: int = 128,
+    grid_span_factor: float = 5.0,
+    compensation_override_fs: float | None = None,
+) -> tuple:
+    """(|A_a|^2, |A_b|^2, <A_a|A_b>) of the amplitudes ``build_amplitudes``
+    assembles at these knobs and override, on the same grid, through the
+    batched overlap the scans use.  The pump knob is not included: it only
+    multiplies the overlap by exp(i pump_knob_phase)."""
+    budget = delay_budget(source, knobs, compensation_override_fs)
+    norm_a, norm_b, cross, _ = _budget_terms(source, budget, grid_points, grid_span_factor)
+    return norm_a, norm_b, complex(cross[0])
 
 
 def build_amplitudes(
@@ -569,18 +622,9 @@ def scan(
     standing = delay_budget(source, knobs, compensation_override_fs)
     budget = replace(standing, **{f"{arm}_plate": _plate_terms(source, arm, step[f"{arm}_tilt_deg"])
                                   for arm in ("signal", "idler")})
-    grid, grid_points_used = _grid_for(source, float(np.max(budget.envelope_delay_fs())),
-                                       grid_points, grid_span_factor)
-    w_a, w_b = _pump_weights(source)
-    jsa_a, jsa_b = _jsas(source, grid)
-    a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
-    b_group, b_carrier = budget.amplitude_b()
-    delays, row_of = np.unique(np.column_stack((a_sig_group - b_group, a_idl_group - b_group)),
-                               axis=0, return_inverse=True)
-    overlaps = biphoton.delayed_overlaps(jsa_a, jsa_b, delays[:, 0], delays[:, 1],
-                                         budget.signal_center, budget.idler_center)
-    cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps[row_of.reshape(-1)]
-    norms_sq = _h_and_v(source, w_a * w_a * jsa_a.norm_squared(), w_b * w_b * jsa_b.norm_squared())
+    norm_a, norm_b, cross, grid_points_used = _budget_terms(source, budget, grid_points,
+                                                            grid_span_factor)
+    norms_sq = _h_and_v(source, norm_a, norm_b)
     rates = analyzer_rate(*norms_sq, cross * np.exp(1j * pump_knob_phase(source, step["pump_delta_x_nm"])),
                           step["theta1_deg"], step["theta2_deg"])
     # Rates are physically nonnegative; destructive-interference points can
@@ -620,6 +664,12 @@ def scan(
     return FringeScan(axis=axis, axis_kind=axis_kind, rates=rates, metadata=metadata)
 
 
+def _coherence(norm_a_sq: float, norm_b_sq: float, cross: complex) -> float:
+    """|<a|b>| / (|a| |b|), at most 1; 0 when either amplitude vanishes."""
+    norms = math.sqrt(norm_a_sq) * math.sqrt(norm_b_sq)
+    return 0.0 if norms == 0.0 else min(abs(cross) / norms, 1.0)
+
+
 def prepare_bell(
     source: SourceConfig,
     target: str,
@@ -627,24 +677,29 @@ def prepare_bell(
     grid_points: int = 128,
     grid_span_factor: float = 5.0,
     compensation_override_fs: float | None = None,
+    terms: tuple | None = None,
 ) -> PhaseKnobs:
     """Pump-knob setting that puts the space-time fringe at its maximum
     (phi+) or minimum (phi-); the returned knobs are verified by rate
-    evaluation by the caller's tests."""
+    evaluation by the caller's tests.
+
+    ``terms`` takes ``interference_terms`` already evaluated at these knobs
+    and override (the grid arguments are then unused); the pump knob does
+    not change them, so one evaluation also serves the prepared knobs.
+    """
     if target not in ("phi+", "phi-"):
         raise ConfigError(f"target must be phi+|phi-, got {target!r}")
     knobs = knobs or PhaseKnobs()
-    pair = build_amplitudes(source, knobs, grid_points=grid_points,
-                            grid_span_factor=grid_span_factor,
-                            compensation_override_fs=compensation_override_fs)
-    visibility = biphoton.normalized_overlap_magnitude(pair.amp_a, pair.amp_b)
+    if terms is None:
+        terms = interference_terms(source, knobs, grid_points, grid_span_factor,
+                                   compensation_override_fs)
+    visibility = _coherence(*terms)
     if visibility <= 0.9:
         raise InfeasibleError(
             f"cannot prepare {target}: |overlap| = {visibility:.4f} <= 0.9 "
             "(compensation or balance insufficient)"
         )
-    standing = pump_knob_phase(source, knobs.pump_delta_x_nm)
-    constant = np.angle(biphoton.overlap(pair.amp_a, pair.amp_b)) + standing
+    constant = np.angle(terms[2]) + pump_knob_phase(source, knobs.pump_delta_x_nm)
     wanted = 0.0 if target == "phi+" else math.pi
     delta_phase = (wanted - constant) % (2.0 * math.pi)
     delta_x = delta_phase * source.pump.center_wavelength_nm / (2.0 * math.pi)
@@ -657,17 +712,19 @@ def effective_polarization_state(
     grid_points: int = 128,
     grid_span_factor: float = 5.0,
     compensation_override_fs: float | None = None,
+    terms: tuple | None = None,
 ):
     """Pure-state polarization coefficients with the effective fringe phase,
-    plus the separately reported coherence factor V = |overlap|."""
+    plus the separately reported coherence factor V = |overlap|.  ``terms``
+    as in ``prepare_bell``."""
     knobs = knobs or PhaseKnobs()
-    pair = build_amplitudes(source, knobs, grid_points=grid_points,
-                            grid_span_factor=grid_span_factor,
-                            compensation_override_fs=compensation_override_fs)
-    na, nb, cross = biphoton.interference_terms(pair)
+    if terms is None:
+        terms = interference_terms(source, knobs, grid_points, grid_span_factor,
+                                   compensation_override_fs)
+    na, nb, cross = terms
     w_a, w_b = math.sqrt(na), math.sqrt(nb)
-    visibility = 0.0 if w_a * w_b == 0.0 else min(abs(cross) / (w_a * w_b), 1.0)
-    phase = pair.relative_phase_rad + (np.angle(cross) if w_a * w_b > 0.0 else 0.0)
+    visibility = _coherence(na, nb, cross)
+    phase = pump_knob_phase(source, knobs.pump_delta_x_nm) + (np.angle(cross) if w_a * w_b > 0.0 else 0.0)
 
     # The fringe phase rides on the horizontally-polarized pair amplitude.
     w_h, w_v = _h_and_v(source, w_a, w_b)
@@ -677,7 +734,6 @@ def effective_polarization_state(
         labels=(source.crystals[0].signal_center_nm, source.crystals[0].idler_center_nm),
     )
     return state, visibility
-
 
 
 # --------------------------------------------------------------------------
@@ -853,7 +909,7 @@ def load_config(path) -> ExperimentConfig:
     """Load and validate a scenario config file (YAML)."""
     try:
         with open(path, "r") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -9,6 +9,15 @@ function is the first-order (group-velocity) sinc,
     D = (1/u_p - 1/u_s) nu_s + (1/u_p - 1/u_i) nu_i,
 
 i.e. the length-average of exp(i D z) over the crystal.
+
+``build_jsa`` samples it without any 2-D transcendental call: the half
+mismatch h = D L / 2 is a sum a(nu_s) + b(nu_i) of two 1-D terms, so
+exp(i h) is the outer product of exp(i a) and exp(i b), and sinc(h) is
+Im exp(i h) / h (the series 1 - h^2/6 + h^4/120 where |h| < 1e-2, where
+the quotient would lose accuracy).  The real pump-times-filters envelope is
+sampled once and multiplied by sinc(h); the norm is taken from that real
+product, and exp(i h) is applied last.  ``phase_matching`` is the direct
+formula, kept as the reference the sampled grid is tested against.
 """
 
 from __future__ import annotations
@@ -32,6 +41,11 @@ DURATION_CONVENTION = "intensity_fwhm"
 
 # Containment threshold for the Gaussian envelope factors at the grid edge.
 EDGE_AMPLITUDE_LIMIT = 1.0e-4
+
+# Im exp(i h) / h carries the few-1e-16 absolute rounding error of its
+# numerator divided by |h|; below this |h| the sampled sinc(h) is taken from
+# its series 1 - h^2/6 + h^4/120 instead (truncation error < 3e-16).
+SINC_SERIES_BELOW = 1.0e-2
 
 
 @dataclass(frozen=True)
@@ -171,9 +185,13 @@ class FrequencyGrid:
 
 def pump_spectrum(pulse: PumpPulse, omega_sum):
     """Pump spectral amplitude at the pair sum frequency; 1 at the center."""
-    nu = np.asarray(omega_sum, dtype=float) - pulse.center_angular_frequency
+    nu = np.subtract(omega_sum, pulse.center_angular_frequency, dtype=float)
     sigma = pulse.sigma_omega
-    return np.exp(-(nu * nu) / (4.0 * sigma * sigma))
+    # In place: on a 2-D sum-frequency mesh this is a JSA build's largest
+    # real array.
+    nu *= nu
+    nu /= -(4.0 * sigma * sigma)
+    return np.exp(nu, out=nu) if isinstance(nu, np.ndarray) else np.exp(nu)
 
 
 def filter_amplitude(filt: SpectralFilter, omega):
@@ -239,11 +257,13 @@ def make_grid(
     return FrequencyGrid(signal_axis=sig, idler_axis=idl)
 
 
-def _check_grid(pulse, spec, f_s, f_i, grid):
-    """Span, resolution and edge-containment checks for the Gaussian factors.
+def _check_grid(pulse, f_s, f_i, grid):
+    """Span and resolution checks for the Gaussian factors, and the pump
+    ridge's corner containment when no filter bounds the support; scalar
+    work only, done before anything 2-D is allocated.
 
     The sinc tails fall off only algebraically and are therefore exempt from
-    the edge test (they cannot satisfy it on any practical grid); adequacy
+    the edge tests (they cannot satisfy them on any practical grid); adequacy
     against them is covered by the grid-refinement stability property.
     """
     sigmas = [("pump envelope", pulse.sigma_omega)]
@@ -283,27 +303,54 @@ def _check_grid(pulse, spec, f_s, f_i, grid):
                 f"grid too narrow for the pump envelope: edge magnitude {edge:.3g} "
                 f"exceeds {EDGE_AMPLITUDE_LIMIT} of the peak"
             )
-    else:
-        # The filters bound the support; check the full Gaussian-factor
-        # product along the grid border.
-        ws, wi = grid.meshes()
-        envelope = (
-            pump_spectrum(pulse, ws + wi)
-            * filter_amplitude(f_s, grid.signal_axis)[:, None]
-            * filter_amplitude(f_i, grid.idler_axis)[None, :]
+
+
+def _check_border(envelope):
+    """With filters bounding the support: the sampled Gaussian-factor
+    product must fall below the edge limit along the whole grid border."""
+    border = max(
+        float(envelope[0, :].max()),
+        float(envelope[-1, :].max()),
+        float(envelope[:, 0].max()),
+        float(envelope[:, -1].max()),
+    )
+    peak = float(envelope.max())
+    if peak == 0.0 or border > EDGE_AMPLITUDE_LIMIT * peak:
+        raise GridTruncationError(
+            f"grid too narrow: envelope magnitude at the border is "
+            f"{border / max(peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT})"
         )
-        border = max(
-            float(envelope[0, :].max()),
-            float(envelope[-1, :].max()),
-            float(envelope[:, 0].max()),
-            float(envelope[:, -1].max()),
-        )
-        peak = float(envelope.max())
-        if peak == 0.0 or border > EDGE_AMPLITUDE_LIMIT * peak:
-            raise GridTruncationError(
-                f"grid too narrow: envelope magnitude at the border is "
-                f"{border / max(peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT})"
-            )
+
+
+def _separable_phase_matching(spec: PhaseMatchingSpec, nu_s, nu_i):
+    """(sinc(h), exp(i h)) of the first-order phase matching on the outer
+    (nu_s, nu_i) grid of two 1-D detuning axes, from 1-D factors only.
+
+    The half mismatch h = D L / 2 is a sum a(nu_s) + b(nu_i), so exp(i h) is
+    the outer product of exp(i a) and exp(i b), and sinc(h) = Im exp(i h) / h:
+    no 2-D complex exponential or sine is evaluated.  Where |h| is below
+    ``SINC_SERIES_BELOW`` (including h == 0) sinc(h) comes from its series.
+    """
+    half_l = 0.5 * spec.crystal_length_mm
+    a = (spec.inverse_group_velocity_pump_fs_per_mm - spec.inverse_group_velocity_signal_fs_per_mm) * half_l * nu_s
+    b = (spec.inverse_group_velocity_pump_fs_per_mm - spec.inverse_group_velocity_idler_fs_per_mm) * half_l * nu_i
+    carrier = np.multiply.outer(np.exp(1j * a), np.exp(1j * b))
+    sinc = np.add.outer(a, b)
+    near = np.abs(sinc) < SINC_SERIES_BELOW
+    h2 = sinc[near] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(carrier.imag, sinc, out=sinc)
+    sinc[near] = 1.0 - h2 / 6.0 * (1.0 - h2 / 20.0)
+    return sinc, carrier
+
+
+def _checked_norm(norm_sq: float) -> float:
+    """The L2 norm from its square; a zero or non-finite one (e.g. from an
+    infinite crystal length) is rejected."""
+    if not (math.isfinite(norm_sq) and norm_sq > 0.0):
+        raise GridTruncationError(f"joint amplitude norm squared is {norm_sq!r} on this grid; "
+                                  "it must be finite and positive")
+    return math.sqrt(norm_sq)
 
 
 def build_jsa(
@@ -317,26 +364,30 @@ def build_jsa(
 ) -> JointSpectralAmplitude:
     """Sample pump * phase-matching * filters on the grid and L2-normalize.
 
-    ``phase_matching_fn(nu_s, nu_i)`` overrides the sinc model (test hook for
-    closed-form Gaussian cross-checks).
+    The real envelope pump * filters is sampled once; the border check reads
+    it too.  ``phase_matching_fn(nu_s, nu_i)`` overrides the sinc model
+    (test hook for closed-form Gaussian cross-checks); it is called on
+    broadcastable 2-D detuning meshes.
     """
     spec.check_energy_conservation(pulse.center_wavelength_nm)
-    _check_grid(pulse, spec, f_s, f_i, grid)
+    _check_grid(pulse, f_s, f_i, grid)
     ws, wi = grid.meshes()
-    nu_s = ws - spec.signal_center_angular_frequency
-    nu_i = wi - spec.idler_center_angular_frequency
+    envelope = pump_spectrum(pulse, ws + wi)
+    envelope *= filter_amplitude(f_s, grid.signal_axis)[:, None]
+    envelope *= filter_amplitude(f_i, grid.idler_axis)[None, :]
+    if f_s.shape != "none" or f_i.shape != "none":
+        _check_border(envelope)
 
-    pm = phase_matching_fn(nu_s, nu_i) if phase_matching_fn is not None else phase_matching(spec, nu_s, nu_i)
-    values = (
-        pump_spectrum(pulse, ws + wi).astype(complex)
-        * pm
-        * filter_amplitude(f_s, grid.signal_axis)[:, None]
-        * filter_amplitude(f_i, grid.idler_axis)[None, :]
-    )
-    norm_sq = float(np.sum(np.abs(values) ** 2)) * grid.cell_area
-    if norm_sq <= 0.0:
-        raise GridTruncationError("joint amplitude has zero norm on this grid")
-    values = values / math.sqrt(norm_sq)
+    nu_s = grid.signal_axis - spec.signal_center_angular_frequency
+    nu_i = grid.idler_axis - spec.idler_center_angular_frequency
+    if phase_matching_fn is not None:
+        values = (envelope * phase_matching_fn(nu_s[:, None], nu_i[None, :])).astype(complex)
+        values /= _checked_norm(float(np.sum(np.abs(values) ** 2)) * grid.cell_area)
+    else:
+        sinc, values = _separable_phase_matching(spec, nu_s, nu_i)
+        envelope *= sinc
+        envelope /= _checked_norm(float(np.vdot(envelope, envelope)) * grid.cell_area)
+        values *= envelope
 
     metadata = {
         "crystal_label": label,

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellsim
 from bellsim import scenario
 from bellsim.cli import main
 
@@ -210,6 +213,16 @@ class TestPrepareCommand:
         assert float(report["hwp_axis_deg"]) == 45.0
         assert float(report["fidelity"]) > 0.999
 
+    def test_one_jsa_build_per_run(self, tmp_path, monkeypatch):
+        # The pump knob only moves the carrier phase, so the solve and the
+        # prepared state share one evaluation; identical cuts share one JSA.
+        calls = []
+        build_jsa = scenario.build_jsa
+        monkeypatch.setattr(scenario, "build_jsa", lambda *a, **k: calls.append(1) or build_jsa(*a, **k))
+        assert run(["prepare", "--config", "default", "--output", tmp_path / "p",
+                    "--target", "phi+"]) == 0
+        assert len(calls) == 1
+
     def test_uncompensated_is_infeasible(self, tmp_path, config_file, capsys):
         bare = tmp_path / "bare.yaml"
         text = config_file.read_text()
@@ -221,11 +234,56 @@ class TestPrepareCommand:
         assert "overlap" in capsys.readouterr().err
 
 
+def _edited_config(config_file, tmp_path, old, new):
+    path = tmp_path / "edited.yaml"
+    text = config_file.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
+class TestBadInputExitCodes:
+    COMMANDS = {
+        "scan": [],
+        "sweep": ["--parameter", "pump_ratio", "--grid", "0.5,1"],
+        "prepare": ["--target", "phi+"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_infinite_crystal_thickness(self, tmp_path, config_file, capsys, command):
+        bad = _edited_config(config_file, tmp_path, "thickness_mm: 3.4", "thickness_mm: .inf")
+        out = tmp_path / "x"
+        assert run([command, "--config", bad, "--output", out, *self.COMMANDS[command]]) == 2
+        assert "thickness_mm" in capsys.readouterr().err
+        assert not out.with_name("x.csv").exists()
+
+    @pytest.mark.parametrize("points", [4, 100000])
+    def test_grid_points_out_of_range(self, tmp_path, config_file, capsys, points):
+        bad = _edited_config(config_file, tmp_path, "grid_points: 128", f"grid_points: {points}")
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
+        assert "scan.grid_points" in capsys.readouterr().err
+
+    def test_negative_mean_counts(self, tmp_path, config_file, capsys):
+        bad = _edited_config(config_file, tmp_path, "mean_counts: 1000.0", "mean_counts: -5")
+        bad.write_text(bad.read_text().replace("noise: none", "noise: poisson"))
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x", "--seed", 3]) == 2
+        assert "scan.mean_counts" in capsys.readouterr().err
+
+    def test_invalid_yaml(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("pump: [unclosed\n")
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
+        assert "not valid YAML" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # The child process imports the same bellsim as this one.
+        src = str(Path(bellsim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         result = subprocess.run(
             [sys.executable, "-m", "bellsim", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert "bellsim" in result.stdout

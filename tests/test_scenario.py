@@ -1,10 +1,13 @@
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from bellsim import biphoton, scenario
+from bellsim.dispersion import YAML_LOADER
 from bellsim.errors import ConfigError, InfeasibleError
 from bellsim.fitting import fit_fringe
 from bellsim.polarization import AnalyzerSetting, fidelity, make_state
@@ -305,3 +308,76 @@ class TestModelProperties:
             flipped, knobs, compensation_override_fs=required
         )
         assert np.abs(state.coefficients[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
+
+
+def _tilted(source, knobs):
+    return source, replace(knobs, signal_tilt_deg=12.0, idler_tilt_deg=21.0)
+
+
+# name -> (source, knobs) transform and the compensation override (None: the
+# shipped compensator; a number: required + that error).
+TERMS_CASES = {
+    "collinear": (lambda src, kn: (src, kn), None),
+    "mzi": (lambda src, kn: (replace(src, scheme="mzi", compensator=()), kn), 0.0),
+    "override_error": (lambda src, kn: (src, kn), 450.0),
+    "tilted": (_tilted, None),
+    "pump_ratio": (lambda src, kn: (replace(src, pump_amplitude_ratio=2.0), kn), None),
+    "cross_dispersion": (lambda src, kn: (replace(src, cross_dispersion_enabled=True), kn), 0.0),
+}
+
+
+class TestInterferenceTerms:
+    @pytest.mark.parametrize("case", TERMS_CASES)
+    @pytest.mark.parametrize("grid_points", [128, 256])
+    def test_matches_built_amplitudes(self, source, knobs, case, grid_points):
+        transform, error = TERMS_CASES[case]
+        src, kn = transform(source, knobs)
+        override = None if error is None else scenario.required_compensation_fs(src, kn) + error
+        got = scenario.interference_terms(src, kn, grid_points=grid_points,
+                                          compensation_override_fs=override)
+        expected = biphoton.interference_terms(scenario.build_amplitudes(
+            src, kn, grid_points=grid_points, compensation_override_fs=override))
+        assert np.abs(np.array(got) - np.array(expected)).max() <= 1e-12
+
+    def test_pump_knob_leaves_terms_unchanged(self, source, knobs):
+        moved = replace(knobs, pump_delta_x_nm=123.0)
+        assert scenario.interference_terms(source, moved) == scenario.interference_terms(source, knobs)
+
+    def test_prepare_with_given_terms(self, source, knobs):
+        terms = scenario.interference_terms(source, knobs)
+        prepared = scenario.prepare_bell(source, "phi-", knobs, terms=terms)
+        assert prepared == scenario.prepare_bell(source, "phi-", knobs)
+        state, visibility = scenario.effective_polarization_state(source, prepared, terms=terms)
+        fresh_state, fresh_visibility = scenario.effective_polarization_state(source, prepared)
+        assert visibility == fresh_visibility
+        assert np.array_equal(state.coefficients, fresh_state.coefficients)
+
+    def test_infinite_crystal_delay_rejected(self, source, knobs):
+        endless = replace(source, crystals=(replace(source.crystals[0], thickness_mm=math.inf),
+                                            source.crystals[1]))
+        with pytest.raises(ConfigError, match="thickness_mm"):
+            scenario.interference_terms(endless, knobs)
+
+
+class TestScanSettings:
+    @pytest.mark.parametrize("points", [4, 7, scenario.MAX_GRID_POINTS + 1, 100000])
+    def test_grid_points_out_of_range(self, points):
+        with pytest.raises(ConfigError, match="scan.grid_points"):
+            scenario.ScanSettings(grid_points=points)
+
+    @pytest.mark.parametrize("points", [8, scenario.MAX_GRID_POINTS])
+    def test_grid_points_bounds_accepted(self, points):
+        assert scenario.ScanSettings(grid_points=points).grid_points == points
+
+    @pytest.mark.parametrize("counts", [-5.0, 0.0, math.nan, math.inf])
+    def test_mean_counts_must_be_finite_positive(self, counts):
+        with pytest.raises(ConfigError, match="scan.mean_counts"):
+            scenario.ScanSettings(noise="poisson", mean_counts=counts)
+
+
+class TestYamlLoader:
+    @pytest.mark.parametrize("name", ["default.yaml", "materials.yaml"])
+    def test_packaged_files_parse_alike_under_both_loaders(self, name):
+        text = resources.files("bellsim.data").joinpath(name).read_text()
+        assert yaml.load(text, Loader=YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bellsim import spectral
+from bellsim import scenario
 from bellsim.errors import ConfigError, GridTruncationError
 from bellsim.spectral import (
     NO_FILTER,
@@ -213,3 +215,74 @@ class TestBuildJsa:
         assert jsa.metadata["duration_convention"] == "intensity_fwhm"
         assert jsa.metadata["phase_matching"] == "sinc_first_order"
         assert jsa.metadata["crystal_label"] == "first"
+
+
+def direct_jsa(pulse, spec, f_s, f_i, grid):
+    """The normalized JSA from the direct 2-D formula of ``phase_matching``."""
+    ws, wi = grid.meshes()
+    values = (
+        pump_spectrum(pulse, ws + wi)
+        * filter_amplitude(f_s, grid.signal_axis)[:, None]
+        * filter_amplitude(f_i, grid.idler_axis)[None, :]
+        * phase_matching(spec, ws - spec.signal_center_angular_frequency,
+                         wi - spec.idler_center_angular_frequency)
+    )
+    return values / math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.cell_area)
+
+
+# Equal and unequal signal/idler cuts: the default nondegenerate BBO spec, a
+# shorter crystal, and a degenerate spec whose h vanishes on the whole
+# anti-diagonal.
+SAMPLING_SPECS = {
+    "default": SPEC,
+    "short": PhaseMatchingSpec(1.0, 730.0, 885.0, 5811.3, 5636.9, 5602.8),
+    "degenerate": PhaseMatchingSpec(3.4, 800.0, 800.0, 5811.3, 5620.0, 5620.0),
+}
+
+
+class TestSeparableSampling:
+    @pytest.mark.parametrize("name", SAMPLING_SPECS)
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_matches_direct_phase_matching(self, name, filtered):
+        spec = SAMPLING_SPECS[name]
+        filters = (
+            (SpectralFilter(spec.signal_center_nm, 10.0), SpectralFilter(spec.idler_center_nm, 10.0))
+            if filtered else (NO_FILTER, NO_FILTER)
+        )
+        grid = make_grid(PUMP, spec, filters=filters, points=129)  # odd: h == 0 at the center
+        got = build_jsa(PUMP, spec, *filters, grid).values
+        expected = direct_jsa(PUMP, spec, *filters, grid)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_zero_mismatch_cells(self):
+        # Equal signal and idler rates and exactly opposite detunings: h is
+        # exactly 0 on the anti-diagonal, where sinc(h) exp(i h) must be 1.
+        spec = SAMPLING_SPECS["degenerate"]
+        nu = np.arange(-4, 5) * 0.013
+        sinc, carrier = spectral._separable_phase_matching(spec, nu, nu)
+        assert np.all(sinc[::-1].diagonal() == 1.0)
+        got = sinc * carrier
+        assert np.max(np.abs(got[::-1].diagonal() - 1.0)) <= 1e-15
+        expected = phase_matching(spec, nu[:, None], nu[None, :])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("unequal", [False, True])
+    def test_scenario_cuts_match_direct_formula(self, default_config, unequal):
+        source = default_config.source
+        if unequal:
+            first, second = source.crystals
+            source = replace(source, crystals=(first, replace(second, thickness_mm=2.0)))
+        grid = make_grid(source.pump, scenario.phase_matching_spec(source.crystals[0], source.pump),
+                         filters=source.filters, points=128)
+        for crystal, jsa in zip(source.crystals, scenario._jsas(source, grid)):
+            expected = direct_jsa(source.pump, scenario.phase_matching_spec(crystal, source.pump),
+                                  *source.filters, grid)
+            assert np.max(np.abs(jsa.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_crystal_length_rejected(self):
+        grid = make_grid(PUMP, SPEC, points=64)
+        endless = replace(SPEC, crystal_length_mm=math.inf)
+        with pytest.raises(GridTruncationError, match="finite and positive"):
+            build_jsa(PUMP, endless, NO_FILTER, NO_FILTER, grid)
+
