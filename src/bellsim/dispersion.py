@@ -18,6 +18,11 @@ derivatives.  Tilted plates use exact plane-parallel refraction geometry:
 Snell's law with the ordinary index fixes the internal angle, and the e-ray
 is propagated along the same lengthened path with its normal-incidence
 index (approximation flag ``e_index_at_normal_incidence`` in the report).
+
+The indices are scalar evaluations at one wavelength; the tilt only
+lengthens the path.  ``element_delays`` and ``internal_angle_rad`` therefore
+take a ``tilt_deg`` that broadcasts over an array: a whole tilt scan costs
+the index evaluations of one tilt.
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError, WavelengthRangeError
 from .units import C_NM_PER_FS
 
 MM_TO_NM = 1.0e6
+MAX_TILT_DEG = 45.0
 
 # The libyaml-backed safe loader when PyYAML was built with it (about ten
 # times faster); the pure-Python one otherwise.  Both build the same data.
@@ -73,6 +80,15 @@ class Material:
             )
 
 
+def check_tilt(tilt_deg) -> None:
+    """ConfigError naming the first tilt (deg) that is not below 45 deg in
+    magnitude; ``tilt_deg`` is a number or an array."""
+    bad = ~(np.abs(tilt_deg) < MAX_TILT_DEG)
+    if np.count_nonzero(bad):
+        first = np.asarray(tilt_deg, dtype=float)[bad][0]
+        raise ConfigError(f"|tilt| must be < {MAX_TILT_DEG:g} deg, got {first}")
+
+
 @dataclass(frozen=True)
 class BirefringentElement:
     """A plane-parallel uniaxial element in the beam path.
@@ -90,8 +106,7 @@ class BirefringentElement:
     def __post_init__(self):
         if self.thickness_mm <= 0.0:
             raise ConfigError(f"element thickness must be positive, got {self.thickness_mm} mm")
-        if abs(self.tilt_deg) >= 45.0:
-            raise ConfigError(f"|tilt| must be < 45 deg, got {self.tilt_deg}")
+        check_tilt(self.tilt_deg)
         if self.axis_orientation not in ("horizontal", "vertical"):
             raise ConfigError(f"axis_orientation must be horizontal|vertical, got {self.axis_orientation!r}")
 
@@ -202,22 +217,29 @@ def phase_matching_cut_angle(
     return math.asin(math.sqrt(sin2))
 
 
-def internal_angle_rad(element: BirefringentElement, wavelength_nm: float) -> float:
-    """Internal propagation angle from Snell's law with the ordinary index."""
+def internal_angle_rad(element: BirefringentElement, wavelength_nm: float, tilt_deg=None):
+    """Internal propagation angle from Snell's law with the ordinary index,
+    at the element's tilt or at ``tilt_deg`` (a number or an array)."""
+    tilt = element.tilt_deg if tilt_deg is None else tilt_deg
     n_o = refractive_index(element.material, "o", wavelength_nm)
-    return math.asin(math.sin(math.radians(element.tilt_deg)) / n_o)
+    return np.arcsin(np.sin(np.radians(tilt)) / n_o)
 
 
-def element_delays(element: BirefringentElement, pol: str, wavelength_nm: float) -> GroupDelayReport:
+def element_delays(element: BirefringentElement, pol: str, wavelength_nm: float,
+                   tilt_deg=None) -> GroupDelayReport:
     """Phase and group delay of one ray through a (possibly tilted) element.
 
     The geometric path is lengthened to thickness/cos(internal angle); phase
     delay is n * L_eff / c and group delay n_g * L_eff / c.  At tilt 0 this
-    reduces exactly to n L / c.
+    reduces exactly to n L / c.  ``tilt_deg`` replaces the element's tilt
+    and may be an array (checked like the element's): the delays are then
+    arrays of its shape, from one evaluation of the indices.
     """
+    if tilt_deg is not None:
+        check_tilt(tilt_deg)
     n = refractive_index(element.material, pol, wavelength_nm)
     n_g = group_index(element.material, pol, wavelength_nm)
-    path_nm = element.thickness_mm * MM_TO_NM / math.cos(internal_angle_rad(element, wavelength_nm))
+    path_nm = element.thickness_mm * MM_TO_NM / np.cos(internal_angle_rad(element, wavelength_nm, tilt_deg))
     return GroupDelayReport(
         phase_delay_fs=n * path_nm / C_NM_PER_FS,
         group_delay_fs=n_g * path_nm / C_NM_PER_FS,

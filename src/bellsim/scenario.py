@@ -22,9 +22,12 @@ a ``DelayBudget`` holds each one's contribution to both amplitudes, and
 ``required_compensation_fs``, the grid sizing and ``build_amplitudes`` read
 it.  Every fringe value is thus the kernel P = conj(J_a) J_b of the two
 JSAs at one (signal delay, idler delay, carrier phase).  A scan builds the
-JSAs once, on a grid sized for its largest delay, computes each step's
-plate terms, pump-knob phase or analyzer angle as arrays, and evaluates all
-distinct delays as one batched overlap ((E_s @ P) * E_i).sum(1).
+JSAs once, on a grid sized for its largest delay, and computes each step's
+pump-knob phase, analyzer angles and plate terms as arrays; a plate's
+indices depend only on its arm's center wavelength, so the plate terms of
+all steps come from one dispersion pass per arm.  All distinct delays are
+then one batched overlap ((E_s @ P) * E_i).sum(1), in which an arm whose
+delay no step changes is a single broadcast phase row.
 ``interference_terms`` is the same path with one delay row, on the grid
 sized for that one budget: the CLI sweeps (one call per swept value, each on
 its own grid), ``prepare_bell`` and ``effective_polarization_state`` use it,
@@ -166,6 +169,10 @@ class ScanSettings:
             raise ConfigError(f"scan.grid_points must be in [8, {MAX_GRID_POINTS}], got {self.grid_points}")
         if not (math.isfinite(self.mean_counts) and self.mean_counts > 0.0):
             raise ConfigError(f"scan.mean_counts must be finite and positive, got {self.mean_counts!r}")
+        if not (math.isfinite(self.grid_span_factor) and self.grid_span_factor > 0.0):
+            raise ConfigError(
+                f"scan.grid_span_factor must be finite and positive, got {self.grid_span_factor!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -254,32 +261,25 @@ def _crossing_delays(first: CrystalConfig, second: CrystalConfig, pump: PumpPuls
     )
 
 
-def _plate_effect_on_a(source: SourceConfig, arm: str, tilt_deg: float):
+def _plate_effect_on_a(source: SourceConfig, arm: str, tilt_deg):
     """(group, phase) retardation of amplitude a relative to amplitude b
-    caused by the per-arm plate of ``arm`` (signal|idler) at a tilt:
-    positive when amplitude a's photon rides the slow extraordinary axis."""
+    caused by the per-arm plate of ``arm`` (signal|idler) at a tilt, or
+    arrays of both at an array of tilts: positive when amplitude a's photon
+    rides the slow extraordinary axis.  The plate's indices are evaluated
+    once, at the arm's center wavelength; the tilts only set the path."""
     first = source.crystals[0]
     plate, center_nm = {
         "signal": (source.signal_plate, first.signal_center_nm),
         "idler": (source.idler_plate, first.idler_center_nm),
     }[arm]
-    tilted = replace(plate, tilt_deg=float(tilt_deg))
-    rep_e = element_delays(tilted, "e", center_nm)
-    rep_o = element_delays(tilted, "o", center_nm)
+    rep_e = element_delays(plate, "e", center_nm, tilt_deg)
+    rep_o = element_delays(plate, "o", center_nm, tilt_deg)
     a_is_extraordinary = (first.pair_polarization() == "V") == (plate.axis_orientation == "vertical")
     sign = 1.0 if a_is_extraordinary else -1.0
     return (
         sign * (rep_e.group_delay_fs - rep_o.group_delay_fs),
         sign * (rep_e.phase_delay_fs - rep_o.phase_delay_fs),
     )
-
-
-def _plate_terms(source: SourceConfig, arm: str, tilts: np.ndarray) -> tuple:
-    """(group, phase) arrays of ``_plate_effect_on_a`` at each tilt; each
-    distinct tilt is evaluated once."""
-    distinct, index = np.unique(tilts, return_inverse=True)
-    group, phase = np.array([_plate_effect_on_a(source, arm, t) for t in distinct]).T
-    return group[index], phase[index]
 
 
 def _compensator_advance(source: SourceConfig) -> tuple:
@@ -310,7 +310,8 @@ class DelayBudget:
     and the ``signal_plate`` and ``idler_plate`` retardations.  Amplitude b:
     ``pump_crossing`` of crystal 1 by its pump component (collinear only),
     less the ``compensation`` pre-advance.  A scan stores the plate terms of
-    all its steps as arrays; every derived delay broadcasts over them.
+    all its steps as arrays, from one ``_plate_effect_on_a`` pass per arm;
+    every derived delay broadcasts over them.
     """
 
     signal_center: float
@@ -474,7 +475,8 @@ def _budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
     jsa_a, jsa_b = _jsas(source, grid)
     a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
     b_group, b_carrier = budget.amplitude_b()
-    delays, row_of = np.unique(np.column_stack((a_sig_group - b_group, a_idl_group - b_group)),
+    delays, row_of = np.unique(np.column_stack(np.broadcast_arrays(a_sig_group - b_group,
+                                                                   a_idl_group - b_group)),
                                axis=0, return_inverse=True)
     overlaps = biphoton.delayed_overlaps(jsa_a, jsa_b, delays[:, 0], delays[:, 1],
                                          budget.signal_center, budget.idler_center)
@@ -617,11 +619,13 @@ def scan(
     step = {name: np.full(steps, value) for name, value in (asdict(knobs) | asdict(analyzers)).items()}
     step.update(dict.fromkeys(SCAN_AXIS_FIELDS[axis_kind], values))
 
-    # Only the plate terms change the delays; each distinct tilt is
-    # evaluated once, each distinct delay pair is one overlap row.
+    # Only the scanned plates change the delays: all their steps' terms come
+    # from one dispersion pass per arm, each distinct delay pair is one
+    # overlap row.
+    scanned_arms = [arm for arm in ("signal", "idler") if f"{arm}_tilt_deg" in SCAN_AXIS_FIELDS[axis_kind]]
     standing = delay_budget(source, knobs, compensation_override_fs)
-    budget = replace(standing, **{f"{arm}_plate": _plate_terms(source, arm, step[f"{arm}_tilt_deg"])
-                                  for arm in ("signal", "idler")})
+    budget = replace(standing, **{f"{arm}_plate": _plate_effect_on_a(source, arm, values)
+                                  for arm in scanned_arms})
     norm_a, norm_b, cross, grid_points_used = _budget_terms(source, budget, grid_points,
                                                             grid_span_factor)
     norms_sq = _h_and_v(source, norm_a, norm_b)
@@ -635,7 +639,7 @@ def scan(
     # relative to the standing tilts.
     plate_delays = [
         (getattr(budget, f"{arm}_plate")[1] - getattr(standing, f"{arm}_plate")[1]) * C_NM_PER_FS
-        for arm in ("signal", "idler") if f"{arm}_tilt_deg" in SCAN_AXIS_FIELDS[axis_kind]
+        for arm in scanned_arms
     ]
     axis = np.mean(plate_delays, axis=0) if plate_delays else values.copy()
 
@@ -792,18 +796,45 @@ def source_snapshot(source: SourceConfig) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+def _mapping(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {context!r} must be a mapping, got {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
+    if key not in _mapping(mapping, context):
         raise ConfigError(f"config section {context!r} is missing key {key!r}")
     return mapping[key]
+
+
+def _number(mapping: dict, key: str, context: str, default=_REQUIRED, kind=float):
+    """The finite number (``kind`` float or int) at ``context.key``, or
+    ``default`` when the key is absent and a default is given; anything else
+    is a ConfigError naming the key path."""
+    if default is not _REQUIRED and key not in _mapping(mapping, context):
+        return default
+    value = _require(mapping, key, context)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}.{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{context}.{key} must be finite, got {value!r}")
+    if kind is int and not number.is_integer():
+        raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
+    return kind(number)
 
 
 def _parse_element(entry: dict, context: str) -> BirefringentElement:
     return BirefringentElement(
         material=get_material(str(_require(entry, "material", context))),
-        thickness_mm=float(_require(entry, "thickness_mm", context)),
+        thickness_mm=_number(entry, "thickness_mm", context),
         axis_orientation=str(entry.get("axis_orientation", "vertical")),
-        tilt_deg=float(entry.get("tilt_deg", 0.0)),
+        tilt_deg=_number(entry, "tilt_deg", context, 0.0),
     )
 
 
@@ -817,9 +848,9 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     p = data["pump"]
     pump = PumpPulse(
-        center_wavelength_nm=float(_require(p, "center_wavelength_nm", "pump")),
-        duration_fs=float(_require(p, "duration_fs", "pump")),
-        polarization_angle_deg=float(p.get("polarization_angle_deg", 45.0)),
+        center_wavelength_nm=_number(p, "center_wavelength_nm", "pump"),
+        duration_fs=_number(p, "duration_fs", "pump"),
+        polarization_angle_deg=_number(p, "polarization_angle_deg", "pump", 45.0),
     )
 
     crystals = []
@@ -831,10 +862,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         crystals.append(
             CrystalConfig(
                 material=get_material(str(_require(entry, "material", context))),
-                thickness_mm=float(_require(entry, "thickness_mm", context)),
+                thickness_mm=_number(entry, "thickness_mm", context),
                 axis_orientation=str(_require(entry, "axis_orientation", context)),
-                signal_center_nm=float(_require(entry, "signal_center_nm", context)),
-                idler_center_nm=float(_require(entry, "idler_center_nm", context)),
+                signal_center_nm=_number(entry, "signal_center_nm", context),
+                idler_center_nm=_number(entry, "idler_center_nm", context),
             )
         )
 
@@ -843,15 +874,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(raw_filters, list) or len(raw_filters) != 2:
         raise ConfigError("config section 'filters' must list exactly two filters")
     for k, entry in enumerate(raw_filters):
-        shape = str(entry.get("shape", "gaussian"))
+        context = f"filters[{k}]"
+        shape = str(_mapping(entry, context).get("shape", "gaussian"))
         if shape == "none":
             filters.append(NO_FILTER)
         else:
-            context = f"filters[{k}]"
             filters.append(
                 SpectralFilter(
-                    center_nm=float(_require(entry, "center_nm", context)),
-                    fwhm_nm=float(_require(entry, "fwhm_nm", context)),
+                    center_nm=_number(entry, "center_nm", context),
+                    fwhm_nm=_number(entry, "fwhm_nm", context),
                     shape=shape,
                 )
             )
@@ -862,7 +893,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
     scheme = data["scheme"]
-    knobs_raw = data.get("knobs", {}) or {}
+    knobs_raw = _mapping(data.get("knobs") or {}, "knobs")
     plates = {}
     for arm in ("signal_plate", "idler_plate"):
         entry = knobs_raw.get(arm)
@@ -879,27 +910,27 @@ def parse_config(data: dict) -> ExperimentConfig:
         signal_plate=plates["signal_plate"],
         idler_plate=plates["idler_plate"],
         cross_dispersion_enabled=bool(scheme.get("cross_dispersion", False)),
-        pump_amplitude_ratio=float(scheme.get("pump_amplitude_ratio", 1.0)),
+        pump_amplitude_ratio=_number(scheme, "pump_amplitude_ratio", "scheme", 1.0),
     )
 
     knobs = PhaseKnobs(
-        pump_delta_x_nm=float(knobs_raw.get("pump_delta_x_nm", 0.0)),
-        signal_tilt_deg=float(knobs_raw.get("signal_tilt_deg", 0.0)),
-        idler_tilt_deg=float(knobs_raw.get("idler_tilt_deg", 0.0)),
+        pump_delta_x_nm=_number(knobs_raw, "pump_delta_x_nm", "knobs", 0.0),
+        signal_tilt_deg=_number(knobs_raw, "signal_tilt_deg", "knobs", 0.0),
+        idler_tilt_deg=_number(knobs_raw, "idler_tilt_deg", "knobs", 0.0),
     )
 
-    s = data.get("scan", {}) or {}
+    s = _mapping(data.get("scan") or {}, "scan")
     scan_settings = ScanSettings(
         axis_kind=str(s.get("axis_kind", "pump_delay")),
-        start=None if s.get("start") is None else float(s["start"]),
-        stop=None if s.get("stop") is None else float(s["stop"]),
-        steps=int(s.get("steps", 129)),
-        analyzer1_deg=float(s.get("analyzer1_deg", 45.0)),
-        analyzer2_deg=float(s.get("analyzer2_deg", 45.0)),
-        grid_points=int(s.get("grid_points", 128)),
-        grid_span_factor=float(s.get("grid_span_factor", 5.0)),
+        start=None if s.get("start") is None else _number(s, "start", "scan"),
+        stop=None if s.get("stop") is None else _number(s, "stop", "scan"),
+        steps=_number(s, "steps", "scan", 129, int),
+        analyzer1_deg=_number(s, "analyzer1_deg", "scan", 45.0),
+        analyzer2_deg=_number(s, "analyzer2_deg", "scan", 45.0),
+        grid_points=_number(s, "grid_points", "scan", 128, int),
+        grid_span_factor=_number(s, "grid_span_factor", "scan", 5.0),
         noise=str(s.get("noise", "none")),
-        mean_counts=float(s.get("mean_counts", 1000.0)),
+        mean_counts=_number(s, "mean_counts", "scan", 1000.0),
     )
 
     return ExperimentConfig(source=source, knobs=knobs, scan=scan_settings)

@@ -161,6 +161,24 @@ class TestOverlap:
             retarded = biphoton.apply_envelope_phase(jsa, -t_s, -t_i, 0.0, *centers)
             assert got == pytest.approx(overlap(retarded, other), abs=1e-12)
 
+    @pytest.mark.parametrize("constant", ["signal", "idler", "both"])
+    def test_constant_arm_matches_full_rows(self, constant):
+        # A constant arm is one broadcast phase row; the K-row product is
+        # the reference.
+        jsa = reference_jsa(64)
+        centers = (SPEC.signal_center_angular_frequency, SPEC.idler_center_angular_frequency)
+        other = biphoton.apply_envelope_phase(jsa, 7.0, -3.0, 0.4, *centers)
+        varying = np.linspace(-60.0, 45.0, 9)
+        fixed = np.full(varying.size, 12.5)
+        signal = varying if constant == "idler" else fixed
+        idler = varying if constant == "signal" else fixed
+        e_s = np.exp(1j * np.multiply.outer(signal, jsa.grid.signal_axis - centers[0]))
+        e_i = np.exp(1j * np.multiply.outer(idler, jsa.grid.idler_axis - centers[1]))
+        full = ((e_s @ (np.conj(jsa.values) * other.values)) * e_i).sum(axis=1) * jsa.grid.cell_area
+        batched = biphoton.delayed_overlaps(jsa, other, signal, idler, *centers)
+        assert batched.shape == full.shape
+        assert np.max(np.abs(batched - full)) <= 1e-12 * np.max(np.abs(full))
+
 
 class TestCoincidenceRate:
     def test_constructive(self):

@@ -269,6 +269,43 @@ class TestBadInputExitCodes:
         assert run(["scan", "--config", bad, "--output", tmp_path / "x", "--seed", 3]) == 2
         assert "scan.mean_counts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("center_wavelength_nm: 400.0", "center_wavelength_nm: fast", "pump.center_wavelength_nm"),
+        ("duration_fs: 80.0", "duration_fs: .nan", "pump.duration_fs"),
+        ("thickness_mm: 3.4", "thickness_mm: thick", "crystals[0].thickness_mm"),
+        ("fwhm_nm: 10.0", "fwhm_nm: [10]", "filters[0].fwhm_nm"),
+        ("thickness_mm: 35.352", "thickness_mm: .nan", "compensator[0].thickness_mm"),
+        ("thickness_mm: 3.057", "thickness_mm: -.inf", "knobs.idler_plate.thickness_mm"),
+        ("signal_tilt_deg: 0.0", "signal_tilt_deg: null", "knobs.signal_tilt_deg"),
+        ("pump_amplitude_ratio: 1.0", "pump_amplitude_ratio: .inf", "scheme.pump_amplitude_ratio"),
+        ("steps: 129", "steps: 12.5", "scan.steps"),
+        ("grid_span_factor: 5.0", "grid_span_factor: -1", "scan.grid_span_factor"),
+        ("grid_span_factor: 5.0", "grid_span_factor: .nan", "scan.grid_span_factor"),
+    ])
+    def test_bad_number_names_the_key(self, tmp_path, config_file, capsys, old, new, key):
+        bad = _edited_config(config_file, tmp_path, old, new)
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, context", [
+        ("pump:\n", "pump: 5\nold_pump:\n", "pump"),
+        ("knobs:\n", "knobs: 5\nold_knobs:\n", "knobs"),
+        ("scan:\n", "scan: 5\nold_scan:\n", "scan"),
+        ("- {center_nm: 730.0, fwhm_nm: 10.0, shape: gaussian}", "- 5", "filters[0]"),
+    ])
+    def test_section_that_is_not_a_mapping(self, tmp_path, config_file, capsys, old, new, context):
+        bad = _edited_config(config_file, tmp_path, old, new)
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
+        assert f"{context!r} must be a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["signal_tilt", "idler_tilt", "both_tilts"])
+    def test_scanned_tilt_beyond_bound(self, tmp_path, config_file, capsys, axis):
+        out = tmp_path / "x"
+        assert run(["scan", "--config", config_file, "--output", out, "--axis", axis,
+                    "--start", 30, "--stop", 50]) == 2
+        assert "|tilt| must be < 45" in capsys.readouterr().err
+        assert not out.with_name("x.csv").exists()
+
     def test_invalid_yaml(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("pump: [unclosed\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,6 +150,23 @@ class TestElementDelays:
         two = element_delays(BirefringentElement(QUARTZ, 3.0, "vertical", 12.0), "o", 885.0)
         assert two.phase_delay_fs == pytest.approx(2.0 * one.phase_delay_fs, rel=1e-12)
         assert two.group_delay_fs == pytest.approx(2.0 * one.group_delay_fs, rel=1e-12)
+
+    @pytest.mark.parametrize("pol", ["o", "e"])
+    def test_tilt_array_matches_per_tilt_elements(self, pol):
+        plate = BirefringentElement(QUARTZ, 3.0, "vertical", 0.0)
+        tilts = np.array([-30.0, -7.5, 0.0, 0.0, 12.0, 44.9])
+        batch = element_delays(plate, pol, 730.0, tilts)
+        for k, tilt in enumerate(tilts):
+            one = element_delays(replace(plate, tilt_deg=float(tilt)), pol, 730.0)
+            assert batch.phase_delay_fs[k] == pytest.approx(one.phase_delay_fs, rel=1e-14)
+            assert batch.group_delay_fs[k] == pytest.approx(one.group_delay_fs, rel=1e-14)
+
+    @pytest.mark.parametrize("tilts, named", [([10.0, 45.0, 50.0], "45.0"), ([30.0, -45.0], "-45.0"),
+                                              ([0.0, np.nan], "nan")])
+    def test_tilt_array_bound_names_the_tilt(self, tilts, named):
+        plate = BirefringentElement(QUARTZ, 3.0, "vertical", 0.0)
+        with pytest.raises(ConfigError, match=rf"\|tilt\| must be < 45 deg, got {named}$"):
+            element_delays(plate, "o", 730.0, np.array(tilts))
 
     def test_delays_positive(self):
         rep = element_delays(BirefringentElement(BBO, 3.4, "horizontal", 0.0), "e", 400.0)

@@ -6,12 +6,25 @@ import numpy as np
 import pytest
 import yaml
 
-from bellsim import biphoton, scenario
+from bellsim import biphoton, dispersion, scenario
 from bellsim.dispersion import YAML_LOADER
 from bellsim.errors import ConfigError, InfeasibleError
 from bellsim.fitting import fit_fringe
 from bellsim.polarization import AnalyzerSetting, fidelity, make_state
 from bellsim.spectral import NO_FILTER
+
+
+# The dispersion layer's functions, down to the Sellmeier evaluation.
+DISPERSION_CALLS = (
+    "_sellmeier_n2_and_derivative",
+    "refractive_index",
+    "group_index",
+    "angled_extraordinary_index",
+    "angled_extraordinary_group_index",
+    "phase_matching_cut_angle",
+    "internal_angle_rad",
+    "element_delays",
+)
 
 
 def fringe_visibility(pair):
@@ -201,6 +214,28 @@ class TestScans:
             expected = (na + nb + 2.0 * (cross * np.exp(1j * pair.relative_phase_rad)).real) / (na + nb)
             assert rate == pytest.approx(max(expected, 0.0), abs=1e-10)
 
+    def test_dispersion_work_independent_of_steps(self, source, knobs, monkeypatch):
+        # Every step's plate terms come from one pass: a per-step loop over
+        # the dispersion layer would make these counts grow with the steps.
+        def counted_scan(steps):
+            counts = dict.fromkeys(DISPERSION_CALLS, 0)
+            for name in DISPERSION_CALLS:
+                def counted(*args, _fn=getattr(dispersion, name), _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                # scenario calls the names it imported, dispersion its own.
+                for module in (dispersion, scenario):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, counted)
+            scenario.scan(source, "both_tilts", steps=steps, knobs=knobs)
+            monkeypatch.undo()
+            return counts
+
+        few, many = counted_scan(33), counted_scan(257)
+        assert few["_sellmeier_n2_and_derivative"] > 0 and few["element_delays"] > 0
+        assert few == many, (few, many)
+
     def test_metadata_snapshot(self, source, knobs):
         result = scenario.scan(source, "signal_tilt", steps=9, knobs=knobs)
         meta = result.metadata
@@ -359,6 +394,40 @@ class TestInterferenceTerms:
             scenario.interference_terms(endless, knobs)
 
 
+class TestPlateTerms:
+    @pytest.mark.parametrize("arm", ["signal", "idler"])
+    @pytest.mark.parametrize("orientation", ["vertical", "horizontal"])
+    def test_tilt_array_matches_per_tilt_elements(self, source, arm, orientation):
+        source = replace(source, **{f"{arm}_plate": replace(getattr(source, f"{arm}_plate"),
+                                                            axis_orientation=orientation)})
+        plate = getattr(source, f"{arm}_plate")
+        center = getattr(source.crystals[0], f"{arm}_center_nm")
+        # The first crystal's pairs are V-polarized: the extraordinary ray
+        # of a vertical-axis plate.
+        sign = 1.0 if orientation == "vertical" else -1.0
+        tilts = np.array([-35.0, -12.25, 0.0, 0.0, 7.5, 21.0, 44.0])
+        group, phase = scenario._plate_effect_on_a(source, arm, tilts)
+        for k, tilt in enumerate(tilts):
+            tilted = replace(plate, tilt_deg=float(tilt))
+            rep_e = dispersion.element_delays(tilted, "e", center)
+            rep_o = dispersion.element_delays(tilted, "o", center)
+            want_group = sign * (rep_e.group_delay_fs - rep_o.group_delay_fs)
+            want_phase = sign * (rep_e.phase_delay_fs - rep_o.phase_delay_fs)
+            assert group[k] == pytest.approx(want_group, rel=1e-12)
+            assert phase[k] == pytest.approx(want_phase, rel=1e-12)
+
+    def test_scalar_tilt_gives_scalar_terms(self, source):
+        group, phase = scenario._plate_effect_on_a(source, "idler", 9.0)
+        arrays = scenario._plate_effect_on_a(source, "idler", np.array([9.0]))
+        assert np.ndim(group) == 0 and np.ndim(phase) == 0
+        assert (group, phase) == pytest.approx((arrays[0][0], arrays[1][0]), rel=1e-15)
+
+    @pytest.mark.parametrize("axis_kind", ["signal_tilt", "idler_tilt", "both_tilts"])
+    def test_scanned_tilt_bound_names_the_tilt(self, source, knobs, axis_kind):
+        with pytest.raises(ConfigError, match=r"\|tilt\| must be < 45 deg, got 45"):
+            scenario.scan(source, axis_kind, (30.0, 50.0), steps=17, knobs=knobs)
+
+
 class TestScanSettings:
     @pytest.mark.parametrize("points", [4, 7, scenario.MAX_GRID_POINTS + 1, 100000])
     def test_grid_points_out_of_range(self, points):
@@ -368,6 +437,11 @@ class TestScanSettings:
     @pytest.mark.parametrize("points", [8, scenario.MAX_GRID_POINTS])
     def test_grid_points_bounds_accepted(self, points):
         assert scenario.ScanSettings(grid_points=points).grid_points == points
+
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, math.nan, math.inf])
+    def test_grid_span_factor_must_be_finite_positive(self, factor):
+        with pytest.raises(ConfigError, match="scan.grid_span_factor"):
+            scenario.ScanSettings(grid_span_factor=factor)
 
     @pytest.mark.parametrize("counts", [-5.0, 0.0, math.nan, math.inf])
     def test_mean_counts_must_be_finite_positive(self, counts):
