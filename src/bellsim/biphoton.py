@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-NORM_TOLERANCE = 1.0e-9
-
 
 @dataclass(frozen=True)
 class JointSpectralAmplitude:

@@ -78,8 +78,7 @@ def _resolve_config(arg: str):
 
 
 def _load(args):
-    path = _resolve_config(args.config)
-    return str(path), scenario.load_config(path)
+    return scenario.load_config(_resolve_config(args.config))
 
 
 def _manifest(args, command: str, outputs, seed) -> RunManifest:
@@ -108,7 +107,7 @@ def _fit_report_items(fit: fitting.FitResult, v_raw: float):
 
 
 def cmd_scan(args) -> int:
-    config_path, cfg = _load(args)
+    cfg = _load(args)
     settings = cfg.scan
     axis_kind = args.axis or settings.axis_kind
     steps = args.steps if args.steps is not None else settings.steps
@@ -177,9 +176,12 @@ def _sweep_values(raw: str):
             values.append(None)
         else:
             try:
-                values.append(float(token))
+                value = float(token)
+                if not math.isfinite(value):
+                    raise ValueError(token)
             except ValueError:
                 raise ConfigError(f"bad sweep grid value {token!r}") from None
+            values.append(value)
     if not values:
         raise ConfigError("sweep grid is empty")
     return values
@@ -208,7 +210,7 @@ SWEEP_PARAMETERS = tuple(SWEEP_SOURCES)
 
 
 def cmd_sweep(args) -> int:
-    config_path, cfg = _load(args)
+    cfg = _load(args)
     values = _sweep_values(args.grid)
     parameter, knobs = args.parameter, cfg.knobs
     if None in values and parameter != "filter_fwhm":
@@ -286,7 +288,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    config_path, cfg = _load(args)
+    cfg = _load(args)
     source, knobs = cfg.source, cfg.knobs
     gp, sf = cfg.scan.grid_points, cfg.scan.grid_span_factor
 

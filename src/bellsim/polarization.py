@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-BASIS = ("HH", "HV", "VH", "VV")
-
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
 # Axis angle (from vertical) of the half-wave plate that swaps H and V,

@@ -21,19 +21,23 @@ Every element acts to first order, as a group delay plus a carrier phase;
 a ``DelayBudget`` holds each one's contribution to both amplitudes, and
 ``required_compensation_fs``, the grid sizing and ``build_amplitudes`` read
 it.  Every fringe value is thus the kernel P = conj(J_a) J_b of the two
-JSAs at one (signal delay, idler delay, carrier phase).  A scan builds the
-JSAs once, on a grid sized for its largest delay, and computes each step's
+JSAs at one (signal delay, idler delay, carrier phase).  One setup,
+``_spectral_setup``, gives every caller its grid and JSAs: it sizes the
+grid for the budget's largest delay (or takes a given one), evaluates each
+crystal's phase-matching spec once and builds both JSAs, sharing one when
+the cuts are identical.  A scan runs it once and computes each step's
 pump-knob phase, analyzer angles and plate terms as arrays; a plate's
 indices depend only on its arm's center wavelength, so the plate terms of
-all steps come from one dispersion pass per arm.  All distinct delays are
-then one batched overlap ((E_s @ P) * E_i).sum(1), in which an arm whose
-delay no step changes is a single broadcast phase row.
-``interference_terms`` is the same path with one delay row, on the grid
-sized for that one budget: the CLI sweeps (one call per swept value, each on
-its own grid), ``prepare_bell`` and ``effective_polarization_state`` use it,
-and never phase or scale a 2-D amplitude.  ``build_amplitudes`` still
-assembles the two phased amplitudes explicitly, for the tests and the
-time-domain oracle.
+all steps come from one dispersion pass per arm.  The per-step delays then
+go to one batched overlap ((E_s @ P) * E_i).sum(1), the only place delays
+are deduplicated: an arm whose delay no step changes is a single broadcast
+phase row.  ``interference_terms`` is the same path with one delay row, on
+the grid sized for that one budget; the CLI sweeps call it once per swept
+value, each on its own grid.  ``prepare_bell`` and
+``effective_polarization_state`` take its terms (or evaluate them at the
+default numerics) and never phase or scale a 2-D amplitude.
+``build_amplitudes`` still assembles the two phased amplitudes explicitly,
+for the tests and the time-domain oracle.
 
 All constant carrier phases are folded into the amplitude values, so the
 fringe position is simply the argument of the complex overlap; the pump
@@ -101,6 +105,10 @@ class CrystalConfig:
     axis_orientation: str
     signal_center_nm: float
     idler_center_nm: float
+
+    def __post_init__(self):
+        if not self.thickness_mm > 0.0:
+            raise ConfigError(f"crystal thickness_mm must be positive, got {self.thickness_mm}")
 
     def element(self) -> BirefringentElement:
         return BirefringentElement(
@@ -417,41 +425,36 @@ def _pump_weights(source: SourceConfig) -> tuple:
     return w[0] / norm, w[1] / norm
 
 
-def _grid_for(source: SourceConfig, max_delay: float, points: int, span_factor: float):
-    """Grid sized for the envelopes and refined to sample a net group
-    retardation of ``max_delay`` fs between the amplitudes."""
+def _spectral_setup(source: SourceConfig, budget: DelayBudget, points: int, span_factor: float,
+                    grid: FrequencyGrid | None = None) -> tuple:
+    """Both crystals' joint spectral amplitudes (jsa_a, jsa_b) on ``grid``
+    or, when none is given, on a grid sized for the envelopes and refined to
+    sample the budget's largest net group retardation.  Each crystal's
+    phase-matching spec is evaluated once; identical cuts share one JSA."""
+    pump = source.pump
+    first, second = source.crystals
+    max_delay = float(np.max(budget.envelope_delay_fs()))
     if not math.isfinite(max_delay):
         raise ConfigError(
             f"the net group delay between the amplitudes is {max_delay!r} fs; check every "
             "thickness_mm (crystals, compensator, knob plates)"
         )
-    spec0 = phase_matching_spec(source.crystals[0], source.pump)
-    base = make_grid(source.pump, spec0, filters=source.filters,
-                     points=points, span_factor=span_factor)
-    half_span = 0.5 * float(base.signal_axis[-1] - base.signal_axis[0])
-
-    needed = points
-    if max_delay > 0.0:
-        min_points = int(math.ceil(2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi))
-        while needed < min_points:
-            needed *= 2
-    if needed > MAX_GRID_POINTS:
-        raise GridTruncationError(
-            f"applied delays (~{max_delay:.0f} fs) would need {needed} grid points "
-            f"(cap {MAX_GRID_POINTS}); reduce the delay or widen the cap"
-        )
-    if needed == points:
-        return base, points
-    refined = make_grid(source.pump, spec0, filters=source.filters,
-                        points=needed, span_factor=span_factor)
-    return refined, needed
-
-
-def _jsas(source: SourceConfig, grid: FrequencyGrid) -> tuple:
-    """Both crystals' joint spectral amplitudes; identical cuts share one."""
-    pump = source.pump
-    first, second = source.crystals
     spec_a = phase_matching_spec(first, pump)
+    if grid is None:
+        grid = make_grid(pump, spec_a, filters=source.filters, points=points, span_factor=span_factor)
+        half_span = 0.5 * float(grid.signal_axis[-1] - grid.signal_axis[0])
+        needed = points
+        while needed < 2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi:
+            needed *= 2
+        if needed > MAX_GRID_POINTS:
+            raise GridTruncationError(
+                f"applied delays (~{max_delay:.0f} fs) would need {needed} grid points "
+                f"(cap {MAX_GRID_POINTS}); reduce the delay or widen the cap"
+            )
+        if needed != points:
+            grid = make_grid(pump, spec_a, filters=source.filters, points=needed,
+                             span_factor=span_factor)
+
     jsa_a = build_jsa(pump, spec_a, *source.filters, grid, label=first.axis_orientation)
     spec_b = phase_matching_spec(second, pump)
     if spec_b == spec_a:
@@ -465,23 +468,22 @@ def _jsas(source: SourceConfig, grid: FrequencyGrid) -> tuple:
 def _budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
                   grid_span_factor: float) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
-    amplitudes the budget makes of both JSAs, on one grid sized for its
-    largest delay.  Every distinct (signal, idler) delay pair is one row of
-    a batched overlap; the carrier phases and pump weights are applied to
-    the overlaps, never to the 2-D amplitudes."""
-    grid, points_used = _grid_for(source, float(np.max(budget.envelope_delay_fs())),
-                                  grid_points, grid_span_factor)
+    amplitudes the budget makes of both JSAs, from one ``_spectral_setup``
+    on the grid sized for its largest delay.  The per-entry (signal, idler)
+    delays go straight to one batched overlap, which collapses an arm whose
+    delays are all equal to one row; the carrier phases and pump weights
+    are applied to the overlaps, never to the 2-D amplitudes."""
+    jsa_a, jsa_b = _spectral_setup(source, budget, grid_points, grid_span_factor)
     w_a, w_b = _pump_weights(source)
-    jsa_a, jsa_b = _jsas(source, grid)
     a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
     b_group, b_carrier = budget.amplitude_b()
-    delays, row_of = np.unique(np.column_stack(np.broadcast_arrays(a_sig_group - b_group,
-                                                                   a_idl_group - b_group)),
-                               axis=0, return_inverse=True)
-    overlaps = biphoton.delayed_overlaps(jsa_a, jsa_b, delays[:, 0], delays[:, 1],
+    signal_delays, idler_delays = np.broadcast_arrays(np.atleast_1d(a_sig_group - b_group),
+                                                      a_idl_group - b_group)
+    overlaps = biphoton.delayed_overlaps(jsa_a, jsa_b, signal_delays, idler_delays,
                                          budget.signal_center, budget.idler_center)
-    cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps[row_of.reshape(-1)]
-    return w_a * w_a * jsa_a.norm_squared(), w_b * w_b * jsa_b.norm_squared(), cross, points_used
+    cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps
+    return (w_a * w_a * jsa_a.norm_squared(), w_b * w_b * jsa_b.norm_squared(), cross,
+            jsa_a.grid.shape[0])
 
 
 def interference_terms(
@@ -516,12 +518,8 @@ def build_amplitudes(
     """
     knobs = knobs or PhaseKnobs()
     budget = delay_budget(source, knobs, compensation_override_fs)
-    points_used = grid_points
-    if grid is None:
-        grid, points_used = _grid_for(source, budget.envelope_delay_fs(), grid_points,
-                                      grid_span_factor)
+    jsa_a, jsa_b = _spectral_setup(source, budget, grid_points, grid_span_factor, grid)
     w_a, w_b = _pump_weights(source)
-    jsa_a, jsa_b = _jsas(source, grid)
 
     a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
     b_group, b_carrier = budget.amplitude_b()
@@ -535,8 +533,7 @@ def build_amplitudes(
         amp_a = biphoton.scale(amp_a, w_a)
     if w_b != 1.0:
         amp_b = biphoton.scale(amp_b, w_b)
-    amp_a.metadata["grid_points"] = points_used
-    amp_b.metadata["grid_points"] = points_used
+    amp_a.metadata["grid_points"] = amp_b.metadata["grid_points"] = jsa_a.grid.shape[0]
 
     return AmplitudePair(
         amp_a=amp_a,
@@ -611,8 +608,8 @@ def scan(
     if scan_range is None:
         scan_range = default_scan_range(source, axis_kind)
     start, stop = (float(scan_range[0]), float(scan_range[1]))
-    if not stop > start:
-        raise ConfigError(f"scan range must satisfy stop > start, got ({start}, {stop})")
+    if not (math.isfinite(start) and math.isfinite(stop) and stop > start):
+        raise ConfigError(f"scan range must be finite with stop > start, got ({start}, {stop})")
     values = np.linspace(start, stop, steps)
 
     # Per-step knobs and analyzers: the scanned fields take the scanned values.
@@ -620,8 +617,8 @@ def scan(
     step.update(dict.fromkeys(SCAN_AXIS_FIELDS[axis_kind], values))
 
     # Only the scanned plates change the delays: all their steps' terms come
-    # from one dispersion pass per arm, each distinct delay pair is one
-    # overlap row.
+    # from one dispersion pass per arm; an unscanned arm's delay is one
+    # overlap row for every step.
     scanned_arms = [arm for arm in ("signal", "idler") if f"{arm}_tilt_deg" in SCAN_AXIS_FIELDS[axis_kind]]
     standing = delay_budget(source, knobs, compensation_override_fs)
     budget = replace(standing, **{f"{arm}_plate": _plate_effect_on_a(source, arm, values)
@@ -678,25 +675,23 @@ def prepare_bell(
     source: SourceConfig,
     target: str,
     knobs: PhaseKnobs | None = None,
-    grid_points: int = 128,
-    grid_span_factor: float = 5.0,
-    compensation_override_fs: float | None = None,
     terms: tuple | None = None,
 ) -> PhaseKnobs:
     """Pump-knob setting that puts the space-time fringe at its maximum
     (phi+) or minimum (phi-); the returned knobs are verified by rate
     evaluation by the caller's tests.
 
-    ``terms`` takes ``interference_terms`` already evaluated at these knobs
-    and override (the grid arguments are then unused); the pump knob does
-    not change them, so one evaluation also serves the prepared knobs.
+    ``terms`` are the ``interference_terms`` of the amplitudes at these
+    knobs, evaluated with whatever grid and compensation the caller chose;
+    when absent they are ``interference_terms(source, knobs)``.  The pump
+    knob does not change them, so one evaluation also serves the prepared
+    knobs.
     """
     if target not in ("phi+", "phi-"):
         raise ConfigError(f"target must be phi+|phi-, got {target!r}")
     knobs = knobs or PhaseKnobs()
     if terms is None:
-        terms = interference_terms(source, knobs, grid_points, grid_span_factor,
-                                   compensation_override_fs)
+        terms = interference_terms(source, knobs)
     visibility = _coherence(*terms)
     if visibility <= 0.9:
         raise InfeasibleError(
@@ -713,9 +708,6 @@ def prepare_bell(
 def effective_polarization_state(
     source: SourceConfig,
     knobs: PhaseKnobs | None = None,
-    grid_points: int = 128,
-    grid_span_factor: float = 5.0,
-    compensation_override_fs: float | None = None,
     terms: tuple | None = None,
 ):
     """Pure-state polarization coefficients with the effective fringe phase,
@@ -723,8 +715,7 @@ def effective_polarization_state(
     as in ``prepare_bell``."""
     knobs = knobs or PhaseKnobs()
     if terms is None:
-        terms = interference_terms(source, knobs, grid_points, grid_span_factor,
-                                   compensation_override_fs)
+        terms = interference_terms(source, knobs)
     na, nb, cross = terms
     w_a, w_b = math.sqrt(na), math.sqrt(nb)
     visibility = _coherence(na, nb, cross)
@@ -819,6 +810,8 @@ def _number(mapping: dict, key: str, context: str, default=_REQUIRED, kind=float
         return default
     value = _require(mapping, key, context)
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{context}.{key} must be a number, got {value!r}") from None
@@ -892,7 +885,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         for k, entry in enumerate(data.get("compensator", []) or [])
     )
 
-    scheme = data["scheme"]
+    scheme = _mapping(data["scheme"], "scheme")
+    cross_dispersion = scheme.get("cross_dispersion", False)
+    if not isinstance(cross_dispersion, bool):
+        raise ConfigError(f"scheme.cross_dispersion must be true or false, got {cross_dispersion!r}")
     knobs_raw = _mapping(data.get("knobs") or {}, "knobs")
     plates = {}
     for arm in ("signal_plate", "idler_plate"):
@@ -909,7 +905,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         filters=tuple(filters),
         signal_plate=plates["signal_plate"],
         idler_plate=plates["idler_plate"],
-        cross_dispersion_enabled=bool(scheme.get("cross_dispersion", False)),
+        cross_dispersion_enabled=cross_dispersion,
         pump_amplitude_ratio=_number(scheme, "pump_amplitude_ratio", "scheme", 1.0),
     )
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import bellsim
 from bellsim import scenario
-from bellsim.cli import main
+from bellsim.cli import SWEEP_PARAMETERS, main
 
 
 def run(argv):
@@ -305,6 +306,37 @@ class TestBadInputExitCodes:
                     "--start", 30, "--stop", 50]) == 2
         assert "|tilt| must be < 45" in capsys.readouterr().err
         assert not out.with_name("x.csv").exists()
+
+    @pytest.mark.parametrize("axis", ["pump_delay", "signal_tilt"])
+    @pytest.mark.parametrize("start, stop", [("-inf", "5"), ("0", "inf"), ("nan", "5")])
+    def test_non_finite_scan_range(self, tmp_path, config_file, capsys, axis, start, stop):
+        out = tmp_path / "x"
+        assert run(["scan", "--config", config_file, "--output", out, "--axis", axis,
+                    f"--start={start}", f"--stop={stop}"]) == 2
+        assert "scan range must be finite" in capsys.readouterr().err
+        assert not out.with_name("x.csv").exists()
+
+    @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_sweep_value_names_the_token(self, tmp_path, config_file, capsys,
+                                                    parameter, token):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["sweep", "--config", config_file, "--output", tmp_path / "x",
+                        "--parameter", parameter, f"--grid=1,{token}"])
+        assert code == 2
+        assert f"bad sweep grid value {token!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("thickness_mm: 3.4", "thickness_mm: true", "crystals[0].thickness_mm"),
+        ("steps: 129", "steps: false", "scan.steps"),
+        ("cross_dispersion: false", "cross_dispersion: fast", "scheme.cross_dispersion"),
+        ("cross_dispersion: false", "cross_dispersion: 1", "scheme.cross_dispersion"),
+    ])
+    def test_wrong_type_names_the_key(self, tmp_path, config_file, capsys, old, new, key):
+        bad = _edited_config(config_file, tmp_path, old, new)
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
+        assert key in capsys.readouterr().err
 
     def test_invalid_yaml(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

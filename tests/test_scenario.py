@@ -11,7 +11,7 @@ from bellsim.dispersion import YAML_LOADER
 from bellsim.errors import ConfigError, InfeasibleError
 from bellsim.fitting import fit_fringe
 from bellsim.polarization import AnalyzerSetting, fidelity, make_state
-from bellsim.spectral import NO_FILTER
+from bellsim.spectral import NO_FILTER, make_grid
 
 
 # The dispersion layer's functions, down to the Sellmeier evaluation.
@@ -103,6 +103,18 @@ class TestBuildAmplitudes:
         bare = replace(source, compensator=())
         pair = scenario.build_amplitudes(bare, knobs, grid_points=128)
         assert pair.amp_a.metadata["grid_points"] > 128
+
+    def test_given_grid_sets_the_recorded_points(self, source, knobs):
+        grid = make_grid(source.pump, scenario.phase_matching_spec(source.crystals[0], source.pump),
+                         filters=source.filters, points=256)
+        pair = scenario.build_amplitudes(source, knobs, grid=grid)
+        assert pair.amp_a.grid is grid
+        assert pair.amp_a.metadata["grid_points"] == pair.amp_b.metadata["grid_points"] == 256
+
+    @pytest.mark.parametrize("thickness", [0.0, -1.5, math.nan])
+    def test_crystal_thickness_must_be_positive(self, source, thickness):
+        with pytest.raises(ConfigError, match="crystal thickness_mm must be positive"):
+            replace(source.crystals[1], thickness_mm=thickness)
 
     def test_required_compensation_near_quoted_band(self, source, knobs):
         required = scenario.required_compensation_fs(source, knobs)
@@ -213,6 +225,12 @@ class TestScans:
             # 45/45 analyzers weight both amplitudes equally.
             expected = (na + nb + 2.0 * (cross * np.exp(1j * pair.relative_phase_rad)).real) / (na + nb)
             assert rate == pytest.approx(max(expected, 0.0), abs=1e-10)
+
+    @pytest.mark.parametrize("axis_kind", ["pump_delay", "signal_tilt"])
+    @pytest.mark.parametrize("scan_range", [(-math.inf, 5.0), (0.0, math.inf), (math.nan, 5.0)])
+    def test_non_finite_range_rejected(self, source, knobs, axis_kind, scan_range):
+        with pytest.raises(ConfigError, match="scan range must be finite"):
+            scenario.scan(source, axis_kind, scan_range, steps=17, knobs=knobs)
 
     def test_dispersion_work_independent_of_steps(self, source, knobs, monkeypatch):
         # Every step's plate terms come from one pass: a per-step loop over
@@ -339,9 +357,8 @@ class TestModelProperties:
         required = scenario.required_compensation_fs(flipped, knobs)
         pair = scenario.build_amplitudes(flipped, knobs, compensation_override_fs=required)
         assert fringe_visibility(pair) > 0.999
-        state, _ = scenario.effective_polarization_state(
-            flipped, knobs, compensation_override_fs=required
-        )
+        terms = scenario.interference_terms(flipped, knobs, compensation_override_fs=required)
+        state, _ = scenario.effective_polarization_state(flipped, knobs, terms=terms)
         assert np.abs(state.coefficients[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
 

@@ -274,7 +274,8 @@ class TestSeparableSampling:
             source = replace(source, crystals=(first, replace(second, thickness_mm=2.0)))
         grid = make_grid(source.pump, scenario.phase_matching_spec(source.crystals[0], source.pump),
                          filters=source.filters, points=128)
-        for crystal, jsa in zip(source.crystals, scenario._jsas(source, grid)):
+        jsas = scenario._spectral_setup(source, scenario.delay_budget(source), 128, 5.0, grid)
+        for crystal, jsa in zip(source.crystals, jsas):
             expected = direct_jsa(source.pump, scenario.phase_matching_spec(crystal, source.pump),
                                   *source.filters, grid)
             assert np.max(np.abs(jsa.values - expected)) <= 1e-12 * np.max(np.abs(expected))
