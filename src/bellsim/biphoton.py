@@ -8,7 +8,11 @@ normalized so that equal, fully overlapping amplitudes trace 1 + cos(dphi):
 mean 1, peak 2.
 
 All interference is evaluated in the frequency domain; the time-domain form
-of the coincidence integral exists only as a test oracle.
+of the coincidence integral exists only as a test oracle.  Scans, sweeps and
+``scenario.interference_terms`` never build these 2-D amplitudes: they take
+their overlaps from ``spectral.kernel_overlaps``, which streams the real
+two-crystal kernel in row blocks.  The functions here serve
+``scenario.build_amplitudes`` and the tests that check the stream against it.
 """
 
 from __future__ import annotations
@@ -130,38 +134,6 @@ def overlap(a: JointSpectralAmplitude, b: JointSpectralAmplitude) -> complex:
     if not a.grid.matches(b.grid):
         raise ConfigError("overlap requires amplitudes on the same grid")
     return complex(np.vdot(a.values, b.values) * a.grid.cell_area)
-
-
-def delayed_overlaps(a: JointSpectralAmplitude, b: JointSpectralAmplitude, signal_delays_fs,
-                     idler_delays_fs, signal_center: float, idler_center: float) -> np.ndarray:
-    """<a|b> with a retarded relative to b by each (signal, idler) group
-    delay pair as in apply_envelope_phase: all K pairs at once as
-    ((E_s @ P) * E_i).sum(1), with P = conj(a) b and E = exp(i T (w - W)).
-
-    An arm whose K delays are all equal contributes one broadcast phase row;
-    when only the idler's are, the product runs from the idler side with
-    P transposed, so a single-arm scan costs one N x N pass, not K."""
-    if not a.grid.matches(b.grid):
-        raise ConfigError("overlap requires amplitudes on the same grid")
-
-    def distinct(delays_fs):
-        delays_fs = np.asarray(delays_fs, dtype=float)
-        return delays_fs[:1] if np.all(delays_fs == delays_fs[0]) else delays_fs
-
-    def phase_rows(delays_fs, detunings):
-        rows = np.multiply.outer(delays_fs, 1j * detunings)
-        return np.exp(rows, out=rows)
-
-    kernel = np.conj(a.values)
-    kernel *= b.values
-    first = (distinct(signal_delays_fs), a.grid.signal_axis - signal_center)
-    second = (distinct(idler_delays_fs), a.grid.idler_axis - idler_center)
-    if len(second[0]) < len(first[0]):
-        first, second, kernel = second, first, kernel.T
-    rows = phase_rows(*first) @ kernel
-    terms = phase_rows(*second)
-    terms *= rows
-    return np.broadcast_to(terms.sum(axis=1), (len(signal_delays_fs),)) * a.grid.cell_area
 
 
 def normalized_overlap_magnitude(a: JointSpectralAmplitude, b: JointSpectralAmplitude) -> float:

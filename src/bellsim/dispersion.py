@@ -316,14 +316,24 @@ def load_materials(path=None) -> dict:
 _DEFAULT_TABLE = None
 
 
-def get_material(name: str) -> Material:
-    """Material from the packaged table, loaded once and cached."""
+def _packaged_table() -> dict:
+    """The packaged material table, loaded once and cached."""
     global _DEFAULT_TABLE
     if _DEFAULT_TABLE is None:
         _DEFAULT_TABLE = load_materials()
+    return _DEFAULT_TABLE
+
+
+def material_names() -> tuple:
+    """Sorted names of the packaged materials."""
+    return tuple(sorted(_packaged_table()))
+
+
+def get_material(name: str) -> Material:
+    """Material from the packaged table."""
     try:
-        return _DEFAULT_TABLE[name]
+        return _packaged_table()[name]
     except KeyError:
         raise ConfigError(
-            f"unknown material {name!r}; known: {sorted(_DEFAULT_TABLE)}"
+            f"unknown material {name!r}; known: {list(material_names())}"
         ) from None

@@ -20,24 +20,24 @@ Timing model (collinear, crystals listed in beam order):
 Every element acts to first order, as a group delay plus a carrier phase;
 a ``DelayBudget`` holds each one's contribution to both amplitudes, and
 ``required_compensation_fs``, the grid sizing and ``build_amplitudes`` read
-it.  Every fringe value is thus the kernel P = conj(J_a) J_b of the two
-JSAs at one (signal delay, idler delay, carrier phase).  One setup,
-``_spectral_setup``, gives every caller its grid and JSAs: it sizes the
-grid for the budget's largest delay (or takes a given one), evaluates each
-crystal's phase-matching spec once and builds both JSAs, sharing one when
-the cuts are identical.  A scan runs it once and computes each step's
-pump-knob phase, analyzer angles and plate terms as arrays; a plate's
-indices depend only on its arm's center wavelength, so the plate terms of
-all steps come from one dispersion pass per arm.  The per-step delays then
-go to one batched overlap ((E_s @ P) * E_i).sum(1), the only place delays
-are deduplicated: an arm whose delay no step changes is a single broadcast
-phase row.  ``interference_terms`` is the same path with one delay row, on
-the grid sized for that one budget; the CLI sweeps call it once per swept
-value, each on its own grid.  ``prepare_bell`` and
-``effective_polarization_state`` take its terms (or evaluate them at the
-default numerics) and never phase or scale a 2-D amplitude.
-``build_amplitudes`` still assembles the two phased amplitudes explicitly,
-for the tests and the time-domain oracle.
+it.  It also holds both crystals' phase-matching specs, derived from the cut
+angles the crossing uses, so each cut angle is solved once per budget.  Every
+fringe value is thus an overlap of the two JSAs at one (signal delay, idler
+delay, carrier phase).  ``_spectral_setup`` gives every caller its grid: it
+sizes one for the budget's largest delay (or checks a given one).  A scan
+computes each step's pump-knob phase, analyzer angles and plate terms as
+arrays; a plate's indices depend only on its arm's center wavelength, so the
+plate terms of all steps come from one dispersion pass per arm.  The
+per-step delays then go to one ``spectral.kernel_overlaps`` call, which
+streams the real two-crystal kernel in cache-sized row blocks and never
+holds an N x N array; it is the only place delays are deduplicated: an arm
+whose delay no step changes is a single phase row.  ``interference_terms``
+is the same path with one delay row, on the grid sized for that one budget;
+the CLI sweeps call it once per swept value, each on its own grid.
+``prepare_bell`` and ``effective_polarization_state`` take its terms (or
+evaluate them at the default numerics) and never phase or scale a 2-D
+amplitude.  ``build_amplitudes`` still assembles the two phased amplitudes
+explicitly, for the tests and the time-domain oracle.
 
 All constant carrier phases are folded into the amplitude values, so the
 fringe position is simply the argument of the complex overlap; the pump
@@ -62,6 +62,7 @@ from .dispersion import (
     element_delays,
     get_material,
     group_index,
+    material_names,
     phase_matching_cut_angle,
     refractive_index,
     MM_TO_NM,
@@ -75,6 +76,7 @@ from .spectral import (
     PumpPulse,
     SpectralFilter,
     build_jsa,
+    kernel_overlaps,
     make_grid,
 )
 from .units import C_NM_PER_FS, wavelength_to_angular_frequency
@@ -208,10 +210,12 @@ class FringeScan:
 # Crystal physics derived from the material table
 
 
-def phase_matching_spec(crystal: CrystalConfig, pump: PumpPulse) -> PhaseMatchingSpec:
+def phase_matching_spec(crystal: CrystalConfig, pump: PumpPulse,
+                        cut_angle_rad: float | None = None) -> PhaseMatchingSpec:
     """Inverse group velocities on the phase-matching cut: extraordinary
-    pump, ordinary pair."""
-    theta = crystal_cut_angle(crystal, pump)
+    pump, ordinary pair.  A caller that already solved the crystal's cut
+    angle passes it."""
+    theta = crystal_cut_angle(crystal, pump) if cut_angle_rad is None else cut_angle_rad
     m = crystal.material
     inv = lambda n_g: n_g * MM_TO_NM / C_NM_PER_FS  # fs per mm of crystal
     return PhaseMatchingSpec(
@@ -235,13 +239,13 @@ def crystal_cut_angle(crystal: CrystalConfig, pump: PumpPulse) -> float:
     )
 
 
-def _crossing_delays(first: CrystalConfig, second: CrystalConfig, pump: PumpPulse):
+def _crossing_delays(first: CrystalConfig, second: CrystalConfig, pump: PumpPulse, theta2: float):
     """Delays (fs) of the crystal crossings, as three pairs: the first
-    crystal's pairs crossing the second as its extraordinary ray, (group,
-    phase) at the pair mean; the (signal, idler) group-delay excess of that
-    e-ray over ordinary-ray propagation; and the second crystal's pump
-    component crossing the first as an ordinary ray, (group, phase)."""
-    theta2 = crystal_cut_angle(second, pump)
+    crystal's pairs crossing the second (cut at ``theta2``) as its
+    extraordinary ray, (group, phase) at the pair mean; the (signal, idler)
+    group-delay excess of that e-ray over ordinary-ray propagation; and the
+    second crystal's pump component crossing the first as an ordinary ray,
+    (group, phase)."""
     m2 = second.material
     length2_nm = second.thickness_mm * MM_TO_NM
 
@@ -311,7 +315,9 @@ def _compensator_advance(source: SourceConfig) -> tuple:
 @dataclass(frozen=True)
 class DelayBudget:
     """Each element's first-order (group, phase) delay, in fs, on the two
-    amplitudes, plus the center frequencies (rad/fs) the phases act on.
+    amplitudes, plus the center frequencies (rad/fs) the phases act on and
+    the two crystals' phase-matching ``specs``, derived from the same cut
+    angles as the crossing.
 
     Amplitude a: ``crossing`` of crystal 2 by its pairs (collinear only),
     their ``cross_dispersion`` (signal, idler) group excess (when enabled),
@@ -325,6 +331,7 @@ class DelayBudget:
     signal_center: float
     idler_center: float
     pump_center: float
+    specs: tuple
     compensation: tuple
     signal_plate: tuple
     idler_plate: tuple
@@ -374,9 +381,10 @@ def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
     pre-advance."""
     knobs = knobs or PhaseKnobs()
     first, second = source.crystals
+    theta2 = crystal_cut_angle(second, source.pump)
     crossings = {}
     if source.scheme == "collinear":
-        crossing, excess, pump_crossing = _crossing_delays(first, second, source.pump)
+        crossing, excess, pump_crossing = _crossing_delays(first, second, source.pump, theta2)
         crossings = {"crossing": crossing, "pump_crossing": pump_crossing}
         if source.cross_dispersion_enabled:
             crossings["cross_dispersion"] = excess
@@ -388,6 +396,7 @@ def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
         signal_center=float(wavelength_to_angular_frequency(first.signal_center_nm)),
         idler_center=float(wavelength_to_angular_frequency(first.idler_center_nm)),
         pump_center=source.pump.center_angular_frequency,
+        specs=(phase_matching_spec(first, source.pump), phase_matching_spec(second, source.pump, theta2)),
         compensation=compensation,
         signal_plate=_plate_effect_on_a(source, "signal", knobs.signal_tilt_deg),
         idler_plate=_plate_effect_on_a(source, "idler", knobs.idler_tilt_deg),
@@ -426,64 +435,55 @@ def _pump_weights(source: SourceConfig) -> tuple:
 
 
 def _spectral_setup(source: SourceConfig, budget: DelayBudget, points: int, span_factor: float,
-                    grid: FrequencyGrid | None = None) -> tuple:
-    """Both crystals' joint spectral amplitudes (jsa_a, jsa_b) on ``grid``
-    or, when none is given, on a grid sized for the envelopes and refined to
-    sample the budget's largest net group retardation.  Each crystal's
-    phase-matching spec is evaluated once; identical cuts share one JSA."""
+                    grid: FrequencyGrid | None = None) -> FrequencyGrid:
+    """The grid both crystals' JSAs are sampled on: ``grid`` or, when none
+    is given, one sized for the envelopes and refined to sample the
+    budget's largest net group retardation."""
     pump = source.pump
-    first, second = source.crystals
     max_delay = float(np.max(budget.envelope_delay_fs()))
     if not math.isfinite(max_delay):
         raise ConfigError(
             f"the net group delay between the amplitudes is {max_delay!r} fs; check every "
             "thickness_mm (crystals, compensator, knob plates)"
         )
-    spec_a = phase_matching_spec(first, pump)
-    if grid is None:
-        grid = make_grid(pump, spec_a, filters=source.filters, points=points, span_factor=span_factor)
-        half_span = 0.5 * float(grid.signal_axis[-1] - grid.signal_axis[0])
-        needed = points
-        while needed < 2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi:
-            needed *= 2
-        if needed > MAX_GRID_POINTS:
-            raise GridTruncationError(
-                f"applied delays (~{max_delay:.0f} fs) would need {needed} grid points "
-                f"(cap {MAX_GRID_POINTS}); reduce the delay or widen the cap"
-            )
-        if needed != points:
-            grid = make_grid(pump, spec_a, filters=source.filters, points=needed,
-                             span_factor=span_factor)
-
-    jsa_a = build_jsa(pump, spec_a, *source.filters, grid, label=first.axis_orientation)
-    spec_b = phase_matching_spec(second, pump)
-    if spec_b == spec_a:
-        jsa_b = JointSpectralAmplitude(grid=grid, values=jsa_a.values,
-                                       metadata=dict(jsa_a.metadata, crystal_label=second.axis_orientation))
-    else:
-        jsa_b = build_jsa(pump, spec_b, *source.filters, grid, label=second.axis_orientation)
-    return jsa_a, jsa_b
+    if grid is not None:
+        return grid
+    spec_a = budget.specs[0]
+    grid = make_grid(pump, spec_a, filters=source.filters, points=points, span_factor=span_factor)
+    half_span = 0.5 * float(grid.signal_axis[-1] - grid.signal_axis[0])
+    needed = points
+    while needed < 2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi:
+        needed *= 2
+    if needed > MAX_GRID_POINTS:
+        raise GridTruncationError(
+            f"applied delays (~{max_delay:.0f} fs) would need {needed} grid points "
+            f"(cap {MAX_GRID_POINTS}); reduce the delay or widen the cap"
+        )
+    if needed != points:
+        grid = make_grid(pump, spec_a, filters=source.filters, points=needed, span_factor=span_factor)
+    return grid
 
 
 def _budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
                   grid_span_factor: float) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
-    amplitudes the budget makes of both JSAs, from one ``_spectral_setup``
-    on the grid sized for its largest delay.  The per-entry (signal, idler)
-    delays go straight to one batched overlap, which collapses an arm whose
-    delays are all equal to one row; the carrier phases and pump weights
-    are applied to the overlaps, never to the 2-D amplitudes."""
-    jsa_a, jsa_b = _spectral_setup(source, budget, grid_points, grid_span_factor)
+    amplitudes the budget makes of both crystals' JSAs, on the grid
+    ``_spectral_setup`` sizes for its largest delay.  The per-entry
+    (signal, idler) delays go straight to ``kernel_overlaps``, which streams
+    the two-crystal kernel in row blocks and collapses an arm whose delays
+    are all equal to one row; the carrier phases and pump weights are
+    applied to the overlaps.  The JSAs are normalized, so the squared norms
+    are the squared pump weights."""
+    grid = _spectral_setup(source, budget, grid_points, grid_span_factor)
     w_a, w_b = _pump_weights(source)
     a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
     b_group, b_carrier = budget.amplitude_b()
     signal_delays, idler_delays = np.broadcast_arrays(np.atleast_1d(a_sig_group - b_group),
                                                       a_idl_group - b_group)
-    overlaps = biphoton.delayed_overlaps(jsa_a, jsa_b, signal_delays, idler_delays,
-                                         budget.signal_center, budget.idler_center)
+    overlaps = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid, signal_delays,
+                               idler_delays, budget.signal_center, budget.idler_center)
     cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps
-    return (w_a * w_a * jsa_a.norm_squared(), w_b * w_b * jsa_b.norm_squared(), cross,
-            jsa_a.grid.shape[0])
+    return w_a * w_a, w_b * w_b, cross, grid.shape[0]
 
 
 def interference_terms(
@@ -495,7 +495,7 @@ def interference_terms(
 ) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b>) of the amplitudes ``build_amplitudes``
     assembles at these knobs and override, on the same grid, through the
-    batched overlap the scans use.  The pump knob is not included: it only
+    streamed kernel the scans use.  The pump knob is not included: it only
     multiplies the overlap by exp(i pump_knob_phase)."""
     budget = delay_budget(source, knobs, compensation_override_fs)
     norm_a, norm_b, cross, _ = _budget_terms(source, budget, grid_points, grid_span_factor)
@@ -518,7 +518,15 @@ def build_amplitudes(
     """
     knobs = knobs or PhaseKnobs()
     budget = delay_budget(source, knobs, compensation_override_fs)
-    jsa_a, jsa_b = _spectral_setup(source, budget, grid_points, grid_span_factor, grid)
+    grid = _spectral_setup(source, budget, grid_points, grid_span_factor, grid)
+    first, second = source.crystals
+    spec_a, spec_b = budget.specs
+    jsa_a = build_jsa(source.pump, spec_a, *source.filters, grid, label=first.axis_orientation)
+    if spec_b == spec_a:
+        jsa_b = JointSpectralAmplitude(grid=grid, values=jsa_a.values,
+                                       metadata=dict(jsa_a.metadata, crystal_label=second.axis_orientation))
+    else:
+        jsa_b = build_jsa(source.pump, spec_b, *source.filters, grid, label=second.axis_orientation)
     w_a, w_b = _pump_weights(source)
 
     a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
@@ -533,7 +541,7 @@ def build_amplitudes(
         amp_a = biphoton.scale(amp_a, w_a)
     if w_b != 1.0:
         amp_b = biphoton.scale(amp_b, w_b)
-    amp_a.metadata["grid_points"] = amp_b.metadata["grid_points"] = jsa_a.grid.shape[0]
+    amp_a.metadata["grid_points"] = amp_b.metadata["grid_points"] = grid.shape[0]
 
     return AmplitudePair(
         amp_a=amp_a,
@@ -822,11 +830,27 @@ def _number(mapping: dict, key: str, context: str, default=_REQUIRED, kind=float
     return kind(number)
 
 
+def _choice(mapping: dict, key: str, context: str, choices, default=_REQUIRED) -> str:
+    """The string at ``context.key``, one of ``choices``, or ``default``
+    when the key is absent and a default is given; anything else (another
+    string, a number, a list, a mapping) is a ConfigError naming the key
+    path."""
+    if default is not _REQUIRED and key not in _mapping(mapping, context):
+        return default
+    value = _require(mapping, key, context)
+    if not (isinstance(value, str) and value in choices):
+        raise ConfigError(f"{context}.{key} must be one of {'|'.join(choices)}, got {value!r}")
+    return value
+
+
+ORIENTATIONS = ("horizontal", "vertical")
+
+
 def _parse_element(entry: dict, context: str) -> BirefringentElement:
     return BirefringentElement(
-        material=get_material(str(_require(entry, "material", context))),
+        material=get_material(_choice(entry, "material", context, material_names())),
         thickness_mm=_number(entry, "thickness_mm", context),
-        axis_orientation=str(entry.get("axis_orientation", "vertical")),
+        axis_orientation=_choice(entry, "axis_orientation", context, ORIENTATIONS, "vertical"),
         tilt_deg=_number(entry, "tilt_deg", context, 0.0),
     )
 
@@ -854,9 +878,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         context = f"crystals[{k}]"
         crystals.append(
             CrystalConfig(
-                material=get_material(str(_require(entry, "material", context))),
+                material=get_material(_choice(entry, "material", context, material_names())),
                 thickness_mm=_number(entry, "thickness_mm", context),
-                axis_orientation=str(_require(entry, "axis_orientation", context)),
+                axis_orientation=_choice(entry, "axis_orientation", context, ORIENTATIONS),
                 signal_center_nm=_number(entry, "signal_center_nm", context),
                 idler_center_nm=_number(entry, "idler_center_nm", context),
             )
@@ -868,7 +892,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("config section 'filters' must list exactly two filters")
     for k, entry in enumerate(raw_filters):
         context = f"filters[{k}]"
-        shape = str(_mapping(entry, context).get("shape", "gaussian"))
+        shape = _choice(entry, "shape", context, ("gaussian", "rectangular", "none"), "gaussian")
         if shape == "none":
             filters.append(NO_FILTER)
         else:
@@ -898,7 +922,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         plates[arm] = _parse_element(entry, f"knobs.{arm}")
 
     source = SourceConfig(
-        scheme=str(_require(scheme, "kind", "scheme")),
+        scheme=_choice(scheme, "kind", "scheme", ("collinear", "mzi")),
         pump=pump,
         crystals=tuple(crystals),
         compensator=compensator,
@@ -917,7 +941,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     s = _mapping(data.get("scan") or {}, "scan")
     scan_settings = ScanSettings(
-        axis_kind=str(s.get("axis_kind", "pump_delay")),
+        axis_kind=_choice(s, "axis_kind", "scan", SCAN_AXIS_KINDS, "pump_delay"),
         start=None if s.get("start") is None else _number(s, "start", "scan"),
         stop=None if s.get("stop") is None else _number(s, "stop", "scan"),
         steps=_number(s, "steps", "scan", 129, int),
@@ -925,7 +949,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         analyzer2_deg=_number(s, "analyzer2_deg", "scan", 45.0),
         grid_points=_number(s, "grid_points", "scan", 128, int),
         grid_span_factor=_number(s, "grid_span_factor", "scan", 5.0),
-        noise=str(s.get("noise", "none")),
+        noise=_choice(s, "noise", "scan", ("none", "poisson"), "none"),
         mean_counts=_number(s, "mean_counts", "scan", 1000.0),
     )
 

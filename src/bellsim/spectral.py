@@ -10,14 +10,23 @@ function is the first-order (group-velocity) sinc,
 
 i.e. the length-average of exp(i D z) over the crystal.
 
-``build_jsa`` samples it without any 2-D transcendental call: the half
-mismatch h = D L / 2 is a sum a(nu_s) + b(nu_i) of two 1-D terms, so
-exp(i h) is the outer product of exp(i a) and exp(i b), and sinc(h) is
-Im exp(i h) / h (the series 1 - h^2/6 + h^4/120 where |h| < 1e-2, where
-the quotient would lose accuracy).  The real pump-times-filters envelope is
-sampled once and multiplied by sinc(h); the norm is taken from that real
-product, and exp(i h) is applied last.  ``phase_matching`` is the direct
-formula, kept as the reference the sampled grid is tested against.
+A JSA is sampled without any 2-D transcendental call: the half mismatch
+h = D L / 2 is a sum a(nu_s) + b(nu_i) of two 1-D terms, so h and
+sin h = sin a cos b + cos a sin b are rank-2 products of 1-D factors, and
+sinc(h) = sin h / h (the series 1 - h^2/6 + h^4/120 where |h| < 1e-2, where
+the quotient would lose accuracy).  On the equal-spacing grids ``make_grid``
+gives, the pump depends only on j + k, so the real pump-times-filters
+envelope comes from a Hankel view of 2N - 1 pump samples.  The JSA is that
+envelope times sinc(h), normalized, times the separable phase
+exp(i a(nu_s)) exp(i b(nu_i)).
+
+``kernel_overlaps`` uses this structure for the interference of two crystals:
+conj(J_a) J_b is the real kernel (envelope sinc)_a (envelope sinc)_b times
+1-D phases that join the delay phase rows, so the overlaps of all delay
+pairs come from one stream of cache-sized row blocks of the kernel, with no
+N x N array.  ``build_jsa`` is the same sampler with one block.
+``phase_matching`` is the direct formula, kept as the reference the sampled
+grid is tested against.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ EDGE_AMPLITUDE_LIMIT = 1.0e-4
 # numerator divided by |h|; below this |h| the sampled sinc(h) is taken from
 # its series 1 - h^2/6 + h^4/120 instead (truncation error < 3e-16).
 SINC_SERIES_BELOW = 1.0e-2
+
+# Size of one row-block work array of ``kernel_overlaps``: small enough that
+# a block's arrays stay in cache from sampling to the product.
+ROW_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -305,43 +318,91 @@ def _check_grid(pulse, f_s, f_i, grid):
             )
 
 
-def _check_border(envelope):
-    """With filters bounding the support: the sampled Gaussian-factor
-    product must fall below the edge limit along the whole grid border."""
-    border = max(
-        float(envelope[0, :].max()),
-        float(envelope[-1, :].max()),
-        float(envelope[:, 0].max()),
-        float(envelope[:, -1].max()),
-    )
-    peak = float(envelope.max())
-    if peak == 0.0 or border > EDGE_AMPLITUDE_LIMIT * peak:
-        raise GridTruncationError(
-            f"grid too narrow: envelope magnitude at the border is "
-            f"{border / max(peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT})"
-        )
+class _EnvelopeRows:
+    """Row blocks of the real envelope pump(w_s + w_i) f_s(w_s) f_i(w_i) on
+    one grid, with the running border and peak that ``check_border`` reads.
+
+    On equal axis spacings (every ``make_grid`` grid) w_s[j] + w_i[k]
+    depends only on j + k, so the pump ridge is a Hankel view of its
+    N_s + N_i - 1 samples down the first column and along the last row, and
+    no 2-D exp is evaluated.  ``_check_grid`` runs on construction."""
+
+    def __init__(self, pulse: PumpPulse, f_s: SpectralFilter, f_i: SpectralFilter, grid: FrequencyGrid):
+        _check_grid(pulse, f_s, f_i, grid)
+        self.pulse, self.grid = pulse, grid
+        ws, wi = grid.signal_axis, grid.idler_axis
+        self.filter_s = filter_amplitude(f_s, ws)[:, None]
+        self.filter_i = filter_amplitude(f_i, wi)
+        # With a filter present the sampled envelope must fall off at the
+        # border; without one ``_check_grid`` tested the pump corners.
+        self.bounded = f_s.shape != "none" or f_i.shape != "none"
+        self.border = self.peak = 0.0
+        self.ridge = None
+        steps = [(axis[-1] - axis[0]) / (axis.size - 1) for axis in (ws, wi)]
+        if math.isclose(*steps, rel_tol=1.0e-12):
+            samples = pump_spectrum(pulse, np.concatenate((ws + wi[0], ws[-1] + wi[1:])))
+            self.ridge = np.lib.stride_tricks.as_strided(samples, grid.shape, samples.strides * 2,
+                                                         writeable=False)
+
+    def __call__(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """The envelope on ``rows`` (a slice with explicit bounds) into ``out``."""
+        if self.ridge is None:
+            out[...] = pump_spectrum(self.pulse, np.add.outer(self.grid.signal_axis[rows], self.grid.idler_axis))
+            out *= self.filter_i
+        else:
+            np.multiply(self.ridge[rows], self.filter_i, out=out)
+        out *= self.filter_s[rows]
+        if self.bounded:
+            edges = [out[:, 0].max(), out[:, -1].max()]
+            if rows.start == 0:
+                edges.append(out[0].max())
+            if rows.stop == self.grid.shape[0]:
+                edges.append(out[-1].max())
+            self.border = max(self.border, *map(float, edges))
+            self.peak = max(self.peak, float(out.max()))
+        return out
+
+    def check_border(self) -> None:
+        """With filters bounding the support: the sampled envelope must fall
+        below the edge limit along the whole grid border.  Call after every
+        row has been sampled."""
+        if self.bounded and (self.peak == 0.0 or self.border > EDGE_AMPLITUDE_LIMIT * self.peak):
+            raise GridTruncationError(
+                f"grid too narrow: envelope magnitude at the border is "
+                f"{self.border / max(self.peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT})"
+            )
 
 
-def _separable_phase_matching(spec: PhaseMatchingSpec, nu_s, nu_i):
-    """(sinc(h), exp(i h)) of the first-order phase matching on the outer
-    (nu_s, nu_i) grid of two 1-D detuning axes, from 1-D factors only.
-
-    The half mismatch h = D L / 2 is a sum a(nu_s) + b(nu_i), so exp(i h) is
-    the outer product of exp(i a) and exp(i b), and sinc(h) = Im exp(i h) / h:
-    no 2-D complex exponential or sine is evaluated.  Where |h| is below
-    ``SINC_SERIES_BELOW`` (including h == 0) sinc(h) comes from its series.
-    """
+def _sinc_factors(spec: PhaseMatchingSpec, nu_s, nu_i) -> tuple:
+    """(a, b, left, right): the 1-D terms of the half mismatch
+    h = D L / 2 = a(nu_s) + b(nu_i) on two detuning axes, and the rank-2
+    factors left = [a, 1, sin a, cos a] (one row per nu_s) and
+    right = [1, b, cos b, sin b] (one column per nu_i), so that
+    h = left[:, :2] @ right[:2] and sin h = left[:, 2:] @ right[2:]."""
     half_l = 0.5 * spec.crystal_length_mm
     a = (spec.inverse_group_velocity_pump_fs_per_mm - spec.inverse_group_velocity_signal_fs_per_mm) * half_l * nu_s
     b = (spec.inverse_group_velocity_pump_fs_per_mm - spec.inverse_group_velocity_idler_fs_per_mm) * half_l * nu_i
-    carrier = np.multiply.outer(np.exp(1j * a), np.exp(1j * b))
-    sinc = np.add.outer(a, b)
-    near = np.abs(sinc) < SINC_SERIES_BELOW
-    h2 = sinc[near] ** 2
+    left = np.stack((a, np.ones_like(a), np.sin(a), np.cos(a)), axis=1)
+    right = np.stack((np.ones_like(b), b, np.cos(b), np.sin(b)))
+    return a, b, left, right
+
+
+def _sinc_rows(factors: tuple, rows: slice, out, h, work, near) -> np.ndarray:
+    """sinc(h) on ``rows`` of the outer (nu_s, nu_i) grid into ``out``, from
+    1-D factors only: h = a + b and sin h = sin a cos b + cos a sin b are
+    rank-2 products, and sinc(h) = sin h / h, or the series where
+    |h| < ``SINC_SERIES_BELOW`` (including h == 0).  ``h``, ``work``
+    (float) and ``near`` (bool) are scratch of out's shape."""
+    _, _, left, right = factors
+    np.matmul(left[rows, :2], right[:2], out=h)
+    np.matmul(left[rows, 2:], right[2:], out=out)
+    np.less(np.abs(h, out=work), SINC_SERIES_BELOW, out=near)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(carrier.imag, sinc, out=sinc)
-    sinc[near] = 1.0 - h2 / 6.0 * (1.0 - h2 / 20.0)
-    return sinc, carrier
+        out /= h
+    if near.any():
+        h2 = np.square(h[near])
+        out[near] = 1.0 - h2 / 6.0 * (1.0 - h2 / 20.0)
+    return out
 
 
 def _checked_norm(norm_sq: float) -> float:
@@ -364,19 +425,18 @@ def build_jsa(
 ) -> JointSpectralAmplitude:
     """Sample pump * phase-matching * filters on the grid and L2-normalize.
 
-    The real envelope pump * filters is sampled once; the border check reads
-    it too.  ``phase_matching_fn(nu_s, nu_i)`` overrides the sinc model
-    (test hook for closed-form Gaussian cross-checks); it is called on
-    broadcastable 2-D detuning meshes.
+    The block sampler of ``kernel_overlaps`` with one block: the real
+    envelope and sinc(h), the border check, the norm of their product, and
+    the separable phase exp(i a(nu_s)) exp(i b(nu_i)) applied last.
+    ``phase_matching_fn(nu_s, nu_i)`` overrides the sinc model (test hook
+    for closed-form Gaussian cross-checks); it is called on broadcastable
+    2-D detuning meshes.
     """
     spec.check_energy_conservation(pulse.center_wavelength_nm)
-    _check_grid(pulse, f_s, f_i, grid)
-    ws, wi = grid.meshes()
-    envelope = pump_spectrum(pulse, ws + wi)
-    envelope *= filter_amplitude(f_s, grid.signal_axis)[:, None]
-    envelope *= filter_amplitude(f_i, grid.idler_axis)[None, :]
-    if f_s.shape != "none" or f_i.shape != "none":
-        _check_border(envelope)
+    envelope_rows = _EnvelopeRows(pulse, f_s, f_i, grid)
+    rows = slice(0, grid.shape[0])
+    envelope = envelope_rows(rows, np.empty(grid.shape))
+    envelope_rows.check_border()
 
     nu_s = grid.signal_axis - spec.signal_center_angular_frequency
     nu_i = grid.idler_axis - spec.idler_center_angular_frequency
@@ -384,9 +444,13 @@ def build_jsa(
         values = (envelope * phase_matching_fn(nu_s[:, None], nu_i[None, :])).astype(complex)
         values /= _checked_norm(float(np.sum(np.abs(values) ** 2)) * grid.cell_area)
     else:
-        sinc, values = _separable_phase_matching(spec, nu_s, nu_i)
-        envelope *= sinc
+        factors = _sinc_factors(spec, nu_s, nu_i)
+        sinc, h, work = np.empty((3,) + grid.shape)
+        envelope *= _sinc_rows(factors, rows, sinc, h, work, np.empty(grid.shape, dtype=bool))
+        del sinc, h, work
         envelope /= _checked_norm(float(np.vdot(envelope, envelope)) * grid.cell_area)
+        _, _, left, right = factors
+        values = np.multiply.outer(left[:, 3] + 1j * left[:, 2], right[2] + 1j * right[3])
         values *= envelope
 
     metadata = {
@@ -397,3 +461,99 @@ def build_jsa(
         "applied_delays": (),
     }
     return JointSpectralAmplitude(grid=grid, values=values, metadata=metadata)
+
+
+def kernel_overlaps(
+    pulse: PumpPulse,
+    spec_a: PhaseMatchingSpec,
+    spec_b: PhaseMatchingSpec,
+    f_s: SpectralFilter,
+    f_i: SpectralFilter,
+    grid: FrequencyGrid,
+    signal_delays_fs,
+    idler_delays_fs,
+    signal_center: float,
+    idler_center: float,
+) -> np.ndarray:
+    """<J_a|J_b> of the normalized JSAs ``build_jsa`` makes of the two specs
+    on ``grid``, with J_a retarded by each (signal, idler) group-delay pair
+    as in ``biphoton.apply_envelope_phase`` about the given centers; never
+    holds an N x N array.
+
+    Each JSA is a real envelope * sinc(h) times the separable phase
+    exp(i a(nu_s)) exp(i b(nu_i)), so conj(J_a) J_b is the real kernel
+    V_a V_b (V^2 for identical cuts) times one phase per arm, which joins
+    that arm's delay phase rows exp(i T (w - W)).  The kernel is sampled in
+    blocks of rows, ``ROW_BLOCK_BYTES`` per work array; while a block is in
+    cache it adds to the envelope's border and peak, to sum V^2 and to the
+    real product of the stacked cosine and sine phase rows with the block.
+    An arm whose delays are all equal is one phase row, and the product
+    runs from the arm with fewer distinct delays, so a single-arm scan
+    costs one pass over the kernel.
+    """
+    for spec in (spec_a, spec_b):
+        spec.check_energy_conservation(pulse.center_wavelength_nm)
+    envelope_rows = _EnvelopeRows(pulse, f_s, f_i, grid)
+    same = spec_b == spec_a
+    factors = [
+        _sinc_factors(spec, grid.signal_axis - spec.signal_center_angular_frequency,
+                      grid.idler_axis - spec.idler_center_angular_frequency)
+        for spec in ((spec_a,) if same else (spec_a, spec_b))
+    ]
+
+    def phase_rows(delays_fs, detuning, arm):
+        # cos and sin of T (w - W) + (the arm's phase of J_b less J_a's), as
+        # (2, K, N); K = 1 when every delay is equal.
+        delays_fs = np.asarray(delays_fs, dtype=float)
+        if np.all(delays_fs == delays_fs[0]):
+            delays_fs = delays_fs[:1]
+        angles = np.multiply.outer(delays_fs, detuning)
+        angles += factors[-1][arm] - factors[0][arm]
+        rows = np.empty((2,) + angles.shape)
+        np.cos(angles, out=rows[0])
+        np.sin(angles, out=rows[1])
+        return rows
+
+    phases = (phase_rows(signal_delays_fs, grid.signal_axis - signal_center, 0),
+              phase_rows(idler_delays_fs, grid.idler_axis - idler_center, 1))
+    idler_drives = phases[1].shape[1] < phases[0].shape[1]
+    drive, other = phases[::-1] if idler_drives else phases
+    drive = drive.reshape(-1, drive.shape[-1])
+
+    n_s, n_i = grid.shape
+    block = max(1, ROW_BLOCK_BYTES // (8 * n_i))
+    envelope, h, work, *sincs = np.empty((3 + len(factors), min(block, n_s), n_i))
+    near = np.empty(envelope.shape, dtype=bool)
+    # The product of the driving rows with the kernel: rows of kernel @
+    # drive.T block by block, or drive @ kernel summed over the blocks.
+    acc = np.empty((n_s, len(drive)) if idler_drives else (len(drive), n_i))
+    product = np.empty_like(acc) if not idler_drives and n_s > block else None
+    norms_sq = np.zeros(len(factors))
+    for start in range(0, n_s, block):
+        rows = slice(start, min(start + block, n_s))
+        m = rows.stop - start
+        env = envelope_rows(rows, envelope[:m])
+        amplitudes = []
+        for n, (f, sinc) in enumerate(zip(factors, sincs)):
+            amplitude = _sinc_rows(f, rows, sinc[:m], h[:m], work[:m], near[:m])
+            amplitude *= env
+            norms_sq[n] += np.vdot(amplitude, amplitude)
+            amplitudes.append(amplitude)
+        kernel = amplitudes[0]
+        kernel *= amplitudes[-1]
+        if idler_drives:
+            np.matmul(kernel, drive.T, out=acc[rows])
+        elif start == 0:
+            np.matmul(drive[:, rows], kernel, out=acc)
+        else:
+            acc += np.matmul(drive[:, rows], kernel, out=product)
+    envelope_rows.check_border()
+    norms = [_checked_norm(float(n) * grid.cell_area) for n in norms_sq]
+
+    # Row-wise sum of (acc_cos + i acc_sin) (cos + i sin) of the other arm.
+    if idler_drives:
+        acc = acc.T
+    acc = np.broadcast_to(acc.reshape(2, -1, acc.shape[-1]), other.shape)
+    terms = np.einsum("kn,kn->k", acc[0], other[0]) - np.einsum("kn,kn->k", acc[1], other[1])
+    terms = terms + 1j * (np.einsum("kn,kn->k", acc[0], other[1]) + np.einsum("kn,kn->k", acc[1], other[0]))
+    return np.broadcast_to(terms, np.shape(signal_delays_fs)) * (grid.cell_area / (norms[0] * norms[-1]))

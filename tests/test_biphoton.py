@@ -22,6 +22,7 @@ from bellsim.spectral import (
     PhaseMatchingSpec,
     PumpPulse,
     build_jsa,
+    kernel_overlaps,
     make_grid,
 )
 from bellsim.units import C_NM_PER_FS
@@ -151,20 +152,24 @@ class TestOverlap:
         shifted = apply_pair_delay(jsa, 40.0)
         assert normalized_overlap_magnitude(jsa, shifted) < 1.0 - 1e-6
 
-    def test_delayed_overlaps_match_phased_overlap(self):
+    def test_kernel_overlaps_match_phased_overlap(self):
+        # `other` is jsa advanced by (7, -3) fs with a 0.4 rad carrier; the
+        # stream's kernel is jsa's with itself, so those shift its delays
+        # and phase its overlaps.
         jsa = reference_jsa(64)
         centers = (SPEC.signal_center_angular_frequency, SPEC.idler_center_angular_frequency)
         other = biphoton.apply_envelope_phase(jsa, 7.0, -3.0, 0.4, *centers)
         delays = np.array([(0.0, 0.0), (25.0, -10.0), (-60.0, 45.0)])
-        batched = biphoton.delayed_overlaps(jsa, other, delays[:, 0], delays[:, 1], *centers)
+        batched = np.exp(0.4j) * kernel_overlaps(PUMP, SPEC, SPEC, NO_FILTER, NO_FILTER, jsa.grid,
+                                                 delays[:, 0] + 7.0, delays[:, 1] - 3.0, *centers)
         for (t_s, t_i), got in zip(delays, batched):
             retarded = biphoton.apply_envelope_phase(jsa, -t_s, -t_i, 0.0, *centers)
             assert got == pytest.approx(overlap(retarded, other), abs=1e-12)
 
     @pytest.mark.parametrize("constant", ["signal", "idler", "both"])
     def test_constant_arm_matches_full_rows(self, constant):
-        # A constant arm is one broadcast phase row; the K-row product is
-        # the reference.
+        # A constant arm is one phase row; the K-row product is the
+        # reference.
         jsa = reference_jsa(64)
         centers = (SPEC.signal_center_angular_frequency, SPEC.idler_center_angular_frequency)
         other = biphoton.apply_envelope_phase(jsa, 7.0, -3.0, 0.4, *centers)
@@ -175,7 +180,8 @@ class TestOverlap:
         e_s = np.exp(1j * np.multiply.outer(signal, jsa.grid.signal_axis - centers[0]))
         e_i = np.exp(1j * np.multiply.outer(idler, jsa.grid.idler_axis - centers[1]))
         full = ((e_s @ (np.conj(jsa.values) * other.values)) * e_i).sum(axis=1) * jsa.grid.cell_area
-        batched = biphoton.delayed_overlaps(jsa, other, signal, idler, *centers)
+        batched = np.exp(0.4j) * kernel_overlaps(PUMP, SPEC, SPEC, NO_FILTER, NO_FILTER, jsa.grid,
+                                                 signal + 7.0, idler - 3.0, *centers)
         assert batched.shape == full.shape
         assert np.max(np.abs(batched - full)) <= 1e-12 * np.max(np.abs(full))
 

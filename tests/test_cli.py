@@ -216,10 +216,11 @@ class TestPrepareCommand:
 
     def test_one_jsa_build_per_run(self, tmp_path, monkeypatch):
         # The pump knob only moves the carrier phase, so the solve and the
-        # prepared state share one evaluation; identical cuts share one JSA.
+        # prepared state share one evaluation: one stream of the two-crystal
+        # kernel.
         calls = []
-        build_jsa = scenario.build_jsa
-        monkeypatch.setattr(scenario, "build_jsa", lambda *a, **k: calls.append(1) or build_jsa(*a, **k))
+        stream = scenario.kernel_overlaps
+        monkeypatch.setattr(scenario, "kernel_overlaps", lambda *a, **k: calls.append(1) or stream(*a, **k))
         assert run(["prepare", "--config", "default", "--output", tmp_path / "p",
                     "--target", "phi+"]) == 0
         assert len(calls) == 1
@@ -337,6 +338,22 @@ class TestBadInputExitCodes:
         bad = _edited_config(config_file, tmp_path, old, new)
         assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("kind: collinear", "kind: [1.0]", "scheme.kind"),
+        ("material: BBO", "material: {name: BBO}", "crystals[0].material"),
+        ("axis_orientation: horizontal\n", "axis_orientation: [horizontal]\n", "crystals[0].axis_orientation"),
+        ("material: quartz, thickness_mm: 35.352", "material: [quartz], thickness_mm: 35.352",
+         "compensator[0].material"),
+        ("axis_orientation: vertical}", "axis_orientation: 1}", "knobs.signal_plate.axis_orientation"),
+        ("shape: gaussian}", "shape: [gaussian]}", "filters[0].shape"),
+        ("axis_kind: pump_delay", "axis_kind: {pump: delay}", "scan.axis_kind"),
+        ("noise: none", "noise: [poisson]", "scan.noise"),
+    ])
+    def test_bad_choice_names_the_key(self, tmp_path, config_file, capsys, old, new, key):
+        bad = _edited_config(config_file, tmp_path, old, new)
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
+        assert f"{key} must be one of" in capsys.readouterr().err
 
     def test_invalid_yaml(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

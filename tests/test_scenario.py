@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -375,6 +376,11 @@ TERMS_CASES = {
     "tilted": (_tilted, None),
     "pump_ratio": (lambda src, kn: (replace(src, pump_amplitude_ratio=2.0), kn), None),
     "cross_dispersion": (lambda src, kn: (replace(src, cross_dispersion_enabled=True), kn), 0.0),
+    "unequal_cuts": (lambda src, kn: (replace(src, crystals=(src.crystals[0], replace(
+        src.crystals[1], thickness_mm=2.0))), kn), 0.0),
+    "rectangular_filters": (lambda src, kn: (replace(src, filters=tuple(
+        replace(f, shape="rectangular") for f in src.filters)), kn), None),
+    "no_filters": (lambda src, kn: (replace(src, filters=(NO_FILTER, NO_FILTER)), kn), None),
 }
 
 
@@ -403,6 +409,25 @@ class TestInterferenceTerms:
         fresh_state, fresh_visibility = scenario.effective_polarization_state(source, prepared)
         assert visibility == fresh_visibility
         assert np.array_equal(state.coefficients, fresh_state.coefficients)
+
+    def test_peak_memory_at_1024_points(self, source, knobs):
+        # One complex 1024^2 JSA alone is 16 MiB; the stream holds a few
+        # 512 KiB row blocks.
+        scenario.interference_terms(source, knobs)
+        tracemalloc.start()
+        try:
+            scenario.interference_terms(source, knobs, grid_points=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0e6
+
+    def test_cut_angles_solved_once_per_crystal(self, source, knobs, monkeypatch):
+        calls = []
+        solve = scenario.phase_matching_cut_angle
+        monkeypatch.setattr(scenario, "phase_matching_cut_angle", lambda *a: calls.append(a) or solve(*a))
+        scenario.interference_terms(source, knobs)
+        assert len(calls) == 2
 
     def test_infinite_crystal_delay_rejected(self, source, knobs):
         endless = replace(source, crystals=(replace(source.crystals[0], thickness_mm=math.inf),

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bellsim import spectral
+from bellsim import biphoton, spectral
 from bellsim import scenario
 from bellsim.errors import ConfigError, GridTruncationError
 from bellsim.spectral import (
@@ -259,9 +259,12 @@ class TestSeparableSampling:
         # exactly 0 on the anti-diagonal, where sinc(h) exp(i h) must be 1.
         spec = SAMPLING_SPECS["degenerate"]
         nu = np.arange(-4, 5) * 0.013
-        sinc, carrier = spectral._separable_phase_matching(spec, nu, nu)
+        a, b, left, right = spectral._sinc_factors(spec, nu, nu)
+        sinc, h, work = np.empty((3, nu.size, nu.size))
+        spectral._sinc_rows((a, b, left, right), slice(0, nu.size), sinc, h, work,
+                            np.empty(sinc.shape, dtype=bool))
         assert np.all(sinc[::-1].diagonal() == 1.0)
-        got = sinc * carrier
+        got = sinc * np.multiply.outer(np.exp(1j * a), np.exp(1j * b))
         assert np.max(np.abs(got[::-1].diagonal() - 1.0)) <= 1e-15
         expected = phase_matching(spec, nu[:, None], nu[None, :])
         assert np.max(np.abs(got - expected)) <= 1e-12
@@ -274,10 +277,12 @@ class TestSeparableSampling:
             source = replace(source, crystals=(first, replace(second, thickness_mm=2.0)))
         grid = make_grid(source.pump, scenario.phase_matching_spec(source.crystals[0], source.pump),
                          filters=source.filters, points=128)
-        jsas = scenario._spectral_setup(source, scenario.delay_budget(source), 128, 5.0, grid)
-        for crystal, jsa in zip(source.crystals, jsas):
-            expected = direct_jsa(source.pump, scenario.phase_matching_spec(crystal, source.pump),
-                                  *source.filters, grid)
+        budget = scenario.delay_budget(source)
+        assert scenario._spectral_setup(source, budget, 128, 5.0, grid) is grid
+        for crystal, spec in zip(source.crystals, budget.specs):
+            assert spec == scenario.phase_matching_spec(crystal, source.pump)
+            jsa = build_jsa(source.pump, spec, *source.filters, grid)
+            expected = direct_jsa(source.pump, spec, *source.filters, grid)
             assert np.max(np.abs(jsa.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -287,3 +292,88 @@ class TestSeparableSampling:
         with pytest.raises(GridTruncationError, match="finite and positive"):
             build_jsa(PUMP, endless, NO_FILTER, NO_FILTER, grid)
 
+
+
+# Filter pairs for the stream tests: the default Gaussians, rectangular
+# passbands of the same width, and none.
+STREAM_FILTERS = {
+    "gaussian": (SpectralFilter(730.0, 10.0), SpectralFilter(885.0, 10.0)),
+    "rectangular": (SpectralFilter(730.0, 10.0, "rectangular"), SpectralFilter(885.0, 10.0, "rectangular")),
+    "none": (NO_FILTER, NO_FILTER),
+}
+STREAM_CENTERS = (SPEC.signal_center_angular_frequency, SPEC.idler_center_angular_frequency)
+_VARYING = np.linspace(-60.0, 45.0, 7)
+_FIXED = np.full(_VARYING.size, 12.5)
+# (signal, idler) delays in fs: K rows on both arms, or one constant arm.
+STREAM_DELAYS = {
+    "both_arms": (_VARYING, np.linspace(30.0, -20.0, 7)),
+    "constant_signal": (_FIXED, _VARYING),
+    "constant_idler": (_VARYING, _FIXED),
+}
+
+
+def dense_overlaps(spec_a, spec_b, filters, grid, signal, idler):
+    """<J_a retarded by each delay pair|J_b> from the 2-D JSAs."""
+    jsa_a = build_jsa(PUMP, spec_a, *filters, grid)
+    jsa_b = build_jsa(PUMP, spec_b, *filters, grid)
+    return np.array([
+        biphoton.overlap(biphoton.apply_envelope_phase(jsa_a, -t_s, -t_i, 0.0, *STREAM_CENTERS), jsa_b)
+        for t_s, t_i in zip(signal, idler)
+    ])
+
+
+class TestKernelOverlaps:
+    @pytest.mark.parametrize("second_length_mm", [3.4, 2.0])
+    @pytest.mark.parametrize("filters", STREAM_FILTERS)
+    @pytest.mark.parametrize("delays", STREAM_DELAYS)
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_matches_dense_overlap(self, monkeypatch, second_length_mm, filters, delays, block_rows):
+        # 5-row blocks split the 64 rows 12 x 5 + 4.
+        points = 64
+        if block_rows is not None:
+            monkeypatch.setattr(spectral, "ROW_BLOCK_BYTES", 8 * points * block_rows)
+        spec_b = replace(SPEC, crystal_length_mm=second_length_mm)
+        pair = STREAM_FILTERS[filters]
+        grid = make_grid(PUMP, SPEC, filters=pair, points=points)
+        signal, idler = STREAM_DELAYS[delays]
+        got = spectral.kernel_overlaps(PUMP, SPEC, spec_b, *pair, grid, signal, idler, *STREAM_CENTERS)
+        expected = dense_overlaps(SPEC, spec_b, pair, grid, signal, idler)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_narrow_grid_has_the_border_message(self, monkeypatch, block_rows):
+        # A grid 6.4 sigma wide passes the span check, but the filters are
+        # still at 8 % of their peak on its border.
+        if block_rows is not None:
+            monkeypatch.setattr(spectral, "ROW_BLOCK_BYTES", 8 * 64 * block_rows)
+        pair = STREAM_FILTERS["gaussian"]
+        half = 3.2 * max(PUMP.sigma_omega, *(f.sigma_intensity_omega for f in pair))
+        axis = np.linspace(-half, half, 64)
+        grid = FrequencyGrid(axis + STREAM_CENTERS[0], axis + STREAM_CENTERS[1])
+        ws, wi = grid.meshes()
+        envelope = pump_spectrum(PUMP, ws + wi) * filter_amplitude(pair[0], ws) * filter_amplitude(pair[1], wi)
+        border = max(envelope[0].max(), envelope[-1].max(), envelope[:, 0].max(), envelope[:, -1].max())
+        expected = (f"grid too narrow: envelope magnitude at the border is "
+                    f"{border / envelope.max():.3g} of its peak (limit {spectral.EDGE_AMPLITUDE_LIMIT})")
+        with pytest.raises(GridTruncationError) as streamed:
+            spectral.kernel_overlaps(PUMP, SPEC, SPEC, *pair, grid, [0.0], [0.0], *STREAM_CENTERS)
+        with pytest.raises(GridTruncationError) as built:
+            build_jsa(PUMP, SPEC, *pair, grid)
+        assert str(streamed.value) == str(built.value) == expected
+
+    @pytest.mark.parametrize("idler_half_span", [0.1, 0.12 * 47 / 63])
+    def test_rectangular_grids(self, idler_half_span):
+        # 64 x 48 points: unequal spacings sample the pump on the 2-D mesh,
+        # equal ones through the Hankel view of a non-square grid.
+        sig = np.linspace(-0.12, 0.12, 64) + STREAM_CENTERS[0]
+        idl = np.linspace(-idler_half_span, idler_half_span, 48) + STREAM_CENTERS[1]
+        grid = FrequencyGrid(sig, idl)
+        expected_jsa = direct_jsa(PUMP, SPEC, NO_FILTER, NO_FILTER, grid)
+        got_jsa = build_jsa(PUMP, SPEC, NO_FILTER, NO_FILTER, grid).values
+        assert np.max(np.abs(got_jsa - expected_jsa)) <= 1e-12 * np.max(np.abs(expected_jsa))
+        signal, idler = STREAM_DELAYS["both_arms"]
+        got = spectral.kernel_overlaps(PUMP, SPEC, SPEC, NO_FILTER, NO_FILTER, grid, signal, idler,
+                                       *STREAM_CENTERS)
+        expected = dense_overlaps(SPEC, SPEC, (NO_FILTER, NO_FILTER), grid, signal, idler)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
