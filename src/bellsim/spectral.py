@@ -447,7 +447,7 @@ def build_jsa(
         factors = _sinc_factors(spec, nu_s, nu_i)
         sinc, h, work = np.empty((3,) + grid.shape)
         envelope *= _sinc_rows(factors, rows, sinc, h, work, np.empty(grid.shape, dtype=bool))
-        del sinc, h, work
+        del sinc, h, work  # free the scratch before the complex values exist
         envelope /= _checked_norm(float(np.vdot(envelope, envelope)) * grid.cell_area)
         _, _, left, right = factors
         values = np.multiply.outer(left[:, 3] + 1j * left[:, 2], right[2] + 1j * right[3])
