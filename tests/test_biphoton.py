@@ -152,7 +152,7 @@ class TestOverlap:
         shifted = apply_pair_delay(jsa, 40.0)
         assert normalized_overlap_magnitude(jsa, shifted) < 1.0 - 1e-6
 
-    def test_kernel_overlaps_match_phased_overlap(self):
+    def test_delayed_overlaps_match_phased_overlap(self):
         # `other` is jsa advanced by (7, -3) fs with a 0.4 rad carrier; the
         # stream's kernel is jsa's with itself, so those shift its delays
         # and phase its overlaps.
