@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, fitting, polarization, scenario
 from .errors import ConfigError, DataError, InfeasibleError, InsufficientDataError
 from .polarization import PHI_TO_PSI_HWP_DEG
-from .spectral import NO_FILTER, SpectralFilter
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,45 +186,12 @@ def _sweep_values(raw: str):
     return values
 
 
-def _sweep_filters(source, fwhm_nm):
-    """Gaussian filters of one FWHM on both arms, or none for ``None``."""
-    if fwhm_nm is None:
-        return (NO_FILTER, NO_FILTER)
-    centers = (source.crystals[0].signal_center_nm, source.crystals[0].idler_center_nm)
-    return tuple(
-        SpectralFilter(center_nm=f.center_nm if f.shape != "none" else c, fwhm_nm=fwhm_nm, shape="gaussian")
-        for f, c in zip(source.filters, centers)
-    )
-
-
-# Sweep parameter -> the source it evaluates at one value.
-SWEEP_SOURCES = {
-    "crystal_length": lambda src, v: replace(
-        src, crystals=tuple(replace(c, thickness_mm=v) for c in src.crystals)),
-    "filter_fwhm": lambda src, v: replace(src, filters=_sweep_filters(src, v)),
-    "compensation_error_fs": lambda src, v: src,
-    "pump_ratio": lambda src, v: replace(src, pump_amplitude_ratio=v),
-}
-SWEEP_PARAMETERS = tuple(SWEEP_SOURCES)
-
-
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     values = _sweep_values(args.grid)
-    parameter, knobs = args.parameter, cfg.knobs
-    if None in values and parameter != "filter_fwhm":
-        raise ConfigError(f"{parameter} sweep values must be numbers")
-
-    rows = []
-    for value in values:
-        src = SWEEP_SOURCES[parameter](cfg.source, value)
-        # The source is compensated exactly, plus the swept error if any.
-        error = value if parameter == "compensation_error_fs" else 0.0
-        na, nb, cross = scenario.interference_terms(
-            src, knobs, grid_points=cfg.scan.grid_points, grid_span_factor=cfg.scan.grid_span_factor,
-            compensation_override_fs=scenario.required_compensation_fs(src, knobs) + error,
-        )
-        rows.append(("none" if value is None else value, 2.0 * abs(cross) / (na + nb)))
+    visibilities = scenario.sweep(cfg.source, cfg.knobs, args.parameter, values,
+                                  cfg.scan.grid_points, cfg.scan.grid_span_factor)
+    rows = [("none" if value is None else value, v) for value, v in zip(values, visibilities)]
 
     prefix = Path(args.output)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -234,7 +200,6 @@ def cmd_sweep(args) -> int:
     manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
 
     _write_csv(csv_path, ("parameter_value", "visibility"), rows)
-    visibilities = [v for _, v in rows]
     _write_kv(report_path, [
         ("parameter", args.parameter),
         ("points", len(rows)),
@@ -363,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep one source parameter, recording visibility")
     common(p)
-    p.add_argument("--parameter", choices=SWEEP_PARAMETERS, required=True)
+    p.add_argument("--parameter", choices=scenario.SWEEP_PARAMETERS, required=True)
     p.add_argument("--grid", required=True,
                    help="comma-separated values; 'none' allowed for filter_fwhm")
     p.set_defaults(func=cmd_sweep)

@@ -1,6 +1,6 @@
 """Full experiment assembly: the interferometric (two-arm) and collinear
-two-crystal source schemes, compensation bookkeeping, phase knobs, and
-fringe scans.
+two-crystal source schemes, compensation bookkeeping, phase knobs, fringe
+scans and parameter sweeps.
 
 Timing model (collinear, crystals listed in beam order):
 
@@ -18,26 +18,25 @@ Timing model (collinear, crystals listed in beam order):
   fringe phase, their group-delay difference shifts the envelopes.
 
 Every element acts to first order, as a group delay plus a carrier phase;
-a ``DelayBudget`` holds each one's contribution to both amplitudes, and
-``required_compensation_fs``, the grid sizing and ``build_amplitudes`` read
-it.  It also holds both crystals' phase-matching specs, derived from the cut
-angles the crossing uses, so each cut angle is solved once per budget.  Every
-fringe value is thus an overlap of the two JSAs at one (signal delay, idler
-delay, carrier phase).  ``_spectral_setup`` gives every caller its grid: it
-sizes one for the budget's largest delay (or checks a given one).  A scan
-computes each step's pump-knob phase, analyzer angles and plate terms as
-arrays; a plate's indices depend only on its arm's center wavelength, so the
-plate terms of all steps come from one dispersion pass per arm.  The
-per-step delays then go to one ``spectral.kernel_overlaps`` call, which
-streams the real two-crystal kernel in cache-sized row blocks and never
-holds an N x N array; it is the only place delays are deduplicated: an arm
-whose delay no step changes is a single phase row.  ``interference_terms``
-is the same path with one delay row, on the grid sized for that one budget;
-the CLI sweeps call it once per swept value, each on its own grid.
-``prepare_bell`` and ``effective_polarization_state`` take its terms (or
-evaluate them at the default numerics) and never phase or scale a 2-D
-amplitude.  ``build_amplitudes`` still assembles the two phased amplitudes
-explicitly, for the tests and the time-domain oracle.
+a ``DelayBudget`` holds each one's contribution to both amplitudes and both
+crystals' phase-matching specs, so each cut angle is solved once per budget.
+A compensation error replaces the compensator with an ideal pre-advance of
+the exact required compensation plus that error; like a scan's plate terms,
+it may be an array.  Every fringe value is thus an overlap of the two JSAs
+at one (signal delay, idler delay, carrier phase).  ``_spectral_setup``
+sizes one grid for the budget's largest delay (or checks a given one).  A
+scan computes each step's pump-knob phase, analyzer angles and plate terms
+as arrays, the plate terms from one dispersion pass per arm.  The delays
+then go to one ``spectral.kernel_overlaps`` call, which streams the real
+two-crystal kernel in cache-sized row blocks, never holds an N x N array,
+and is the only place delays are deduplicated: an arm whose delay no entry
+changes is a single phase row.  ``interference_terms`` is the same path with
+one delay row; ``sweep`` takes one row per compensation error, or one row
+weighted per pump ratio, and evaluates once per value only the parameters
+that change the JSAs.  ``prepare_bell`` and ``effective_polarization_state``
+take its terms (or evaluate them at the default numerics).
+``build_amplitudes`` still assembles the two phased amplitudes explicitly,
+for the tests and the time-domain oracle.
 
 All constant carrier phases are folded into the amplitude values, so the
 fringe position is simply the argument of the complex overlap; the pump
@@ -96,6 +95,7 @@ SCAN_AXIS_KINDS = tuple(SCAN_AXIS_FIELDS)
 # safety factor, otherwise the discrete overlap aliases.
 DELAY_SAMPLING_SAFETY = 1.3
 MAX_GRID_POINTS = 4096
+MAX_SCAN_STEPS = 4096  # scan steps or sweep values: one kernel delay row each
 
 
 @dataclass(frozen=True)
@@ -375,10 +375,10 @@ class DelayBudget:
 
 
 def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
-                 compensation_override_fs: float | None = None) -> DelayBudget:
-    """The delay budget at the knobs' plate tilts.  A compensation override
-    replaces the compensator elements with an ideal nondispersive
-    pre-advance."""
+                 compensation_error_fs=None) -> DelayBudget:
+    """The delay budget at the knobs' plate tilts.  A compensation error (fs,
+    a number or an array to broadcast over) replaces the compensator elements
+    with an ideal pre-advance of the exact required compensation plus it."""
     knobs = knobs or PhaseKnobs()
     first, second = source.crystals
     theta2 = crystal_cut_angle(second, source.pump)
@@ -388,20 +388,20 @@ def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
         crossings = {"crossing": crossing, "pump_crossing": pump_crossing}
         if source.cross_dispersion_enabled:
             crossings["cross_dispersion"] = excess
-    if compensation_override_fs is None:
-        compensation = _compensator_advance(source)
-    else:
-        compensation = (compensation_override_fs, compensation_override_fs)
-    return DelayBudget(
+    budget = DelayBudget(
         signal_center=float(wavelength_to_angular_frequency(first.signal_center_nm)),
         idler_center=float(wavelength_to_angular_frequency(first.idler_center_nm)),
         pump_center=source.pump.center_angular_frequency,
         specs=(phase_matching_spec(first, source.pump), phase_matching_spec(second, source.pump, theta2)),
-        compensation=compensation,
+        compensation=_compensator_advance(source) if compensation_error_fs is None else (0.0, 0.0),
         signal_plate=_plate_effect_on_a(source, "signal", knobs.signal_tilt_deg),
         idler_plate=_plate_effect_on_a(source, "idler", knobs.idler_tilt_deg),
         **crossings,
     )
+    if compensation_error_fs is not None:
+        exact = budget.required_compensation_fs + compensation_error_fs
+        budget = replace(budget, compensation=(exact, exact))
+    return budget
 
 
 def required_compensation_fs(source: SourceConfig, knobs: PhaseKnobs | None = None) -> float:
@@ -465,17 +465,17 @@ def _spectral_setup(source: SourceConfig, budget: DelayBudget, points: int, span
 
 
 def _budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
-                  grid_span_factor: float) -> tuple:
+                  grid_span_factor: float, weights: tuple | None = None) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
     amplitudes the budget makes of both crystals' JSAs, on the grid
     ``_spectral_setup`` sizes for its largest delay.  The per-entry
     (signal, idler) delays go straight to ``kernel_overlaps``, which streams
     the two-crystal kernel in row blocks and collapses an arm whose delays
-    are all equal to one row; the carrier phases and pump weights are
-    applied to the overlaps.  The JSAs are normalized, so the squared norms
-    are the squared pump weights."""
+    are all equal to one row; the carrier phases and pump weights (the
+    source's, or ``weights`` (w_a, w_b) arrays) are applied to the overlaps.
+    The JSAs are normalized, so the squared norms are the squared weights."""
     grid = _spectral_setup(source, budget, grid_points, grid_span_factor)
-    w_a, w_b = _pump_weights(source)
+    w_a, w_b = _pump_weights(source) if weights is None else weights
     a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
     b_group, b_carrier = budget.amplitude_b()
     signal_delays, idler_delays = np.broadcast_arrays(np.atleast_1d(a_sig_group - b_group),
@@ -491,13 +491,13 @@ def interference_terms(
     knobs: PhaseKnobs | None = None,
     grid_points: int = 128,
     grid_span_factor: float = 5.0,
-    compensation_override_fs: float | None = None,
+    compensation_error_fs: float | None = None,
 ) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b>) of the amplitudes ``build_amplitudes``
-    assembles at these knobs and override, on the same grid, through the
-    streamed kernel the scans use.  The pump knob is not included: it only
-    multiplies the overlap by exp(i pump_knob_phase)."""
-    budget = delay_budget(source, knobs, compensation_override_fs)
+    assembles at these knobs and compensation error: one delay budget, its
+    grid and one stream of the kernel the scans use.  The pump knob is not
+    included: it only multiplies the overlap by exp(i pump_knob_phase)."""
+    budget = delay_budget(source, knobs, compensation_error_fs)
     norm_a, norm_b, cross, _ = _budget_terms(source, budget, grid_points, grid_span_factor)
     return norm_a, norm_b, complex(cross[0])
 
@@ -508,16 +508,16 @@ def build_amplitudes(
     grid: FrequencyGrid | None = None,
     grid_points: int = 128,
     grid_span_factor: float = 5.0,
-    compensation_override_fs: float | None = None,
+    compensation_error_fs: float | None = None,
 ) -> AmplitudePair:
     """Assemble the two interfering amplitudes for the configured scheme:
     the delay budget at ``knobs`` applied to both crystals' JSAs.
 
-    ``compensation_override_fs`` replaces the compensator elements with an
-    ideal nondispersive pre-advance (used by sweeps and exactness tests).
+    ``compensation_error_fs`` (0.0: exact compensation) replaces the
+    compensator elements as in ``delay_budget``.
     """
     knobs = knobs or PhaseKnobs()
-    budget = delay_budget(source, knobs, compensation_override_fs)
+    budget = delay_budget(source, knobs, compensation_error_fs)
     grid = _spectral_setup(source, budget, grid_points, grid_span_factor, grid)
     first, second = source.crystals
     spec_a, spec_b = budget.specs
@@ -596,21 +596,21 @@ def scan(
     knobs: PhaseKnobs | None = None,
     grid_points: int = 128,
     grid_span_factor: float = 5.0,
-    compensation_override_fs: float | None = None,
+    compensation_error_fs: float | None = None,
     noise: str = "none",
     mean_counts: float = 1000.0,
     seed: int | None = None,
 ) -> FringeScan:
-    """Coincidence fringe versus one scanned knob or analyzer angle; all
-    steps share one grid, sized for the scan's largest delay.
+    """Coincidence fringe versus one scanned knob or analyzer angle, from one
+    ``delay_budget`` (scanned plate terms as arrays), grid and kernel stream.
 
-    Sensible fits need steps >= 8 spanning >= 1.5 periods; shorter scans
-    still produce data (the CLI writes the CSV before the fit rejects it).
+    Sensible fits need 8 <= steps <= ``MAX_SCAN_STEPS`` spanning >= 1.5
+    periods; shorter scans still produce data (the CLI writes the CSV first).
     """
     if axis_kind not in SCAN_AXIS_KINDS:
         raise ConfigError(f"axis_kind must be one of {SCAN_AXIS_KINDS}, got {axis_kind!r}")
-    if steps < 2:
-        raise ConfigError(f"scan needs at least 2 steps, got {steps}")
+    if not 2 <= steps <= MAX_SCAN_STEPS:
+        raise ConfigError(f"scan needs 2 to {MAX_SCAN_STEPS} (MAX_SCAN_STEPS) steps, got {steps}")
     knobs = knobs or PhaseKnobs()
     analyzers = analyzers or polarization.AnalyzerSetting(45.0, 45.0)
     if scan_range is None:
@@ -628,7 +628,7 @@ def scan(
     # from one dispersion pass per arm; an unscanned arm's delay is one
     # overlap row for every step.
     scanned_arms = [arm for arm in ("signal", "idler") if f"{arm}_tilt_deg" in SCAN_AXIS_FIELDS[axis_kind]]
-    standing = delay_budget(source, knobs, compensation_override_fs)
+    standing = delay_budget(source, knobs, compensation_error_fs)
     budget = replace(standing, **{f"{arm}_plate": _plate_effect_on_a(source, arm, values)
                                   for arm in scanned_arms})
     norm_a, norm_b, cross, grid_points_used = _budget_terms(source, budget, grid_points,
@@ -657,7 +657,7 @@ def scan(
         "knobs": asdict(knobs),
         "grid_points": grid_points_used,
         "grid_span_factor": grid_span_factor,
-        "compensation_override_fs": compensation_override_fs,
+        "compensation_error_fs": compensation_error_fs,
         "noise": noise,
         "source": source_snapshot(source),
     }
@@ -671,6 +671,51 @@ def scan(
         metadata["mean_counts"] = mean_counts
 
     return FringeScan(axis=axis, axis_kind=axis_kind, rates=rates, metadata=metadata)
+
+
+def _sweep_filters(source: SourceConfig, fwhm_nm) -> tuple:
+    """Gaussian filters of one FWHM on both arms, or none for ``None``."""
+    if fwhm_nm is None:
+        return (NO_FILTER, NO_FILTER)
+    centers = (source.crystals[0].signal_center_nm, source.crystals[0].idler_center_nm)
+    return tuple(
+        SpectralFilter(center_nm=f.center_nm if f.shape != "none" else c, fwhm_nm=fwhm_nm, shape="gaussian")
+        for f, c in zip(source.filters, centers)
+    )
+
+
+# Sweep parameter -> the source at one value (a compensation error moves only the budget).
+SWEEP_SOURCES = {
+    "crystal_length": lambda src, v: replace(
+        src, crystals=tuple(replace(c, thickness_mm=v) for c in src.crystals)),
+    "filter_fwhm": lambda src, v: replace(src, filters=_sweep_filters(src, v)),
+    "pump_ratio": lambda src, v: replace(src, pump_amplitude_ratio=v),
+}
+SWEEP_PARAMETERS = ("crystal_length", "filter_fwhm", "compensation_error_fs", "pump_ratio")
+
+
+def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
+          grid_points: int = 128, grid_span_factor: float = 5.0) -> np.ndarray:
+    """Visibility 2 |<A_a|A_b>| / (|A_a|^2 + |A_b|^2) at each of 1 to
+    ``MAX_SCAN_STEPS`` values, compensated exactly plus the swept error if any.
+    Only ``crystal_length`` and ``filter_fwhm`` (``None``: no filters) change
+    the JSAs, one evaluation per value; the other sweeps are one evaluation."""
+    if not 0 < len(values) <= MAX_SCAN_STEPS:
+        raise ConfigError(f"a sweep takes 1 to {MAX_SCAN_STEPS} (MAX_SCAN_STEPS) values, got {len(values)}")
+    if None in values and parameter != "filter_fwhm":
+        raise ConfigError(f"{parameter} sweep values must be numbers")
+
+    def visibilities(src, error=0.0, weights=None):
+        budget = delay_budget(src, knobs, error)
+        norm_a, norm_b, cross, _ = _budget_terms(src, budget, grid_points, grid_span_factor, weights)
+        return 2.0 * np.abs(cross) / (norm_a + norm_b)
+
+    if parameter == "compensation_error_fs":
+        return visibilities(source, np.asarray(values, dtype=float))
+    if parameter == "pump_ratio":
+        weights = [_pump_weights(SWEEP_SOURCES[parameter](source, v)) for v in values]
+        return visibilities(source, weights=np.transpose(weights))
+    return np.concatenate([visibilities(SWEEP_SOURCES[parameter](source, v)) for v in values])
 
 
 def _coherence(norm_a_sq: float, norm_b_sq: float, cross: complex) -> float:

@@ -100,8 +100,9 @@ class SpectralFilter:
     def __post_init__(self):
         if self.shape not in ("gaussian", "rectangular", "none"):
             raise ConfigError(f"filter shape must be gaussian|rectangular|none, got {self.shape!r}")
-        if self.shape != "none" and self.fwhm_nm <= 0.0:
-            raise ConfigError("filter FWHM must be positive")
+        if not self.center_nm > 0.0 or (self.shape != "none" and not 0.0 < self.fwhm_nm < 2.0 * self.center_nm):
+            raise ConfigError(f"a filter needs center_nm > 0 and 0 < fwhm_nm < 2 x center_nm (its band above "
+                              f"0 nm), got fwhm_nm {self.fwhm_nm} at center_nm {self.center_nm}")
 
     @property
     def fwhm_omega(self) -> float:

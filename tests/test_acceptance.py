@@ -106,8 +106,7 @@ def test_criterion_04_projection_law(config):
 def test_criterion_05_postselection_free_visibility(config):
     source, knobs = config.source, config.knobs
     unfiltered = replace(source, filters=(NO_FILTER, NO_FILTER))
-    required = scenario.required_compensation_fs(unfiltered, knobs)
-    pair = scenario.build_amplitudes(unfiltered, knobs, compensation_override_fs=required)
+    pair = scenario.build_amplitudes(unfiltered, knobs, compensation_error_fs=0.0)
     overlap = biphoton.normalized_overlap_magnitude(pair.amp_a, pair.amp_b)
     assert overlap > 0.99
 
@@ -165,10 +164,7 @@ def test_criterion_07_time_domain_oracle():
 
 def test_criterion_08_fringe_law(config):
     source, knobs = config.source, config.knobs
-    pair0 = scenario.build_amplitudes(
-        source, knobs,
-        compensation_override_fs=scenario.required_compensation_fs(source, knobs),
-    )
+    pair0 = scenario.build_amplitudes(source, knobs, compensation_error_fs=0.0)
     expected_v = biphoton.normalized_overlap_magnitude(pair0.amp_a, pair0.amp_b)
     phases = np.linspace(0.0, 4.0 * math.pi, 128)
     rates = np.array([
@@ -216,10 +212,7 @@ def test_criterion_10_cross_dispersion(config):
     values = {}
     for enabled in (False, True):
         src = replace(source, cross_dispersion_enabled=enabled)
-        pair = scenario.build_amplitudes(
-            src, knobs,
-            compensation_override_fs=scenario.required_compensation_fs(src, knobs),
-        )
+        pair = scenario.build_amplitudes(src, knobs, compensation_error_fs=0.0)
         values[enabled] = fringe_visibility(pair)
     change = abs(values[True] - values[False])
     assert change < 0.02

@@ -9,7 +9,8 @@ import pytest
 
 import bellsim
 from bellsim import scenario
-from bellsim.cli import SWEEP_PARAMETERS, main
+from bellsim.cli import main
+from bellsim.scenario import SWEEP_PARAMETERS
 
 
 def run(argv):
@@ -137,6 +138,29 @@ class TestSweepCommand:
     def test_empty_grid_rejected(self, tmp_path, config_file):
         assert run(["sweep", "--config", config_file, "--output", tmp_path / "x",
                     "--parameter", "pump_ratio", "--grid", ","]) == 2
+
+    @pytest.mark.parametrize("parameter, grid, streams", [
+        ("compensation_error_fs", "0,-600,1500", 1),
+        ("pump_ratio", "0,0.5,2", 1),
+        ("crystal_length", "1,2,3.4", 3),
+        ("filter_fwhm", "5,20,none", 3),
+    ])
+    def test_kernel_streams_and_cut_angle_solves(self, tmp_path, monkeypatch, parameter, grid, streams):
+        # A compensation error moves only b's group delay and a pump ratio
+        # only the weights: one delay budget (two cut-angle solves) and one
+        # kernel stream per sweep.  The other parameters change the JSAs:
+        # one of each per value.
+        calls = {"stream": 0, "solve": 0}
+        stream, solve = scenario.kernel_overlaps, scenario.phase_matching_cut_angle
+
+        def counted(name, fn):
+            return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or fn(*a, **k)
+
+        monkeypatch.setattr(scenario, "kernel_overlaps", counted("stream", stream))
+        monkeypatch.setattr(scenario, "phase_matching_cut_angle", counted("solve", solve))
+        assert run(["sweep", "--config", "default", "--output", tmp_path / "s",
+                    "--parameter", parameter, "--grid", grid]) == 0
+        assert calls == {"stream": streams, "solve": 2 * streams}
 
 
 class TestFitCommand:
@@ -354,6 +378,39 @@ class TestBadInputExitCodes:
         bad = _edited_config(config_file, tmp_path, old, new)
         assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
         assert f"{key} must be one of" in capsys.readouterr().err
+
+    def test_too_wide_sweep_filter_names_width_and_center(self, tmp_path, config_file, capsys):
+        assert run(["sweep", "--config", config_file, "--output", tmp_path / "x",
+                    "--parameter", "filter_fwhm", "--grid", "10,3000"]) == 2
+        err = capsys.readouterr().err
+        assert "0 < fwhm_nm < 2 x center_nm" in err and "fwhm_nm 3000.0 at center_nm 730.0" in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("- {center_nm: 730.0, fwhm_nm: 10.0", "- {center_nm: 730.0, fwhm_nm: 3000",
+         "fwhm_nm 3000.0 at center_nm 730.0"),
+        ("- {center_nm: 730.0, fwhm_nm: 10.0", "- {center_nm: -730, fwhm_nm: 10.0",
+         "got fwhm_nm 10.0 at center_nm -730.0"),
+    ])
+    def test_impossible_config_filter_names_width_and_center(self, tmp_path, config_file, capsys,
+                                                              old, new, message):
+        bad = _edited_config(config_file, tmp_path, old, new)
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_scan_steps_bound(self, tmp_path, config_file, capsys):
+        too_many = scenario.MAX_SCAN_STEPS + 1
+        assert run(["scan", "--config", config_file, "--output", tmp_path / "x",
+                    "--steps", too_many]) == 2
+        bad = _edited_config(config_file, tmp_path, "steps: 129", f"steps: {too_many}")
+        assert run(["scan", "--config", bad, "--output", tmp_path / "y"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"scan needs 2 to {scenario.MAX_SCAN_STEPS} (MAX_SCAN_STEPS) steps") == 2
+
+    def test_sweep_value_bound(self, tmp_path, config_file, capsys):
+        grid = ",".join(["0"] * (scenario.MAX_SCAN_STEPS + 1))
+        assert run(["sweep", "--config", config_file, "--output", tmp_path / "x",
+                    "--parameter", "compensation_error_fs", "--grid", grid]) == 2
+        assert f"1 to {scenario.MAX_SCAN_STEPS} (MAX_SCAN_STEPS) values" in capsys.readouterr().err
 
     def test_invalid_yaml(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -11,7 +11,8 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from bellsim import scenario
-from bellsim.cli import SWEEP_PARAMETERS, main
+from bellsim.cli import main
+from bellsim.scenario import SWEEP_PARAMETERS
 
 DEFAULT = yaml.safe_load(scenario.default_config_path().read_text())
 

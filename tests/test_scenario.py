@@ -79,8 +79,7 @@ class TestConfigLoading:
 
 class TestBuildAmplitudes:
     def test_perfect_compensation_high_overlap(self, source, knobs):
-        required = scenario.required_compensation_fs(source, knobs)
-        pair = scenario.build_amplitudes(source, knobs, compensation_override_fs=required)
+        pair = scenario.build_amplitudes(source, knobs, compensation_error_fs=0.0)
         assert biphoton.normalized_overlap_magnitude(pair.amp_a, pair.amp_b) > 0.999
 
     def test_shipped_compensator_matches_required(self, source, knobs):
@@ -120,6 +119,16 @@ class TestBuildAmplitudes:
     def test_required_compensation_near_quoted_band(self, source, knobs):
         required = scenario.required_compensation_fs(source, knobs)
         assert 1050.0 <= required + 100.0 <= 2050.0  # ~1.37 ps incl. plates
+
+    @pytest.mark.parametrize("error", [0.0, -375.5, np.array([-700.0, 0.0, 120.0, 3000.0])])
+    def test_compensation_error_is_measured_from_required(self, source, knobs, error):
+        tilted = replace(knobs, signal_tilt_deg=12.0, idler_tilt_deg=-21.0)
+        required = scenario.required_compensation_fs(source, tilted)
+        budget = scenario.delay_budget(source, tilted, compensation_error_fs=error)
+        for applied in budget.compensation:
+            assert np.array_equal(applied, required + error)
+        assert np.allclose(budget.envelope_delay_fs(), np.abs(error)
+                           + abs(budget.signal_plate[0]) + abs(budget.idler_plate[0]), rtol=0, atol=1e-9)
 
 
 class TestScans:
@@ -207,21 +216,23 @@ class TestScans:
     def test_tilt_scan_runs_on_the_largest_step_grid(self, source, knobs, axis_kind, fields):
         # 490 fs off compensation: the large-tilt steps need a 256^2 grid,
         # the small-tilt steps at the end of the range only 128^2.
-        override = scenario.required_compensation_fs(source, knobs) + 490.0
         result = scenario.scan(source, axis_kind, scan_range=(-35.0, 5.0), steps=9,
-                               knobs=knobs, compensation_override_fs=override)
+                               knobs=knobs, compensation_error_fs=490.0)
         step_knobs = [replace(knobs, **dict.fromkeys(fields, v))
                       for v in result.metadata["scanned_values"]]
-        own = [scenario.build_amplitudes(source, kn, compensation_override_fs=override)
-               for kn in step_knobs]
+        # The scan's pre-advance is 490 fs off the standing knobs' required
+        # compensation; each step's own budget gets the same pre-advance.
+        standing = scenario.required_compensation_fs(source, knobs) + 490.0
+        errors = [standing - scenario.required_compensation_fs(source, kn) for kn in step_knobs]
+        own = [scenario.build_amplitudes(source, kn, compensation_error_fs=e)
+               for kn, e in zip(step_knobs, errors)]
         sizes = [pair.amp_a.metadata["grid_points"] for pair in own]
         assert sizes[0] > sizes[-1]
         assert result.metadata["grid_points"] == max(sizes)
 
         grid = own[sizes.index(max(sizes))].amp_a.grid
-        for kn, rate in zip(step_knobs, result.rates):
-            pair = scenario.build_amplitudes(source, kn, grid=grid,
-                                             compensation_override_fs=override)
+        for kn, e, rate in zip(step_knobs, errors, result.rates):
+            pair = scenario.build_amplitudes(source, kn, grid=grid, compensation_error_fs=e)
             na, nb, cross = biphoton.interference_terms(pair)
             # 45/45 analyzers weight both amplitudes equally.
             expected = (na + nb + 2.0 * (cross * np.exp(1j * pair.relative_phase_rad)).real) / (na + nb)
@@ -327,23 +338,14 @@ class TestModelProperties:
         values = {}
         for enabled in (False, True):
             src = replace(source, cross_dispersion_enabled=enabled)
-            pair = scenario.build_amplitudes(
-                src, knobs,
-                compensation_override_fs=scenario.required_compensation_fs(src, knobs),
-            )
+            pair = scenario.build_amplitudes(src, knobs, compensation_error_fs=0.0)
             values[enabled] = fringe_visibility(pair)
         assert abs(values[True] - values[False]) < 0.02
 
     def test_mzi_equals_collinear(self, source, knobs):
-        collinear = scenario.build_amplitudes(
-            source, knobs,
-            compensation_override_fs=scenario.required_compensation_fs(source, knobs),
-        )
+        collinear = scenario.build_amplitudes(source, knobs, compensation_error_fs=0.0)
         mzi_source = replace(source, scheme="mzi", compensator=())
-        mzi = scenario.build_amplitudes(
-            mzi_source, knobs,
-            compensation_override_fs=scenario.required_compensation_fs(mzi_source, knobs),
-        )
+        mzi = scenario.build_amplitudes(mzi_source, knobs, compensation_error_fs=0.0)
         v_col = fringe_visibility(collinear)
         v_mzi = fringe_visibility(mzi)
         assert abs(v_col - v_mzi) < 1e-6
@@ -355,10 +357,9 @@ class TestModelProperties:
 
     def test_flipped_crystal_order(self, source, knobs):
         flipped = replace(source, crystals=(source.crystals[1], source.crystals[0]))
-        required = scenario.required_compensation_fs(flipped, knobs)
-        pair = scenario.build_amplitudes(flipped, knobs, compensation_override_fs=required)
+        pair = scenario.build_amplitudes(flipped, knobs, compensation_error_fs=0.0)
         assert fringe_visibility(pair) > 0.999
-        terms = scenario.interference_terms(flipped, knobs, compensation_override_fs=required)
+        terms = scenario.interference_terms(flipped, knobs, compensation_error_fs=0.0)
         state, _ = scenario.effective_polarization_state(flipped, knobs, terms=terms)
         assert np.abs(state.coefficients[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
@@ -367,7 +368,7 @@ def _tilted(source, knobs):
     return source, replace(knobs, signal_tilt_deg=12.0, idler_tilt_deg=21.0)
 
 
-# name -> (source, knobs) transform and the compensation override (None: the
+# name -> (source, knobs) transform and the compensation error (None: the
 # shipped compensator; a number: required + that error).
 TERMS_CASES = {
     "collinear": (lambda src, kn: (src, kn), None),
@@ -390,11 +391,10 @@ class TestInterferenceTerms:
     def test_matches_built_amplitudes(self, source, knobs, case, grid_points):
         transform, error = TERMS_CASES[case]
         src, kn = transform(source, knobs)
-        override = None if error is None else scenario.required_compensation_fs(src, kn) + error
         got = scenario.interference_terms(src, kn, grid_points=grid_points,
-                                          compensation_override_fs=override)
+                                          compensation_error_fs=error)
         expected = biphoton.interference_terms(scenario.build_amplitudes(
-            src, kn, grid_points=grid_points, compensation_override_fs=override))
+            src, kn, grid_points=grid_points, compensation_error_fs=error))
         assert np.abs(np.array(got) - np.array(expected)).max() <= 1e-12
 
     def test_pump_knob_leaves_terms_unchanged(self, source, knobs):
@@ -434,6 +434,44 @@ class TestInterferenceTerms:
                                             source.crystals[1]))
         with pytest.raises(ConfigError, match="thickness_mm"):
             scenario.interference_terms(endless, knobs)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("scheme", ["collinear", "mzi"])
+    def test_compensation_sweep_matches_per_value_amplitudes(self, source, knobs, scheme):
+        # Alone, these errors need 128^2, 256^2, 512^2 and 1024^2 grids; the
+        # sweep evaluates them all on the largest.  A compensation error
+        # replaces the compensator elements, so the mzi scheme may keep them.
+        src = replace(source, scheme=scheme)
+        errors = [0.0, 800.0, -1800.0, 4000.0]
+        pairs = [scenario.build_amplitudes(src, knobs, compensation_error_fs=e) for e in errors]
+        assert [p.amp_a.metadata["grid_points"] for p in pairs] == [128, 256, 512, 1024]
+        got = scenario.sweep(src, knobs, "compensation_error_fs", errors)
+        expected = [fringe_visibility(pair) for pair in pairs]
+        assert np.abs(got - expected).max() <= 1e-12
+        assert got[0] > 0.999
+
+    def test_pump_ratio_sweep_matches_per_value_amplitudes(self, source, knobs):
+        ratios = [0.0, 0.5, 2.0]
+        got = scenario.sweep(source, knobs, "pump_ratio", ratios)
+        expected = [fringe_visibility(scenario.build_amplitudes(
+            replace(source, pump_amplitude_ratio=r), knobs, compensation_error_fs=0.0)) for r in ratios]
+        assert np.abs(got - expected).max() <= 1e-12
+        assert got[0] == 0.0
+
+    def test_one_pumped_crystal_has_zero_visibility_at_every_ratio(self, source, knobs):
+        horizontal = replace(source, pump=replace(source.pump, polarization_angle_deg=0.0))
+        got = scenario.sweep(horizontal, knobs, "pump_ratio", [0.25, 0.5, 1.0, 2.0, 7.0])
+        assert np.array_equal(got, np.zeros(5))
+
+    @pytest.mark.parametrize("parameter", scenario.SWEEP_PARAMETERS)
+    def test_empty_sweep_rejected(self, source, knobs, parameter):
+        with pytest.raises(ConfigError, match="a sweep takes 1 to"):
+            scenario.sweep(source, knobs, parameter, [])
+
+    def test_none_only_for_filter_width(self, source, knobs):
+        with pytest.raises(ConfigError, match="pump_ratio sweep values must be numbers"):
+            scenario.sweep(source, knobs, "pump_ratio", [1.0, None])
 
 
 class TestPlateTerms:
