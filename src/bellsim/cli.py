@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,24 +27,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config_path: str
-    command: str
-    output_paths: tuple
-    seed: int | None
-    tool_version: str
-    timestamp: str
-
-    def lines(self):
-        yield f"config_path = {self.config_path}"
-        yield f"command = {self.command}"
-        yield f"output_paths = {','.join(self.output_paths)}"
-        yield f"seed = {self.seed if self.seed is not None else 'none'}"
-        yield f"tool_version = {self.tool_version}"
-        yield f"timestamp = {self.timestamp}"
 
 
 def _fmt(value) -> str:
@@ -66,10 +47,6 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(path: Path, manifest: RunManifest) -> None:
-    path.write_text("".join(line + "\n" for line in manifest.lines()))
-
-
 def _resolve_config(arg: str):
     if arg == "default":
         return scenario.default_config_path()
@@ -80,15 +57,23 @@ def _load(args):
     return scenario.load_config(_resolve_config(args.config))
 
 
-def _manifest(args, command: str, outputs, seed) -> RunManifest:
-    return RunManifest(
-        config_path=str(_resolve_config(args.config)) if hasattr(args, "config") else "-",
-        command=command,
-        output_paths=tuple(str(p) for p in outputs),
-        seed=seed,
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+def _outputs(args, *suffixes) -> list:
+    """The paths of ``--output`` plus each suffix, in a directory that now
+    exists."""
+    prefix = Path(args.output)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    return [prefix.with_name(prefix.name + suffix) for suffix in suffixes]
+
+
+def _write_manifest(path: Path, args, command: str, outputs, seed) -> None:
+    _write_kv(path, [
+        ("config_path", _resolve_config(args.config) if hasattr(args, "config") else "-"),
+        ("command", command),
+        ("output_paths", ",".join(map(str, outputs))),
+        ("seed", "none" if seed is None else seed),
+        ("tool_version", __version__),
+        ("timestamp", datetime.now(timezone.utc).isoformat()),
+    ])
 
 
 def _fit_report_items(fit: fitting.FitResult, v_raw: float):
@@ -138,16 +123,9 @@ def cmd_scan(args) -> int:
         seed=seed if noise == "poisson" else None,
     )
 
-    prefix = Path(args.output)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_name(prefix.name + ".csv")
-    report_path = prefix.with_name(prefix.name + ".report.txt")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
-
+    csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")
     _write_csv(csv_path, ("axis_value", "rate"), zip(result.axis, result.rates))
-
-    manifest = _manifest(args, "scan", (csv_path, report_path), seed if noise == "poisson" else args.seed)
-    _write_manifest(manifest_path, manifest)
+    _write_manifest(manifest_path, args, "scan", (csv_path, report_path), seed)
 
     # The CSV is written before fitting so short scans still produce data.
     weights = result.rates * settings.mean_counts if noise == "poisson" else None
@@ -193,12 +171,7 @@ def cmd_sweep(args) -> int:
                                   cfg.scan.grid_points, cfg.scan.grid_span_factor)
     rows = [("none" if value is None else value, v) for value, v in zip(values, visibilities)]
 
-    prefix = Path(args.output)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_name(prefix.name + ".csv")
-    report_path = prefix.with_name(prefix.name + ".report.txt")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
-
+    csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")
     _write_csv(csv_path, ("parameter_value", "visibility"), rows)
     _write_kv(report_path, [
         ("parameter", args.parameter),
@@ -207,7 +180,7 @@ def cmd_sweep(args) -> int:
         ("visibility_max", max(visibilities)),
         ("reference_mode", bool(args.reference)),
     ])
-    _write_manifest(manifest_path, _manifest(args, "sweep", (csv_path, report_path), args.seed))
+    _write_manifest(manifest_path, args, "sweep", (csv_path, report_path), args.seed)
     print(f"sweep: wrote {csv_path} ({len(rows)} points)")
     return EXIT_OK
 
@@ -241,13 +214,10 @@ def cmd_fit(args) -> int:
     axis, rates = _read_csv(Path(args.input))
     fit = fitting.fit_fringe((axis, rates))
 
-    prefix = Path(args.output)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    report_path = prefix.with_name(prefix.name + ".report.txt")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
+    report_path, manifest_path = _outputs(args, ".report.txt", ".manifest.txt")
     _write_kv(report_path, [("input", str(args.input)), ("points", axis.size)]
               + _fit_report_items(fit, fitting.raw_visibility(rates)))
-    _write_manifest(manifest_path, _manifest(args, "fit", (report_path,), args.seed))
+    _write_manifest(manifest_path, args, "fit", (report_path,), args.seed)
     print(f"fit: visibility {fit.visibility:g}, period {fit.period:g} -> {report_path}")
     return EXIT_OK
 
@@ -259,9 +229,11 @@ def cmd_prepare(args) -> int:
 
     target = args.target
     phi_target = {"phi+": "phi+", "phi-": "phi-", "psi+": "phi+", "psi-": "phi-"}[target]
-    # The pump knob only moves the carrier phase: one evaluation of the
-    # terms serves both the solve and the prepared state.
-    terms = scenario.interference_terms(source, knobs, grid_points=gp, grid_span_factor=sf)
+    # The pump knob only moves the carrier phase: one budget and its terms serve
+    # the solve, the prepared state and the reported compensation.
+    budget = scenario.delay_budget(source, knobs)
+    norm_a, norm_b, cross, _ = scenario.budget_terms(source, budget, gp, sf)
+    terms = (norm_a, norm_b, complex(cross[0]))
     prepared = scenario.prepare_bell(source, phi_target, knobs, terms=terms)
     state, visibility = scenario.effective_polarization_state(source, prepared, terms=terms)
     # The HH and VV coefficients are the two amplitudes' normalized weights
@@ -274,10 +246,7 @@ def cmd_prepare(args) -> int:
         state = polarization.half_wave_plate(state, 1, PHI_TO_PSI_HWP_DEG)
     fid = polarization.fidelity(state, polarization.make_state(target))
 
-    prefix = Path(args.output)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    report_path = prefix.with_name(prefix.name + ".report.txt")
-    manifest_path = prefix.with_name(prefix.name + ".manifest.txt")
+    report_path, manifest_path = _outputs(args, ".report.txt", ".manifest.txt")
     items = [
         ("target", target),
         ("pump_delta_x_nm", prepared.pump_delta_x_nm),
@@ -291,12 +260,12 @@ def cmd_prepare(args) -> int:
         ("fidelity", fid),
         ("visibility", visibility),
         ("rate_at_knobs", rate),
-        ("required_compensation_fs", scenario.required_compensation_fs(source, knobs)),
+        ("required_compensation_fs", budget.required_compensation_fs),
         ("state_quality", "coherent" if visibility > 0.5 else "incoherent-mixture-equivalent"),
         ("reference_mode", bool(args.reference)),
     ]
     _write_kv(report_path, items)
-    _write_manifest(manifest_path, _manifest(args, "prepare", (report_path,), args.seed))
+    _write_manifest(manifest_path, args, "prepare", (report_path,), args.seed)
     print(f"prepare: {target} fidelity {fid:g}, visibility {visibility:g} -> {report_path}")
     return EXIT_OK
 

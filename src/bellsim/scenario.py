@@ -78,7 +78,7 @@ from .spectral import (
     kernel_overlaps,
     make_grid,
 )
-from .units import C_NM_PER_FS, wavelength_to_angular_frequency
+from .units import C_NM_PER_FS
 
 # Scan axis -> the PhaseKnobs or AnalyzerSetting fields it sets to the
 # scanned value.
@@ -315,9 +315,10 @@ def _compensator_advance(source: SourceConfig) -> tuple:
 @dataclass(frozen=True)
 class DelayBudget:
     """Each element's first-order (group, phase) delay, in fs, on the two
-    amplitudes, plus the center frequencies (rad/fs) the phases act on and
-    the two crystals' phase-matching ``specs``, derived from the same cut
-    angles as the crossing.
+    amplitudes, plus the pump center frequency (rad/fs) and the two
+    crystals' phase-matching ``specs``, derived from the same cut angles as
+    the crossing.  The pair phases act about the first crystal's spec
+    centers, ``specs[0].*_center_angular_frequency``.
 
     Amplitude a: ``crossing`` of crystal 2 by its pairs (collinear only),
     their ``cross_dispersion`` (signal, idler) group excess (when enabled),
@@ -328,8 +329,6 @@ class DelayBudget:
     every derived delay broadcasts over them.
     """
 
-    signal_center: float
-    idler_center: float
     pump_center: float
     specs: tuple
     compensation: tuple
@@ -350,11 +349,13 @@ class DelayBudget:
     def amplitude_a(self) -> tuple:
         """(signal group, idler group, carrier phase) retardation of a."""
         group = self.crossing[0]
-        carrier = (self.signal_center + self.idler_center) * self.crossing[1]
+        signal_center = self.specs[0].signal_center_angular_frequency
+        idler_center = self.specs[0].idler_center_angular_frequency
+        carrier = (signal_center + idler_center) * self.crossing[1]
         return (
             group + self.cross_dispersion[0] + self.signal_plate[0],
             group + self.cross_dispersion[1] + self.idler_plate[0],
-            carrier + (self.signal_center * self.signal_plate[1] + self.idler_center * self.idler_plate[1]),
+            carrier + (signal_center * self.signal_plate[1] + idler_center * self.idler_plate[1]),
         )
 
     def amplitude_b(self) -> tuple:
@@ -389,8 +390,6 @@ def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
         if source.cross_dispersion_enabled:
             crossings["cross_dispersion"] = excess
     budget = DelayBudget(
-        signal_center=float(wavelength_to_angular_frequency(first.signal_center_nm)),
-        idler_center=float(wavelength_to_angular_frequency(first.idler_center_nm)),
         pump_center=source.pump.center_angular_frequency,
         specs=(phase_matching_spec(first, source.pump), phase_matching_spec(second, source.pump, theta2)),
         compensation=_compensator_advance(source) if compensation_error_fs is None else (0.0, 0.0),
@@ -464,8 +463,8 @@ def _spectral_setup(source: SourceConfig, budget: DelayBudget, points: int, span
     return grid
 
 
-def _budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
-                  grid_span_factor: float, weights: tuple | None = None) -> tuple:
+def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
+                 grid_span_factor: float, weights: tuple | None = None) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
     amplitudes the budget makes of both crystals' JSAs, on the grid
     ``_spectral_setup`` sizes for its largest delay.  The per-entry
@@ -481,7 +480,7 @@ def _budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
     signal_delays, idler_delays = np.broadcast_arrays(np.atleast_1d(a_sig_group - b_group),
                                                       a_idl_group - b_group)
     overlaps = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid, signal_delays,
-                               idler_delays, budget.signal_center, budget.idler_center)
+                               idler_delays)
     cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps
     return w_a * w_a, w_b * w_b, cross, grid.shape[0]
 
@@ -498,7 +497,7 @@ def interference_terms(
     grid and one stream of the kernel the scans use.  The pump knob is not
     included: it only multiplies the overlap by exp(i pump_knob_phase)."""
     budget = delay_budget(source, knobs, compensation_error_fs)
-    norm_a, norm_b, cross, _ = _budget_terms(source, budget, grid_points, grid_span_factor)
+    norm_a, norm_b, cross, _ = budget_terms(source, budget, grid_points, grid_span_factor)
     return norm_a, norm_b, complex(cross[0])
 
 
@@ -531,11 +530,9 @@ def build_amplitudes(
 
     a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
     b_group, b_carrier = budget.amplitude_b()
-    centers = {"signal_center": budget.signal_center, "idler_center": budget.idler_center}
-    amp_a = biphoton.apply_envelope_phase(jsa_a, -a_sig_group, -a_idl_group, -a_carrier,
-                                          note="retard_a", **centers)
-    amp_b = biphoton.apply_envelope_phase(jsa_b, -b_group, -b_group, -b_carrier,
-                                          note="retard_b", **centers)
+    centers = (spec_a.signal_center_angular_frequency, spec_a.idler_center_angular_frequency)
+    amp_a = biphoton.apply_envelope_phase(jsa_a, -a_sig_group, -a_idl_group, -a_carrier, *centers, "retard_a")
+    amp_b = biphoton.apply_envelope_phase(jsa_b, -b_group, -b_group, -b_carrier, *centers, "retard_b")
 
     if w_a != 1.0:
         amp_a = biphoton.scale(amp_a, w_a)
@@ -631,8 +628,8 @@ def scan(
     standing = delay_budget(source, knobs, compensation_error_fs)
     budget = replace(standing, **{f"{arm}_plate": _plate_effect_on_a(source, arm, values)
                                   for arm in scanned_arms})
-    norm_a, norm_b, cross, grid_points_used = _budget_terms(source, budget, grid_points,
-                                                            grid_span_factor)
+    norm_a, norm_b, cross, grid_points_used = budget_terms(source, budget, grid_points,
+                                                           grid_span_factor)
     norms_sq = _h_and_v(source, norm_a, norm_b)
     rates = analyzer_rate(*norms_sq, cross * np.exp(1j * pump_knob_phase(source, step["pump_delta_x_nm"])),
                           step["theta1_deg"], step["theta2_deg"])
@@ -707,7 +704,7 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
 
     def visibilities(src, error=0.0, weights=None):
         budget = delay_budget(src, knobs, error)
-        norm_a, norm_b, cross, _ = _budget_terms(src, budget, grid_points, grid_span_factor, weights)
+        norm_a, norm_b, cross, _ = budget_terms(src, budget, grid_points, grid_span_factor, weights)
         return 2.0 * np.abs(cross) / (norm_a + norm_b)
 
     if parameter == "compensation_error_fs":

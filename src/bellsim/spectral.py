@@ -14,17 +14,19 @@ A JSA is sampled without any 2-D transcendental call: the half mismatch
 h = D L / 2 is a sum a(nu_s) + b(nu_i) of two 1-D terms, so h and
 sin h = sin a cos b + cos a sin b are rank-2 products of 1-D factors, and
 sinc(h) = sin h / h (the series 1 - h^2/6 + h^4/120 where |h| < 1e-2, where
-the quotient would lose accuracy).  On the equal-spacing grids ``make_grid``
-gives, the pump depends only on j + k, so the real pump-times-filters
-envelope comes from a Hankel view of 2N - 1 pump samples.  The JSA is that
-envelope times sinc(h), normalized, times the separable phase
+the quotient would lose accuracy).  Both axes of every ``FrequencyGrid``
+share one spacing, so the pump depends only on j + k and the real
+pump-times-filters envelope is a Hankel view of 2N - 1 pump samples.  The
+JSA is that envelope times sinc(h), normalized, times the separable phase
 exp(i a(nu_s)) exp(i b(nu_i)).
 
-``kernel_overlaps`` uses this structure for the interference of two crystals:
-conj(J_a) J_b is the real kernel (envelope sinc)_a (envelope sinc)_b times
-1-D phases that join the delay phase rows, so the overlaps of all delay
-pairs come from one stream of cache-sized row blocks of the kernel, with no
-N x N array.  ``build_jsa`` is the same sampler with one block.
+``_Sampler`` yields the real envelope * sinc(h) in cache-sized row blocks,
+with the grid and border checks and the norms.  ``kernel_overlaps`` streams
+it for the interference of two crystals: conj(J_a) J_b is the real kernel
+(envelope sinc)_a (envelope sinc)_b times 1-D phases that join the delay
+phase rows, so the overlaps of all delay pairs come from the row blocks of
+the kernel, with no N x N array.  ``build_jsa`` copies the same blocks into
+one real array before it applies the norm and the phase.
 ``phase_matching`` is the direct formula, kept as the reference the sampled
 grid is tested against.
 """
@@ -56,8 +58,8 @@ EDGE_AMPLITUDE_LIMIT = 1.0e-4
 # its series 1 - h^2/6 + h^4/120 instead (truncation error < 3e-16).
 SINC_SERIES_BELOW = 1.0e-2
 
-# Size of one row-block work array of ``kernel_overlaps``: small enough that
-# a block's arrays stay in cache from sampling to the product.
+# Size of one row-block work array of ``_Sampler``: small enough that a
+# block's arrays stay in cache from sampling to the product.
 ROW_BLOCK_BYTES = 512 * 1024
 
 
@@ -153,7 +155,8 @@ class PhaseMatchingSpec:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform absolute-frequency axes for the (signal, idler) plane."""
+    """Uniform absolute-frequency axes for the (signal, idler) plane, with
+    one spacing shared by both axes."""
 
     signal_axis: np.ndarray
     idler_axis: np.ndarray
@@ -167,6 +170,11 @@ class FrequencyGrid:
                 raise ConfigError(f"{name} axis must be strictly increasing")
             if not np.allclose(steps, steps[0], rtol=1.0e-9, atol=0.0):
                 raise ConfigError(f"{name} axis must be uniformly spaced")
+        # Whole-axis steps: the first steps of ``make_grid`` axes differ by up to 2.5e-12.
+        steps = [float(axis[-1] - axis[0]) / (axis.size - 1) for axis in (self.signal_axis, self.idler_axis)]
+        if not math.isclose(*steps, rel_tol=1.0e-12):
+            raise ConfigError(f"signal and idler axes must share one spacing, got steps "
+                              f"{steps[0]!r} and {steps[1]!r} rad/fs")
 
     @property
     def signal_spacing(self) -> float:
@@ -201,11 +209,7 @@ def pump_spectrum(pulse: PumpPulse, omega_sum):
     """Pump spectral amplitude at the pair sum frequency; 1 at the center."""
     nu = np.subtract(omega_sum, pulse.center_angular_frequency, dtype=float)
     sigma = pulse.sigma_omega
-    # In place: on a 2-D sum-frequency mesh this is a JSA build's largest
-    # real array.
-    nu *= nu
-    nu /= -(4.0 * sigma * sigma)
-    return np.exp(nu, out=nu) if isinstance(nu, np.ndarray) else np.exp(nu)
+    return np.exp(-(nu * nu) / (4.0 * sigma * sigma))
 
 
 def filter_amplitude(filt: SpectralFilter, omega):
@@ -247,15 +251,13 @@ def make_grid(
     filters: tuple = (),
     points: int = 256,
     span_factor: float = 5.0,
-    min_half_span: float = 0.0,
 ) -> FrequencyGrid:
     """Square grid centred on the pair centers, wide enough for the pump
-    ridge, the filters, and the main phase-matching structure.
+    ridge, the filters, and the main phase-matching structure; both axes
+    have the same half span and point count, hence one spacing.
 
     With Gaussian filters present the phase-matching extent is capped at a
-    few filter widths (the filters bound the support); ``min_half_span``
-    lets callers widen the grid further (e.g. so a large applied delay
-    stays below the sampling bound pi/spacing).
+    few filter widths (the filters bound the support).
     """
     if points < 8:
         raise ConfigError("grid needs at least 8 points per axis")
@@ -265,7 +267,7 @@ def make_grid(
     antidiag = sinc_antidiagonal_scale(spec)
     if math.isfinite(antidiag):
         scales.append(min(antidiag, 3.0 * max(filter_sigmas)) if filter_sigmas else antidiag)
-    half_span = max(span_factor * max(scales), min_half_span)
+    half_span = span_factor * max(scales)
     sig = np.linspace(-half_span, half_span, points) + spec.signal_center_angular_frequency
     idl = np.linspace(-half_span, half_span, points) + spec.idler_center_angular_frequency
     return FrequencyGrid(signal_axis=sig, idler_axis=idl)
@@ -323,14 +325,14 @@ class _EnvelopeRows:
     """Row blocks of the real envelope pump(w_s + w_i) f_s(w_s) f_i(w_i) on
     one grid, with the running border and peak that ``check_border`` reads.
 
-    On equal axis spacings (every ``make_grid`` grid) w_s[j] + w_i[k]
-    depends only on j + k, so the pump ridge is a Hankel view of its
-    N_s + N_i - 1 samples down the first column and along the last row, and
-    no 2-D exp is evaluated.  ``_check_grid`` runs on construction."""
+    Both axes share one spacing, so w_s[j] + w_i[k] depends only on j + k
+    and the pump ridge is a Hankel view of its N_s + N_i - 1 samples down
+    the first column and along the last row: no 2-D exp is evaluated.
+    ``_check_grid`` runs on construction."""
 
     def __init__(self, pulse: PumpPulse, f_s: SpectralFilter, f_i: SpectralFilter, grid: FrequencyGrid):
         _check_grid(pulse, f_s, f_i, grid)
-        self.pulse, self.grid = pulse, grid
+        self.grid = grid
         ws, wi = grid.signal_axis, grid.idler_axis
         self.filter_s = filter_amplitude(f_s, ws)[:, None]
         self.filter_i = filter_amplitude(f_i, wi)
@@ -338,20 +340,13 @@ class _EnvelopeRows:
         # border; without one ``_check_grid`` tested the pump corners.
         self.bounded = f_s.shape != "none" or f_i.shape != "none"
         self.border = self.peak = 0.0
-        self.ridge = None
-        steps = [(axis[-1] - axis[0]) / (axis.size - 1) for axis in (ws, wi)]
-        if math.isclose(*steps, rel_tol=1.0e-12):
-            samples = pump_spectrum(pulse, np.concatenate((ws + wi[0], ws[-1] + wi[1:])))
-            self.ridge = np.lib.stride_tricks.as_strided(samples, grid.shape, samples.strides * 2,
-                                                         writeable=False)
+        samples = pump_spectrum(pulse, np.concatenate((ws + wi[0], ws[-1] + wi[1:])))
+        self.ridge = np.lib.stride_tricks.as_strided(samples, grid.shape, samples.strides * 2,
+                                                     writeable=False)
 
     def __call__(self, rows: slice, out: np.ndarray) -> np.ndarray:
         """The envelope on ``rows`` (a slice with explicit bounds) into ``out``."""
-        if self.ridge is None:
-            out[...] = pump_spectrum(self.pulse, np.add.outer(self.grid.signal_axis[rows], self.grid.idler_axis))
-            out *= self.filter_i
-        else:
-            np.multiply(self.ridge[rows], self.filter_i, out=out)
+        np.multiply(self.ridge[rows], self.filter_i, out=out)
         out *= self.filter_s[rows]
         if self.bounded:
             edges = [out[:, 0].max(), out[:, -1].max()]
@@ -415,50 +410,76 @@ def _checked_norm(norm_sq: float) -> float:
     return math.sqrt(norm_sq)
 
 
+class _Sampler:
+    """The real amplitudes V = envelope * sinc(h) of one or two specs on one
+    grid, in the row slices ``blocks``, ``ROW_BLOCK_BYTES`` per scratch
+    array.  The energy and grid checks run on construction, before any 2-D
+    array exists; each call adds to sum V^2, and ``norms`` runs the border
+    check on them."""
+
+    def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
+                 grid: FrequencyGrid):
+        for spec in specs:
+            spec.check_energy_conservation(pulse.center_wavelength_nm)
+        self.envelope_rows = _EnvelopeRows(pulse, f_s, f_i, grid)
+        self.grid = grid
+        self.factors = [_sinc_factors(spec, grid.signal_axis - spec.signal_center_angular_frequency,
+                                      grid.idler_axis - spec.idler_center_angular_frequency)
+                        for spec in specs]
+        n_s, n_i = grid.shape
+        block = min(max(1, ROW_BLOCK_BYTES // (8 * n_i)), n_s)
+        self.blocks = [slice(start, min(start + block, n_s)) for start in range(0, n_s, block)]
+        # One allocation: separate ones are fresh pages, faulted in on every call.
+        self.envelope, self.h, self.work, *self.sincs = np.empty((3 + len(specs), block, n_i))
+        self.near = np.empty(self.envelope.shape, dtype=bool)
+        self.norms_sq = np.zeros(len(specs))
+
+    def __call__(self, rows: slice) -> list:
+        """Each spec's V on ``rows``, in scratch that the next call overwrites."""
+        m = rows.stop - rows.start
+        env = self.envelope_rows(rows, self.envelope[:m])
+        amplitudes = []
+        for n, (factors, sinc) in enumerate(zip(self.factors, self.sincs)):
+            amplitude = _sinc_rows(factors, rows, sinc[:m], self.h[:m], self.work[:m], self.near[:m])
+            amplitude *= env
+            self.norms_sq[n] += np.vdot(amplitude, amplitude)
+            amplitudes.append(amplitude)
+        return amplitudes
+
+    def norms(self) -> list:
+        """The L2 norm of each spec's V, once every row has been sampled."""
+        self.envelope_rows.check_border()
+        return [_checked_norm(float(n) * self.grid.cell_area) for n in self.norms_sq]
+
+
 def build_jsa(
     pulse: PumpPulse,
     spec: PhaseMatchingSpec,
     f_s: SpectralFilter,
     f_i: SpectralFilter,
     grid: FrequencyGrid,
-    phase_matching_fn=None,
     label: str = "",
 ) -> JointSpectralAmplitude:
     """Sample pump * phase-matching * filters on the grid and L2-normalize.
 
-    The block sampler of ``kernel_overlaps`` with one block: the real
-    envelope and sinc(h), the border check, the norm of their product, and
-    the separable phase exp(i a(nu_s)) exp(i b(nu_i)) applied last.
-    ``phase_matching_fn(nu_s, nu_i)`` overrides the sinc model (test hook
-    for closed-form Gaussian cross-checks); it is called on broadcastable
-    2-D detuning meshes.
+    ``_Sampler``'s row blocks of the real envelope * sinc(h) fill one real
+    array, which its checked norm divides; the separable phase
+    exp(i a(nu_s)) exp(i b(nu_i)) is applied last.
     """
-    spec.check_energy_conservation(pulse.center_wavelength_nm)
-    envelope_rows = _EnvelopeRows(pulse, f_s, f_i, grid)
-    rows = slice(0, grid.shape[0])
-    envelope = envelope_rows(rows, np.empty(grid.shape))
-    envelope_rows.check_border()
-
-    nu_s = grid.signal_axis - spec.signal_center_angular_frequency
-    nu_i = grid.idler_axis - spec.idler_center_angular_frequency
-    if phase_matching_fn is not None:
-        values = (envelope * phase_matching_fn(nu_s[:, None], nu_i[None, :])).astype(complex)
-        values /= _checked_norm(float(np.sum(np.abs(values) ** 2)) * grid.cell_area)
-    else:
-        factors = _sinc_factors(spec, nu_s, nu_i)
-        sinc, h, work = np.empty((3,) + grid.shape)
-        envelope *= _sinc_rows(factors, rows, sinc, h, work, np.empty(grid.shape, dtype=bool))
-        del sinc, h, work  # free the scratch before the complex values exist
-        envelope /= _checked_norm(float(np.vdot(envelope, envelope)) * grid.cell_area)
-        _, _, left, right = factors
-        values = np.multiply.outer(left[:, 3] + 1j * left[:, 2], right[2] + 1j * right[3])
-        values *= envelope
+    sampler = _Sampler(pulse, (spec,), f_s, f_i, grid)
+    amplitude = np.empty(grid.shape)
+    for rows in sampler.blocks:
+        amplitude[rows] = sampler(rows)[0]
+    amplitude /= sampler.norms()[0]
+    ((_, _, left, right),) = sampler.factors
+    values = np.multiply.outer(left[:, 3] + 1j * left[:, 2], right[2] + 1j * right[3])
+    values *= amplitude
 
     metadata = {
         "crystal_label": label,
         "crystal_length_mm": spec.crystal_length_mm,
         "duration_convention": DURATION_CONVENTION,
-        "phase_matching": "custom" if phase_matching_fn is not None else "sinc_first_order",
+        "phase_matching": "sinc_first_order",
         "applied_delays": (),
     }
     return JointSpectralAmplitude(grid=grid, values=values, metadata=metadata)
@@ -473,34 +494,23 @@ def kernel_overlaps(
     grid: FrequencyGrid,
     signal_delays_fs,
     idler_delays_fs,
-    signal_center: float,
-    idler_center: float,
 ) -> np.ndarray:
     """<J_a|J_b> of the normalized JSAs ``build_jsa`` makes of the two specs
     on ``grid``, with J_a retarded by each (signal, idler) group-delay pair
-    as in ``biphoton.apply_envelope_phase`` about the given centers; never
-    holds an N x N array.
+    as in ``biphoton.apply_envelope_phase`` about spec_a's pair centers;
+    never holds an N x N array.
 
     Each JSA is a real envelope * sinc(h) times the separable phase
     exp(i a(nu_s)) exp(i b(nu_i)), so conj(J_a) J_b is the real kernel
     V_a V_b (V^2 for identical cuts) times one phase per arm, which joins
-    that arm's delay phase rows exp(i T (w - W)).  The kernel is sampled in
-    blocks of rows, ``ROW_BLOCK_BYTES`` per work array; while a block is in
-    cache it adds to the envelope's border and peak, to sum V^2 and to the
-    real product of the stacked cosine and sine phase rows with the block.
-    An arm whose delays are all equal is one phase row, and the product
-    runs from the arm with fewer distinct delays, so a single-arm scan
-    costs one pass over the kernel.
+    that arm's delay phase rows exp(i T (w - W)).  ``_Sampler`` gives the
+    kernel in blocks of rows, ``ROW_BLOCK_BYTES`` per work array; while a
+    block is in cache it goes into the real product of the stacked cosine
+    and sine phase rows with the block.  An arm whose delays are all equal
+    is one phase row, and the product runs from the arm with fewer distinct
+    delays, so a single-arm scan costs one pass over the kernel.
     """
-    for spec in (spec_a, spec_b):
-        spec.check_energy_conservation(pulse.center_wavelength_nm)
-    envelope_rows = _EnvelopeRows(pulse, f_s, f_i, grid)
-    same = spec_b == spec_a
-    factors = [
-        _sinc_factors(spec, grid.signal_axis - spec.signal_center_angular_frequency,
-                      grid.idler_axis - spec.idler_center_angular_frequency)
-        for spec in ((spec_a,) if same else (spec_a, spec_b))
-    ]
+    sampler = _Sampler(pulse, (spec_a,) if spec_b == spec_a else (spec_a, spec_b), f_s, f_i, grid)
 
     def phase_rows(delays_fs, detuning, arm):
         # cos and sin of T (w - W) + (the arm's phase of J_b less J_a's), as
@@ -509,47 +519,34 @@ def kernel_overlaps(
         if np.all(delays_fs == delays_fs[0]):
             delays_fs = delays_fs[:1]
         angles = np.multiply.outer(delays_fs, detuning)
-        angles += factors[-1][arm] - factors[0][arm]
+        angles += sampler.factors[-1][arm] - sampler.factors[0][arm]
         rows = np.empty((2,) + angles.shape)
         np.cos(angles, out=rows[0])
         np.sin(angles, out=rows[1])
         return rows
 
-    phases = (phase_rows(signal_delays_fs, grid.signal_axis - signal_center, 0),
-              phase_rows(idler_delays_fs, grid.idler_axis - idler_center, 1))
+    phases = (phase_rows(signal_delays_fs, grid.signal_axis - spec_a.signal_center_angular_frequency, 0),
+              phase_rows(idler_delays_fs, grid.idler_axis - spec_a.idler_center_angular_frequency, 1))
     idler_drives = phases[1].shape[1] < phases[0].shape[1]
     drive, other = phases[::-1] if idler_drives else phases
     drive = drive.reshape(-1, drive.shape[-1])
 
-    n_s, n_i = grid.shape
-    block = max(1, ROW_BLOCK_BYTES // (8 * n_i))
-    envelope, h, work, *sincs = np.empty((3 + len(factors), min(block, n_s), n_i))
-    near = np.empty(envelope.shape, dtype=bool)
     # The product of the driving rows with the kernel: rows of kernel @
     # drive.T block by block, or drive @ kernel summed over the blocks.
+    n_s, n_i = grid.shape
     acc = np.empty((n_s, len(drive)) if idler_drives else (len(drive), n_i))
-    product = np.empty_like(acc) if not idler_drives and n_s > block else None
-    norms_sq = np.zeros(len(factors))
-    for start in range(0, n_s, block):
-        rows = slice(start, min(start + block, n_s))
-        m = rows.stop - start
-        env = envelope_rows(rows, envelope[:m])
-        amplitudes = []
-        for n, (f, sinc) in enumerate(zip(factors, sincs)):
-            amplitude = _sinc_rows(f, rows, sinc[:m], h[:m], work[:m], near[:m])
-            amplitude *= env
-            norms_sq[n] += np.vdot(amplitude, amplitude)
-            amplitudes.append(amplitude)
+    product = np.empty_like(acc) if not idler_drives and len(sampler.blocks) > 1 else None
+    for rows in sampler.blocks:
+        amplitudes = sampler(rows)
         kernel = amplitudes[0]
         kernel *= amplitudes[-1]
         if idler_drives:
             np.matmul(kernel, drive.T, out=acc[rows])
-        elif start == 0:
+        elif rows.start == 0:
             np.matmul(drive[:, rows], kernel, out=acc)
         else:
             acc += np.matmul(drive[:, rows], kernel, out=product)
-    envelope_rows.check_border()
-    norms = [_checked_norm(float(n) * grid.cell_area) for n in norms_sq]
+    norms = sampler.norms()
 
     # Row-wise sum of (acc_cos + i acc_sin) (cos + i sin) of the other arm.
     if idler_drives:

@@ -8,6 +8,7 @@ from conftest import time_domain_rate
 from bellsim import biphoton
 from bellsim.biphoton import (
     AmplitudePair,
+    JointSpectralAmplitude,
     apply_pair_delay,
     apply_single_arm_delay,
     coincidence_rate,
@@ -24,6 +25,7 @@ from bellsim.spectral import (
     build_jsa,
     kernel_overlaps,
     make_grid,
+    pump_spectrum,
 )
 from bellsim.units import C_NM_PER_FS
 
@@ -31,9 +33,9 @@ PUMP = PumpPulse(400.0, 80.0)
 SPEC = PhaseMatchingSpec(3.4, 730.0, 885.0, 5811.3, 5636.9, 5602.8)
 
 
-def reference_jsa(points=128, min_half_span=0.0, pump=PUMP, spec=SPEC, pm_fn=None):
-    grid = make_grid(pump, spec, points=points, min_half_span=min_half_span)
-    return build_jsa(pump, spec, NO_FILTER, NO_FILTER, grid, phase_matching_fn=pm_fn)
+def reference_jsa(points=128, pump=PUMP, spec=SPEC):
+    grid = make_grid(pump, spec, points=points)
+    return build_jsa(pump, spec, NO_FILTER, NO_FILTER, grid)
 
 
 class TestPairDelay:
@@ -130,8 +132,12 @@ class TestOverlap:
         # Phase matching replaced by a Gaussian in (nu_s - nu_i): the pair
         # delay overlap is then exactly exp(-T^2 sigma^2 / 2).
         width = 0.08
-        pm = lambda ns, ni: np.exp(-((ns - ni) ** 2) / (2.0 * width**2))
-        jsa = reference_jsa(256, min_half_span=0.45, pm_fn=pm)
+        nu = np.linspace(-0.45, 0.45, 256)
+        grid = FrequencyGrid(nu + SPEC.signal_center_angular_frequency, nu + SPEC.idler_center_angular_frequency)
+        ws, wi = grid.meshes()
+        values = pump_spectrum(PUMP, ws + wi) * np.exp(-((nu[:, None] - nu[None, :]) ** 2) / (2.0 * width**2))
+        values /= math.sqrt(float(np.sum(values**2)) * grid.cell_area)
+        jsa = JointSpectralAmplitude(grid=grid, values=values.astype(complex), metadata={})
         sigma = PUMP.sigma_omega
         for delay in (5.0, 20.0, 47.0, 80.0):
             shifted = apply_pair_delay(jsa, delay)
@@ -161,7 +167,7 @@ class TestOverlap:
         other = biphoton.apply_envelope_phase(jsa, 7.0, -3.0, 0.4, *centers)
         delays = np.array([(0.0, 0.0), (25.0, -10.0), (-60.0, 45.0)])
         batched = np.exp(0.4j) * kernel_overlaps(PUMP, SPEC, SPEC, NO_FILTER, NO_FILTER, jsa.grid,
-                                                 delays[:, 0] + 7.0, delays[:, 1] - 3.0, *centers)
+                                                 delays[:, 0] + 7.0, delays[:, 1] - 3.0)
         for (t_s, t_i), got in zip(delays, batched):
             retarded = biphoton.apply_envelope_phase(jsa, -t_s, -t_i, 0.0, *centers)
             assert got == pytest.approx(overlap(retarded, other), abs=1e-12)
@@ -181,7 +187,7 @@ class TestOverlap:
         e_i = np.exp(1j * np.multiply.outer(idler, jsa.grid.idler_axis - centers[1]))
         full = ((e_s @ (np.conj(jsa.values) * other.values)) * e_i).sum(axis=1) * jsa.grid.cell_area
         batched = np.exp(0.4j) * kernel_overlaps(PUMP, SPEC, SPEC, NO_FILTER, NO_FILTER, jsa.grid,
-                                                 signal + 7.0, idler - 3.0, *centers)
+                                                 signal + 7.0, idler - 3.0)
         assert batched.shape == full.shape
         assert np.max(np.abs(batched - full)) <= 1e-12 * np.max(np.abs(full))
 

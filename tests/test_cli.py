@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import warnings
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +198,22 @@ class TestFitCommand:
         assert float(report["visibility_fit"]) < 1e-9
         assert report["period_degenerate"] == "true"
 
+    def test_manifest_keys(self, tmp_path):
+        rows = "".join(f"{float(a)!r},{1.0 + math.cos(a / 64.0)!r}\n" for a in np.linspace(0.0, 1600.0, 65))
+        path = tmp_path / "fringe.csv"
+        path.write_text("axis_value,rate\n" + rows)
+        out = tmp_path / "fit"
+        assert run(["fit", "--input", path, "--output", out]) == 0
+        manifest = read_report(out.with_name("fit.manifest.txt"))
+        assert list(manifest) == ["config_path", "command", "output_paths", "seed", "tool_version",
+                                  "timestamp"]
+        assert manifest["config_path"] == "-"
+        assert manifest["command"] == "fit"
+        assert manifest["output_paths"] == str(out.with_name("fit.report.txt"))
+        assert manifest["seed"] == "none"
+        assert manifest["tool_version"] == bellsim.__version__
+        assert datetime.fromisoformat(manifest["timestamp"]).tzinfo is not None
+
     def test_header_only_file_is_data_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("axis_value,rate\n")
@@ -248,6 +266,16 @@ class TestPrepareCommand:
         assert run(["prepare", "--config", "default", "--output", tmp_path / "p",
                     "--target", "phi+"]) == 0
         assert len(calls) == 1
+
+    def test_one_delay_budget_per_run(self, tmp_path, monkeypatch):
+        # The solve, the prepared state and the reported compensation share
+        # one delay budget: one cut-angle solve per crystal.
+        calls = []
+        solve = scenario.phase_matching_cut_angle
+        monkeypatch.setattr(scenario, "phase_matching_cut_angle", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        assert run(["prepare", "--config", "default", "--output", tmp_path / "p",
+                    "--target", "psi-"]) == 0
+        assert len(calls) == 2
 
     def test_uncompensated_is_infeasible(self, tmp_path, config_file, capsys):
         bare = tmp_path / "bare.yaml"
