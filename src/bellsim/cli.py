@@ -41,9 +41,18 @@ def _write_kv(path: Path, items) -> None:
     path.write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in items))
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv_cells(column) -> list:
+    """One CSV column as text: a float array's values through ``repr`` (what
+    ``_fmt`` gives them, without its per-cell type checks), anything else
+    through ``_fmt``."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    return [_fmt(v) for v in column]
+
+
+def _write_csv(path: Path, header, columns) -> None:
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += map(",".join, zip(*map(_csv_cells, columns)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -124,7 +133,7 @@ def cmd_scan(args) -> int:
     )
 
     csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")
-    _write_csv(csv_path, ("axis_value", "rate"), zip(result.axis, result.rates))
+    _write_csv(csv_path, ("axis_value", "rate"), (result.axis, result.rates))
     _write_manifest(manifest_path, args, "scan", (csv_path, report_path), seed)
 
     # The CSV is written before fitting so short scans still produce data.
@@ -169,19 +178,19 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args.grid)
     visibilities = scenario.sweep(cfg.source, cfg.knobs, args.parameter, values,
                                   cfg.scan.grid_points, cfg.scan.grid_span_factor)
-    rows = [("none" if value is None else value, v) for value, v in zip(values, visibilities)]
+    labels = ["none" if value is None else value for value in values]
 
     csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")
-    _write_csv(csv_path, ("parameter_value", "visibility"), rows)
+    _write_csv(csv_path, ("parameter_value", "visibility"), (labels, visibilities))
     _write_kv(report_path, [
         ("parameter", args.parameter),
-        ("points", len(rows)),
+        ("points", len(values)),
         ("visibility_min", min(visibilities)),
         ("visibility_max", max(visibilities)),
         ("reference_mode", bool(args.reference)),
     ])
     _write_manifest(manifest_path, args, "sweep", (csv_path, report_path), args.seed)
-    print(f"sweep: wrote {csv_path} ({len(rows)} points)")
+    print(f"sweep: wrote {csv_path} ({len(values)} points)")
     return EXIT_OK
 
 

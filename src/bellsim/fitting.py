@@ -6,7 +6,12 @@ not couple to the phase.  The frequency is initialized from the dominant
 bin of a discrete transform of the mean-subtracted data and refined by a
 damped (Levenberg-Marquardt) Gauss-Newton loop with an analytic Jacobian;
 convergence means a relative parameter change below 1e-10 within the
-iteration cap.  Visibility, period and phase are recovered afterwards:
+iteration cap.  The step of A and f is taken relative to |A| and |f|; the
+steps of a and b relative to max(|a|, 1e-5 hypot(a, b)) and
+max(|b|, 1e-5 hypot(a, b)), so a coefficient that is exactly 0 (an exact
+fringe at phase 0 or +-pi/2) does not keep the loop running to the cap,
+while fits with two non-negligible coefficients follow the plain relative
+test.  Visibility, period and phase are recovered afterwards:
 V = sqrt(a^2 + b^2)/A, P = 1/f, phi = atan2(-b, a), phi in (-pi, pi].
 """
 
@@ -21,6 +26,10 @@ from .errors import DataError, InsufficientDataError
 
 MAX_ITERATIONS = 200
 RELATIVE_PARAMETER_TOLERANCE = 1.0e-10
+# The stop test divides the steps of the cos and sin coefficients by
+# max(|coefficient|, floor * hypot(a, b)), so a coefficient that is exactly 0
+# (fringe phase 0 or +-pi/2) does not hold the loop to MAX_ITERATIONS.
+COEFFICIENT_SCALE_FLOOR = 1.0e-5
 # Two spectral bins within this power ratio trigger a second fit start.
 AMBIGUOUS_POWER_RATIO = 0.8
 
@@ -59,14 +68,20 @@ def raw_visibility(rates) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def _model_and_jacobian(params, x):
+def _model_and_jacobian(params, x, twopi_x, jac):
+    """Model at ``params``; writes the cos, sin and frequency columns of the
+    Jacobian into ``jac`` in place (column 0 holds the constant 1)."""
     offset, a, b, freq = params
     arg = 2.0 * np.pi * freq * x
-    c, s = np.cos(arg), np.sin(arg)
-    model = offset + a * c + b * s
-    d_freq = 2.0 * np.pi * x * (-a * s + b * c)
-    jac = np.column_stack((np.ones_like(x), c, s, d_freq))
-    return model, jac
+    c = np.cos(arg, out=jac[:, 1])
+    s = np.sin(arg, out=jac[:, 2])
+    d_freq = np.multiply(s, -a, out=jac[:, 3])
+    d_freq += b * c
+    d_freq *= twopi_x
+    model = a * c
+    model += offset
+    model += b * s
+    return model
 
 
 def _spectral_frequencies(x, y):
@@ -102,28 +117,39 @@ def _initial_linear(x, y, w, freq):
 
 
 def _levenberg_marquardt(x, y, w, params):
-    sw = np.sqrt(w)
+    twopi_x = 2.0 * np.pi * x
+    jac = np.empty((x.size, 4))
+    jac[:, 0] = 1.0
+    sw = None if np.all(w == 1.0) else np.sqrt(w)
+
+    def residual_and_cost(p):
+        m = _model_and_jacobian(p, x, twopi_x, jac)
+        r = m - y
+        if sw is not None:
+            r *= sw
+        return m, r, float(r @ r)
+
     lam = 1.0e-3
-    model, jac = _model_and_jacobian(params, x)
-    residual = (model - y) * sw
-    cost = float(residual @ residual)
+    model, residual, cost = residual_and_cost(params)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jw = jac * sw[:, None]
+        # Trials overwrite ``jac``, so grad and hessian are taken first.
+        jw = jac if sw is None else jac * sw[:, None]
         grad = jw.T @ residual
         hessian = jw.T @ jw
+        diagonal = hessian.diagonal() + 1e-30
         step = None
         for _ in range(40):
+            damped = hessian.copy()
+            damped.flat[::5] += lam * diagonal
             try:
-                step = np.linalg.solve(hessian + lam * np.diag(np.diag(hessian) + 1e-30), -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             trial = params + step
-            t_model, t_jac = _model_and_jacobian(trial, x)
-            t_residual = (t_model - y) * sw
-            t_cost = float(t_residual @ t_residual)
+            t_model, t_residual, t_cost = residual_and_cost(trial)
             if t_cost <= cost:
                 lam = max(lam * 0.1, 1.0e-14)
                 break
@@ -131,13 +157,15 @@ def _levenberg_marquardt(x, y, w, params):
             step = None
         if step is None:
             break  # damping exhausted; keep best iterate
-        rel_change = float(np.max(np.abs(step) / (np.abs(params) + 1.0e-30)))
+        scale = np.abs(params)
+        scale[1:3] = np.maximum(scale[1:3], COEFFICIENT_SCALE_FLOOR * math.hypot(params[1], params[2]))
+        rel_change = float(np.max(np.abs(step) / (scale + 1.0e-30)))
         params = trial
-        model, jac, residual, cost = t_model, t_jac, t_residual, t_cost
+        model, residual, cost = t_model, t_residual, t_cost
         if rel_change < RELATIVE_PARAMETER_TOLERANCE:
             converged = True
             break
-    return params, cost, converged, iterations
+    return params, model, cost, converged, iterations
 
 
 def _wrap_phase(phi: float) -> float:
@@ -197,16 +225,15 @@ def fit_fringe(scan, weights=None) -> FitResult:
     for freq in candidates:
         offset, a, b = _initial_linear(x, y, w, freq)
         params = np.array([offset, a, b, freq], dtype=float)
-        params, cost, converged, iterations = _levenberg_marquardt(x, y, w, params)
-        if best is None or cost < best[1]:
-            best = (params, cost, converged, iterations)
+        params, model, cost, converged, iterations = _levenberg_marquardt(x, y, w, params)
+        if best is None or cost < best[2]:
+            best = (params, model, cost, converged, iterations)
 
-    params, _, converged, iterations = best
+    params, model, _, converged, iterations = best
     offset, a, b, freq = params
     freq = abs(freq)
     amplitude = math.hypot(a, b)
     visibility = 0.0 if offset == 0.0 else min(max(amplitude / abs(offset), 0.0), 1.0)
-    model, _ = _model_and_jacobian(params, x)
     rms = float(np.sqrt(np.mean((model - y) ** 2)))
     return FitResult(
         offset=float(offset),

@@ -62,6 +62,10 @@ SINC_SERIES_BELOW = 1.0e-2
 # block's arrays stay in cache from sampling to the product.
 ROW_BLOCK_BYTES = 512 * 1024
 
+# Rounding allowance of a grid's absolute frequencies, in ulp of the largest
+# |frequency|, for the uniform-spacing and shared-spacing checks.
+AXIS_ROUNDING_ULPS = 4
+
 
 @dataclass(frozen=True)
 class PumpPulse:
@@ -162,17 +166,24 @@ class FrequencyGrid:
     idler_axis: np.ndarray
 
     def __post_init__(self):
-        for name, axis in (("signal", self.signal_axis), ("idler", self.idler_axis)):
+        axes = (("signal", self.signal_axis), ("idler", self.idler_axis))
+        for name, axis in axes:
             if axis.ndim != 1 or axis.size < 2:
                 raise ConfigError(f"{name} axis must be 1-D with at least 2 points")
+        # Absolute frequencies carry a rounding of ~1 ulp of their magnitude,
+        # which on a narrow, fine grid exceeds 1e-9 of the step: both tests
+        # allow a few ulp of the largest |frequency| on top of the relative one.
+        rounding = AXIS_ROUNDING_ULPS * float(np.spacing(max(np.abs(axis).max() for _, axis in axes)))
+        for name, axis in axes:
             steps = np.diff(axis)
             if np.any(steps <= 0.0):
                 raise ConfigError(f"{name} axis must be strictly increasing")
-            if not np.allclose(steps, steps[0], rtol=1.0e-9, atol=0.0):
+            if not np.allclose(steps, steps[0], rtol=1.0e-9, atol=rounding):
                 raise ConfigError(f"{name} axis must be uniformly spaced")
         # Whole-axis steps: the first steps of ``make_grid`` axes differ by up to 2.5e-12.
-        steps = [float(axis[-1] - axis[0]) / (axis.size - 1) for axis in (self.signal_axis, self.idler_axis)]
-        if not math.isclose(*steps, rel_tol=1.0e-12):
+        steps = [float(axis[-1] - axis[0]) / (axis.size - 1) for _, axis in axes]
+        shortest = min(axis.size for _, axis in axes) - 1
+        if not math.isclose(*steps, rel_tol=1.0e-12, abs_tol=rounding / shortest):
             raise ConfigError(f"signal and idler axes must share one spacing, got steps "
                               f"{steps[0]!r} and {steps[1]!r} rad/fs")
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bellsim
-from bellsim import scenario
+from bellsim import cli, scenario
 from bellsim.cli import main
 from bellsim.scenario import SWEEP_PARAMETERS
 
@@ -165,6 +165,47 @@ class TestSweepCommand:
         assert calls == {"stream": streams, "solve": 2 * streams}
 
 
+def _rowwise_csv(header, rows) -> bytes:
+    """The bytes of the row-by-row writer that formatted every cell with
+    ``cli._fmt``: the reference for the column writer."""
+    lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvWriter:
+    @staticmethod
+    def _columns(kind):
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=257) * 10.0 ** rng.integers(-300, 300, size=257)
+        values[:3] = (0.0, -0.0, 0.1)
+        if kind == "python_floats":
+            return values.tolist(), (values / 3.0).tolist()
+        if kind == "float64":
+            return values, values / 3.0
+        modest = rng.normal(size=257) * 10.0 ** rng.integers(-3, 4, size=257)
+        return modest.astype(np.float32), (modest / 3.0).astype(np.float16)
+
+    @pytest.mark.parametrize("kind", ["python_floats", "float64", "float32_float16"])
+    def test_float_columns_match_rowwise_writer(self, tmp_path, kind):
+        columns = self._columns(kind)
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, ("axis_value", "rate"), columns)
+        assert path.read_bytes() == _rowwise_csv(("axis_value", "rate"), zip(*columns))
+
+    def test_filter_sweep_with_none_matches_rowwise_writer(self, tmp_path, default_config):
+        grid = [5.0, 10.0, 20.0, None]
+        out = tmp_path / "filters"
+        assert run(["sweep", "--config", "default", "--output", out,
+                    "--parameter", "filter_fwhm", "--grid=5,10,20,none"]) == 0
+        visibilities = scenario.sweep(default_config.source, default_config.knobs, "filter_fwhm",
+                                      grid, default_config.scan.grid_points,
+                                      default_config.scan.grid_span_factor)
+        rows = [("none" if v is None else v, vis) for v, vis in zip(grid, visibilities)]
+        expected = _rowwise_csv(("parameter_value", "visibility"), rows)
+        assert out.with_name("filters.csv").read_bytes() == expected
+        assert b"\nnone," in expected
+
+
 class TestFitCommand:
     def test_round_trip_through_scan(self, tmp_path, config_file):
         out = tmp_path / "scan"
@@ -286,6 +327,36 @@ class TestPrepareCommand:
         assert run(["prepare", "--config", bare, "--output", tmp_path / "x",
                     "--target", "phi+"]) == 4
         assert "overlap" in capsys.readouterr().err
+
+
+    @staticmethod
+    def _narrow_fine_config(config_file, tmp_path, points, span):
+        # A 100 ps pump and 0.01 nm filters: the grid's step is so small that
+        # the rounding of the absolute frequencies exceeds 1e-9 of it.
+        text = config_file.read_text()
+        for old, new in (("duration_fs: 80.0", "duration_fs: 100000.0"),
+                         ("fwhm_nm: 10.0", "fwhm_nm: 0.01"),
+                         ("grid_points: 128", f"grid_points: {points}"),
+                         ("grid_span_factor: 5.0", f"grid_span_factor: {span}")):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "narrow.yaml"
+        path.write_text(text)
+        return path
+
+    def test_narrow_fine_grid_is_uniform(self, tmp_path, config_file):
+        narrow = self._narrow_fine_config(config_file, tmp_path, 2048, 8.0)
+        out = tmp_path / "narrow"
+        assert run(["prepare", "--config", narrow, "--output", out, "--target", "phi+"]) == 0
+        report = read_report(out.with_name("narrow.report.txt"))
+        assert float(report["visibility"]) > 0.999
+
+    def test_narrow_coarse_span_stops_at_the_border_check(self, tmp_path, config_file, capsys):
+        narrow = self._narrow_fine_config(config_file, tmp_path, 1024, 5.0)
+        assert run(["prepare", "--config", narrow, "--output", tmp_path / "x",
+                    "--target", "phi+"]) == 2
+        err = capsys.readouterr().err
+        assert "border" in err and "uniformly spaced" not in err
 
 
 def _edited_config(config_file, tmp_path, old, new):

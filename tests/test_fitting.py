@@ -49,6 +49,25 @@ class TestRoundTrip:
         assert hits >= 18
 
 
+class TestStopRule:
+    # A fringe phase of 0 or +-pi/2 makes the sin or cos coefficient exactly
+    # 0; the relative-change test must not wait for a zero to settle.
+    @pytest.mark.parametrize("phase", [-math.pi / 2, math.pi / 2, 0.0])
+    @pytest.mark.parametrize("points, x_range", [
+        (129, (25.457, 392.553)),
+        (65, (25.457, 392.553)),
+        (97, (0.0, 360.0)),
+    ])
+    def test_zero_coefficient_converges_in_few_iterations(self, phase, points, x_range):
+        x = np.linspace(*x_range, points)
+        fit = fit_fringe((x, synth(x, 1.0, 1.0, 180.0, phase)))
+        assert fit.converged
+        assert fit.iterations <= 10
+        assert fit.period == pytest.approx(180.0, rel=1e-9)
+        assert fit.visibility == pytest.approx(1.0, abs=1e-9)
+        assert math.cos(fit.phase_rad - phase) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestDegenerateAndErrors:
     def test_constant_data(self):
         x = np.linspace(0.0, 10.0, 32)

@@ -164,6 +164,19 @@ class TestScans:
         expected = 2.0 * np.cos(math.radians(45.0) - theta) ** 2
         assert np.allclose(result.rates, expected, atol=2e-3)
 
+    @pytest.mark.parametrize("scan_range, steps", [((25.457, 392.553), 129), ((0.0, 360.0), 97)])
+    def test_phi_plus_analyzer_fit_converges(self, source, knobs, scan_range, steps):
+        # On the prepared phi+ state the analyzer fringe sits at phase -pi/2:
+        # its cos coefficient is 0 and the fit must still stop promptly.
+        phi_plus = replace(knobs, pump_delta_x_nm=287.58)
+        result = scenario.scan(source, "analyzer2_angle", scan_range=scan_range,
+                               steps=steps, knobs=phi_plus)
+        fit = fit_fringe(result)
+        assert fit.converged
+        assert fit.iterations <= 10
+        assert fit.period == pytest.approx(180.0, rel=1e-9)
+        assert fit.visibility > 0.9999
+
     def test_phase_sum_additivity(self, source, knobs):
         # Standing signal/idler offsets shift the pump fringe by the sum of
         # the injected arm phases (vertical-axis plates retard the same
