@@ -108,7 +108,7 @@ def cmd_scan(args) -> int:
         if args.start is None or args.stop is None:
             raise ConfigError("--start and --stop must be given together")
         scan_range = (args.start, args.stop)
-    elif settings.start is not None and settings.stop is not None:
+    elif settings.start is not None:
         scan_range = (settings.start, settings.stop)
     else:
         scan_range = None
@@ -144,7 +144,7 @@ def cmd_scan(args) -> int:
     items += [
         ("analyzer1_deg", settings.analyzer1_deg),
         ("analyzer2_deg", settings.analyzer2_deg),
-        ("grid_points", result.metadata["grid_points"]),
+        ("grid_points", result.grid_points),
         ("reference_mode", bool(args.reference)),
     ]
     _write_kv(report_path, items)

@@ -247,28 +247,6 @@ def element_delays(element: BirefringentElement, pol: str, wavelength_nm: float,
     )
 
 
-def compensation_delay(crystals, pump_wavelength_nm: float) -> float:
-    """Pump H-V group delay (fs) the compensator must pre-impose for a
-    crossed pair of down-conversion crystals; positive means the component
-    pumping the later crystal must be advanced.
-
-    The exact requirement is the o-ray pump group delay through the first
-    crystal minus the mean e-ray group delay of the pair photons crossing
-    the second; with only the pump wavelength available here the pair group
-    index is evaluated at the degenerate wavelength 2*lambda_p on the
-    phase-matching cut (a few fs from the nondegenerate value).  Linear in
-    total thickness: each crystal contributes half its own walk-off term.
-    """
-    total = 0.0
-    for crystal in crystals:
-        lam_d = 2.0 * pump_wavelength_nm
-        theta = phase_matching_cut_angle(crystal.material, pump_wavelength_nm, lam_d, lam_d)
-        n_g_pump_o = group_index(crystal.material, "o", pump_wavelength_nm)
-        n_g_pair_e = angled_extraordinary_group_index(crystal.material, theta, lam_d)
-        total += 0.5 * crystal.thickness_mm * MM_TO_NM * (n_g_pump_o - n_g_pair_e) / C_NM_PER_FS
-    return total
-
-
 def _load_records(stream) -> dict:
     records = yaml.load(stream, Loader=YAML_LOADER)
     if not isinstance(records, list):

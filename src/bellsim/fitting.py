@@ -46,19 +46,6 @@ class FitResult:
     period_degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class PeriodComparison:
-    fitted: tuple
-    expected: tuple
-    relative_deviation: tuple
-    tolerance: float
-    passed: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(self.passed)
-
-
 def raw_visibility(rates) -> float:
     """(max - min) / (max + min) contrast estimator on the raw samples."""
     r = np.asarray(rates, dtype=float)
@@ -244,21 +231,4 @@ def fit_fringe(scan, weights=None) -> FitResult:
         converged=bool(converged),
         iterations=int(iterations),
         period_degenerate=not freq > 0.0,
-    )
-
-
-def compare_periods(fits, expected, tolerance: float = 0.005) -> PeriodComparison:
-    """Relative deviations of fitted periods against expectations."""
-    fits = tuple(fits)
-    expected = tuple(float(e) for e in expected)
-    if len(fits) != len(expected):
-        raise DataError("fits and expected period lists must have equal length")
-    fitted = tuple(f.period if hasattr(f, "period") else float(f) for f in fits)
-    deviations = tuple(abs(p - e) / e for p, e in zip(fitted, expected))
-    return PeriodComparison(
-        fitted=fitted,
-        expected=expected,
-        relative_deviation=deviations,
-        tolerance=tolerance,
-        passed=tuple(d <= tolerance for d in deviations),
     )

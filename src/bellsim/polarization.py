@@ -115,14 +115,3 @@ def half_wave_plate(state: PolarizationState, port: int, axis_deg: float) -> Pol
 def fidelity(state: PolarizationState, target: PolarizationState) -> float:
     """|<target|state>|^2 for normalized pure states."""
     return float(abs(np.vdot(target.coefficients, state.coefficients)) ** 2)
-
-
-def postselection_fraction(scheme: str) -> float:
-    """Fraction of pair amplitude discarded by coincidence post-selection."""
-    fractions = {"beamsplitter_degenerate": 0.5, "dichroic_nondegenerate": 0.0}
-    try:
-        return fractions[scheme]
-    except KeyError:
-        raise ConfigError(
-            f"unknown scheme {scheme!r}; expected one of {sorted(fractions)}"
-        ) from None

@@ -6,10 +6,12 @@ Timing model (collinear, crystals listed in beam order):
 
 * amplitude a = pairs from the first crystal.  They cross the second
   crystal as its extraordinary ray (the crystals' axes are orthogonal);
-  this crossing is modeled as a rigid retardation at the mean e-ray group
-  delay evaluated on the phase-matching cut.  The ``cross_dispersion``
-  toggle adds each arm's deviation of that e-ray from ordinary-ray
-  propagation - the residual that actually distinguishes the amplitudes.
+  this crossing is rigid: both arms get the mean e-ray group delay of the
+  pair centers on the phase-matching cut.  That drops the signal-idler
+  differential (108.9 fs for the default crystals), which no pump delay
+  removes; the default's visibility of ~1 rests on this approximation.
+  The ``cross_dispersion`` toggle adds each arm's e-ray group excess over
+  ordinary-ray propagation, a differential of a few fs.
 * amplitude b = pairs from the second crystal.  Its pump component first
   crosses the first crystal as an ordinary ray (slow), so amplitude b lags;
   the birefringent compensator pre-advances that pump component.
@@ -175,6 +177,8 @@ class ScanSettings:
             raise ConfigError(f"axis_kind must be one of {SCAN_AXIS_KINDS}, got {self.axis_kind!r}")
         if self.noise not in ("none", "poisson"):
             raise ConfigError(f"noise must be none|poisson, got {self.noise!r}")
+        if (self.start is None) != (self.stop is None):
+            raise ConfigError("scan.start and scan.stop must be given together")
         if not 8 <= self.grid_points <= MAX_GRID_POINTS:
             raise ConfigError(f"scan.grid_points must be in [8, {MAX_GRID_POINTS}], got {self.grid_points}")
         if not (math.isfinite(self.mean_counts) and self.mean_counts > 0.0):
@@ -197,7 +201,7 @@ class FringeScan:
     axis: np.ndarray
     axis_kind: str
     rates: np.ndarray
-    metadata: dict
+    grid_points: int
 
     def __post_init__(self):
         if self.axis.shape != self.rates.shape or self.axis.ndim != 1:
@@ -450,13 +454,14 @@ def _spectral_setup(source: SourceConfig, budget: DelayBudget, points: int, span
     spec_a = budget.specs[0]
     grid = make_grid(pump, spec_a, filters=source.filters, points=points, span_factor=span_factor)
     half_span = 0.5 * float(grid.signal_axis[-1] - grid.signal_axis[0])
+    required = 2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi
     needed = points
-    while needed < 2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi:
+    while needed <= MAX_GRID_POINTS and needed < required:
         needed *= 2
     if needed > MAX_GRID_POINTS:
         raise GridTruncationError(
-            f"applied delays (~{max_delay:.0f} fs) would need {needed} grid points "
-            f"(cap {MAX_GRID_POINTS}); reduce the delay or widen the cap"
+            f"applied delays (~{max_delay:.3g} fs) would need more than {MAX_GRID_POINTS} grid points "
+            "(MAX_GRID_POINTS); reduce the delay or lower scan.grid_span_factor"
         )
     if needed != points:
         grid = make_grid(pump, spec_a, filters=source.filters, points=needed, span_factor=span_factor)
@@ -645,29 +650,14 @@ def scan(
     ]
     axis = np.mean(plate_delays, axis=0) if plate_delays else values.copy()
 
-    metadata = {
-        "axis_kind": axis_kind,
-        "scan_range": (start, stop),
-        "steps": steps,
-        "scanned_values": tuple(float(v) for v in values),
-        "analyzers": (analyzers.theta1_deg, analyzers.theta2_deg),
-        "knobs": asdict(knobs),
-        "grid_points": grid_points_used,
-        "grid_span_factor": grid_span_factor,
-        "compensation_error_fs": compensation_error_fs,
-        "noise": noise,
-        "source": source_snapshot(source),
-    }
     if noise == "poisson":
         if seed is None:
             raise ConfigError("poisson noise requires a seed")
         rng = np.random.Generator(np.random.PCG64(seed))
         counts = rng.poisson(np.maximum(rates, 0.0) * mean_counts)
         rates = counts.astype(float) / mean_counts
-        metadata["seed"] = seed
-        metadata["mean_counts"] = mean_counts
 
-    return FringeScan(axis=axis, axis_kind=axis_kind, rates=rates, metadata=metadata)
+    return FringeScan(axis=axis, axis_kind=axis_kind, rates=rates, grid_points=grid_points_used)
 
 
 def _sweep_filters(source: SourceConfig, fwhm_nm) -> tuple:
@@ -783,58 +773,6 @@ def effective_polarization_state(
 
 # --------------------------------------------------------------------------
 # Configuration files
-
-
-def source_snapshot(source: SourceConfig) -> dict:
-    """Plain-data echo of the source for scan metadata and manifests."""
-    return {
-        "scheme": source.scheme,
-        "pump": {
-            "center_wavelength_nm": source.pump.center_wavelength_nm,
-            "duration_fs": source.pump.duration_fs,
-            "duration_convention": "intensity_fwhm",
-            "polarization_angle_deg": source.pump.polarization_angle_deg,
-        },
-        "crystals": [
-            {
-                "material": c.material.name,
-                "thickness_mm": c.thickness_mm,
-                "axis_orientation": c.axis_orientation,
-                "signal_center_nm": c.signal_center_nm,
-                "idler_center_nm": c.idler_center_nm,
-            }
-            for c in source.crystals
-        ],
-        "compensator": [
-            {
-                "material": e.material.name,
-                "thickness_mm": e.thickness_mm,
-                "axis_orientation": e.axis_orientation,
-                "tilt_deg": e.tilt_deg,
-            }
-            for e in source.compensator
-        ],
-        "filters": [
-            {"center_nm": f.center_nm, "fwhm_nm": f.fwhm_nm, "shape": f.shape}
-            for f in source.filters
-        ],
-        "plates": {
-            arm: {
-                "material": p.material.name,
-                "thickness_mm": p.thickness_mm,
-                "axis_orientation": p.axis_orientation,
-            }
-            for arm, p in (("signal", source.signal_plate), ("idler", source.idler_plate))
-        },
-        "cross_dispersion_enabled": source.cross_dispersion_enabled,
-        "pump_amplitude_ratio": source.pump_amplitude_ratio,
-        "approximations": (
-            "e_index_on_phase_matching_cut",
-            "plate_tilt_o_index_geometry",
-            "first_order_group_velocity_expansion",
-            "air_treated_as_vacuum",
-        ),
-    }
 
 
 _REQUIRED = object()

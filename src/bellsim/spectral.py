@@ -307,13 +307,13 @@ def _check_grid(pulse, f_s, f_i, grid):
     if span < 6.0 * narrowest:
         raise GridTruncationError(
             f"grid span {span:.4g} rad/fs is below 6 standard deviations of the "
-            f"narrowest envelope ({narrowest:.4g} rad/fs)"
+            f"narrowest envelope ({narrowest:.4g} rad/fs); raise scan.grid_span_factor"
         )
     for name, sigma in sigmas:
         if sigma < spacing:
             raise GridTruncationError(
                 f"grid spacing {spacing:.4g} rad/fs cannot resolve the {name} "
-                f"(sigma = {sigma:.4g} rad/fs); refine the grid"
+                f"(sigma = {sigma:.4g} rad/fs); raise scan.grid_points"
             )
 
     if f_s.shape == "none" and f_i.shape == "none":
@@ -328,7 +328,7 @@ def _check_grid(pulse, f_s, f_i, grid):
         if edge > EDGE_AMPLITUDE_LIMIT:
             raise GridTruncationError(
                 f"grid too narrow for the pump envelope: edge magnitude {edge:.3g} "
-                f"exceeds {EDGE_AMPLITUDE_LIMIT} of the peak"
+                f"exceeds {EDGE_AMPLITUDE_LIMIT} of the peak; raise scan.grid_span_factor"
             )
 
 
@@ -376,7 +376,8 @@ class _EnvelopeRows:
         if self.bounded and (self.peak == 0.0 or self.border > EDGE_AMPLITUDE_LIMIT * self.peak):
             raise GridTruncationError(
                 f"grid too narrow: envelope magnitude at the border is "
-                f"{self.border / max(self.peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT})"
+                f"{self.border / max(self.peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT}); "
+                "raise scan.grid_span_factor"
             )
 
 

@@ -13,8 +13,7 @@ from conftest import time_domain_rate
 from bellsim import biphoton, scenario
 from bellsim.biphoton import AmplitudePair, apply_pair_delay, apply_single_arm_delay
 from bellsim.cli import main as cli_main
-from bellsim.dispersion import BirefringentElement, compensation_delay, get_material
-from bellsim.fitting import compare_periods, fit_fringe
+from bellsim.fitting import fit_fringe
 from bellsim.polarization import (
     PHI_TO_PSI_HWP_DEG,
     AnalyzerSetting,
@@ -52,12 +51,13 @@ def test_criterion_01_fringe_periods(config):
         result = scenario.scan(source, axis_kind, steps=129, knobs=knobs, grid_points=128)
         fits.append(fit_fringe(result))
         durations.append(time.perf_counter() - started)
-    report = compare_periods(fits, list(expected.values()), tolerance=0.005)
-    assert report.all_passed, report
+    periods = [fit.period for fit in fits]
+    for p, e in zip(periods, expected.values()):
+        assert abs(p - e) <= 0.005 * e, (periods, list(expected.values()))
     assert max(durations) < 10.0
     print(
         "ACCEPTANCE 1 PASS: periods "
-        + ", ".join(f"{p:.2f}" for p in report.fitted)
+        + ", ".join(f"{p:.2f}" for p in periods)
         + f" nm (expect 400/730/885 within 0.5%), slowest scan {max(durations):.2f} s"
     )
 
@@ -128,12 +128,9 @@ def test_criterion_05_postselection_free_visibility(config):
 
 
 def test_criterion_06_compensation_figure(config):
-    elements = [c.element() for c in config.source.crystals]
-    delay = compensation_delay(elements, config.source.pump.center_wavelength_nm)
+    # The pre-advance the ``prepare`` report prints.
+    delay = scenario.required_compensation_fs(config.source, config.knobs)
     assert 1050.0 <= delay <= 1950.0
-    # Same figure from bare elements, independent of the config plumbing.
-    crystal = BirefringentElement(get_material("BBO"), 3.4, "horizontal")
-    assert compensation_delay([crystal, crystal], 400.0) == pytest.approx(delay, rel=1e-12)
     print(f"ACCEPTANCE 6 PASS: H-V pump pre-delay {delay:.0f} fs in [1050, 1950]")
 
 

@@ -357,6 +357,7 @@ class TestPrepareCommand:
                     "--target", "phi+"]) == 2
         err = capsys.readouterr().err
         assert "border" in err and "uniformly spaced" not in err
+        assert "scan.grid_span_factor" in err
 
 
 def _edited_config(config_file, tmp_path, old, new):
@@ -495,6 +496,30 @@ class TestBadInputExitCodes:
         bad = _edited_config(config_file, tmp_path, old, new)
         assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["start", "stop"])
+    def test_lone_scan_range_end(self, tmp_path, config_file, capsys, key):
+        bad = _edited_config(config_file, tmp_path, "steps: 129", f"{key}: 100.0\n  steps: 129")
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert "scan.start" in err and "scan.stop" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    PREPARE = ["prepare", "--target", "phi+"]
+    COMPENSATION_SWEEP = ["sweep", "--parameter", "compensation_error_fs", "--grid"]
+
+    @pytest.mark.parametrize("old, new, command, named", [
+        ("grid_span_factor: 5.0", "grid_span_factor: 0.5", PREPARE, "scan.grid_span_factor"),
+        ("fwhm_nm: 10.0", "fwhm_nm: 0.1", PREPARE, "scan.grid_points"),
+        (None, None, COMPENSATION_SWEEP + ["0,30000"], "scan.grid_span_factor"),
+        (None, None, COMPENSATION_SWEEP + ["1e300"], "~1e+300 fs"),
+    ], ids=["span", "resolution", "cap", "huge_delay"])
+    def test_grid_errors_name_the_key(self, tmp_path, config_file, capsys, old, new, command, named):
+        config = config_file if old is None else _edited_config(config_file, tmp_path, old, new)
+        assert run([command[0], "--config", config, "--output", tmp_path / "x", *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "widen the cap" not in err
+        assert len(err) < 250
 
     def test_scan_steps_bound(self, tmp_path, config_file, capsys):
         too_many = scenario.MAX_SCAN_STEPS + 1

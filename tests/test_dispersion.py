@@ -7,7 +7,6 @@ import pytest
 from bellsim import dispersion
 from bellsim.dispersion import (
     BirefringentElement,
-    compensation_delay,
     element_delays,
     get_material,
     group_index,
@@ -181,32 +180,6 @@ class TestElementDelays:
             BirefringentElement(QUARTZ, 1.0, "diagonal")
 
 
-class TestCompensationDelay:
-    def test_two_crystal_value_near_quoted_figure(self):
-        crystal = BirefringentElement(BBO, 3.4, "horizontal")
-        delay = compensation_delay([crystal, crystal], 400.0)
-        # ~1.5 ps with a +-30% band.
-        assert 1050.0 <= delay <= 1950.0
-
-    def test_empty_list_is_zero(self):
-        assert compensation_delay([], 400.0) == 0.0
-
-    def test_linear_in_total_thickness(self):
-        crystal = BirefringentElement(BBO, 3.4, "horizontal")
-        one = compensation_delay([crystal], 400.0)
-        two = compensation_delay([crystal, crystal], 400.0)
-        assert one == pytest.approx(0.5 * two, rel=1e-12)
-
-    def test_sign_advances_v(self):
-        crystal = BirefringentElement(BBO, 3.4, "horizontal")
-        assert compensation_delay([crystal], 400.0) > 0.0
-
-    def test_unmatched_material_raises(self):
-        rod = BirefringentElement(QUARTZ, 10.0, "vertical")
-        with pytest.raises(ConfigError):
-            compensation_delay([rod], 400.0)
-
-
 class TestPhaseMatchingCut:
     def test_nondegenerate_cut_angle(self):
         theta = phase_matching_cut_angle(BBO, 400.0, 730.0, 885.0)
@@ -218,6 +191,15 @@ class TestPhaseMatchingCut:
             + refractive_index(BBO, "o", 885.0) / 885.0
         )
         assert n_theta == pytest.approx(target, rel=1e-12)
+
+    def test_crystal_two_crossing_differential(self):
+        # The signal-idler group delay difference of the e-ray pairs crossing
+        # the 3.4 mm second crystal on its 400 -> 730 + 885 nm cut.  The rigid
+        # crossing gives both arms the mean delay and so drops this term.
+        theta = phase_matching_cut_angle(BBO, 400.0, 730.0, 885.0)
+        n_g = lambda nm: dispersion.angled_extraordinary_group_index(BBO, theta, nm)
+        differential = (n_g(730.0) - n_g(885.0)) * 3.4 * dispersion.MM_TO_NM / C_NM_PER_FS
+        assert differential == pytest.approx(108.93, abs=0.05)
 
     def test_angled_index_interpolates_principal_values(self):
         n_o = refractive_index(BBO, "o", 400.0)

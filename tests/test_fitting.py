@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellsim.errors import DataError, InsufficientDataError
-from bellsim.fitting import FitResult, compare_periods, fit_fringe, raw_visibility
+from bellsim.fitting import fit_fringe, raw_visibility
 
 
 def synth(x, offset, visibility, period, phase):
@@ -147,27 +147,3 @@ class TestRawVisibility:
 
     def test_zero_for_flat(self):
         assert raw_visibility(np.full(16, 2.0)) == 0.0
-
-
-class TestComparePeriods:
-    def test_reference_periods_pass(self):
-        fits = [
-            FitResult(1.0, 0.9, p, 0.0, 0.0, True, 3)
-            for p in (400.1, 729.5, 886.0)
-        ]
-        report = compare_periods(fits, [400.0, 730.0, 885.0])
-        assert report.all_passed
-        assert report.tolerance == 0.005
-
-    def test_single_exact_pair(self):
-        report = compare_periods([400.0], [400.0])
-        assert report.all_passed and report.relative_deviation == (0.0,)
-
-    def test_five_percent_error_fails(self):
-        report = compare_periods([420.0], [400.0])
-        assert not report.all_passed
-        assert report.relative_deviation[0] == pytest.approx(0.05, abs=1e-6)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            compare_periods([400.0], [400.0, 730.0])

@@ -45,7 +45,7 @@ def golden_values(workdir: Path) -> dict:
         result = scenario.scan(cfg.source, axis_kind, steps=STEPS, analyzers=analyzers,
                                knobs=cfg.knobs)
         scans[axis_kind] = {
-            "grid_points": result.metadata["grid_points"],
+            "grid_points": result.grid_points,
             "axis": result.axis.tolist(),
             "rates": result.rates.tolist(),
         }

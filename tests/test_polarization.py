@@ -11,7 +11,6 @@ from bellsim.polarization import (
     fidelity,
     half_wave_plate,
     make_state,
-    postselection_fraction,
     project,
 )
 
@@ -161,17 +160,3 @@ class TestFidelity:
             assert fidelity(state, make_state("phi+")) == pytest.approx(
                 math.cos(delta / 2.0) ** 2, abs=1e-12
             )
-
-
-class TestPostselection:
-    def test_values(self):
-        assert postselection_fraction("beamsplitter_degenerate") == 0.5
-        assert postselection_fraction("dichroic_nondegenerate") == 0.0
-
-    def test_bounds(self):
-        for scheme in ("beamsplitter_degenerate", "dichroic_nondegenerate"):
-            assert 0.0 <= postselection_fraction(scheme) <= 1.0
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ConfigError):
-            postselection_fraction("fiber_loop")

@@ -363,7 +363,8 @@ class TestKernelOverlaps:
         envelope = pump_spectrum(PUMP, ws + wi) * filter_amplitude(pair[0], ws) * filter_amplitude(pair[1], wi)
         border = max(envelope[0].max(), envelope[-1].max(), envelope[:, 0].max(), envelope[:, -1].max())
         expected = (f"grid too narrow: envelope magnitude at the border is "
-                    f"{border / envelope.max():.3g} of its peak (limit {spectral.EDGE_AMPLITUDE_LIMIT})")
+                    f"{border / envelope.max():.3g} of its peak (limit {spectral.EDGE_AMPLITUDE_LIMIT}); "
+                    "raise scan.grid_span_factor")
         with pytest.raises(GridTruncationError) as streamed:
             spectral.kernel_overlaps(PUMP, SPEC, SPEC, *pair, grid, [0.0], [0.0])
         with pytest.raises(GridTruncationError) as built:
