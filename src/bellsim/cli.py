@@ -324,9 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_grid(argv: list) -> list:
+    """``argv`` with each ``--grid VALUE`` joined into ``--grid=VALUE``:
+    argparse takes a separate value that starts with '-' (a negative first
+    value, e.g. -300,0,300) for an option."""
+    joined = list(argv)
+    for k in range(len(joined) - 2, -1, -1):
+        if joined[k] == "--grid":
+            joined[k:k + 2] = [f"--grid={joined[k + 1]}"]
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_grid(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InfeasibleError as exc:

@@ -25,10 +25,14 @@ crystals' phase-matching specs, so each cut angle is solved once per budget.
 A compensation error replaces the compensator with an ideal pre-advance of
 the exact required compensation plus that error; like a scan's plate terms,
 it may be an array.  Every fringe value is thus an overlap of the two JSAs
-at one (signal delay, idler delay, carrier phase).  ``_spectral_setup``
-sizes one grid for the budget's largest delay (or checks a given one).  A
-scan computes each step's pump-knob phase, analyzer angles and plate terms
-as arrays, the plate terms from one dispersion pass per arm.  The delays
+at one (signal delay, idler delay, carrier phase).  A delay outside the
+kernel's time support (``spectral.kernel_time_support``, a scalar bound:
+the walk-off segments widened by the pump and filter Gaussians) has an
+overlap below 1e-12 of the peak and is reported as 0; ``_spectral_setup``
+sizes one grid for the largest delay inside it (or checks a given one), so
+no refinement is spent where no reported number can change.  A scan
+computes each step's pump-knob phase, analyzer angles and plate terms as
+arrays, the plate terms from one dispersion pass per arm.  The other delays
 then go to one ``spectral.kernel_overlaps`` call, which streams the real
 two-crystal kernel in cache-sized row blocks, never holds an N x N array,
 and is the only place delays are deduplicated: an arm whose delay no entry
@@ -78,6 +82,7 @@ from .spectral import (
     SpectralFilter,
     build_jsa,
     kernel_overlaps,
+    kernel_time_support,
     make_grid,
 )
 from .units import C_NM_PER_FS
@@ -437,13 +442,12 @@ def _pump_weights(source: SourceConfig) -> tuple:
     return w[0] / norm, w[1] / norm
 
 
-def _spectral_setup(source: SourceConfig, budget: DelayBudget, points: int, span_factor: float,
-                    grid: FrequencyGrid | None = None) -> FrequencyGrid:
+def _spectral_setup(source: SourceConfig, budget: DelayBudget, max_delay: float, points: int,
+                    span_factor: float, grid: FrequencyGrid | None = None) -> FrequencyGrid:
     """The grid both crystals' JSAs are sampled on: ``grid`` or, when none
-    is given, one sized for the envelopes and refined to sample the
-    budget's largest net group retardation."""
+    is given, one sized for the envelopes and refined to sample a net group
+    retardation of ``max_delay`` (fs) between the amplitudes."""
     pump = source.pump
-    max_delay = float(np.max(budget.envelope_delay_fs()))
     if not math.isfinite(max_delay):
         raise ConfigError(
             f"the net group delay between the amplitudes is {max_delay!r} fs; check every "
@@ -471,21 +475,32 @@ def _spectral_setup(source: SourceConfig, budget: DelayBudget, points: int, span
 def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
                  grid_span_factor: float, weights: tuple | None = None) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
-    amplitudes the budget makes of both crystals' JSAs, on the grid
-    ``_spectral_setup`` sizes for its largest delay.  The per-entry
-    (signal, idler) delays go straight to ``kernel_overlaps``, which streams
-    the two-crystal kernel in row blocks and collapses an arm whose delays
-    are all equal to one row; the carrier phases and pump weights (the
-    source's, or ``weights`` (w_a, w_b) arrays) are applied to the overlaps.
-    The JSAs are normalized, so the squared norms are the squared weights."""
-    grid = _spectral_setup(source, budget, grid_points, grid_span_factor)
+    amplitudes the budget makes of both crystals' JSAs.
+
+    An entry whose (signal, idler) delay lies outside the kernel's time
+    support (``kernel_time_support``) has an overlap below ``SUPPORT_LEVEL``
+    of the peak and is reported as 0.  The others go straight to
+    ``kernel_overlaps``, on the grid ``_spectral_setup`` sizes for the
+    largest of their delays; it streams the two-crystal kernel in row blocks
+    and collapses an arm whose delays are all equal to one row.  The carrier
+    phases and pump weights (the source's, or ``weights`` (w_a, w_b) arrays)
+    are applied to the overlaps.  The JSAs are normalized, so the squared
+    norms are the squared weights."""
     w_a, w_b = _pump_weights(source) if weights is None else weights
     a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
     b_group, b_carrier = budget.amplitude_b()
     signal_delays, idler_delays = np.broadcast_arrays(np.atleast_1d(a_sig_group - b_group),
                                                       a_idl_group - b_group)
-    overlaps = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid, signal_delays,
-                               idler_delays)
+    envelope_delays = np.broadcast_to(budget.envelope_delay_fs(), signal_delays.shape)
+    (c_s, t_s), (c_i, t_i) = kernel_time_support(source.pump, *budget.specs, *source.filters)
+    # A non-finite delay stays in, for ``_spectral_setup`` to reject.
+    inside = ~((np.abs(signal_delays - c_s) > t_s) | (np.abs(idler_delays - c_i) > t_i))
+    inside |= ~np.isfinite(envelope_delays)
+    grid = _spectral_setup(source, budget, float(np.max(envelope_delays[inside], initial=0.0)),
+                           grid_points, grid_span_factor)
+    overlaps = np.zeros(signal_delays.shape, dtype=complex)
+    overlaps[inside] = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid,
+                                       signal_delays[inside], idler_delays[inside])
     cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps
     return w_a * w_a, w_b * w_b, cross, grid.shape[0]
 
@@ -522,7 +537,8 @@ def build_amplitudes(
     """
     knobs = knobs or PhaseKnobs()
     budget = delay_budget(source, knobs, compensation_error_fs)
-    grid = _spectral_setup(source, budget, grid_points, grid_span_factor, grid)
+    grid = _spectral_setup(source, budget, float(np.max(budget.envelope_delay_fs())), grid_points,
+                           grid_span_factor, grid)
     first, second = source.crystals
     spec_a, spec_b = budget.specs
     jsa_a = build_jsa(source.pump, spec_a, *source.filters, grid, label=first.axis_orientation)
@@ -697,12 +713,20 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
         norm_a, norm_b, cross, _ = budget_terms(src, budget, grid_points, grid_span_factor, weights)
         return 2.0 * np.abs(cross) / (norm_a + norm_b)
 
+    def at_value(value, evaluate):
+        # ``evaluate`` of the source at one value; its errors name the value.
+        try:
+            return evaluate(SWEEP_SOURCES[parameter](source, value))
+        except ConfigError as exc:
+            shown = "none" if value is None else repr(value)
+            raise type(exc)(f"sweep {parameter} value {shown}: {exc}") from None
+
     if parameter == "compensation_error_fs":
         return visibilities(source, np.asarray(values, dtype=float))
     if parameter == "pump_ratio":
-        weights = [_pump_weights(SWEEP_SOURCES[parameter](source, v)) for v in values]
+        weights = [at_value(v, _pump_weights) for v in values]
         return visibilities(source, weights=np.transpose(weights))
-    return np.concatenate([visibilities(SWEEP_SOURCES[parameter](source, v)) for v in values])
+    return np.concatenate([at_value(v, visibilities) for v in values])
 
 
 def _coherence(norm_a_sq: float, norm_b_sq: float, cross: complex) -> float:

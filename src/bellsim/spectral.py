@@ -27,6 +27,8 @@ it for the interference of two crystals: conj(J_a) J_b is the real kernel
 phase rows, so the overlaps of all delay pairs come from the row blocks of
 the kernel, with no N x N array.  ``build_jsa`` copies the same blocks into
 one real array before it applies the norm and the phase.
+``kernel_time_support`` bounds, from scalars alone, the delays where that
+overlap can exceed ``SUPPORT_LEVEL`` of its peak.
 ``phase_matching`` is the direct formula, kept as the reference the sampled
 grid is tested against.
 """
@@ -41,6 +43,7 @@ import numpy as np
 from .biphoton import JointSpectralAmplitude
 from .errors import ConfigError, GridTruncationError
 from .units import (
+    C_NM_PER_FS,
     GAUSSIAN_FWHM_OVER_SIGMA,
     INTENSITY_FWHM_TO_SIGMA_OMEGA,
     fwhm_nm_to_fwhm_omega,
@@ -65,6 +68,11 @@ ROW_BLOCK_BYTES = 512 * 1024
 # Rounding allowance of a grid's absolute frequencies, in ulp of the largest
 # |frequency|, for the uniform-spacing and shared-spacing checks.
 AXIS_ROUNDING_ULPS = 4
+
+# Edge of the kernel's time support, relative to its peak: ``kernel_time_support``
+# bounds the delays where |overlap| exceeds this.  A 2-D FFT of the sampled
+# kernel has a noise floor near 1e-14, so no lower level can be checked.
+SUPPORT_LEVEL = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -526,9 +534,9 @@ def kernel_overlaps(
 
     def phase_rows(delays_fs, detuning, arm):
         # cos and sin of T (w - W) + (the arm's phase of J_b less J_a's), as
-        # (2, K, N); K = 1 when every delay is equal.
+        # (2, K, N); K = 1 when every delay is equal (0 when there is none).
         delays_fs = np.asarray(delays_fs, dtype=float)
-        if np.all(delays_fs == delays_fs[0]):
+        if delays_fs.size and np.all(delays_fs == delays_fs[0]):
             delays_fs = delays_fs[:1]
         angles = np.multiply.outer(delays_fs, detuning)
         angles += sampler.factors[-1][arm] - sampler.factors[0][arm]
@@ -567,3 +575,113 @@ def kernel_overlaps(
     terms = np.einsum("kn,kn->k", acc[0], other[0]) - np.einsum("kn,kn->k", acc[1], other[1])
     terms = terms + 1j * (np.einsum("kn,kn->k", acc[0], other[1]) + np.einsum("kn,kn->k", acc[1], other[0]))
     return np.broadcast_to(terms, np.shape(signal_delays_fs)) * (grid.cell_area / (norms[0] * norms[-1]))
+
+
+def _segment_average(beta: float) -> float:
+    """The mean of exp(-beta x^2) over x uniform in [-1/2, 1/2]."""
+    if beta < 1.0e-12:
+        return 1.0
+    root = math.sqrt(beta)
+    return math.sqrt(math.pi) / root * math.erf(0.5 * root)
+
+
+def _tail_bound(d: float, sigma: float, l_a: float, l_b: float) -> tuple:
+    """(bound, d ln(bound)/dd) of the integral of exp(-(d + x)^2 / (2 sigma^2))
+    over the sum x of two uniform variables on [0, l_a] and [0, l_b], d > 0:
+    the least of the whole Gaussian (the sum has mass 1), its tail over the
+    density's largest value 1 / max(l_a, l_b), and its tail against the
+    density's ramp x / (l_a l_b).  Each is log-concave in d."""
+    u = d / (sigma * math.sqrt(2.0))
+    gauss = math.exp(-u * u)
+    tail = sigma * math.sqrt(0.5 * math.pi) * math.erfc(u)
+    bounds = [(gauss, -d / (sigma * sigma))]
+    if max(l_a, l_b) > 0.0:
+        bounds.append((tail / max(l_a, l_b), -gauss / tail))
+    ramp = sigma * sigma * gauss - d * tail  # the integral of (z - d) exp(-z^2 / (2 sigma^2)) beyond d
+    if l_a * l_b > 0.0 and ramp > 0.0:
+        bounds.append((ramp / (l_a * l_b), -tail / ramp))
+    return min(bounds)
+
+
+def kernel_time_support(pulse: PumpPulse, spec_a: PhaseMatchingSpec, spec_b: PhaseMatchingSpec,
+                        f_s: SpectralFilter, f_i: SpectralFilter) -> tuple:
+    """((c_s, T_s), (c_i, T_i)): per arm, the centre and half width (fs) of
+    the box of (signal, idler) delays outside which ``kernel_overlaps`` is
+    below ``SUPPORT_LEVEL`` of its peak.  T is infinite unless both filters
+    are Gaussian: without them the kernel does not decay like a Gaussian in
+    time.  Scalar work only.
+
+    The kernel conj(J_a) J_b is the Gaussian E = pump^2 f_s^2 f_i^2, of
+    quadratic form Q in (nu_s, nu_i), times conj(Phi_a) Phi_b, and
+    Phi = sinc(h) exp(i h) is the mean of exp(i (g_s nu_s + g_i nu_i) z) over
+    the crystal (g = 1/u_p - 1/u_pair).  In time, the overlap is E's
+    transform, a Gaussian of form Q^-1, averaged over the walk-off
+    parallelogram s = v_b x_b - v_a x_a (v = g L, x uniform in [0, 1]):
+    - at a fixed signal delay t the Gaussian is at most
+      exp(-t^2 / (2 Q_ss)), and the projection of s on the signal arm has a
+      trapezoid density, so beyond the end of that projection the overlap
+      is at most ``_tail_bound`` (likewise for the idler);
+    - its peak is at least rho times the Gaussian's: the mean over the
+      parallelogram about its centre, which is at least the product of the
+      two segments' means of exp(-v^T Q^-1 v x^2 / 2), less half the
+      variance of the phase that the centres of E and of spec_b put on the
+      average.
+    The half width is the projection's half length plus the distance where
+    the tail bound falls to ``SUPPORT_LEVEL`` rho, found by Newton steps on
+    the log of the bound from the Gaussian's own distance; the bound is
+    log-concave, so every step stays beyond that distance."""
+    unbounded = ((0.0, math.inf), (0.0, math.inf))
+    if not f_s.shape == f_i.shape == "gaussian":
+        return unbounded
+    w_p = 1.0 / pulse.sigma_omega ** 2
+    w_s = 1.0 / f_s.sigma_intensity_omega ** 2
+    w_i = 1.0 / f_i.sigma_intensity_omega ** 2
+    q_ss, q_si, q_ii = w_p + w_s, w_p, w_p + w_i
+    det = q_ss * q_ii - q_si * q_si
+
+    def inverse_form(v):  # v^T Q^-1 v
+        return (q_ii * v[0] * v[0] - 2.0 * q_si * v[0] * v[1] + q_ss * v[1] * v[1]) / det
+
+    # E's centre nu0 = Q^-1 b, from the linear terms b of its exponent (all
+    # scalars: the detunings of the filters, the pump and spec_b from spec_a).
+    def detuning(nm, from_nm):
+        return 2.0 * math.pi * C_NM_PER_FS * (1.0 / nm - 1.0 / from_nm)
+
+    a_s, a_i = spec_a.signal_center_nm, spec_a.idler_center_nm
+    pump = w_p * (detuning(pulse.center_wavelength_nm, a_s) - 2.0 * math.pi * C_NM_PER_FS / a_i)
+    linear = (pump + w_s * detuning(f_s.center_nm, a_s), pump + w_i * detuning(f_i.center_nm, a_i))
+    nu0 = ((q_ii * linear[0] - q_si * linear[1]) / det, (q_ss * linear[1] - q_si * linear[0]) / det)
+    shift = (nu0[0] - detuning(spec_b.signal_center_nm, a_s),
+             nu0[1] - detuning(spec_b.idler_center_nm, a_i))
+
+    def walk_off(spec):
+        p = spec.inverse_group_velocity_pump_fs_per_mm
+        return ((p - spec.inverse_group_velocity_signal_fs_per_mm) * spec.crystal_length_mm,
+                (p - spec.inverse_group_velocity_idler_fs_per_mm) * spec.crystal_length_mm)
+
+    v_a, v_b = walk_off(spec_a), walk_off(spec_b)
+    if not all(map(math.isfinite, v_a + v_b)):
+        return unbounded
+    phase_variance = ((nu0[0] * v_a[0] + nu0[1] * v_a[1]) ** 2
+                      + (shift[0] * v_b[0] + shift[1] * v_b[1]) ** 2) / 12.0
+    rho = (_segment_average(0.5 * inverse_form(v_a)) * _segment_average(0.5 * inverse_form(v_b))
+           - 0.5 * phase_variance)
+    if not rho > 0.0:
+        return unbounded
+    log_level = math.log(SUPPORT_LEVEL * rho)
+
+    arms = []
+    for arm, q in ((0, q_ss), (1, q_ii)):
+        low = min(0.0, v_b[arm]) - max(0.0, v_a[arm])
+        high = max(0.0, v_b[arm]) - min(0.0, v_a[arm])
+        sigma = math.sqrt(q)
+        d = sigma * math.sqrt(-2.0 * log_level)
+        for _ in range(50):
+            bound, slope = _tail_bound(d, sigma, abs(v_a[arm]), abs(v_b[arm]))
+            step = (math.log(bound) - log_level) / slope
+            d -= step
+            if step < 0.1:
+                break
+        # The overlap at delay t reads the walk-off at s = -t.
+        arms.append((-0.5 * (low + high), 0.5 * (high - low) + d))
+    return tuple(arms)

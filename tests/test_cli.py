@@ -137,6 +137,17 @@ class TestSweepCommand:
         assert values[2] == pytest.approx(1.0, abs=1e-3)
         assert values[1] == pytest.approx(values[3], abs=1e-6)  # r and 1/r symmetric
 
+    def test_negative_first_grid_value(self, tmp_path, config_file):
+        # argparse would take a separate "-300,0,300" for an option.
+        csvs = []
+        for name, grid in (("split", ["--grid", "-300,0,300"]), ("joined", ["--grid=-300,0,300"])):
+            out = tmp_path / name
+            assert run(["sweep", "--config", config_file, "--output", out,
+                        "--parameter", "compensation_error_fs", *grid]) == 0
+            csvs.append(out.with_name(f"{name}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].startswith(b"parameter_value,visibility\n-300.0,")
+
     def test_empty_grid_rejected(self, tmp_path, config_file):
         assert run(["sweep", "--config", config_file, "--output", tmp_path / "x",
                     "--parameter", "pump_ratio", "--grid", ","]) == 2
@@ -506,20 +517,38 @@ class TestBadInputExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     PREPARE = ["prepare", "--target", "phi+"]
+    GAUSSIAN_FILTERS = "shape: gaussian}\n  - {center_nm: 885.0, fwhm_nm: 10.0, shape: gaussian}"
     COMPENSATION_SWEEP = ["sweep", "--parameter", "compensation_error_fs", "--grid"]
 
     @pytest.mark.parametrize("old, new, command, named", [
         ("grid_span_factor: 5.0", "grid_span_factor: 0.5", PREPARE, "scan.grid_span_factor"),
         ("fwhm_nm: 10.0", "fwhm_nm: 0.1", PREPARE, "scan.grid_points"),
-        (None, None, COMPENSATION_SWEEP + ["0,30000"], "scan.grid_span_factor"),
-        (None, None, COMPENSATION_SWEEP + ["1e300"], "~1e+300 fs"),
-    ], ids=["span", "resolution", "cap", "huge_delay"])
+        # Rectangular filters bound no time support: the delay sizes the grid.
+        (GAUSSIAN_FILTERS, GAUSSIAN_FILTERS.replace("gaussian", "rectangular"),
+         COMPENSATION_SWEEP + ["0,30000"], "scan.grid_span_factor"),
+    ], ids=["span", "resolution", "rectangular_cap"])
     def test_grid_errors_name_the_key(self, tmp_path, config_file, capsys, old, new, command, named):
-        config = config_file if old is None else _edited_config(config_file, tmp_path, old, new)
+        config = _edited_config(config_file, tmp_path, old, new)
         assert run([command[0], "--config", config, "--output", tmp_path / "x", *command[1:]]) == 2
         err = capsys.readouterr().err
         assert named in err and "widen the cap" not in err
         assert len(err) < 250
+
+    @pytest.mark.parametrize("error, bound", [("30000", 1e-10), ("1e300", 0.0)])
+    def test_delays_beyond_the_kernel_support_read_zero(self, tmp_path, config_file, error, bound):
+        out = tmp_path / "x"
+        assert run(["sweep", "--config", config_file, "--output", out,
+                    *self.COMPENSATION_SWEEP[1:], f"0,{error}"]) == 0
+        rows = out.with_name("x.csv").read_text().splitlines()[1:]
+        values = [float(row.split(",")[1]) for row in rows]
+        assert values[0] > 0.999 and 0.0 <= values[1] <= bound
+
+    def test_sweep_value_error_names_parameter_and_value(self, tmp_path, config_file, capsys):
+        assert run(["sweep", "--config", config_file, "--output", tmp_path / "x",
+                    "--parameter", "crystal_length", "--grid=1,0"]) == 2
+        err = capsys.readouterr().err
+        assert "sweep crystal_length value 0.0: crystal thickness_mm must be positive, got 0.0" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_scan_steps_bound(self, tmp_path, config_file, capsys):
         too_many = scenario.MAX_SCAN_STEPS + 1

@@ -12,7 +12,8 @@ from bellsim.dispersion import YAML_LOADER
 from bellsim.errors import ConfigError, InfeasibleError
 from bellsim.fitting import fit_fringe
 from bellsim.polarization import AnalyzerSetting, fidelity, make_state
-from bellsim.spectral import NO_FILTER, make_grid
+from bellsim.spectral import NO_FILTER, SUPPORT_LEVEL, kernel_overlaps, kernel_time_support, make_grid
+from conftest import kernel_time_profile
 
 
 # The dispersion layer's functions, down to the Sellmeier evaluation.
@@ -476,6 +477,82 @@ class TestSweep:
     def test_none_only_for_filter_width(self, source, knobs):
         with pytest.raises(ConfigError, match="pump_ratio sweep values must be numbers"):
             scenario.sweep(source, knobs, "pump_ratio", [1.0, None])
+
+
+# name -> (source, knobs) transform for the kernel support tests.
+SUPPORT_CASES = {
+    "default": lambda src, kn: (src, kn),
+    "filters_3nm": lambda src, kn: (replace(src, filters=scenario._sweep_filters(src, 3.0)), kn),
+    "filters_20nm": lambda src, kn: (replace(src, filters=scenario._sweep_filters(src, 20.0)), kn),
+    "filters_40nm": lambda src, kn: (replace(src, filters=scenario._sweep_filters(src, 40.0)), kn),
+    "crystals_0.5mm": lambda src, kn: (scenario.SWEEP_SOURCES["crystal_length"](src, 0.5), kn),
+    "crystals_5mm": lambda src, kn: (scenario.SWEEP_SOURCES["crystal_length"](src, 5.0), kn),
+    "unequal_crystals": lambda src, kn: (replace(src, crystals=(src.crystals[0], replace(
+        src.crystals[1], thickness_mm=1.0))), kn),
+    "mzi": lambda src, kn: (replace(src, scheme="mzi"), kn),
+    "cross_dispersion": lambda src, kn: (replace(src, cross_dispersion_enabled=True), kn),
+    "tilted_plates": lambda src, kn: (src, replace(kn, signal_tilt_deg=20.0, idler_tilt_deg=-15.0)),
+}
+
+
+class TestKernelTimeSupport:
+    @pytest.mark.parametrize("case", SUPPORT_CASES)
+    def test_fft_oracle_lies_inside_the_box(self, source, knobs, case):
+        src, kn = SUPPORT_CASES[case](source, knobs)
+        budget = scenario.delay_budget(src, kn)
+        box = kernel_time_support(src.pump, *budget.specs, *src.filters)
+        delays, magnitude = kernel_time_profile(src.pump, *budget.specs, *src.filters)
+        above = magnitude > SUPPORT_LEVEL * magnitude.max()
+        for (centre, half), cells in zip(box, (np.any(above, axis=1), np.any(above, axis=0))):
+            # The FFT window holds the box, so no periodic image folds into it.
+            assert abs(centre) + half < delays.max()
+            extent = np.abs(delays[cells] - centre).max()
+            assert extent <= half <= 1.1 * extent
+
+    @pytest.mark.parametrize("shape", ["rectangular", "none"])
+    def test_unbounded_without_gaussian_filters(self, source, shape):
+        filters = (replace(source.filters[0], shape=shape), source.filters[1])
+        budget = scenario.delay_budget(source)
+        box = kernel_time_support(source.pump, *budget.specs, *filters)
+        assert [half for _, half in box] == [math.inf, math.inf]
+
+    @pytest.mark.parametrize("case", SUPPORT_CASES)
+    def test_coarse_grids_match_1024_and_report_0_outside(self, source, knobs, case):
+        src, kn = SUPPORT_CASES[case](source, knobs)
+        errors = np.arange(-6000.0, 6001.0, 125.0)
+        budget = scenario.delay_budget(src, kn, errors)
+        _, _, coarse, coarse_points = scenario.budget_terms(src, budget, 128, 5.0)
+        _, _, fine, fine_points = scenario.budget_terms(src, budget, 1024, 5.0)
+        assert coarse_points <= 512 and fine_points == 1024
+        assert np.abs(coarse - fine).max() <= 1e-10
+
+        (c_s, t_s), (c_i, t_i) = kernel_time_support(src.pump, *budget.specs, *src.filters)
+        a_signal, a_idler, _ = budget.amplitude_a()
+        b_group, _ = budget.amplitude_b()
+        outside = (np.abs(a_signal - b_group - c_s) > t_s) | (np.abs(a_idler - b_group - c_i) > t_i)
+        assert 0 < outside.sum() < errors.size - 8
+        assert np.all(coarse[outside] == 0.0) and np.all(coarse[~outside] != 0.0)
+
+    def test_no_periodic_image_is_reported(self, source, knobs):
+        # A fixed 256^2 grid folds the kernel back in at 3000 fs off
+        # compensation; the sweep sizes its own grid and reports 0 there.
+        errors = [0.0, 1000.0, 3000.0, 12000.0, 30000.0]
+        budget = scenario.delay_budget(source, knobs, np.array(errors))
+        grid = make_grid(source.pump, budget.specs[0], filters=source.filters, points=256)
+        a_signal, a_idler, _ = budget.amplitude_a()
+        b_group, _ = budget.amplitude_b()
+        image = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid,
+                                a_signal - b_group[2:3], a_idler - b_group[2:3])
+        assert abs(image[0]) > 0.1
+        got = scenario.sweep(source, knobs, "compensation_error_fs", errors)
+        assert got[0] > 0.999 and got[1] > 1e-16
+        assert np.array_equal(got[2:], np.zeros(3))
+        assert scenario.budget_terms(source, budget, 128, 5.0)[3] == 256
+
+    def test_golden_compensation_sweep_runs_on_256(self, source, knobs):
+        errors = np.array([-700.0, -300.0, 0.0, 100.0, 300.0, 600.0, 1000.0, 1500.0, 3000.0])
+        budget = scenario.delay_budget(source, knobs, errors)
+        assert scenario.budget_terms(source, budget, 128, 5.0)[3] == 256
 
 
 class TestPlateTerms:

@@ -286,7 +286,7 @@ class TestSeparableSampling:
         grid = make_grid(source.pump, scenario.phase_matching_spec(source.crystals[0], source.pump),
                          filters=source.filters, points=128)
         budget = scenario.delay_budget(source)
-        assert scenario._spectral_setup(source, budget, 128, 5.0, grid) is grid
+        assert scenario._spectral_setup(source, budget, 0.0, 128, 5.0, grid) is grid
         for crystal, spec in zip(source.crystals, budget.specs):
             assert spec == scenario.phase_matching_spec(crystal, source.pump)
             jsa = build_jsa(source.pump, spec, *source.filters, grid)
