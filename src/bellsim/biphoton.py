@@ -66,7 +66,7 @@ class AmplitudePair:
     relative_phase_rad: float = 0.0
 
     def __post_init__(self):
-        if not self.amp_a.grid.matches(self.amp_b.grid):
+        if self.amp_a.grid != self.amp_b.grid:
             raise ConfigError("amplitude pair must share one frequency grid")
 
 
@@ -131,7 +131,7 @@ def scale(jsa: JointSpectralAmplitude, factor: float) -> JointSpectralAmplitude:
 
 def overlap(a: JointSpectralAmplitude, b: JointSpectralAmplitude) -> complex:
     """Discrete inner product sum(conj(a) b) dw_s dw_i on a shared grid."""
-    if not a.grid.matches(b.grid):
+    if a.grid != b.grid:
         raise ConfigError("overlap requires amplitudes on the same grid")
     return complex(np.vdot(a.values, b.values) * a.grid.cell_area)
 

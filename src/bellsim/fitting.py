@@ -179,6 +179,8 @@ def fit_fringe(scan, weights=None) -> FitResult:
         raise InsufficientDataError(f"need at least 8 points, got {x.size}")
     order = np.argsort(x)
     x, y = x[order], y[order]
+    if x[-1] == x[0]:
+        raise DataError(f"scan axis spans zero: every axis value is {float(x[0])!r}")
     if weights is None:
         w = np.ones_like(y)
     else:

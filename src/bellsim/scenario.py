@@ -28,9 +28,9 @@ it may be an array.  Every fringe value is thus an overlap of the two JSAs
 at one (signal delay, idler delay, carrier phase).  A delay outside the
 kernel's time support (``spectral.kernel_time_support``, a scalar bound:
 the walk-off segments widened by the pump and filter Gaussians) has an
-overlap below 1e-12 of the peak and is reported as 0; ``_spectral_setup``
-sizes one grid for the largest delay inside it (or checks a given one), so
-no refinement is spent where no reported number can change.  A scan
+overlap below 1e-12 of the peak and is reported as 0; ``spectral.make_grid``
+sizes the one grid, in one call, for the largest delay inside it, so no
+refinement is spent where no reported number can change.  A scan
 computes each step's pump-knob phase, analyzer angles and plate terms as
 arrays, the plate terms from one dispersion pass per arm.  The other delays
 then go to one ``spectral.kernel_overlaps`` call, which streams the real
@@ -73,8 +73,10 @@ from .dispersion import (
     MM_TO_NM,
     YAML_LOADER,
 )
-from .errors import ConfigError, GridTruncationError, InfeasibleError
+from .errors import ConfigError, InfeasibleError
 from .spectral import (
+    DELAY_SAMPLING_SAFETY,
+    MAX_GRID_POINTS,
     NO_FILTER,
     FrequencyGrid,
     PhaseMatchingSpec,
@@ -98,11 +100,10 @@ SCAN_AXIS_FIELDS = {
 }
 SCAN_AXIS_KINDS = tuple(SCAN_AXIS_FIELDS)
 
-# Grid spacing must stay below pi / (largest applied group delay) by this
-# safety factor, otherwise the discrete overlap aliases.
-DELAY_SAMPLING_SAFETY = 1.3
-MAX_GRID_POINTS = 4096
 MAX_SCAN_STEPS = 4096  # scan steps or sweep values: one kernel delay row each
+# Rates are at most 4 (``analyzer_rate``), so rate * mean_counts stays inside
+# the range of numpy's Poisson sampler (lam below ~9.2e18).
+MAX_MEAN_COUNTS = 1.0e18
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,9 @@ class ScanSettings:
             raise ConfigError("scan.start and scan.stop must be given together")
         if not 8 <= self.grid_points <= MAX_GRID_POINTS:
             raise ConfigError(f"scan.grid_points must be in [8, {MAX_GRID_POINTS}], got {self.grid_points}")
-        if not (math.isfinite(self.mean_counts) and self.mean_counts > 0.0):
-            raise ConfigError(f"scan.mean_counts must be finite and positive, got {self.mean_counts!r}")
+        if not 0.0 < self.mean_counts <= MAX_MEAN_COUNTS:
+            raise ConfigError(f"scan.mean_counts must be positive and at most {MAX_MEAN_COUNTS:g}, "
+                              f"got {self.mean_counts!r}")
         if not (math.isfinite(self.grid_span_factor) and self.grid_span_factor > 0.0):
             raise ConfigError(
                 f"scan.grid_span_factor must be finite and positive, got {self.grid_span_factor!r}"
@@ -442,36 +444,6 @@ def _pump_weights(source: SourceConfig) -> tuple:
     return w[0] / norm, w[1] / norm
 
 
-def _spectral_setup(source: SourceConfig, budget: DelayBudget, max_delay: float, points: int,
-                    span_factor: float, grid: FrequencyGrid | None = None) -> FrequencyGrid:
-    """The grid both crystals' JSAs are sampled on: ``grid`` or, when none
-    is given, one sized for the envelopes and refined to sample a net group
-    retardation of ``max_delay`` (fs) between the amplitudes."""
-    pump = source.pump
-    if not math.isfinite(max_delay):
-        raise ConfigError(
-            f"the net group delay between the amplitudes is {max_delay!r} fs; check every "
-            "thickness_mm (crystals, compensator, knob plates)"
-        )
-    if grid is not None:
-        return grid
-    spec_a = budget.specs[0]
-    grid = make_grid(pump, spec_a, filters=source.filters, points=points, span_factor=span_factor)
-    half_span = 0.5 * float(grid.signal_axis[-1] - grid.signal_axis[0])
-    required = 2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi
-    needed = points
-    while needed <= MAX_GRID_POINTS and needed < required:
-        needed *= 2
-    if needed > MAX_GRID_POINTS:
-        raise GridTruncationError(
-            f"applied delays (~{max_delay:.3g} fs) would need more than {MAX_GRID_POINTS} grid points "
-            "(MAX_GRID_POINTS); reduce the delay or lower scan.grid_span_factor"
-        )
-    if needed != points:
-        grid = make_grid(pump, spec_a, filters=source.filters, points=needed, span_factor=span_factor)
-    return grid
-
-
 def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
                  grid_span_factor: float, weights: tuple | None = None) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
@@ -480,8 +452,8 @@ def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
     An entry whose (signal, idler) delay lies outside the kernel's time
     support (``kernel_time_support``) has an overlap below ``SUPPORT_LEVEL``
     of the peak and is reported as 0.  The others go straight to
-    ``kernel_overlaps``, on the grid ``_spectral_setup`` sizes for the
-    largest of their delays; it streams the two-crystal kernel in row blocks
+    ``kernel_overlaps``, on the grid ``make_grid`` sizes for the largest of
+    their delays; it streams the two-crystal kernel in row blocks
     and collapses an arm whose delays are all equal to one row.  The carrier
     phases and pump weights (the source's, or ``weights`` (w_a, w_b) arrays)
     are applied to the overlaps.  The JSAs are normalized, so the squared
@@ -493,16 +465,16 @@ def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
                                                       a_idl_group - b_group)
     envelope_delays = np.broadcast_to(budget.envelope_delay_fs(), signal_delays.shape)
     (c_s, t_s), (c_i, t_i) = kernel_time_support(source.pump, *budget.specs, *source.filters)
-    # A non-finite delay stays in, for ``_spectral_setup`` to reject.
+    # A non-finite delay stays in, for ``make_grid`` to reject.
     inside = ~((np.abs(signal_delays - c_s) > t_s) | (np.abs(idler_delays - c_i) > t_i))
     inside |= ~np.isfinite(envelope_delays)
-    grid = _spectral_setup(source, budget, float(np.max(envelope_delays[inside], initial=0.0)),
-                           grid_points, grid_span_factor)
+    grid = make_grid(source.pump, budget.specs[0], source.filters, grid_points, grid_span_factor,
+                     float(np.max(envelope_delays[inside], initial=0.0)))
     overlaps = np.zeros(signal_delays.shape, dtype=complex)
     overlaps[inside] = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid,
                                        signal_delays[inside], idler_delays[inside])
     cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps
-    return w_a * w_a, w_b * w_b, cross, grid.shape[0]
+    return w_a * w_a, w_b * w_b, cross, grid.points
 
 
 def interference_terms(
@@ -530,17 +502,20 @@ def build_amplitudes(
     compensation_error_fs: float | None = None,
 ) -> AmplitudePair:
     """Assemble the two interfering amplitudes for the configured scheme:
-    the delay budget at ``knobs`` applied to both crystals' JSAs.
+    the delay budget at ``knobs`` applied to both crystals' JSAs, on ``grid``
+    or, when none is given, on the grid ``make_grid`` sizes for the budget's
+    envelope delay.
 
     ``compensation_error_fs`` (0.0: exact compensation) replaces the
     compensator elements as in ``delay_budget``.
     """
     knobs = knobs or PhaseKnobs()
     budget = delay_budget(source, knobs, compensation_error_fs)
-    grid = _spectral_setup(source, budget, float(np.max(budget.envelope_delay_fs())), grid_points,
-                           grid_span_factor, grid)
     first, second = source.crystals
     spec_a, spec_b = budget.specs
+    if grid is None:
+        grid = make_grid(source.pump, spec_a, source.filters, grid_points, grid_span_factor,
+                         float(np.max(budget.envelope_delay_fs())))
     jsa_a = build_jsa(source.pump, spec_a, *source.filters, grid, label=first.axis_orientation)
     if spec_b == spec_a:
         jsa_b = JointSpectralAmplitude(grid=grid, values=jsa_a.values,
@@ -559,7 +534,7 @@ def build_amplitudes(
         amp_a = biphoton.scale(amp_a, w_a)
     if w_b != 1.0:
         amp_b = biphoton.scale(amp_b, w_b)
-    amp_a.metadata["grid_points"] = amp_b.metadata["grid_points"] = grid.shape[0]
+    amp_a.metadata["grid_points"] = amp_b.metadata["grid_points"] = grid.points
 
     return AmplitudePair(
         amp_a=amp_a,
@@ -715,11 +690,9 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
 
     def at_value(value, evaluate):
         # ``evaluate`` of the source at one value; its errors name the value.
-        try:
-            return evaluate(SWEEP_SOURCES[parameter](source, value))
-        except ConfigError as exc:
-            shown = "none" if value is None else repr(value)
-            raise type(exc)(f"sweep {parameter} value {shown}: {exc}") from None
+        shown = "none" if value is None else repr(value)
+        return _in_context(f"sweep {parameter} value {shown}",
+                           lambda: evaluate(SWEEP_SOURCES[parameter](source, value)))
 
     if parameter == "compensation_error_fs":
         return visibilities(source, np.asarray(values, dtype=float))
@@ -802,6 +775,16 @@ def effective_polarization_state(
 _REQUIRED = object()
 
 
+def _in_context(context: str, make, **fields):
+    """``make(**fields)``; a ConfigError that its own checks raise is raised
+    again, of the same type, prefixed with ``context``: the key path or the
+    sweep value it came from."""
+    try:
+        return make(**fields)
+    except ConfigError as exc:
+        raise type(exc)(f"{context}: {exc}") from None
+
+
 def _mapping(value, context: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"config section {context!r} must be a mapping, got {value!r}")
@@ -851,7 +834,8 @@ ORIENTATIONS = ("horizontal", "vertical")
 
 
 def _parse_element(entry: dict, context: str) -> BirefringentElement:
-    return BirefringentElement(
+    return _in_context(
+        context, BirefringentElement,
         material=get_material(_choice(entry, "material", context, material_names())),
         thickness_mm=_number(entry, "thickness_mm", context),
         axis_orientation=_choice(entry, "axis_orientation", context, ORIENTATIONS, "vertical"),
@@ -868,7 +852,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"config is missing the {section!r} section")
 
     p = data["pump"]
-    pump = PumpPulse(
+    pump = _in_context(
+        "pump", PumpPulse,
         center_wavelength_nm=_number(p, "center_wavelength_nm", "pump"),
         duration_fs=_number(p, "duration_fs", "pump"),
         polarization_angle_deg=_number(p, "polarization_angle_deg", "pump", 45.0),
@@ -881,7 +866,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     for k, entry in enumerate(raw_crystals):
         context = f"crystals[{k}]"
         crystals.append(
-            CrystalConfig(
+            _in_context(
+                context, CrystalConfig,
                 material=get_material(_choice(entry, "material", context, material_names())),
                 thickness_mm=_number(entry, "thickness_mm", context),
                 axis_orientation=_choice(entry, "axis_orientation", context, ORIENTATIONS),
@@ -901,17 +887,18 @@ def parse_config(data: dict) -> ExperimentConfig:
             filters.append(NO_FILTER)
         else:
             filters.append(
-                SpectralFilter(
+                _in_context(
+                    context, SpectralFilter,
                     center_nm=_number(entry, "center_nm", context),
                     fwhm_nm=_number(entry, "fwhm_nm", context),
                     shape=shape,
                 )
             )
 
-    compensator = tuple(
-        _parse_element(entry, f"compensator[{k}]")
-        for k, entry in enumerate(data.get("compensator", []) or [])
-    )
+    raw_compensator = data.get("compensator") or []
+    if not isinstance(raw_compensator, list):
+        raise ConfigError(f"config section 'compensator' must be a list, got {raw_compensator!r}")
+    compensator = tuple(_parse_element(entry, f"compensator[{k}]") for k, entry in enumerate(raw_compensator))
 
     scheme = _mapping(data["scheme"], "scheme")
     cross_dispersion = scheme.get("cross_dispersion", False)

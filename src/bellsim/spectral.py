@@ -14,11 +14,14 @@ A JSA is sampled without any 2-D transcendental call: the half mismatch
 h = D L / 2 is a sum a(nu_s) + b(nu_i) of two 1-D terms, so h and
 sin h = sin a cos b + cos a sin b are rank-2 products of 1-D factors, and
 sinc(h) = sin h / h (the series 1 - h^2/6 + h^4/120 where |h| < 1e-2, where
-the quotient would lose accuracy).  Both axes of every ``FrequencyGrid``
-share one spacing, so the pump depends only on j + k and the real
+the quotient would lose accuracy).  A ``FrequencyGrid`` is four scalars:
+the two pair centers, one half span and one point count, so both axes share
+one spacing by construction, the pump depends only on j + k and the real
 pump-times-filters envelope is a Hankel view of 2N - 1 pump samples.  The
 JSA is that envelope times sinc(h), normalized, times the separable phase
-exp(i a(nu_s)) exp(i b(nu_i)).
+exp(i a(nu_s)) exp(i b(nu_i)).  ``make_grid`` is the one place a grid is
+sized: the envelope and phase-matching widths set its half span, and the
+largest group delay it must sample sets its point count.
 
 ``_Sampler`` yields the real envelope * sinc(h) in cache-sized row blocks,
 with the grid and border checks and the norms.  ``kernel_overlaps`` streams
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,9 +69,10 @@ SINC_SERIES_BELOW = 1.0e-2
 # block's arrays stay in cache from sampling to the product.
 ROW_BLOCK_BYTES = 512 * 1024
 
-# Rounding allowance of a grid's absolute frequencies, in ulp of the largest
-# |frequency|, for the uniform-spacing and shared-spacing checks.
-AXIS_ROUNDING_ULPS = 4
+# Grid spacing must stay below pi / (largest applied group delay) by this
+# safety factor, otherwise the discrete overlap aliases.
+DELAY_SAMPLING_SAFETY = 1.3
+MAX_GRID_POINTS = 4096
 
 # Edge of the kernel's time support, relative to its peak: ``kernel_time_support``
 # bounds the delays where |overlap| exceeds this.  A 2-D FFT of the sampled
@@ -167,61 +172,36 @@ class PhaseMatchingSpec:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform absolute-frequency axes for the (signal, idler) plane, with
-    one spacing shared by both axes."""
+    """Square grid of absolute frequencies (rad/fs) on the (signal, idler)
+    plane: each axis is ``points`` samples over its center +- ``half_span``,
+    so both axes share one spacing by construction."""
 
-    signal_axis: np.ndarray
-    idler_axis: np.ndarray
+    signal_center: float
+    idler_center: float
+    half_span: float
+    points: int
 
-    def __post_init__(self):
-        axes = (("signal", self.signal_axis), ("idler", self.idler_axis))
-        for name, axis in axes:
-            if axis.ndim != 1 or axis.size < 2:
-                raise ConfigError(f"{name} axis must be 1-D with at least 2 points")
-        # Absolute frequencies carry a rounding of ~1 ulp of their magnitude,
-        # which on a narrow, fine grid exceeds 1e-9 of the step: both tests
-        # allow a few ulp of the largest |frequency| on top of the relative one.
-        rounding = AXIS_ROUNDING_ULPS * float(np.spacing(max(np.abs(axis).max() for _, axis in axes)))
-        for name, axis in axes:
-            steps = np.diff(axis)
-            if np.any(steps <= 0.0):
-                raise ConfigError(f"{name} axis must be strictly increasing")
-            if not np.allclose(steps, steps[0], rtol=1.0e-9, atol=rounding):
-                raise ConfigError(f"{name} axis must be uniformly spaced")
-        # Whole-axis steps: the first steps of ``make_grid`` axes differ by up to 2.5e-12.
-        steps = [float(axis[-1] - axis[0]) / (axis.size - 1) for _, axis in axes]
-        shortest = min(axis.size for _, axis in axes) - 1
-        if not math.isclose(*steps, rel_tol=1.0e-12, abs_tol=rounding / shortest):
-            raise ConfigError(f"signal and idler axes must share one spacing, got steps "
-                              f"{steps[0]!r} and {steps[1]!r} rad/fs")
+    @cached_property
+    def signal_axis(self) -> np.ndarray:
+        return np.linspace(-self.half_span, self.half_span, self.points) + self.signal_center
+
+    @cached_property
+    def idler_axis(self) -> np.ndarray:
+        return np.linspace(-self.half_span, self.half_span, self.points) + self.idler_center
 
     @property
-    def signal_spacing(self) -> float:
-        return float(self.signal_axis[1] - self.signal_axis[0])
-
-    @property
-    def idler_spacing(self) -> float:
-        return float(self.idler_axis[1] - self.idler_axis[0])
+    def spacing(self) -> float:
+        """The nominal step 2 half_span / (points - 1)."""
+        return 2.0 * self.half_span / (self.points - 1)
 
     @property
     def cell_area(self) -> float:
-        return self.signal_spacing * self.idler_spacing
+        """The product of the two sampled axes' first steps."""
+        return float(self.signal_axis[1] - self.signal_axis[0]) * float(self.idler_axis[1] - self.idler_axis[0])
 
     @property
     def shape(self) -> tuple:
-        return (self.signal_axis.size, self.idler_axis.size)
-
-    def meshes(self):
-        """Broadcastable (signal, idler) frequency meshes."""
-        return self.signal_axis[:, None], self.idler_axis[None, :]
-
-    def matches(self, other: "FrequencyGrid") -> bool:
-        return (
-            self.signal_axis.shape == other.signal_axis.shape
-            and self.idler_axis.shape == other.idler_axis.shape
-            and np.array_equal(self.signal_axis, other.signal_axis)
-            and np.array_equal(self.idler_axis, other.idler_axis)
-        )
+        return (self.points, self.points)
 
 
 def pump_spectrum(pulse: PumpPulse, omega_sum):
@@ -252,44 +232,51 @@ def phase_matching(spec: PhaseMatchingSpec, nu_s, nu_i):
     return np.sinc(half / np.pi) * np.exp(1j * half)
 
 
-def sinc_antidiagonal_scale(spec: PhaseMatchingSpec) -> float:
-    """Per-axis detuning of the first sinc zero along the anticorrelated
-    (nu_s = -nu_i) direction, or +inf for matched group velocities."""
-    delta = abs(
-        spec.inverse_group_velocity_signal_fs_per_mm
-        - spec.inverse_group_velocity_idler_fs_per_mm
-    )
-    if delta * spec.crystal_length_mm < 1.0e-12:
-        return math.inf
-    return 2.0 * math.pi / (delta * spec.crystal_length_mm)
-
-
 def make_grid(
     pulse: PumpPulse,
     spec: PhaseMatchingSpec,
     filters: tuple = (),
     points: int = 256,
     span_factor: float = 5.0,
+    max_delay: float = 0.0,
 ) -> FrequencyGrid:
     """Square grid centred on the pair centers, wide enough for the pump
-    ridge, the filters, and the main phase-matching structure; both axes
-    have the same half span and point count, hence one spacing.
+    ridge, the filters, and the main phase-matching structure (the first sinc
+    zero along the anticorrelated nu_s = -nu_i direction, unless matched
+    group velocities put it at infinity), with ``points`` per axis doubled
+    until the spacing samples a net group retardation of ``max_delay`` (fs)
+    between two amplitudes: spacing below pi / (``DELAY_SAMPLING_SAFETY``
+    max_delay), within ``MAX_GRID_POINTS``.
 
     With Gaussian filters present the phase-matching extent is capped at a
     few filter widths (the filters bound the support).
     """
+    if not math.isfinite(max_delay):
+        raise ConfigError(
+            f"the net group delay between the amplitudes is {max_delay!r} fs; check every "
+            "thickness_mm (crystals, compensator, knob plates)"
+        )
     if points < 8:
         raise ConfigError("grid needs at least 8 points per axis")
     scales = [pulse.sigma_omega]
     filter_sigmas = [f.sigma_intensity_omega for f in filters if f.shape == "gaussian"]
     scales += filter_sigmas
-    antidiag = sinc_antidiagonal_scale(spec)
-    if math.isfinite(antidiag):
+    walk_off = abs(spec.inverse_group_velocity_signal_fs_per_mm
+                   - spec.inverse_group_velocity_idler_fs_per_mm) * spec.crystal_length_mm
+    if walk_off >= 1.0e-12:
+        antidiag = 2.0 * math.pi / walk_off
         scales.append(min(antidiag, 3.0 * max(filter_sigmas)) if filter_sigmas else antidiag)
     half_span = span_factor * max(scales)
-    sig = np.linspace(-half_span, half_span, points) + spec.signal_center_angular_frequency
-    idl = np.linspace(-half_span, half_span, points) + spec.idler_center_angular_frequency
-    return FrequencyGrid(signal_axis=sig, idler_axis=idl)
+    required = 2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi
+    while points <= MAX_GRID_POINTS and points < required:
+        points *= 2
+    if points > MAX_GRID_POINTS:
+        raise GridTruncationError(
+            f"applied delays (~{max_delay:.3g} fs) would need more than {MAX_GRID_POINTS} grid points "
+            "(MAX_GRID_POINTS); reduce the delay or lower scan.grid_span_factor"
+        )
+    return FrequencyGrid(spec.signal_center_angular_frequency, spec.idler_center_angular_frequency,
+                         half_span, points)
 
 
 def _check_grid(pulse, f_s, f_i, grid):
@@ -306,11 +293,7 @@ def _check_grid(pulse, f_s, f_i, grid):
         if filt.shape == "gaussian":
             sigmas.append((name, filt.sigma_intensity_omega))
 
-    spacing = max(grid.signal_spacing, grid.idler_spacing)
-    span = min(
-        grid.signal_axis[-1] - grid.signal_axis[0],
-        grid.idler_axis[-1] - grid.idler_axis[0],
-    )
+    span = 2.0 * grid.half_span
     narrowest = min(sigma for _, sigma in sigmas)
     if span < 6.0 * narrowest:
         raise GridTruncationError(
@@ -318,9 +301,9 @@ def _check_grid(pulse, f_s, f_i, grid):
             f"narrowest envelope ({narrowest:.4g} rad/fs); raise scan.grid_span_factor"
         )
     for name, sigma in sigmas:
-        if sigma < spacing:
+        if sigma < grid.spacing:
             raise GridTruncationError(
-                f"grid spacing {spacing:.4g} rad/fs cannot resolve the {name} "
+                f"grid spacing {grid.spacing:.4g} rad/fs cannot resolve the {name} "
                 f"(sigma = {sigma:.4g} rad/fs); raise scan.grid_points"
             )
 
@@ -337,55 +320,6 @@ def _check_grid(pulse, f_s, f_i, grid):
             raise GridTruncationError(
                 f"grid too narrow for the pump envelope: edge magnitude {edge:.3g} "
                 f"exceeds {EDGE_AMPLITUDE_LIMIT} of the peak; raise scan.grid_span_factor"
-            )
-
-
-class _EnvelopeRows:
-    """Row blocks of the real envelope pump(w_s + w_i) f_s(w_s) f_i(w_i) on
-    one grid, with the running border and peak that ``check_border`` reads.
-
-    Both axes share one spacing, so w_s[j] + w_i[k] depends only on j + k
-    and the pump ridge is a Hankel view of its N_s + N_i - 1 samples down
-    the first column and along the last row: no 2-D exp is evaluated.
-    ``_check_grid`` runs on construction."""
-
-    def __init__(self, pulse: PumpPulse, f_s: SpectralFilter, f_i: SpectralFilter, grid: FrequencyGrid):
-        _check_grid(pulse, f_s, f_i, grid)
-        self.grid = grid
-        ws, wi = grid.signal_axis, grid.idler_axis
-        self.filter_s = filter_amplitude(f_s, ws)[:, None]
-        self.filter_i = filter_amplitude(f_i, wi)
-        # With a filter present the sampled envelope must fall off at the
-        # border; without one ``_check_grid`` tested the pump corners.
-        self.bounded = f_s.shape != "none" or f_i.shape != "none"
-        self.border = self.peak = 0.0
-        samples = pump_spectrum(pulse, np.concatenate((ws + wi[0], ws[-1] + wi[1:])))
-        self.ridge = np.lib.stride_tricks.as_strided(samples, grid.shape, samples.strides * 2,
-                                                     writeable=False)
-
-    def __call__(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """The envelope on ``rows`` (a slice with explicit bounds) into ``out``."""
-        np.multiply(self.ridge[rows], self.filter_i, out=out)
-        out *= self.filter_s[rows]
-        if self.bounded:
-            edges = [out[:, 0].max(), out[:, -1].max()]
-            if rows.start == 0:
-                edges.append(out[0].max())
-            if rows.stop == self.grid.shape[0]:
-                edges.append(out[-1].max())
-            self.border = max(self.border, *map(float, edges))
-            self.peak = max(self.peak, float(out.max()))
-        return out
-
-    def check_border(self) -> None:
-        """With filters bounding the support: the sampled envelope must fall
-        below the edge limit along the whole grid border.  Call after every
-        row has been sampled."""
-        if self.bounded and (self.peak == 0.0 or self.border > EDGE_AMPLITUDE_LIMIT * self.peak):
-            raise GridTruncationError(
-                f"grid too narrow: envelope magnitude at the border is "
-                f"{self.border / max(self.peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT}); "
-                "raise scan.grid_span_factor"
             )
 
 
@@ -421,43 +355,59 @@ def _sinc_rows(factors: tuple, rows: slice, out, h, work, near) -> np.ndarray:
     return out
 
 
-def _checked_norm(norm_sq: float) -> float:
-    """The L2 norm from its square; a zero or non-finite one (e.g. from an
-    infinite crystal length) is rejected."""
-    if not (math.isfinite(norm_sq) and norm_sq > 0.0):
-        raise GridTruncationError(f"joint amplitude norm squared is {norm_sq!r} on this grid; "
-                                  "it must be finite and positive")
-    return math.sqrt(norm_sq)
-
-
 class _Sampler:
     """The real amplitudes V = envelope * sinc(h) of one or two specs on one
     grid, in the row slices ``blocks``, ``ROW_BLOCK_BYTES`` per scratch
-    array.  The energy and grid checks run on construction, before any 2-D
-    array exists; each call adds to sum V^2, and ``norms`` runs the border
-    check on them."""
+    array, where the envelope is pump(w_s + w_i) f_s(w_s) f_i(w_i).
+
+    Both axes share one spacing, so w_s[j] + w_i[k] depends only on j + k
+    and the pump ridge is a Hankel view of its 2N - 1 samples down the first
+    column and along the last row: no 2-D exp is evaluated.  The energy and
+    grid checks run on construction, before any 2-D array exists; each call
+    adds to sum V^2 and to the envelope's running border and peak, and
+    ``norms`` runs the border check on them."""
 
     def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
                  grid: FrequencyGrid):
         for spec in specs:
             spec.check_energy_conservation(pulse.center_wavelength_nm)
-        self.envelope_rows = _EnvelopeRows(pulse, f_s, f_i, grid)
+        _check_grid(pulse, f_s, f_i, grid)
         self.grid = grid
-        self.factors = [_sinc_factors(spec, grid.signal_axis - spec.signal_center_angular_frequency,
-                                      grid.idler_axis - spec.idler_center_angular_frequency)
+        ws, wi = grid.signal_axis, grid.idler_axis
+        self.filter_s = filter_amplitude(f_s, ws)[:, None]
+        self.filter_i = filter_amplitude(f_i, wi)
+        # With a filter present the sampled envelope must fall off at the
+        # border; without one ``_check_grid`` tested the pump corners.
+        self.bounded = f_s.shape != "none" or f_i.shape != "none"
+        self.border = self.peak = 0.0
+        samples = pump_spectrum(pulse, np.concatenate((ws + wi[0], ws[-1] + wi[1:])))
+        self.ridge = np.lib.stride_tricks.as_strided(samples, grid.shape, samples.strides * 2,
+                                                     writeable=False)
+        self.factors = [_sinc_factors(spec, ws - spec.signal_center_angular_frequency,
+                                      wi - spec.idler_center_angular_frequency)
                         for spec in specs]
-        n_s, n_i = grid.shape
-        block = min(max(1, ROW_BLOCK_BYTES // (8 * n_i)), n_s)
-        self.blocks = [slice(start, min(start + block, n_s)) for start in range(0, n_s, block)]
+        n = grid.points
+        block = min(max(1, ROW_BLOCK_BYTES // (8 * n)), n)
+        self.blocks = [slice(start, min(start + block, n)) for start in range(0, n, block)]
         # One allocation: separate ones are fresh pages, faulted in on every call.
-        self.envelope, self.h, self.work, *self.sincs = np.empty((3 + len(specs), block, n_i))
+        self.envelope, self.h, self.work, *self.sincs = np.empty((3 + len(specs), block, n))
         self.near = np.empty(self.envelope.shape, dtype=bool)
         self.norms_sq = np.zeros(len(specs))
 
     def __call__(self, rows: slice) -> list:
-        """Each spec's V on ``rows``, in scratch that the next call overwrites."""
+        """Each spec's V on ``rows`` (a slice with explicit bounds), in
+        scratch that the next call overwrites."""
         m = rows.stop - rows.start
-        env = self.envelope_rows(rows, self.envelope[:m])
+        env = np.multiply(self.ridge[rows], self.filter_i, out=self.envelope[:m])
+        env *= self.filter_s[rows]
+        if self.bounded:
+            edges = [env[:, 0].max(), env[:, -1].max()]
+            if rows.start == 0:
+                edges.append(env[0].max())
+            if rows.stop == self.grid.points:
+                edges.append(env[-1].max())
+            self.border = max(self.border, *map(float, edges))
+            self.peak = max(self.peak, float(env.max()))
         amplitudes = []
         for n, (factors, sinc) in enumerate(zip(self.factors, self.sincs)):
             amplitude = _sinc_rows(factors, rows, sinc[:m], self.h[:m], self.work[:m], self.near[:m])
@@ -467,9 +417,22 @@ class _Sampler:
         return amplitudes
 
     def norms(self) -> list:
-        """The L2 norm of each spec's V, once every row has been sampled."""
-        self.envelope_rows.check_border()
-        return [_checked_norm(float(n) * self.grid.cell_area) for n in self.norms_sq]
+        """The L2 norm of each spec's V, once every row has been sampled.
+        With filters bounding the support, the sampled envelope must first
+        have fallen below the edge limit along the whole grid border; a zero
+        or non-finite norm (e.g. from an infinite crystal length) is rejected."""
+        if self.bounded and (self.peak == 0.0 or self.border > EDGE_AMPLITUDE_LIMIT * self.peak):
+            raise GridTruncationError(
+                f"grid too narrow: envelope magnitude at the border is "
+                f"{self.border / max(self.peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT}); "
+                "raise scan.grid_span_factor"
+            )
+        norms_sq = [float(n) * self.grid.cell_area for n in self.norms_sq]
+        for norm_sq in norms_sq:
+            if not (math.isfinite(norm_sq) and norm_sq > 0.0):
+                raise GridTruncationError(f"joint amplitude norm squared is {norm_sq!r} on this grid; "
+                                          "it must be finite and positive")
+        return [math.sqrt(n) for n in norms_sq]
 
 
 def build_jsa(
@@ -553,8 +516,7 @@ def kernel_overlaps(
 
     # The product of the driving rows with the kernel: rows of kernel @
     # drive.T block by block, or drive @ kernel summed over the blocks.
-    n_s, n_i = grid.shape
-    acc = np.empty((n_s, len(drive)) if idler_drives else (len(drive), n_i))
+    acc = np.empty((grid.points, len(drive)) if idler_drives else (len(drive), grid.points))
     product = np.empty_like(acc) if not idler_drives and len(sampler.blocks) > 1 else None
     for rows in sampler.blocks:
         amplitudes = sampler(rows)
@@ -629,59 +591,65 @@ def kernel_time_support(pulse: PumpPulse, spec_a: PhaseMatchingSpec, spec_b: Pha
     The half width is the projection's half length plus the distance where
     the tail bound falls to ``SUPPORT_LEVEL`` rho, found by Newton steps on
     the log of the bound from the Gaussian's own distance; the bound is
-    log-concave, so every step stays beyond that distance."""
+    log-concave, so every step stays beyond that distance.  Where a scalar
+    overflows or vanishes on the way (a 1e300 fs pulse or mm crystal, a
+    1e-300 nm filter), T is infinite too, and the grid and config checks
+    answer."""
     unbounded = ((0.0, math.inf), (0.0, math.inf))
     if not f_s.shape == f_i.shape == "gaussian":
         return unbounded
-    w_p = 1.0 / pulse.sigma_omega ** 2
-    w_s = 1.0 / f_s.sigma_intensity_omega ** 2
-    w_i = 1.0 / f_i.sigma_intensity_omega ** 2
-    q_ss, q_si, q_ii = w_p + w_s, w_p, w_p + w_i
-    det = q_ss * q_ii - q_si * q_si
+    try:
+        w_p = 1.0 / pulse.sigma_omega ** 2
+        w_s = 1.0 / f_s.sigma_intensity_omega ** 2
+        w_i = 1.0 / f_i.sigma_intensity_omega ** 2
+        q_ss, q_si, q_ii = w_p + w_s, w_p, w_p + w_i
+        det = q_ss * q_ii - q_si * q_si
 
-    def inverse_form(v):  # v^T Q^-1 v
-        return (q_ii * v[0] * v[0] - 2.0 * q_si * v[0] * v[1] + q_ss * v[1] * v[1]) / det
+        def inverse_form(v):  # v^T Q^-1 v
+            return (q_ii * v[0] * v[0] - 2.0 * q_si * v[0] * v[1] + q_ss * v[1] * v[1]) / det
 
-    # E's centre nu0 = Q^-1 b, from the linear terms b of its exponent (all
-    # scalars: the detunings of the filters, the pump and spec_b from spec_a).
-    def detuning(nm, from_nm):
-        return 2.0 * math.pi * C_NM_PER_FS * (1.0 / nm - 1.0 / from_nm)
+        # E's centre nu0 = Q^-1 b, from the linear terms b of its exponent (all
+        # scalars: the detunings of the filters, the pump and spec_b from spec_a).
+        def detuning(nm, from_nm):
+            return 2.0 * math.pi * C_NM_PER_FS * (1.0 / nm - 1.0 / from_nm)
 
-    a_s, a_i = spec_a.signal_center_nm, spec_a.idler_center_nm
-    pump = w_p * (detuning(pulse.center_wavelength_nm, a_s) - 2.0 * math.pi * C_NM_PER_FS / a_i)
-    linear = (pump + w_s * detuning(f_s.center_nm, a_s), pump + w_i * detuning(f_i.center_nm, a_i))
-    nu0 = ((q_ii * linear[0] - q_si * linear[1]) / det, (q_ss * linear[1] - q_si * linear[0]) / det)
-    shift = (nu0[0] - detuning(spec_b.signal_center_nm, a_s),
-             nu0[1] - detuning(spec_b.idler_center_nm, a_i))
+        a_s, a_i = spec_a.signal_center_nm, spec_a.idler_center_nm
+        pump = w_p * (detuning(pulse.center_wavelength_nm, a_s) - 2.0 * math.pi * C_NM_PER_FS / a_i)
+        linear = (pump + w_s * detuning(f_s.center_nm, a_s), pump + w_i * detuning(f_i.center_nm, a_i))
+        nu0 = ((q_ii * linear[0] - q_si * linear[1]) / det, (q_ss * linear[1] - q_si * linear[0]) / det)
+        shift = (nu0[0] - detuning(spec_b.signal_center_nm, a_s),
+                 nu0[1] - detuning(spec_b.idler_center_nm, a_i))
 
-    def walk_off(spec):
-        p = spec.inverse_group_velocity_pump_fs_per_mm
-        return ((p - spec.inverse_group_velocity_signal_fs_per_mm) * spec.crystal_length_mm,
-                (p - spec.inverse_group_velocity_idler_fs_per_mm) * spec.crystal_length_mm)
+        def walk_off(spec):
+            p = spec.inverse_group_velocity_pump_fs_per_mm
+            return ((p - spec.inverse_group_velocity_signal_fs_per_mm) * spec.crystal_length_mm,
+                    (p - spec.inverse_group_velocity_idler_fs_per_mm) * spec.crystal_length_mm)
 
-    v_a, v_b = walk_off(spec_a), walk_off(spec_b)
-    if not all(map(math.isfinite, v_a + v_b)):
+        v_a, v_b = walk_off(spec_a), walk_off(spec_b)
+        if not all(map(math.isfinite, v_a + v_b)):
+            return unbounded
+        phase_variance = ((nu0[0] * v_a[0] + nu0[1] * v_a[1]) ** 2
+                          + (shift[0] * v_b[0] + shift[1] * v_b[1]) ** 2) / 12.0
+        rho = (_segment_average(0.5 * inverse_form(v_a)) * _segment_average(0.5 * inverse_form(v_b))
+               - 0.5 * phase_variance)
+        if not rho > 0.0:
+            return unbounded
+        log_level = math.log(SUPPORT_LEVEL * rho)
+
+        arms = []
+        for arm, q in ((0, q_ss), (1, q_ii)):
+            low = min(0.0, v_b[arm]) - max(0.0, v_a[arm])
+            high = max(0.0, v_b[arm]) - min(0.0, v_a[arm])
+            sigma = math.sqrt(q)
+            d = sigma * math.sqrt(-2.0 * log_level)
+            for _ in range(50):
+                bound, slope = _tail_bound(d, sigma, abs(v_a[arm]), abs(v_b[arm]))
+                step = (math.log(bound) - log_level) / slope
+                d -= step
+                if step < 0.1:
+                    break
+            # The overlap at delay t reads the walk-off at s = -t.
+            arms.append((-0.5 * (low + high), 0.5 * (high - low) + d))
+        return tuple(arms)
+    except (ArithmeticError, ValueError):  # math range or domain error
         return unbounded
-    phase_variance = ((nu0[0] * v_a[0] + nu0[1] * v_a[1]) ** 2
-                      + (shift[0] * v_b[0] + shift[1] * v_b[1]) ** 2) / 12.0
-    rho = (_segment_average(0.5 * inverse_form(v_a)) * _segment_average(0.5 * inverse_form(v_b))
-           - 0.5 * phase_variance)
-    if not rho > 0.0:
-        return unbounded
-    log_level = math.log(SUPPORT_LEVEL * rho)
-
-    arms = []
-    for arm, q in ((0, q_ss), (1, q_ii)):
-        low = min(0.0, v_b[arm]) - max(0.0, v_a[arm])
-        high = max(0.0, v_b[arm]) - min(0.0, v_a[arm])
-        sigma = math.sqrt(q)
-        d = sigma * math.sqrt(-2.0 * log_level)
-        for _ in range(50):
-            bound, slope = _tail_bound(d, sigma, abs(v_a[arm]), abs(v_b[arm]))
-            step = (math.log(bound) - log_level) / slope
-            d -= step
-            if step < 0.1:
-                break
-        # The overlap at delay t reads the walk-off at s = -t.
-        arms.append((-0.5 * (low + high), 0.5 * (high - low) + d))
-    return tuple(arms)

@@ -40,4 +40,4 @@ def kernel_time_profile(pulse, spec_a, spec_b, f_s, f_i, points=1024, span_facto
     kernel = np.conj(build_jsa(pulse, spec_a, f_s, f_i, grid).values)
     kernel *= build_jsa(pulse, spec_b, f_s, f_i, grid).values
     magnitude = np.abs(np.fft.ifft2(kernel)) * (points * points * grid.cell_area)
-    return 2.0 * np.pi * np.fft.fftfreq(points, grid.signal_spacing), magnitude
+    return 2.0 * np.pi * np.fft.fftfreq(points, grid.spacing), magnitude

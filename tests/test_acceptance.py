@@ -143,10 +143,8 @@ def test_criterion_07_time_domain_oracle():
         spec = PhaseMatchingSpec(length, 730.0, 885.0, 5811.3, 5636.9, 5602.8)
         half = 5.0 * max(pump.sigma_omega, 2.0 * math.pi / (34.1 * length))
         axis = np.linspace(-half, half, 64)
-        grid = FrequencyGrid(
-            signal_axis=axis + spec.signal_center_angular_frequency,
-            idler_axis=axis + spec.idler_center_angular_frequency,
-        )
+        grid = FrequencyGrid(spec.signal_center_angular_frequency, spec.idler_center_angular_frequency,
+                             half, axis.size)
         jsa = build_jsa(pump, spec, NO_FILTER, NO_FILTER, grid)
         bound = 0.5 * math.pi / (axis[1] - axis[0])
         partner = apply_pair_delay(jsa, rng.uniform(-bound / 2, bound / 2))

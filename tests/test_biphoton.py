@@ -52,11 +52,8 @@ class TestPairDelay:
         # Narrowband envelope so the envelope factor is ~1 at T = pi/W_p;
         # the grid is pump-scaled (the sinc is broad and irrelevant here).
         pump = PumpPulse(400.0, 4000.0)
-        half = 5.0 * pump.sigma_omega
-        grid = FrequencyGrid(
-            signal_axis=np.linspace(-half, half, 128) + SPEC.signal_center_angular_frequency,
-            idler_axis=np.linspace(-half, half, 128) + SPEC.idler_center_angular_frequency,
-        )
+        grid = FrequencyGrid(SPEC.signal_center_angular_frequency, SPEC.idler_center_angular_frequency,
+                             5.0 * pump.sigma_omega, 128)
         jsa = build_jsa(pump, SPEC, NO_FILTER, NO_FILTER, grid)
         delay = math.pi / pump.center_angular_frequency
         shifted = apply_pair_delay(jsa, delay)
@@ -133,8 +130,9 @@ class TestOverlap:
         # delay overlap is then exactly exp(-T^2 sigma^2 / 2).
         width = 0.08
         nu = np.linspace(-0.45, 0.45, 256)
-        grid = FrequencyGrid(nu + SPEC.signal_center_angular_frequency, nu + SPEC.idler_center_angular_frequency)
-        ws, wi = grid.meshes()
+        grid = FrequencyGrid(SPEC.signal_center_angular_frequency, SPEC.idler_center_angular_frequency,
+                             0.45, nu.size)
+        ws, wi = grid.signal_axis[:, None], grid.idler_axis[None, :]
         values = pump_spectrum(PUMP, ws + wi) * np.exp(-((nu[:, None] - nu[None, :]) ** 2) / (2.0 * width**2))
         values /= math.sqrt(float(np.sum(values**2)) * grid.cell_area)
         jsa = JointSpectralAmplitude(grid=grid, values=values.astype(complex), metadata={})

@@ -289,6 +289,13 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "row 12" in err and "not finite" in err
 
+    def test_zero_axis_span_is_data_error(self, tmp_path, capsys):
+        rates = 1.0 + np.cos(np.linspace(0.0, 8.0 * np.pi, 33))
+        path = tmp_path / "stuck.csv"
+        path.write_text("axis_value,rate\n" + "".join(f"5.0,{float(r)!r}\n" for r in rates))
+        assert run(["fit", "--input", path, "--output", tmp_path / "x"]) == 3
+        assert "scan axis spans zero: every axis value is 5.0" in capsys.readouterr().err
+
 
 class TestPrepareCommand:
     def test_phi_minus(self, tmp_path, config_file):
@@ -406,6 +413,12 @@ class TestBadInputExitCodes:
         assert run(["scan", "--config", bad, "--output", tmp_path / "x", "--seed", 3]) == 2
         assert "scan.mean_counts" in capsys.readouterr().err
 
+    def test_mean_counts_beyond_the_poisson_range(self, tmp_path, config_file, capsys):
+        bad = _edited_config(config_file, tmp_path, "mean_counts: 1000.0", "mean_counts: 1e300")
+        bad.write_text(bad.read_text().replace("noise: none", "noise: poisson"))
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x", "--seed", 3]) == 2
+        assert "scan.mean_counts" in capsys.readouterr().err
+
     @pytest.mark.parametrize("old, new, key", [
         ("center_wavelength_nm: 400.0", "center_wavelength_nm: fast", "pump.center_wavelength_nm"),
         ("duration_fs: 80.0", "duration_fs: .nan", "pump.duration_fs"),
@@ -418,6 +431,11 @@ class TestBadInputExitCodes:
         ("steps: 129", "steps: 12.5", "scan.steps"),
         ("grid_span_factor: 5.0", "grid_span_factor: -1", "scan.grid_span_factor"),
         ("grid_span_factor: 5.0", "grid_span_factor: .nan", "scan.grid_span_factor"),
+        # Domain checks of the config's objects, prefixed with the key path.
+        ("thickness_mm: 3.4", "thickness_mm: -1", "crystals[0]: crystal thickness_mm must be positive"),
+        ("thickness_mm: 3.0", "thickness_mm: 0", "knobs.signal_plate: element thickness must be positive"),
+        ("tilt_deg: 0.0}", "tilt_deg: 50}", "compensator[0]: |tilt| must be < 45 deg"),
+        ("fwhm_nm: 10.0", "fwhm_nm: -3", "filters[0]: a filter needs"),
     ])
     def test_bad_number_names_the_key(self, tmp_path, config_file, capsys, old, new, key):
         bad = _edited_config(config_file, tmp_path, old, new)
@@ -434,6 +452,12 @@ class TestBadInputExitCodes:
         bad = _edited_config(config_file, tmp_path, old, new)
         assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
         assert f"{context!r} must be a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["5", "{a: 1}"])
+    def test_compensator_that_is_not_a_list(self, tmp_path, config_file, capsys, value):
+        bad = _edited_config(config_file, tmp_path, "compensator:\n", f"compensator: {value}\nold_compensator:\n")
+        assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
+        assert "config section 'compensator' must be a list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("axis", ["signal_tilt", "idler_tilt", "both_tilts"])
     def test_scanned_tilt_beyond_bound(self, tmp_path, config_file, capsys, axis):

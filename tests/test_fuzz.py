@@ -31,9 +31,10 @@ def _leaves(node, path=()):
 
 
 LEAVES = tuple(_leaves(DEFAULT))
-# No junk value is a large number: scan.steps has no upper bound and
-# scan.grid_points sizes every array, so a large one would only time the host.
-CONFIG_JUNK = ("fast", math.nan, math.inf, -math.inf, -1.5, 0, None, [1.0], {"a": 1}, True, False)
+# scan.steps and scan.grid_points are capped at 4096, so large magnitudes are
+# safe junk; they and tiny ones overflow or vanish in scalar physics.
+CONFIG_JUNK = ("fast", math.nan, math.inf, -math.inf, -1.5, 0, None, [1.0], {"a": 1}, True, False,
+               1e300, -1e300, 1e-300)
 
 # One valid value per sweep parameter: the sweep runs one source build.
 SWEEP_VALUE = {"crystal_length": "3.4", "filter_fwhm": "10", "compensation_error_fs": "0",

@@ -516,6 +516,20 @@ class TestKernelTimeSupport:
         box = kernel_time_support(source.pump, *budget.specs, *filters)
         assert [half for _, half in box] == [math.inf, math.inf]
 
+    @pytest.mark.parametrize("part, field, value", [
+        ("pump", "duration_fs", 1e300), ("pump", "duration_fs", 1e-300), ("crystals", "thickness_mm", 1e300),
+        ("filters", "fwhm_nm", 1e-300), ("filters", "center_nm", 1e300),
+    ])
+    def test_unbounded_when_a_scalar_overflows_or_vanishes(self, source, part, field, value):
+        edited = getattr(source, part)
+        if part == "pump":
+            edited = replace(edited, **{field: value})
+        else:
+            edited = (replace(edited[0], **{field: value}), edited[1])
+        src = replace(source, **{part: edited})
+        box = kernel_time_support(src.pump, *scenario.delay_budget(src).specs, *src.filters)
+        assert [half for _, half in box] == [math.inf, math.inf]
+
     @pytest.mark.parametrize("case", SUPPORT_CASES)
     def test_coarse_grids_match_1024_and_report_0_outside(self, source, knobs, case):
         src, kn = SUPPORT_CASES[case](source, knobs)

@@ -33,6 +33,7 @@ SPEC = PhaseMatchingSpec(
     inverse_group_velocity_signal_fs_per_mm=5636.9,
     inverse_group_velocity_idler_fs_per_mm=5602.8,
 )
+CENTERS = (SPEC.signal_center_angular_frequency, SPEC.idler_center_angular_frequency)
 
 
 class TestPumpSpectrum:
@@ -124,24 +125,6 @@ class TestFilterAmplitude:
 
 
 class TestFrequencyGrid:
-    def test_rejects_nonuniform(self):
-        axis = np.array([1.0, 2.0, 4.0])
-        with pytest.raises(ConfigError):
-            FrequencyGrid(signal_axis=axis, idler_axis=axis)
-
-    def test_rejects_decreasing(self):
-        axis = np.array([3.0, 2.0, 1.0])
-        with pytest.raises(ConfigError):
-            FrequencyGrid(signal_axis=axis, idler_axis=axis)
-
-    def test_rejects_two_spacings(self):
-        sig = np.linspace(-0.12, 0.12, 64)
-        idl = np.linspace(-0.1, 0.1, 48)
-        with pytest.raises(ConfigError, match="share one spacing") as error:
-            FrequencyGrid(signal_axis=sig, idler_axis=idl)
-        for axis in (sig, idl):
-            assert repr(float(axis[-1] - axis[0]) / (axis.size - 1)) in str(error.value)
-
     def test_make_grid_centers(self):
         grid = make_grid(PUMP, SPEC, points=64)
         mid_s = 0.5 * float(grid.signal_axis[0] + grid.signal_axis[-1])
@@ -167,7 +150,7 @@ class TestBuildJsa:
         filt_s = SpectralFilter(730.0, 10.0, "gaussian")
         filt_i = SpectralFilter(885.0, 10.0, "gaussian")
         jsa = build_jsa(PUMP, SPEC, filt_s, filt_i, grid)
-        ws, wi = grid.meshes()
+        ws, wi = grid.signal_axis[:, None], grid.idler_axis[None, :]
         magnitude = np.abs(jsa.values)
         mask = magnitude > 1e-3 * magnitude.max()
         detuning = np.abs((ws + wi) - PUMP.center_angular_frequency)
@@ -177,10 +160,8 @@ class TestBuildJsa:
         # For a vanishing crystal the amplitude support is unbounded along
         # the anticorrelated diagonal; supply an explicit pump-scaled grid.
         short = PhaseMatchingSpec(1e-4, 730.0, 885.0, 5811.3, 5636.9, 5602.8)
-        half = 5.0 * PUMP.sigma_omega
-        sig = np.linspace(-half, half, 64) + short.signal_center_angular_frequency
-        idl = np.linspace(-half, half, 64) + short.idler_center_angular_frequency
-        grid = FrequencyGrid(signal_axis=sig, idler_axis=idl)
+        grid = FrequencyGrid(short.signal_center_angular_frequency, short.idler_center_angular_frequency,
+                             5.0 * PUMP.sigma_omega, 64)
         jsa = build_jsa(PUMP, short, NO_FILTER, NO_FILTER, grid)
         # Magnitudes at equal nu_s + nu_i must agree: the (j, k) and (k, j)
         # samples share the sum frequency on a square grid. The residual
@@ -191,10 +172,7 @@ class TestBuildJsa:
     def test_narrow_filter_marginal_width(self):
         filt_s = SpectralFilter(730.0, 0.1, "gaussian")
         filt_i = SpectralFilter(885.0, 0.1, "gaussian")
-        half = 8.0 * filt_s.sigma_intensity_omega
-        sig = np.linspace(-half, half, 513) + SPEC.signal_center_angular_frequency
-        idl = np.linspace(-half, half, 513) + SPEC.idler_center_angular_frequency
-        grid = FrequencyGrid(signal_axis=sig, idler_axis=idl)
+        grid = FrequencyGrid(*CENTERS, 8.0 * filt_s.sigma_intensity_omega, 513)
         jsa = build_jsa(PUMP, SPEC, filt_s, filt_i, grid)
         marginal = np.sum(np.abs(jsa.values) ** 2, axis=1)
         # FWHM of the signal marginal by interpolation.
@@ -206,10 +184,8 @@ class TestBuildJsa:
     def test_truncation_error_when_span_too_small(self):
         spec = PhaseMatchingSpec(3.4, 730.0, 885.0, 5811.3, 5636.9, 5602.8)
         half = 2.0 * PUMP.sigma_omega  # far too narrow for the ridge
-        sig = np.linspace(-half, half, 64) + spec.signal_center_angular_frequency
-        idl = np.linspace(-half, half, 64) + spec.idler_center_angular_frequency
         with pytest.raises(GridTruncationError):
-            build_jsa(PUMP, spec, NO_FILTER, NO_FILTER, FrequencyGrid(sig, idl))
+            build_jsa(PUMP, spec, NO_FILTER, NO_FILTER, FrequencyGrid(*CENTERS, half, 64))
 
     def test_resolution_error_for_unresolved_filter(self):
         grid = make_grid(PUMP, SPEC, points=128)
@@ -227,7 +203,7 @@ class TestBuildJsa:
 
 def direct_jsa(pulse, spec, f_s, f_i, grid):
     """The normalized JSA from the direct 2-D formula of ``phase_matching``."""
-    ws, wi = grid.meshes()
+    ws, wi = grid.signal_axis[:, None], grid.idler_axis[None, :]
     values = (
         pump_spectrum(pulse, ws + wi)
         * filter_amplitude(f_s, grid.signal_axis)[:, None]
@@ -286,7 +262,6 @@ class TestSeparableSampling:
         grid = make_grid(source.pump, scenario.phase_matching_spec(source.crystals[0], source.pump),
                          filters=source.filters, points=128)
         budget = scenario.delay_budget(source)
-        assert scenario._spectral_setup(source, budget, 0.0, 128, 5.0, grid) is grid
         for crystal, spec in zip(source.crystals, budget.specs):
             assert spec == scenario.phase_matching_spec(crystal, source.pump)
             jsa = build_jsa(source.pump, spec, *source.filters, grid)
@@ -309,7 +284,6 @@ STREAM_FILTERS = {
     "rectangular": (SpectralFilter(730.0, 10.0, "rectangular"), SpectralFilter(885.0, 10.0, "rectangular")),
     "none": (NO_FILTER, NO_FILTER),
 }
-STREAM_CENTERS = (SPEC.signal_center_angular_frequency, SPEC.idler_center_angular_frequency)
 _VARYING = np.linspace(-60.0, 45.0, 7)
 _FIXED = np.full(_VARYING.size, 12.5)
 # (signal, idler) delays in fs: K rows on both arms, or one constant arm.
@@ -325,7 +299,7 @@ def dense_overlaps(spec_a, spec_b, filters, grid, signal, idler):
     jsa_a = build_jsa(PUMP, spec_a, *filters, grid)
     jsa_b = build_jsa(PUMP, spec_b, *filters, grid)
     return np.array([
-        biphoton.overlap(biphoton.apply_envelope_phase(jsa_a, -t_s, -t_i, 0.0, *STREAM_CENTERS), jsa_b)
+        biphoton.overlap(biphoton.apply_envelope_phase(jsa_a, -t_s, -t_i, 0.0, *CENTERS), jsa_b)
         for t_s, t_i in zip(signal, idler)
     ])
 
@@ -357,9 +331,8 @@ class TestKernelOverlaps:
             monkeypatch.setattr(spectral, "ROW_BLOCK_BYTES", 8 * 64 * block_rows)
         pair = STREAM_FILTERS["gaussian"]
         half = 3.2 * max(PUMP.sigma_omega, *(f.sigma_intensity_omega for f in pair))
-        axis = np.linspace(-half, half, 64)
-        grid = FrequencyGrid(axis + STREAM_CENTERS[0], axis + STREAM_CENTERS[1])
-        ws, wi = grid.meshes()
+        grid = FrequencyGrid(*CENTERS, half, 64)
+        ws, wi = grid.signal_axis[:, None], grid.idler_axis[None, :]
         envelope = pump_spectrum(PUMP, ws + wi) * filter_amplitude(pair[0], ws) * filter_amplitude(pair[1], wi)
         border = max(envelope[0].max(), envelope[-1].max(), envelope[:, 0].max(), envelope[:, -1].max())
         expected = (f"grid too narrow: envelope magnitude at the border is "
@@ -370,17 +343,3 @@ class TestKernelOverlaps:
         with pytest.raises(GridTruncationError) as built:
             build_jsa(PUMP, SPEC, *pair, grid)
         assert str(streamed.value) == str(built.value) == expected
-
-    @pytest.mark.parametrize("idler_half_span", [0.12 * 47 / 63])
-    def test_rectangular_grids(self, idler_half_span):
-        # 64 x 48 points of one spacing: the Hankel view of a non-square grid.
-        sig = np.linspace(-0.12, 0.12, 64) + STREAM_CENTERS[0]
-        idl = np.linspace(-idler_half_span, idler_half_span, 48) + STREAM_CENTERS[1]
-        grid = FrequencyGrid(sig, idl)
-        expected_jsa = direct_jsa(PUMP, SPEC, NO_FILTER, NO_FILTER, grid)
-        got_jsa = build_jsa(PUMP, SPEC, NO_FILTER, NO_FILTER, grid).values
-        assert np.max(np.abs(got_jsa - expected_jsa)) <= 1e-12 * np.max(np.abs(expected_jsa))
-        signal, idler = STREAM_DELAYS["both_arms"]
-        got = spectral.kernel_overlaps(PUMP, SPEC, SPEC, NO_FILTER, NO_FILTER, grid, signal, idler)
-        expected = dense_overlaps(SPEC, SPEC, (NO_FILTER, NO_FILTER), grid, signal, idler)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
