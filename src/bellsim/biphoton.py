@@ -9,9 +9,9 @@ mean 1, peak 2.
 
 All interference is evaluated in the frequency domain; the time-domain form
 of the coincidence integral exists only as a test oracle.  Scans, sweeps and
-``scenario.interference_terms`` never build these 2-D amplitudes: they take
-their overlaps from ``spectral.kernel_overlaps``, which streams the real
-two-crystal kernel in row blocks.  The functions here serve
+``prepare`` never build these 2-D amplitudes: they take their overlaps from
+``spectral.kernel_overlaps``, which streams the real two-crystal kernel in
+row blocks.  The functions here serve
 ``scenario.build_amplitudes`` and the tests that check the stream against it.
 """
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -99,47 +100,37 @@ def _fit_report_items(fit: fitting.FitResult, v_raw: float):
     ]
 
 
+def _scan_settings(args, settings: scenario.ScanSettings) -> scenario.ScanSettings:
+    """The config's scan settings with the scan flags applied; an invalid
+    flag value is reported with the flag that gave it."""
+    if (args.start is None) != (args.stop is None):
+        raise ConfigError("--start and --stop must be given together")
+    for flag, given in (("--axis", {"axis_kind": args.axis}), ("--steps", {"steps": args.steps}),
+                        ("--start/--stop", {"start": args.start, "stop": args.stop})):
+        if None not in given.values():
+            try:
+                settings = replace(settings, **given)
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} (set by {flag})") from None
+    return settings
+
+
 def cmd_scan(args) -> int:
     cfg = _load(args)
-    settings = cfg.scan
-    axis_kind = args.axis or settings.axis_kind
-    steps = args.steps if args.steps is not None else settings.steps
-    if args.start is not None or args.stop is not None:
-        if args.start is None or args.stop is None:
-            raise ConfigError("--start and --stop must be given together")
-        scan_range = (args.start, args.stop)
-    elif settings.start is not None:
-        scan_range = (settings.start, settings.stop)
-    else:
-        scan_range = None
-
-    noise = settings.noise
+    settings = _scan_settings(args, cfg.scan)
     seed = args.seed
-    if noise == "poisson" and seed is None:
+    if settings.noise == "poisson" and seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**31))
-
-    result = scenario.scan(
-        cfg.source,
-        axis_kind,
-        scan_range=scan_range,
-        steps=steps,
-        analyzers=polarization.AnalyzerSetting(settings.analyzer1_deg, settings.analyzer2_deg),
-        knobs=cfg.knobs,
-        grid_points=settings.grid_points,
-        grid_span_factor=settings.grid_span_factor,
-        noise=noise,
-        mean_counts=settings.mean_counts,
-        seed=seed if noise == "poisson" else None,
-    )
+    result = scenario.scan(cfg.source, cfg.knobs, settings, seed=seed)
 
     csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")
     _write_csv(csv_path, ("axis_value", "rate"), (result.axis, result.rates))
     _write_manifest(manifest_path, args, "scan", (csv_path, report_path), seed)
 
     # The CSV is written before fitting so short scans still produce data.
-    weights = result.rates * settings.mean_counts if noise == "poisson" else None
+    weights = result.rates * settings.mean_counts if settings.noise == "poisson" else None
     fit = fitting.fit_fringe(result, weights=weights)
-    items = [("axis_kind", axis_kind), ("steps", steps)]
+    items = [("axis_kind", settings.axis_kind), ("steps", settings.steps)]
     items += _fit_report_items(fit, fitting.raw_visibility(result.rates))
     items += [
         ("analyzer1_deg", settings.analyzer1_deg),

@@ -36,11 +36,12 @@ arrays, the plate terms from one dispersion pass per arm.  The other delays
 then go to one ``spectral.kernel_overlaps`` call, which streams the real
 two-crystal kernel in cache-sized row blocks, never holds an N x N array,
 and is the only place delays are deduplicated: an arm whose delay no entry
-changes is a single phase row.  ``interference_terms`` is the same path with
-one delay row; ``sweep`` takes one row per compensation error, or one row
-weighted per pump ratio, and evaluates once per value only the parameters
-that change the JSAs.  ``prepare_bell`` and ``effective_polarization_state``
-take its terms (or evaluate them at the default numerics).
+changes is a single phase row.  ``sweep`` takes one row per compensation
+error, or one row weighted per pump ratio, and evaluates once per value only
+the parameters that change the JSAs.  ``prepare_bell`` and
+``effective_polarization_state`` take the terms of one delay row, which the
+caller evaluates with ``budget_terms`` on the grid numerics of its config.
+``ScanSettings`` holds every scan setting, its default and its check.
 ``build_amplitudes`` still assembles the two phased amplitudes explicitly,
 for the tests and the time-domain oracle.
 
@@ -52,7 +53,7 @@ knob contributes the scanned phase 2 pi dx / lambda_p.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -167,6 +168,10 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class ScanSettings:
+    """The ``scan`` config section: every scan setting, its one default and
+    its one check.  ``sweep`` and ``prepare`` use its grid numerics.  Without
+    start and stop a scan covers the axis's default range (``values``)."""
+
     axis_kind: str = "pump_delay"
     start: float | None = None
     stop: float | None = None
@@ -179,12 +184,21 @@ class ScanSettings:
     mean_counts: float = 1000.0
 
     def __post_init__(self):
-        if self.axis_kind not in SCAN_AXIS_KINDS:
-            raise ConfigError(f"axis_kind must be one of {SCAN_AXIS_KINDS}, got {self.axis_kind!r}")
-        if self.noise not in ("none", "poisson"):
-            raise ConfigError(f"noise must be none|poisson, got {self.noise!r}")
+        for key, choices in (("axis_kind", SCAN_AXIS_KINDS), ("noise", ("none", "poisson"))):
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"scan.{key} must be one of {'|'.join(choices)}, got {getattr(self, key)!r}")
+        if not 2 <= self.steps <= MAX_SCAN_STEPS:
+            raise ConfigError(f"scan.steps: scan needs 2 to {MAX_SCAN_STEPS} (MAX_SCAN_STEPS) steps, "
+                              f"got {self.steps}")
         if (self.start is None) != (self.stop is None):
             raise ConfigError("scan.start and scan.stop must be given together")
+        if self.start is not None and not (math.isfinite(self.start) and math.isfinite(self.stop)
+                                           and self.stop > self.start):
+            raise ConfigError(f"scan.start/scan.stop: scan range must be finite with stop > start, "
+                              f"got ({self.start}, {self.stop})")
+        if not (math.isfinite(self.analyzer1_deg) and math.isfinite(self.analyzer2_deg)):
+            raise ConfigError(f"scan.analyzer1_deg and scan.analyzer2_deg must be finite, got "
+                              f"{self.analyzer1_deg!r} and {self.analyzer2_deg!r}")
         if not 8 <= self.grid_points <= MAX_GRID_POINTS:
             raise ConfigError(f"scan.grid_points must be in [8, {MAX_GRID_POINTS}], got {self.grid_points}")
         if not 0.0 < self.mean_counts <= MAX_MEAN_COUNTS:
@@ -194,6 +208,14 @@ class ScanSettings:
             raise ConfigError(
                 f"scan.grid_span_factor must be finite and positive, got {self.grid_span_factor!r}"
             )
+
+    def values(self, source: SourceConfig) -> np.ndarray:
+        """The ``steps`` scanned values from start to stop, or over the
+        axis's reconstructed default range: about four fringe periods."""
+        span = 2.0 * source.pump.center_wavelength_nm
+        default = {"pump_delay": (-span, span), "analyzer2_angle": (0.0, 360.0)}.get(self.axis_kind, (5.0, 35.0))
+        start, stop = default if self.start is None else (self.start, self.stop)
+        return np.linspace(start, stop, self.steps)
 
 
 @dataclass(frozen=True)
@@ -477,28 +499,12 @@ def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
     return w_a * w_a, w_b * w_b, cross, grid.points
 
 
-def interference_terms(
-    source: SourceConfig,
-    knobs: PhaseKnobs | None = None,
-    grid_points: int = 128,
-    grid_span_factor: float = 5.0,
-    compensation_error_fs: float | None = None,
-) -> tuple:
-    """(|A_a|^2, |A_b|^2, <A_a|A_b>) of the amplitudes ``build_amplitudes``
-    assembles at these knobs and compensation error: one delay budget, its
-    grid and one stream of the kernel the scans use.  The pump knob is not
-    included: it only multiplies the overlap by exp(i pump_knob_phase)."""
-    budget = delay_budget(source, knobs, compensation_error_fs)
-    norm_a, norm_b, cross, _ = budget_terms(source, budget, grid_points, grid_span_factor)
-    return norm_a, norm_b, complex(cross[0])
-
-
 def build_amplitudes(
     source: SourceConfig,
     knobs: PhaseKnobs | None = None,
     grid: FrequencyGrid | None = None,
-    grid_points: int = 128,
-    grid_span_factor: float = 5.0,
+    grid_points: int = ScanSettings.grid_points,
+    grid_span_factor: float = ScanSettings.grid_span_factor,
     compensation_error_fs: float | None = None,
 ) -> AmplitudePair:
     """Assemble the two interfering amplitudes for the configured scheme:
@@ -570,62 +576,34 @@ def analyzer_rate(norm_h_sq, norm_v_sq, cross_term, theta1_deg, theta2_deg):
     return 4.0 * (f_h * f_h * norm_h_sq + f_v * f_v * norm_v_sq + cross) / (norm_h_sq + norm_v_sq)
 
 
-def default_scan_range(source: SourceConfig, axis_kind: str) -> tuple:
-    """Reconstructed defaults: about four fringe periods per scan."""
-    if axis_kind == "pump_delay":
-        span = 2.0 * source.pump.center_wavelength_nm
-        return (-span, span)
-    if axis_kind in ("signal_tilt", "idler_tilt", "both_tilts"):
-        return (5.0, 35.0)
-    return (0.0, 360.0)  # analyzer2_angle
+def scan(source: SourceConfig, knobs: PhaseKnobs, settings: ScanSettings, seed: int | None = None,
+         compensation_error_fs: float | None = None) -> FringeScan:
+    """Coincidence fringe of ``settings`` about the standing ``knobs``, from
+    one ``delay_budget`` (scanned plate terms as arrays), grid and kernel
+    stream.  Poisson noise draws from ``seed``.
 
-
-def scan(
-    source: SourceConfig,
-    axis_kind: str,
-    scan_range: tuple | None = None,
-    steps: int = 129,
-    analyzers: polarization.AnalyzerSetting | None = None,
-    knobs: PhaseKnobs | None = None,
-    grid_points: int = 128,
-    grid_span_factor: float = 5.0,
-    compensation_error_fs: float | None = None,
-    noise: str = "none",
-    mean_counts: float = 1000.0,
-    seed: int | None = None,
-) -> FringeScan:
-    """Coincidence fringe versus one scanned knob or analyzer angle, from one
-    ``delay_budget`` (scanned plate terms as arrays), grid and kernel stream.
-
-    Sensible fits need 8 <= steps <= ``MAX_SCAN_STEPS`` spanning >= 1.5
-    periods; shorter scans still produce data (the CLI writes the CSV first).
+    Sensible fits need 8 or more steps spanning >= 1.5 periods; shorter
+    scans still produce data (the CLI writes the CSV first).
     """
-    if axis_kind not in SCAN_AXIS_KINDS:
-        raise ConfigError(f"axis_kind must be one of {SCAN_AXIS_KINDS}, got {axis_kind!r}")
-    if not 2 <= steps <= MAX_SCAN_STEPS:
-        raise ConfigError(f"scan needs 2 to {MAX_SCAN_STEPS} (MAX_SCAN_STEPS) steps, got {steps}")
-    knobs = knobs or PhaseKnobs()
-    analyzers = analyzers or polarization.AnalyzerSetting(45.0, 45.0)
-    if scan_range is None:
-        scan_range = default_scan_range(source, axis_kind)
-    start, stop = (float(scan_range[0]), float(scan_range[1]))
-    if not (math.isfinite(start) and math.isfinite(stop) and stop > start):
-        raise ConfigError(f"scan range must be finite with stop > start, got ({start}, {stop})")
-    values = np.linspace(start, stop, steps)
+    if settings.noise == "poisson" and seed is None:
+        raise ConfigError("poisson noise requires a seed")
+    values = settings.values(source)
+    scanned = SCAN_AXIS_FIELDS[settings.axis_kind]
 
     # Per-step knobs and analyzers: the scanned fields take the scanned values.
-    step = {name: np.full(steps, value) for name, value in (asdict(knobs) | asdict(analyzers)).items()}
-    step.update(dict.fromkeys(SCAN_AXIS_FIELDS[axis_kind], values))
+    analyzers = polarization.AnalyzerSetting(settings.analyzer1_deg, settings.analyzer2_deg)
+    step = {name: np.full(settings.steps, value) for name, value in (asdict(knobs) | asdict(analyzers)).items()}
+    step.update(dict.fromkeys(scanned, values))
 
     # Only the scanned plates change the delays: all their steps' terms come
     # from one dispersion pass per arm; an unscanned arm's delay is one
     # overlap row for every step.
-    scanned_arms = [arm for arm in ("signal", "idler") if f"{arm}_tilt_deg" in SCAN_AXIS_FIELDS[axis_kind]]
+    scanned_arms = [arm for arm in ("signal", "idler") if f"{arm}_tilt_deg" in scanned]
     standing = delay_budget(source, knobs, compensation_error_fs)
     budget = replace(standing, **{f"{arm}_plate": _plate_effect_on_a(source, arm, values)
                                   for arm in scanned_arms})
-    norm_a, norm_b, cross, grid_points_used = budget_terms(source, budget, grid_points,
-                                                           grid_span_factor)
+    norm_a, norm_b, cross, grid_points_used = budget_terms(source, budget, settings.grid_points,
+                                                           settings.grid_span_factor)
     norms_sq = _h_and_v(source, norm_a, norm_b)
     rates = analyzer_rate(*norms_sq, cross * np.exp(1j * pump_knob_phase(source, step["pump_delta_x_nm"])),
                           step["theta1_deg"], step["theta2_deg"])
@@ -641,14 +619,11 @@ def scan(
     ]
     axis = np.mean(plate_delays, axis=0) if plate_delays else values.copy()
 
-    if noise == "poisson":
-        if seed is None:
-            raise ConfigError("poisson noise requires a seed")
+    if settings.noise == "poisson":
         rng = np.random.Generator(np.random.PCG64(seed))
-        counts = rng.poisson(np.maximum(rates, 0.0) * mean_counts)
-        rates = counts.astype(float) / mean_counts
+        rates = rng.poisson(rates * settings.mean_counts) / settings.mean_counts
 
-    return FringeScan(axis=axis, axis_kind=axis_kind, rates=rates, grid_points=grid_points_used)
+    return FringeScan(axis=axis, axis_kind=settings.axis_kind, rates=rates, grid_points=grid_points_used)
 
 
 def _sweep_filters(source: SourceConfig, fwhm_nm) -> tuple:
@@ -673,7 +648,8 @@ SWEEP_PARAMETERS = ("crystal_length", "filter_fwhm", "compensation_error_fs", "p
 
 
 def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
-          grid_points: int = 128, grid_span_factor: float = 5.0) -> np.ndarray:
+          grid_points: int = ScanSettings.grid_points,
+          grid_span_factor: float = ScanSettings.grid_span_factor) -> np.ndarray:
     """Visibility 2 |<A_a|A_b>| / (|A_a|^2 + |A_b|^2) at each of 1 to
     ``MAX_SCAN_STEPS`` values, compensated exactly plus the swept error if any.
     Only ``crystal_length`` and ``filter_fwhm`` (``None``: no filters) change
@@ -708,27 +684,18 @@ def _coherence(norm_a_sq: float, norm_b_sq: float, cross: complex) -> float:
     return 0.0 if norms == 0.0 else min(abs(cross) / norms, 1.0)
 
 
-def prepare_bell(
-    source: SourceConfig,
-    target: str,
-    knobs: PhaseKnobs | None = None,
-    terms: tuple | None = None,
-) -> PhaseKnobs:
+def prepare_bell(source: SourceConfig, target: str, knobs: PhaseKnobs, terms: tuple) -> PhaseKnobs:
     """Pump-knob setting that puts the space-time fringe at its maximum
     (phi+) or minimum (phi-); the returned knobs are verified by rate
     evaluation by the caller's tests.
 
-    ``terms`` are the ``interference_terms`` of the amplitudes at these
-    knobs, evaluated with whatever grid and compensation the caller chose;
-    when absent they are ``interference_terms(source, knobs)``.  The pump
-    knob does not change them, so one evaluation also serves the prepared
-    knobs.
+    ``terms`` are (|A_a|^2, |A_b|^2, <A_a|A_b>) of the amplitudes at these
+    knobs: ``budget_terms`` of their ``delay_budget``, on whatever grid and
+    compensation the caller chose.  The pump knob does not change them, so
+    one evaluation also serves the prepared knobs.
     """
     if target not in ("phi+", "phi-"):
         raise ConfigError(f"target must be phi+|phi-, got {target!r}")
-    knobs = knobs or PhaseKnobs()
-    if terms is None:
-        terms = interference_terms(source, knobs)
     visibility = _coherence(*terms)
     if visibility <= 0.9:
         raise InfeasibleError(
@@ -742,17 +709,10 @@ def prepare_bell(
     return replace(knobs, pump_delta_x_nm=knobs.pump_delta_x_nm + delta_x)
 
 
-def effective_polarization_state(
-    source: SourceConfig,
-    knobs: PhaseKnobs | None = None,
-    terms: tuple | None = None,
-):
+def effective_polarization_state(source: SourceConfig, knobs: PhaseKnobs, terms: tuple):
     """Pure-state polarization coefficients with the effective fringe phase,
     plus the separately reported coherence factor V = |overlap|.  ``terms``
     as in ``prepare_bell``."""
-    knobs = knobs or PhaseKnobs()
-    if terms is None:
-        terms = interference_terms(source, knobs)
     na, nb, cross = terms
     w_a, w_b = math.sqrt(na), math.sqrt(nb)
     visibility = _coherence(na, nb, cross)
@@ -930,21 +890,24 @@ def parse_config(data: dict) -> ExperimentConfig:
         idler_tilt_deg=_number(knobs_raw, "idler_tilt_deg", "knobs", 0.0),
     )
 
-    s = _mapping(data.get("scan") or {}, "scan")
-    scan_settings = ScanSettings(
-        axis_kind=_choice(s, "axis_kind", "scan", SCAN_AXIS_KINDS, "pump_delay"),
-        start=None if s.get("start") is None else _number(s, "start", "scan"),
-        stop=None if s.get("stop") is None else _number(s, "stop", "scan"),
-        steps=_number(s, "steps", "scan", 129, int),
-        analyzer1_deg=_number(s, "analyzer1_deg", "scan", 45.0),
-        analyzer2_deg=_number(s, "analyzer2_deg", "scan", 45.0),
-        grid_points=_number(s, "grid_points", "scan", 128, int),
-        grid_span_factor=_number(s, "grid_span_factor", "scan", 5.0),
-        noise=_choice(s, "noise", "scan", ("none", "poisson"), "none"),
-        mean_counts=_number(s, "mean_counts", "scan", 1000.0),
-    )
+    return ExperimentConfig(source=source, knobs=knobs, scan=_parse_scan(data.get("scan") or {}))
 
-    return ExperimentConfig(source=source, knobs=knobs, scan=scan_settings)
+
+def _parse_scan(section) -> ScanSettings:
+    """ScanSettings from the keys the ``scan`` section gives: numbers are
+    parsed here (a null start or stop stays unset), and ScanSettings holds
+    every default and checks every value, the choices included."""
+    s = _mapping(section, "scan")
+    given = {}
+    for field in fields(ScanSettings):
+        key, default = field.name, field.default
+        if key not in s or (default is None and s[key] is None):
+            continue
+        if isinstance(default, str):
+            given[key] = s[key]
+        else:
+            given[key] = _number(s, key, "scan", kind=int if isinstance(default, int) else float)
+    return ScanSettings(**given)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -288,24 +288,24 @@ def _check_grid(pulse, f_s, f_i, grid):
     the edge tests (they cannot satisfy them on any practical grid); adequacy
     against them is covered by the grid-refinement stability property.
     """
-    sigmas = [("pump envelope", pulse.sigma_omega)]
-    for name, filt in (("signal filter", f_s), ("idler filter", f_i)):
+    # (name, sigma, the config keys that set it)
+    sigmas = [("pump envelope", pulse.sigma_omega, "pump.duration_fs")]
+    for k, (name, filt) in enumerate((("signal filter", f_s), ("idler filter", f_i))):
         if filt.shape == "gaussian":
-            sigmas.append((name, filt.sigma_intensity_omega))
+            sigmas.append((name, filt.sigma_intensity_omega, f"filters[{k}].fwhm_nm and center_nm"))
 
     span = 2.0 * grid.half_span
-    narrowest = min(sigma for _, sigma in sigmas)
+    name, narrowest, keys = min(sigmas, key=lambda entry: entry[1])
     if span < 6.0 * narrowest:
         raise GridTruncationError(
             f"grid span {span:.4g} rad/fs is below 6 standard deviations of the "
             f"narrowest envelope ({narrowest:.4g} rad/fs); raise scan.grid_span_factor"
         )
-    for name, sigma in sigmas:
-        if sigma < grid.spacing:
-            raise GridTruncationError(
-                f"grid spacing {grid.spacing:.4g} rad/fs cannot resolve the {name} "
-                f"(sigma = {sigma:.4g} rad/fs); raise scan.grid_points"
-            )
+    if narrowest < grid.spacing:
+        advice = (f"nor does any grid within {MAX_GRID_POINTS} points (MAX_GRID_POINTS); check {keys}"
+                  if narrowest < span / (MAX_GRID_POINTS - 1) else "raise scan.grid_points")
+        raise GridTruncationError(f"grid spacing {grid.spacing:.4g} rad/fs cannot resolve the {name} "
+                                  f"(sigma = {narrowest:.4g} rad/fs); {advice}")
 
     if f_s.shape == "none" and f_i.shape == "none":
         # Only the pump envelope bounds the amplitude; its ridge width must
@@ -383,6 +383,7 @@ class _Sampler:
         samples = pump_spectrum(pulse, np.concatenate((ws + wi[0], ws[-1] + wi[1:])))
         self.ridge = np.lib.stride_tricks.as_strided(samples, grid.shape, samples.strides * 2,
                                                      writeable=False)
+        self.lengths = [spec.crystal_length_mm for spec in specs]
         self.factors = [_sinc_factors(spec, ws - spec.signal_center_angular_frequency,
                                       wi - spec.idler_center_angular_frequency)
                         for spec in specs]
@@ -428,10 +429,10 @@ class _Sampler:
                 "raise scan.grid_span_factor"
             )
         norms_sq = [float(n) * self.grid.cell_area for n in self.norms_sq]
-        for norm_sq in norms_sq:
+        for norm_sq, length in zip(norms_sq, self.lengths):
             if not (math.isfinite(norm_sq) and norm_sq > 0.0):
-                raise GridTruncationError(f"joint amplitude norm squared is {norm_sq!r} on this grid; "
-                                          "it must be finite and positive")
+                raise GridTruncationError(f"joint amplitude norm squared is {norm_sq!r} on this grid for a "
+                                          f"crystal of thickness_mm {length!r}; it must be finite and positive")
         return [math.sqrt(n) for n in norms_sq]
 
 

@@ -14,6 +14,18 @@ def default_config():
     return scenario.load_config(scenario.default_config_path())
 
 
+def evaluated_terms(source, knobs, compensation_error_fs=None,
+                    grid_points=scenario.ScanSettings.grid_points,
+                    grid_span_factor=scenario.ScanSettings.grid_span_factor) -> tuple:
+    """(|A_a|^2, |A_b|^2, <A_a|A_b>) at these knobs, as ``bellsim prepare``
+    evaluates them: one ``delay_budget`` and its ``budget_terms``.  The pump
+    knob only multiplies the overlap by exp(i pump_knob_phase) and is not
+    included."""
+    budget = scenario.delay_budget(source, knobs, compensation_error_fs)
+    norm_a, norm_b, cross, _ = scenario.budget_terms(source, budget, grid_points, grid_span_factor)
+    return norm_a, norm_b, complex(cross[0])
+
+
 def time_domain_rate(pair: AmplitudePair) -> float:
     """Coincidence rate evaluated in the time domain.
 

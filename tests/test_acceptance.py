@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import time_domain_rate
+from conftest import evaluated_terms, time_domain_rate
 
 from bellsim import biphoton, scenario
 from bellsim.biphoton import AmplitudePair, apply_pair_delay, apply_single_arm_delay
@@ -48,7 +48,7 @@ def test_criterion_01_fringe_periods(config):
     fits, durations = [], []
     for axis_kind in expected:
         started = time.perf_counter()
-        result = scenario.scan(source, axis_kind, steps=129, knobs=knobs, grid_points=128)
+        result = scenario.scan(source, knobs, scenario.ScanSettings(axis_kind=axis_kind))
         fits.append(fit_fringe(result))
         durations.append(time.perf_counter() - started)
     periods = [fit.period for fit in fits]
@@ -64,7 +64,7 @@ def test_criterion_01_fringe_periods(config):
 
 def test_criterion_02_phase_sum_identity(config):
     """Equal simultaneous signal+idler tilts modulate at the pump period."""
-    result = scenario.scan(config.source, "both_tilts", steps=129, knobs=config.knobs)
+    result = scenario.scan(config.source, config.knobs, scenario.ScanSettings(axis_kind="both_tilts"))
     fit = fit_fringe(result)
     deviation = abs(fit.period - 400.0) / 400.0
     assert deviation <= 0.005
@@ -92,9 +92,10 @@ def test_criterion_04_projection_law(config):
             law = 0.5 * math.cos(math.radians(t1) + sign * math.radians(t2)) ** 2
             worst = max(worst, abs(got - law))
     assert worst < 1e-12
-    prepared = scenario.prepare_bell(config.source, "phi+", config.knobs)
-    result = scenario.scan(config.source, "analyzer2_angle", scan_range=(0.0, 360.0),
-                           steps=161, knobs=prepared)
+    prepared = scenario.prepare_bell(config.source, "phi+", config.knobs,
+                                     evaluated_terms(config.source, config.knobs))
+    result = scenario.scan(config.source, prepared, scenario.ScanSettings(
+        axis_kind="analyzer2_angle", start=0.0, stop=360.0, steps=161))
     visibility = (result.rates.max() - result.rates.min()) / (result.rates.max() + result.rates.min())
     assert visibility > 0.999
     print(
@@ -179,18 +180,19 @@ def test_criterion_08_fringe_law(config):
 
 def test_criterion_09_bell_preparation(config):
     source, knobs = config.source, config.knobs
-    plus = scenario.prepare_bell(source, "phi+", knobs)
-    state_plus, _ = scenario.effective_polarization_state(source, plus)
+    terms = evaluated_terms(source, knobs)
+    plus = scenario.prepare_bell(source, "phi+", knobs, terms)
+    state_plus, _ = scenario.effective_polarization_state(source, plus, terms)
     fid_plus = fidelity(state_plus, make_state("phi+"))
     assert fid_plus > 0.999
 
-    minus = scenario.prepare_bell(source, "phi-", knobs)
+    minus = scenario.prepare_bell(source, "phi-", knobs, terms)
     pair = scenario.build_amplitudes(source, minus)
     # Amplitude a holds the V-polarized pairs of the default source.
     na, nb, cross = biphoton.interference_terms(pair)
     rate_min = scenario.analyzer_rate(nb, na, cross * np.exp(1j * pair.relative_phase_rad),
                                       45.0, 45.0)
-    dense = scenario.scan(source, "pump_delay", steps=1025, knobs=minus)
+    dense = scenario.scan(source, minus, scenario.ScanSettings(steps=1025))
     assert rate_min < 1e-3 * dense.rates.max()
 
     converted = half_wave_plate(state_plus, 1, PHI_TO_PSI_HWP_DEG)

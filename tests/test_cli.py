@@ -583,6 +583,39 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err.count(f"scan needs 2 to {scenario.MAX_SCAN_STEPS} (MAX_SCAN_STEPS) steps") == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "prepare"])
+    @pytest.mark.parametrize("new, named", [
+        ("steps: 1", "scan.steps: scan needs 2 to"),
+        ("start: 5.0\n  stop: 5.0\n  steps: 129", "scan.start/scan.stop: scan range must be finite"),
+    ], ids=["one_step", "empty_range"])
+    def test_every_command_checks_the_scan_section(self, tmp_path, config_file, capsys, command, new, named):
+        bad = _edited_config(config_file, tmp_path, "steps: 129", new)
+        assert run([command, "--config", bad, "--output", tmp_path / "x", *self.COMMANDS[command]]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--steps", 1], "scan.steps: scan needs 2 to 4096 (MAX_SCAN_STEPS) steps, got 1 (set by --steps)"),
+        (["--start", 5, "--stop", 5], "scan.start/scan.stop: scan range must be finite with stop > start, "
+                                      "got (5.0, 5.0) (set by --start/--stop)"),
+    ], ids=["steps", "range"])
+    def test_scan_flag_errors_name_key_and_flag(self, tmp_path, config_file, capsys, flags, named):
+        assert run(["scan", "--config", config_file, "--output", tmp_path / "x", *flags]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("old, new, command, named", [
+        ("duration_fs: 80.0", "duration_fs: 1e300", ["scan"], "check pump.duration_fs"),
+        ("fwhm_nm: 10.0", "fwhm_nm: 1e-300", ["scan"], "check filters[0].fwhm_nm and center_nm"),
+        ("thickness_mm: 3.4", "thickness_mm: 1e300", ["sweep", *COMMANDS["sweep"]], "crystal of thickness_mm 1e+300"),
+        ("thickness_mm: 3.4", "thickness_mm: 1e300", ["sweep", "--parameter", "filter_fwhm", "--grid", "5"],
+         "crystal of thickness_mm 1e+300"),
+    ], ids=["pump_duration", "filter_width", "thickness_pump_ratio", "thickness_filter_fwhm"])
+    def test_extreme_magnitudes_name_the_key(self, tmp_path, config_file, capsys, old, new, command, named):
+        bad = _edited_config(config_file, tmp_path, old, new)
+        assert run([command[0], "--config", bad, "--output", tmp_path / "x", *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "raise scan.grid_points" not in err
+
     def test_sweep_value_bound(self, tmp_path, config_file, capsys):
         grid = ",".join(["0"] * (scenario.MAX_SCAN_STEPS + 1))
         assert run(["sweep", "--config", config_file, "--output", tmp_path / "x",

@@ -12,6 +12,7 @@ when a physics change is intended) with
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from bellsim import polarization, scenario
@@ -39,11 +40,9 @@ def _report(prefix: Path) -> dict:
 def golden_values(workdir: Path) -> dict:
     """Every golden number, computed by the code under test."""
     cfg = scenario.load_config(scenario.default_config_path())
-    analyzers = polarization.AnalyzerSetting(cfg.scan.analyzer1_deg, cfg.scan.analyzer2_deg)
     scans = {}
     for axis_kind in scenario.SCAN_AXIS_KINDS:
-        result = scenario.scan(cfg.source, axis_kind, steps=STEPS, analyzers=analyzers,
-                               knobs=cfg.knobs)
+        result = scenario.scan(cfg.source, cfg.knobs, replace(cfg.scan, axis_kind=axis_kind, steps=STEPS))
         scans[axis_kind] = {
             "grid_points": result.grid_points,
             "axis": result.axis.tolist(),

@@ -11,9 +11,10 @@ from bellsim import biphoton, dispersion, scenario
 from bellsim.dispersion import YAML_LOADER
 from bellsim.errors import ConfigError, InfeasibleError
 from bellsim.fitting import fit_fringe
-from bellsim.polarization import AnalyzerSetting, fidelity, make_state
+from bellsim.polarization import fidelity, make_state
+from bellsim.scenario import ScanSettings
 from bellsim.spectral import NO_FILTER, SUPPORT_LEVEL, kernel_overlaps, kernel_time_support, make_grid
-from conftest import kernel_time_profile
+from conftest import evaluated_terms, kernel_time_profile
 
 
 # The dispersion layer's functions, down to the Sellmeier evaluation.
@@ -70,6 +71,19 @@ class TestConfigLoading:
         path.write_text(text.replace("axis_orientation: vertical\n    signal", "axis_orientation: horizontal\n    signal"))
         with pytest.raises(ConfigError):
             scenario.load_config(path)
+
+    @pytest.mark.parametrize("scan", [None, {}])
+    def test_absent_scan_section_gives_the_defaults(self, scan):
+        data = yaml.load(scenario.default_config_path().read_text(), Loader=YAML_LOADER)
+        data.pop("scan")
+        if scan is not None:
+            data["scan"] = scan
+        assert scenario.parse_config(data).scan == scenario.ScanSettings()
+
+    def test_null_range_ends_stay_unset(self):
+        data = yaml.load(scenario.default_config_path().read_text(), Loader=YAML_LOADER)
+        data["scan"].update(start=None, stop=None)
+        assert scenario.parse_config(data).scan == scenario.ScanSettings()
 
     def test_invalid_yaml_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -134,30 +148,30 @@ class TestBuildAmplitudes:
 
 class TestScans:
     def test_pump_scan_period(self, source, knobs):
-        result = scenario.scan(source, "pump_delay", steps=129, knobs=knobs)
+        result = scenario.scan(source, knobs, ScanSettings())
         fit = fit_fringe(result)
         assert fit.period == pytest.approx(400.0, rel=5e-3)
         assert fit.visibility > 0.99
 
     def test_signal_scan_period(self, source, knobs):
-        result = scenario.scan(source, "signal_tilt", steps=129, knobs=knobs)
+        result = scenario.scan(source, knobs, ScanSettings(axis_kind="signal_tilt"))
         fit = fit_fringe(result)
         assert fit.period == pytest.approx(730.0, rel=5e-3)
 
     def test_idler_scan_period(self, source, knobs):
-        result = scenario.scan(source, "idler_tilt", steps=129, knobs=knobs)
+        result = scenario.scan(source, knobs, ScanSettings(axis_kind="idler_tilt"))
         fit = fit_fringe(result)
         assert fit.period == pytest.approx(885.0, rel=5e-3)
 
     def test_both_tilts_scan_shows_pump_period(self, source, knobs):
-        result = scenario.scan(source, "both_tilts", steps=129, knobs=knobs)
+        result = scenario.scan(source, knobs, ScanSettings(axis_kind="both_tilts"))
         fit = fit_fringe(result)
         assert fit.period == pytest.approx(400.0, rel=5e-3)
 
     def test_analyzer_scan_after_preparation(self, source, knobs):
-        prepared = scenario.prepare_bell(source, "phi+", knobs)
-        result = scenario.scan(source, "analyzer2_angle", scan_range=(0.0, 360.0),
-                               steps=161, knobs=prepared)
+        prepared = scenario.prepare_bell(source, "phi+", knobs, evaluated_terms(source, knobs))
+        result = scenario.scan(source, prepared, ScanSettings(axis_kind="analyzer2_angle", start=0.0,
+                                                              stop=360.0, steps=161))
         hi, lo = result.rates.max(), result.rates.min()
         assert (hi - lo) / (hi + lo) > 0.999
         # Shape: rate ~ 2 cos^2(45 - theta2).
@@ -170,8 +184,8 @@ class TestScans:
         # On the prepared phi+ state the analyzer fringe sits at phase -pi/2:
         # its cos coefficient is 0 and the fit must still stop promptly.
         phi_plus = replace(knobs, pump_delta_x_nm=287.58)
-        result = scenario.scan(source, "analyzer2_angle", scan_range=scan_range,
-                               steps=steps, knobs=phi_plus)
+        result = scenario.scan(source, phi_plus, ScanSettings(axis_kind="analyzer2_angle", start=scan_range[0],
+                                                              stop=scan_range[1], steps=steps))
         fit = fit_fringe(result)
         assert fit.converged
         assert fit.iterations <= 10
@@ -182,43 +196,42 @@ class TestScans:
         # Standing signal/idler offsets shift the pump fringe by the sum of
         # the injected arm phases (vertical-axis plates retard the same
         # amplitude the pump knob advances, so the signs match).
-        base_fit = fit_fringe(scenario.scan(source, "pump_delay", steps=129, knobs=knobs))
+        base_fit = fit_fringe(scenario.scan(source, knobs, ScanSettings()))
         shifted_knobs = replace(knobs, signal_tilt_deg=9.0, idler_tilt_deg=12.0)
         # Injected effective path delays, read off the scan axes (public API).
-        sig = scenario.scan(source, "signal_tilt",
-                            scan_range=(knobs.signal_tilt_deg, 9.0), steps=8, knobs=knobs)
-        idl = scenario.scan(source, "idler_tilt",
-                            scan_range=(knobs.idler_tilt_deg, 12.0), steps=8, knobs=knobs)
+        sig = scenario.scan(source, knobs, ScanSettings(axis_kind="signal_tilt", start=knobs.signal_tilt_deg,
+                                                        stop=9.0, steps=8))
+        idl = scenario.scan(source, knobs, ScanSettings(axis_kind="idler_tilt", start=knobs.idler_tilt_deg,
+                                                        stop=12.0, steps=8))
         delta_s, delta_i = sig.axis[-1], idl.axis[-1]
         injected = (
             2.0 * math.pi * delta_s / source.crystals[0].signal_center_nm
             + 2.0 * math.pi * delta_i / source.crystals[0].idler_center_nm
         )
-        new_fit = fit_fringe(scenario.scan(source, "pump_delay", steps=129, knobs=shifted_knobs))
+        new_fit = fit_fringe(scenario.scan(source, shifted_knobs, ScanSettings()))
         shift = (new_fit.phase_rad - base_fit.phase_rad - injected) % (2.0 * math.pi)
         shift = min(shift, 2.0 * math.pi - shift)
         assert shift < 1e-3
         # And the combined knob reproduces the pump-wavelength fringe: the
         # both-tilts scan fitted against its delay axis matches the pump
         # scan's period.
-        both = fit_fringe(scenario.scan(source, "both_tilts", steps=129, knobs=knobs))
+        both = fit_fringe(scenario.scan(source, knobs, ScanSettings(axis_kind="both_tilts")))
         assert both.period == pytest.approx(base_fit.period, rel=1e-3)
 
     def test_scan_determinism(self, source, knobs):
-        a = scenario.scan(source, "pump_delay", steps=65, knobs=knobs)
-        b = scenario.scan(source, "pump_delay", steps=65, knobs=knobs)
+        a = scenario.scan(source, knobs, ScanSettings(steps=65))
+        b = scenario.scan(source, knobs, ScanSettings(steps=65))
         assert np.array_equal(a.rates, b.rates)
         assert np.array_equal(a.axis, b.axis)
 
     def test_noise_requires_seed(self, source, knobs):
-        with pytest.raises(ConfigError):
-            scenario.scan(source, "pump_delay", steps=16, knobs=knobs, noise="poisson")
+        with pytest.raises(ConfigError, match="poisson noise requires a seed"):
+            scenario.scan(source, knobs, ScanSettings(steps=16, noise="poisson"))
 
     def test_noise_seeded_reproducible(self, source, knobs):
-        a = scenario.scan(source, "pump_delay", steps=33, knobs=knobs,
-                          noise="poisson", mean_counts=500.0, seed=99)
-        b = scenario.scan(source, "pump_delay", steps=33, knobs=knobs,
-                          noise="poisson", mean_counts=500.0, seed=99)
+        noisy = ScanSettings(steps=33, noise="poisson", mean_counts=500.0)
+        a = scenario.scan(source, knobs, noisy, seed=99)
+        b = scenario.scan(source, knobs, noisy, seed=99)
         assert np.array_equal(a.rates, b.rates)
 
     @pytest.mark.parametrize("axis_kind, fields", [
@@ -229,8 +242,8 @@ class TestScans:
     def test_tilt_scan_runs_on_the_largest_step_grid(self, source, knobs, axis_kind, fields):
         # 490 fs off compensation: the large-tilt steps need a 256^2 grid,
         # the small-tilt steps at the end of the range only 128^2.
-        result = scenario.scan(source, axis_kind, scan_range=(-35.0, 5.0), steps=9,
-                               knobs=knobs, compensation_error_fs=490.0)
+        result = scenario.scan(source, knobs, ScanSettings(axis_kind=axis_kind, start=-35.0, stop=5.0, steps=9),
+                               compensation_error_fs=490.0)
         step_knobs = [replace(knobs, **dict.fromkeys(fields, v))
                       for v in np.linspace(-35.0, 5.0, 9)]
         # The scan's pre-advance is 490 fs off the standing knobs' required
@@ -251,12 +264,6 @@ class TestScans:
             expected = (na + nb + 2.0 * (cross * np.exp(1j * pair.relative_phase_rad)).real) / (na + nb)
             assert rate == pytest.approx(max(expected, 0.0), abs=1e-10)
 
-    @pytest.mark.parametrize("axis_kind", ["pump_delay", "signal_tilt"])
-    @pytest.mark.parametrize("scan_range", [(-math.inf, 5.0), (0.0, math.inf), (math.nan, 5.0)])
-    def test_non_finite_range_rejected(self, source, knobs, axis_kind, scan_range):
-        with pytest.raises(ConfigError, match="scan range must be finite"):
-            scenario.scan(source, axis_kind, scan_range, steps=17, knobs=knobs)
-
     def test_dispersion_work_independent_of_steps(self, source, knobs, monkeypatch):
         # Every step's plate terms come from one pass: a per-step loop over
         # the dispersion layer would make these counts grow with the steps.
@@ -271,7 +278,7 @@ class TestScans:
                 for module in (dispersion, scenario):
                     if hasattr(module, name):
                         monkeypatch.setattr(module, name, counted)
-            scenario.scan(source, "both_tilts", steps=steps, knobs=knobs)
+            scenario.scan(source, knobs, ScanSettings(axis_kind="both_tilts", steps=steps))
             monkeypatch.undo()
             return counts
 
@@ -279,59 +286,52 @@ class TestScans:
         assert few["_sellmeier_n2_and_derivative"] > 0 and few["element_delays"] > 0
         assert few == many, (few, many)
 
-    def test_bad_axis_kind(self, source, knobs):
-        with pytest.raises(ConfigError):
-            scenario.scan(source, "compensator_tilt", steps=16, knobs=knobs)
-
-    def test_bad_range(self, source, knobs):
-        with pytest.raises(ConfigError):
-            scenario.scan(source, "pump_delay", scan_range=(10.0, 10.0), steps=16, knobs=knobs)
-
 
 class TestPrepareBell:
     def test_phi_plus_is_scan_maximum(self, source, knobs):
-        prepared = scenario.prepare_bell(source, "phi+", knobs)
+        prepared = scenario.prepare_bell(source, "phi+", knobs, evaluated_terms(source, knobs))
         pair = scenario.build_amplitudes(source, prepared)
         # Amplitude a holds the V-polarized pairs of the default source.
         na, nb, cross = biphoton.interference_terms(pair)
         rate = scenario.analyzer_rate(nb, na, cross * np.exp(1j * pair.relative_phase_rad),
                                       45.0, 45.0)
-        dense = scenario.scan(source, "pump_delay", steps=1025, knobs=prepared)
+        dense = scenario.scan(source, prepared, ScanSettings(steps=1025))
         assert rate >= dense.rates.max() - 1e-6
 
     def test_phi_minus_is_scan_minimum(self, source, knobs):
-        prepared = scenario.prepare_bell(source, "phi-", knobs)
+        prepared = scenario.prepare_bell(source, "phi-", knobs, evaluated_terms(source, knobs))
         pair = scenario.build_amplitudes(source, prepared)
         # Amplitude a holds the V-polarized pairs of the default source.
         na, nb, cross = biphoton.interference_terms(pair)
         rate = scenario.analyzer_rate(nb, na, cross * np.exp(1j * pair.relative_phase_rad),
                                       45.0, 45.0)
-        dense = scenario.scan(source, "pump_delay", steps=1025, knobs=prepared)
+        dense = scenario.scan(source, prepared, ScanSettings(steps=1025))
         assert rate <= dense.rates.min() + 1e-6
         assert rate < 1e-3 * dense.rates.max()
 
     def test_fidelity_against_bell_state(self, source, knobs):
-        prepared = scenario.prepare_bell(source, "phi+", knobs)
-        state, visibility = scenario.effective_polarization_state(source, prepared)
+        terms = evaluated_terms(source, knobs)
+        prepared = scenario.prepare_bell(source, "phi+", knobs, terms)
+        state, visibility = scenario.effective_polarization_state(source, prepared, terms)
         assert visibility > 0.999
         assert fidelity(state, make_state("phi+")) > 0.999
 
     def test_infeasible_without_compensation(self, source, knobs):
         bare = replace(source, compensator=())
         with pytest.raises(InfeasibleError) as err:
-            scenario.prepare_bell(bare, "phi+", knobs)
+            scenario.prepare_bell(bare, "phi+", knobs, evaluated_terms(bare, knobs))
         assert "overlap" in str(err.value)
 
 
 class TestEffectiveState:
     def test_uncompensated_low_visibility(self, source, knobs):
         bare = replace(source, compensator=())
-        _, visibility = scenario.effective_polarization_state(bare, knobs)
+        _, visibility = scenario.effective_polarization_state(bare, knobs, evaluated_terms(bare, knobs))
         assert visibility < 0.05
 
     def test_pump_ratio_two_coefficients(self, source, knobs):
         ratio2 = replace(source, pump_amplitude_ratio=2.0)
-        state, _ = scenario.effective_polarization_state(ratio2, knobs)
+        state, _ = scenario.effective_polarization_state(ratio2, knobs, evaluated_terms(ratio2, knobs))
         magnitudes = np.abs(state.coefficients)
         assert magnitudes == pytest.approx(
             np.array([2.0, 0.0, 0.0, 1.0]) / math.sqrt(5.0), abs=1e-9
@@ -364,8 +364,8 @@ class TestModelProperties:
         flipped = replace(source, crystals=(source.crystals[1], source.crystals[0]))
         pair = scenario.build_amplitudes(flipped, knobs, compensation_error_fs=0.0)
         assert fringe_visibility(pair) > 0.999
-        terms = scenario.interference_terms(flipped, knobs, compensation_error_fs=0.0)
-        state, _ = scenario.effective_polarization_state(flipped, knobs, terms=terms)
+        terms = evaluated_terms(flipped, knobs, compensation_error_fs=0.0)
+        state, _ = scenario.effective_polarization_state(flipped, knobs, terms)
         assert np.abs(state.coefficients[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-6)
 
 
@@ -396,32 +396,22 @@ class TestInterferenceTerms:
     def test_matches_built_amplitudes(self, source, knobs, case, grid_points):
         transform, error = TERMS_CASES[case]
         src, kn = transform(source, knobs)
-        got = scenario.interference_terms(src, kn, grid_points=grid_points,
-                                          compensation_error_fs=error)
+        got = evaluated_terms(src, kn, error, grid_points=grid_points)
         expected = biphoton.interference_terms(scenario.build_amplitudes(
             src, kn, grid_points=grid_points, compensation_error_fs=error))
         assert np.abs(np.array(got) - np.array(expected)).max() <= 1e-12
 
     def test_pump_knob_leaves_terms_unchanged(self, source, knobs):
         moved = replace(knobs, pump_delta_x_nm=123.0)
-        assert scenario.interference_terms(source, moved) == scenario.interference_terms(source, knobs)
-
-    def test_prepare_with_given_terms(self, source, knobs):
-        terms = scenario.interference_terms(source, knobs)
-        prepared = scenario.prepare_bell(source, "phi-", knobs, terms=terms)
-        assert prepared == scenario.prepare_bell(source, "phi-", knobs)
-        state, visibility = scenario.effective_polarization_state(source, prepared, terms=terms)
-        fresh_state, fresh_visibility = scenario.effective_polarization_state(source, prepared)
-        assert visibility == fresh_visibility
-        assert np.array_equal(state.coefficients, fresh_state.coefficients)
+        assert evaluated_terms(source, moved) == evaluated_terms(source, knobs)
 
     def test_peak_memory_at_1024_points(self, source, knobs):
         # One complex 1024^2 JSA alone is 16 MiB; the stream holds a few
         # 512 KiB row blocks.
-        scenario.interference_terms(source, knobs)
+        evaluated_terms(source, knobs)
         tracemalloc.start()
         try:
-            scenario.interference_terms(source, knobs, grid_points=1024)
+            evaluated_terms(source, knobs, grid_points=1024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -431,14 +421,14 @@ class TestInterferenceTerms:
         calls = []
         solve = scenario.phase_matching_cut_angle
         monkeypatch.setattr(scenario, "phase_matching_cut_angle", lambda *a: calls.append(a) or solve(*a))
-        scenario.interference_terms(source, knobs)
+        evaluated_terms(source, knobs)
         assert len(calls) == 2
 
     def test_infinite_crystal_delay_rejected(self, source, knobs):
         endless = replace(source, crystals=(replace(source.crystals[0], thickness_mm=math.inf),
                                             source.crystals[1]))
         with pytest.raises(ConfigError, match="thickness_mm"):
-            scenario.interference_terms(endless, knobs)
+            evaluated_terms(endless, knobs)
 
 
 class TestSweep:
@@ -600,7 +590,7 @@ class TestPlateTerms:
     @pytest.mark.parametrize("axis_kind", ["signal_tilt", "idler_tilt", "both_tilts"])
     def test_scanned_tilt_bound_names_the_tilt(self, source, knobs, axis_kind):
         with pytest.raises(ConfigError, match=r"\|tilt\| must be < 45 deg, got 45"):
-            scenario.scan(source, axis_kind, (30.0, 50.0), steps=17, knobs=knobs)
+            scenario.scan(source, knobs, ScanSettings(axis_kind=axis_kind, start=30.0, stop=50.0, steps=17))
 
 
 class TestScanSettings:
@@ -622,6 +612,37 @@ class TestScanSettings:
     def test_mean_counts_must_be_finite_positive(self, counts):
         with pytest.raises(ConfigError, match="scan.mean_counts"):
             scenario.ScanSettings(noise="poisson", mean_counts=counts)
+
+    @pytest.mark.parametrize("key, value", [("axis_kind", "compensator_tilt"), ("noise", "bogus")])
+    def test_choices_are_checked(self, key, value):
+        with pytest.raises(ConfigError, match=f"scan.{key} must be one of"):
+            scenario.ScanSettings(**{key: value})
+
+    @pytest.mark.parametrize("steps", [0, 1, scenario.MAX_SCAN_STEPS + 1])
+    def test_steps_out_of_range(self, steps):
+        with pytest.raises(ConfigError, match=r"scan.steps: scan needs 2 to \d+ \(MAX_SCAN_STEPS\) steps"):
+            scenario.ScanSettings(steps=steps)
+
+    @pytest.mark.parametrize("steps", [2, scenario.MAX_SCAN_STEPS])
+    def test_steps_bounds_accepted(self, steps):
+        assert scenario.ScanSettings(steps=steps).steps == steps
+
+    @pytest.mark.parametrize("start, stop", [(-math.inf, 5.0), (0.0, math.inf), (math.nan, 5.0),
+                                             (10.0, 10.0), (10.0, -10.0)])
+    def test_range_must_be_finite_and_increasing(self, start, stop):
+        with pytest.raises(ConfigError, match="scan.start/scan.stop: scan range must be finite"):
+            scenario.ScanSettings(axis_kind="signal_tilt", start=start, stop=stop)
+
+    def test_analyzer_angles_must_be_finite(self):
+        with pytest.raises(ConfigError, match="scan.analyzer1_deg and scan.analyzer2_deg must be finite"):
+            scenario.ScanSettings(analyzer2_deg=math.inf)
+
+    @pytest.mark.parametrize("axis_kind, first, last", [
+        ("pump_delay", -800.0, 800.0), ("signal_tilt", 5.0, 35.0), ("analyzer2_angle", 0.0, 360.0),
+    ])
+    def test_default_ranges(self, source, axis_kind, first, last):
+        values = scenario.ScanSettings(axis_kind=axis_kind).values(source)
+        assert (values[0], values[-1], values.size) == (first, last, 129)
 
 
 class TestYamlLoader:
