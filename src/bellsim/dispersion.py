@@ -17,12 +17,14 @@ with the group index obtained by the chain rule from the principal
 derivatives.  Tilted plates use exact plane-parallel refraction geometry:
 Snell's law with the ordinary index fixes the internal angle, and the e-ray
 is propagated along the same lengthened path with its normal-incidence
-index (approximation flag ``e_index_at_normal_incidence`` in the report).
+index (flagged as ``e_index_at_normal_incidence`` in
+``GroupDelayReport.approximation``).
 
-The indices are scalar evaluations at one wavelength; the tilt only
-lengthens the path.  ``element_delays`` and ``internal_angle_rad`` therefore
-take a ``tilt_deg`` that broadcasts over an array: a whole tilt scan costs
-the index evaluations of one tilt.
+A ray's phase and group index come from one evaluation of the Sellmeier
+fits (``ray_indices``).  They are scalar evaluations at one wavelength; the
+tilt only lengthens the path.  ``element_delays`` and ``internal_angle_rad``
+therefore take a ``tilt_deg`` that broadcasts over an array: a whole tilt
+scan costs the index evaluations of one tilt.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .units import C_NM_PER_FS
 
 MM_TO_NM = 1.0e6
 MAX_TILT_DEG = 45.0
+ORIENTATIONS = ("horizontal", "vertical")  # of an element's optic-axis plane
 
 # The libyaml-backed safe loader when PyYAML was built with it (about ten
 # times faster); the pure-Python one otherwise.  Both build the same data.
@@ -107,8 +110,9 @@ class BirefringentElement:
         if self.thickness_mm <= 0.0:
             raise ConfigError(f"element thickness must be positive, got {self.thickness_mm} mm")
         check_tilt(self.tilt_deg)
-        if self.axis_orientation not in ("horizontal", "vertical"):
-            raise ConfigError(f"axis_orientation must be horizontal|vertical, got {self.axis_orientation!r}")
+        if self.axis_orientation not in ORIENTATIONS:
+            raise ConfigError(f"axis_orientation must be {'|'.join(ORIENTATIONS)}, "
+                              f"got {self.axis_orientation!r}")
 
 
 @dataclass(frozen=True)
@@ -134,57 +138,57 @@ def _sellmeier_n2_and_derivative(coefficients, wavelength_um: float):
     return n2, dn2
 
 
-def _index_and_derivative(material: Material, pol: str, wavelength_nm: float):
-    """(n, dn/dL in um^-1) for a principal polarization."""
+def _index_and_derivative(material: Material, ray, wavelength_nm: float):
+    """(n, dn/dL in um^-1) of a ray: 'o' or 'e' for a principal
+    polarization, or the angle theta (rad) of an extraordinary ray to the
+    optic axis."""
+    if not isinstance(ray, str):
+        n_o, dn_o = _index_and_derivative(material, "o", wavelength_nm)
+        n_e, dn_e = _index_and_derivative(material, "e", wavelength_nm)
+        cos2 = math.cos(ray) ** 2
+        sin2 = math.sin(ray) ** 2
+        inv_n2 = cos2 / (n_o * n_o) + sin2 / (n_e * n_e)
+        n = 1.0 / math.sqrt(inv_n2)
+        # d(n)/dL from d(1/n^2)/dL = -2 [cos2 dn_o/n_o^3 + sin2 dn_e/n_e^3]
+        return n, n ** 3 * (cos2 * dn_o / n_o ** 3 + sin2 * dn_e / n_e ** 3)
     lam_um = wavelength_nm * 1.0e-3
-    n2, dn2 = _sellmeier_n2_and_derivative(material._coefficients(pol), lam_um)
+    n2, dn2 = _sellmeier_n2_and_derivative(material._coefficients(ray), lam_um)
     if n2 <= 1.0:
         raise ConfigError(
-            f"material {material.name!r} pol {pol!r}: n^2 = {n2} <= 1 at {wavelength_nm} nm"
+            f"material {material.name!r} pol {ray!r}: n^2 = {n2} <= 1 at {wavelength_nm} nm"
         )
     n = math.sqrt(n2)
     return n, dn2 / (2.0 * n)
 
 
+def ray_indices(material: Material, ray, wavelength_nm: float) -> tuple:
+    """(n, n_g) of one ray (as in ``_index_and_derivative``) at a vacuum
+    wavelength strictly inside the material's range, from one evaluation of
+    its Sellmeier fits."""
+    material.check_range(wavelength_nm, strict=True)
+    lam_um = wavelength_nm * 1.0e-3
+    n, dn = _index_and_derivative(material, ray, wavelength_nm)
+    return n, n - lam_um * dn
+
+
 def refractive_index(material: Material, pol: str, wavelength_nm: float) -> float:
     """Principal refractive index n_o or n_e at a vacuum wavelength."""
     material.check_range(wavelength_nm)
-    n, _ = _index_and_derivative(material, pol, wavelength_nm)
-    return n
+    return _index_and_derivative(material, pol, wavelength_nm)[0]
 
 
 def group_index(material: Material, pol: str, wavelength_nm: float) -> float:
     """Group index n_g = n - lambda dn/dlambda, from the analytic derivative."""
-    material.check_range(wavelength_nm, strict=True)
-    lam_um = wavelength_nm * 1.0e-3
-    n, dn = _index_and_derivative(material, pol, wavelength_nm)
-    return n - lam_um * dn
-
-
-def _angled_index_and_derivative(material: Material, theta_rad: float, wavelength_nm: float):
-    """(n, dn/dL) of the extraordinary ray at angle theta to the optic axis."""
-    n_o, dn_o = _index_and_derivative(material, "o", wavelength_nm)
-    n_e, dn_e = _index_and_derivative(material, "e", wavelength_nm)
-    cos2 = math.cos(theta_rad) ** 2
-    sin2 = math.sin(theta_rad) ** 2
-    inv_n2 = cos2 / (n_o * n_o) + sin2 / (n_e * n_e)
-    n = 1.0 / math.sqrt(inv_n2)
-    # d(n)/dL from d(1/n^2)/dL = -2 [cos2 dn_o/n_o^3 + sin2 dn_e/n_e^3]
-    dn = n ** 3 * (cos2 * dn_o / n_o ** 3 + sin2 * dn_e / n_e ** 3)
-    return n, dn
+    return ray_indices(material, pol, wavelength_nm)[1]
 
 
 def angled_extraordinary_index(material: Material, theta_rad: float, wavelength_nm: float) -> float:
     material.check_range(wavelength_nm)
-    n, _ = _angled_index_and_derivative(material, theta_rad, wavelength_nm)
-    return n
+    return _index_and_derivative(material, theta_rad, wavelength_nm)[0]
 
 
 def angled_extraordinary_group_index(material: Material, theta_rad: float, wavelength_nm: float) -> float:
-    material.check_range(wavelength_nm, strict=True)
-    lam_um = wavelength_nm * 1.0e-3
-    n, dn = _angled_index_and_derivative(material, theta_rad, wavelength_nm)
-    return n - lam_um * dn
+    return ray_indices(material, theta_rad, wavelength_nm)[1]
 
 
 def phase_matching_cut_angle(
@@ -237,8 +241,7 @@ def element_delays(element: BirefringentElement, pol: str, wavelength_nm: float,
     """
     if tilt_deg is not None:
         check_tilt(tilt_deg)
-    n = refractive_index(element.material, pol, wavelength_nm)
-    n_g = group_index(element.material, pol, wavelength_nm)
+    n, n_g = ray_indices(element.material, pol, wavelength_nm)
     path_nm = element.thickness_mm * MM_TO_NM / np.cos(internal_angle_rad(element, wavelength_nm, tilt_deg))
     return GroupDelayReport(
         phase_delay_fs=n * path_nm / C_NM_PER_FS,

@@ -41,7 +41,7 @@ error, or one row weighted per pump ratio, and evaluates once per value only
 the parameters that change the JSAs.  ``prepare_bell`` and
 ``effective_polarization_state`` take the terms of one delay row, which the
 caller evaluates with ``budget_terms`` on the grid numerics of its config.
-``ScanSettings`` holds every scan setting, its default and its check.
+Each config section is read into the one class that holds its defaults.
 ``build_amplitudes`` still assembles the two phased amplitudes explicitly,
 for the tests and the time-domain oracle.
 
@@ -53,7 +53,8 @@ knob contributes the scanned phase 2 pi dx / lambda_p.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import cache
 
 import numpy as np
 import yaml
@@ -64,19 +65,20 @@ from .dispersion import (
     BirefringentElement,
     Material,
     angled_extraordinary_group_index,
-    angled_extraordinary_index,
     element_delays,
     get_material,
     group_index,
     material_names,
     phase_matching_cut_angle,
-    refractive_index,
+    ray_indices,
     MM_TO_NM,
+    ORIENTATIONS,
     YAML_LOADER,
 )
 from .errors import ConfigError, InfeasibleError
 from .spectral import (
     DELAY_SAMPLING_SAFETY,
+    FILTER_SHAPES,
     MAX_GRID_POINTS,
     NO_FILTER,
     FrequencyGrid,
@@ -100,6 +102,8 @@ SCAN_AXIS_FIELDS = {
     "analyzer2_angle": ("theta2_deg",),
 }
 SCAN_AXIS_KINDS = tuple(SCAN_AXIS_FIELDS)
+NOISE_KINDS = ("none", "poisson")
+SCHEME_KINDS = ("collinear", "mzi")
 
 MAX_SCAN_STEPS = 4096  # scan steps or sweep values: one kernel delay row each
 # Rates are at most 4 (``analyzer_rate``), so rate * mean_counts stays inside
@@ -120,13 +124,6 @@ class CrystalConfig:
     def __post_init__(self):
         if not self.thickness_mm > 0.0:
             raise ConfigError(f"crystal thickness_mm must be positive, got {self.thickness_mm}")
-
-    def element(self) -> BirefringentElement:
-        return BirefringentElement(
-            material=self.material,
-            thickness_mm=self.thickness_mm,
-            axis_orientation=self.axis_orientation,
-        )
 
     def pair_polarization(self) -> str:
         # Type-I pairs are ordinary rays, polarized orthogonal to the axis.
@@ -153,12 +150,12 @@ class SourceConfig:
     pump_amplitude_ratio: float = 1.0
 
     def __post_init__(self):
-        if self.scheme not in ("collinear", "mzi"):
-            raise ConfigError(f"scheme must be collinear|mzi, got {self.scheme!r}")
+        if self.scheme not in SCHEME_KINDS:
+            raise ConfigError(f"scheme must be {'|'.join(SCHEME_KINDS)}, got {self.scheme!r}")
         if len(self.crystals) != 2:
             raise ConfigError("exactly two crystals are required")
         a, b = self.crystals
-        if {a.axis_orientation, b.axis_orientation} != {"horizontal", "vertical"}:
+        if {a.axis_orientation, b.axis_orientation} != set(ORIENTATIONS):
             raise ConfigError("the two crystals must have orthogonal axis orientations")
         if len(self.filters) != 2:
             raise ConfigError("exactly two filters are required (signal, idler)")
@@ -184,7 +181,7 @@ class ScanSettings:
     mean_counts: float = 1000.0
 
     def __post_init__(self):
-        for key, choices in (("axis_kind", SCAN_AXIS_KINDS), ("noise", ("none", "poisson"))):
+        for key, choices in (("axis_kind", SCAN_AXIS_KINDS), ("noise", NOISE_KINDS)):
             if getattr(self, key) not in choices:
                 raise ConfigError(f"scan.{key} must be one of {'|'.join(choices)}, got {getattr(self, key)!r}")
         if not 2 <= self.steps <= MAX_SCAN_STEPS:
@@ -283,26 +280,36 @@ def _crossing_delays(first: CrystalConfig, second: CrystalConfig, pump: PumpPuls
     length2_nm = second.thickness_mm * MM_TO_NM
 
     def e_delays(wavelength_nm):
-        n_g = angled_extraordinary_group_index(m2, theta2, wavelength_nm)
-        n_p = angled_extraordinary_index(m2, theta2, wavelength_nm)
-        return n_g * length2_nm / C_NM_PER_FS, n_p * length2_nm / C_NM_PER_FS
+        # (group, phase, group excess over the ordinary ray) of the e-ray.
+        n_p, n_g = ray_indices(m2, theta2, wavelength_nm)
+        n_o = ray_indices(m2, "o", wavelength_nm)[1]
+        return (n_g * length2_nm / C_NM_PER_FS, n_p * length2_nm / C_NM_PER_FS,
+                (n_g - n_o) * length2_nm / C_NM_PER_FS)
 
-    def o_excess(wavelength_nm):
-        n_e = angled_extraordinary_group_index(m2, theta2, wavelength_nm)
-        n_o = group_index(m2, "o", wavelength_nm)
-        return (n_e - n_o) * length2_nm / C_NM_PER_FS
-
-    sig_g, sig_p = e_delays(first.signal_center_nm)
-    idl_g, idl_p = e_delays(first.idler_center_nm)
+    sig_g, sig_p, sig_excess = e_delays(first.signal_center_nm)
+    idl_g, idl_p, idl_excess = e_delays(first.idler_center_nm)
 
     length1_nm = first.thickness_mm * MM_TO_NM
-    pump_o_group = group_index(first.material, "o", pump.center_wavelength_nm) * length1_nm / C_NM_PER_FS
-    pump_o_phase = refractive_index(first.material, "o", pump.center_wavelength_nm) * length1_nm / C_NM_PER_FS
+    pump_n, pump_n_g = ray_indices(first.material, "o", pump.center_wavelength_nm)
 
     return (
         (0.5 * (sig_g + idl_g), 0.5 * (sig_p + idl_p)),
-        (o_excess(first.signal_center_nm), o_excess(first.idler_center_nm)),
-        (pump_o_group, pump_o_phase),
+        (sig_excess, idl_excess),
+        (pump_n_g * length1_nm / C_NM_PER_FS, pump_n * length1_nm / C_NM_PER_FS),
+    )
+
+
+def _retardation(element: BirefringentElement, polarization: str, wavelength_nm: float, tilt_deg=None):
+    """(group, phase) delay, in fs, of the ray polarized ``polarization``
+    (H|V) through ``element`` less that of the orthogonal ray, at the
+    element's tilt or at ``tilt_deg`` (a number or an array).  A ray is
+    extraordinary when its polarization lies along the element's axis."""
+    rep_e = element_delays(element, "e", wavelength_nm, tilt_deg)
+    rep_o = element_delays(element, "o", wavelength_nm, tilt_deg)
+    sign = 1.0 if (polarization == "V") == (element.axis_orientation == "vertical") else -1.0
+    return (
+        sign * (rep_e.group_delay_fs - rep_o.group_delay_fs),
+        sign * (rep_e.phase_delay_fs - rep_o.phase_delay_fs),
     )
 
 
@@ -317,31 +324,20 @@ def _plate_effect_on_a(source: SourceConfig, arm: str, tilt_deg):
         "signal": (source.signal_plate, first.signal_center_nm),
         "idler": (source.idler_plate, first.idler_center_nm),
     }[arm]
-    rep_e = element_delays(plate, "e", center_nm, tilt_deg)
-    rep_o = element_delays(plate, "o", center_nm, tilt_deg)
-    a_is_extraordinary = (first.pair_polarization() == "V") == (plate.axis_orientation == "vertical")
-    sign = 1.0 if a_is_extraordinary else -1.0
-    return (
-        sign * (rep_e.group_delay_fs - rep_o.group_delay_fs),
-        sign * (rep_e.phase_delay_fs - rep_o.phase_delay_fs),
-    )
+    return _retardation(plate, first.pair_polarization(), center_nm, tilt_deg)
 
 
 def _compensator_advance(source: SourceConfig) -> tuple:
     """(group, phase) pre-advance of amplitude b's pump component relative
     to amplitude a's, produced by the compensator elements."""
-    pump_nm = source.pump.center_wavelength_nm
     pol_b_pump = "V" if source.crystals[1].axis_orientation == "vertical" else "H"
     adv_g = 0.0
     adv_p = 0.0
     for element in source.compensator:
-        rep_e = element_delays(element, "e", pump_nm)
-        rep_o = element_delays(element, "o", pump_nm)
-        b_is_extraordinary = (pol_b_pump == "V") == (element.axis_orientation == "vertical")
         # advance of b = delay of the *other* component minus delay of b's.
-        sign = 1.0 if b_is_extraordinary else -1.0
-        adv_g += sign * (rep_o.group_delay_fs - rep_e.group_delay_fs)
-        adv_p += sign * (rep_o.phase_delay_fs - rep_e.phase_delay_fs)
+        group, phase = _retardation(element, pol_b_pump, source.pump.center_wavelength_nm)
+        adv_g -= group
+        adv_p -= phase
     return adv_g, adv_p
 
 
@@ -731,17 +727,26 @@ def effective_polarization_state(source: SourceConfig, knobs: PhaseKnobs, terms:
 # --------------------------------------------------------------------------
 # Configuration files
 
-
-_REQUIRED = object()
+# The choices of each string field that a config section gives.
+FIELD_CHOICES = {"axis_orientation": ORIENTATIONS, "shape": FILTER_SHAPES, "scheme": SCHEME_KINDS,
+                 "axis_kind": SCAN_AXIS_KINDS, "noise": NOISE_KINDS}
+# The keys of the ``scheme`` section and the SourceConfig fields they set.
+SCHEME_KEYS = (("kind", "scheme"), ("cross_dispersion", "cross_dispersion_enabled"),
+               ("pump_amplitude_ratio", "pump_amplitude_ratio"))
+# The knob plate of an arm that the config leaves out or sets to null.
+DEFAULT_PLATE = {"material": "quartz", "thickness_mm": 3.0}
 
 
 def _in_context(context: str, make, **fields):
     """``make(**fields)``; a ConfigError that its own checks raise is raised
     again, of the same type, prefixed with ``context``: the key path or the
-    sweep value it came from."""
+    sweep value it came from, unless the message already starts with that
+    key path."""
     try:
         return make(**fields)
     except ConfigError as exc:
+        if str(exc).startswith(f"{context}."):
+            raise
         raise type(exc)(f"{context}: {exc}") from None
 
 
@@ -751,163 +756,110 @@ def _mapping(value, context: str) -> dict:
     return value
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in _mapping(mapping, context):
-        raise ConfigError(f"config section {context!r} is missing key {key!r}")
-    return mapping[key]
-
-
-def _number(mapping: dict, key: str, context: str, default=_REQUIRED, kind=float):
-    """The finite number (``kind`` float or int) at ``context.key``, or
-    ``default`` when the key is absent and a default is given; anything else
-    is a ConfigError naming the key path."""
-    if default is not _REQUIRED and key not in _mapping(mapping, context):
-        return default
-    value = _require(mapping, key, context)
+def _number(value, path: str, kind=float):
+    """The finite number (``kind`` float or int) ``value`` at the key path
+    ``path``; anything else is a ConfigError naming the path."""
     try:
         if isinstance(value, bool):
             raise TypeError(value)
         number = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{context}.{key} must be a number, got {value!r}") from None
+        raise ConfigError(f"{path} must be a number, got {value!r}") from None
     if not math.isfinite(number):
-        raise ConfigError(f"{context}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     if kind is int and not number.is_integer():
-        raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
     return kind(number)
 
 
-def _choice(mapping: dict, key: str, context: str, choices, default=_REQUIRED) -> str:
-    """The string at ``context.key``, one of ``choices``, or ``default``
-    when the key is absent and a default is given; anything else (another
-    string, a number, a list, a mapping) is a ConfigError naming the key
-    path."""
-    if default is not _REQUIRED and key not in _mapping(mapping, context):
-        return default
-    value = _require(mapping, key, context)
+def _choice(value, path: str, choices) -> str:
+    """``value`` at the key path ``path``, one of the strings ``choices``;
+    anything else (another string, a number, a list, a mapping) is a
+    ConfigError naming the path."""
     if not (isinstance(value, str) and value in choices):
-        raise ConfigError(f"{context}.{key} must be one of {'|'.join(choices)}, got {value!r}")
+        raise ConfigError(f"{path} must be one of {'|'.join(choices)}, got {value!r}")
     return value
 
 
-ORIENTATIONS = ("horizontal", "vertical")
+@cache
+def _layout(cls, keys=None) -> tuple:
+    """(key, field name, type, required) of each field of the dataclass
+    ``cls`` under its own name, or of the (key, field name) pairs ``keys``."""
+    declared = {f.name: f for f in fields(cls)}
+    return tuple((key, name, declared[name].type, declared[name].default is MISSING)
+                 for key, name in keys or zip(declared, declared))
 
 
-def _parse_element(entry: dict, context: str) -> BirefringentElement:
-    return _in_context(
-        context, BirefringentElement,
-        material=get_material(_choice(entry, "material", context, material_names())),
-        thickness_mm=_number(entry, "thickness_mm", context),
-        axis_orientation=_choice(entry, "axis_orientation", context, ORIENTATIONS, "vertical"),
-        tilt_deg=_number(entry, "tilt_deg", context, 0.0),
-    )
+def _read(cls, section, context: str, keys=None, make=None):
+    """``make`` (default: ``cls``) of the fields of the dataclass ``cls``
+    that the config mapping ``section`` at key path ``context`` gives, its
+    own checks prefixed with that path.  Each value is parsed by its field's
+    type: a number through ``_number``, a string through ``_choice`` of its
+    ``FIELD_CHOICES``, a material by name, a flag as true or false, and an
+    optional number left unset by null.  An absent key is left out, so the
+    field takes its class default; an absent required key is a ConfigError.
+    ``keys`` pairs the section's keys with the fields they set, as in
+    ``_layout``."""
+    section = _mapping(section, context)
+    given = {}
+    for key, name, kind, required in _layout(cls, keys):
+        if key not in section:
+            if required:
+                raise ConfigError(f"config section {context!r} is missing key {key!r}")
+            continue
+        value, path = section[key], f"{context}.{key}"
+        if kind == "str":
+            given[name] = _choice(value, path, FIELD_CHOICES[name])
+        elif kind == "Material":
+            given[name] = get_material(_choice(value, path, material_names()))
+        elif kind == "bool":
+            if not isinstance(value, bool):
+                raise ConfigError(f"{path} must be true or false, got {value!r}")
+            given[name] = value
+        elif value is not None or kind != "float | None":
+            given[name] = _number(value, path, int if kind == "int" else float)
+    return _in_context(context, make or cls, **given)
+
+
+def _pair(data: dict, section: str) -> list:
+    entries = data[section]
+    if not isinstance(entries, list) or len(entries) != 2:
+        raise ConfigError(f"config section {section!r} must list exactly two {section}")
+    return entries
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a parsed YAML mapping into an ExperimentConfig."""
+    """Validate a parsed YAML mapping into an ExperimentConfig.  Every
+    section is read by ``_read`` of the class it describes, so each default
+    and each choice list is its class's; the sections are read in the order
+    pump, crystals, filters, compensator, scheme, knob plates, knobs, scan."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     for section in ("pump", "crystals", "filters", "scheme"):
         if section not in data:
             raise ConfigError(f"config is missing the {section!r} section")
 
-    p = data["pump"]
-    pump = _in_context(
-        "pump", PumpPulse,
-        center_wavelength_nm=_number(p, "center_wavelength_nm", "pump"),
-        duration_fs=_number(p, "duration_fs", "pump"),
-        polarization_angle_deg=_number(p, "polarization_angle_deg", "pump", 45.0),
-    )
-
-    crystals = []
-    raw_crystals = data["crystals"]
-    if not isinstance(raw_crystals, list) or len(raw_crystals) != 2:
-        raise ConfigError("config section 'crystals' must list exactly two crystals")
-    for k, entry in enumerate(raw_crystals):
-        context = f"crystals[{k}]"
-        crystals.append(
-            _in_context(
-                context, CrystalConfig,
-                material=get_material(_choice(entry, "material", context, material_names())),
-                thickness_mm=_number(entry, "thickness_mm", context),
-                axis_orientation=_choice(entry, "axis_orientation", context, ORIENTATIONS),
-                signal_center_nm=_number(entry, "signal_center_nm", context),
-                idler_center_nm=_number(entry, "idler_center_nm", context),
-            )
-        )
-
-    filters = []
-    raw_filters = data["filters"]
-    if not isinstance(raw_filters, list) or len(raw_filters) != 2:
-        raise ConfigError("config section 'filters' must list exactly two filters")
-    for k, entry in enumerate(raw_filters):
-        context = f"filters[{k}]"
-        shape = _choice(entry, "shape", context, ("gaussian", "rectangular", "none"), "gaussian")
-        if shape == "none":
-            filters.append(NO_FILTER)
-        else:
-            filters.append(
-                _in_context(
-                    context, SpectralFilter,
-                    center_nm=_number(entry, "center_nm", context),
-                    fwhm_nm=_number(entry, "fwhm_nm", context),
-                    shape=shape,
-                )
-            )
-
+    pump = _read(PumpPulse, data["pump"], "pump")
+    crystals = tuple(_read(CrystalConfig, entry, f"crystals[{k}]")
+                     for k, entry in enumerate(_pair(data, "crystals")))
+    # A filter of shape none reads no other key.
+    filters = tuple(NO_FILTER if _mapping(entry, f"filters[{k}]").get("shape") == NO_FILTER.shape
+                    else _read(SpectralFilter, entry, f"filters[{k}]")
+                    for k, entry in enumerate(_pair(data, "filters")))
     raw_compensator = data.get("compensator") or []
     if not isinstance(raw_compensator, list):
         raise ConfigError(f"config section 'compensator' must be a list, got {raw_compensator!r}")
-    compensator = tuple(_parse_element(entry, f"compensator[{k}]") for k, entry in enumerate(raw_compensator))
-
-    scheme = _mapping(data["scheme"], "scheme")
-    cross_dispersion = scheme.get("cross_dispersion", False)
-    if not isinstance(cross_dispersion, bool):
-        raise ConfigError(f"scheme.cross_dispersion must be true or false, got {cross_dispersion!r}")
-    knobs_raw = _mapping(data.get("knobs") or {}, "knobs")
-    plates = {}
-    for arm in ("signal_plate", "idler_plate"):
-        entry = knobs_raw.get(arm)
-        if entry is None:
-            entry = {"material": "quartz", "thickness_mm": 3.0, "axis_orientation": "vertical"}
-        plates[arm] = _parse_element(entry, f"knobs.{arm}")
-
-    source = SourceConfig(
-        scheme=_choice(scheme, "kind", "scheme", ("collinear", "mzi")),
-        pump=pump,
-        crystals=tuple(crystals),
-        compensator=compensator,
-        filters=tuple(filters),
-        signal_plate=plates["signal_plate"],
-        idler_plate=plates["idler_plate"],
-        cross_dispersion_enabled=cross_dispersion,
-        pump_amplitude_ratio=_number(scheme, "pump_amplitude_ratio", "scheme", 1.0),
-    )
-
-    knobs = PhaseKnobs(
-        pump_delta_x_nm=_number(knobs_raw, "pump_delta_x_nm", "knobs", 0.0),
-        signal_tilt_deg=_number(knobs_raw, "signal_tilt_deg", "knobs", 0.0),
-        idler_tilt_deg=_number(knobs_raw, "idler_tilt_deg", "knobs", 0.0),
-    )
-
-    return ExperimentConfig(source=source, knobs=knobs, scan=_parse_scan(data.get("scan") or {}))
-
-
-def _parse_scan(section) -> ScanSettings:
-    """ScanSettings from the keys the ``scan`` section gives: numbers are
-    parsed here (a null start or stop stays unset), and ScanSettings holds
-    every default and checks every value, the choices included."""
-    s = _mapping(section, "scan")
-    given = {}
-    for field in fields(ScanSettings):
-        key, default = field.name, field.default
-        if key not in s or (default is None and s[key] is None):
-            continue
-        if isinstance(default, str):
-            given[key] = s[key]
-        else:
-            given[key] = _number(s, key, "scan", kind=int if isinstance(default, int) else float)
-    return ScanSettings(**given)
+    compensator = tuple(_read(BirefringentElement, entry, f"compensator[{k}]")
+                        for k, entry in enumerate(raw_compensator))
+    scheme = _read(SourceConfig, data["scheme"], "scheme", SCHEME_KEYS, make=dict)
+    knobs = _mapping(data.get("knobs") or {}, "knobs")
+    plates = {arm: _read(BirefringentElement, DEFAULT_PLATE if knobs.get(arm) is None else knobs[arm],
+                         f"knobs.{arm}")
+              for arm in ("signal_plate", "idler_plate")}
+    source = SourceConfig(pump=pump, crystals=crystals, compensator=compensator, filters=filters,
+                          **plates, **scheme)
+    return ExperimentConfig(source=source, knobs=_read(PhaseKnobs, knobs, "knobs"),
+                            scan=_read(ScanSettings, data.get("scan") or {}, "scan"))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -59,6 +59,7 @@ DURATION_CONVENTION = "intensity_fwhm"
 
 # Containment threshold for the Gaussian envelope factors at the grid edge.
 EDGE_AMPLITUDE_LIMIT = 1.0e-4
+MIN_SPAN_SIGMAS = 6.0  # the least grid span, in sigmas of the narrowest Gaussian factor
 
 # Im exp(i h) / h carries the few-1e-16 absolute rounding error of its
 # numerator divided by |h|; below this |h| the sampled sinc(h) is taken from
@@ -73,6 +74,8 @@ ROW_BLOCK_BYTES = 512 * 1024
 # safety factor, otherwise the discrete overlap aliases.
 DELAY_SAMPLING_SAFETY = 1.3
 MAX_GRID_POINTS = 4096
+
+FILTER_SHAPES = ("gaussian", "rectangular", "none")
 
 # Edge of the kernel's time support, relative to its peak: ``kernel_time_support``
 # bounds the delays where |overlap| exceeds this.  A 2-D FFT of the sampled
@@ -117,8 +120,8 @@ class SpectralFilter:
     shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.shape not in ("gaussian", "rectangular", "none"):
-            raise ConfigError(f"filter shape must be gaussian|rectangular|none, got {self.shape!r}")
+        if self.shape not in FILTER_SHAPES:
+            raise ConfigError(f"filter shape must be {'|'.join(FILTER_SHAPES)}, got {self.shape!r}")
         if not self.center_nm > 0.0 or (self.shape != "none" and not 0.0 < self.fwhm_nm < 2.0 * self.center_nm):
             raise ConfigError(f"a filter needs center_nm > 0 and 0 < fwhm_nm < 2 x center_nm (its band above "
                               f"0 nm), got fwhm_nm {self.fwhm_nm} at center_nm {self.center_nm}")
@@ -246,16 +249,15 @@ def make_grid(
     group velocities put it at infinity), with ``points`` per axis doubled
     until the spacing samples a net group retardation of ``max_delay`` (fs)
     between two amplitudes: spacing below pi / (``DELAY_SAMPLING_SAFETY``
-    max_delay), within ``MAX_GRID_POINTS``.
+    max_delay), within ``MAX_GRID_POINTS``.  Past that, the error names the
+    thickness keys when no span ``_check_grid`` admits could sample the delay.
 
     With Gaussian filters present the phase-matching extent is capped at a
     few filter widths (the filters bound the support).
     """
+    thickness_keys = "check every thickness_mm (crystals, compensator, knob plates)"
     if not math.isfinite(max_delay):
-        raise ConfigError(
-            f"the net group delay between the amplitudes is {max_delay!r} fs; check every "
-            "thickness_mm (crystals, compensator, knob plates)"
-        )
+        raise ConfigError(f"the net group delay between the amplitudes is {max_delay!r} fs; {thickness_keys}")
     if points < 8:
         raise ConfigError("grid needs at least 8 points per axis")
     scales = [pulse.sigma_omega]
@@ -271,10 +273,13 @@ def make_grid(
     while points <= MAX_GRID_POINTS and points < required:
         points *= 2
     if points > MAX_GRID_POINTS:
-        raise GridTruncationError(
-            f"applied delays (~{max_delay:.3g} fs) would need more than {MAX_GRID_POINTS} grid points "
-            "(MAX_GRID_POINTS); reduce the delay or lower scan.grid_span_factor"
-        )
+        # The points the narrowest span that ``_check_grid`` admits would need.
+        narrowest_span = MIN_SPAN_SIGMAS * min([pulse.sigma_omega] + filter_sigmas)
+        least = narrowest_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi
+        advice = (f" on any grid span; reduce the delay and {thickness_keys}" if least > MAX_GRID_POINTS
+                  else "; reduce the delay or lower scan.grid_span_factor")
+        raise GridTruncationError(f"applied delays (~{max_delay:.3g} fs) would need more than "
+                                  f"{MAX_GRID_POINTS} grid points (MAX_GRID_POINTS){advice}")
     return FrequencyGrid(spec.signal_center_angular_frequency, spec.idler_center_angular_frequency,
                          half_span, points)
 
@@ -296,9 +301,9 @@ def _check_grid(pulse, f_s, f_i, grid):
 
     span = 2.0 * grid.half_span
     name, narrowest, keys = min(sigmas, key=lambda entry: entry[1])
-    if span < 6.0 * narrowest:
+    if span < MIN_SPAN_SIGMAS * narrowest:
         raise GridTruncationError(
-            f"grid span {span:.4g} rad/fs is below 6 standard deviations of the "
+            f"grid span {span:.4g} rad/fs is below {MIN_SPAN_SIGMAS:g} standard deviations of the "
             f"narrowest envelope ({narrowest:.4g} rad/fs); raise scan.grid_span_factor"
         )
     if narrowest < grid.spacing:

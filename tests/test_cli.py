@@ -445,6 +445,10 @@ class TestBadInputExitCodes:
     @pytest.mark.parametrize("old, new, context", [
         ("pump:\n", "pump: 5\nold_pump:\n", "pump"),
         ("knobs:\n", "knobs: 5\nold_knobs:\n", "knobs"),
+        ("signal_plate: {material: quartz, thickness_mm: 3.0, axis_orientation: vertical}", "signal_plate: 0",
+         "knobs.signal_plate"),
+        ("signal_plate: {material: quartz, thickness_mm: 3.0, axis_orientation: vertical}", "signal_plate: 5",
+         "knobs.signal_plate"),
         ("scan:\n", "scan: 5\nold_scan:\n", "scan"),
         ("- {center_nm: 730.0, fwhm_nm: 10.0, shape: gaussian}", "- 5", "filters[0]"),
     ])
@@ -609,7 +613,12 @@ class TestBadInputExitCodes:
         ("thickness_mm: 3.4", "thickness_mm: 1e300", ["sweep", *COMMANDS["sweep"]], "crystal of thickness_mm 1e+300"),
         ("thickness_mm: 3.4", "thickness_mm: 1e300", ["sweep", "--parameter", "filter_fwhm", "--grid", "5"],
          "crystal of thickness_mm 1e+300"),
-    ], ids=["pump_duration", "filter_width", "thickness_pump_ratio", "thickness_filter_fwhm"])
+        ("thickness_mm: 3.4", "thickness_mm: 1e300", ["scan"], "on any grid span; reduce the delay and check "
+         "every thickness_mm (crystals, compensator, knob plates)"),
+        ("thickness_mm: 3.4", "thickness_mm: 1e300", PREPARE, "on any grid span; reduce the delay and check "
+         "every thickness_mm (crystals, compensator, knob plates)"),
+    ], ids=["pump_duration", "filter_width", "thickness_pump_ratio", "thickness_filter_fwhm", "thickness_scan",
+            "thickness_prepare"])
     def test_extreme_magnitudes_name_the_key(self, tmp_path, config_file, capsys, old, new, command, named):
         bad = _edited_config(config_file, tmp_path, old, new)
         assert run([command[0], "--config", bad, "--output", tmp_path / "x", *command[1:]]) == 2

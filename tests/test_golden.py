@@ -7,6 +7,10 @@ Refactors of the amplitude engine must reproduce them.  Regenerate (only
 when a physics change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The file regenerates byte for byte only on the host that wrote it: on
+another host (BLAS build, CPU) the script changes numbers by up to 1.4e-14.
+The gate is therefore the 1e-10 tolerance, not a byte comparison.
 """
 
 import json

@@ -13,7 +13,8 @@ from bellsim.errors import ConfigError, InfeasibleError
 from bellsim.fitting import fit_fringe
 from bellsim.polarization import fidelity, make_state
 from bellsim.scenario import ScanSettings
-from bellsim.spectral import NO_FILTER, SUPPORT_LEVEL, kernel_overlaps, kernel_time_support, make_grid
+from bellsim.spectral import (NO_FILTER, SUPPORT_LEVEL, PumpPulse, SpectralFilter, kernel_overlaps,
+                              kernel_time_support, make_grid)
 from conftest import evaluated_terms, kernel_time_profile
 
 
@@ -84,6 +85,32 @@ class TestConfigLoading:
         data = yaml.load(scenario.default_config_path().read_text(), Loader=YAML_LOADER)
         data["scan"].update(start=None, stop=None)
         assert scenario.parse_config(data).scan == scenario.ScanSettings()
+
+    def test_required_keys_alone_give_the_class_defaults(self):
+        crystal = {"material": "BBO", "thickness_mm": 3.4, "signal_center_nm": 730.0, "idler_center_nm": 885.0}
+        config = scenario.parse_config({
+            "pump": {"center_wavelength_nm": 400.0, "duration_fs": 80.0},
+            "crystals": [dict(crystal, axis_orientation="horizontal"), dict(crystal, axis_orientation="vertical")],
+            "filters": [{"center_nm": 730.0, "fwhm_nm": 10.0}, {"center_nm": 885.0, "fwhm_nm": 10.0}],
+            "scheme": {"kind": "collinear"},
+        })
+        source = config.source
+        assert source.pump == PumpPulse(400.0, 80.0)
+        assert source.pump.polarization_angle_deg == 45.0
+        assert source.filters == (SpectralFilter(730.0, 10.0), SpectralFilter(885.0, 10.0))
+        assert {f.shape for f in source.filters} == {"gaussian"}
+        assert source.compensator == ()
+        assert (source.cross_dispersion_enabled, source.pump_amplitude_ratio) == (False, 1.0)
+        quartz_plate = dispersion.BirefringentElement(dispersion.get_material("quartz"), 3.0, "vertical", 0.0)
+        assert source.signal_plate == source.idler_plate == quartz_plate
+        assert config.knobs == scenario.PhaseKnobs(0.0, 0.0, 0.0)
+        assert config.scan == ScanSettings()
+
+    def test_null_plate_is_the_default_plate(self):
+        data = yaml.load(scenario.default_config_path().read_text(), Loader=YAML_LOADER)
+        data["knobs"]["signal_plate"] = None
+        plate = scenario.parse_config(data).source.signal_plate
+        assert plate == dispersion.BirefringentElement(dispersion.get_material("quartz"), 3.0, "vertical", 0.0)
 
     def test_invalid_yaml_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -8,6 +8,9 @@ from bellsim import biphoton, spectral
 from bellsim import scenario
 from bellsim.errors import ConfigError, GridTruncationError
 from bellsim.spectral import (
+    DELAY_SAMPLING_SAFETY,
+    MAX_GRID_POINTS,
+    MIN_SPAN_SIGMAS,
     NO_FILTER,
     FrequencyGrid,
     PhaseMatchingSpec,
@@ -129,6 +132,17 @@ class TestFrequencyGrid:
         grid = make_grid(PUMP, SPEC, points=64)
         mid_s = 0.5 * float(grid.signal_axis[0] + grid.signal_axis[-1])
         assert mid_s == pytest.approx(SPEC.signal_center_angular_frequency, rel=1e-12)
+
+    @pytest.mark.parametrize("scale, advice", [
+        (0.99, "; reduce the delay or lower scan.grid_span_factor"),
+        (1.01, " on any grid span; reduce the delay and check every thickness_mm"),
+    ])
+    def test_unsampled_delay_advice_follows_the_least_span(self, scale, advice):
+        # The delay that the least span the grid checks admit (MIN_SPAN_SIGMAS
+        # pump sigmas, no Gaussian filter) samples with MAX_GRID_POINTS points.
+        limit = MAX_GRID_POINTS * math.pi / (DELAY_SAMPLING_SAFETY * MIN_SPAN_SIGMAS * PUMP.sigma_omega)
+        with pytest.raises(GridTruncationError, match=advice):
+            make_grid(PUMP, SPEC, points=64, max_delay=scale * limit)
 
 
 class TestBuildJsa:
