@@ -36,7 +36,11 @@ arrays, the plate terms from one dispersion pass per arm.  The other delays
 then go to one ``spectral.kernel_overlaps`` call, which streams the real
 two-crystal kernel in cache-sized row blocks, never holds an N x N array,
 and is the only place delays are deduplicated: an arm whose delay no entry
-changes is a single phase row.  ``sweep`` takes one row per compensation
+changes is a single phase row.  Each block samples only the columns where a
+bound of the pump-times-filters envelope reaches 1e-15 of its crest, so the
+stream's time follows the envelope's frequency support more than the grid
+(24 % of a default 1024^2 grid, 53 % of 128^2), with a rerun on every cell
+when the skipped cells could move an overlap by more than 1e-15.  ``sweep`` takes one row per compensation
 error, or one row weighted per pump ratio, and evaluates once per value only
 the parameters that change the JSAs.  ``prepare_bell`` and
 ``effective_polarization_state`` take the terms of one delay row, which the
@@ -156,11 +160,13 @@ class SourceConfig:
             raise ConfigError("exactly two crystals are required")
         a, b = self.crystals
         if {a.axis_orientation, b.axis_orientation} != set(ORIENTATIONS):
-            raise ConfigError("the two crystals must have orthogonal axis orientations")
+            raise ConfigError(f"crystals[1].axis_orientation: the two crystals must have orthogonal axis "
+                              f"orientations, got {a.axis_orientation!r} and {b.axis_orientation!r}")
         if len(self.filters) != 2:
             raise ConfigError("exactly two filters are required (signal, idler)")
         if not (math.isfinite(self.pump_amplitude_ratio) and self.pump_amplitude_ratio >= 0.0):
-            raise ConfigError("pump_amplitude_ratio must be finite and >= 0")
+            raise ConfigError(f"scheme.pump_amplitude_ratio must be finite and >= 0, "
+                              f"got {self.pump_amplitude_ratio!r}")
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,13 @@ with the grid and border checks and the norms.  ``kernel_overlaps`` streams
 it for the interference of two crystals: conj(J_a) J_b is the real kernel
 (envelope sinc)_a (envelope sinc)_b times 1-D phases that join the delay
 phase rows, so the overlaps of all delay pairs come from the row blocks of
-the kernel, with no N x N array.  ``build_jsa`` copies the same blocks into
-one real array before it applies the norm and the phase.
+the kernel, with no N x N array.  The stream is cropped to the envelope's
+frequency support: each block samples only the contiguous columns where an
+O(N) bound of the envelope reaches ``CELL_LEVEL`` of the ridge crest's
+largest value (on the default source, 24 % of a 1024^2 grid), and it is
+rerun uncropped if the skipped cells could move an overlap by more than
+``CELL_LEVEL``.  ``build_jsa`` copies full-width blocks into one real array
+before it applies the norm and the phase.
 ``kernel_time_support`` bounds, from scalars alone, the delays where that
 overlap can exceed ``SUPPORT_LEVEL`` of its peak.
 ``phase_matching`` is the direct formula, kept as the reference the sampled
@@ -81,6 +86,12 @@ FILTER_SHAPES = ("gaussian", "rectangular", "none")
 # bounds the delays where |overlap| exceeds this.  A 2-D FFT of the sampled
 # kernel has a noise floor near 1e-14, so no lower level can be checked.
 SUPPORT_LEVEL = 1.0e-12
+
+# Crop of the kernel stream: a cell whose envelope bound is below this
+# fraction of a sampled envelope value is not sampled, and the crop stands
+# only while the skipped cells can move a normalized overlap or norm^2 by at
+# most this much (``kernel_overlaps`` otherwise samples every cell).
+CELL_LEVEL = 1.0e-15
 
 
 @dataclass(frozen=True)
@@ -342,15 +353,15 @@ def _sinc_factors(spec: PhaseMatchingSpec, nu_s, nu_i) -> tuple:
     return a, b, left, right
 
 
-def _sinc_rows(factors: tuple, rows: slice, out, h, work, near) -> np.ndarray:
-    """sinc(h) on ``rows`` of the outer (nu_s, nu_i) grid into ``out``, from
-    1-D factors only: h = a + b and sin h = sin a cos b + cos a sin b are
-    rank-2 products, and sinc(h) = sin h / h, or the series where
-    |h| < ``SINC_SERIES_BELOW`` (including h == 0).  ``h``, ``work``
+def _sinc_rows(factors: tuple, rows: slice, cols: slice, out, h, work, near) -> np.ndarray:
+    """sinc(h) on ``rows`` x ``cols`` of the outer (nu_s, nu_i) grid into
+    ``out``, from 1-D factors only: h = a + b and sin h = sin a cos b +
+    cos a sin b are rank-2 products, and sinc(h) = sin h / h, or the series
+    where |h| < ``SINC_SERIES_BELOW`` (including h == 0).  ``h``, ``work``
     (float) and ``near`` (bool) are scratch of out's shape."""
     _, _, left, right = factors
-    np.matmul(left[rows, :2], right[:2], out=h)
-    np.matmul(left[rows, 2:], right[2:], out=out)
+    np.matmul(left[rows, :2], right[:2, cols], out=h)
+    np.matmul(left[rows, 2:], right[2:, cols], out=out)
     np.less(np.abs(h, out=work), SINC_SERIES_BELOW, out=near)
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= h
@@ -362,18 +373,29 @@ def _sinc_rows(factors: tuple, rows: slice, out, h, work, near) -> np.ndarray:
 
 class _Sampler:
     """The real amplitudes V = envelope * sinc(h) of one or two specs on one
-    grid, in the row slices ``blocks``, ``ROW_BLOCK_BYTES`` per scratch
-    array, where the envelope is pump(w_s + w_i) f_s(w_s) f_i(w_i).
+    grid, in the (rows, cols) slices ``blocks``, ``ROW_BLOCK_BYTES`` per
+    scratch array, where the envelope is pump(w_s + w_i) f_s(w_s) f_i(w_i).
 
     Both axes share one spacing, so w_s[j] + w_i[k] depends only on j + k
     and the pump ridge is a Hankel view of its 2N - 1 samples down the first
     column and along the last row: no 2-D exp is evaluated.  The energy and
-    grid checks run on construction, before any 2-D array exists; each call
-    adds to sum V^2 and to the envelope's running border and peak, and
-    ``norms`` runs the border check on them."""
+    grid checks and the border of the envelope (from 1-D products) come on
+    construction, before any 2-D array exists; each call adds to sum V^2,
+    to the envelope's running peak and to ``cells``, and ``norms`` runs the
+    border check on them.
+
+    With ``crop``, a block of rows samples only the contiguous columns where
+    an upper bound of its envelope reaches ``threshold`` = ``CELL_LEVEL``
+    times the largest envelope value on the pump ridge's crest; a block
+    without such a column is left out.  The bound takes O(N) per block from
+    1-D data: the pump samples are unimodal in j + k, so their maximum over
+    the block's rows at column k is the sample at the mode clipped into
+    [k + r0, k + r1 - 1], times f_i(k) and the block's largest f_s.  Every
+    skipped cell has |V| below ``threshold`` (|sinc| <= 1), and the peak
+    cell is always sampled, so the border check is exact."""
 
     def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
-                 grid: FrequencyGrid):
+                 grid: FrequencyGrid, crop: bool = False):
         for spec in specs:
             spec.check_energy_conservation(pulse.center_wavelength_nm)
         _check_grid(pulse, f_s, f_i, grid)
@@ -381,49 +403,76 @@ class _Sampler:
         ws, wi = grid.signal_axis, grid.idler_axis
         self.filter_s = filter_amplitude(f_s, ws)[:, None]
         self.filter_i = filter_amplitude(f_i, wi)
-        # With a filter present the sampled envelope must fall off at the
-        # border; without one ``_check_grid`` tested the pump corners.
-        self.bounded = f_s.shape != "none" or f_i.shape != "none"
-        self.border = self.peak = 0.0
         samples = pump_spectrum(pulse, np.concatenate((ws + wi[0], ws[-1] + wi[1:])))
         self.ridge = np.lib.stride_tricks.as_strided(samples, grid.shape, samples.strides * 2,
                                                      writeable=False)
+        # With a filter present the sampled envelope must fall off at the
+        # border; without one ``_check_grid`` tested the pump corners.
+        self.bounded = f_s.shape != "none" or f_i.shape != "none"
+        self.peak = 0.0
+        if self.bounded:
+            ends = slice(None, None, grid.points - 1)  # the first and last row or column
+            self.border = float(max(((self.ridge[:, ends] * self.filter_i[ends]) * self.filter_s).max(),
+                                    ((self.ridge[ends] * self.filter_i) * self.filter_s[ends]).max()))
         self.lengths = [spec.crystal_length_mm for spec in specs]
         self.factors = [_sinc_factors(spec, ws - spec.signal_center_angular_frequency,
                                       wi - spec.idler_center_angular_frequency)
                         for spec in specs]
         n = grid.points
         block = min(max(1, ROW_BLOCK_BYTES // (8 * n)), n)
-        self.blocks = [slice(start, min(start + block, n)) for start in range(0, n, block)]
-        # One allocation: separate ones are fresh pages, faulted in on every call.
-        self.envelope, self.h, self.work, *self.sincs = np.empty((3 + len(specs), block, n))
+        starts = np.arange(0, n, block)
+        stops = np.minimum(starts + block, n)
+        self.threshold = 0.0
+        if crop:
+            # The largest envelope value on the crest j + k = mode of the pump ridge.
+            mode = int(samples.argmax())
+            low, high = max(0, mode - n + 1), min(mode, n - 1)
+            crest = self.filter_s[low:high + 1, 0] * self.filter_i[mode - high:mode - low + 1][::-1]
+            level = CELL_LEVEL * float(samples[mode] * crest.max())
+            if math.isfinite(level) and level > 0.0:
+                self.threshold = level
+        if self.threshold:
+            # One row of bounds per block: the pump sample nearest the mode
+            # within the block's j + k (the mode clipped into [k + r0, k + r1 - 1]),
+            # times f_i(k) and the block's largest f_s.
+            k = np.arange(n)
+            bound = samples[np.maximum(np.minimum(k + (stops - 1)[:, None], mode), k + starts[:, None])]
+            bound *= self.filter_i
+            bound *= np.maximum.reduceat(self.filter_s[:, 0], starts)[:, None]
+            kept = ~(bound < self.threshold)  # a NaN bound keeps its column
+            columns = zip(kept.argmax(axis=1).tolist(), (n - kept[:, ::-1].argmax(axis=1)).tolist())
+            self.blocks = [(slice(*rows), slice(*cols)) for rows, cols, any_kept
+                           in zip(zip(starts.tolist(), stops.tolist()), columns, kept.any(axis=1)) if any_kept]
+        else:
+            self.blocks = [(slice(*rows), slice(0, n)) for rows in zip(starts.tolist(), stops.tolist())]
+        self.cells = 0
+        # One allocation, reshaped per block so each block is contiguous:
+        # separate arrays are fresh pages, faulted in on every call.
+        self.envelope, self.h, self.work, *self.sincs = np.empty((3 + len(specs), block * n))
         self.near = np.empty(self.envelope.shape, dtype=bool)
         self.norms_sq = np.zeros(len(specs))
 
-    def __call__(self, rows: slice) -> list:
-        """Each spec's V on ``rows`` (a slice with explicit bounds), in
-        scratch that the next call overwrites."""
-        m = rows.stop - rows.start
-        env = np.multiply(self.ridge[rows], self.filter_i, out=self.envelope[:m])
+    def __call__(self, rows: slice, cols: slice) -> list:
+        """Each spec's V on ``rows`` x ``cols`` (slices with explicit
+        bounds), in scratch that the next call overwrites."""
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        size = shape[0] * shape[1]
+        self.cells += size
+        env = np.multiply(self.ridge[rows, cols], self.filter_i[cols], out=self.envelope[:size].reshape(shape))
         env *= self.filter_s[rows]
         if self.bounded:
-            edges = [env[:, 0].max(), env[:, -1].max()]
-            if rows.start == 0:
-                edges.append(env[0].max())
-            if rows.stop == self.grid.points:
-                edges.append(env[-1].max())
-            self.border = max(self.border, *map(float, edges))
             self.peak = max(self.peak, float(env.max()))
+        h, work, near = (scratch[:size].reshape(shape) for scratch in (self.h, self.work, self.near))
         amplitudes = []
         for n, (factors, sinc) in enumerate(zip(self.factors, self.sincs)):
-            amplitude = _sinc_rows(factors, rows, sinc[:m], self.h[:m], self.work[:m], self.near[:m])
+            amplitude = _sinc_rows(factors, rows, cols, sinc[:size].reshape(shape), h, work, near)
             amplitude *= env
             self.norms_sq[n] += np.vdot(amplitude, amplitude)
             amplitudes.append(amplitude)
         return amplitudes
 
     def norms(self) -> list:
-        """The L2 norm of each spec's V, once every row has been sampled.
+        """The L2 norm of each spec's V, once every block has been sampled.
         With filters bounding the support, the sampled envelope must first
         have fallen below the edge limit along the whole grid border; a zero
         or non-finite norm (e.g. from an infinite crystal length) is rejected."""
@@ -457,8 +506,8 @@ def build_jsa(
     """
     sampler = _Sampler(pulse, (spec,), f_s, f_i, grid)
     amplitude = np.empty(grid.shape)
-    for rows in sampler.blocks:
-        amplitude[rows] = sampler(rows)[0]
+    for rows, cols in sampler.blocks:
+        amplitude[rows] = sampler(rows, cols)[0]
     amplitude /= sampler.norms()[0]
     ((_, _, left, right),) = sampler.factors
     values = np.multiply.outer(left[:, 3] + 1j * left[:, 2], right[2] + 1j * right[3])
@@ -498,8 +547,16 @@ def kernel_overlaps(
     and sine phase rows with the block.  An arm whose delays are all equal
     is one phase row, and the product runs from the arm with fewer distinct
     delays, so a single-arm scan costs one pass over the kernel.
+
+    Each block covers only the columns of the envelope's support (the crop
+    of ``_Sampler``); the cells it skips have |V| < threshold and add
+    nothing.  After the grid and norm checks, skipped x threshold^2 x
+    cell area over the smaller norm^2 bounds what they could move in a
+    normalized overlap or norm^2; above ``CELL_LEVEL`` the stream reruns on
+    every cell.
     """
-    sampler = _Sampler(pulse, (spec_a,) if spec_b == spec_a else (spec_a, spec_b), f_s, f_i, grid)
+    specs = (spec_a,) if spec_b == spec_a else (spec_a, spec_b)
+    sampler = _Sampler(pulse, specs, f_s, f_i, grid, crop=True)
 
     def phase_rows(delays_fs, detuning, arm):
         # cos and sin of T (w - W) + (the arm's phase of J_b less J_a's), as
@@ -520,21 +577,31 @@ def kernel_overlaps(
     drive, other = phases[::-1] if idler_drives else phases
     drive = drive.reshape(-1, drive.shape[-1])
 
-    # The product of the driving rows with the kernel: rows of kernel @
-    # drive.T block by block, or drive @ kernel summed over the blocks.
-    acc = np.empty((grid.points, len(drive)) if idler_drives else (len(drive), grid.points))
-    product = np.empty_like(acc) if not idler_drives and len(sampler.blocks) > 1 else None
-    for rows in sampler.blocks:
-        amplitudes = sampler(rows)
-        kernel = amplitudes[0]
-        kernel *= amplitudes[-1]
-        if idler_drives:
-            np.matmul(kernel, drive.T, out=acc[rows])
-        elif rows.start == 0:
-            np.matmul(drive[:, rows], kernel, out=acc)
-        else:
-            acc += np.matmul(drive[:, rows], kernel, out=product)
-    norms = sampler.norms()
+    def stream(sampler):
+        # The product of the driving rows with the kernel: rows of kernel @
+        # drive.T block by block, or drive @ kernel summed over the blocks;
+        # the cells a block skips add nothing.
+        acc = np.zeros((grid.points, len(drive)) if idler_drives else (len(drive), grid.points))
+        product = None
+        for rows, cols in sampler.blocks:
+            amplitudes = sampler(rows, cols)
+            kernel = amplitudes[0]
+            kernel *= amplitudes[-1]
+            if idler_drives:
+                np.matmul(kernel, drive[:, cols].T, out=acc[rows])
+            elif rows.start == 0 and kernel.shape[1] == grid.points:
+                np.matmul(drive[:, rows], kernel, out=acc)
+            else:
+                if product is None:
+                    product = np.empty(acc.size)
+                out = product[:len(drive) * kernel.shape[1]].reshape(len(drive), kernel.shape[1])
+                acc[:, cols] += np.matmul(drive[:, rows], kernel, out=out)
+        return acc, sampler.norms()
+
+    acc, norms = stream(sampler)
+    skipped = grid.points ** 2 - sampler.cells
+    if skipped * grid.cell_area * (sampler.threshold / min(norms)) ** 2 > CELL_LEVEL:
+        acc, norms = stream(_Sampler(pulse, specs, f_s, f_i, grid))
 
     # Row-wise sum of (acc_cos + i acc_sin) (cos + i sin) of the other arm.
     if idler_drives:

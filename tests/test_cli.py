@@ -436,6 +436,11 @@ class TestBadInputExitCodes:
         ("thickness_mm: 3.0", "thickness_mm: 0", "knobs.signal_plate: element thickness must be positive"),
         ("tilt_deg: 0.0}", "tilt_deg: 50}", "compensator[0]: |tilt| must be < 45 deg"),
         ("fwhm_nm: 10.0", "fwhm_nm: -3", "filters[0]: a filter needs"),
+        ("pump_amplitude_ratio: 1.0", "pump_amplitude_ratio: -1",
+         "scheme.pump_amplitude_ratio must be finite and >= 0, got -1.0"),
+        ("axis_orientation: vertical\n    signal_center_nm", "axis_orientation: horizontal\n    signal_center_nm",
+         "crystals[1].axis_orientation: the two crystals must have orthogonal axis orientations, "
+         "got 'horizontal' and 'horizontal'"),
     ])
     def test_bad_number_names_the_key(self, tmp_path, config_file, capsys, old, new, key):
         bad = _edited_config(config_file, tmp_path, old, new)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from bellsim import biphoton, dispersion, scenario
+from bellsim import biphoton, dispersion, scenario, spectral
 from bellsim.dispersion import YAML_LOADER
-from bellsim.errors import ConfigError, InfeasibleError
+from bellsim.errors import ConfigError, GridTruncationError, InfeasibleError
 from bellsim.fitting import fit_fringe
 from bellsim.polarization import fidelity, make_state
 from bellsim.scenario import ScanSettings
@@ -584,6 +584,85 @@ class TestKernelTimeSupport:
         errors = np.array([-700.0, -300.0, 0.0, 100.0, 300.0, 600.0, 1000.0, 1500.0, 3000.0])
         budget = scenario.delay_budget(source, knobs, errors)
         assert scenario.budget_terms(source, budget, 128, 5.0)[3] == 256
+
+
+def _with_filters(src, shape):
+    """``src`` with its own filters, rectangular ones of the same widths, or none."""
+    if shape == "rectangular":
+        return replace(src, filters=tuple(replace(f, shape="rectangular") for f in src.filters))
+    return replace(src, filters=(NO_FILTER, NO_FILTER)) if shape == "none" else src
+
+
+def _recorded_samplers(monkeypatch) -> list:
+    """Every ``spectral._Sampler`` made from here on, in order."""
+    made = []
+    sampler = spectral._Sampler
+
+    def record(*args, **kwargs):
+        made.append(sampler(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(spectral, "_Sampler", record)
+    return made
+
+
+def _stream_or_error(args):
+    try:
+        return kernel_overlaps(*args)
+    except GridTruncationError as error:
+        return str(error)
+
+
+class TestCroppedStream:
+    """``kernel_overlaps`` samples, per row block, only the columns where an
+    envelope bound reaches ``CELL_LEVEL`` of the ridge crest; at
+    ``CELL_LEVEL`` = 0 it samples every cell."""
+
+    @staticmethod
+    def _scan_args(src, kn, points):
+        # Both arms vary (the signal rows drive the product), or only the
+        # signal arm (the idler rows drive it).
+        budget = scenario.delay_budget(src, kn, np.array([-400.0, 0.0, 250.0, 900.0]))
+        grid = make_grid(src.pump, budget.specs[0], filters=src.filters, points=points)
+        a_signal, a_idler, _ = budget.amplitude_a()
+        b_group, _ = budget.amplitude_b()
+        head = (src.pump, *budget.specs, *src.filters, grid)
+        return [head + (a_signal - b_group, a_idler - b_group),
+                head + (a_signal - b_group, np.full(b_group.shape, a_idler - b_group[1]))]
+
+    @pytest.mark.parametrize("case", SUPPORT_CASES)
+    def test_matches_the_uncropped_stream(self, monkeypatch, source, knobs, case):
+        src, kn = SUPPORT_CASES[case](source, knobs)
+        for shape in ("config", "rectangular", "none"):
+            for points in (128, 256, 512, 1024):
+                for args in self._scan_args(_with_filters(src, shape), kn, points):
+                    cropped = _stream_or_error(args)
+                    with monkeypatch.context() as uncropped:
+                        uncropped.setattr(spectral, "CELL_LEVEL", 0.0)
+                        full = _stream_or_error(args)
+                    if isinstance(full, str):
+                        assert cropped == full
+                    else:
+                        assert np.abs(cropped - full).max() <= 1e-15, (shape, points)
+
+    def test_default_1024_stream_samples_at_most_30_percent(self, monkeypatch, source, knobs):
+        made = _recorded_samplers(monkeypatch)
+        kernel_overlaps(*self._scan_args(source, knobs, 1024)[0])
+        assert len(made) == 1 and 0 < made[0].cells <= 0.30 * 1024 ** 2
+
+    def test_fallback_reruns_uncropped(self, monkeypatch, source, knobs):
+        # At CELL_LEVEL = 0.5 the crop skips cells up to half the crest, so
+        # their bound exceeds the (same) tolerance and every cell is sampled.
+        args = self._scan_args(source, knobs, 256)[0]
+        with monkeypatch.context() as uncropped:
+            uncropped.setattr(spectral, "CELL_LEVEL", 0.0)
+            full = kernel_overlaps(*args)
+        made = _recorded_samplers(monkeypatch)
+        monkeypatch.setattr(spectral, "CELL_LEVEL", 0.5)
+        got = kernel_overlaps(*args)
+        assert [sampler.threshold > 0.0 for sampler in made] == [True, False]
+        assert made[0].cells < 256 ** 2 == made[1].cells
+        assert np.array_equal(got, full)
 
 
 class TestPlateTerms:

@@ -259,7 +259,7 @@ class TestSeparableSampling:
         nu = np.arange(-4, 5) * 0.013
         a, b, left, right = spectral._sinc_factors(spec, nu, nu)
         sinc, h, work = np.empty((3, nu.size, nu.size))
-        spectral._sinc_rows((a, b, left, right), slice(0, nu.size), sinc, h, work,
+        spectral._sinc_rows((a, b, left, right), slice(0, nu.size), slice(0, nu.size), sinc, h, work,
                             np.empty(sinc.shape, dtype=bool))
         assert np.all(sinc[::-1].diagonal() == 1.0)
         got = sinc * np.multiply.outer(np.exp(1j * a), np.exp(1j * b))
