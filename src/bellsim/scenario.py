@@ -6,22 +6,30 @@ Timing model (collinear, crystals listed in beam order):
 
 * amplitude a = pairs from the first crystal.  They cross the second
   crystal as its extraordinary ray (the crystals' axes are orthogonal);
-  this crossing is rigid: both arms get the mean e-ray group delay of the
-  pair centers on the phase-matching cut.  That drops the signal-idler
-  differential (108.9 fs for the default crystals), which no pump delay
-  removes; the default's visibility of ~1 rests on this approximation.
-  The ``cross_dispersion`` toggle adds each arm's e-ray group excess over
-  ordinary-ray propagation, a differential of a few fs.
+  this crossing is rigid: one ``pair``-axis term, carried at the pair's sum
+  frequency, gives both arms the mean e-ray group delay of the pair centers
+  on the phase-matching cut.  That drops the signal-idler differential
+  (108.9 fs for the default crystals), which no pump delay removes; the
+  default's visibility of ~1 rests on this approximation.  The
+  ``cross_dispersion`` toggle adds each arm's e-ray group excess over
+  ordinary-ray propagation as a term on that arm, a differential of a few
+  fs.
 * amplitude b = pairs from the second crystal.  Its pump component first
   crosses the first crystal as an ordinary ray (slow), so amplitude b lags;
-  the birefringent compensator pre-advances that pump component.
+  the birefringent compensator pre-advances that pump component.  Both are
+  ``pump``-axis terms of b, carried at the pump frequency.
 * the per-arm quartz plates (the signal/idler phase knobs) retard the
   polarization parallel to their axis; their phase delay difference is the
-  fringe phase, their group-delay difference shifts the envelopes.
+  fringe phase, their group-delay difference shifts the envelopes.  Each is
+  a term of a on its own arm.
 
-Every element acts to first order, as a group delay plus a carrier phase;
-a ``DelayBudget`` holds each one's contribution to both amplitudes and both
-crystals' phase-matching specs, so each cut angle is solved once per budget.
+Every element acts to first order, as a group delay plus a phase delay on
+one amplitude and one axis: a ``DelayTerm``.  A ``DelayBudget`` is the list
+of these terms, keyed by element name, with each axis's carrier frequency
+and both crystals' phase-matching specs, so each cut angle is solved once
+per budget.  Each delay quantity (an amplitude's per-arm retardation and
+carrier phase, the delays of a relative to b, the required compensation,
+the grid's envelope delay) is one sum over the terms in their fixed order.
 A compensation error replaces the compensator with an ideal pre-advance of
 the exact required compensation plus that error; like a scan's plate terms,
 it may be an array.  Every fringe value is thus an overlap of the two JSAs
@@ -59,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -69,6 +78,7 @@ from .dispersion import (
     BirefringentElement,
     Material,
     angled_extraordinary_group_index,
+    check_tilt,
     element_delays,
     get_material,
     group_index,
@@ -106,6 +116,11 @@ SCAN_AXIS_FIELDS = {
     "analyzer2_angle": ("theta2_deg",),
 }
 SCAN_AXIS_KINDS = tuple(SCAN_AXIS_FIELDS)
+ARMS = ("signal", "idler")
+SUM_AXES = ("pair", "pump")  # the delay-term axes that act on both arms
+# The delay terms in summation order, which fixes every rounding (``DelayBudget``).
+TERM_ORDER = ("signal_excess", "idler_excess", "signal_plate", "idler_plate", "crossing", "pump_crossing",
+              "compensation")
 NOISE_KINDS = ("none", "poisson")
 SCHEME_KINDS = ("collinear", "mzi")
 
@@ -134,11 +149,28 @@ class CrystalConfig:
         return "V" if self.axis_orientation == "horizontal" else "H"
 
 
+def _check_pump_knob(path: str, *delta_x_nm) -> None:
+    """ConfigError naming ``path`` unless the pump-knob phase 2 pi dx /
+    lambda_p is finite at each ``delta_x_nm``: 2 pi dx overflows for |dx|
+    above ~2.86e307 nm.  Checked before numpy ever sees the phase."""
+    if not all(math.isfinite(2.0 * math.pi * float(dx)) for dx in delta_x_nm):
+        raise ConfigError(f"{path}: the pump-knob phase 2 pi dx / lambda_p overflows; |dx| must be below "
+                          f"~2.86e307 nm, got {', '.join(map(repr, delta_x_nm))}")
+
+
 @dataclass(frozen=True)
 class PhaseKnobs:
+    """The ``knobs`` section's settings (its knob plates are ``SourceConfig``
+    fields).  Each check names its key."""
+
     pump_delta_x_nm: float = 0.0
     signal_tilt_deg: float = 0.0
     idler_tilt_deg: float = 0.0
+
+    def __post_init__(self):
+        _check_pump_knob("knobs.pump_delta_x_nm", self.pump_delta_x_nm)
+        for key in ("signal_tilt_deg", "idler_tilt_deg"):
+            _in_context(f"knobs.{key}", check_tilt, tilt_deg=getattr(self, key))
 
 
 @dataclass(frozen=True)
@@ -195,10 +227,11 @@ class ScanSettings:
                               f"got {self.steps}")
         if (self.start is None) != (self.stop is None):
             raise ConfigError("scan.start and scan.stop must be given together")
-        if self.start is not None and not (math.isfinite(self.start) and math.isfinite(self.stop)
-                                           and self.stop > self.start):
+        if self.start is not None and not (math.isfinite(self.stop - self.start) and self.stop > self.start):
             raise ConfigError(f"scan.start/scan.stop: scan range must be finite with stop > start, "
                               f"got ({self.start}, {self.stop})")
+        if self.start is not None and self.axis_kind == "pump_delay":
+            _check_pump_knob("scan.start/scan.stop", self.start, self.stop)
         if not (math.isfinite(self.analyzer1_deg) and math.isfinite(self.analyzer2_deg)):
             raise ConfigError(f"scan.analyzer1_deg and scan.analyzer2_deg must be finite, got "
                               f"{self.analyzer1_deg!r} and {self.analyzer2_deg!r}")
@@ -275,34 +308,43 @@ def crystal_cut_angle(crystal: CrystalConfig, pump: PumpPulse) -> float:
     )
 
 
-def _crossing_delays(first: CrystalConfig, second: CrystalConfig, pump: PumpPulse, theta2: float):
-    """Delays (fs) of the crystal crossings, as three pairs: the first
-    crystal's pairs crossing the second (cut at ``theta2``) as its
-    extraordinary ray, (group, phase) at the pair mean; the (signal, idler)
-    group-delay excess of that e-ray over ordinary-ray propagation; and the
-    second crystal's pump component crossing the first as an ordinary ray,
-    (group, phase)."""
-    m2 = second.material
+class DelayTerm(NamedTuple):
+    """One element's first-order group and phase delay, in fs, on one
+    amplitude (a|b) and one axis (an arm, or a sum frequency: both arms)."""
+
+    amplitude: str
+    axis: str
+    group: float
+    phase: float
+
+
+def _crossing_terms(source: SourceConfig, theta2: float) -> dict:
+    """The crystal crossings' terms: a's pairs cross crystal 2 (cut at
+    ``theta2``) as its e-ray, rigidly at the pair mean, plus each arm's
+    e-ray excess over the o-ray when cross-dispersion is enabled; b's pump
+    component crosses crystal 1 as an o-ray."""
+    first, second = source.crystals
     length2_nm = second.thickness_mm * MM_TO_NM
 
     def e_delays(wavelength_nm):
         # (group, phase, group excess over the ordinary ray) of the e-ray.
-        n_p, n_g = ray_indices(m2, theta2, wavelength_nm)
-        n_o = ray_indices(m2, "o", wavelength_nm)[1]
+        n_p, n_g = ray_indices(second.material, theta2, wavelength_nm)
+        n_o = ray_indices(second.material, "o", wavelength_nm)[1]
         return (n_g * length2_nm / C_NM_PER_FS, n_p * length2_nm / C_NM_PER_FS,
                 (n_g - n_o) * length2_nm / C_NM_PER_FS)
 
     sig_g, sig_p, sig_excess = e_delays(first.signal_center_nm)
     idl_g, idl_p, idl_excess = e_delays(first.idler_center_nm)
-
     length1_nm = first.thickness_mm * MM_TO_NM
-    pump_n, pump_n_g = ray_indices(first.material, "o", pump.center_wavelength_nm)
+    pump_n, pump_n_g = ray_indices(first.material, "o", source.pump.center_wavelength_nm)
 
-    return (
-        (0.5 * (sig_g + idl_g), 0.5 * (sig_p + idl_p)),
-        (sig_excess, idl_excess),
-        (pump_n_g * length1_nm / C_NM_PER_FS, pump_n * length1_nm / C_NM_PER_FS),
-    )
+    terms = {"crossing": DelayTerm("a", "pair", 0.5 * (sig_g + idl_g), 0.5 * (sig_p + idl_p)),
+             "pump_crossing": DelayTerm("b", "pump", pump_n_g * length1_nm / C_NM_PER_FS,
+                                        pump_n * length1_nm / C_NM_PER_FS)}
+    if source.cross_dispersion_enabled:
+        terms |= {"signal_excess": DelayTerm("a", "signal", sig_excess, 0.0),
+                  "idler_excess": DelayTerm("a", "idler", idl_excess, 0.0)}
+    return terms
 
 
 def _retardation(element: BirefringentElement, polarization: str, wavelength_nm: float, tilt_deg=None):
@@ -319,94 +361,86 @@ def _retardation(element: BirefringentElement, polarization: str, wavelength_nm:
     )
 
 
-def _plate_effect_on_a(source: SourceConfig, arm: str, tilt_deg):
-    """(group, phase) retardation of amplitude a relative to amplitude b
-    caused by the per-arm plate of ``arm`` (signal|idler) at a tilt, or
-    arrays of both at an array of tilts: positive when amplitude a's photon
-    rides the slow extraordinary axis.  The plate's indices are evaluated
-    once, at the arm's center wavelength; the tilts only set the path."""
+def _plate_term(source: SourceConfig, arm: str, tilt_deg) -> DelayTerm:
+    """Amplitude a's term of the knob plate of ``arm`` at a tilt (arrays at
+    an array of tilts): a's photon's retardation relative to b's, from the
+    plate's indices at the arm's center; the tilts only set the path."""
     first = source.crystals[0]
-    plate, center_nm = {
-        "signal": (source.signal_plate, first.signal_center_nm),
-        "idler": (source.idler_plate, first.idler_center_nm),
-    }[arm]
-    return _retardation(plate, first.pair_polarization(), center_nm, tilt_deg)
+    plate, center_nm = getattr(source, f"{arm}_plate"), getattr(first, f"{arm}_center_nm")
+    return DelayTerm("a", arm, *_retardation(plate, first.pair_polarization(), center_nm, tilt_deg))
 
 
-def _compensator_advance(source: SourceConfig) -> tuple:
-    """(group, phase) pre-advance of amplitude b's pump component relative
-    to amplitude a's, produced by the compensator elements."""
+def _compensator_term(source: SourceConfig) -> DelayTerm:
+    """Amplitude b's term of the compensator elements: the retardation of
+    b's pump component relative to a's, negative for a pre-advance."""
     pol_b_pump = "V" if source.crystals[1].axis_orientation == "vertical" else "H"
-    adv_g = 0.0
-    adv_p = 0.0
+    group = phase = 0.0
     for element in source.compensator:
-        # advance of b = delay of the *other* component minus delay of b's.
-        group, phase = _retardation(element, pol_b_pump, source.pump.center_wavelength_nm)
-        adv_g -= group
-        adv_p -= phase
-    return adv_g, adv_p
+        element_group, element_phase = _retardation(element, pol_b_pump, source.pump.center_wavelength_nm)
+        group += element_group
+        phase += element_phase
+    return DelayTerm("b", "pump", group, phase)
 
 
 @dataclass(frozen=True)
 class DelayBudget:
-    """Each element's first-order (group, phase) delay, in fs, on the two
-    amplitudes, plus the pump center frequency (rad/fs) and the two
-    crystals' phase-matching ``specs``, derived from the same cut angles as
-    the crossing.  The pair phases act about the first crystal's spec
-    centers, ``specs[0].*_center_angular_frequency``.
+    """Each element's ``DelayTerm`` by name, the carrier (rad/fs) of each
+    axis and the crystals' phase-matching ``specs`` (same cut angles as the
+    crossing).  Four axes: ``signal`` and ``idler`` act on one arm, at the
+    first crystal's spec centers; ``pair`` and ``pump`` act on both, at the
+    centers' sum and the pump center.  Each delay quantity sums one
+    amplitude's terms in term order (``TERM_ORDER``), so the term order is
+    the summation order and fixes every rounding.  A scan swaps the plate
+    terms by name for arrays, and a compensation error may be an array;
+    every delay broadcasts over them."""
 
-    Amplitude a: ``crossing`` of crystal 2 by its pairs (collinear only),
-    their ``cross_dispersion`` (signal, idler) group excess (when enabled),
-    and the ``signal_plate`` and ``idler_plate`` retardations.  Amplitude b:
-    ``pump_crossing`` of crystal 1 by its pump component (collinear only),
-    less the ``compensation`` pre-advance.  A scan stores the plate terms of
-    all its steps as arrays, from one ``_plate_effect_on_a`` pass per arm;
-    every derived delay broadcasts over them.
-    """
-
-    pump_center: float
+    terms: dict
+    carriers: dict
     specs: tuple
-    compensation: tuple
-    signal_plate: tuple
-    idler_plate: tuple
-    crossing: tuple = (0.0, 0.0)
-    cross_dispersion: tuple = (0.0, 0.0)
-    pump_crossing: tuple = (0.0, 0.0)
+
+    def _group(self, amplitude: str, axes, total=0.0, without: str | None = None):
+        """``total`` plus the group delays of the terms of ``amplitude`` on
+        ``axes``, but ``without``, added one by one in term order."""
+        for name, (owner, axis, group, _) in self.terms.items():
+            if owner == amplitude and axis in axes and name != without:
+                total = total + group
+        return total
+
+    def retardation(self, amplitude: str) -> tuple:
+        """(signal group, idler group, carrier phase) retardation of
+        ``amplitude`` (a|b)."""
+        carrier = 0.0
+        for owner, axis, _, phase in self.terms.values():
+            if owner == amplitude:
+                carrier = carrier + self.carriers[axis] * phase
+        both = self._group(amplitude, SUM_AXES)
+        return (*(self._group(amplitude, (arm,), total=both) for arm in ARMS), carrier)
+
+    def delays(self) -> tuple:
+        """(signal delay, idler delay, carrier phase) of amplitude a
+        relative to amplitude b."""
+        (a_signal, a_idler, a_carrier), (b_signal, b_idler, b_carrier) = map(self.retardation, "ab")
+        return a_signal - b_signal, a_idler - b_idler, a_carrier - b_carrier
 
     @property
     def required_compensation_fs(self):
         """Group pre-advance of b's pump component that equalizes the two
-        amplitudes' symmetric envelope retardations."""
-        lag_a = (self.crossing[0] + 0.5 * (self.cross_dispersion[0] + self.cross_dispersion[1])
-                 + 0.5 * (self.signal_plate[0] + self.idler_plate[0]))
-        return self.pump_crossing[0] - lag_a
-
-    def amplitude_a(self) -> tuple:
-        """(signal group, idler group, carrier phase) retardation of a."""
-        group = self.crossing[0]
-        signal_center = self.specs[0].signal_center_angular_frequency
-        idler_center = self.specs[0].idler_center_angular_frequency
-        carrier = (signal_center + idler_center) * self.crossing[1]
-        return (
-            group + self.cross_dispersion[0] + self.signal_plate[0],
-            group + self.cross_dispersion[1] + self.idler_plate[0],
-            carrier + (signal_center * self.signal_plate[1] + idler_center * self.idler_plate[1]),
-        )
-
-    def amplitude_b(self) -> tuple:
-        """(group, carrier phase) retardation of b, equal in both arms."""
-        return (
-            self.pump_crossing[0] - self.compensation[0],
-            self.pump_center * self.pump_crossing[1] - self.pump_center * self.compensation[1],
-        )
+        amplitudes' symmetric envelope retardations: b's group delay without
+        the compensation, less a's mean over the two arms."""
+        lag_a = self._group("a", SUM_AXES) + 0.5 * (self._group("a", ("signal",)) + self._group("a", ("idler",)))
+        return self._group("b", SUM_AXES, without="compensation") - lag_a
 
     def envelope_delay_fs(self):
         """Largest net group retardation between the amplitudes; the grid
-        spacing must sample it."""
+        spacing must sample it.  It over-counts: the compensation cancels the
+        plates' mean, yet their |group| (191 fs on the default) is added, so
+        errors of 495 to ~686 fs get 256^2 where 128^2 serves.  Sizing by
+        ``delays()`` would move the benchmark's pinned ``grid_points``."""
+        group = lambda name: self.terms[name].group if name in self.terms else 0.0
         return (
-            np.abs(self.required_compensation_fs - self.compensation[0])
-            + np.abs(self.signal_plate[0]) + np.abs(self.idler_plate[0])
-            + abs(self.cross_dispersion[0] - self.cross_dispersion[1])
+            np.abs(self.required_compensation_fs + group("compensation"))
+            + np.abs(group("signal_plate")) + np.abs(group("idler_plate"))
+            + abs(group("signal_excess") - group("idler_excess"))
         )
 
 
@@ -418,24 +452,21 @@ def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
     knobs = knobs or PhaseKnobs()
     first, second = source.crystals
     theta2 = crystal_cut_angle(second, source.pump)
-    crossings = {}
+    specs = (phase_matching_spec(first, source.pump), phase_matching_spec(second, source.pump, theta2))
+    signal_center, idler_center = specs[0].signal_center_angular_frequency, specs[0].idler_center_angular_frequency
+    terms = {f"{arm}_plate": _plate_term(source, arm, getattr(knobs, f"{arm}_tilt_deg")) for arm in ARMS}
     if source.scheme == "collinear":
-        crossing, excess, pump_crossing = _crossing_delays(first, second, source.pump, theta2)
-        crossings = {"crossing": crossing, "pump_crossing": pump_crossing}
-        if source.cross_dispersion_enabled:
-            crossings["cross_dispersion"] = excess
-    budget = DelayBudget(
-        pump_center=source.pump.center_angular_frequency,
-        specs=(phase_matching_spec(first, source.pump), phase_matching_spec(second, source.pump, theta2)),
-        compensation=_compensator_advance(source) if compensation_error_fs is None else (0.0, 0.0),
-        signal_plate=_plate_effect_on_a(source, "signal", knobs.signal_tilt_deg),
-        idler_plate=_plate_effect_on_a(source, "idler", knobs.idler_tilt_deg),
-        **crossings,
-    )
-    if compensation_error_fs is not None:
+        terms |= _crossing_terms(source, theta2)
+    terms = {name: terms[name] for name in TERM_ORDER if name in terms}
+    carriers = {"signal": signal_center, "idler": idler_center, "pair": signal_center + idler_center,
+                "pump": source.pump.center_angular_frequency}
+    budget = DelayBudget(terms=terms, carriers=carriers, specs=specs)
+    if compensation_error_fs is None:
+        compensation = _compensator_term(source)
+    else:
         exact = budget.required_compensation_fs + compensation_error_fs
-        budget = replace(budget, compensation=(exact, exact))
-    return budget
+        compensation = DelayTerm("b", "pump", -exact, -exact)
+    return replace(budget, terms=terms | {"compensation": compensation})
 
 
 def required_compensation_fs(source: SourceConfig, knobs: PhaseKnobs | None = None) -> float:
@@ -483,10 +514,8 @@ def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
     are applied to the overlaps.  The JSAs are normalized, so the squared
     norms are the squared weights."""
     w_a, w_b = _pump_weights(source) if weights is None else weights
-    a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
-    b_group, b_carrier = budget.amplitude_b()
-    signal_delays, idler_delays = np.broadcast_arrays(np.atleast_1d(a_sig_group - b_group),
-                                                      a_idl_group - b_group)
+    signal_delay, idler_delay, carrier = budget.delays()
+    signal_delays, idler_delays = np.broadcast_arrays(np.atleast_1d(signal_delay), idler_delay)
     envelope_delays = np.broadcast_to(budget.envelope_delay_fs(), signal_delays.shape)
     (c_s, t_s), (c_i, t_i) = kernel_time_support(source.pump, *budget.specs, *source.filters)
     # A non-finite delay stays in, for ``make_grid`` to reject.
@@ -497,7 +526,7 @@ def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
     overlaps = np.zeros(signal_delays.shape, dtype=complex)
     overlaps[inside] = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid,
                                        signal_delays[inside], idler_delays[inside])
-    cross = w_a * w_b * np.exp(1j * (a_carrier - b_carrier)) * overlaps
+    cross = w_a * w_b * np.exp(1j * carrier) * overlaps
     return w_a * w_a, w_b * w_b, cross, grid.points
 
 
@@ -532,11 +561,10 @@ def build_amplitudes(
         jsa_b = build_jsa(source.pump, spec_b, *source.filters, grid, label=second.axis_orientation)
     w_a, w_b = _pump_weights(source)
 
-    a_sig_group, a_idl_group, a_carrier = budget.amplitude_a()
-    b_group, b_carrier = budget.amplitude_b()
     centers = (spec_a.signal_center_angular_frequency, spec_a.idler_center_angular_frequency)
-    amp_a = biphoton.apply_envelope_phase(jsa_a, -a_sig_group, -a_idl_group, -a_carrier, *centers, "retard_a")
-    amp_b = biphoton.apply_envelope_phase(jsa_b, -b_group, -b_group, -b_carrier, *centers, "retard_b")
+    (a_signal, a_idler, a_carrier), (b_signal, b_idler, b_carrier) = map(budget.retardation, "ab")
+    amp_a = biphoton.apply_envelope_phase(jsa_a, -a_signal, -a_idler, -a_carrier, *centers, "retard_a")
+    amp_b = biphoton.apply_envelope_phase(jsa_b, -b_signal, -b_idler, -b_carrier, *centers, "retard_b")
 
     if w_a != 1.0:
         amp_a = biphoton.scale(amp_a, w_a)
@@ -600,10 +628,10 @@ def scan(source: SourceConfig, knobs: PhaseKnobs, settings: ScanSettings, seed: 
     # Only the scanned plates change the delays: all their steps' terms come
     # from one dispersion pass per arm; an unscanned arm's delay is one
     # overlap row for every step.
-    scanned_arms = [arm for arm in ("signal", "idler") if f"{arm}_tilt_deg" in scanned]
+    scanned_arms = [arm for arm in ARMS if f"{arm}_tilt_deg" in scanned]
     standing = delay_budget(source, knobs, compensation_error_fs)
-    budget = replace(standing, **{f"{arm}_plate": _plate_effect_on_a(source, arm, values)
-                                  for arm in scanned_arms})
+    budget = replace(standing, terms=standing.terms | {f"{arm}_plate": _plate_term(source, arm, values)
+                                                       for arm in scanned_arms})
     norm_a, norm_b, cross, grid_points_used = budget_terms(source, budget, settings.grid_points,
                                                            settings.grid_span_factor)
     norms_sq = _h_and_v(source, norm_a, norm_b)
@@ -616,7 +644,7 @@ def scan(source: SourceConfig, knobs: PhaseKnobs, settings: ScanSettings, seed: 
     # Tilt axes plot the mean effective path delay of the scanned plates,
     # relative to the standing tilts.
     plate_delays = [
-        (getattr(budget, f"{arm}_plate")[1] - getattr(standing, f"{arm}_plate")[1]) * C_NM_PER_FS
+        (budget.terms[f"{arm}_plate"].phase - standing.terms[f"{arm}_plate"].phase) * C_NM_PER_FS
         for arm in scanned_arms
     ]
     axis = np.mean(plate_delays, axis=0) if plate_delays else values.copy()
@@ -739,8 +767,11 @@ FIELD_CHOICES = {"axis_orientation": ORIENTATIONS, "shape": FILTER_SHAPES, "sche
 # The keys of the ``scheme`` section and the SourceConfig fields they set.
 SCHEME_KEYS = (("kind", "scheme"), ("cross_dispersion", "cross_dispersion_enabled"),
                ("pump_amplitude_ratio", "pump_amplitude_ratio"))
+# The keys of a knob plate: its tilt is the knobs' ``<arm>_tilt_deg``.
+PLATE_KEYS = tuple((key, key) for key in ("material", "thickness_mm", "axis_orientation"))
 # The knob plate of an arm that the config leaves out or sets to null.
 DEFAULT_PLATE = {"material": "quartz", "thickness_mm": 3.0}
+ROOT_SECTIONS = ("pump", "crystals", "compensator", "filters", "scheme", "knobs", "scan")
 
 
 def _in_context(context: str, make, **fields):
@@ -760,6 +791,16 @@ def _mapping(value, context: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"config section {context!r} must be a mapping, got {value!r}")
     return value
+
+
+def _check_keys(section: dict, context: str, known, note: str = "") -> None:
+    """ConfigError naming the first key of the mapping ``section`` at key
+    path ``context`` (empty: the config root) that is not in ``known``: a
+    key that nothing would read."""
+    for key in section:
+        if key not in known:
+            path, where = (f"{context}.{key}", repr(context)) if context else (key, "the config root")
+            raise ConfigError(f"{path} is not a key of {where}; known: {', '.join(known)}{note}")
 
 
 def _number(value, path: str, kind=float):
@@ -796,7 +837,13 @@ def _layout(cls, keys=None) -> tuple:
                  for key, name in keys or zip(declared, declared))
 
 
-def _read(cls, section, context: str, keys=None, make=None):
+@cache
+def _keys(cls, keys=None) -> tuple:
+    """The config keys of ``_layout(cls, keys)``, in field order."""
+    return tuple(key for key, *_ in _layout(cls, keys))
+
+
+def _read(cls, section, context: str, keys=None, make=None, others=(), note=""):
     """``make`` (default: ``cls``) of the fields of the dataclass ``cls``
     that the config mapping ``section`` at key path ``context`` gives, its
     own checks prefixed with that path.  Each value is parsed by its field's
@@ -805,8 +852,11 @@ def _read(cls, section, context: str, keys=None, make=None):
     optional number left unset by null.  An absent key is left out, so the
     field takes its class default; an absent required key is a ConfigError.
     ``keys`` pairs the section's keys with the fields they set, as in
-    ``_layout``."""
+    ``_layout``.  Any other key is a ConfigError that lists the known keys
+    and ends with ``note``, unless it is one of ``others``, which the caller
+    reads."""
     section = _mapping(section, context)
+    _check_keys(section, context, _keys(cls, keys) + others, note)
     given = {}
     for key, name, kind, required in _layout(cls, keys):
         if key not in section:
@@ -827,6 +877,15 @@ def _read(cls, section, context: str, keys=None, make=None):
     return _in_context(context, make or cls, **given)
 
 
+def _filter(entry, context: str) -> SpectralFilter:
+    """The filter at key path ``context``; one of shape none reads no other
+    key, but each of its keys must be a filter key."""
+    if _mapping(entry, context).get("shape") != NO_FILTER.shape:
+        return _read(SpectralFilter, entry, context)
+    _check_keys(entry, context, _keys(SpectralFilter))
+    return NO_FILTER
+
+
 def _pair(data: dict, section: str) -> list:
     entries = data[section]
     if not isinstance(entries, list) or len(entries) != 2:
@@ -838,7 +897,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Validate a parsed YAML mapping into an ExperimentConfig.  Every
     section is read by ``_read`` of the class it describes, so each default
     and each choice list is its class's; the sections are read in the order
-    pump, crystals, filters, compensator, scheme, knob plates, knobs, scan."""
+    pump, crystals, filters, compensator, scheme, knob plates, knobs, scan.
+    A key that nothing reads, in a section or at the root, is an error."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     for section in ("pump", "crystals", "filters", "scheme"):
@@ -848,10 +908,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     pump = _read(PumpPulse, data["pump"], "pump")
     crystals = tuple(_read(CrystalConfig, entry, f"crystals[{k}]")
                      for k, entry in enumerate(_pair(data, "crystals")))
-    # A filter of shape none reads no other key.
-    filters = tuple(NO_FILTER if _mapping(entry, f"filters[{k}]").get("shape") == NO_FILTER.shape
-                    else _read(SpectralFilter, entry, f"filters[{k}]")
-                    for k, entry in enumerate(_pair(data, "filters")))
+    filters = tuple(_filter(entry, f"filters[{k}]") for k, entry in enumerate(_pair(data, "filters")))
     raw_compensator = data.get("compensator") or []
     if not isinstance(raw_compensator, list):
         raise ConfigError(f"config section 'compensator' must be a list, got {raw_compensator!r}")
@@ -859,13 +916,17 @@ def parse_config(data: dict) -> ExperimentConfig:
                         for k, entry in enumerate(raw_compensator))
     scheme = _read(SourceConfig, data["scheme"], "scheme", SCHEME_KEYS, make=dict)
     knobs = _mapping(data.get("knobs") or {}, "knobs")
-    plates = {arm: _read(BirefringentElement, DEFAULT_PLATE if knobs.get(arm) is None else knobs[arm],
-                         f"knobs.{arm}")
-              for arm in ("signal_plate", "idler_plate")}
+    plates = {f"{arm}_plate": _read(BirefringentElement, DEFAULT_PLATE if knobs.get(f"{arm}_plate") is None
+                                    else knobs[f"{arm}_plate"], f"knobs.{arm}_plate", PLATE_KEYS,
+                                    note=f"; its tilt is knobs.{arm}_tilt_deg")
+              for arm in ARMS}
     source = SourceConfig(pump=pump, crystals=crystals, compensator=compensator, filters=filters,
                           **plates, **scheme)
-    return ExperimentConfig(source=source, knobs=_read(PhaseKnobs, knobs, "knobs"),
-                            scan=_read(ScanSettings, data.get("scan") or {}, "scan"))
+    config = ExperimentConfig(source=source, knobs=_read(PhaseKnobs, knobs, "knobs", others=tuple(plates)),
+                              scan=_read(ScanSettings, data.get("scan") or {}, "scan"))
+    # Last, so that an error inside a section is reported before a stray root key.
+    _check_keys(data, "", ROOT_SECTIONS)
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

@@ -462,6 +462,60 @@ class TestBadInputExitCodes:
         assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
         assert f"{context!r} must be a mapping" in capsys.readouterr().err
 
+    PLATE = "thickness_mm: 3.0, axis_orientation: vertical}"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("pump:\n", "pupm: 1\npump:\n", "pupm is not a key of the config root; known: pump, crystals, compensator, "
+         "filters, scheme, knobs, scan"),
+        ("duration_fs: 80.0", "duration_fs: 80.0\n  durations_fs: 80.0",
+         "pump.durations_fs is not a key of 'pump'; known: center_wavelength_nm, duration_fs, "
+         "polarization_angle_deg"),
+        ("thickness_mm: 3.4", "thickness_mm: 3.4\n    thickness: 3.4",
+         "crystals[0].thickness is not a key of 'crystals[0]'; known: material, thickness_mm"),
+        ("thickness_mm: 35.352,", "thickness_mm: 35.352, tilt: 1,",
+         "compensator[0].tilt is not a key of 'compensator[0]'; known: material, thickness_mm, "
+         "axis_orientation, tilt_deg"),
+        ("fwhm_nm: 10.0, shape: gaussian}", "fwhm: 10.0, fwhm_nm: 10.0, shape: gaussian}",
+         "filters[0].fwhm is not a key of 'filters[0]'; known: center_nm, fwhm_nm, shape"),
+        ("- {center_nm: 730.0, fwhm_nm: 10.0, shape: gaussian}", "- {shape: none, width: 1}",
+         "filters[0].width is not a key of 'filters[0]'; known: center_nm, fwhm_nm, shape"),
+        ("kind: collinear", "kind: collinear\n  cross_dispersions: true",
+         "scheme.cross_dispersions is not a key of 'scheme'; known: kind, cross_dispersion, pump_amplitude_ratio"),
+        ("pump_delta_x_nm: 0.0", "pump_delta_x: 0.0", "knobs.pump_delta_x is not a key of 'knobs'; known: "
+         "pump_delta_x_nm, signal_tilt_deg, idler_tilt_deg, signal_plate, idler_plate"),
+        (PLATE, PLATE.replace("}", ", tilt_deg: 20}"), "knobs.signal_plate.tilt_deg is not a key of "
+         "'knobs.signal_plate'; known: material, thickness_mm, axis_orientation; its tilt is knobs.signal_tilt_deg"),
+        ("steps: 129", "stesp: 33", "scan.stesp is not a key of 'scan'; known: axis_kind, start, stop, steps"),
+    ], ids=["root", "pump", "crystal", "compensator", "filter", "filter_none", "scheme", "knobs", "knob_plate",
+            "scan"])
+    def test_unknown_key_names_its_path_and_the_known_keys(self, tmp_path, config_file, capsys, old, new,
+                                                           message):
+        bad = _edited_config(config_file, tmp_path, old, new)
+        out = tmp_path / "x"
+        assert run(["scan", "--config", bad, "--output", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.with_name("x.csv").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("old, new, named", [
+        ("signal_tilt_deg: 0.0", "signal_tilt_deg: 50", "knobs.signal_tilt_deg: |tilt| must be < 45 deg, got 50.0"),
+        ("idler_tilt_deg: 0.0", "idler_tilt_deg: -45", "knobs.idler_tilt_deg: |tilt| must be < 45 deg, got -45.0"),
+        ("pump_delta_x_nm: 0.0", "pump_delta_x_nm: 1e308",
+         "knobs.pump_delta_x_nm: the pump-knob phase 2 pi dx / lambda_p overflows"),
+    ], ids=["signal_tilt", "idler_tilt", "pump_knob"])
+    def test_bad_knob_names_the_key(self, tmp_path, config_file, capsys, command, old, new, named):
+        bad = _edited_config(config_file, tmp_path, old, new)
+        assert run([command, "--config", bad, "--output", tmp_path / "x", *self.COMMANDS[command]]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start, stop", [("1e308", "1.5e308"), ("-1.7e308", "0")])
+    def test_overflowing_pump_scan_names_the_range(self, tmp_path, config_file, capsys, start, stop):
+        out = tmp_path / "x"
+        assert run(["scan", "--config", config_file, "--output", out, f"--start={start}", f"--stop={stop}"]) == 2
+        assert ("scan.start/scan.stop: the pump-knob phase 2 pi dx / lambda_p overflows"
+                in capsys.readouterr().err)
+        assert not out.with_name("x.csv").exists()
+
     @pytest.mark.parametrize("value", ["5", "{a: 1}"])
     def test_compensator_that_is_not_a_list(self, tmp_path, config_file, capsys, value):
         bad = _edited_config(config_file, tmp_path, "compensator:\n", f"compensator: {value}\nold_compensator:\n")
@@ -477,7 +531,7 @@ class TestBadInputExitCodes:
         assert not out.with_name("x.csv").exists()
 
     @pytest.mark.parametrize("axis", ["pump_delay", "signal_tilt"])
-    @pytest.mark.parametrize("start, stop", [("-inf", "5"), ("0", "inf"), ("nan", "5")])
+    @pytest.mark.parametrize("start, stop", [("-inf", "5"), ("0", "inf"), ("nan", "5"), ("-1.7e308", "1.7e308")])
     def test_non_finite_scan_range(self, tmp_path, config_file, capsys, axis, start, stop):
         out = tmp_path / "x"
         assert run(["scan", "--config", config_file, "--output", out, "--axis", axis,

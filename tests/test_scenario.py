@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -167,10 +167,11 @@ class TestBuildAmplitudes:
         tilted = replace(knobs, signal_tilt_deg=12.0, idler_tilt_deg=-21.0)
         required = scenario.required_compensation_fs(source, tilted)
         budget = scenario.delay_budget(source, tilted, compensation_error_fs=error)
-        for applied in budget.compensation:
+        terms = budget.terms
+        for applied in (-terms["compensation"].group, -terms["compensation"].phase):
             assert np.array_equal(applied, required + error)
-        assert np.allclose(budget.envelope_delay_fs(), np.abs(error)
-                           + abs(budget.signal_plate[0]) + abs(budget.idler_plate[0]), rtol=0, atol=1e-9)
+        assert np.allclose(budget.envelope_delay_fs(), np.abs(error) + abs(terms["signal_plate"].group)
+                           + abs(terms["idler_plate"].group), rtol=0, atol=1e-9)
 
 
 class TestScans:
@@ -558,9 +559,8 @@ class TestKernelTimeSupport:
         assert np.abs(coarse - fine).max() <= 1e-10
 
         (c_s, t_s), (c_i, t_i) = kernel_time_support(src.pump, *budget.specs, *src.filters)
-        a_signal, a_idler, _ = budget.amplitude_a()
-        b_group, _ = budget.amplitude_b()
-        outside = (np.abs(a_signal - b_group - c_s) > t_s) | (np.abs(a_idler - b_group - c_i) > t_i)
+        signal_delays, idler_delays, _ = budget.delays()
+        outside = (np.abs(signal_delays - c_s) > t_s) | (np.abs(idler_delays - c_i) > t_i)
         assert 0 < outside.sum() < errors.size - 8
         assert np.all(coarse[outside] == 0.0) and np.all(coarse[~outside] != 0.0)
 
@@ -570,10 +570,9 @@ class TestKernelTimeSupport:
         errors = [0.0, 1000.0, 3000.0, 12000.0, 30000.0]
         budget = scenario.delay_budget(source, knobs, np.array(errors))
         grid = make_grid(source.pump, budget.specs[0], filters=source.filters, points=256)
-        a_signal, a_idler, _ = budget.amplitude_a()
-        b_group, _ = budget.amplitude_b()
+        signal_delays, idler_delays, _ = budget.delays()
         image = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid,
-                                a_signal - b_group[2:3], a_idler - b_group[2:3])
+                                signal_delays[2:3], idler_delays[2:3])
         assert abs(image[0]) > 0.1
         got = scenario.sweep(source, knobs, "compensation_error_fs", errors)
         assert got[0] > 0.999 and got[1] > 1e-16
@@ -624,11 +623,10 @@ class TestCroppedStream:
         # signal arm (the idler rows drive it).
         budget = scenario.delay_budget(src, kn, np.array([-400.0, 0.0, 250.0, 900.0]))
         grid = make_grid(src.pump, budget.specs[0], filters=src.filters, points=points)
-        a_signal, a_idler, _ = budget.amplitude_a()
-        b_group, _ = budget.amplitude_b()
+        signal_delays, idler_delays, _ = budget.delays()
         head = (src.pump, *budget.specs, *src.filters, grid)
-        return [head + (a_signal - b_group, a_idler - b_group),
-                head + (a_signal - b_group, np.full(b_group.shape, a_idler - b_group[1]))]
+        return [head + (signal_delays, idler_delays),
+                head + (signal_delays, np.full(idler_delays.shape, idler_delays[1]))]
 
     @pytest.mark.parametrize("case", SUPPORT_CASES)
     def test_matches_the_uncropped_stream(self, monkeypatch, source, knobs, case):
@@ -677,7 +675,8 @@ class TestPlateTerms:
         # of a vertical-axis plate.
         sign = 1.0 if orientation == "vertical" else -1.0
         tilts = np.array([-35.0, -12.25, 0.0, 0.0, 7.5, 21.0, 44.0])
-        group, phase = scenario._plate_effect_on_a(source, arm, tilts)
+        amplitude, axis, group, phase = scenario._plate_term(source, arm, tilts)
+        assert (amplitude, axis) == ("a", arm)
         for k, tilt in enumerate(tilts):
             tilted = replace(plate, tilt_deg=float(tilt))
             rep_e = dispersion.element_delays(tilted, "e", center)
@@ -688,10 +687,10 @@ class TestPlateTerms:
             assert phase[k] == pytest.approx(want_phase, rel=1e-12)
 
     def test_scalar_tilt_gives_scalar_terms(self, source):
-        group, phase = scenario._plate_effect_on_a(source, "idler", 9.0)
-        arrays = scenario._plate_effect_on_a(source, "idler", np.array([9.0]))
+        _, _, group, phase = scenario._plate_term(source, "idler", 9.0)
+        arrays = scenario._plate_term(source, "idler", np.array([9.0]))
         assert np.ndim(group) == 0 and np.ndim(phase) == 0
-        assert (group, phase) == pytest.approx((arrays[0][0], arrays[1][0]), rel=1e-15)
+        assert (group, phase) == pytest.approx((arrays.group[0], arrays.phase[0]), rel=1e-15)
 
     @pytest.mark.parametrize("axis_kind", ["signal_tilt", "idler_tilt", "both_tilts"])
     def test_scanned_tilt_bound_names_the_tilt(self, source, knobs, axis_kind):
@@ -757,3 +756,154 @@ class TestYamlLoader:
         text = resources.files("bellsim.data").joinpath(name).read_text()
         assert yaml.load(text, Loader=YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
+
+@dataclass(frozen=True)
+class LegacyDelayBudget:
+    """The delay budget as eight per-element fields, each summed by hand: a
+    copy of the sums the term list replaced, kept as the oracle of its fold.
+    ``compensation`` is the pre-advance of b's pump component."""
+
+    pump_center: float
+    specs: tuple
+    compensation: tuple
+    signal_plate: tuple
+    idler_plate: tuple
+    crossing: tuple = (0.0, 0.0)
+    cross_dispersion: tuple = (0.0, 0.0)
+    pump_crossing: tuple = (0.0, 0.0)
+
+    @property
+    def required_compensation_fs(self):
+        lag_a = (self.crossing[0] + 0.5 * (self.cross_dispersion[0] + self.cross_dispersion[1])
+                 + 0.5 * (self.signal_plate[0] + self.idler_plate[0]))
+        return self.pump_crossing[0] - lag_a
+
+    def amplitude_a(self) -> tuple:
+        group = self.crossing[0]
+        signal_center = self.specs[0].signal_center_angular_frequency
+        idler_center = self.specs[0].idler_center_angular_frequency
+        carrier = (signal_center + idler_center) * self.crossing[1]
+        return (
+            group + self.cross_dispersion[0] + self.signal_plate[0],
+            group + self.cross_dispersion[1] + self.idler_plate[0],
+            carrier + (signal_center * self.signal_plate[1] + idler_center * self.idler_plate[1]),
+        )
+
+    def amplitude_b(self) -> tuple:
+        return (
+            self.pump_crossing[0] - self.compensation[0],
+            self.pump_center * self.pump_crossing[1] - self.pump_center * self.compensation[1],
+        )
+
+    def envelope_delay_fs(self):
+        return (
+            np.abs(self.required_compensation_fs - self.compensation[0])
+            + np.abs(self.signal_plate[0]) + np.abs(self.idler_plate[0])
+            + abs(self.cross_dispersion[0] - self.cross_dispersion[1])
+        )
+
+
+def _legacy_budget(source, budget, compensation_error_fs=None) -> LegacyDelayBudget:
+    """The eight fields of ``budget``: the element delays read from its
+    terms, and the compensation summed element by element as before (or the
+    exact required compensation plus the error)."""
+    terms = budget.terms
+    pair = lambda name: (terms[name].group, terms[name].phase) if name in terms else (0.0, 0.0)
+    pol_b_pump = "V" if source.crystals[1].axis_orientation == "vertical" else "H"
+    advance_g = advance_p = 0.0
+    for element in source.compensator:
+        group, phase = scenario._retardation(element, pol_b_pump, source.pump.center_wavelength_nm)
+        advance_g -= group
+        advance_p -= phase
+    legacy = LegacyDelayBudget(
+        pump_center=source.pump.center_angular_frequency, specs=budget.specs,
+        compensation=(advance_g, advance_p) if compensation_error_fs is None else (0.0, 0.0),
+        signal_plate=pair("signal_plate"), idler_plate=pair("idler_plate"), crossing=pair("crossing"),
+        cross_dispersion=(pair("signal_excess")[0], pair("idler_excess")[0]),
+        pump_crossing=pair("pump_crossing"),
+    )
+    if compensation_error_fs is not None:
+        exact = legacy.required_compensation_fs + compensation_error_fs
+        legacy = replace(legacy, compensation=(exact, exact))
+    return legacy
+
+
+def _with_compensator_axis(src, orientation):
+    compensator = list(src.compensator)
+    compensator[1] = replace(compensator[1], axis_orientation=orientation)
+    return replace(src, compensator=tuple(compensator))
+
+
+# name -> the (source, knobs) of a budget the fold must sum as the fields did.
+FOLD_CASES = {
+    "default": lambda src, kn: (src, kn),
+    "mzi": lambda src, kn: (replace(src, scheme="mzi"), kn),
+    "tilted_knobs": lambda src, kn: (src, replace(kn, signal_tilt_deg=12.0, idler_tilt_deg=-21.0)),
+    "horizontal_signal_plate": lambda src, kn: (replace(src, signal_plate=replace(
+        src.signal_plate, axis_orientation="horizontal")), kn),
+    "vertical_compensator_plate": lambda src, kn: (_with_compensator_axis(src, "vertical"), kn),
+    "flipped_crystals": lambda src, kn: (replace(src, crystals=src.crystals[::-1]), kn),
+    "unequal_crystals": lambda src, kn: (replace(src, crystals=(src.crystals[0], replace(
+        src.crystals[1], thickness_mm=2.0))), kn),
+}
+FOLD_TILTS = np.array([-35.0, -12.25, 0.0, 7.5, 21.0, 44.0])
+FOLD_ERRORS = np.array([-700.0, -375.5, 0.0, 120.0, 3000.0])
+
+
+def _fold_budgets(source, knobs, variant):
+    """(new budget, legacy budget) of one variant: the knobs' scalar tilts,
+    arrays of tilts swapped in by plate name as a scan does, or an array of
+    compensation errors."""
+    error = FOLD_ERRORS if variant == "error_array" else None
+    budget = scenario.delay_budget(source, knobs, error)
+    if variant == "tilt_arrays":
+        budget = replace(budget, terms=budget.terms | {
+            f"{arm}_plate": scenario._plate_term(source, arm, tilts)
+            for arm, tilts in zip(scenario.ARMS, (FOLD_TILTS, -FOLD_TILTS[::-1]))})
+    return budget, _legacy_budget(source, budget, error)
+
+
+def _fold_pairs(budget, legacy) -> list:
+    """(term-list value, legacy value) of every delay quantity."""
+    a_signal, a_idler, a_carrier = legacy.amplitude_a()
+    b_group, b_carrier = legacy.amplitude_b()
+    return list(zip(
+        (*budget.retardation("a"), *budget.retardation("b"), *budget.delays(),
+         budget.required_compensation_fs, budget.envelope_delay_fs()),
+        (a_signal, a_idler, a_carrier, b_group, b_group, b_carrier,
+         a_signal - b_group, a_idler - b_group, a_carrier - b_carrier,
+         legacy.required_compensation_fs, legacy.envelope_delay_fs()),
+    ))
+
+
+class TestDelayFold:
+    """The term list's in-order sums give every delay quantity exactly as
+    the eight hand-summed fields did."""
+
+    @pytest.mark.parametrize("variant", ["scalar_tilts", "tilt_arrays", "error_array"])
+    @pytest.mark.parametrize("case", FOLD_CASES)
+    def test_fold_matches_the_field_sums_bit_for_bit(self, source, knobs, case, variant):
+        budget, legacy = _fold_budgets(*FOLD_CASES[case](source, knobs), variant)
+        for got, expected in _fold_pairs(budget, legacy):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("variant", ["scalar_tilts", "tilt_arrays", "error_array"])
+    def test_cross_dispersion_regroups_within_1e_12(self, source, knobs, variant):
+        # The required compensation sums each arm's excess with its plate
+        # before halving, where the fields halved the two excesses apart.
+        src = replace(source, cross_dispersion_enabled=True)
+        budget, legacy = _fold_budgets(src, knobs, variant)
+        assert legacy.cross_dispersion[0] != 0.0
+        for got, expected in _fold_pairs(budget, legacy):
+            assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_terms_are_in_summation_order(self, source, knobs):
+        src = replace(source, cross_dispersion_enabled=True)
+        budget = scenario.delay_budget(src, knobs)
+        assert [(name, term.amplitude, term.axis) for name, term in budget.terms.items()] == [
+            ("signal_excess", "a", "signal"), ("idler_excess", "a", "idler"),
+            ("signal_plate", "a", "signal"), ("idler_plate", "a", "idler"), ("crossing", "a", "pair"),
+            ("pump_crossing", "b", "pump"), ("compensation", "b", "pump"),
+        ]
+        mzi = scenario.delay_budget(replace(source, scheme="mzi"), knobs)
+        assert list(mzi.terms) == ["signal_plate", "idler_plate", "compensation"]
