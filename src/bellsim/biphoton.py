@@ -1,17 +1,17 @@
-"""Two-photon amplitudes on a frequency grid and their interference.
+"""Two-photon amplitudes on a frequency grid and their interference terms.
 
 An amplitude is a complex array A[j, k] over (signal, idler) frequencies.
-Delays act as pure phases: a pair delay multiplies by exp(i (w_s + w_i) T),
-a single-arm delay by exp(i w_arm T), with w the absolute frequencies, so
-norms are preserved exactly.  The coincidence rate of a superposition is
-normalized so that equal, fully overlapping amplitudes trace 1 + cos(dphi):
-mean 1, peak 2.
+Every delay acts as a pure phase (``apply_envelope_phase``), so norms are
+preserved exactly: with zero centers, group delays T_s = T_i = T are a
+common delay of both photons, exp(i (w_s + w_i) T), and (T, 0) delays the
+signal arm alone.  A pair's interference terms (|A_a|^2, |A_b|^2,
+<A_a|A_b>) are what ``scenario.analyzer_rate`` turns into a coincidence
+rate and ``coherence`` into the normalized overlap; the time-domain form of
+the coincidence integral exists only as a test oracle.
 
-All interference is evaluated in the frequency domain; the time-domain form
-of the coincidence integral exists only as a test oracle.  Scans, sweeps and
-``prepare`` never build these 2-D amplitudes: they take their overlaps from
-``spectral.kernel_overlaps``, which streams the real two-crystal kernel in
-row blocks.  The functions here serve
+Scans, sweeps and ``prepare`` never build these 2-D amplitudes: they take
+their overlaps from ``spectral.kernel_overlaps``, which streams the real
+two-crystal kernel in row blocks.  The amplitudes serve
 ``scenario.build_amplitudes`` and the tests that check the stream against it.
 """
 
@@ -48,9 +48,6 @@ class JointSpectralAmplitude:
     def norm_squared(self) -> float:
         return float(np.vdot(self.values, self.values).real) * self.grid.cell_area
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
     def _with_values(self, values: np.ndarray, note) -> "JointSpectralAmplitude":
         meta = dict(self.metadata)
         meta["applied_delays"] = tuple(meta.get("applied_delays", ())) + (note,)
@@ -70,34 +67,6 @@ class AmplitudePair:
             raise ConfigError("amplitude pair must share one frequency grid")
 
 
-@dataclass(frozen=True)
-class CoincidenceResult:
-    rate: float
-    visibility_bound: float
-
-
-def apply_pair_delay(jsa: JointSpectralAmplitude, delay_fs: float) -> JointSpectralAmplitude:
-    """Common delay of both photons: values *= exp(i (w_s + w_i) T)."""
-    if delay_fs == 0.0:
-        return jsa
-    phase_s = np.exp(1j * jsa.grid.signal_axis * delay_fs)
-    phase_i = np.exp(1j * jsa.grid.idler_axis * delay_fs)
-    return jsa._with_values(jsa.values * phase_s[:, None] * phase_i[None, :], ("pair", delay_fs))
-
-
-def apply_single_arm_delay(jsa: JointSpectralAmplitude, arm: str, delay_fs: float) -> JointSpectralAmplitude:
-    """Delay in one output arm only: exp(i w_s T) or exp(i w_i T)."""
-    if arm not in ("signal", "idler"):
-        raise ConfigError(f"arm must be signal|idler, got {arm!r}")
-    if delay_fs == 0.0:
-        return jsa
-    if arm == "signal":
-        phase = np.exp(1j * jsa.grid.signal_axis * delay_fs)[:, None]
-    else:
-        phase = np.exp(1j * jsa.grid.idler_axis * delay_fs)[None, :]
-    return jsa._with_values(jsa.values * phase, (arm, delay_fs))
-
-
 def apply_envelope_phase(
     jsa: JointSpectralAmplitude,
     signal_group_delay_fs: float = 0.0,
@@ -111,7 +80,7 @@ def apply_envelope_phase(
     group delays acting on the detunings only.
 
     Equivalent to exp(i [phi0 + T_s (w_s - W_s) + T_i (w_i - W_i)]); with
-    T_s = T_i = T and phi0 = (W_s + W_i) T this reduces to apply_pair_delay.
+    zero centers and carrier it is a pure delay of each arm.
     """
     phase_s = np.exp(1j * signal_group_delay_fs * (jsa.grid.signal_axis - signal_center))
     phase_i = np.exp(1j * idler_group_delay_fs * (jsa.grid.idler_axis - idler_center))
@@ -136,31 +105,16 @@ def overlap(a: JointSpectralAmplitude, b: JointSpectralAmplitude) -> complex:
     return complex(np.vdot(a.values, b.values) * a.grid.cell_area)
 
 
+def coherence(norm_a_sq: float, norm_b_sq: float, cross: complex) -> float:
+    """|<a|b>| / (|a| |b|) from the interference terms (|a|^2, |b|^2,
+    <a|b>), at most 1; 0 when either amplitude vanishes."""
+    norms = math.sqrt(norm_a_sq) * math.sqrt(norm_b_sq)
+    return 0.0 if norms == 0.0 else min(abs(cross) / norms, 1.0)
+
+
 def normalized_overlap_magnitude(a: JointSpectralAmplitude, b: JointSpectralAmplitude) -> float:
-    """|<a|b>| / (|a| |b|); 0 when either amplitude has zero norm."""
-    na, nb = a.norm(), b.norm()
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return min(abs(overlap(a, b)) / (na * nb), 1.0)
-
-
-def coincidence_rate(pair: AmplitudePair) -> CoincidenceResult:
-    """Normalized rate of |A_a + e^{i dphi} A_b|^2.
-
-    rate = int |A_a + e^{i dphi} A_b|^2 / (int |A_a|^2 + int |A_b|^2), so
-    equal fully-overlapping amplitudes give 1 + cos(dphi): peak 2, mean 1.
-    """
-    a, b = pair.amp_a, pair.amp_b
-    na_sq, nb_sq = a.norm_squared(), b.norm_squared()
-    denom = na_sq + nb_sq
-    if denom == 0.0:
-        raise ConfigError("both amplitudes have zero norm")
-    cross = overlap(a, b) * np.exp(1j * pair.relative_phase_rad)
-    rate = (na_sq + nb_sq + 2.0 * cross.real) / denom
-    return CoincidenceResult(
-        rate=max(rate, 0.0),
-        visibility_bound=normalized_overlap_magnitude(a, b),
-    )
+    """``coherence`` of two amplitudes on a shared grid."""
+    return coherence(a.norm_squared(), b.norm_squared(), overlap(a, b))
 
 
 def interference_terms(pair: AmplitudePair):

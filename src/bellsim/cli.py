@@ -228,13 +228,12 @@ def cmd_prepare(args) -> int:
     gp, sf = cfg.scan.grid_points, cfg.scan.grid_span_factor
 
     target = args.target
-    phi_target = {"phi+": "phi+", "phi-": "phi-", "psi+": "phi+", "psi-": "phi-"}[target]
     # The pump knob only moves the carrier phase: one budget and its terms serve
     # the solve, the prepared state and the reported compensation.
     budget = scenario.delay_budget(source, knobs)
     norm_a, norm_b, cross, _ = scenario.budget_terms(source, budget, gp, sf)
     terms = (norm_a, norm_b, complex(cross[0]))
-    prepared = scenario.prepare_bell(source, phi_target, knobs, terms=terms)
+    prepared = scenario.prepare_bell(source, target, knobs, terms=terms)
     state, visibility = scenario.effective_polarization_state(source, prepared, terms=terms)
     # The HH and VV coefficients are the two amplitudes' normalized weights
     # with the fringe phase; the coherence factor scales their interference.
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="solve knob settings for a Bell state")
     common(p)
-    p.add_argument("--target", choices=("phi+", "phi-", "psi+", "psi-"), required=True)
+    p.add_argument("--target", choices=polarization.BELL_KINDS, required=True)
     p.set_defaults(func=cmd_prepare)
 
     return parser

@@ -73,7 +73,7 @@ import numpy as np
 import yaml
 
 from . import biphoton, polarization
-from .biphoton import AmplitudePair, JointSpectralAmplitude
+from .biphoton import AmplitudePair, JointSpectralAmplitude, coherence
 from .dispersion import (
     BirefringentElement,
     Material,
@@ -143,6 +143,10 @@ class CrystalConfig:
     def __post_init__(self):
         if not self.thickness_mm > 0.0:
             raise ConfigError(f"crystal thickness_mm must be positive, got {self.thickness_mm}")
+
+    def pump_polarization(self) -> str:
+        # The crystal is pumped by the pump component parallel to its axis.
+        return "H" if self.axis_orientation == "horizontal" else "V"
 
     def pair_polarization(self) -> str:
         # Type-I pairs are ordinary rays, polarized orthogonal to the axis.
@@ -373,7 +377,7 @@ def _plate_term(source: SourceConfig, arm: str, tilt_deg) -> DelayTerm:
 def _compensator_term(source: SourceConfig) -> DelayTerm:
     """Amplitude b's term of the compensator elements: the retardation of
     b's pump component relative to a's, negative for a pre-advance."""
-    pol_b_pump = "V" if source.crystals[1].axis_orientation == "vertical" else "H"
+    pol_b_pump = source.crystals[1].pump_polarization()
     group = phase = 0.0
     for element in source.compensator:
         element_group, element_phase = _retardation(element, pol_b_pump, source.pump.center_wavelength_nm)
@@ -485,11 +489,9 @@ def _pump_weights(source: SourceConfig) -> tuple:
     the horizontally-polarized pair amplitude."""
     chi = math.radians(source.pump.polarization_angle_deg)
     by_pol = {"H": abs(math.sin(chi)), "V": abs(math.cos(chi))}
-    # Crystal k is pumped by the component parallel to its axis.
     w = []
     for crystal in source.crystals:
-        pumped_by = "H" if crystal.axis_orientation == "horizontal" else "V"
-        weight = by_pol[pumped_by]
+        weight = by_pol[crystal.pump_polarization()]
         if crystal.pair_polarization() == "H":
             weight *= source.pump_amplitude_ratio
         w.append(weight)
@@ -708,32 +710,27 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
     return np.concatenate([at_value(v, visibilities) for v in values])
 
 
-def _coherence(norm_a_sq: float, norm_b_sq: float, cross: complex) -> float:
-    """|<a|b>| / (|a| |b|), at most 1; 0 when either amplitude vanishes."""
-    norms = math.sqrt(norm_a_sq) * math.sqrt(norm_b_sq)
-    return 0.0 if norms == 0.0 else min(abs(cross) / norms, 1.0)
-
-
 def prepare_bell(source: SourceConfig, target: str, knobs: PhaseKnobs, terms: tuple) -> PhaseKnobs:
     """Pump-knob setting that puts the space-time fringe at its maximum
-    (phi+) or minimum (phi-); the returned knobs are verified by rate
-    evaluation by the caller's tests.
+    (phi+, and psi+ once a half-wave plate converts it) or minimum (phi-,
+    psi-); the returned knobs are verified by rate evaluation by the
+    caller's tests.  An infeasible source is an error naming ``target``.
 
     ``terms`` are (|A_a|^2, |A_b|^2, <A_a|A_b>) of the amplitudes at these
     knobs: ``budget_terms`` of their ``delay_budget``, on whatever grid and
     compensation the caller chose.  The pump knob does not change them, so
     one evaluation also serves the prepared knobs.
     """
-    if target not in ("phi+", "phi-"):
-        raise ConfigError(f"target must be phi+|phi-, got {target!r}")
-    visibility = _coherence(*terms)
+    if target not in polarization.BELL_KINDS:
+        raise ConfigError(f"target must be {'|'.join(polarization.BELL_KINDS)}, got {target!r}")
+    visibility = coherence(*terms)
     if visibility <= 0.9:
         raise InfeasibleError(
             f"cannot prepare {target}: |overlap| = {visibility:.4f} <= 0.9 "
             "(compensation or balance insufficient)"
         )
     constant = np.angle(terms[2]) + pump_knob_phase(source, knobs.pump_delta_x_nm)
-    wanted = 0.0 if target == "phi+" else math.pi
+    wanted = 0.0 if target in ("phi+", "psi+") else math.pi
     delta_phase = (wanted - constant) % (2.0 * math.pi)
     delta_x = delta_phase * source.pump.center_wavelength_nm / (2.0 * math.pi)
     return replace(knobs, pump_delta_x_nm=knobs.pump_delta_x_nm + delta_x)
@@ -745,7 +742,7 @@ def effective_polarization_state(source: SourceConfig, knobs: PhaseKnobs, terms:
     as in ``prepare_bell``."""
     na, nb, cross = terms
     w_a, w_b = math.sqrt(na), math.sqrt(nb)
-    visibility = _coherence(na, nb, cross)
+    visibility = coherence(na, nb, cross)
     phase = pump_knob_phase(source, knobs.pump_delta_x_nm) + (np.angle(cross) if w_a * w_b > 0.0 else 0.0)
 
     # The fringe phase rides on the horizontally-polarized pair amplitude.

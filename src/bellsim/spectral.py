@@ -176,6 +176,14 @@ class PhaseMatchingSpec:
             )
 
     @property
+    def walk_off_fs(self) -> tuple:
+        """(signal, idler) walk-off from the pump over the crystal, fs:
+        ((u_p - u_s) L, (u_p - u_i) L) with u the inverse group velocities."""
+        p = self.inverse_group_velocity_pump_fs_per_mm
+        return ((p - self.inverse_group_velocity_signal_fs_per_mm) * self.crystal_length_mm,
+                (p - self.inverse_group_velocity_idler_fs_per_mm) * self.crystal_length_mm)
+
+    @property
     def signal_center_angular_frequency(self) -> float:
         return float(wavelength_to_angular_frequency(self.signal_center_nm))
 
@@ -345,9 +353,9 @@ def _sinc_factors(spec: PhaseMatchingSpec, nu_s, nu_i) -> tuple:
     factors left = [a, 1, sin a, cos a] (one row per nu_s) and
     right = [1, b, cos b, sin b] (one column per nu_i), so that
     h = left[:, :2] @ right[:2] and sin h = left[:, 2:] @ right[2:]."""
-    half_l = 0.5 * spec.crystal_length_mm
-    a = (spec.inverse_group_velocity_pump_fs_per_mm - spec.inverse_group_velocity_signal_fs_per_mm) * half_l * nu_s
-    b = (spec.inverse_group_velocity_pump_fs_per_mm - spec.inverse_group_velocity_idler_fs_per_mm) * half_l * nu_i
+    v_s, v_i = spec.walk_off_fs
+    a = 0.5 * v_s * nu_s
+    b = 0.5 * v_i * nu_i
     left = np.stack((a, np.ones_like(a), np.sin(a), np.cos(a)), axis=1)
     right = np.stack((np.ones_like(b), b, np.cos(b), np.sin(b)))
     return a, b, left, right
@@ -693,12 +701,7 @@ def kernel_time_support(pulse: PumpPulse, spec_a: PhaseMatchingSpec, spec_b: Pha
         shift = (nu0[0] - detuning(spec_b.signal_center_nm, a_s),
                  nu0[1] - detuning(spec_b.idler_center_nm, a_i))
 
-        def walk_off(spec):
-            p = spec.inverse_group_velocity_pump_fs_per_mm
-            return ((p - spec.inverse_group_velocity_signal_fs_per_mm) * spec.crystal_length_mm,
-                    (p - spec.inverse_group_velocity_idler_fs_per_mm) * spec.crystal_length_mm)
-
-        v_a, v_b = walk_off(spec_a), walk_off(spec_b)
+        v_a, v_b = spec_a.walk_off_fs, spec_b.walk_off_fs
         if not all(map(math.isfinite, v_a + v_b)):
             return unbounded
         phase_variance = ((nu0[0] * v_a[0] + nu0[1] * v_a[1]) ** 2

@@ -1,6 +1,11 @@
-"""Run 13 CLI commands on 8 configs and keep what each one writes.
+"""Run 18 CLI commands on 9 configs and keep what each one writes.
 
 Usage: python tests/cli_matrix.py SRC OUTDIR
+
+The commands cover all four of the CLI: 5 scan axes, a fit of each scan's
+CSV, 4 sweeps and 4 prepare targets.  The configs are edits of the packaged
+default (``CONFIGS``); the last, both filters rectangular, keeps the numbers
+of a source whose passbands the grid samples coarsely.
 
 SRC is a bellsim checkout (the directory holding ``src/bellsim``); OUTDIR
 receives one directory per config, holding each command's CSV, report, exit
@@ -49,6 +54,11 @@ def _cross_dispersion(data):
     data["scheme"]["cross_dispersion"] = True
 
 
+def _rectangular_filters(data):
+    for entry in data["filters"]:
+        entry["shape"] = "rectangular"
+
+
 # Config name -> its edit of the packaged default.
 CONFIGS = {
     "default": lambda data: None,
@@ -59,6 +69,7 @@ CONFIGS = {
     "flipped_crystals": _flipped,
     "unequal_crystals": _unequal,
     "cross_dispersion": _cross_dispersion,
+    "rectangular_filters": _rectangular_filters,
 }
 
 SCAN_AXES = ("pump_delay", "signal_tilt", "idler_tilt", "both_tilts", "analyzer2_angle")
@@ -70,9 +81,14 @@ SWEEPS = {
 }
 TARGETS = {"phi_plus": "phi+", "phi_minus": "phi-", "psi_plus": "psi+", "psi_minus": "psi-"}
 
-COMMANDS = {f"scan_{axis}": ["scan", "--axis", axis] for axis in SCAN_AXES}
-COMMANDS |= {f"sweep_{name}": ["sweep", "--parameter", name, "--grid", grid] for name, grid in SWEEPS.items()}
-COMMANDS |= {f"prepare_{name}": ["prepare", "--target", target] for name, target in TARGETS.items()}
+# Command name -> its arguments, "{config}" standing for the config's
+# directory; a fit reads the scan CSV of its axis.
+CONFIG = ["--config", "{config}/config.yaml"]
+COMMANDS = {f"scan_{axis}": ["scan", *CONFIG, "--axis", axis] for axis in SCAN_AXES}
+COMMANDS |= {f"fit_{axis}": ["fit", "--input", f"{{config}}/scan_{axis}.csv"] for axis in SCAN_AXES}
+COMMANDS |= {f"sweep_{name}": ["sweep", *CONFIG, "--parameter", name, "--grid", grid]
+             for name, grid in SWEEPS.items()}
+COMMANDS |= {f"prepare_{name}": ["prepare", *CONFIG, "--target", target] for name, target in TARGETS.items()}
 
 
 def _show_warning(message, category, *_):
@@ -87,8 +103,7 @@ def run_matrix(cli, default_config: Path) -> None:
         data = copy.deepcopy(base)
         edit(data)
         Path(config).mkdir()
-        config_path = f"{config}/config.yaml"
-        Path(config_path).write_text(yaml.safe_dump(data, sort_keys=False))
+        Path(f"{config}/config.yaml").write_text(yaml.safe_dump(data, sort_keys=False))
         for name, argv in COMMANDS.items():
             prefix = f"{config}/{name}"
             stderr = io.StringIO()
@@ -96,7 +111,7 @@ def run_matrix(cli, default_config: Path) -> None:
                     warnings.catch_warnings():
                 warnings.simplefilter("always")
                 warnings.showwarning = _show_warning
-                code = cli.main([argv[0], "--config", config_path, "--output", prefix, *argv[1:]])
+                code = cli.main([arg.replace("{config}", config) for arg in argv] + ["--output", prefix])
             Path(f"{prefix}.exit").write_text(f"{code}\n")
             Path(f"{prefix}.stderr").write_text(stderr.getvalue())
             Path(f"{prefix}.manifest.txt").unlink(missing_ok=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bellsim import scenario
+from bellsim import biphoton, scenario
 from bellsim.biphoton import AmplitudePair
 from bellsim.spectral import build_jsa, make_grid
 
@@ -26,12 +26,23 @@ def evaluated_terms(source, knobs, compensation_error_fs=None,
     return norm_a, norm_b, complex(cross[0])
 
 
+def rate_45(pair: AmplitudePair) -> float:
+    """The pair's coincidence rate behind 45/45 analyzers, as ``scan``
+    computes it: ``scenario.analyzer_rate`` of its ``interference_terms``,
+    with the pair's relative phase on the overlap.  At 45/45 both amplitudes
+    weigh the same, so which one is H-polarized does not matter; equal, fully
+    overlapping amplitudes trace 1 + cos(dphi)."""
+    norm_a, norm_b, cross = biphoton.interference_terms(pair)
+    return scenario.analyzer_rate(norm_a, norm_b, cross * np.exp(1j * pair.relative_phase_rad), 45.0, 45.0)
+
+
 def time_domain_rate(pair: AmplitudePair) -> float:
     """Coincidence rate evaluated in the time domain.
 
     Transforms both amplitudes to (t_s, t_i) with a 2-D DFT and integrates
     |a(t) + e^{i dphi} b(t)|^2 numerically, normalized the same way as the
-    frequency-domain rate.  Independent of the engine's overlap algebra.
+    frequency-domain rate (``rate_45``).  Independent of the engine's
+    overlap algebra.
     """
     fa = np.fft.ifft2(pair.amp_a.values)
     fb = np.fft.ifft2(pair.amp_b.values)

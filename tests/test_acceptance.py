@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import evaluated_terms, time_domain_rate
+from conftest import evaluated_terms, rate_45, time_domain_rate
 
 from bellsim import biphoton, scenario
-from bellsim.biphoton import AmplitudePair, apply_pair_delay, apply_single_arm_delay
+from bellsim.biphoton import AmplitudePair, apply_envelope_phase
 from bellsim.cli import main as cli_main
 from bellsim.fitting import fit_fringe
 from bellsim.polarization import (
@@ -148,10 +148,11 @@ def test_criterion_07_time_domain_oracle():
                              half, axis.size)
         jsa = build_jsa(pump, spec, NO_FILTER, NO_FILTER, grid)
         bound = 0.5 * math.pi / (axis[1] - axis[0])
-        partner = apply_pair_delay(jsa, rng.uniform(-bound / 2, bound / 2))
-        partner = apply_single_arm_delay(partner, "signal", rng.uniform(-20.0, 20.0))
+        pair_delay = rng.uniform(-bound / 2, bound / 2)
+        partner = apply_envelope_phase(jsa, pair_delay, pair_delay)
+        partner = apply_envelope_phase(partner, rng.uniform(-20.0, 20.0), 0.0)
         pair = AmplitudePair(jsa, partner, rng.uniform(0.0, 2.0 * math.pi))
-        freq_rate = biphoton.coincidence_rate(pair).rate
+        freq_rate = rate_45(pair)
         time_rate = time_domain_rate(pair)
         worst = max(worst, abs(freq_rate - time_rate) / max(freq_rate, 1e-12))
     assert worst < 1e-6
@@ -163,12 +164,7 @@ def test_criterion_08_fringe_law(config):
     pair0 = scenario.build_amplitudes(source, knobs, compensation_error_fs=0.0)
     expected_v = biphoton.normalized_overlap_magnitude(pair0.amp_a, pair0.amp_b)
     phases = np.linspace(0.0, 4.0 * math.pi, 128)
-    rates = np.array([
-        biphoton.coincidence_rate(
-            AmplitudePair(pair0.amp_a, pair0.amp_b, p)
-        ).rate
-        for p in phases
-    ])
+    rates = np.array([rate_45(AmplitudePair(pair0.amp_a, pair0.amp_b, p)) for p in phases])
     fit = fit_fringe((phases, rates))
     assert fit.rms_residual < 1e-6
     assert abs(fit.visibility - expected_v) < 1e-6
@@ -205,6 +201,10 @@ def test_criterion_09_bell_preparation(config):
 
 
 def test_criterion_10_cross_dispersion(config):
+    """At exact compensation the cross-dispersion toggle moves the
+    visibility by under 0.02.  Only there: the toggle also raises the
+    required compensation by 364 fs (1369.5 -> 1733.9 fs), so with the
+    shipped compensator the |overlap| falls to 0.4001."""
     source, knobs = config.source, config.knobs
     values = {}
     for enabled in (False, True):

@@ -336,15 +336,20 @@ class TestPrepareCommand:
                     "--target", "psi-"]) == 0
         assert len(calls) == 2
 
-    def test_uncompensated_is_infeasible(self, tmp_path, config_file, capsys):
+    @pytest.mark.parametrize("target", ["phi+", "psi+", "psi-"])
+    def test_uncompensated_is_infeasible(self, tmp_path, config_file, capsys, target):
+        # The error names the state asked for, also for a psi target that is
+        # prepared as its phi partner plus a half-wave plate.
         bare = tmp_path / "bare.yaml"
         text = config_file.read_text()
         start = text.index("compensator:")
         end = text.index("filters:")
         bare.write_text(text[:start] + "compensator: []\n\n" + text[end:])
         assert run(["prepare", "--config", bare, "--output", tmp_path / "x",
-                    "--target", "phi+"]) == 4
-        assert "overlap" in capsys.readouterr().err
+                    "--target", target]) == 4
+        err = capsys.readouterr().err
+        assert "overlap" in err
+        assert f"cannot prepare {target}:" in err
 
 
     @staticmethod

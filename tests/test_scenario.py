@@ -11,11 +11,11 @@ from bellsim import biphoton, dispersion, scenario, spectral
 from bellsim.dispersion import YAML_LOADER
 from bellsim.errors import ConfigError, GridTruncationError, InfeasibleError
 from bellsim.fitting import fit_fringe
-from bellsim.polarization import fidelity, make_state
+from bellsim.polarization import AnalyzerSetting, fidelity, make_state, project
 from bellsim.scenario import ScanSettings
 from bellsim.spectral import (NO_FILTER, SUPPORT_LEVEL, PumpPulse, SpectralFilter, kernel_overlaps,
                               kernel_time_support, make_grid)
-from conftest import evaluated_terms, kernel_time_profile
+from conftest import evaluated_terms, kernel_time_profile, rate_45
 
 
 # The dispersion layer's functions, down to the Sellmeier evaluation.
@@ -137,9 +137,8 @@ class TestBuildAmplitudes:
         single = replace(source, pump_amplitude_ratio=0.0)
         pair = scenario.build_amplitudes(single, knobs)
         assert pair.amp_b.norm_squared() == pytest.approx(0.0, abs=1e-30)
-        result = biphoton.coincidence_rate(pair)
-        assert result.rate == pytest.approx(1.0, abs=1e-9)
-        assert result.visibility_bound == 0.0
+        assert rate_45(pair) == pytest.approx(1.0, abs=1e-9)
+        assert biphoton.normalized_overlap_magnitude(pair.amp_a, pair.amp_b) == 0.0
 
     def test_grid_auto_refines_for_large_delays(self, source, knobs):
         bare = replace(source, compensator=())
@@ -287,10 +286,7 @@ class TestScans:
         grid = own[sizes.index(max(sizes))].amp_a.grid
         for kn, e, rate in zip(step_knobs, errors, result.rates):
             pair = scenario.build_amplitudes(source, kn, grid=grid, compensation_error_fs=e)
-            na, nb, cross = biphoton.interference_terms(pair)
-            # 45/45 analyzers weight both amplitudes equally.
-            expected = (na + nb + 2.0 * (cross * np.exp(1j * pair.relative_phase_rad)).real) / (na + nb)
-            assert rate == pytest.approx(max(expected, 0.0), abs=1e-10)
+            assert rate == pytest.approx(max(rate_45(pair), 0.0), abs=1e-10)
 
     def test_dispersion_work_independent_of_steps(self, source, knobs, monkeypatch):
         # Every step's plate terms come from one pass: a per-step loop over
@@ -344,11 +340,37 @@ class TestPrepareBell:
         assert visibility > 0.999
         assert fidelity(state, make_state("phi+")) > 0.999
 
-    def test_infeasible_without_compensation(self, source, knobs):
+    @pytest.mark.parametrize("target", ["phi+", "psi-"])
+    def test_infeasible_without_compensation(self, source, knobs, target):
         bare = replace(source, compensator=())
         with pytest.raises(InfeasibleError) as err:
-            scenario.prepare_bell(bare, "phi+", knobs, evaluated_terms(bare, knobs))
+            scenario.prepare_bell(bare, target, knobs, evaluated_terms(bare, knobs))
         assert "overlap" in str(err.value)
+        assert f"cannot prepare {target}:" in str(err.value)
+
+    @pytest.mark.parametrize("psi, phi", [("psi+", "phi+"), ("psi-", "phi-")])
+    def test_psi_target_sets_the_phi_partner_knobs(self, source, knobs, psi, phi):
+        # A psi state is its phi partner behind a half-wave plate.
+        terms = evaluated_terms(source, knobs)
+        assert scenario.prepare_bell(source, psi, knobs, terms) == scenario.prepare_bell(source, phi, knobs, terms)
+
+    def test_unknown_target_rejected(self, source, knobs):
+        with pytest.raises(ConfigError, match=r"target must be phi\+\|phi-\|psi\+\|psi-, got 'bell'"):
+            scenario.prepare_bell(source, "bell", knobs, evaluated_terms(source, knobs))
+
+    @pytest.mark.parametrize("ratio", [1.0, 2.0])
+    def test_analyzer_rate_is_four_times_the_projection(self, source, knobs, ratio):
+        # ``prepare``'s rate_at_knobs reads the state's HH and VV
+        # coefficients through ``analyzer_rate``: at V = 1 that is 4x the
+        # projection of the state itself.
+        weighted = replace(source, pump_amplitude_ratio=ratio)
+        state, _ = scenario.effective_polarization_state(weighted, knobs, evaluated_terms(weighted, knobs))
+        c_hh, c_vv = state.coefficients[0], state.coefficients[3]
+        angles = np.linspace(0.0, 360.0, 19)
+        theta1, theta2 = np.meshgrid(angles, angles, indexing="ij")
+        rates = scenario.analyzer_rate(abs(c_hh) ** 2, abs(c_vv) ** 2, c_hh * np.conj(c_vv), theta1, theta2)
+        projected = [[project(state, AnalyzerSetting(t1, t2)) for t2 in angles] for t1 in angles]
+        assert np.max(np.abs(rates - 4.0 * np.array(projected))) <= 1e-12
 
 
 class TestEffectiveState:
