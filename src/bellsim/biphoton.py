@@ -29,15 +29,11 @@ from .errors import ConfigError
 class JointSpectralAmplitude:
     """Complex pair amplitude sampled on a FrequencyGrid.
 
-    Treated as immutable: every operation returns a new instance.  The
-    metadata dict records provenance (crystal label, applied delays, model
-    flags); ``unnormalized: True`` marks amplitudes deliberately scaled away
-    from unit norm (e.g. pump-ratio weighting).
+    Treated as immutable: every operation returns a new instance.
     """
 
     grid: object
     values: np.ndarray
-    metadata: dict
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
@@ -47,11 +43,6 @@ class JointSpectralAmplitude:
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.values, self.values).real) * self.grid.cell_area
-
-    def _with_values(self, values: np.ndarray, note) -> "JointSpectralAmplitude":
-        meta = dict(self.metadata)
-        meta["applied_delays"] = tuple(meta.get("applied_delays", ())) + (note,)
-        return JointSpectralAmplitude(grid=self.grid, values=values, metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,6 @@ def apply_envelope_phase(
     carrier_phase_rad: float = 0.0,
     signal_center: float = 0.0,
     idler_center: float = 0.0,
-    note: str = "element",
 ) -> JointSpectralAmplitude:
     """First-order dispersive element: carrier phase at the centers plus
     group delays acting on the detunings only.
@@ -85,17 +75,12 @@ def apply_envelope_phase(
     phase_s = np.exp(1j * signal_group_delay_fs * (jsa.grid.signal_axis - signal_center))
     phase_i = np.exp(1j * idler_group_delay_fs * (jsa.grid.idler_axis - idler_center))
     values = jsa.values * (np.exp(1j * carrier_phase_rad) * phase_s[:, None] * phase_i[None, :])
-    return jsa._with_values(
-        values, (note, signal_group_delay_fs, idler_group_delay_fs, carrier_phase_rad)
-    )
+    return JointSpectralAmplitude(jsa.grid, values)
 
 
 def scale(jsa: JointSpectralAmplitude, factor: float) -> JointSpectralAmplitude:
-    """Scale the amplitude (marks the result unnormalized unless |factor|=1)."""
-    out = jsa._with_values(jsa.values * factor, ("scale", factor))
-    if not math.isclose(abs(factor), 1.0, rel_tol=1.0e-12):
-        out.metadata["unnormalized"] = True
-    return out
+    """The amplitude times ``factor``."""
+    return JointSpectralAmplitude(jsa.grid, jsa.values * factor)
 
 
 def overlap(a: JointSpectralAmplitude, b: JointSpectralAmplitude) -> complex:

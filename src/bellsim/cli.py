@@ -21,13 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fitting, polarization, scenario
-from .errors import ConfigError, DataError, InfeasibleError, InsufficientDataError
+from .errors import ConfigError, DataError, InfeasibleError
 from .polarization import PHI_TO_PSI_HWP_DEG
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_INFEASIBLE = 4
 
 
 def _fmt(value) -> str:
@@ -140,7 +135,7 @@ def cmd_scan(args) -> int:
     ]
     _write_kv(report_path, items)
     print(f"scan: wrote {csv_path} (period {fit.period:g}, visibility {fit.visibility:g})")
-    return EXIT_OK
+    return 0
 
 
 def _sweep_values(raw: str):
@@ -182,7 +177,7 @@ def cmd_sweep(args) -> int:
     ])
     _write_manifest(manifest_path, args, "sweep", (csv_path, report_path), args.seed)
     print(f"sweep: wrote {csv_path} ({len(values)} points)")
-    return EXIT_OK
+    return 0
 
 
 def _read_csv(path: Path):
@@ -194,14 +189,18 @@ def _read_csv(path: Path):
     if not lines:
         raise DataError(f"{path}: empty file")
     rows = []
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in enumerate(lines, start=1):
         parts = line.split(",")
+        try:
+            row = tuple(map(float, parts))
+        except ValueError:
+            row = ()
+        if number == 1 and len(row) != 2:
+            continue  # line 1 is a header unless it is two numbers
         if len(parts) != 2:
             raise DataError(f"{path}: row {number} has {len(parts)} fields, expected 2")
-        try:
-            row = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise DataError(f"{path}: row {number} is not numeric: {line!r}") from None
+        if not row:
+            raise DataError(f"{path}: row {number} is not numeric: {line!r}")
         if not all(map(math.isfinite, row)):
             raise DataError(f"{path}: row {number} is not finite: {line!r}")
         rows.append(row)
@@ -219,7 +218,7 @@ def cmd_fit(args) -> int:
               + _fit_report_items(fit, fitting.raw_visibility(rates)))
     _write_manifest(manifest_path, args, "fit", (report_path,), args.seed)
     print(f"fit: visibility {fit.visibility:g}, period {fit.period:g} -> {report_path}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_prepare(args) -> int:
@@ -266,7 +265,7 @@ def cmd_prepare(args) -> int:
     _write_kv(report_path, items)
     _write_manifest(manifest_path, args, "prepare", (report_path,), args.seed)
     print(f"prepare: {target} fidelity {fid:g}, visibility {visibility:g} -> {report_path}")
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,15 +329,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_joined_grid(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except InfeasibleError as exc:
+    except (ConfigError, DataError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (InsufficientDataError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
 
 
 def entry() -> None:

@@ -8,6 +8,8 @@ class BellsimError(Exception):
 class ConfigError(BellsimError):
     """Invalid configuration, material data, grid or parameter value (exit 2)."""
 
+    exit_code = 2
+
 
 class WavelengthRangeError(ConfigError):
     """Wavelength outside a material's validity range."""
@@ -20,6 +22,8 @@ class GridTruncationError(ConfigError):
 class DataError(BellsimError):
     """Malformed or insufficient input data (exit 3)."""
 
+    exit_code = 3
+
 
 class InsufficientDataError(DataError):
     """Fringe fit precondition violated (too few points or too short a span)."""
@@ -27,3 +31,5 @@ class InsufficientDataError(DataError):
 
 class InfeasibleError(BellsimError):
     """Requested preparation cannot be achieved with the given source (exit 4)."""
+
+    exit_code = 4

@@ -73,7 +73,7 @@ import numpy as np
 import yaml
 
 from . import biphoton, polarization
-from .biphoton import AmplitudePair, JointSpectralAmplitude, coherence
+from .biphoton import AmplitudePair, coherence
 from .dispersion import (
     BirefringentElement,
     Material,
@@ -550,33 +550,22 @@ def build_amplitudes(
     """
     knobs = knobs or PhaseKnobs()
     budget = delay_budget(source, knobs, compensation_error_fs)
-    first, second = source.crystals
     spec_a, spec_b = budget.specs
     if grid is None:
         grid = make_grid(source.pump, spec_a, source.filters, grid_points, grid_span_factor,
                          float(np.max(budget.envelope_delay_fs())))
-    jsa_a = build_jsa(source.pump, spec_a, *source.filters, grid, label=first.axis_orientation)
-    if spec_b == spec_a:
-        jsa_b = JointSpectralAmplitude(grid=grid, values=jsa_a.values,
-                                       metadata=dict(jsa_a.metadata, crystal_label=second.axis_orientation))
-    else:
-        jsa_b = build_jsa(source.pump, spec_b, *source.filters, grid, label=second.axis_orientation)
+    jsa_a = build_jsa(source.pump, spec_a, *source.filters, grid)
+    jsa_b = jsa_a if spec_b == spec_a else build_jsa(source.pump, spec_b, *source.filters, grid)
     w_a, w_b = _pump_weights(source)
 
     centers = (spec_a.signal_center_angular_frequency, spec_a.idler_center_angular_frequency)
     (a_signal, a_idler, a_carrier), (b_signal, b_idler, b_carrier) = map(budget.retardation, "ab")
-    amp_a = biphoton.apply_envelope_phase(jsa_a, -a_signal, -a_idler, -a_carrier, *centers, "retard_a")
-    amp_b = biphoton.apply_envelope_phase(jsa_b, -b_signal, -b_idler, -b_carrier, *centers, "retard_b")
-
-    if w_a != 1.0:
-        amp_a = biphoton.scale(amp_a, w_a)
-    if w_b != 1.0:
-        amp_b = biphoton.scale(amp_b, w_b)
-    amp_a.metadata["grid_points"] = amp_b.metadata["grid_points"] = grid.points
+    amp_a = biphoton.apply_envelope_phase(jsa_a, -a_signal, -a_idler, -a_carrier, *centers)
+    amp_b = biphoton.apply_envelope_phase(jsa_b, -b_signal, -b_idler, -b_carrier, *centers)
 
     return AmplitudePair(
-        amp_a=amp_a,
-        amp_b=amp_b,
+        amp_a=biphoton.scale(amp_a, w_a),
+        amp_b=biphoton.scale(amp_b, w_b),
         relative_phase_rad=pump_knob_phase(source, knobs.pump_delta_x_nm),
     )
 

@@ -59,9 +59,6 @@ from .units import (
     wavelength_to_angular_frequency,
 )
 
-# Interpretation of PumpPulse.duration_fs, recorded in JSA metadata.
-DURATION_CONVENTION = "intensity_fwhm"
-
 # Containment threshold for the Gaussian envelope factors at the grid edge.
 EDGE_AMPLITUDE_LIMIT = 1.0e-4
 MIN_SPAN_SIGMAS = 6.0  # the least grid span, in sigmas of the narrowest Gaussian factor
@@ -504,7 +501,6 @@ def build_jsa(
     f_s: SpectralFilter,
     f_i: SpectralFilter,
     grid: FrequencyGrid,
-    label: str = "",
 ) -> JointSpectralAmplitude:
     """Sample pump * phase-matching * filters on the grid and L2-normalize.
 
@@ -520,15 +516,7 @@ def build_jsa(
     ((_, _, left, right),) = sampler.factors
     values = np.multiply.outer(left[:, 3] + 1j * left[:, 2], right[2] + 1j * right[3])
     values *= amplitude
-
-    metadata = {
-        "crystal_label": label,
-        "crystal_length_mm": spec.crystal_length_mm,
-        "duration_convention": DURATION_CONVENTION,
-        "phase_matching": "sinc_first_order",
-        "applied_delays": (),
-    }
-    return JointSpectralAmplitude(grid=grid, values=values, metadata=metadata)
+    return JointSpectralAmplitude(grid, values)
 
 
 def kernel_overlaps(
@@ -590,20 +578,14 @@ def kernel_overlaps(
         # drive.T block by block, or drive @ kernel summed over the blocks;
         # the cells a block skips add nothing.
         acc = np.zeros((grid.points, len(drive)) if idler_drives else (len(drive), grid.points))
-        product = None
         for rows, cols in sampler.blocks:
             amplitudes = sampler(rows, cols)
             kernel = amplitudes[0]
             kernel *= amplitudes[-1]
             if idler_drives:
                 np.matmul(kernel, drive[:, cols].T, out=acc[rows])
-            elif rows.start == 0 and kernel.shape[1] == grid.points:
-                np.matmul(drive[:, rows], kernel, out=acc)
             else:
-                if product is None:
-                    product = np.empty(acc.size)
-                out = product[:len(drive) * kernel.shape[1]].reshape(len(drive), kernel.shape[1])
-                acc[:, cols] += np.matmul(drive[:, rows], kernel, out=out)
+                acc[:, cols] += drive[:, rows] @ kernel
         return acc, sampler.norms()
 
     acc, norms = stream(sampler)

@@ -1,9 +1,10 @@
-"""Run 18 CLI commands on 9 configs and keep what each one writes.
+"""Run 19 CLI commands on 9 configs and keep what each one writes.
 
 Usage: python tests/cli_matrix.py SRC OUTDIR
 
 The commands cover all four of the CLI: 5 scan axes, a fit of each scan's
-CSV, 4 sweeps and 4 prepare targets.  The configs are edits of the packaged
+CSV, a fit of the pump_delay scan's CSV without its header line, 4 sweeps
+and 4 prepare targets.  The configs are edits of the packaged
 default (``CONFIGS``); the last, both filters rectangular, keeps the numbers
 of a source whose passbands the grid samples coarsely.
 
@@ -82,10 +83,12 @@ SWEEPS = {
 TARGETS = {"phi_plus": "phi+", "phi_minus": "phi-", "psi_plus": "psi+", "psi_minus": "psi-"}
 
 # Command name -> its arguments, "{config}" standing for the config's
-# directory; a fit reads the scan CSV of its axis.
+# directory; a fit reads the scan CSV of its axis, and the headerless fit
+# that of pump_delay without its header line.
 CONFIG = ["--config", "{config}/config.yaml"]
 COMMANDS = {f"scan_{axis}": ["scan", *CONFIG, "--axis", axis] for axis in SCAN_AXES}
 COMMANDS |= {f"fit_{axis}": ["fit", "--input", f"{{config}}/scan_{axis}.csv"] for axis in SCAN_AXES}
+COMMANDS["fit_pump_delay_headerless"] = ["fit", "--input", "{config}/headerless.csv"]
 COMMANDS |= {f"sweep_{name}": ["sweep", *CONFIG, "--parameter", name, "--grid", grid]
              for name, grid in SWEEPS.items()}
 COMMANDS |= {f"prepare_{name}": ["prepare", *CONFIG, "--target", target] for name, target in TARGETS.items()}
@@ -115,6 +118,9 @@ def run_matrix(cli, default_config: Path) -> None:
             Path(f"{prefix}.exit").write_text(f"{code}\n")
             Path(f"{prefix}.stderr").write_text(stderr.getvalue())
             Path(f"{prefix}.manifest.txt").unlink(missing_ok=True)
+            if name == "scan_pump_delay" and Path(f"{prefix}.csv").exists():
+                lines = Path(f"{prefix}.csv").read_text().splitlines(keepends=True)
+                Path(f"{config}/headerless.csv").write_text("".join(lines[1:]))
 
 
 def main(argv) -> int:

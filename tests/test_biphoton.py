@@ -60,11 +60,6 @@ class TestPairDelay:
         assert got == pytest.approx(complex(oracle), abs=1e-12)
         assert abs(got.real + 1.0) < 1e-6
 
-    def test_metadata_tracks_delays(self):
-        jsa = reference_jsa(64)
-        delayed = apply_envelope_phase(jsa, 5.0, 5.0, note="pair")
-        assert ("pair", 5.0, 5.0, 0.0) in delayed.metadata["applied_delays"]
-
 
 class TestSingleArmDelay:
     """A delay of one arm: group delays (T, 0) or (0, T) at zero centers."""
@@ -118,7 +113,7 @@ class TestOverlap:
         ws, wi = grid.signal_axis[:, None], grid.idler_axis[None, :]
         values = pump_spectrum(PUMP, ws + wi) * np.exp(-((nu[:, None] - nu[None, :]) ** 2) / (2.0 * width**2))
         values /= math.sqrt(float(np.sum(values**2)) * grid.cell_area)
-        jsa = JointSpectralAmplitude(grid=grid, values=values.astype(complex), metadata={})
+        jsa = JointSpectralAmplitude(grid=grid, values=values.astype(complex))
         sigma = PUMP.sigma_omega
         for delay in (5.0, 20.0, 47.0, 80.0):
             shifted = apply_envelope_phase(jsa, delay, delay)
@@ -232,4 +227,3 @@ class TestCoincidenceRate:
         empty = biphoton.scale(jsa, 0.0)
         assert rate_45(AmplitudePair(jsa, empty, 1.1)) == pytest.approx(1.0, abs=1e-12)
         assert normalized_overlap_magnitude(jsa, empty) == 0.0
-        assert empty.metadata.get("unnormalized") is True

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import bellsim
-from bellsim import cli, scenario
+from bellsim import biphoton, cli, scenario
 from bellsim.cli import main
+from bellsim.polarization import BELL_KINDS
 from bellsim.scenario import SWEEP_PARAMETERS
 
 
@@ -271,6 +272,29 @@ class TestFitCommand:
         path.write_text("axis_value,rate\n")
         assert run(["fit", "--input", path, "--output", tmp_path / "x"]) == 3
 
+    def test_headerless_file_fits_every_row(self, tmp_path):
+        # Line 1 is a header unless it is two numbers; a file without one
+        # keeps its first row and fits as the same rows under a header do.
+        x = np.linspace(0.0, 1600.0, 20)
+        rows = "".join(f"{float(a)!r},{1.0 + 0.9 * math.cos(2 * math.pi * a / 400.0)!r}\n" for a in x)
+        reports = []
+        for name, header in (("headed", "axis_value,rate\n"), ("headerless", "")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(header + rows)
+            assert run(["fit", "--input", path, "--output", tmp_path / name]) == 0
+            report = read_report(tmp_path / f"{name}.report.txt")
+            assert report.pop("input") == str(path)
+            reports.append(report)
+        assert reports[0]["points"] == "20"
+        assert reports[0] == reports[1]
+
+    def test_headerless_non_finite_first_row_names_row_one(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        path.write_text("nan,1.0\n" + "".join(f"{a!r},1.0\n" for a in np.linspace(1.0, 9.0, 9).tolist()))
+        assert run(["fit", "--input", path, "--output", tmp_path / "x"]) == 3
+        err = capsys.readouterr().err
+        assert "row 1 " in err and "not finite" in err
+
     def test_malformed_row_names_the_row(self, tmp_path, capsys):
         path = tmp_path / "broken.csv"
         path.write_text("axis_value,rate\n0.0,1.0\n1.0,oops\n")
@@ -295,6 +319,35 @@ class TestFitCommand:
         path.write_text("axis_value,rate\n" + "".join(f"5.0,{float(r)!r}\n" for r in rates))
         assert run(["fit", "--input", path, "--output", tmp_path / "x"]) == 3
         assert "scan axis spans zero: every axis value is 5.0" in capsys.readouterr().err
+
+
+# One run of each CLI command on the default config.  The fit reads a
+# fringe written by the test.
+NO_AMPLITUDE_RUNS = {
+    **{f"scan_{axis}": ["scan", "--config", "default", "--axis", axis, "--steps", 33]
+       for axis in scenario.SCAN_AXIS_KINDS},
+    **{f"sweep_{parameter}": ["sweep", "--config", "default", "--parameter", parameter, "--grid", grid]
+       for parameter, grid in zip(SWEEP_PARAMETERS, ("1,3.4", "10,none", "0,300", "0.5,1"))},
+    **{f"prepare_{target}": ["prepare", "--config", "default", "--target", target]
+       for target in BELL_KINDS},
+    "fit": ["fit", "--input", "{fringe}"],
+}
+
+
+@pytest.mark.parametrize("name", NO_AMPLITUDE_RUNS)
+def test_no_command_builds_a_two_dimensional_amplitude(tmp_path, monkeypatch, name):
+    # Every command takes its overlaps from the streamed kernel; the 2-D
+    # amplitudes of ``biphoton`` serve only as the tests' reference.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CLI command built a 2-D amplitude")
+
+    monkeypatch.setattr(biphoton.JointSpectralAmplitude, "__post_init__", refuse)
+    monkeypatch.setattr(biphoton, "overlap", refuse)
+    fringe = tmp_path / "fringe.csv"
+    x = np.linspace(0.0, 1600.0, 65)
+    fringe.write_text("".join(f"{a!r},{1.0 + math.cos(2 * math.pi * a / 400.0)!r}\n" for a in x.tolist()))
+    argv = [str(a).replace("{fringe}", str(fringe)) for a in NO_AMPLITUDE_RUNS[name]]
+    assert run(argv + ["--output", tmp_path / name]) == 0
 
 
 class TestPrepareCommand:

@@ -143,14 +143,14 @@ class TestBuildAmplitudes:
     def test_grid_auto_refines_for_large_delays(self, source, knobs):
         bare = replace(source, compensator=())
         pair = scenario.build_amplitudes(bare, knobs, grid_points=128)
-        assert pair.amp_a.metadata["grid_points"] > 128
+        assert pair.amp_a.grid.points > 128
 
     def test_given_grid_sets_the_recorded_points(self, source, knobs):
         grid = make_grid(source.pump, scenario.phase_matching_spec(source.crystals[0], source.pump),
                          filters=source.filters, points=256)
         pair = scenario.build_amplitudes(source, knobs, grid=grid)
         assert pair.amp_a.grid is grid
-        assert pair.amp_a.metadata["grid_points"] == pair.amp_b.metadata["grid_points"] == 256
+        assert pair.amp_a.grid.points == pair.amp_b.grid.points == 256
 
     @pytest.mark.parametrize("thickness", [0.0, -1.5, math.nan])
     def test_crystal_thickness_must_be_positive(self, source, thickness):
@@ -279,7 +279,7 @@ class TestScans:
         errors = [standing - scenario.required_compensation_fs(source, kn) for kn in step_knobs]
         own = [scenario.build_amplitudes(source, kn, compensation_error_fs=e)
                for kn, e in zip(step_knobs, errors)]
-        sizes = [pair.amp_a.metadata["grid_points"] for pair in own]
+        sizes = [pair.amp_a.grid.points for pair in own]
         assert sizes[0] > sizes[-1]
         assert result.grid_points == max(sizes)
 
@@ -490,7 +490,7 @@ class TestSweep:
         src = replace(source, scheme=scheme)
         errors = [0.0, 800.0, -1800.0, 4000.0]
         pairs = [scenario.build_amplitudes(src, knobs, compensation_error_fs=e) for e in errors]
-        assert [p.amp_a.metadata["grid_points"] for p in pairs] == [128, 256, 512, 1024]
+        assert [p.amp_a.grid.points for p in pairs] == [128, 256, 512, 1024]
         got = scenario.sweep(src, knobs, "compensation_error_fs", errors)
         expected = [fringe_visibility(pair) for pair in pairs]
         assert np.abs(got - expected).max() <= 1e-12

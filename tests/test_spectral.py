@@ -207,13 +207,6 @@ class TestBuildJsa:
         with pytest.raises(GridTruncationError):
             build_jsa(PUMP, SPEC, narrow, NO_FILTER, grid)
 
-    def test_metadata_records_conventions(self):
-        grid = make_grid(PUMP, SPEC, points=64)
-        jsa = build_jsa(PUMP, SPEC, NO_FILTER, NO_FILTER, grid, label="first")
-        assert jsa.metadata["duration_convention"] == "intensity_fwhm"
-        assert jsa.metadata["phase_matching"] == "sinc_first_order"
-        assert jsa.metadata["crystal_label"] == "first"
-
 
 def direct_jsa(pulse, spec, f_s, f_i, grid):
     """The normalized JSA from the direct 2-D formula of ``phase_matching``."""
