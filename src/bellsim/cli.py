@@ -33,8 +33,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; one that cannot be written (a directory, no
+    permission) is a ConfigError naming --output."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"--output: cannot write {path}: {exc}") from None
+
+
 def _write_kv(path: Path, items) -> None:
-    path.write_text("".join(f"{k} = {_fmt(v)}\n" for k, v in items))
+    _write_text(path, "".join(f"{k} = {_fmt(v)}\n" for k, v in items))
 
 
 def _csv_cells(column) -> list:
@@ -49,7 +58,7 @@ def _csv_cells(column) -> list:
 def _write_csv(path: Path, header, columns) -> None:
     lines = [",".join(header)]
     lines += map(",".join, zip(*map(_csv_cells, columns)))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _resolve_config(arg: str):
@@ -64,9 +73,12 @@ def _load(args):
 
 def _outputs(args, *suffixes) -> list:
     """The paths of ``--output`` plus each suffix, in a directory that now
-    exists."""
+    exists; one that cannot be made is a ConfigError naming --output."""
     prefix = Path(args.output)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--output: cannot make the directory {prefix.parent}: {exc}") from None
     return [prefix.with_name(prefix.name + suffix) for suffix in suffixes]
 
 
@@ -116,6 +128,8 @@ def cmd_scan(args) -> int:
     seed = args.seed
     if settings.noise == "poisson" and seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**31))
+    if settings.noise == "poisson" and seed < 0:
+        raise ConfigError(f"--seed must be >= 0 for poisson noise, got {seed}")
     result = scenario.scan(cfg.source, cfg.knobs, settings, seed=seed)
 
     csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")

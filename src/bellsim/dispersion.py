@@ -56,8 +56,6 @@ class Material:
     sellmeier_o: tuple
     sellmeier_e: tuple
     valid_range_nm: tuple
-    source_note_o: str = ""
-    source_note_e: str = ""
 
     def __post_init__(self):
         if not self.sellmeier_o or not self.sellmeier_e:
@@ -261,17 +259,16 @@ def _load_records(stream) -> dict:
             pol = rec["pol"]
             coeffs = tuple(float(x) for x in rec["coefficients"])
             rng = tuple(float(x) for x in rec["valid_range_nm"])
-            note = str(rec.get("source_note", ""))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed material record {rec!r}: {exc}") from exc
-        by_name.setdefault(name, {})[pol] = (coeffs, rng, note)
+        by_name.setdefault(name, {})[pol] = (coeffs, rng)
 
     table = {}
     for name, pols in by_name.items():
         if set(pols) != {"o", "e"}:
             raise ConfigError(f"material {name!r}: need exactly one 'o' and one 'e' record")
-        (co, rng_o, note_o) = pols["o"]
-        (ce, rng_e, note_e) = pols["e"]
+        (co, rng_o) = pols["o"]
+        (ce, rng_e) = pols["e"]
         if rng_o != rng_e:
             raise ConfigError(f"material {name!r}: o/e validity ranges differ")
         table[name] = Material(
@@ -279,8 +276,6 @@ def _load_records(stream) -> dict:
             sellmeier_o=co,
             sellmeier_e=ce,
             valid_range_nm=rng_o,
-            source_note_o=note_o,
-            source_note_e=note_e,
         )
     return table
 

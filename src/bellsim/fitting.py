@@ -107,13 +107,12 @@ def _levenberg_marquardt(x, y, w, params):
     twopi_x = 2.0 * np.pi * x
     jac = np.empty((x.size, 4))
     jac[:, 0] = 1.0
-    sw = None if np.all(w == 1.0) else np.sqrt(w)
+    sw = np.sqrt(w)
 
     def residual_and_cost(p):
         m = _model_and_jacobian(p, x, twopi_x, jac)
         r = m - y
-        if sw is not None:
-            r *= sw
+        r *= sw
         return m, r, float(r @ r)
 
     lam = 1.0e-3
@@ -122,7 +121,7 @@ def _levenberg_marquardt(x, y, w, params):
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         # Trials overwrite ``jac``, so grad and hessian are taken first.
-        jw = jac if sw is None else jac * sw[:, None]
+        jw = jac * sw[:, None]
         grad = jw.T @ residual
         hessian = jw.T @ jw
         diagonal = hessian.diagonal() + 1e-30

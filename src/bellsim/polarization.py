@@ -1,5 +1,5 @@
-"""Two-photon polarization algebra: Bell states, analyzer projections,
-wave plates and state quality metrics.
+"""Two-photon polarization algebra: the four Bell states, analyzer
+projections, wave plates and state quality metrics.
 
 Basis order is (|HH>, |HV>, |VH>, |VV>) with the first slot the signal-port
 photon.  Analyzer angles are measured from the vertical direction, so the
@@ -25,10 +25,9 @@ PHI_TO_PSI_HWP_DEG = 45.0
 
 @dataclass(frozen=True)
 class PolarizationState:
-    """Pure two-photon polarization state with wavelength port labels."""
+    """Pure two-photon polarization state."""
 
     coefficients: np.ndarray
-    labels: tuple = (730.0, 885.0)
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
@@ -48,33 +47,22 @@ class AnalyzerSetting:
     theta2_deg: float
 
 
-def _normalize_kind(kind: str) -> str:
-    k = kind.lower().replace("φ", "phi").replace("ψ", "psi")
-    if k in BELL_KINDS or k == "custom":
-        return k
-    raise ConfigError(f"unknown state kind {kind!r}; expected one of {BELL_KINDS + ('custom',)}")
+def make_state(kind: str, phase_rad: float = 0.0) -> PolarizationState:
+    """The Bell state ``kind``, one of ``BELL_KINDS``.
 
-
-def make_state(kind: str, phase_rad: float = 0.0, amplitude_ratio: float = 1.0) -> PolarizationState:
-    """Bell state or ratio-weighted superposition.
-
-    Phi kinds populate HH/VV and Psi kinds HV/VH; ``phase_rad`` multiplies
-    the second listed amplitude (VV resp. VH) and '-' kinds add a sign.
-    ``amplitude_ratio`` weights the first amplitude and is forced to 1 for
-    the four named kinds; 'custom' builds a Phi-type superposition.
+    Phi kinds populate HH/VV and Psi kinds HV/VH with equal weights;
+    ``phase_rad`` multiplies the second listed amplitude (VV resp. VH) and
+    '-' kinds add a sign.
     """
-    k = _normalize_kind(kind)
-    if not math.isfinite(amplitude_ratio) or amplitude_ratio < 0.0:
-        raise ConfigError("amplitude_ratio must be finite and >= 0")
-    ratio = amplitude_ratio if k == "custom" else 1.0
-    sign = -1.0 if k.endswith("-") else 1.0
+    if kind not in BELL_KINDS:
+        raise ConfigError(f"unknown state kind {kind!r}; expected one of {BELL_KINDS}")
+    sign = -1.0 if kind.endswith("-") else 1.0
     second = sign * np.exp(1j * phase_rad)
-    norm = math.sqrt(ratio * ratio + 1.0)
-    if k.startswith("psi"):
-        coeffs = np.array([0.0, ratio, second, 0.0], dtype=complex) / norm
+    if kind.startswith("psi"):
+        coeffs = np.array([0.0, 1.0, second, 0.0], dtype=complex)
     else:
-        coeffs = np.array([ratio, 0.0, 0.0, second], dtype=complex) / norm
-    return PolarizationState(coefficients=coeffs)
+        coeffs = np.array([1.0, 0.0, 0.0, second], dtype=complex)
+    return PolarizationState(coefficients=coeffs / math.sqrt(2.0))
 
 
 def _analyzer_ket(theta_deg: float) -> np.ndarray:
@@ -109,7 +97,7 @@ def half_wave_plate(state: PolarizationState, port: int, axis_deg: float) -> Pol
     jones = _hwp_jones(axis_deg)
     c = state.coefficients.reshape(2, 2)
     c = jones @ c if port == 1 else c @ jones.T
-    return PolarizationState(coefficients=c.reshape(4), labels=state.labels)
+    return PolarizationState(coefficients=c.reshape(4))
 
 
 def fidelity(state: PolarizationState, target: PolarizationState) -> float:

@@ -65,7 +65,7 @@ knob contributes the scanned phase 2 pi dx / lambda_p.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cache
 from typing import NamedTuple
 
@@ -106,8 +106,8 @@ from .spectral import (
 )
 from .units import C_NM_PER_FS
 
-# Scan axis -> the PhaseKnobs or AnalyzerSetting fields it sets to the
-# scanned value.
+# Scan axis -> the fields it sets to the scanned value: PhaseKnobs fields,
+# or theta2_deg, the second analyzer angle (``ScanSettings.analyzer2_deg``).
 SCAN_AXIS_FIELDS = {
     "pump_delay": ("pump_delta_x_nm",),
     "signal_tilt": ("signal_tilt_deg",),
@@ -268,7 +268,6 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class FringeScan:
     axis: np.ndarray
-    axis_kind: str
     rates: np.ndarray
     grid_points: int
 
@@ -436,10 +435,11 @@ class DelayBudget:
 
     def envelope_delay_fs(self):
         """Largest net group retardation between the amplitudes; the grid
-        spacing must sample it.  It over-counts: the compensation cancels the
-        plates' mean, yet their |group| (191 fs on the default) is added, so
-        errors of 495 to ~686 fs get 256^2 where 128^2 serves.  Sizing by
-        ``delays()`` would move the benchmark's pinned ``grid_points``."""
+        spacing must sample it.  It adds the plates' |group| (191 fs on the
+        default) although the compensation cancels their mean in ``delays()``,
+        and that margin is accuracy: sized by ``delays()`` alone, errors of
+        495 to ~686 fs would stay on 128^2 and miss a 2048^2 stream by up to
+        1.8e-9 (at 686 fs), where the grids chosen here stay within 2.4e-15."""
         group = lambda name: self.terms[name].group if name in self.terms else 0.0
         return (
             np.abs(self.required_compensation_fs + group("compensation"))
@@ -606,15 +606,13 @@ def scan(source: SourceConfig, knobs: PhaseKnobs, settings: ScanSettings, seed: 
     Sensible fits need 8 or more steps spanning >= 1.5 periods; shorter
     scans still produce data (the CLI writes the CSV first).
     """
-    if settings.noise == "poisson" and seed is None:
-        raise ConfigError("poisson noise requires a seed")
+    if settings.noise == "poisson" and (seed is None or seed < 0):
+        raise ConfigError(f"poisson noise requires a seed >= 0, got {seed!r}")
     values = settings.values(source)
     scanned = SCAN_AXIS_FIELDS[settings.axis_kind]
-
-    # Per-step knobs and analyzers: the scanned fields take the scanned values.
-    analyzers = polarization.AnalyzerSetting(settings.analyzer1_deg, settings.analyzer2_deg)
-    step = {name: np.full(settings.steps, value) for name, value in (asdict(knobs) | asdict(analyzers)).items()}
-    step.update(dict.fromkeys(scanned, values))
+    # A scanned field takes the scanned values; the others keep their standing scalar.
+    pump_delta_x_nm = values if "pump_delta_x_nm" in scanned else knobs.pump_delta_x_nm
+    theta2_deg = values if "theta2_deg" in scanned else settings.analyzer2_deg
 
     # Only the scanned plates change the delays: all their steps' terms come
     # from one dispersion pass per arm; an unscanned arm's delay is one
@@ -626,8 +624,8 @@ def scan(source: SourceConfig, knobs: PhaseKnobs, settings: ScanSettings, seed: 
     norm_a, norm_b, cross, grid_points_used = budget_terms(source, budget, settings.grid_points,
                                                            settings.grid_span_factor)
     norms_sq = _h_and_v(source, norm_a, norm_b)
-    rates = analyzer_rate(*norms_sq, cross * np.exp(1j * pump_knob_phase(source, step["pump_delta_x_nm"])),
-                          step["theta1_deg"], step["theta2_deg"])
+    rates = analyzer_rate(*norms_sq, cross * np.exp(1j * pump_knob_phase(source, pump_delta_x_nm)),
+                          settings.analyzer1_deg, theta2_deg)
     # Rates are physically nonnegative; destructive-interference points can
     # round to tiny negative values.
     np.maximum(rates, 0.0, out=rates)
@@ -644,7 +642,7 @@ def scan(source: SourceConfig, knobs: PhaseKnobs, settings: ScanSettings, seed: 
         rng = np.random.Generator(np.random.PCG64(seed))
         rates = rng.poisson(rates * settings.mean_counts) / settings.mean_counts
 
-    return FringeScan(axis=axis, axis_kind=settings.axis_kind, rates=rates, grid_points=grid_points_used)
+    return FringeScan(axis=axis, rates=rates, grid_points=grid_points_used)
 
 
 def _sweep_filters(source: SourceConfig, fwhm_nm) -> tuple:
@@ -737,11 +735,7 @@ def effective_polarization_state(source: SourceConfig, knobs: PhaseKnobs, terms:
     # The fringe phase rides on the horizontally-polarized pair amplitude.
     w_h, w_v = _h_and_v(source, w_a, w_b)
     coeffs = np.array([w_h * np.exp(1j * phase), 0.0, 0.0, w_v], dtype=complex) / math.hypot(w_a, w_b)
-    state = polarization.PolarizationState(
-        coefficients=coeffs,
-        labels=(source.crystals[0].signal_center_nm, source.crystals[0].idler_center_nm),
-    )
-    return state, visibility
+    return polarization.PolarizationState(coefficients=coeffs), visibility
 
 
 # --------------------------------------------------------------------------

@@ -389,15 +389,17 @@ class _Sampler:
     to the envelope's running peak and to ``cells``, and ``norms`` runs the
     border check on them.
 
-    With ``crop``, a block of rows samples only the contiguous columns where
-    an upper bound of its envelope reaches ``threshold`` = ``CELL_LEVEL``
-    times the largest envelope value on the pump ridge's crest; a block
-    without such a column is left out.  The bound takes O(N) per block from
-    1-D data: the pump samples are unimodal in j + k, so their maximum over
-    the block's rows at column k is the sample at the mode clipped into
-    [k + r0, k + r1 - 1], times f_i(k) and the block's largest f_s.  Every
-    skipped cell has |V| below ``threshold`` (|sinc| <= 1), and the peak
-    cell is always sampled, so the border check is exact."""
+    One plan makes the blocks: a block of rows samples only the contiguous
+    columns where an upper bound of its envelope reaches ``threshold``; a
+    block without such a column is left out.  With ``crop`` the threshold is
+    ``CELL_LEVEL`` times the largest envelope value on the pump ridge's crest;
+    otherwise, or when that level is not finite and positive, it is 0, which
+    keeps every column (a bound is >= 0, or NaN).  The bound takes O(N) per
+    block from 1-D data: the pump samples are unimodal in j + k, so their
+    maximum over the block's rows at column k is the sample at the mode
+    clipped into [k + r0, k + r1 - 1], times f_i(k) and the block's largest
+    f_s.  Every skipped cell has |V| below ``threshold`` (|sinc| <= 1), and
+    the peak cell is always sampled, so the border check is exact."""
 
     def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
                  grid: FrequencyGrid, crop: bool = False):
@@ -427,29 +429,23 @@ class _Sampler:
         block = min(max(1, ROW_BLOCK_BYTES // (8 * n)), n)
         starts = np.arange(0, n, block)
         stops = np.minimum(starts + block, n)
-        self.threshold = 0.0
-        if crop:
-            # The largest envelope value on the crest j + k = mode of the pump ridge.
-            mode = int(samples.argmax())
-            low, high = max(0, mode - n + 1), min(mode, n - 1)
-            crest = self.filter_s[low:high + 1, 0] * self.filter_i[mode - high:mode - low + 1][::-1]
-            level = CELL_LEVEL * float(samples[mode] * crest.max())
-            if math.isfinite(level) and level > 0.0:
-                self.threshold = level
-        if self.threshold:
-            # One row of bounds per block: the pump sample nearest the mode
-            # within the block's j + k (the mode clipped into [k + r0, k + r1 - 1]),
-            # times f_i(k) and the block's largest f_s.
-            k = np.arange(n)
-            bound = samples[np.maximum(np.minimum(k + (stops - 1)[:, None], mode), k + starts[:, None])]
-            bound *= self.filter_i
-            bound *= np.maximum.reduceat(self.filter_s[:, 0], starts)[:, None]
-            kept = ~(bound < self.threshold)  # a NaN bound keeps its column
-            columns = zip(kept.argmax(axis=1).tolist(), (n - kept[:, ::-1].argmax(axis=1)).tolist())
-            self.blocks = [(slice(*rows), slice(*cols)) for rows, cols, any_kept
-                           in zip(zip(starts.tolist(), stops.tolist()), columns, kept.any(axis=1)) if any_kept]
-        else:
-            self.blocks = [(slice(*rows), slice(0, n)) for rows in zip(starts.tolist(), stops.tolist())]
+        # The largest envelope value on the crest j + k = mode of the pump ridge.
+        mode = int(samples.argmax())
+        low, high = max(0, mode - n + 1), min(mode, n - 1)
+        crest = self.filter_s[low:high + 1, 0] * self.filter_i[mode - high:mode - low + 1][::-1]
+        level = CELL_LEVEL * float(samples[mode] * crest.max())
+        self.threshold = level if crop and math.isfinite(level) and level > 0.0 else 0.0
+        # One row of bounds per block: the pump sample nearest the mode
+        # within the block's j + k (the mode clipped into [k + r0, k + r1 - 1]),
+        # times f_i(k) and the block's largest f_s.
+        k = np.arange(n)
+        bound = samples[np.maximum(np.minimum(k + (stops - 1)[:, None], mode), k + starts[:, None])]
+        bound *= self.filter_i
+        bound *= np.maximum.reduceat(self.filter_s[:, 0], starts)[:, None]
+        kept = ~(bound < self.threshold)  # a NaN bound keeps its column
+        columns = zip(kept.argmax(axis=1).tolist(), (n - kept[:, ::-1].argmax(axis=1)).tolist())
+        self.blocks = [(slice(*rows), slice(*cols)) for rows, cols, any_kept
+                       in zip(zip(starts.tolist(), stops.tolist()), columns, kept.any(axis=1)) if any_kept]
         self.cells = 0
         # One allocation, reshaped per block so each block is contiguous:
         # separate arrays are fresh pages, faulted in on every call.

@@ -748,6 +748,30 @@ class TestBadInputExitCodes:
                     "--parameter", "compensation_error_fs", "--grid", grid]) == 2
         assert f"1 to {scenario.MAX_SCAN_STEPS} (MAX_SCAN_STEPS) values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["scan", "sweep", "fit", "prepare"])
+    @pytest.mark.parametrize("blocked", ["file_as_directory", "directory_as_file"])
+    def test_unwritable_output_names_the_flag(self, tmp_path, config_file, capsys, command, blocked):
+        if blocked == "file_as_directory":
+            (tmp_path / "plain").write_text("")
+            out = tmp_path / "plain" / "x"
+        else:
+            (tmp_path / "x.report.txt").mkdir()
+            out = tmp_path / "x"
+        if command == "fit":
+            rows = "".join(f"{float(a)!r},{1.0 + math.cos(a / 64.0)!r}\n" for a in np.linspace(0.0, 1600.0, 65))
+            (tmp_path / "fringe.csv").write_text("axis_value,rate\n" + rows)
+            args = ["--input", tmp_path / "fringe.csv"]
+        else:
+            args = ["--config", config_file, *self.COMMANDS[command]]
+        assert run([command, "--output", out, *args]) == 2
+        assert capsys.readouterr().err.startswith("error: --output: cannot ")
+
+    def test_negative_seed_with_poisson_noise(self, tmp_path, config_file, capsys):
+        noisy = _edited_config(config_file, tmp_path, "noise: none", "noise: poisson")
+        assert run(["scan", "--config", noisy, "--output", tmp_path / "x", "--seed", -5]) == 2
+        assert "--seed must be >= 0 for poisson noise, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_invalid_yaml(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("pump: [unclosed\n")

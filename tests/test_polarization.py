@@ -48,23 +48,10 @@ class TestMakeState:
         minus = make_state("psi-")
         assert np.allclose(minus.coefficients, [0, SQRT_HALF, -SQRT_HALF, 0])
 
-    def test_custom_ratio(self):
-        state = make_state("custom", 0.0, 2.0)
-        expected = np.array([2.0, 0.0, 0.0, 1.0]) / math.sqrt(5.0)
-        assert np.allclose(state.coefficients, expected)
-
-    def test_named_kinds_force_unit_ratio(self):
-        state = make_state("phi+", 0.0, 7.0)
-        assert np.allclose(np.abs(state.coefficients), [SQRT_HALF, 0, 0, SQRT_HALF])
-
-    def test_unicode_names_accepted(self):
-        assert fidelity(make_state("Φ+"), make_state("phi+")) == pytest.approx(1.0)
-
     def test_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            make_state("chi+")
-        with pytest.raises(ConfigError):
-            make_state("custom", 0.0, -1.0)
+        for kind in ("chi+", "custom", "Φ+", "PHI+"):
+            with pytest.raises(ConfigError):
+                make_state(kind)
 
     def test_normalization_enforced(self):
         with pytest.raises(ConfigError):
@@ -132,7 +119,7 @@ class TestHalfWavePlate:
         assert fidelity(flipped, make_state("phi-")) == pytest.approx(1.0, abs=1e-12)
 
     def test_involution(self):
-        state = make_state("custom", 0.7, 1.4)
+        state = PolarizationState(coefficients=np.array([1.4, 0.0, 0.0, np.exp(0.7j)]) / math.hypot(1.4, 1.0))
         twice = half_wave_plate(half_wave_plate(state, 2, 33.0), 2, 33.0)
         assert fidelity(twice, state) == pytest.approx(1.0, abs=1e-12)
 

@@ -251,9 +251,10 @@ class TestScans:
         assert np.array_equal(a.rates, b.rates)
         assert np.array_equal(a.axis, b.axis)
 
-    def test_noise_requires_seed(self, source, knobs):
-        with pytest.raises(ConfigError, match="poisson noise requires a seed"):
-            scenario.scan(source, knobs, ScanSettings(steps=16, noise="poisson"))
+    @pytest.mark.parametrize("seed", [None, -5])
+    def test_noise_requires_seed(self, source, knobs, seed):
+        with pytest.raises(ConfigError, match="poisson noise requires a seed >= 0"):
+            scenario.scan(source, knobs, ScanSettings(steps=16, noise="poisson"), seed=seed)
 
     def test_noise_seeded_reproducible(self, source, knobs):
         noisy = ScanSettings(steps=33, noise="poisson", mean_counts=500.0)
@@ -605,6 +606,20 @@ class TestKernelTimeSupport:
         errors = np.array([-700.0, -300.0, 0.0, 100.0, 300.0, 600.0, 1000.0, 1500.0, 3000.0])
         budget = scenario.delay_budget(source, knobs, errors)
         assert scenario.budget_terms(source, budget, 128, 5.0)[3] == 256
+
+    @pytest.mark.parametrize("error", [0.0, 300.0, 480.0, 600.0, 686.0, 800.0, 1000.0, 1150.0])
+    def test_grid_sizing_matches_a_2048_stream(self, source, knobs, error):
+        # The envelope delay that sizes the grid counts the plates' |group|
+        # on top of the compensation error; that margin is accuracy: sized by
+        # the per-arm delays alone, 600 and 686 fs stay on 128^2 and miss by
+        # 4.8e-12 and 1.8e-9.
+        budget = scenario.delay_budget(source, knobs, error)
+        norm_a, norm_b, cross, _ = scenario.budget_terms(source, budget, 128, 5.0)
+        signal_delay, idler_delay, carrier = budget.delays()
+        fine = make_grid(source.pump, budget.specs[0], filters=source.filters, points=2048)
+        reference = kernel_overlaps(source.pump, *budget.specs, *source.filters, fine,
+                                    [signal_delay], [idler_delay])
+        assert abs(cross[0] / math.sqrt(norm_a * norm_b) - np.exp(1j * carrier) * reference[0]) <= 1e-13
 
 
 def _with_filters(src, shape):
