@@ -7,11 +7,17 @@ is the only file carrying a timestamp.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 preparation
 infeasible.
+
+``main`` can run many commands in one process.  It builds the argument
+parser once per process (``build_parser``), and ``scenario.load_config``
+parses each distinct config text once, while still reading the file on
+every command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -134,20 +140,25 @@ def cmd_scan(args) -> int:
 
     csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")
     _write_csv(csv_path, ("axis_value", "rate"), (result.axis, result.rates))
-    _write_manifest(manifest_path, args, "scan", (csv_path, report_path), seed)
+    written = [csv_path]
 
-    # The CSV is written before fitting so short scans still produce data.
-    weights = result.rates * settings.mean_counts if settings.noise == "poisson" else None
-    fit = fitting.fit_fringe(result, weights=weights)
-    items = [("axis_kind", settings.axis_kind), ("steps", settings.steps)]
-    items += _fit_report_items(fit, fitting.raw_visibility(result.rates))
-    items += [
-        ("analyzer1_deg", settings.analyzer1_deg),
-        ("analyzer2_deg", settings.analyzer2_deg),
-        ("grid_points", result.grid_points),
-        ("reference_mode", bool(args.reference)),
-    ]
-    _write_kv(report_path, items)
+    # The CSV is written before fitting so short scans still produce data; the
+    # manifest is written last, naming only the files this run wrote.
+    try:
+        weights = result.rates * settings.mean_counts if settings.noise == "poisson" else None
+        fit = fitting.fit_fringe(result, weights=weights)
+        items = [("axis_kind", settings.axis_kind), ("steps", settings.steps)]
+        items += _fit_report_items(fit, fitting.raw_visibility(result.rates))
+        items += [
+            ("analyzer1_deg", settings.analyzer1_deg),
+            ("analyzer2_deg", settings.analyzer2_deg),
+            ("grid_points", result.grid_points),
+            ("reference_mode", bool(args.reference)),
+        ]
+        _write_kv(report_path, items)
+        written.append(report_path)
+    finally:
+        _write_manifest(manifest_path, args, "scan", written, seed)
     print(f"scan: wrote {csv_path} (period {fit.period:g}, visibility {fit.visibility:g})")
     return 0
 
@@ -209,8 +220,8 @@ def _read_csv(path: Path):
             row = tuple(map(float, parts))
         except ValueError:
             row = ()
-        if number == 1 and len(row) != 2:
-            continue  # line 1 is a header unless it is two numbers
+        if number == 1 and not row:
+            continue  # line 1 is a header unless every field is a number
         if len(parts) != 2:
             raise DataError(f"{path}: row {number} has {len(parts)} fields, expected 2")
         if not row:
@@ -282,7 +293,11 @@ def cmd_prepare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of this process, built on first use; each
+    ``parse_args`` call returns a new namespace, so it carries nothing from
+    one command to the next."""
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Pulsed two-crystal SPDC entanglement source: scans, sweeps, fringe fits.",
@@ -339,8 +354,7 @@ def _joined_grid(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_joined_grid(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_joined_grid(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, DataError, InfeasibleError) as exc:

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -909,16 +909,34 @@ def parse_config(data: dict) -> ExperimentConfig:
     return config
 
 
+# Config texts whose parsed config a process keeps (``_parse_text``).  A
+# config is a few KB, and a session of commands reads a handful of files.
+CONFIG_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=CONFIG_MEMO_SIZE)
+def _parse_text(text: str) -> ExperimentConfig:
+    """``parse_config`` of the YAML ``text``, once per text: the result is a
+    frozen dataclass of numbers, strings, tuples and shared ``Material``
+    records, so every caller can hold the same one.  An error is raised
+    again on every call, as nothing is kept for it."""
+    return parse_config(yaml.load(text, Loader=YAML_LOADER))
+
+
 def load_config(path) -> ExperimentConfig:
-    """Load and validate a scenario config file (YAML)."""
+    """Load and validate a scenario config file (YAML).  The file is read on
+    every call; a text read before in this process is not parsed again."""
     try:
         with open(path, "r") as fh:
-            data = yaml.load(fh, Loader=YAML_LOADER)
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        return _parse_text(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return parse_config(data)
+        # YAML names the positions of a parsed string "<unicode string>".
+        detail = str(exc).replace('"<unicode string>"', f'"{path}"')
+        raise ConfigError(f"config {path} is not valid YAML: {detail}") from exc
 
 
 def default_config_path():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields, is_dataclass
 from datetime import datetime
 from pathlib import Path
 
@@ -60,6 +61,29 @@ class TestScanCommand:
         assert code == 3
         assert out.with_name("short.csv").exists()
         assert not out.with_name("short.report.txt").exists()
+
+    def test_failed_fit_manifest_names_only_the_csv(self, tmp_path, config_file):
+        # A report left by an earlier run under the same prefix is not this
+        # run's output.
+        out = tmp_path / "short"
+        assert run(["scan", "--config", config_file, "--output", out, "--steps", 33]) == 0
+        assert run(["scan", "--config", config_file, "--output", out, "--steps", 4]) == 3
+        manifest = read_report(out.with_name("short.manifest.txt"))
+        assert manifest["output_paths"] == str(out.with_name("short.csv"))
+
+    def test_unwritable_report_manifest_names_only_the_csv(self, tmp_path, config_file, capsys):
+        out = tmp_path / "x"
+        out.with_name("x.report.txt").mkdir()
+        assert run(["scan", "--config", config_file, "--output", out, "--steps", 33]) == 2
+        assert capsys.readouterr().err.startswith("error: --output: cannot write ")
+        manifest = read_report(out.with_name("x.manifest.txt"))
+        assert manifest["output_paths"] == str(out.with_name("x.csv"))
+
+    def test_manifest_names_csv_and_report(self, tmp_path, config_file):
+        out = tmp_path / "scan"
+        assert run(["scan", "--config", config_file, "--output", out, "--steps", 33]) == 0
+        manifest = read_report(out.with_name("scan.manifest.txt"))
+        assert manifest["output_paths"] == f"{out.with_name('scan.csv')},{out.with_name('scan.report.txt')}"
 
     def test_byte_identical_reruns(self, tmp_path, config_file):
         first = tmp_path / "a" / "scan"
@@ -287,6 +311,16 @@ class TestFitCommand:
             reports.append(report)
         assert reports[0]["points"] == "20"
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("first", ["1,2,3", "1", "1.0,2.0,3.0,4.0"])
+    def test_numeric_first_line_of_wrong_width_names_row_one(self, tmp_path, capsys, first):
+        # A first line of numbers is data, not a header, whatever its width.
+        rows = "".join(f"{a!r},{1.0 + math.cos(a / 64.0)!r}\n" for a in np.linspace(0.0, 1600.0, 65).tolist())
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{first}\n{rows}")
+        assert run(["fit", "--input", path, "--output", tmp_path / "x"]) == 3
+        width = first.count(",") + 1
+        assert f"row 1 has {width} fields, expected 2" in capsys.readouterr().err
 
     def test_headerless_non_finite_first_row_names_row_one(self, tmp_path, capsys):
         path = tmp_path / "gap.csv"
@@ -777,6 +811,79 @@ class TestBadInputExitCodes:
         bad.write_text("pump: [unclosed\n")
         assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
         assert "not valid YAML" in capsys.readouterr().err
+
+
+def _frozen_walk(value, path="config"):
+    """The key paths under ``value`` that are not a frozen dataclass, a
+    tuple or a scalar."""
+    if is_dataclass(value):
+        if not value.__dataclass_params__.frozen:
+            return [f"{path}: {type(value).__name__} is not frozen"]
+        return [bad for f in fields(value) for bad in _frozen_walk(getattr(value, f.name), f"{path}.{f.name}")]
+    if isinstance(value, tuple):
+        return [bad for k, item in enumerate(value) for bad in _frozen_walk(item, f"{path}[{k}]")]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return []
+    return [f"{path}: {type(value).__name__}"]
+
+
+class TestInProcessReuse:
+    """``main`` shares its parser and parsed configs across the commands of
+    one process; nothing a command reads may carry over to the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parsed_config_is_immutable_throughout(self):
+        config = scenario.load_config(scenario.default_config_path())
+        assert _frozen_walk(config) == []
+
+    def test_same_text_shares_one_config(self, tmp_path, config_file):
+        copy = tmp_path / "copy.yaml"
+        copy.write_text(config_file.read_text())
+        assert scenario.load_config(copy) is scenario.load_config(config_file)
+
+    def test_rewritten_config_is_read_again(self, tmp_path, config_file):
+        out = tmp_path / "scan"
+        for analyzer2 in ("45.0", "135.0", "45.0"):
+            config_file.write_text(scenario.default_config_path().read_text().replace(
+                "analyzer2_deg: 45.0", f"analyzer2_deg: {analyzer2}"))
+            assert run(["scan", "--config", config_file, "--output", out, "--steps", 33]) == 0
+            assert read_report(out.with_name("scan.report.txt"))["analyzer2_deg"] == analyzer2
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("pump:\n", "pump: [unclosed\n", None),
+        ("  duration_fs:", "  colour: blue\n  duration_fs:", "pump.colour is not a key of 'pump'"),
+    ])
+    def test_bad_config_fails_on_every_call(self, tmp_path, config_file, capsys, old, new, named):
+        # The file parses first, so an edit that breaks it must not be
+        # answered from the earlier text.
+        out = tmp_path / "x"
+        assert run(["scan", "--config", config_file, "--output", out, "--steps", 33]) == 0
+        capsys.readouterr()
+        text = config_file.read_text()
+        assert old in text
+        config_file.write_text(text.replace(old, new, 1))
+        errors = []
+        for _ in range(2):
+            assert run(["scan", "--config", config_file, "--output", out, "--steps", 33]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        if named is None:
+            # The YAML positions name the file, as the message's start does.
+            assert f"config {config_file} is not valid YAML" in errors[0]
+            assert f'in "{config_file}", line ' in errors[0]
+            assert "<unicode string>" not in errors[0]
+        else:
+            assert named in errors[0]
+
+    def test_scan_flags_do_not_carry_over(self, tmp_path, config_file):
+        out = tmp_path / "scan"
+        assert run(["scan", "--config", config_file, "--output", out, "--steps", 33]) == 0
+        assert len(out.with_name("scan.csv").read_text().splitlines()) == 34
+        assert run(["scan", "--config", config_file, "--output", out]) == 0
+        assert len(out.with_name("scan.csv").read_text().splitlines()) == 130
+        assert read_report(out.with_name("scan.report.txt"))["steps"] == "129"
 
 
 class TestEntryPoint:
