@@ -205,6 +205,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_csv(path: Path):
     try:
         text = Path(path).read_text()
@@ -220,8 +228,8 @@ def _read_csv(path: Path):
             row = tuple(map(float, parts))
         except ValueError:
             row = ()
-        if number == 1 and not row:
-            continue  # line 1 is a header unless every field is a number
+            if number == 1 and not any(map(_is_number, parts)):
+                continue  # line 1 is a header only if none of its fields is a number
         if len(parts) != 2:
             raise DataError(f"{path}: row {number} has {len(parts)} fields, expected 2")
         if not row:

@@ -141,8 +141,9 @@ class CrystalConfig:
     idler_center_nm: float
 
     def __post_init__(self):
-        if not self.thickness_mm > 0.0:
-            raise ConfigError(f"crystal thickness_mm must be positive, got {self.thickness_mm}")
+        for key in ("thickness_mm", "signal_center_nm", "idler_center_nm"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f"crystal {key} must be positive, got {getattr(self, key)}")
 
     def pump_polarization(self) -> str:
         # The crystal is pumped by the pump component parallel to its axis.
@@ -203,6 +204,14 @@ class SourceConfig:
         if not (math.isfinite(self.pump_amplitude_ratio) and self.pump_amplitude_ratio >= 0.0):
             raise ConfigError(f"scheme.pump_amplitude_ratio must be finite and >= 0, "
                               f"got {self.pump_amplitude_ratio!r}")
+        # Energy conservation: 1/ls + 1/li = 1/lp within 1e-3 relative.
+        pump_nm = self.pump.center_wavelength_nm
+        for k, c in enumerate(self.crystals):
+            mismatch = abs(1.0 / c.signal_center_nm + 1.0 / c.idler_center_nm - 1.0 / pump_nm) / (1.0 / pump_nm)
+            if mismatch > 1.0e-3:
+                raise ConfigError(f"crystals[{k}].signal_center_nm/idler_center_nm: centers {c.signal_center_nm}/"
+                                  f"{c.idler_center_nm} nm violate energy conservation with the pump."
+                                  f"center_wavelength_nm {pump_nm} nm pump (relative mismatch {mismatch:.3g} > 1e-3)")
 
 
 @dataclass(frozen=True)
@@ -270,12 +279,6 @@ class FringeScan:
     axis: np.ndarray
     rates: np.ndarray
     grid_points: int
-
-    def __post_init__(self):
-        if self.axis.shape != self.rates.shape or self.axis.ndim != 1:
-            raise ConfigError("axis and rates must be equal-length 1-D arrays")
-        if np.any(self.rates < 0.0):
-            raise ConfigError("rates must be nonnegative")
 
 
 # --------------------------------------------------------------------------

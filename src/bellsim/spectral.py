@@ -20,15 +20,16 @@ one spacing by construction, the pump depends only on j + k and the real
 pump-times-filters envelope is a Hankel view of 2N - 1 pump samples.  The
 JSA is that envelope times sinc(h), normalized, times the separable phase
 exp(i a(nu_s)) exp(i b(nu_i)).  ``make_grid`` is the one place a grid is
-sized: the envelope and phase-matching widths set its half span, and the
-largest group delay it must sample sets its point count.
+sized and checked: the envelope and phase-matching widths set its half span,
+the largest group delay it must sample sets its point count, and its span,
+resolution and pump-corner rules read the same Gaussian widths.
 
-``_Sampler`` yields the real envelope * sinc(h) in cache-sized row blocks,
-with the grid and border checks and the norms.  ``kernel_overlaps`` streams
-it for the interference of two crystals: conj(J_a) J_b is the real kernel
-(envelope sinc)_a (envelope sinc)_b times 1-D phases that join the delay
-phase rows, so the overlaps of all delay pairs come from the row blocks of
-the kernel, with no N x N array.  The stream is cropped to the envelope's
+``_Sampler`` takes the grid as given and yields the real envelope * sinc(h)
+in cache-sized row blocks, with the border check and the norms.
+``kernel_overlaps`` streams it for the interference of two crystals:
+conj(J_a) J_b is the real kernel (envelope sinc)_a (envelope sinc)_b times
+1-D phases that join the delay phase rows, so the overlaps of all delay
+pairs come from the row blocks of the kernel, with no N x N array.  The stream is cropped to the envelope's
 frequency support: each block samples only the contiguous columns where an
 O(N) bound of the envelope reaches ``CELL_LEVEL`` of the ridge crest's
 largest value (on the default source, 24 % of a 1024^2 grid), and it is
@@ -161,17 +162,6 @@ class PhaseMatchingSpec:
         if self.crystal_length_mm <= 0.0:
             raise ConfigError("crystal length must be positive")
 
-    def check_energy_conservation(self, pump_center_nm: float) -> None:
-        """Centers must satisfy 1/ls + 1/li = 1/lp within 1e-3 relative."""
-        inv_pump = 1.0 / pump_center_nm
-        mismatch = abs(1.0 / self.signal_center_nm + 1.0 / self.idler_center_nm - inv_pump)
-        if mismatch / inv_pump > 1.0e-3:
-            raise ConfigError(
-                f"centers {self.signal_center_nm}/{self.idler_center_nm} nm violate "
-                f"energy conservation with the {pump_center_nm} nm pump "
-                f"(relative mismatch {mismatch / inv_pump:.3g} > 1e-3)"
-            )
-
     @property
     def walk_off_fs(self) -> tuple:
         """(signal, idler) walk-off from the pump over the crystal, fs:
@@ -259,65 +249,56 @@ def make_grid(
     span_factor: float = 5.0,
     max_delay: float = 0.0,
 ) -> FrequencyGrid:
-    """Square grid centred on the pair centers, wide enough for the pump
-    ridge, the filters, and the main phase-matching structure (the first sinc
-    zero along the anticorrelated nu_s = -nu_i direction, unless matched
-    group velocities put it at infinity), with ``points`` per axis doubled
-    until the spacing samples a net group retardation of ``max_delay`` (fs)
-    between two amplitudes: spacing below pi / (``DELAY_SAMPLING_SAFETY``
-    max_delay), within ``MAX_GRID_POINTS``.  Past that, the error names the
-    thickness keys when no span ``_check_grid`` admits could sample the delay.
+    """The square grid centred on the pair centers, sized and checked: the
+    one place a grid rule is decided.  Its half span covers the pump ridge,
+    the filters and the main phase-matching structure (the first sinc zero
+    along the anticorrelated nu_s = -nu_i direction, unless matched group
+    velocities put it at infinity; capped at a few widths of the Gaussian
+    filters, which bound the support).  ``points`` per axis double until the
+    spacing samples a net group retardation of ``max_delay`` (fs) between two
+    amplitudes: spacing below pi / (``DELAY_SAMPLING_SAFETY`` max_delay),
+    within ``MAX_GRID_POINTS``; past that, the error names the thickness keys
+    when no span the span rule admits could sample the delay.
 
-    With Gaussian filters present the phase-matching extent is capped at a
-    few filter widths (the filters bound the support).
+    Then, from scalars, each a GridTruncationError naming the keys to change:
+    the span must cover ``MIN_SPAN_SIGMAS`` sigmas of the narrowest Gaussian
+    factor (pump, Gaussian ``filters``), the spacing must resolve that sigma,
+    and with no filter the pump must fall below ``EDGE_AMPLITUDE_LIMIT`` at
+    the diagonal corners.  The sinc tails fall off only algebraically and are
+    exempt; adequacy against them is the grid-refinement stability property.
     """
     thickness_keys = "check every thickness_mm (crystals, compensator, knob plates)"
     if not math.isfinite(max_delay):
         raise ConfigError(f"the net group delay between the amplitudes is {max_delay!r} fs; {thickness_keys}")
     if points < 8:
         raise ConfigError("grid needs at least 8 points per axis")
-    scales = [pulse.sigma_omega]
-    filter_sigmas = [f.sigma_intensity_omega for f in filters if f.shape == "gaussian"]
-    scales += filter_sigmas
+    # (name, sigma, the config keys that set it) of each Gaussian factor.
+    gaussians = [("pump envelope", pulse.sigma_omega, "pump.duration_fs")]
+    gaussians += [(f"{arm} filter", f.sigma_intensity_omega, f"filters[{k}].fwhm_nm and center_nm")
+                  for k, (arm, f) in enumerate(zip(("signal", "idler"), filters)) if f.shape == "gaussian"]
+    scales = [sigma for _, sigma, _ in gaussians]
     walk_off = abs(spec.inverse_group_velocity_signal_fs_per_mm
                    - spec.inverse_group_velocity_idler_fs_per_mm) * spec.crystal_length_mm
     if walk_off >= 1.0e-12:
         antidiag = 2.0 * math.pi / walk_off
-        scales.append(min(antidiag, 3.0 * max(filter_sigmas)) if filter_sigmas else antidiag)
+        scales.append(min(antidiag, 3.0 * max(scales[1:])) if len(gaussians) > 1 else antidiag)
     half_span = span_factor * max(scales)
+    name, narrowest, keys = min(gaussians, key=lambda gaussian: gaussian[1])
+    least_span = MIN_SPAN_SIGMAS * narrowest
     required = 2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi
     while points <= MAX_GRID_POINTS and points < required:
         points *= 2
     if points > MAX_GRID_POINTS:
-        # The points the narrowest span that ``_check_grid`` admits would need.
-        narrowest_span = MIN_SPAN_SIGMAS * min([pulse.sigma_omega] + filter_sigmas)
-        least = narrowest_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi
+        least = least_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi
         advice = (f" on any grid span; reduce the delay and {thickness_keys}" if least > MAX_GRID_POINTS
                   else "; reduce the delay or lower scan.grid_span_factor")
         raise GridTruncationError(f"applied delays (~{max_delay:.3g} fs) would need more than "
                                   f"{MAX_GRID_POINTS} grid points (MAX_GRID_POINTS){advice}")
-    return FrequencyGrid(spec.signal_center_angular_frequency, spec.idler_center_angular_frequency,
+    grid = FrequencyGrid(spec.signal_center_angular_frequency, spec.idler_center_angular_frequency,
                          half_span, points)
 
-
-def _check_grid(pulse, f_s, f_i, grid):
-    """Span and resolution checks for the Gaussian factors, and the pump
-    ridge's corner containment when no filter bounds the support; scalar
-    work only, done before anything 2-D is allocated.
-
-    The sinc tails fall off only algebraically and are therefore exempt from
-    the edge tests (they cannot satisfy them on any practical grid); adequacy
-    against them is covered by the grid-refinement stability property.
-    """
-    # (name, sigma, the config keys that set it)
-    sigmas = [("pump envelope", pulse.sigma_omega, "pump.duration_fs")]
-    for k, (name, filt) in enumerate((("signal filter", f_s), ("idler filter", f_i))):
-        if filt.shape == "gaussian":
-            sigmas.append((name, filt.sigma_intensity_omega, f"filters[{k}].fwhm_nm and center_nm"))
-
-    span = 2.0 * grid.half_span
-    name, narrowest, keys = min(sigmas, key=lambda entry: entry[1])
-    if span < MIN_SPAN_SIGMAS * narrowest:
+    span = 2.0 * half_span
+    if span < least_span:
         raise GridTruncationError(
             f"grid span {span:.4g} rad/fs is below {MIN_SPAN_SIGMAS:g} standard deviations of the "
             f"narrowest envelope ({narrowest:.4g} rad/fs); raise scan.grid_span_factor"
@@ -327,21 +308,18 @@ def _check_grid(pulse, f_s, f_i, grid):
                   if narrowest < span / (MAX_GRID_POINTS - 1) else "raise scan.grid_points")
         raise GridTruncationError(f"grid spacing {grid.spacing:.4g} rad/fs cannot resolve the {name} "
                                   f"(sigma = {narrowest:.4g} rad/fs); {advice}")
-
-    if f_s.shape == "none" and f_i.shape == "none":
+    if all(f.shape == "none" for f in filters):
         # Only the pump envelope bounds the amplitude; its ridge width must
         # be contained: the largest reachable |w_s + w_i - W_p| sits at the
         # diagonal corners.
-        corner_sums = (
-            grid.signal_axis[0] + grid.idler_axis[0],
-            grid.signal_axis[-1] + grid.idler_axis[-1],
-        )
+        corner_sums = (grid.signal_axis[0] + grid.idler_axis[0], grid.signal_axis[-1] + grid.idler_axis[-1])
         edge = max(float(pump_spectrum(pulse, s)) for s in corner_sums)
         if edge > EDGE_AMPLITUDE_LIMIT:
             raise GridTruncationError(
                 f"grid too narrow for the pump envelope: edge magnitude {edge:.3g} "
                 f"exceeds {EDGE_AMPLITUDE_LIMIT} of the peak; raise scan.grid_span_factor"
             )
+    return grid
 
 
 def _sinc_factors(spec: PhaseMatchingSpec, nu_s, nu_i) -> tuple:
@@ -383,11 +361,11 @@ class _Sampler:
 
     Both axes share one spacing, so w_s[j] + w_i[k] depends only on j + k
     and the pump ridge is a Hankel view of its 2N - 1 samples down the first
-    column and along the last row: no 2-D exp is evaluated.  The energy and
-    grid checks and the border of the envelope (from 1-D products) come on
-    construction, before any 2-D array exists; each call adds to sum V^2,
-    to the envelope's running peak and to ``cells``, and ``norms`` runs the
-    border check on them.
+    column and along the last row: no 2-D exp is evaluated.  The grid is
+    taken as ``make_grid`` checked it; construction reads the border of the
+    envelope (from 1-D products) before any 2-D array exists, each call adds
+    to sum V^2, to the envelope's running peak and to ``cells``, and
+    ``norms`` runs the border check on them.
 
     One plan makes the blocks: a block of rows samples only the contiguous
     columns where an upper bound of its envelope reaches ``threshold``; a
@@ -403,9 +381,6 @@ class _Sampler:
 
     def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
                  grid: FrequencyGrid, crop: bool = False):
-        for spec in specs:
-            spec.check_energy_conservation(pulse.center_wavelength_nm)
-        _check_grid(pulse, f_s, f_i, grid)
         self.grid = grid
         ws, wi = grid.signal_axis, grid.idler_axis
         self.filter_s = filter_amplitude(f_s, ws)[:, None]
@@ -414,7 +389,7 @@ class _Sampler:
         self.ridge = np.lib.stride_tricks.as_strided(samples, grid.shape, samples.strides * 2,
                                                      writeable=False)
         # With a filter present the sampled envelope must fall off at the
-        # border; without one ``_check_grid`` tested the pump corners.
+        # border; without one ``make_grid`` tested the pump corners.
         self.bounded = f_s.shape != "none" or f_i.shape != "none"
         self.peak = 0.0
         if self.bounded:
@@ -500,6 +475,8 @@ def build_jsa(
 ) -> JointSpectralAmplitude:
     """Sample pump * phase-matching * filters on the grid and L2-normalize.
 
+    The grid is taken as given: ``make_grid`` checks a grid, this samples
+    it (with the border and norm checks of ``_Sampler.norms``).
     ``_Sampler``'s row blocks of the real envelope * sinc(h) fill one real
     array, which its checked norm divides; the separable phase
     exp(i a(nu_s)) exp(i b(nu_i)) is applied last.
@@ -528,7 +505,8 @@ def kernel_overlaps(
     """<J_a|J_b> of the normalized JSAs ``build_jsa`` makes of the two specs
     on ``grid``, with J_a retarded by each (signal, idler) group-delay pair
     as in ``biphoton.apply_envelope_phase`` about spec_a's pair centers;
-    never holds an N x N array.
+    never holds an N x N array.  The grid is taken as given, as in
+    ``build_jsa``.
 
     Each JSA is a real envelope * sinc(h) times the separable phase
     exp(i a(nu_s)) exp(i b(nu_i)), so conj(J_a) J_b is the real kernel
@@ -542,7 +520,7 @@ def kernel_overlaps(
 
     Each block covers only the columns of the envelope's support (the crop
     of ``_Sampler``); the cells it skips have |V| < threshold and add
-    nothing.  After the grid and norm checks, skipped x threshold^2 x
+    nothing.  After the border and norm checks, skipped x threshold^2 x
     cell area over the smaller norm^2 bounds what they could move in a
     normalized overlap or norm^2; above ``CELL_LEVEL`` the stream reruns on
     every cell.

@@ -1,0 +1,139 @@
+"""Run scan, prepare and sweep on every single-leaf edit of the packaged
+default config and keep what each one gives.
+
+Usage: python tests/config_mutations.py SRC OUT.json
+
+A leaf is a number, string or flag of the default config at its key path
+(``crystals[1].idler_center_nm``); each leaf takes each of the 15 values of
+``mutations`` in turn, the rest of the config left as it is.  Each edited
+config runs ``COMMANDS`` in one process through ``cli.main``.
+
+SRC is a bellsim checkout (the directory holding ``src/bellsim``); OUT.json
+maps "<key path> = <value>: <command>" to the command's exit code, stderr
+and report.  Running it on two checkouts and comparing the two files shows
+every outcome a change moves.  The run is deterministic.  A command that
+raises instead of exiting with its documented code is recorded with its
+exception, and the script then exits 1.  The file name keeps pytest from
+collecting it.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+import yaml
+
+# Command name -> its arguments after the config and output flags.
+COMMANDS = {
+    "scan": ["scan"],
+    "prepare": ["prepare", "--target", "phi+"],
+    "sweep": ["sweep", "--parameter", "crystal_length", "--grid", "1,3.4"],
+}
+
+# Values every leaf takes: no value, a flag, a string, a list, zero, a
+# negative number, and numbers at and past the limits of a float.
+ABSOLUTE = [None, True, "x", [1.0], 0, -1, 1.0e-300, 1.0e300, math.nan, math.inf]
+
+
+def mutations(value) -> list:
+    """The 15 values a leaf holding ``value`` takes: ``ABSOLUTE`` and five
+    near its own (scaled numbers, integers kept integer, edited strings,
+    spellings of a flag that YAML reads as strings or numbers)."""
+    if isinstance(value, bool):
+        near = [str(value).lower(), "yes", "on", 1, 0.0]
+    elif isinstance(value, (int, float)):
+        near = [type(value)(value * f if value else f) for f in (0.5, 0.9, 1.1, 2.0, 10.0)]
+    else:
+        near = [value.upper(), value[::-1], value + "_", "", "none"]
+    return ABSOLUTE + near
+
+
+def leaves(data, path=""):
+    """(key path, value) of each scalar in the parsed config ``data``."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(data, list):
+        for k, value in enumerate(data):
+            yield from leaves(value, f"{path}[{k}]")
+    else:
+        yield path, data
+
+
+def edited(data, path: str, value):
+    """A deep copy of ``data`` with the leaf at ``path`` set to ``value``."""
+    data = copy.deepcopy(data)
+    keys = path.replace("[", ".").replace("]", "").split(".")
+    node = data
+    for key in keys[:-1]:
+        node = node[int(key) if isinstance(node, list) else key]
+    last = keys[-1]
+    node[int(last) if isinstance(node, list) else last] = value
+    return data
+
+
+def _show_warning(message, category, *_):
+    # Without the source location, which differs between checkouts.
+    print(f"{category.__name__}: {message}", file=sys.stderr)
+
+
+def run(cli, data) -> dict:
+    """Each command's outcome on the config ``data``, with the config and
+    the outputs in the current directory."""
+    config = Path("config.yaml")
+    config.write_text(yaml.safe_dump(data, sort_keys=False))
+    outcomes = {}
+    for name, argv in COMMANDS.items():
+        prefix = Path(name)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _show_warning
+            try:
+                outcome = {"exit": cli.main(argv + ["--config", str(config), "--output", str(prefix)])}
+            except Exception:  # recorded, and the run exits 1
+                outcome = {"exception": traceback.format_exc().strip().splitlines()[-1]}
+        report = Path(f"{prefix}.report.txt")
+        outcome |= {"stderr": stderr.getvalue(), "report": report.read_text() if report.exists() else None}
+        for output in Path().glob(f"{name}.*"):
+            output.unlink()
+        outcomes[name] = outcome
+    return outcomes
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[3], file=sys.stderr)
+        return 2
+    src, out = (Path(arg).resolve() for arg in argv)
+    sys.path.insert(0, str(src / "src"))
+    from bellsim import cli, scenario
+
+    base = yaml.safe_load(Path(scenario.default_config_path()).read_text())
+    results = {}
+    with tempfile.TemporaryDirectory() as work:
+        # Relative paths, so that no message names the temporary directory.
+        os.chdir(work)
+        for path, value in leaves(base):
+            for mutation in mutations(value):
+                for name, outcome in run(cli, edited(base, path, mutation)).items():
+                    results[f"{path} = {mutation!r}: {name}"] = outcome
+        os.chdir(src)
+    out.write_text(json.dumps(results, indent=1) + "\n")
+    raised = [key for key, outcome in results.items() if "exception" in outcome]
+    for key in raised:
+        print(f"{key}: {results[key]['exception']}", file=sys.stderr)
+    return 1 if raised else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -322,6 +322,25 @@ class TestFitCommand:
         width = first.count(",") + 1
         assert f"row 1 has {width} fields, expected 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first, named", [
+        ("0.0,2.0x", "row 1 is not numeric: '0.0,2.0x'"),
+        ("x,1.0", "row 1 is not numeric: 'x,1.0'"),
+        ("1.0,y", "row 1 is not numeric: '1.0,y'"),
+        ("1.0,y,z", "row 1 has 3 fields, expected 2"),
+        ("axis_value,rate", None),
+        ("foo,bar", None),
+    ])
+    def test_partly_numeric_first_line_is_row_one(self, tmp_path, capsys, first, named):
+        # Line 1 is a header only if none of its fields is a number.
+        rows = "".join(f"{a!r},{1.0 + math.cos(a / 64.0)!r}\n" for a in np.linspace(0.0, 1600.0, 65).tolist())
+        path = tmp_path / "first.csv"
+        path.write_text(f"{first}\n{rows}")
+        code = run(["fit", "--input", path, "--output", tmp_path / "x"])
+        if named is None:
+            assert code == 0 and read_report(tmp_path / "x.report.txt")["points"] == "65"
+        else:
+            assert code == 3 and named in capsys.readouterr().err
+
     def test_headerless_non_finite_first_row_names_row_one(self, tmp_path, capsys):
         path = tmp_path / "gap.csv"
         path.write_text("nan,1.0\n" + "".join(f"{a!r},1.0\n" for a in np.linspace(1.0, 9.0, 9).tolist()))
@@ -525,6 +544,11 @@ class TestBadInputExitCodes:
         ("grid_span_factor: 5.0", "grid_span_factor: .nan", "scan.grid_span_factor"),
         # Domain checks of the config's objects, prefixed with the key path.
         ("thickness_mm: 3.4", "thickness_mm: -1", "crystals[0]: crystal thickness_mm must be positive"),
+        ("signal_center_nm: 730.0", "signal_center_nm: 0", "crystals[0]: crystal signal_center_nm must be positive"),
+        ("idler_center_nm: 885.0", "idler_center_nm: 900", "crystals[0].signal_center_nm/idler_center_nm: "
+         "centers 730.0/900.0 nm violate energy conservation with the pump.center_wavelength_nm 400.0 nm pump"),
+        ("center_wavelength_nm: 400.0", "center_wavelength_nm: 390", "crystals[0].signal_center_nm/idler_center_nm: "
+         "centers 730.0/885.0 nm violate energy conservation with the pump.center_wavelength_nm 390.0 nm pump"),
         ("thickness_mm: 3.0", "thickness_mm: 0", "knobs.signal_plate: element thickness must be positive"),
         ("tilt_deg: 0.0}", "tilt_deg: 50}", "compensator[0]: |tilt| must be < 45 deg"),
         ("fwhm_nm: 10.0", "fwhm_nm: -3", "filters[0]: a filter needs"),

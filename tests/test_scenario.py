@@ -60,6 +60,26 @@ class TestConfigLoading:
         mismatch = abs(1.0 / c.signal_center_nm + 1.0 / c.idler_center_nm - inv_pump)
         assert mismatch / inv_pump < 1e-3
 
+    def test_energy_conservation_validated(self, source):
+        # From the wavelengths alone: 1/730 + 1/900 misses 1/400 by 7.6e-3.
+        first, second = source.crystals
+        with pytest.raises(ConfigError) as error:
+            replace(source, crystals=(first, replace(second, idler_center_nm=900.0)))
+        assert str(error.value) == ("crystals[1].signal_center_nm/idler_center_nm: centers 730.0/900.0 nm violate "
+                                    "energy conservation with the pump.center_wavelength_nm 400.0 nm pump "
+                                    "(relative mismatch 0.00761 > 1e-3)")
+        with pytest.raises(ConfigError, match=r"^crystals\[0\]\.signal_center_nm/idler_center_nm: .* the "
+                                              r"pump\.center_wavelength_nm 405\.0 nm pump"):
+            replace(source, pump=replace(source.pump, center_wavelength_nm=405.0))
+
+    def test_load_rejects_energy_violation(self, tmp_path):
+        text = scenario.default_config_path().read_text()
+        path = tmp_path / "violating.yaml"
+        path.write_text(text.replace("signal_center_nm: 730.0", "signal_center_nm: 700.0", 1))
+        with pytest.raises(ConfigError, match=r"^crystals\[0\]\.signal_center_nm/idler_center_nm: centers "
+                                              r"700\.0/885\.0 nm violate energy conservation"):
+            scenario.load_config(path)
+
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("pump: {center_wavelength_nm: 400, duration_fs: 80}\n")
@@ -156,6 +176,13 @@ class TestBuildAmplitudes:
     def test_crystal_thickness_must_be_positive(self, source, thickness):
         with pytest.raises(ConfigError, match="crystal thickness_mm must be positive"):
             replace(source.crystals[1], thickness_mm=thickness)
+
+    @pytest.mark.parametrize("key", ["signal_center_nm", "idler_center_nm"])
+    @pytest.mark.parametrize("center", [0.0, -730.0])
+    def test_crystal_centers_must_be_positive(self, source, key, center):
+        # Checked before energy conservation divides by them.
+        with pytest.raises(ConfigError, match=f"^crystal {key} must be positive, got {center}$"):
+            replace(source.crystals[0], **{key: center})
 
     def test_required_compensation_near_quoted_band(self, source, knobs):
         required = scenario.required_compensation_fs(source, knobs)
@@ -642,9 +669,11 @@ def _recorded_samplers(monkeypatch) -> list:
     return made
 
 
-def _stream_or_error(args):
+def _stream_or_error(src, kn, points, arms):
+    """The stream of ``TestCroppedStream._scan_args(src, kn, points)[arms]``,
+    or the message of the grid error that its grid or stream raises."""
     try:
-        return kernel_overlaps(*args)
+        return kernel_overlaps(*TestCroppedStream._scan_args(src, kn, points)[arms])
     except GridTruncationError as error:
         return str(error)
 
@@ -670,11 +699,11 @@ class TestCroppedStream:
         src, kn = SUPPORT_CASES[case](source, knobs)
         for shape in ("config", "rectangular", "none"):
             for points in (128, 256, 512, 1024):
-                for args in self._scan_args(_with_filters(src, shape), kn, points):
-                    cropped = _stream_or_error(args)
+                for arms in (0, 1):
+                    cropped = _stream_or_error(_with_filters(src, shape), kn, points, arms)
                     with monkeypatch.context() as uncropped:
                         uncropped.setattr(spectral, "CELL_LEVEL", 0.0)
-                        full = _stream_or_error(args)
+                        full = _stream_or_error(_with_filters(src, shape), kn, points, arms)
                     if isinstance(full, str):
                         assert cropped == full
                     else:

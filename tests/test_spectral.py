@@ -90,18 +90,6 @@ class TestPhaseMatching:
             got = phase_matching(SPEC, nu_s, nu_i)
             assert abs(got - oracle) < 1e-9
 
-    def test_energy_conservation_validated(self):
-        bad = PhaseMatchingSpec(3.4, 700.0, 885.0, 5800.0, 5630.0, 5600.0)
-        with pytest.raises(ConfigError):
-            bad.check_energy_conservation(400.0)
-        SPEC.check_energy_conservation(400.0)  # the default centers pass
-
-    def test_build_rejects_energy_violation(self):
-        bad = PhaseMatchingSpec(3.4, 700.0, 885.0, 5800.0, 5630.0, 5600.0)
-        grid = make_grid(PUMP, bad, points=64)
-        with pytest.raises(ConfigError):
-            build_jsa(PUMP, bad, NO_FILTER, NO_FILTER, grid)
-
 
 class TestFilterAmplitude:
     def test_none_everywhere_one(self):
@@ -196,16 +184,46 @@ class TestBuildJsa:
         assert width == pytest.approx(filt_s.fwhm_omega, rel=0.05)
 
     def test_truncation_error_when_span_too_small(self):
-        spec = PhaseMatchingSpec(3.4, 730.0, 885.0, 5811.3, 5636.9, 5602.8)
-        half = 2.0 * PUMP.sigma_omega  # far too narrow for the ridge
-        with pytest.raises(GridTruncationError):
-            build_jsa(PUMP, spec, NO_FILTER, NO_FILTER, FrequencyGrid(*CENTERS, half, 64))
+        # At span_factor 0.5 the span is 2 pi / walk-off (the first sinc zero's
+        # half span), 3.7 pump sigmas of the 6 that the span rule needs.
+        antidiag = 2.0 * math.pi / abs(SPEC.walk_off_fs[0] - SPEC.walk_off_fs[1])
+        expected = (f"grid span {antidiag:.4g} rad/fs is below 6 standard deviations of the narrowest "
+                    f"envelope ({PUMP.sigma_omega:.4g} rad/fs); raise scan.grid_span_factor")
+        with pytest.raises(GridTruncationError) as error:
+            make_grid(PUMP, SPEC, points=64, span_factor=0.5)
+        assert str(error.value) == expected
 
-    def test_resolution_error_for_unresolved_filter(self):
-        grid = make_grid(PUMP, SPEC, points=128)
-        narrow = SpectralFilter(730.0, 0.1, "gaussian")
-        with pytest.raises(GridTruncationError):
-            build_jsa(PUMP, SPEC, narrow, NO_FILTER, grid)
+    @pytest.mark.parametrize("fwhm_nm, advice", [
+        (0.3, "raise scan.grid_points"),
+        (0.01, "nor does any grid within 4096 points (MAX_GRID_POINTS); check filters[1].fwhm_nm and center_nm"),
+    ])
+    def test_resolution_error_for_unresolved_filter(self, fwhm_nm, advice):
+        # The narrow idler filter is the narrowest factor; at 0.01 nm even
+        # 4096 points over the span the signal filter sets cannot resolve it.
+        narrow = SpectralFilter(885.0, fwhm_nm, "gaussian")
+        filters = (SpectralFilter(730.0, 10.0), narrow)
+        with pytest.raises(GridTruncationError) as error:
+            make_grid(PUMP, SPEC, filters=filters, points=128)
+        spacing = make_grid(PUMP, SPEC, filters=(filters[0], NO_FILTER), points=128).spacing
+        assert str(error.value) == (f"grid spacing {spacing:.4g} rad/fs cannot resolve the idler filter "
+                                    f"(sigma = {narrow.sigma_intensity_omega:.4g} rad/fs); {advice}")
+
+    @pytest.mark.parametrize("span_factor, edge", [(3.0, 1.23e-4), (3.03, 1.03e-4)])
+    def test_unfiltered_pump_corners(self, span_factor, edge):
+        # Without walk-off or filters the pump sets the span alone: 3 sigma
+        # on each side passes the span rule, but its corner value
+        # exp(-(2 x 3 sigma)^2 / (4 sigma^2)) = exp(-9) exceeds 1e-4 of the peak.
+        spec = SAMPLING_SPECS["degenerate"]
+        for filters in ((), (NO_FILTER, NO_FILTER)):
+            with pytest.raises(GridTruncationError) as error:
+                make_grid(PUMP, spec, filters=filters, points=64, span_factor=span_factor)
+            assert str(error.value) == (f"grid too narrow for the pump envelope: edge magnitude {edge:.3g} "
+                                        f"exceeds 0.0001 of the peak; raise scan.grid_span_factor")
+        # 3.04 sigma clears the corners; a filter of any shape bounds the
+        # support instead (the samplers check its border).
+        make_grid(PUMP, spec, points=64, span_factor=3.04)
+        rectangular = SpectralFilter(800.0, 10.0, "rectangular")
+        make_grid(PUMP, spec, filters=(rectangular, NO_FILTER), points=64, span_factor=span_factor)
 
 
 def direct_jsa(pulse, spec, f_s, f_i, grid):
