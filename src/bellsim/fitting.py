@@ -77,7 +77,7 @@ def _spectral_frequencies(x, y):
     when the axis is not)."""
     n = x.size
     xs = np.linspace(x[0], x[-1], n)
-    ys = y if np.allclose(x, xs, rtol=0.0, atol=1e-12 * (abs(x[-1] - x[0]) + 1.0)) else np.interp(xs, x, y)
+    ys = y if np.max(np.abs(x - xs)) <= 1e-12 * (abs(x[-1] - x[0]) + 1.0) else np.interp(xs, x, y)
     spectrum = np.fft.rfft(ys - ys.mean())
     power = np.abs(spectrum) ** 2
     power[0] = 0.0
@@ -94,25 +94,28 @@ def _spectral_frequencies(x, y):
     return [f for f in candidates if f > 0.0]
 
 
-def _initial_linear(x, y, w, freq):
-    """Least-squares (offset, a, b) at fixed frequency."""
+def _initial_linear(x, y, sw, freq):
+    """Least-squares (offset, a, b) at fixed frequency; ``sw`` holds the
+    square roots of the weights, or is None for unit weights."""
     arg = 2.0 * np.pi * freq * x
     basis = np.column_stack((np.ones_like(x), np.cos(arg), np.sin(arg)))
-    sw = np.sqrt(w)
-    coeffs, *_ = np.linalg.lstsq(basis * sw[:, None], y * sw, rcond=None)
+    if sw is not None:
+        basis *= sw[:, None]
+        y = y * sw
+    coeffs, *_ = np.linalg.lstsq(basis, y, rcond=None)
     return coeffs
 
 
-def _levenberg_marquardt(x, y, w, params):
+def _levenberg_marquardt(x, y, sw, params):
     twopi_x = 2.0 * np.pi * x
     jac = np.empty((x.size, 4))
     jac[:, 0] = 1.0
-    sw = np.sqrt(w)
 
     def residual_and_cost(p):
         m = _model_and_jacobian(p, x, twopi_x, jac)
         r = m - y
-        r *= sw
+        if sw is not None:
+            r *= sw
         return m, r, float(r @ r)
 
     lam = 1.0e-3
@@ -121,7 +124,7 @@ def _levenberg_marquardt(x, y, w, params):
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         # Trials overwrite ``jac``, so grad and hessian are taken first.
-        jw = jac * sw[:, None]
+        jw = jac if sw is None else jac * sw[:, None]
         grad = jw.T @ residual
         hessian = jw.T @ jw
         diagonal = hessian.diagonal() + 1e-30
@@ -143,12 +146,15 @@ def _levenberg_marquardt(x, y, w, params):
             step = None
         if step is None:
             break  # damping exhausted; keep best iterate
-        scale = np.abs(params)
-        scale[1:3] = np.maximum(scale[1:3], COEFFICIENT_SCALE_FLOOR * math.hypot(params[1], params[2]))
-        rel_change = float(np.max(np.abs(step) / (scale + 1.0e-30)))
+        # The stop test, on four Python floats: each step below the tolerance
+        # of its scale; a NaN step or parameter fails it (max(nan, x) is nan).
+        offset, a, b, freq = params.tolist()
+        floor = COEFFICIENT_SCALE_FLOOR * math.hypot(a, b)
+        scales = (abs(offset), max(abs(a), floor), max(abs(b), floor), abs(freq))
+        small = all(abs(d) / (s + 1.0e-30) < RELATIVE_PARAMETER_TOLERANCE for d, s in zip(step.tolist(), scales))
         params = trial
         model, residual, cost = t_model, t_residual, t_cost
-        if rel_change < RELATIVE_PARAMETER_TOLERANCE:
+        if small:
             converged = True
             break
     return params, model, cost, converged, iterations
@@ -180,11 +186,13 @@ def fit_fringe(scan, weights=None) -> FitResult:
     x, y = x[order], y[order]
     if x[-1] == x[0]:
         raise DataError(f"scan axis spans zero: every axis value is {float(x[0])!r}")
+    # Unit weights are skipped, not multiplied by: sw is None.
     if weights is None:
-        w = np.ones_like(y)
+        w = sw = None
     else:
         variances = np.maximum(np.asarray(weights, dtype=float)[order], 1.0)
         w = 1.0 / variances
+        sw = np.sqrt(w)
 
     candidates = _spectral_frequencies(x, y)
     if not candidates:
@@ -211,9 +219,9 @@ def fit_fringe(scan, weights=None) -> FitResult:
 
     best = None
     for freq in candidates:
-        offset, a, b = _initial_linear(x, y, w, freq)
+        offset, a, b = _initial_linear(x, y, sw, freq)
         params = np.array([offset, a, b, freq], dtype=float)
-        params, model, cost, converged, iterations = _levenberg_marquardt(x, y, w, params)
+        params, model, cost, converged, iterations = _levenberg_marquardt(x, y, sw, params)
         if best is None or cost < best[2]:
             best = (params, model, cost, converged, iterations)
 

@@ -44,11 +44,14 @@ arrays, the plate terms from one dispersion pass per arm.  The other delays
 then go to one ``spectral.kernel_overlaps`` call, which streams the real
 two-crystal kernel in cache-sized row blocks, never holds an N x N array,
 and is the only place delays are deduplicated: an arm whose delay no entry
-changes is a single phase row.  Each block samples only the columns where a
-bound of the pump-times-filters envelope reaches 1e-15 of its crest, so the
-stream's time follows the envelope's frequency support more than the grid
-(24 % of a default 1024^2 grid, 53 % of 128^2), with a rerun on every cell
-when the skipped cells could move an overlap by more than 1e-15.  ``sweep`` takes one row per compensation
+changes is a single phase row, and an arm with K distinct delays is
+factored over its uniform axis into ~2 K sqrt(N) phases, so only the arm
+that drives the product forms an N x K table.  Each block samples only the
+columns where a bound of the pump-times-filters envelope reaches 1e-15 of
+its crest, so the stream's time follows the envelope's frequency support
+more than the grid (24 % of a default 1024^2 grid, 53 % of 128^2), with a
+rerun on every cell when the skipped cells could move an overlap by more
+than 1e-15.  ``sweep`` takes one row per compensation
 error, or one row weighted per pump ratio, and evaluates once per value only
 the parameters that change the JSAs.  ``prepare_bell`` and
 ``effective_polarization_state`` take the terms of one delay row, which the

@@ -21,20 +21,21 @@ pump-times-filters envelope is a Hankel view of 2N - 1 pump samples.  The
 JSA is that envelope times sinc(h), normalized, times the separable phase
 exp(i a(nu_s)) exp(i b(nu_i)).  ``make_grid`` is the one place a grid is
 sized and checked: the envelope and phase-matching widths set its half span,
-the largest group delay it must sample sets its point count, and its span,
-resolution and pump-corner rules read the same Gaussian widths.
+the largest group delay it must sample sets its point count, and its
+filter-band, span, resolution and pump-corner rules read the same widths.
 
 ``_Sampler`` takes the grid as given and yields the real envelope * sinc(h)
 in cache-sized row blocks, with the border check and the norms.
 ``kernel_overlaps`` streams it for the interference of two crystals:
 conj(J_a) J_b is the real kernel (envelope sinc)_a (envelope sinc)_b times
-1-D phases that join the delay phase rows, so the overlaps of all delay
-pairs come from the row blocks of the kernel, with no N x N array.  The stream is cropped to the envelope's
-frequency support: each block samples only the contiguous columns where an
-O(N) bound of the envelope reaches ``CELL_LEVEL`` of the ridge crest's
-largest value (on the default source, 24 % of a 1024^2 grid), and it is
-rerun uncropped if the skipped cells could move an overlap by more than
-``CELL_LEVEL``.  ``build_jsa`` copies full-width blocks into one real array
+1-D phases that join the delay phases, so the overlaps of all delay pairs
+come from the row blocks of the kernel, with no N x N array; factored over
+the uniform axis, K delays take ~2 K sqrt(N) cosines, not K N.  The stream
+is cropped to the envelope's frequency support: each block samples only the
+contiguous columns where an O(N) bound of the envelope reaches
+``CELL_LEVEL`` of the ridge crest's largest value (on the default source,
+24 % of a 1024^2 grid), and it is rerun uncropped if the skipped cells
+could move an overlap by more than ``CELL_LEVEL``.  ``build_jsa`` copies full-width blocks into one real array
 before it applies the norm and the phase.
 ``kernel_time_support`` bounds, from scalars alone, the delays where that
 overlap can exceed ``SUPPORT_LEVEL`` of its peak.
@@ -260,8 +261,9 @@ def make_grid(
     within ``MAX_GRID_POINTS``; past that, the error names the thickness keys
     when no span the span rule admits could sample the delay.
 
-    Then, from scalars, each a GridTruncationError naming the keys to change:
-    the span must cover ``MIN_SPAN_SIGMAS`` sigmas of the narrowest Gaussian
+    Then, from scalars, each an error naming the keys to change: each
+    filter's FWHM band must meet its arm's axis (names ``center_nm``), the
+    span must cover ``MIN_SPAN_SIGMAS`` sigmas of the narrowest Gaussian
     factor (pump, Gaussian ``filters``), the spacing must resolve that sigma,
     and with no filter the pump must fall below ``EDGE_AMPLITUDE_LIMIT`` at
     the diagonal corners.  The sinc tails fall off only algebraically and are
@@ -283,6 +285,16 @@ def make_grid(
         antidiag = 2.0 * math.pi / walk_off
         scales.append(min(antidiag, 3.0 * max(scales[1:])) if len(gaussians) > 1 else antidiag)
     half_span = span_factor * max(scales)
+    omega_nm = 2.0 * math.pi * C_NM_PER_FS  # an angular frequency (rad/fs) times its wavelength
+    for k, (arm, f, center_nm) in enumerate(zip(("signal", "idler"), filters,
+                                                (spec.signal_center_nm, spec.idler_center_nm))):
+        # A filter's FWHM band, in detunings from its arm's center, must meet the arm's axis.
+        if f.shape == "none":
+            continue
+        low, high = (omega_nm / (f.center_nm + side * f.fwhm_nm) - omega_nm / center_nm for side in (0.5, -0.5))
+        if low > half_span or high < -half_span:
+            raise ConfigError(f"filters[{k}].center_nm {f.center_nm:g} nm puts the {arm} filter's band outside "
+                              f"the {arm} grid axis; set it near the {arm} center {center_nm:g} nm")
     name, narrowest, keys = min(gaussians, key=lambda gaussian: gaussian[1])
     least_span = MIN_SPAN_SIGMAS * narrowest
     required = 2.0 * half_span * max_delay * DELAY_SAMPLING_SAFETY / math.pi
@@ -510,13 +522,18 @@ def kernel_overlaps(
 
     Each JSA is a real envelope * sinc(h) times the separable phase
     exp(i a(nu_s)) exp(i b(nu_i)), so conj(J_a) J_b is the real kernel
-    V_a V_b (V^2 for identical cuts) times one phase per arm, which joins
-    that arm's delay phase rows exp(i T (w - W)).  ``_Sampler`` gives the
-    kernel in blocks of rows, ``ROW_BLOCK_BYTES`` per work array; while a
-    block is in cache it goes into the real product of the stacked cosine
-    and sine phase rows with the block.  An arm whose delays are all equal
-    is one phase row, and the product runs from the arm with fewer distinct
-    delays, so a single-arm scan costs one pass over the kernel.
+    V_a V_b (V^2 for identical cuts) times, per arm, a phase linear in the
+    detuning nu: a shift of that arm's delays T, and a constant.  nu is the
+    grid's uniform axis nu_n = nu_0 + n d, so with n = m j + r, m =
+    ceil(sqrt N), j < q = ceil(N / m), exp(i T nu_n) = exp(i T nu_(m j))
+    exp(i T d r): an arm with K distinct delays takes K (q + m) cosines and
+    sines, one with equal delays one row.  The arm with fewer distinct
+    delays drives the product: its N x K table (the row, or the factors'
+    product) meets each row block of the kernel from ``_Sampler``
+    (``ROW_BLOCK_BYTES`` per work array) in one real product while the block
+    is in cache.  The other arm's table is never formed: the accumulated
+    columns meet its factors in one (q x m) @ (m x K) product (one contraction
+    per delay when both arms vary), then q terms per delay.
 
     Each block covers only the columns of the envelope's support (the crop
     of ``_Sampler``); the cells it skips have |V| < threshold and add
@@ -527,53 +544,76 @@ def kernel_overlaps(
     """
     specs = (spec_a,) if spec_b == spec_a else (spec_a, spec_b)
     sampler = _Sampler(pulse, specs, f_s, f_i, grid, crop=True)
+    n = grid.points
+    m = math.isqrt(n - 1) + 1  # column n = m j + r, with j < q and r < m
+    q = -(-n // m)
 
-    def phase_rows(delays_fs, detuning, arm):
-        # cos and sin of T (w - W) + (the arm's phase of J_b less J_a's), as
-        # (2, K, N); K = 1 when every delay is equal (0 when there is none).
-        delays_fs = np.asarray(delays_fs, dtype=float)
-        if delays_fs.size and np.all(delays_fs == delays_fs[0]):
-            delays_fs = delays_fs[:1]
-        angles = np.multiply.outer(delays_fs, detuning)
-        angles += sampler.factors[-1][arm] - sampler.factors[0][arm]
-        rows = np.empty((2,) + angles.shape)
-        np.cos(angles, out=rows[0])
-        np.sin(angles, out=rows[1])
-        return rows
+    def expi(angles):
+        out = np.empty(angles.shape, dtype=complex)
+        np.cos(angles, out=out.real)
+        np.sin(angles, out=out.imag)
+        return out
 
-    phases = (phase_rows(signal_delays_fs, grid.signal_axis - spec_a.signal_center_angular_frequency, 0),
-              phase_rows(idler_delays_fs, grid.idler_axis - spec_a.idler_center_angular_frequency, 1))
-    idler_drives = phases[1].shape[1] < phases[0].shape[1]
-    drive, other = phases[::-1] if idler_drives else phases
-    drive = drive.reshape(-1, drive.shape[-1])
+    # Per arm, conj(J_a) J_b has the phase 0.5 (v_b (nu + c_a - c_b) - v_a nu) (v
+    # the walk-offs, c the centers): a delay 0.5 (v_b - v_a), and a constant.
+    centers = [(spec.signal_center_angular_frequency, spec.idler_center_angular_frequency)
+               for spec in (spec_a, spec_b)]
+    carrier = 0.5 * sum(v * (a - b) for v, a, b in zip(spec_b.walk_off_fs, *centers))
+
+    def arm(delays_fs, side):
+        # (K, phases) of an arm with K distinct delays T, that shift included
+        # (K = 1 when all are equal), on its uniform axis nu_n = nu_0 + n d:
+        # one row exp(i T nu) (N, 1), or the factors exp(i T nu_(m j)) (q, K)
+        # and exp(i T d r) (m, K).
+        delays = np.asarray(delays_fs, dtype=float) + 0.5 * (spec_b.walk_off_fs[side] - spec_a.walk_off_fs[side])
+        if delays.size and np.all(delays == delays[0]):
+            delays = delays[:1]
+        steps = grid.spacing * np.arange(q * m)  # n d
+        nu = (grid.signal_center, grid.idler_center)[side] - centers[0][side] - grid.half_span + steps
+        if delays.size == 1:
+            return 1, expi(np.multiply.outer(nu[:n], delays))
+        return delays.size, (expi(np.multiply.outer(nu[::m], delays)), expi(np.multiply.outer(steps[:m], delays)))
+
+    arms = (arm(signal_delays_fs, 0), arm(idler_delays_fs, 1))
+    idler_drives = arms[1][0] < arms[0][0]
+    (k_drive, drive), (k_other, other) = arms[::-1] if idler_drives else arms
+    if k_drive != 1:  # the driving arm's N x K table, from its factors
+        p, r = drive
+        drive = (p[:, None] * r).reshape(q * m, k_drive)[:n]
+    drive = drive.view(float)  # N x 2K: cos, sin of each delay's angle per column
 
     def stream(sampler):
-        # The product of the driving rows with the kernel: rows of kernel @
-        # drive.T block by block, or drive @ kernel summed over the blocks;
-        # the cells a block skips add nothing.
-        acc = np.zeros((grid.points, len(drive)) if idler_drives else (len(drive), grid.points))
+        # The kernel's product with the driving table: its rows block by
+        # block, or its columns summed over the blocks, into q m x 2K (the
+        # rows past N stay 0); the cells a block skips add nothing.
+        acc = np.zeros((q * m, 2 * k_drive))
         for rows, cols in sampler.blocks:
             amplitudes = sampler(rows, cols)
             kernel = amplitudes[0]
             kernel *= amplitudes[-1]
             if idler_drives:
-                np.matmul(kernel, drive[:, cols].T, out=acc[rows])
+                np.matmul(kernel, drive[cols], out=acc[rows])
             else:
-                acc[:, cols] += drive[:, rows] @ kernel
+                acc[cols] += kernel.T @ drive[rows]
         return acc, sampler.norms()
 
     acc, norms = stream(sampler)
-    skipped = grid.points ** 2 - sampler.cells
+    skipped = n ** 2 - sampler.cells
     if skipped * grid.cell_area * (sampler.threshold / min(norms)) ** 2 > CELL_LEVEL:
         acc, norms = stream(_Sampler(pulse, specs, f_s, f_i, grid))
 
-    # Row-wise sum of (acc_cos + i acc_sin) (cos + i sin) of the other arm.
-    if idler_drives:
-        acc = acc.T
-    acc = np.broadcast_to(acc.reshape(2, -1, acc.shape[-1]), other.shape)
-    terms = np.einsum("kn,kn->k", acc[0], other[0]) - np.einsum("kn,kn->k", acc[1], other[1])
-    terms = terms + 1j * (np.einsum("kn,kn->k", acc[0], other[1]) + np.einsum("kn,kn->k", acc[1], other[0]))
-    return np.broadcast_to(terms, np.shape(signal_delays_fs)) * (grid.cell_area / (norms[0] * norms[-1]))
+    # Sum acc_n exp(i T nu_n) over the other arm's columns n: with one row a
+    # dot product; with factors, sum_j P_j sum_r acc_(m j + r) R_r.
+    acc = acc.view(complex)
+    if k_other == 1:
+        terms = acc[:n].T @ other[:, 0]
+    else:
+        p, r = other
+        acc = acc.reshape(q, m, k_drive)
+        partial = acc[..., 0] @ r if k_drive == 1 else np.einsum("jrk,rk->jk", acc, r)
+        terms = np.einsum("jk,jk->k", partial, p)
+    scale = np.exp(1j * carrier) * grid.cell_area / (norms[0] * norms[-1])
+    return np.broadcast_to(terms, np.shape(signal_delays_fs)) * scale
 
 
 def _segment_average(beta: float) -> float:

@@ -1,6 +1,6 @@
 """Run 19 CLI commands on 9 configs and keep what each one writes.
 
-Usage: python tests/cli_matrix.py SRC OUTDIR
+Usage: python tests/cli_matrix.py SRC OUTDIR | --compare DIR_A DIR_B
 
 The commands cover all four of the CLI: 5 scan axes, a fit of each scan's
 CSV, a fit of the pump_delay scan's CSV without its header line, 4 sweeps
@@ -12,13 +12,22 @@ SRC is a bellsim checkout (the directory holding ``src/bellsim``); OUTDIR
 receives one directory per config, holding each command's CSV, report, exit
 code and stderr.  Manifests carry a timestamp and are not kept.  Running it
 on two checkouts and comparing with ``diff -r`` shows every output that a
-change moves.  The file name keeps pytest from collecting it.
+change moves.
+
+``--compare DIR_A DIR_B`` sizes those moves: for each file whose text
+differs it prints how many numbers changed and the largest absolute and
+relative change, then the largest of each per file kind (CSV, report,
+stderr).  It exits 1 on any structural difference: a file on one side only,
+another exit code, another row count, or other text once every finite
+number is set aside (report keys, messages, nan).  The file name keeps
+pytest from collecting it.
 """
 
 import contextlib
 import copy
 import io
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -123,7 +132,69 @@ def run_matrix(cli, default_config: Path) -> None:
                 Path(f"{config}/headerless.csv").write_text("".join(lines[1:]))
 
 
+# A finite decimal number; "nan" and "inf" stay text, so that a number
+# turning into either is a structural difference.
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _split(line: str) -> tuple:
+    """(the line with each number replaced by "#", its numbers)."""
+    return NUMBER.sub("#", line), [float(x) for x in NUMBER.findall(line)]
+
+
+def _changes(name: str, text_a: str, text_b: str) -> tuple:
+    """(count, largest absolute, largest relative) change of the numbers of
+    two texts of one file, or a str naming their structural difference."""
+    if name.endswith(".exit"):
+        return f"exit code {text_a.strip()} != {text_b.strip()}"
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return f"{len(lines_a)} rows != {len(lines_b)} rows"
+    count, largest_abs, largest_rel = 0, 0.0, 0.0
+    for number, (line_a, line_b) in enumerate(zip(lines_a, lines_b), 1):
+        (shape_a, values_a), (shape_b, values_b) = _split(line_a), _split(line_b)
+        if shape_a != shape_b:
+            return f"line {number} differs beyond its numbers: {line_a!r} != {line_b!r}"
+        for a, b in zip(values_a, values_b):
+            if a != b:
+                count += 1
+                largest_abs = max(largest_abs, abs(a - b))
+                largest_rel = max(largest_rel, abs(a - b) / max(abs(a), abs(b)))
+    return count, largest_abs, largest_rel
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print the numeric changes between two output trees; 1 on a structural
+    difference, else 0."""
+    files = [{str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()} for root in (dir_a, dir_b)]
+    structural = [f"{name}: only in {dir_a if name in files[0] else dir_b}" for name in sorted(files[0] ^ files[1])]
+    kinds = {}  # file kind -> [files differing, numbers changed, largest absolute, largest relative]
+    for name in sorted(files[0] & files[1]):
+        text_a, text_b = ((root / name).read_text() for root in (dir_a, dir_b))
+        if text_a == text_b:
+            continue
+        changes = _changes(name, text_a, text_b)
+        if isinstance(changes, str):
+            structural.append(f"{name}: {changes}")
+            continue
+        count, largest_abs, largest_rel = changes
+        print(f"{name}: {count} numbers differ, largest change {largest_abs:.3g} absolute, "
+              f"{largest_rel:.3g} relative")
+        kind = kinds.setdefault(Path(name).name.split(".", 1)[1], [0, 0, 0.0, 0.0])
+        kind[:] = kind[0] + 1, kind[1] + count, max(kind[2], largest_abs), max(kind[3], largest_rel)
+    for kind, (differing, count, largest_abs, largest_rel) in sorted(kinds.items()):
+        print(f"all .{kind}: {differing} files, {count} numbers differ, largest change "
+              f"{largest_abs:.3g} absolute, {largest_rel:.3g} relative")
+    for line in structural:
+        print(f"structural: {line}")
+    print(f"{len(files[0] | files[1])} files, {sum(k[0] for k in kinds.values())} with numeric changes only, "
+          f"{len(structural)} structural differences")
+    return 1 if structural else 0
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(*(Path(arg) for arg in argv[1:]))
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2

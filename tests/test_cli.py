@@ -563,6 +563,22 @@ class TestBadInputExitCodes:
         assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
         assert key in capsys.readouterr().err
 
+    FILTER_COMMANDS = [["scan"], ["prepare", "--target", "phi+"],
+                       ["sweep", "--parameter", "crystal_length", "--grid", "1,3.4"]]
+
+    @pytest.mark.parametrize("command", FILTER_COMMANDS)
+    @pytest.mark.parametrize("center", ["1460", "365"])
+    def test_filter_off_the_pair_spectrum_names_its_center(self, tmp_path, config_file, capsys, command, center):
+        bad = _edited_config(config_file, tmp_path, "{center_nm: 730.0,", f"{{center_nm: {center},")
+        assert run([*command, "--config", bad, "--output", tmp_path / "x"]) == 2
+        assert (f"filters[0].center_nm {center} nm puts the signal filter's band outside the signal grid axis; "
+                "set it near the signal center 730 nm") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", FILTER_COMMANDS)
+    def test_mildly_detuned_filter_runs(self, tmp_path, config_file, command):
+        edited = _edited_config(config_file, tmp_path, "{center_nm: 730.0,", "{center_nm: 735.0,")
+        assert run([*command, "--config", edited, "--output", tmp_path / "x"]) == 0
+
     @pytest.mark.parametrize("old, new, context", [
         ("pump:\n", "pump: 5\nold_pump:\n", "pump"),
         ("knobs:\n", "knobs: 5\nold_knobs:\n", "knobs"),

@@ -133,6 +133,25 @@ class TestFrequencyGrid:
             make_grid(PUMP, SPEC, points=64, max_delay=scale * limit)
 
 
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("reach, raises", [(0.99, False), (1.01, True)])
+    def test_filter_band_must_meet_its_axis(self, side, reach, raises):
+        # A rectangular idler band whose nearer edge sits ``reach`` half spans
+        # above (side 1) or below (side -1) the idler center; the span does
+        # not depend on a rectangular filter.
+        signal = SpectralFilter(730.0, 10.0, "rectangular")
+        half_span = make_grid(PUMP, SPEC, (signal, SpectralFilter(885.0, 10.0, "rectangular"))).half_span
+        edge = wavelength_to_angular_frequency(1.0) / (CENTERS[1] + side * reach * half_span)
+        idler = SpectralFilter(float(edge) - side * 5.0, 10.0, "rectangular")
+        if raises:
+            with pytest.raises(ConfigError, match=rf"^filters\[1\].center_nm {idler.center_nm:g} nm puts the idler "
+                                                  r"filter's band outside the idler grid axis; set it near the "
+                                                  r"idler center 885 nm$"):
+                make_grid(PUMP, SPEC, (signal, idler))
+        else:
+            make_grid(PUMP, SPEC, (signal, idler))
+
+
 class TestBuildJsa:
     def test_normalized(self):
         grid = make_grid(PUMP, SPEC, points=128)
@@ -368,3 +387,121 @@ class TestKernelOverlaps:
         with pytest.raises(GridTruncationError) as built:
             build_jsa(PUMP, SPEC, *pair, grid)
         assert str(streamed.value) == str(built.value) == expected
+
+
+def direct_overlaps(spec_b, grid, signal_delays_fs, idler_delays_fs, axes=None):
+    """The overlaps of ``kernel_overlaps`` evaluated directly: cos and sin
+    of T nu + x (x the arm's phase of J_b less J_a's, from the sampled sinc
+    factors) at each of the N columns for each of an arm's K distinct
+    delays, a K x N table per arm; the real product of one arm's table with
+    the kernel, then a row-wise sum against the other's.  ``axes`` are the
+    (signal, idler) detunings nu; by default the grid's uniform axes
+    -half span + n d about its centers."""
+    pair = STREAM_FILTERS["gaussian"]
+    specs = (SPEC,) if spec_b == SPEC else (SPEC, spec_b)
+    sampler = spectral._Sampler(PUMP, specs, *pair, grid)
+    if axes is None:
+        uniform = grid.spacing * np.arange(grid.points) - grid.half_span
+        axes = (uniform + (grid.signal_center - CENTERS[0]), uniform + (grid.idler_center - CENTERS[1]))
+
+    def phase_rows(delays_fs, detuning, arm):
+        delays_fs = np.asarray(delays_fs, dtype=float)
+        if np.all(delays_fs == delays_fs[0]):
+            delays_fs = delays_fs[:1]
+        angles = np.multiply.outer(delays_fs, detuning)
+        angles += sampler.factors[-1][arm] - sampler.factors[0][arm]
+        return np.stack((np.cos(angles), np.sin(angles)))
+
+    phases = (phase_rows(signal_delays_fs, axes[0], 0), phase_rows(idler_delays_fs, axes[1], 1))
+    idler_drives = phases[1].shape[1] < phases[0].shape[1]
+    drive, other = phases[::-1] if idler_drives else phases
+    drive = drive.reshape(-1, grid.points)
+    acc = np.zeros((grid.points, len(drive)) if idler_drives else (len(drive), grid.points))
+    for rows, cols in sampler.blocks:
+        amplitudes = sampler(rows, cols)
+        kernel = amplitudes[0] * amplitudes[-1]
+        if idler_drives:
+            acc[rows] = kernel @ drive[:, cols].T
+        else:
+            acc[:, cols] += drive[:, rows] @ kernel
+    norms = sampler.norms()
+    acc = np.broadcast_to((acc.T if idler_drives else acc).reshape(2, -1, grid.points), other.shape)
+    terms = (np.einsum("kn,kn->k", acc[0], other[0]) - np.einsum("kn,kn->k", acc[1], other[1])
+             + 1j * (np.einsum("kn,kn->k", acc[0], other[1]) + np.einsum("kn,kn->k", acc[1], other[0])))
+    return np.broadcast_to(terms, np.shape(signal_delays_fs)) * (grid.cell_area / (norms[0] * norms[-1]))
+
+
+def factor_case_delays(varying, steps):
+    """(signal, idler) delays (fs) within +-5000 fs: the ``varying`` arm(s)
+    sweep ``steps`` values, a constant arm sits at 1234.5 fs."""
+    signal, idler = np.linspace(-5000.0, 5000.0, steps), np.linspace(4000.0, -5000.0, steps)
+    fixed = np.full(steps, 1234.5)
+    return {"signal": (signal, fixed), "idler": (fixed, idler), "both": (signal, idler)}[varying]
+
+
+# The second crystal of the factor tests: as the first, 2 mm long (arm
+# phases of J_b less J_a that shift the delays), or 2 mm with its pair
+# centers moved (a constant carrier phase too).
+SECOND_CRYSTALS = {
+    "equal": SPEC,
+    "2mm": replace(SPEC, crystal_length_mm=2.0),
+    "2mm_shifted_centers": replace(SPEC, crystal_length_mm=2.0, signal_center_nm=731.0,
+                                   idler_center_nm=1.0 / (1.0 / 400.0 - 1.0 / 731.0)),
+}
+
+
+class TestFactoredDelayPhases:
+    """``kernel_overlaps`` factors each arm's delay phases over the uniform
+    axis, exp(i T nu_(m j + r)) = exp(i T nu_(m j)) exp(i T d r); the direct
+    K x N evaluation is the reference."""
+
+    @pytest.mark.parametrize("points", [64, 128, 1024])
+    @pytest.mark.parametrize("second", SECOND_CRYSTALS)
+    @pytest.mark.parametrize("varying", ["signal", "idler", "both"])
+    @pytest.mark.parametrize("steps", [1, 2, 33, 257])
+    def test_matches_the_direct_phase_table(self, points, second, varying, steps):
+        spec_b = SECOND_CRYSTALS[second]
+        pair = STREAM_FILTERS["gaussian"]
+        grid = make_grid(PUMP, SPEC, filters=pair, points=points)
+        signal, idler = factor_case_delays(varying, steps)
+        got = spectral.kernel_overlaps(PUMP, SPEC, spec_b, *pair, grid, signal, idler)
+        assert got.shape == (steps,)
+        assert np.abs(got - direct_overlaps(spec_b, grid, signal, idler)).max() <= 1e-13
+        # On the sampled axes (absolute samples less the centers), each
+        # detuning is off the uniform one by a rounding of the center; the
+        # normalized kernel sums to at most 1 in magnitude, so the overlaps
+        # move by at most the largest phase that rounding puts on a cell.
+        sampled = (grid.signal_axis - CENTERS[0], grid.idler_axis - CENTERS[1])
+        uniform = grid.spacing * np.arange(points) - grid.half_span
+        shift = sum(np.abs(delays).max() * np.abs(axis - uniform).max()
+                    for delays, axis in zip((signal, idler), sampled))
+        assert np.abs(got - direct_overlaps(spec_b, grid, signal, idler, sampled)).max() <= 1e-13 + shift
+
+    @pytest.mark.parametrize("varying", ["signal", "idler"])
+    def test_max_scan_steps_on_one_arm(self, varying):
+        pair = STREAM_FILTERS["gaussian"]
+        grid = make_grid(PUMP, SPEC, filters=pair, points=128)
+        signal, idler = factor_case_delays(varying, scenario.MAX_SCAN_STEPS)
+        got = spectral.kernel_overlaps(PUMP, SPEC, SPEC, *pair, grid, signal, idler)
+        assert np.abs(got - direct_overlaps(SPEC, grid, signal, idler)).max() <= 1e-13
+
+    @pytest.mark.parametrize("second_length_mm", [3.4, 2.0])
+    @pytest.mark.parametrize("varying", ["signal", "idler", "both"])
+    def test_no_arm_takes_a_cosine_per_delay_and_column(self, monkeypatch, second_length_mm, varying):
+        # 257 delays on 256 columns: a K x N table would take 65792 cosines;
+        # the factors take K (q + m) = 257 x 32 per varying arm.
+        pair = STREAM_FILTERS["gaussian"]
+        grid = make_grid(PUMP, SPEC, filters=pair, points=256)
+        signal, idler = factor_case_delays(varying, 257)
+        evaluated = []
+        cos = np.cos
+
+        def counted(x, *args, **kwargs):
+            evaluated.append(np.size(x))
+            return cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", counted)
+        spectral.kernel_overlaps(PUMP, SPEC, replace(SPEC, crystal_length_mm=second_length_mm), *pair, grid,
+                                 signal, idler)
+        arms = 2 if varying == "both" else 1
+        assert sum(evaluated) <= arms * 257 * 32 + 8 * 256 < 257 * 256 / 2
