@@ -70,10 +70,12 @@ def apply_envelope_phase(
     group delays acting on the detunings only.
 
     Equivalent to exp(i [phi0 + T_s (w_s - W_s) + T_i (w_i - W_i)]); with
-    zero centers and carrier it is a pure delay of each arm.
+    zero centers and carrier it is a pure delay of each arm.  The detunings
+    w - W are the grid's uniform ones (``FrequencyGrid.detuning``), as in
+    ``spectral.kernel_overlaps``.
     """
-    phase_s = np.exp(1j * signal_group_delay_fs * (jsa.grid.signal_axis - signal_center))
-    phase_i = np.exp(1j * idler_group_delay_fs * (jsa.grid.idler_axis - idler_center))
+    phase_s = np.exp(1j * signal_group_delay_fs * jsa.grid.detuning(0, signal_center))
+    phase_i = np.exp(1j * idler_group_delay_fs * jsa.grid.detuning(1, idler_center))
     values = jsa.values * (np.exp(1j * carrier_phase_rad) * phase_s[:, None] * phase_i[None, :])
     return JointSpectralAmplitude(jsa.grid, values)
 

@@ -11,32 +11,38 @@ function is the first-order (group-velocity) sinc,
 i.e. the length-average of exp(i D z) over the crystal.
 
 A JSA is sampled without any 2-D transcendental call: the half mismatch
-h = D L / 2 is a sum a(nu_s) + b(nu_i) of two 1-D terms, so h and
-sin h = sin a cos b + cos a sin b are rank-2 products of 1-D factors, and
-sinc(h) = sin h / h (the series 1 - h^2/6 + h^4/120 where |h| < 1e-2, where
-the quotient would lose accuracy).  A ``FrequencyGrid`` is four scalars:
-the two pair centers, one half span and one point count, so both axes share
-one spacing by construction, the pump depends only on j + k and the real
-pump-times-filters envelope is a Hankel view of 2N - 1 pump samples.  The
-JSA is that envelope times sinc(h), normalized, times the separable phase
+h = D L / 2 is a sum a(nu_s) + b(nu_i) of two 1-D terms on the grid's
+uniform detunings, so h and f_s f_i sin h = f_s f_i (sin a cos b +
+cos a sin b), the filter amplitudes folded into the 1-D factors, are rank-2
+products, and sinc(h) = sin h / h (the series 1 - h^2/6 + h^4/120 where
+|h| < 1e-2, where the quotient would lose accuracy).  A ``FrequencyGrid``
+is four scalars: the two pair centers, one half span and one point count,
+so both axes share one spacing by construction, the pump depends only on
+j + k and is a Hankel view of 2N - 1 samples.  The JSA is pump times
+filters times sinc(h), normalized, times the separable phase
 exp(i a(nu_s)) exp(i b(nu_i)).  ``make_grid`` is the one place a grid is
 sized and checked: the envelope and phase-matching widths set its half span,
 the largest group delay it must sample sets its point count, and its
 filter-band, span, resolution and pump-corner rules read the same widths.
 
-``_Sampler`` takes the grid as given and yields the real envelope * sinc(h)
-in cache-sized row blocks, with the border check and the norms.
+``_Sampler`` takes the grid as given and yields the real amplitudes V and
+their kernel in cache-sized row blocks, with the border check and the norms.
+A sampled cell costs the two rank-2 products, one divide, one multiply by
+the pump and the kernel's square (or product) and sum: the series cells lie
+on one column interval per row, which the monotone b gives from 1-D data,
+and the border check compares first with the pump ridge's crest, a lower
+bound of the envelope's peak.
 ``kernel_overlaps`` streams it for the interference of two crystals:
-conj(J_a) J_b is the real kernel (envelope sinc)_a (envelope sinc)_b times
-1-D phases that join the delay phases, so the overlaps of all delay pairs
-come from the row blocks of the kernel, with no N x N array; factored over
-the uniform axis, K delays take ~2 K sqrt(N) cosines, not K N.  The stream
-is cropped to the envelope's frequency support: each block samples only the
-contiguous columns where an O(N) bound of the envelope reaches
-``CELL_LEVEL`` of the ridge crest's largest value (on the default source,
-24 % of a 1024^2 grid), and it is rerun uncropped if the skipped cells
-could move an overlap by more than ``CELL_LEVEL``.  ``build_jsa`` copies full-width blocks into one real array
-before it applies the norm and the phase.
+conj(J_a) J_b is the real kernel V_a V_b times 1-D phases that join the
+delay phases, so the overlaps of all delay pairs come from the row blocks of
+the kernel, with no N x N array; factored over the uniform axis, K delays
+take ~2 K sqrt(N) cosines, not K N.  The stream is cropped to the
+envelope's frequency support: each block samples only the contiguous
+columns where an O(N) bound of the envelope reaches ``CELL_LEVEL`` of the
+ridge crest's largest value (on the default source, 24 % of a 1024^2
+grid), and it is rerun uncropped if the skipped cells could move an
+overlap by more than ``CELL_LEVEL``.  ``build_jsa`` copies full-width
+blocks into one real array before it applies the norm and the phase.
 ``kernel_time_support`` bounds, from scalars alone, the delays where that
 overlap can exceed ``SUPPORT_LEVEL`` of its peak.
 ``phase_matching`` is the direct formula, kept as the reference the sampled
@@ -111,7 +117,7 @@ class PumpPulse:
         if self.duration_fs <= 0.0:
             raise ConfigError("pump duration must be positive")
 
-    @property
+    @cached_property
     def center_angular_frequency(self) -> float:
         return float(wavelength_to_angular_frequency(self.center_wavelength_nm))
 
@@ -136,7 +142,11 @@ class SpectralFilter:
             raise ConfigError(f"a filter needs center_nm > 0 and 0 < fwhm_nm < 2 x center_nm (its band above "
                               f"0 nm), got fwhm_nm {self.fwhm_nm} at center_nm {self.center_nm}")
 
-    @property
+    @cached_property
+    def center_angular_frequency(self) -> float:
+        return float(wavelength_to_angular_frequency(self.center_nm))
+
+    @cached_property
     def fwhm_omega(self) -> float:
         return fwhm_nm_to_fwhm_omega(self.center_nm, self.fwhm_nm)
 
@@ -171,11 +181,11 @@ class PhaseMatchingSpec:
         return ((p - self.inverse_group_velocity_signal_fs_per_mm) * self.crystal_length_mm,
                 (p - self.inverse_group_velocity_idler_fs_per_mm) * self.crystal_length_mm)
 
-    @property
+    @cached_property
     def signal_center_angular_frequency(self) -> float:
         return float(wavelength_to_angular_frequency(self.signal_center_nm))
 
-    @property
+    @cached_property
     def idler_center_angular_frequency(self) -> float:
         return float(wavelength_to_angular_frequency(self.idler_center_nm))
 
@@ -204,6 +214,19 @@ class FrequencyGrid:
         """The nominal step 2 half_span / (points - 1)."""
         return 2.0 * self.half_span / (self.points - 1)
 
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        return self.spacing * np.arange(self.points)
+
+    def detuning(self, arm: int, center: float, count: int | None = None) -> np.ndarray:
+        """The uniform detuning nu_n = nu_0 + n d (n < ``count``, default
+        ``points``) of the signal (``arm`` 0) or idler (1) axis from
+        ``center``: nu_0 = axis center - center - half span, d = ``spacing``.
+        Unlike the sampled axis less the center, it carries no rounding of
+        the absolute samples."""
+        steps = self._steps if count is None else self.spacing * np.arange(count)
+        return (self.signal_center, self.idler_center)[arm] - center - self.half_span + steps
+
     @property
     def cell_area(self) -> float:
         """The product of the two sampled axes' first steps."""
@@ -226,7 +249,7 @@ def filter_amplitude(filt: SpectralFilter, omega):
     omega = np.asarray(omega, dtype=float)
     if filt.shape == "none":
         return np.ones_like(omega)
-    center = float(wavelength_to_angular_frequency(filt.center_nm))
+    center = filt.center_angular_frequency
     if filt.shape == "rectangular":
         half = 0.5 * filt.fwhm_omega
         return np.where(np.abs(omega - center) <= half, 1.0, 0.0)
@@ -334,142 +357,225 @@ def make_grid(
     return grid
 
 
-def _sinc_factors(spec: PhaseMatchingSpec, nu_s, nu_i) -> tuple:
+def _sinc_factors(spec: PhaseMatchingSpec, nu_s, nu_i, f_s, f_i) -> tuple:
     """(a, b, left, right): the 1-D terms of the half mismatch
     h = D L / 2 = a(nu_s) + b(nu_i) on two detuning axes, and the rank-2
-    factors left = [a, 1, sin a, cos a] (one row per nu_s) and
-    right = [1, b, cos b, sin b] (one column per nu_i), so that
-    h = left[:, :2] @ right[:2] and sin h = left[:, 2:] @ right[2:]."""
+    factors left = [a, 1, f_s sin a, f_s cos a] (one row per nu_s) and
+    right = [1, b, f_i cos b, f_i sin b] (one column per nu_i), with the
+    filter amplitudes f folded in, so that h = left[:, :2] @ right[:2] and
+    f_s f_i sin h = left[:, 2:] @ right[2:]."""
     v_s, v_i = spec.walk_off_fs
-    a = 0.5 * v_s * nu_s
-    b = 0.5 * v_i * nu_i
-    left = np.stack((a, np.ones_like(a), np.sin(a), np.cos(a)), axis=1)
-    right = np.stack((np.ones_like(b), b, np.cos(b), np.sin(b)))
-    return a, b, left, right
+    left, right = np.empty((4, len(nu_s))), np.empty((4, len(nu_i)))
+    a = np.multiply(0.5 * v_s, nu_s, out=left[0])
+    b = np.multiply(0.5 * v_i, nu_i, out=right[1])
+    left[1] = right[0] = 1.0
+    np.sin(a, out=left[2])
+    np.cos(a, out=left[3])
+    np.cos(b, out=right[2])
+    np.sin(b, out=right[3])
+    left[2:] *= f_s
+    right[2:] *= f_i
+    return a, b, left.T, right
 
 
-def _sinc_rows(factors: tuple, rows: slice, cols: slice, out, h, work, near) -> np.ndarray:
-    """sinc(h) on ``rows`` x ``cols`` of the outer (nu_s, nu_i) grid into
-    ``out``, from 1-D factors only: h = a + b and sin h = sin a cos b +
-    cos a sin b are rank-2 products, and sinc(h) = sin h / h, or the series
-    where |h| < ``SINC_SERIES_BELOW`` (including h == 0).  ``h``, ``work``
-    (float) and ``near`` (bool) are scratch of out's shape."""
-    _, _, left, right = factors
-    np.matmul(left[rows, :2], right[:2, cols], out=h)
-    np.matmul(left[rows, 2:], right[2:, cols], out=out)
-    np.less(np.abs(h, out=work), SINC_SERIES_BELOW, out=near)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out /= h
-    if near.any():
-        h2 = np.square(h[near])
-        out[near] = 1.0 - h2 / 6.0 * (1.0 - h2 / 20.0)
+def _expi(angles) -> np.ndarray:
+    """exp(i angles) from one cosine and one sine per angle."""
+    out = np.empty(np.shape(angles), dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
     return out
 
 
 class _Sampler:
     """The real amplitudes V = envelope * sinc(h) of one or two specs on one
-    grid, in the (rows, cols) slices ``blocks``, ``ROW_BLOCK_BYTES`` per
-    scratch array, where the envelope is pump(w_s + w_i) f_s(w_s) f_i(w_i).
+    grid, where the envelope is pump(w_s + w_i) f_s(w_s) f_i(w_i), and
+    their kernel V_a V_b (V^2 for one spec), block by block: iterating
+    yields (rows, cols, amplitudes, kernel) for each (rows, cols) slice of
+    ``blocks``, in ``ROW_BLOCK_BYTES`` scratch arrays that the next block
+    overwrites.  Each spec's norm^2 sums the same squares (numpy's pairwise
+    sum, not ``np.vdot``, whose threaded BLAS dot slowed the passes after
+    it).
 
-    Both axes share one spacing, so w_s[j] + w_i[k] depends only on j + k
-    and the pump ridge is a Hankel view of its 2N - 1 samples down the first
-    column and along the last row: no 2-D exp is evaluated.  The grid is
-    taken as ``make_grid`` checked it; construction reads the border of the
-    envelope (from 1-D products) before any 2-D array exists, each call adds
-    to sum V^2, to the envelope's running peak and to ``cells``, and
-    ``norms`` runs the border check on them.
+    A sampled cell takes no 2-D transcendental call and few passes: the
+    rank-2 products h and f_s f_i sin h of ``_sinc_factors``, one divide,
+    one multiply by the pump ridge, the kernel and its sum (each V^2 and
+    its sum, then the product, when the specs differ).  Both axes share one
+    spacing, so w_s[j] + w_i[k] depends only on j + k and the pump ridge is
+    a Hankel view of its 2N - 1 samples down the first column and along the
+    last row.  Where |h| < ``SINC_SERIES_BELOW`` (h == 0 included) the quotient
+    is replaced by f_s f_i (1 - h^2/6 + h^4/120): b is monotone in k, so a
+    row's such cells lie in one column interval, which bisection on b
+    bounds (with a margin) at construction; only those candidates take the
+    exact test of a + b, the sum the rank-2 product rounds h to.  They are
+    listed per run of blocks holding at most one block's cells of them,
+    when the run's first block is sampled.
 
-    One plan makes the blocks: a block of rows samples only the contiguous
-    columns where an upper bound of its envelope reaches ``threshold``; a
-    block without such a column is left out.  With ``crop`` the threshold is
-    ``CELL_LEVEL`` times the largest envelope value on the pump ridge's crest;
-    otherwise, or when that level is not finite and positive, it is 0, which
-    keeps every column (a bound is >= 0, or NaN).  The bound takes O(N) per
-    block from 1-D data: the pump samples are unimodal in j + k, so their
-    maximum over the block's rows at column k is the sample at the mode
-    clipped into [k + r0, k + r1 - 1], times f_i(k) and the block's largest
-    f_s.  Every skipped cell has |V| below ``threshold`` (|sinc| <= 1), and
-    the peak cell is always sampled, so the border check is exact."""
+    The grid is taken as ``make_grid`` checked it.  One plan makes the
+    blocks: a block of rows samples only the contiguous columns where an
+    upper bound of its envelope reaches ``threshold``; a block without such
+    a column is left out.  With ``crop`` the threshold is ``CELL_LEVEL``
+    times ``crest``, the largest envelope value on the pump ridge's crest;
+    otherwise, or when that level is not finite and positive, it is 0,
+    which keeps every column (a bound is >= 0, or NaN).  The bound takes
+    O(N) per block from 1-D data: the pump samples are unimodal in j + k,
+    so their maximum over the block's rows at column k is the sample at the
+    mode clipped into [k + r0, k + r1 - 1], times f_i(k) and the block's
+    largest f_s.  Every skipped cell has |V| below ``threshold``
+    (|sinc| <= 1), and the peak cell is always sampled.
+
+    ``norms`` runs the border check on the envelope's border (from 1-D
+    products, before any 2-D array exists): the crest, a lower bound of the
+    sampled peak, decides it unless the border exceeds the edge limit of
+    the crest; then the sampled peak is taken in one pass over the blocks."""
 
     def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
                  grid: FrequencyGrid, crop: bool = False):
         self.grid = grid
         ws, wi = grid.signal_axis, grid.idler_axis
-        self.filter_s = filter_amplitude(f_s, ws)[:, None]
+        self.filter_s = filter_amplitude(f_s, ws)
         self.filter_i = filter_amplitude(f_i, wi)
         samples = pump_spectrum(pulse, np.concatenate((ws + wi[0], ws[-1] + wi[1:])))
-        self.ridge = np.lib.stride_tricks.as_strided(samples, grid.shape, samples.strides * 2,
-                                                     writeable=False)
+        self.ridge = np.ndarray(grid.shape, buffer=samples, strides=samples.strides * 2)
+        self.ridge.flags.writeable = False
         # With a filter present the sampled envelope must fall off at the
         # border; without one ``make_grid`` tested the pump corners.
         self.bounded = f_s.shape != "none" or f_i.shape != "none"
-        self.peak = 0.0
         if self.bounded:
             ends = slice(None, None, grid.points - 1)  # the first and last row or column
-            self.border = float(max(((self.ridge[:, ends] * self.filter_i[ends]) * self.filter_s).max(),
-                                    ((self.ridge[ends] * self.filter_i) * self.filter_s[ends]).max()))
+            self.border = float(max(((self.ridge[:, ends] * self.filter_i[ends]) * self.filter_s[:, None]).max(),
+                                    ((self.ridge[ends] * self.filter_i) * self.filter_s[ends, None]).max()))
         self.lengths = [spec.crystal_length_mm for spec in specs]
-        self.factors = [_sinc_factors(spec, ws - spec.signal_center_angular_frequency,
-                                      wi - spec.idler_center_angular_frequency)
+        self.factors = [_sinc_factors(spec, grid.detuning(0, spec.signal_center_angular_frequency),
+                                      grid.detuning(1, spec.idler_center_angular_frequency),
+                                      self.filter_s, self.filter_i)
                         for spec in specs]
         n = grid.points
         block = min(max(1, ROW_BLOCK_BYTES // (8 * n)), n)
         starts = np.arange(0, n, block)
-        stops = np.minimum(starts + block, n)
-        # The largest envelope value on the crest j + k = mode of the pump ridge.
+        # The envelope on the crest j + k = mode of the pump ridge, rounded
+        # as a block rounds it.
         mode = int(samples.argmax())
         low, high = max(0, mode - n + 1), min(mode, n - 1)
-        crest = self.filter_s[low:high + 1, 0] * self.filter_i[mode - high:mode - low + 1][::-1]
-        level = CELL_LEVEL * float(samples[mode] * crest.max())
+        crest = (samples[mode] * self.filter_i[mode - high:mode - low + 1][::-1]) * self.filter_s[low:high + 1]
+        self.crest = float(crest.max())
+        level = CELL_LEVEL * self.crest
         self.threshold = level if crop and math.isfinite(level) and level > 0.0 else 0.0
         # One row of bounds per block: the pump sample nearest the mode
         # within the block's j + k (the mode clipped into [k + r0, k + r1 - 1]),
         # times f_i(k) and the block's largest f_s.
         k = np.arange(n)
-        bound = samples[np.maximum(np.minimum(k + (stops - 1)[:, None], mode), k + starts[:, None])]
+        bound = samples[np.maximum(np.minimum(k + np.minimum(starts + block - 1, n - 1)[:, None], mode),
+                                   k + starts[:, None])]
         bound *= self.filter_i
-        bound *= np.maximum.reduceat(self.filter_s[:, 0], starts)[:, None]
+        bound *= np.maximum.reduceat(self.filter_s, starts)[:, None]
         kept = ~(bound < self.threshold)  # a NaN bound keeps its column
-        columns = zip(kept.argmax(axis=1).tolist(), (n - kept[:, ::-1].argmax(axis=1)).tolist())
-        self.blocks = [(slice(*rows), slice(*cols)) for rows, cols, any_kept
-                       in zip(zip(starts.tolist(), stops.tolist()), columns, kept.any(axis=1)) if any_kept]
+        # Each block's columns [first, last), (0, 0) for a block left out.
+        first = kept.argmax(axis=1)
+        last = (n - kept[:, ::-1].argmax(axis=1)) * kept.any(axis=1)
+        self.blocks = [(slice(r0, min(r0 + block, n)), slice(c0, c1))
+                       for r0, c0, c1 in zip(starts.tolist(), first.tolist(), last.tolist()) if c1]
+        # Per spec, each row's candidate columns [lo, hi) of the series,
+        # clipped into its block's: b within 2 SINC_SERIES_BELOW of -a.
+        first, last = np.repeat(first, block)[:n], np.repeat(last, block)[:n]
+        margins = (-2.0 * SINC_SERIES_BELOW, 2.0 * SINC_SERIES_BELOW)
+        self.bands = []
+        for a, b, _, _ in self.factors:
+            rising = not b[-1] < b[0]
+            band = np.searchsorted(b if rising else b[::-1], np.subtract.outer(margins, a))
+            band = band if rising else n - band[::-1]
+            np.maximum(band, first, out=band)
+            self.bands.append(np.minimum(band, last, out=band))
+        counts = np.add.reduceat(sum(hi - lo for lo, hi in self.bands), starts)[last[starts] > 0].tolist()
+        # [blocks, candidates] per run of blocks: a new run starts where the
+        # candidates would pass one block's cells (one block may hold more).
+        self.runs = []
+        for count in counts:
+            if not self.runs or self.runs[-1][1] + count > ROW_BLOCK_BYTES // 8:
+                self.runs.append([0, 0])
+            self.runs[-1][0] += 1
+            self.runs[-1][1] += count
+        # A cell (j, k) sits at offsets[j] + k of its block's scratch.
+        self.offsets = (k % block) * (last - first) - first
         self.cells = 0
         # One allocation, reshaped per block so each block is contiguous:
         # separate arrays are fresh pages, faulted in on every call.
-        self.envelope, self.h, self.work, *self.sincs = np.empty((3 + len(specs), block * n))
-        self.near = np.empty(self.envelope.shape, dtype=bool)
+        self.h, self.kernel, *self.sincs = np.empty((2 + len(specs), block * n))
         self.norms_sq = np.zeros(len(specs))
 
-    def __call__(self, rows: slice, cols: slice) -> list:
-        """Each spec's V on ``rows`` x ``cols`` (slices with explicit
-        bounds), in scratch that the next call overwrites."""
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
-        size = shape[0] * shape[1]
-        self.cells += size
-        env = np.multiply(self.ridge[rows, cols], self.filter_i[cols], out=self.envelope[:size].reshape(shape))
-        env *= self.filter_s[rows]
-        if self.bounded:
-            self.peak = max(self.peak, float(env.max()))
-        h, work, near = (scratch[:size].reshape(shape) for scratch in (self.h, self.work, self.near))
-        amplitudes = []
-        for n, (factors, sinc) in enumerate(zip(self.factors, self.sincs)):
-            amplitude = _sinc_rows(factors, rows, cols, sinc[:size].reshape(shape), h, work, near)
-            amplitude *= env
-            self.norms_sq[n] += np.vdot(amplitude, amplitude)
-            amplitudes.append(amplitude)
-        return amplitudes
+    def _series_cells(self, factors: tuple, band: np.ndarray, run: list) -> list:
+        """Per block of ``run`` (consecutive ``blocks``), the offsets of its
+        cells with |h| < ``SINC_SERIES_BELOW`` and their V / pump, f_s f_i
+        (1 - h^2/6 + h^4/120), from the candidates in ``band``."""
+        a, b = factors[:2]
+        lo, hi = band[:, run[0][0].start:run[-1][0].stop]
+        counts = hi - lo
+        ends = counts.cumsum()
+        rows = np.arange(run[0][0].start, run[-1][0].stop).repeat(counts)
+        cols = (lo + counts - ends).repeat(counts) + np.arange(rows.size)
+        h = a[rows] + b[cols]
+        near = abs(h) < SINC_SERIES_BELOW
+        rows, cols, h2 = rows[near], cols[near], h[near] ** 2
+        values = 1.0 - h2 / 6.0 * (1.0 - h2 / 20.0)
+        values *= self.filter_s[rows] * self.filter_i[cols]
+        offsets = self.offsets[rows] + cols
+        cuts = [0, *rows.searchsorted([block[0].start for block in run[1:]]).tolist(), rows.size]
+        return [(offsets[i:j], values[i:j]) if j > i else None for i, j in zip(cuts, cuts[1:])]
+
+    def __iter__(self):
+        first = 0
+        for length, candidates in self.runs:
+            run = self.blocks[first:first + length]
+            first += length
+            series = [self._series_cells(factors, band, run) if candidates else [None] * length
+                      for factors, band in zip(self.factors, self.bands)]
+            for index, (rows, cols) in enumerate(run):
+                shape = (rows.stop - rows.start, cols.stop - cols.start)
+                size = shape[0] * shape[1]
+                self.cells += size
+                h = self.h[:size].reshape(shape)
+                ridge = self.ridge[rows, cols]
+                amplitudes = []
+                for (_, _, left, right), sinc, listed in zip(self.factors, self.sincs, series):
+                    np.matmul(left[rows, :2], right[:2, cols], out=h)
+                    amplitude = np.matmul(left[rows, 2:], right[2:, cols], out=sinc[:size].reshape(shape))
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        amplitude /= h
+                    if listed[index] is not None:
+                        offsets, values = listed[index]
+                        sinc[offsets] = values
+                    amplitude *= ridge
+                    amplitudes.append(amplitude)
+                kernel = self.kernel[:size].reshape(shape)
+                for n, amplitude in enumerate(amplitudes):
+                    self.norms_sq[n] += np.square(amplitude, out=kernel).sum()
+                if len(amplitudes) > 1:
+                    np.multiply(*amplitudes, out=kernel)
+                yield rows, cols, amplitudes, kernel
+
+    def _peak(self) -> float:
+        """The largest sampled envelope value, in one pass over the blocks."""
+        peak = 0.0
+        for rows, cols in self.blocks:
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            envelope = np.multiply(self.ridge[rows, cols], self.filter_i[cols],
+                                   out=self.h[:shape[0] * shape[1]].reshape(shape))
+            envelope *= self.filter_s[rows, None]
+            peak = max(peak, float(envelope.max()))
+        return peak
 
     def norms(self) -> list:
         """The L2 norm of each spec's V, once every block has been sampled.
         With filters bounding the support, the sampled envelope must first
         have fallen below the edge limit along the whole grid border; a zero
         or non-finite norm (e.g. from an infinite crystal length) is rejected."""
-        if self.bounded and (self.peak == 0.0 or self.border > EDGE_AMPLITUDE_LIMIT * self.peak):
-            raise GridTruncationError(
-                f"grid too narrow: envelope magnitude at the border is "
-                f"{self.border / max(self.peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT}); "
-                "raise scan.grid_span_factor"
-            )
+        if self.bounded and not (0.0 < self.crest and self.border <= EDGE_AMPLITUDE_LIMIT * self.crest):
+            peak = self._peak()
+            if peak == 0.0 or self.border > EDGE_AMPLITUDE_LIMIT * peak:
+                raise GridTruncationError(
+                    f"grid too narrow: envelope magnitude at the border is "
+                    f"{self.border / max(peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT}); "
+                    "raise scan.grid_span_factor"
+                )
         norms_sq = [float(n) * self.grid.cell_area for n in self.norms_sq]
         for norm_sq, length in zip(norms_sq, self.lengths):
             if not (math.isfinite(norm_sq) and norm_sq > 0.0):
@@ -495,11 +601,11 @@ def build_jsa(
     """
     sampler = _Sampler(pulse, (spec,), f_s, f_i, grid)
     amplitude = np.empty(grid.shape)
-    for rows, cols in sampler.blocks:
-        amplitude[rows] = sampler(rows, cols)[0]
+    for rows, _, (block,), _ in sampler:
+        amplitude[rows] = block
     amplitude /= sampler.norms()[0]
-    ((_, _, left, right),) = sampler.factors
-    values = np.multiply.outer(left[:, 3] + 1j * left[:, 2], right[2] + 1j * right[3])
+    ((a, b, _, _),) = sampler.factors
+    values = np.multiply.outer(_expi(a), _expi(b))
     values *= amplitude
     return JointSpectralAmplitude(grid, values)
 
@@ -530,10 +636,11 @@ def kernel_overlaps(
     sines, one with equal delays one row.  The arm with fewer distinct
     delays drives the product: its N x K table (the row, or the factors'
     product) meets each row block of the kernel from ``_Sampler``
-    (``ROW_BLOCK_BYTES`` per work array) in one real product while the block
-    is in cache.  The other arm's table is never formed: the accumulated
-    columns meet its factors in one (q x m) @ (m x K) product (one contraction
-    per delay when both arms vary), then q terms per delay.
+    (``ROW_BLOCK_BYTES`` per work array, the norms summed from the same
+    squares) in one real product while the block is in cache.  The other
+    arm's table is never formed: the accumulated columns meet its factors
+    in one (q x m) @ (m x K) product (one contraction per delay when both
+    arms vary), then q terms per delay.
 
     Each block covers only the columns of the envelope's support (the crop
     of ``_Sampler``); the cells it skips have |V| < threshold and add
@@ -548,12 +655,6 @@ def kernel_overlaps(
     m = math.isqrt(n - 1) + 1  # column n = m j + r, with j < q and r < m
     q = -(-n // m)
 
-    def expi(angles):
-        out = np.empty(angles.shape, dtype=complex)
-        np.cos(angles, out=out.real)
-        np.sin(angles, out=out.imag)
-        return out
-
     # Per arm, conj(J_a) J_b has the phase 0.5 (v_b (nu + c_a - c_b) - v_a nu) (v
     # the walk-offs, c the centers): a delay 0.5 (v_b - v_a), and a constant.
     centers = [(spec.signal_center_angular_frequency, spec.idler_center_angular_frequency)
@@ -566,13 +667,13 @@ def kernel_overlaps(
         # one row exp(i T nu) (N, 1), or the factors exp(i T nu_(m j)) (q, K)
         # and exp(i T d r) (m, K).
         delays = np.asarray(delays_fs, dtype=float) + 0.5 * (spec_b.walk_off_fs[side] - spec_a.walk_off_fs[side])
-        if delays.size and np.all(delays == delays[0]):
+        if delays.size and (delays == delays[0]).all():
             delays = delays[:1]
-        steps = grid.spacing * np.arange(q * m)  # n d
-        nu = (grid.signal_center, grid.idler_center)[side] - centers[0][side] - grid.half_span + steps
         if delays.size == 1:
-            return 1, expi(np.multiply.outer(nu[:n], delays))
-        return delays.size, (expi(np.multiply.outer(nu[::m], delays)), expi(np.multiply.outer(steps[:m], delays)))
+            return 1, _expi(np.multiply.outer(grid.detuning(side, centers[0][side]), delays))
+        nu = grid.detuning(side, centers[0][side], q * m)
+        return delays.size, (_expi(np.multiply.outer(nu[::m], delays)),
+                             _expi(np.multiply.outer(grid.spacing * np.arange(m), delays)))
 
     arms = (arm(signal_delays_fs, 0), arm(idler_delays_fs, 1))
     idler_drives = arms[1][0] < arms[0][0]
@@ -587,10 +688,7 @@ def kernel_overlaps(
         # block, or its columns summed over the blocks, into q m x 2K (the
         # rows past N stay 0); the cells a block skips add nothing.
         acc = np.zeros((q * m, 2 * k_drive))
-        for rows, cols in sampler.blocks:
-            amplitudes = sampler(rows, cols)
-            kernel = amplitudes[0]
-            kernel *= amplitudes[-1]
+        for rows, cols, _, kernel in sampler:
             if idler_drives:
                 np.matmul(kernel, drive[cols], out=acc[rows])
             else:

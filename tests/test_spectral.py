@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bellsim import biphoton, spectral
+from bellsim import biphoton, spectral, units
 from bellsim import scenario
 from bellsim.errors import ConfigError, GridTruncationError
 from bellsim.spectral import (
@@ -283,16 +283,18 @@ class TestSeparableSampling:
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_zero_mismatch_cells(self):
-        # Equal signal and idler rates and exactly opposite detunings: h is
-        # exactly 0 on the anti-diagonal, where sinc(h) exp(i h) must be 1.
+        # Equal signal and idler rates and exactly opposite detunings (the
+        # binary fractions -1/16 + n/64 on both axes): h is exactly 0 on the
+        # anti-diagonal, where sinc(h) exp(i h) must be 1, so V is the pump.
         spec = SAMPLING_SPECS["degenerate"]
-        nu = np.arange(-4, 5) * 0.013
-        a, b, left, right = spectral._sinc_factors(spec, nu, nu)
-        sinc, h, work = np.empty((3, nu.size, nu.size))
-        spectral._sinc_rows((a, b, left, right), slice(0, nu.size), slice(0, nu.size), sinc, h, work,
-                            np.empty(sinc.shape, dtype=bool))
-        assert np.all(sinc[::-1].diagonal() == 1.0)
-        got = sinc * np.multiply.outer(np.exp(1j * a), np.exp(1j * b))
+        grid = FrequencyGrid(spec.signal_center_angular_frequency, spec.idler_center_angular_frequency, 1 / 16, 9)
+        nu = grid.detuning(0, spec.signal_center_angular_frequency)
+        assert np.array_equal(nu, np.arange(-4, 5) / 64) and np.array_equal(nu, -nu[::-1])
+        sampler = spectral._Sampler(PUMP, (spec,), NO_FILTER, NO_FILTER, grid)
+        ((_, _, (amplitude,), _),) = list(sampler)
+        assert np.all(amplitude[::-1].diagonal() == sampler.ridge[::-1].diagonal())
+        a, b, _, _ = sampler.factors[0]
+        got = amplitude / sampler.ridge * np.multiply.outer(np.exp(1j * a), np.exp(1j * b))
         assert np.max(np.abs(got[::-1].diagonal() - 1.0)) <= 1e-15
         expected = phase_matching(spec, nu[:, None], nu[None, :])
         assert np.max(np.abs(got - expected)) <= 1e-12
@@ -319,6 +321,90 @@ class TestSeparableSampling:
         with pytest.raises(GridTruncationError, match="finite and positive"):
             build_jsa(PUMP, endless, NO_FILTER, NO_FILTER, grid)
 
+
+
+# Specs whose idler term b = v_i nu_i / 2 rises, falls or stays constant
+# along the idler axis (idler walk-off > 0, < 0, = 0).  Their inverse group
+# velocities are binary fractions, so on their ``series_grid`` (detunings
+# -1/4 + n/128) h is exactly 0 on the anti-diagonal, the diagonal and the
+# middle row.  The default spec has no exact zero; a 10 um crystal spreads
+# |h| over 0..0.12, with hundreds of cells near the series limit, and a
+# 0.1 um one puts every cell in the series.
+SERIES_SPECS = {
+    "rising": PhaseMatchingSpec(3.4, 800.0, 800.0, 5811.5, 5620.5, 5620.5),
+    "falling": PhaseMatchingSpec(3.4, 800.0, 800.0, 5811.5, 5620.5, 6002.5),
+    "constant": PhaseMatchingSpec(3.4, 800.0, 800.0, 5811.5, 5620.5, 5811.5),
+    "default": SPEC,
+    "short": replace(SPEC, crystal_length_mm=1e-2),
+    "thin": replace(SPEC, crystal_length_mm=1e-4),
+}
+
+
+def series_grid(spec, points=65):
+    half_span = 0.25 if spec.signal_center_nm == 800.0 else 5.0 * PUMP.sigma_omega
+    return FrequencyGrid(spec.signal_center_angular_frequency, spec.idler_center_angular_frequency, half_span,
+                         points)
+
+
+def series_cells(sampler) -> set:
+    """The (row, column) of every sampled cell whose sinc the sampler takes
+    from the series, as its runs of blocks list them."""
+    cells, first = set(), 0
+    for length, candidates in sampler.runs:
+        run = sampler.blocks[first:first + length]
+        first += length
+        if candidates:
+            found = sampler._series_cells(sampler.factors[0], sampler.bands[0], run)
+            for (rows, cols), listed in zip(run, found):
+                width = cols.stop - cols.start
+                cells |= {(rows.start + offset // width, cols.start + offset % width)
+                          for offset in ([] if listed is None else listed[0].tolist())}
+    return cells
+
+
+class TestSeriesCells:
+    """``_Sampler`` locates the cells with |h| < ``SINC_SERIES_BELOW`` from
+    1-D data: per row, the columns that bisection on the monotone b bounds,
+    each tested as the block's rank-2 product rounds h."""
+
+    @pytest.mark.parametrize("name", SERIES_SPECS)
+    @pytest.mark.parametrize("crop", [False, True])
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_equal_the_2d_mask(self, monkeypatch, name, crop, block_rows):
+        # 5-row blocks split the 65 rows 13 x 5; with the thin crystal the
+        # candidates of one block (325 cells) start a new run of blocks.
+        points = 65
+        if block_rows is not None:
+            monkeypatch.setattr(spectral, "ROW_BLOCK_BYTES", 8 * points * block_rows)
+        spec = SERIES_SPECS[name]
+        sampler = spectral._Sampler(PUMP, (spec,), NO_FILTER, NO_FILTER, series_grid(spec), crop=crop)
+        _, _, left, right = sampler.factors[0]
+        expected, zeros = set(), 0
+        for rows, cols in sampler.blocks:
+            h = left[rows, :2] @ right[:2, cols]
+            near = np.argwhere(np.abs(h) < spectral.SINC_SERIES_BELOW) + (rows.start, cols.start)
+            expected |= set(map(tuple, near.tolist()))
+            zeros += int(np.count_nonzero(h == 0.0))
+        assert series_cells(sampler) == expected
+        if name in ("rising", "falling", "constant"):
+            assert zeros > 0
+        if name == "thin":
+            assert len(expected) == sum((r.stop - r.start) * (c.stop - c.start) for r, c in sampler.blocks)
+            assert block_rows is None or len(sampler.runs) > 1
+
+    @pytest.mark.parametrize("name", SERIES_SPECS)
+    def test_amplitude_matches_the_direct_sinc(self, monkeypatch, name):
+        # Every sampled V, the series cells included, against pump * sinc(h)
+        # from numpy's sinc on the same h = a + b.
+        monkeypatch.setattr(spectral, "ROW_BLOCK_BYTES", 8 * 65 * 5)
+        spec = SERIES_SPECS[name]
+        grid = series_grid(spec)
+        sampler = spectral._Sampler(PUMP, (spec,), NO_FILTER, NO_FILTER, grid)
+        a, b, _, _ = sampler.factors[0]
+        sinc = np.sinc(np.add.outer(a, b) / np.pi)
+        for rows, cols, (amplitude,), _ in sampler:
+            expected = sampler.ridge[rows, cols] * sinc[rows, cols]
+            assert np.max(np.abs(amplitude - expected)) <= 1e-13
 
 
 # Filter pairs for the stream tests: the default Gaussians, rectangular
@@ -367,26 +453,129 @@ class TestKernelOverlaps:
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("block_rows", [None, 5])
-    def test_narrow_grid_has_the_border_message(self, monkeypatch, block_rows):
+    # The default filters, and both moved 5 nm up, which puts the envelope's
+    # peak off the pump ridge's crest (its crest value is 0.77 of the peak).
+    @pytest.mark.parametrize("block_rows, detuned_nm", [(None, 0.0), (5, 0.0), (None, 5.0), (5, 5.0)],
+                             ids=["None", "5", "None-detuned", "5-detuned"])
+    def test_narrow_grid_has_the_border_message(self, monkeypatch, block_rows, detuned_nm):
         # A grid 6.4 sigma wide passes the span check, but the filters are
-        # still at 8 % of their peak on its border.
+        # still at 8 % (detuned: 11 %) of their peak on its border.
         if block_rows is not None:
             monkeypatch.setattr(spectral, "ROW_BLOCK_BYTES", 8 * 64 * block_rows)
-        pair = STREAM_FILTERS["gaussian"]
-        half = 3.2 * max(PUMP.sigma_omega, *(f.sigma_intensity_omega for f in pair))
-        grid = FrequencyGrid(*CENTERS, half, 64)
-        ws, wi = grid.signal_axis[:, None], grid.idler_axis[None, :]
-        envelope = pump_spectrum(PUMP, ws + wi) * filter_amplitude(pair[0], ws) * filter_amplitude(pair[1], wi)
-        border = max(envelope[0].max(), envelope[-1].max(), envelope[:, 0].max(), envelope[:, -1].max())
+        pair = detuned_filters(detuned_nm)
+        grid = FrequencyGrid(*CENTERS, 3.2 * widest_sigma(pair), 64)
         expected = (f"grid too narrow: envelope magnitude at the border is "
-                    f"{border / envelope.max():.3g} of its peak (limit {spectral.EDGE_AMPLITUDE_LIMIT}); "
+                    f"{border_ratio(pair, grid):.3g} of its peak (limit {spectral.EDGE_AMPLITUDE_LIMIT}); "
                     "raise scan.grid_span_factor")
         with pytest.raises(GridTruncationError) as streamed:
             spectral.kernel_overlaps(PUMP, SPEC, SPEC, *pair, grid, [0.0], [0.0])
         with pytest.raises(GridTruncationError) as built:
             build_jsa(PUMP, SPEC, *pair, grid)
         assert str(streamed.value) == str(built.value) == expected
+
+    @pytest.mark.parametrize("detuned_nm, half_sigmas", [(5.0, 4.98), (5.0, 5.06), (3.0, 4.84)])
+    def test_border_off_the_crest_reads_the_sampled_peak(self, detuned_nm, half_sigmas):
+        # With detuned filters the border lies above the edge limit of the
+        # crest value, so the crest cannot decide: the border is 1.24e-4,
+        # 0.90e-4 and 1.14e-4 of the sampled peak (1.61e-4, 1.18e-4 and
+        # 1.25e-4 of the crest), an error, none and an error, as the exact
+        # envelope has it.
+        pair = detuned_filters(detuned_nm)
+        grid = FrequencyGrid(*CENTERS, half_sigmas * widest_sigma(pair), 64)
+        sampler = spectral._Sampler(PUMP, (SPEC,), *pair, grid, crop=True)
+        assert sampler.border > spectral.EDGE_AMPLITUDE_LIMIT * sampler.crest
+        ratio = border_ratio(pair, grid)
+        if ratio > spectral.EDGE_AMPLITUDE_LIMIT:
+            message = (f"grid too narrow: envelope magnitude at the border is {ratio:.3g} of its peak "
+                       f"(limit {spectral.EDGE_AMPLITUDE_LIMIT}); raise scan.grid_span_factor")
+            for run in (lambda: spectral.kernel_overlaps(PUMP, SPEC, SPEC, *pair, grid, [0.0], [0.0]),
+                        lambda: build_jsa(PUMP, SPEC, *pair, grid)):
+                with pytest.raises(GridTruncationError) as error:
+                    run()
+                assert str(error.value) == message
+        else:
+            spectral.kernel_overlaps(PUMP, SPEC, SPEC, *pair, grid, [0.0], [0.0])
+            build_jsa(PUMP, SPEC, *pair, grid)
+
+    @pytest.mark.parametrize("points", [64, 128])
+    @pytest.mark.parametrize("second", ["equal", "2mm"])
+    def test_matches_dense_overlap_at_5000_fs(self, points, second):
+        # Both paths take the delay phases on the grid's uniform detuning, so
+        # they agree far below what the sampled axes' rounding of the centers
+        # moves (2.1-2.6e-13 in these overlaps).
+        spec_b = SECOND_CRYSTALS[second]
+        pair = STREAM_FILTERS["gaussian"]
+        grid = make_grid(PUMP, SPEC, filters=pair, points=points)
+        signal, idler = np.linspace(-5000.0, 5000.0, 9), np.linspace(5000.0, -5000.0, 9)
+        for delays in ((signal, idler), (signal, np.full(9, 5000.0)), (np.full(9, -5000.0), idler)):
+            got = spectral.kernel_overlaps(PUMP, SPEC, spec_b, *pair, grid, *delays)
+            assert np.abs(got - dense_overlaps(SPEC, spec_b, pair, grid, *delays)).max() <= 5e-14
+
+    def test_unequal_specs_get_each_norm(self, monkeypatch):
+        # With two specs each block yields the kernel V_a V_b, and each norm
+        # is the one a sampler of that spec alone takes.
+        monkeypatch.setattr(spectral, "ROW_BLOCK_BYTES", 8 * 64 * 5)
+        specs = (SPEC, replace(SPEC, crystal_length_mm=2.0))
+        pair = STREAM_FILTERS["gaussian"]
+        grid = make_grid(PUMP, SPEC, filters=pair, points=64)
+        both = spectral._Sampler(PUMP, specs, *pair, grid)
+        singles = [spectral._Sampler(PUMP, (spec,), *pair, grid) for spec in specs]
+        for (_, _, amplitudes, kernel), *alone in zip(both, *singles):
+            assert np.array_equal(kernel, amplitudes[0] * amplitudes[1])
+            for amplitude, (_, _, (single,), _) in zip(amplitudes, alone):
+                assert np.array_equal(amplitude, single)
+        norms = both.norms()
+        assert norms == [single.norms()[0] for single in singles]
+        for norm, spec in zip(norms, specs):
+            values = direct_jsa(PUMP, spec, *pair, grid) * norm
+            assert math.sqrt(float(np.sum(np.abs(values) ** 2)) * grid.cell_area) == pytest.approx(norm, rel=1e-14)
+
+
+class TestCenterConversions:
+    def test_each_record_converts_once(self, monkeypatch):
+        # A stream on fresh records converts the pump center, each spec's
+        # two pair centers, and each filter's center and FWHM edges once;
+        # a second stream on the same records converts nothing.
+        converted = []
+        convert = units.wavelength_to_angular_frequency
+
+        def counted(wavelength_nm):
+            converted.append(float(wavelength_nm))
+            return convert(wavelength_nm)
+
+        monkeypatch.setattr(units, "wavelength_to_angular_frequency", counted)
+        monkeypatch.setattr(spectral, "wavelength_to_angular_frequency", counted)
+        records = (PumpPulse(400.0, 80.0), replace(SPEC), replace(SPEC, crystal_length_mm=2.0),
+                   SpectralFilter(730.0, 10.0), SpectralFilter(885.0, 10.0))
+        grid = FrequencyGrid(*CENTERS, 0.2, 128)
+        first = spectral.kernel_overlaps(*records, grid, [0.0, 40.0], [0.0, -40.0])
+        assert sorted(converted) == [400.0, 725.0, 730.0, 730.0, 730.0, 735.0,
+                                     880.0, 885.0, 885.0, 885.0, 890.0]
+        converted.clear()
+        assert np.array_equal(spectral.kernel_overlaps(*records, grid, [0.0, 40.0], [0.0, -40.0]), first)
+        assert converted == []
+        # Cached values are the direct conversions, bit for bit.
+        pulse, spec, _, f_s, _ = records
+        assert pulse.center_angular_frequency == float(convert(400.0))
+        assert (spec.signal_center_angular_frequency, spec.idler_center_angular_frequency) == CENTERS
+        assert f_s.fwhm_omega == units.fwhm_nm_to_fwhm_omega(730.0, 10.0)
+
+
+def detuned_filters(detuned_nm: float) -> tuple:
+    """The default 10 nm Gaussian filters, both centers moved by ``detuned_nm``."""
+    return (SpectralFilter(730.0 + detuned_nm, 10.0), SpectralFilter(885.0 + detuned_nm, 10.0))
+
+
+def widest_sigma(pair) -> float:
+    return max(PUMP.sigma_omega, *(f.sigma_intensity_omega for f in pair))
+
+
+def border_ratio(pair, grid) -> float:
+    """The largest border value of the exact 2-D envelope over its peak."""
+    ws, wi = grid.signal_axis[:, None], grid.idler_axis[None, :]
+    envelope = pump_spectrum(PUMP, ws + wi) * filter_amplitude(pair[0], ws) * filter_amplitude(pair[1], wi)
+    border = max(envelope[0].max(), envelope[-1].max(), envelope[:, 0].max(), envelope[:, -1].max())
+    return border / envelope.max()
 
 
 def direct_overlaps(spec_b, grid, signal_delays_fs, idler_delays_fs, axes=None):
@@ -417,9 +606,7 @@ def direct_overlaps(spec_b, grid, signal_delays_fs, idler_delays_fs, axes=None):
     drive, other = phases[::-1] if idler_drives else phases
     drive = drive.reshape(-1, grid.points)
     acc = np.zeros((grid.points, len(drive)) if idler_drives else (len(drive), grid.points))
-    for rows, cols in sampler.blocks:
-        amplitudes = sampler(rows, cols)
-        kernel = amplitudes[0] * amplitudes[-1]
+    for rows, cols, _, kernel in sampler:
         if idler_drives:
             acc[rows] = kernel @ drive[:, cols].T
         else:
