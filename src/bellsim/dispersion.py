@@ -21,10 +21,11 @@ index (flagged as ``e_index_at_normal_incidence`` in
 ``GroupDelayReport.approximation``).
 
 A ray's phase and group index come from one evaluation of the Sellmeier
-fits (``ray_indices``).  They are scalar evaluations at one wavelength; the
-tilt only lengthens the path.  ``element_delays`` and ``internal_angle_rad``
-therefore take a ``tilt_deg`` that broadcasts over an array: a whole tilt
-scan costs the index evaluations of one tilt.
+fits (``ray_indices``), and its (group, phase) delay over a path from
+``ray_delays`` alone; ``element_delays`` gives it a plate's tilted path.
+The tilt only lengthens the path, so ``element_delays`` and
+``internal_angle_rad`` take a ``tilt_deg`` that broadcasts over an array: a
+whole tilt scan costs the index evaluations of one tilt.
 """
 
 from __future__ import annotations
@@ -169,6 +170,13 @@ def ray_indices(material: Material, ray, wavelength_nm: float) -> tuple:
     return n, n - lam_um * dn
 
 
+def ray_delays(material: Material, ray, wavelength_nm: float, path_nm) -> tuple:
+    """(group, phase) delay in fs, n_g L / c and n L / c, of one ray (as in
+    ``ray_indices``) over a path L in nm (a number or an array)."""
+    n, n_g = ray_indices(material, ray, wavelength_nm)
+    return n_g * path_nm / C_NM_PER_FS, n * path_nm / C_NM_PER_FS
+
+
 def refractive_index(material: Material, pol: str, wavelength_nm: float) -> float:
     """Principal refractive index n_o or n_e at a vacuum wavelength."""
     material.check_range(wavelength_nm)
@@ -229,23 +237,17 @@ def internal_angle_rad(element: BirefringentElement, wavelength_nm: float, tilt_
 
 def element_delays(element: BirefringentElement, pol: str, wavelength_nm: float,
                    tilt_deg=None) -> GroupDelayReport:
-    """Phase and group delay of one ray through a (possibly tilted) element.
-
-    The geometric path is lengthened to thickness/cos(internal angle); phase
-    delay is n * L_eff / c and group delay n_g * L_eff / c.  At tilt 0 this
-    reduces exactly to n L / c.  ``tilt_deg`` replaces the element's tilt
-    and may be an array (checked like the element's): the delays are then
+    """Phase and group delay of one ray through a (possibly tilted) element:
+    its ``ray_delays`` over the path thickness/cos(internal angle), which at
+    tilt 0 is the thickness.  ``tilt_deg`` replaces the element's tilt and
+    may be an array (checked like the element's): the delays are then
     arrays of its shape, from one evaluation of the indices.
     """
     if tilt_deg is not None:
         check_tilt(tilt_deg)
-    n, n_g = ray_indices(element.material, pol, wavelength_nm)
     path_nm = element.thickness_mm * MM_TO_NM / np.cos(internal_angle_rad(element, wavelength_nm, tilt_deg))
-    return GroupDelayReport(
-        phase_delay_fs=n * path_nm / C_NM_PER_FS,
-        group_delay_fs=n_g * path_nm / C_NM_PER_FS,
-        polarization=pol,
-    )
+    group, phase = ray_delays(element.material, pol, wavelength_nm, path_nm)
+    return GroupDelayReport(phase_delay_fs=phase, group_delay_fs=group, polarization=pol)
 
 
 def _load_records(stream) -> dict:

@@ -11,9 +11,9 @@ Timing model (collinear, crystals listed in beam order):
   on the phase-matching cut.  That drops the signal-idler differential
   (108.9 fs for the default crystals), which no pump delay removes; the
   default's visibility of ~1 rests on this approximation.  The
-  ``cross_dispersion`` toggle adds each arm's e-ray group excess over
-  ordinary-ray propagation as a term on that arm, a differential of a few
-  fs.
+  ``cross_dispersion`` toggle adds each arm's e-ray less o-ray group delay
+  through the second crystal as a term on that arm, a differential of a
+  few fs.
 * amplitude b = pairs from the second crystal.  Its pump component first
   crosses the first crystal as an ordinary ray (slow), so amplitude b lags;
   the birefringent compensator pre-advances that pump component.  Both are
@@ -24,7 +24,8 @@ Timing model (collinear, crystals listed in beam order):
   a term of a on its own arm.
 
 Every element acts to first order, as a group delay plus a phase delay on
-one amplitude and one axis: a ``DelayTerm``.  A ``DelayBudget`` is the list
+one amplitude and one axis: a ``DelayTerm``, from its rays' delays over
+their paths (``dispersion.ray_delays``).  A ``DelayBudget`` is the list
 of these terms, keyed by element name, with each axis's carrier frequency
 and both crystals' phase-matching specs, so each cut angle is solved once
 per budget.  Each delay quantity (an amplitude's per-arm retardation and
@@ -80,24 +81,22 @@ from .biphoton import AmplitudePair, coherence
 from .dispersion import (
     BirefringentElement,
     Material,
-    angled_extraordinary_group_index,
     check_tilt,
     element_delays,
     get_material,
-    group_index,
     material_names,
     phase_matching_cut_angle,
-    ray_indices,
+    ray_delays,
     MM_TO_NM,
     ORIENTATIONS,
     YAML_LOADER,
 )
 from .errors import ConfigError, InfeasibleError
 from .spectral import (
-    DELAY_SAMPLING_SAFETY,
     FILTER_SHAPES,
     MAX_GRID_POINTS,
     NO_FILTER,
+    SUPPORT_LEVEL,
     FrequencyGrid,
     PhaseMatchingSpec,
     PumpPulse,
@@ -290,21 +289,18 @@ class FringeScan:
 
 def phase_matching_spec(crystal: CrystalConfig, pump: PumpPulse,
                         cut_angle_rad: float | None = None) -> PhaseMatchingSpec:
-    """Inverse group velocities on the phase-matching cut: extraordinary
-    pump, ordinary pair.  A caller that already solved the crystal's cut
-    angle passes it."""
+    """Inverse group velocities on the phase-matching cut, each a ray's
+    group delay over 1 mm: extraordinary pump, ordinary pair.  A caller that
+    already solved the crystal's cut angle passes it."""
     theta = crystal_cut_angle(crystal, pump) if cut_angle_rad is None else cut_angle_rad
     m = crystal.material
-    inv = lambda n_g: n_g * MM_TO_NM / C_NM_PER_FS  # fs per mm of crystal
     return PhaseMatchingSpec(
         crystal_length_mm=crystal.thickness_mm,
         signal_center_nm=crystal.signal_center_nm,
         idler_center_nm=crystal.idler_center_nm,
-        inverse_group_velocity_pump_fs_per_mm=inv(
-            angled_extraordinary_group_index(m, theta, pump.center_wavelength_nm)
-        ),
-        inverse_group_velocity_signal_fs_per_mm=inv(group_index(m, "o", crystal.signal_center_nm)),
-        inverse_group_velocity_idler_fs_per_mm=inv(group_index(m, "o", crystal.idler_center_nm)),
+        inverse_group_velocity_pump_fs_per_mm=ray_delays(m, theta, pump.center_wavelength_nm, MM_TO_NM)[0],
+        inverse_group_velocity_signal_fs_per_mm=ray_delays(m, "o", crystal.signal_center_nm, MM_TO_NM)[0],
+        inverse_group_velocity_idler_fs_per_mm=ray_delays(m, "o", crystal.idler_center_nm, MM_TO_NM)[0],
     )
 
 
@@ -328,31 +324,21 @@ class DelayTerm(NamedTuple):
 
 
 def _crossing_terms(source: SourceConfig, theta2: float) -> dict:
-    """The crystal crossings' terms: a's pairs cross crystal 2 (cut at
-    ``theta2``) as its e-ray, rigidly at the pair mean, plus each arm's
-    e-ray excess over the o-ray when cross-dispersion is enabled; b's pump
-    component crosses crystal 1 as an o-ray."""
+    """The crystal crossings' terms, each from ``ray_delays`` over a crystal
+    length: a's pairs cross crystal 2 (cut at ``theta2``) as its e-ray,
+    rigidly at the pair mean; b's pump crosses crystal 1 as an o-ray.  With
+    cross-dispersion, each arm adds its e-ray less its o-ray group delay."""
     first, second = source.crystals
     length2_nm = second.thickness_mm * MM_TO_NM
-
-    def e_delays(wavelength_nm):
-        # (group, phase, group excess over the ordinary ray) of the e-ray.
-        n_p, n_g = ray_indices(second.material, theta2, wavelength_nm)
-        n_o = ray_indices(second.material, "o", wavelength_nm)[1]
-        return (n_g * length2_nm / C_NM_PER_FS, n_p * length2_nm / C_NM_PER_FS,
-                (n_g - n_o) * length2_nm / C_NM_PER_FS)
-
-    sig_g, sig_p, sig_excess = e_delays(first.signal_center_nm)
-    idl_g, idl_p, idl_excess = e_delays(first.idler_center_nm)
-    length1_nm = first.thickness_mm * MM_TO_NM
-    pump_n, pump_n_g = ray_indices(first.material, "o", source.pump.center_wavelength_nm)
-
+    centers = (first.signal_center_nm, first.idler_center_nm)
+    (sig_g, sig_p), (idl_g, idl_p) = (ray_delays(second.material, theta2, center, length2_nm) for center in centers)
+    pump = ray_delays(first.material, "o", source.pump.center_wavelength_nm, first.thickness_mm * MM_TO_NM)
     terms = {"crossing": DelayTerm("a", "pair", 0.5 * (sig_g + idl_g), 0.5 * (sig_p + idl_p)),
-             "pump_crossing": DelayTerm("b", "pump", pump_n_g * length1_nm / C_NM_PER_FS,
-                                        pump_n * length1_nm / C_NM_PER_FS)}
+             "pump_crossing": DelayTerm("b", "pump", *pump)}
     if source.cross_dispersion_enabled:
-        terms |= {"signal_excess": DelayTerm("a", "signal", sig_excess, 0.0),
-                  "idler_excess": DelayTerm("a", "idler", idl_excess, 0.0)}
+        for arm, e_group, center in zip(ARMS, (sig_g, idl_g), centers):
+            o_group = ray_delays(second.material, "o", center, length2_nm)[0]
+            terms[f"{arm}_excess"] = DelayTerm("a", arm, e_group - o_group, 0.0)
     return terms
 
 
@@ -512,14 +498,14 @@ def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
     """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
     amplitudes the budget makes of both crystals' JSAs.
 
-    An entry whose (signal, idler) delay lies outside the kernel's time
-    support (``kernel_time_support``) has an overlap below ``SUPPORT_LEVEL``
-    of the peak and is reported as 0.  The others go straight to
-    ``kernel_overlaps``, on the grid ``make_grid`` sizes for the largest of
-    their delays; it streams the two-crystal kernel in row blocks
-    and collapses an arm whose delays are all equal to one row.  The carrier
-    phases and pump weights (the source's, or ``weights`` (w_a, w_b) arrays)
-    are applied to the overlaps.  The JSAs are normalized, so the squared
+    Every normalized overlap below ``SUPPORT_LEVEL`` is reported as 0.  An
+    entry whose (signal, idler) delay lies outside the kernel's time support
+    (``kernel_time_support``) has such an overlap and is not computed.  The
+    others go straight to ``kernel_overlaps``, on the grid ``make_grid``
+    sizes for the largest of their delays; it streams the two-crystal kernel
+    in row blocks and collapses an arm whose delays are all equal to one
+    row.  The carrier phases and pump weights (the source's, or ``weights``
+    (w_a, w_b) arrays) are applied to the overlaps.  The JSAs are normalized, so the squared
     norms are the squared weights."""
     w_a, w_b = _pump_weights(source) if weights is None else weights
     signal_delay, idler_delay, carrier = budget.delays()
@@ -534,6 +520,7 @@ def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
     overlaps = np.zeros(signal_delays.shape, dtype=complex)
     overlaps[inside] = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid,
                                        signal_delays[inside], idler_delays[inside])
+    overlaps[np.abs(overlaps) < SUPPORT_LEVEL] = 0.0
     cross = w_a * w_b * np.exp(1j * carrier) * overlaps
     return w_a * w_a, w_b * w_b, cross, grid.points
 

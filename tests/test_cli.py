@@ -109,6 +109,25 @@ class TestScanCommand:
         manifest = outs[0].with_name("n1.manifest.txt").read_text()
         assert "seed = 123" in manifest
 
+    @pytest.mark.parametrize("plate, thickness", [("signal_plate", "30.0"), ("idler_plate", "30.57")])
+    def test_far_detuned_plate_scan(self, tmp_path, config_file, plate, thickness):
+        # Ten times the standing plates: the 30 mm signal plate's overlaps lie
+        # below SUPPORT_LEVEL and read 0, so the scan is flat; the 30.57 mm
+        # idler plate's (V ~ 5e-11) lie above it and keep the 400 nm fringe.
+        standing = "3.0" if plate == "signal_plate" else "3.057"
+        config = _edited_config(config_file, tmp_path, f"{plate}: {{material: quartz, thickness_mm: {standing},",
+                                f"{plate}: {{material: quartz, thickness_mm: {thickness},")
+        out = tmp_path / "plate"
+        assert run(["scan", "--config", config, "--output", out]) == 0
+        report = read_report(out.with_name("plate.report.txt"))
+        if plate == "signal_plate":
+            assert float(report["visibility_fit"]) == 0.0 and report["iterations"] == "0"
+            assert report["period_degenerate"] == "true"
+        else:
+            assert 1e-11 < float(report["visibility_fit"]) < 1e-10
+            assert float(report["period"]) == pytest.approx(400.0, rel=5e-3)
+            assert report["period_degenerate"] == "false"
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert run(["scan", "--config", tmp_path / "nope.yaml", "--output", tmp_path / "x"]) == 2
 

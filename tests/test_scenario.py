@@ -8,13 +8,14 @@ import pytest
 import yaml
 
 from bellsim import biphoton, dispersion, scenario, spectral
-from bellsim.dispersion import YAML_LOADER
+from bellsim.dispersion import YAML_LOADER, angled_extraordinary_index, phase_matching_cut_angle, refractive_index
 from bellsim.errors import ConfigError, GridTruncationError, InfeasibleError
 from bellsim.fitting import fit_fringe
 from bellsim.polarization import AnalyzerSetting, fidelity, make_state, project
 from bellsim.scenario import ScanSettings
 from bellsim.spectral import (NO_FILTER, SUPPORT_LEVEL, PumpPulse, SpectralFilter, kernel_overlaps,
                               kernel_time_support, make_grid)
+from bellsim.units import C_NM_PER_FS
 from conftest import evaluated_terms, kernel_time_profile, rate_45
 
 
@@ -612,7 +613,13 @@ class TestKernelTimeSupport:
         signal_delays, idler_delays, _ = budget.delays()
         outside = (np.abs(signal_delays - c_s) > t_s) | (np.abs(idler_delays - c_i) > t_i)
         assert 0 < outside.sum() < errors.size - 8
-        assert np.all(coarse[outside] == 0.0) and np.all(coarse[~outside] != 0.0)
+        # 0 outside the box or below SUPPORT_LEVEL (of the normalized
+        # overlap, here straight from a 1024^2 stream), non-zero elsewhere.
+        grid = make_grid(src.pump, budget.specs[0], src.filters, 1024, 5.0, 0.0)
+        below = outside.copy()
+        below[~outside] = np.abs(kernel_overlaps(src.pump, *budget.specs, *src.filters, grid,
+                                                 signal_delays[~outside], idler_delays[~outside])) < SUPPORT_LEVEL
+        assert np.all(coarse[below] == 0.0) and np.all(coarse[~below] != 0.0)
 
     def test_no_periodic_image_is_reported(self, source, knobs):
         # A fixed 256^2 grid folds the kernel back in at 3000 fs off
@@ -973,3 +980,63 @@ class TestDelayFold:
         ]
         mzi = scenario.delay_budget(replace(source, scheme="mzi"), knobs)
         assert list(mzi.terms) == ["signal_plate", "idler_plate", "compensation"]
+
+
+def _oracle_delays(index, wavelength_nm, length_mm, h=0.01):
+    """(group, phase) delay in fs over ``length_mm`` of the ray whose index
+    ``index(wavelength_nm)`` gives: n_g L / c and n L / c, with n_g = n -
+    lambda dn/dlambda from a central difference of step ``h`` nm."""
+    n = index(wavelength_nm)
+    n_g = n - wavelength_nm * (index(wavelength_nm + h) - index(wavelength_nm - h)) / (2.0 * h)
+    return n_g * length_mm * 1e6 / C_NM_PER_FS, n * length_mm * 1e6 / C_NM_PER_FS
+
+
+# name -> the source whose crystal terms and specs the oracle recomputes.
+ORACLE_CASES = {
+    "default": lambda src: src,
+    "flipped_crystals": lambda src: replace(src, crystals=src.crystals[::-1]),
+    "unequal_crystals": lambda src: replace(src, crystals=(src.crystals[0], replace(
+        src.crystals[1], thickness_mm=2.0))),
+}
+
+
+class TestDelayOracle:
+    """The crystal crossings' terms and the phase-matching specs' inverse
+    group velocities against the index functions: phases from n L / c at
+    1e-13, groups from central differences of n at 1e-6."""
+
+    @pytest.mark.parametrize("cross_dispersion", [False, True])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_crystal_terms_and_specs(self, source, knobs, case, cross_dispersion):
+        src = replace(ORACLE_CASES[case](source), cross_dispersion_enabled=cross_dispersion)
+        budget = scenario.delay_budget(src, knobs)
+        pump_nm = src.pump.center_wavelength_nm
+        first, second = src.crystals
+        thetas = [phase_matching_cut_angle(c.material, pump_nm, c.signal_center_nm, c.idler_center_nm)
+                  for c in src.crystals]
+        e_ray = lambda crystal, theta: lambda nm: angled_extraordinary_index(crystal.material, theta, nm)
+        o_ray = lambda crystal: lambda nm: refractive_index(crystal.material, "o", nm)
+
+        centers = (first.signal_center_nm, first.idler_center_nm)
+        crossings = [_oracle_delays(e_ray(second, thetas[1]), nm, second.thickness_mm) for nm in centers]
+        expected = {
+            "crossing": (0.5 * (crossings[0][0] + crossings[1][0]), 0.5 * (crossings[0][1] + crossings[1][1])),
+            "pump_crossing": _oracle_delays(o_ray(first), pump_nm, first.thickness_mm),
+        }
+        if cross_dispersion:
+            for arm, nm, (e_group, _) in zip(scenario.ARMS, centers, crossings):
+                expected[f"{arm}_excess"] = (e_group - _oracle_delays(o_ray(second), nm, second.thickness_mm)[0],
+                                             0.0)
+        crystal_terms = {name: term for name, term in budget.terms.items() if not name.endswith(
+            ("_plate", "compensation"))}
+        assert set(crystal_terms) == set(expected)
+        for name, (group, phase) in expected.items():
+            assert crystal_terms[name].group == pytest.approx(group, rel=1e-6), name
+            assert crystal_terms[name].phase == pytest.approx(phase, rel=1e-13, abs=0.0), name
+
+        for crystal, theta, spec in zip(src.crystals, thetas, budget.specs):
+            assert spec.inverse_group_velocity_pump_fs_per_mm == pytest.approx(
+                _oracle_delays(e_ray(crystal, theta), pump_nm, 1.0)[0], rel=1e-6)
+            for arm in scenario.ARMS:
+                assert getattr(spec, f"inverse_group_velocity_{arm}_fs_per_mm") == pytest.approx(
+                    _oracle_delays(o_ray(crystal), getattr(crystal, f"{arm}_center_nm"), 1.0)[0], rel=1e-6)
