@@ -13,6 +13,9 @@ fringe at phase 0 or +-pi/2) does not keep the loop running to the cap,
 while fits with two non-negligible coefficients follow the plain relative
 test.  Visibility, period and phase are recovered afterwards:
 V = sqrt(a^2 + b^2)/A, P = 1/f, phi = atan2(-b, a), phi in (-pi, pi].
+A fit whose amplitude sqrt(a^2 + b^2) is at most n eps |A| (n points, eps
+float64's machine epsilon), the rounding of the rates themselves, is
+reported with ``period_degenerate``: its period and phase say nothing.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ RELATIVE_PARAMETER_TOLERANCE = 1.0e-10
 COEFFICIENT_SCALE_FLOOR = 1.0e-5
 # Two spectral bins within this power ratio trigger a second fit start.
 AMBIGUOUS_POWER_RATIO = 0.8
+# A fitted amplitude hypot(a, b) of at most n * FLOAT_EPSILON * |offset|
+# (n points) is the rates' rounding, not a fringe: the fit is degenerate.
+FLOAT_EPSILON = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -239,5 +245,5 @@ def fit_fringe(scan, weights=None) -> FitResult:
         rms_residual=rms,
         converged=bool(converged),
         iterations=int(iterations),
-        period_degenerate=not freq > 0.0,
+        period_degenerate=not (freq > 0.0 and amplitude > x.size * FLOAT_EPSILON * abs(offset)),
     )

@@ -102,7 +102,7 @@ from .spectral import (
     PumpPulse,
     SpectralFilter,
     build_jsa,
-    kernel_overlaps,
+    kernel_overlaps_batch,
     kernel_time_support,
     make_grid,
 )
@@ -359,19 +359,26 @@ def _retardation(element: BirefringentElement, polarization: str, wavelength_nm:
 def _plate_term(source: SourceConfig, arm: str, tilt_deg) -> DelayTerm:
     """Amplitude a's term of the knob plate of ``arm`` at a tilt (arrays at
     an array of tilts): a's photon's retardation relative to b's, from the
-    plate's indices at the arm's center; the tilts only set the path."""
+    plate's indices at the arm's center; the tilts only set the path.  An
+    index error names the plate's key and the key of the center."""
     first = source.crystals[0]
     plate, center_nm = getattr(source, f"{arm}_plate"), getattr(first, f"{arm}_center_nm")
-    return DelayTerm("a", arm, *_retardation(plate, first.pair_polarization(), center_nm, tilt_deg))
+    check_tilt(tilt_deg)
+    return DelayTerm("a", arm, *_in_context(f"knobs.{arm}_plate at crystals[0].{arm}_center_nm", _retardation,
+                                            element=plate, polarization=first.pair_polarization(),
+                                            wavelength_nm=center_nm, tilt_deg=tilt_deg))
 
 
 def _compensator_term(source: SourceConfig) -> DelayTerm:
     """Amplitude b's term of the compensator elements: the retardation of
-    b's pump component relative to a's, negative for a pre-advance."""
+    b's pump component relative to a's, negative for a pre-advance.  An
+    index error names the element's key and the pump wavelength's."""
     pol_b_pump = source.crystals[1].pump_polarization()
     group = phase = 0.0
-    for element in source.compensator:
-        element_group, element_phase = _retardation(element, pol_b_pump, source.pump.center_wavelength_nm)
+    for k, element in enumerate(source.compensator):
+        element_group, element_phase = _in_context(f"compensator[{k}] at pump.center_wavelength_nm", _retardation,
+                                                   element=element, polarization=pol_b_pump,
+                                                   wavelength_nm=source.pump.center_wavelength_nm)
         group += element_group
         phase += element_phase
     return DelayTerm("b", "pump", group, phase)
@@ -496,33 +503,67 @@ def _pump_weights(source: SourceConfig) -> tuple:
 def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
                  grid_span_factor: float, weights: tuple | None = None) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
-    amplitudes the budget makes of both crystals' JSAs.
+    amplitudes the budget makes of both crystals' JSAs: the batch of one of
+    ``budget_terms_batch``, whose ConfigError it raises."""
+    (terms,) = budget_terms_batch([(source, budget)], grid_points, grid_span_factor, weights)
+    if isinstance(terms, ConfigError):
+        raise terms
+    return terms
+
+
+def budget_terms_batch(evaluations, grid_points: int, grid_span_factor: float,
+                       weights: tuple | None = None) -> list:
+    """``budget_terms`` of each (source, budget) evaluation, or the first
+    ConfigError that evaluation raises, in order: the error it raises alone.
 
     Every normalized overlap below ``SUPPORT_LEVEL`` is reported as 0.  An
     entry whose (signal, idler) delay lies outside the kernel's time support
     (``kernel_time_support``) has such an overlap and is not computed.  The
-    others go straight to ``kernel_overlaps``, on the grid ``make_grid``
-    sizes for the largest of their delays; it streams the two-crystal kernel
-    in row blocks and collapses an arm whose delays are all equal to one
-    row.  The carrier phases and pump weights (the source's, or ``weights``
-    (w_a, w_b) arrays) are applied to the overlaps.  The JSAs are normalized, so the squared
+    others go straight to ``kernel_overlaps_batch``, on the grid
+    ``make_grid`` sizes for the largest of each evaluation's delays (its
+    own grid); it stacks the 1-D set-up of the evaluations whose grids share
+    a point count, streams each two-crystal kernel in row blocks and
+    collapses an arm whose delays are all equal to one row.  The carrier
+    phases and pump weights (the source's, or ``weights`` (w_a, w_b) arrays)
+    are applied to the overlaps.  The JSAs are normalized, so the squared
     norms are the squared weights."""
-    w_a, w_b = _pump_weights(source) if weights is None else weights
-    signal_delay, idler_delay, carrier = budget.delays()
-    signal_delays, idler_delays = np.broadcast_arrays(np.atleast_1d(signal_delay), idler_delay)
-    envelope_delays = np.broadcast_to(budget.envelope_delay_fs(), signal_delays.shape)
-    (c_s, t_s), (c_i, t_i) = kernel_time_support(source.pump, *budget.specs, *source.filters)
-    # A non-finite delay stays in, for ``make_grid`` to reject.
-    inside = ~((np.abs(signal_delays - c_s) > t_s) | (np.abs(idler_delays - c_i) > t_i))
-    inside |= ~np.isfinite(envelope_delays)
-    grid = make_grid(source.pump, budget.specs[0], source.filters, grid_points, grid_span_factor,
-                     float(np.max(envelope_delays[inside], initial=0.0)))
-    overlaps = np.zeros(signal_delays.shape, dtype=complex)
-    overlaps[inside] = kernel_overlaps(source.pump, *budget.specs, *source.filters, grid,
-                                       signal_delays[inside], idler_delays[inside])
-    overlaps[np.abs(overlaps) < SUPPORT_LEVEL] = 0.0
-    cross = w_a * w_b * np.exp(1j * carrier) * overlaps
-    return w_a * w_a, w_b * w_b, cross, grid.points
+    results, streams = [], []
+    for source, budget in evaluations:
+        try:
+            w_a, w_b = _pump_weights(source) if weights is None else weights
+            signal_delay, idler_delay, carrier = budget.delays()
+            signal_delays, idler_delays, envelope_delays = np.atleast_1d(signal_delay, idler_delay,
+                                                                         budget.envelope_delay_fs())
+            if not signal_delays.shape == idler_delays.shape == envelope_delays.shape:
+                signal_delays, idler_delays, envelope_delays = np.broadcast_arrays(signal_delays, idler_delays,
+                                                                                   envelope_delays)
+            (c_s, t_s), (c_i, t_i) = kernel_time_support(source.pump, *budget.specs, *source.filters)
+            # A non-finite delay stays in, for ``make_grid`` to reject.
+            inside = ~((np.abs(signal_delays - c_s) > t_s) | (np.abs(idler_delays - c_i) > t_i))
+            inside |= ~np.isfinite(envelope_delays)
+            grid = make_grid(source.pump, budget.specs[0], source.filters, grid_points, grid_span_factor,
+                             float(np.max(envelope_delays[inside], initial=0.0)))
+        except ConfigError as error:
+            results.append(error)
+            continue
+        results.append((w_a, w_b, carrier, inside, grid))
+        streams.append((source.pump, *budget.specs, *source.filters, grid,
+                        signal_delays[inside], idler_delays[inside]))
+    overlaps_of = iter(kernel_overlaps_batch(streams))
+    for index, result in enumerate(results):
+        if isinstance(result, ConfigError):
+            continue
+        w_a, w_b, carrier, inside, grid = result
+        found = next(overlaps_of)
+        if isinstance(found, ConfigError):
+            results[index] = found
+            continue
+        overlaps = np.zeros(inside.shape, dtype=complex)
+        overlaps[inside] = found
+        overlaps[np.abs(overlaps) < SUPPORT_LEVEL] = 0.0
+        cross = w_a * w_b * np.exp(1j * carrier) * overlaps
+        results[index] = (w_a * w_a, w_b * w_b, cross, grid.points)
+    return results
 
 
 def build_amplitudes(
@@ -657,6 +698,10 @@ SWEEP_SOURCES = {
     "pump_ratio": lambda src, v: replace(src, pump_amplitude_ratio=v),
 }
 SWEEP_PARAMETERS = ("crystal_length", "filter_fwhm", "compensation_error_fs", "pump_ratio")
+# Values of a ``crystal_length`` or ``filter_fwhm`` sweep evaluated in one
+# batch: ``spectral`` bounds each batch's stacked set-up, this bounds the
+# sources, budgets and terms a sweep holds at once.
+SWEEP_CHUNK = 64
 
 
 def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
@@ -665,29 +710,82 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
     """Visibility 2 |<A_a|A_b>| / (|A_a|^2 + |A_b|^2) at each of 1 to
     ``MAX_SCAN_STEPS`` values, compensated exactly plus the swept error if any.
     Only ``crystal_length`` and ``filter_fwhm`` (``None``: no filters) change
-    the JSAs, one evaluation per value; the other sweeps are one evaluation."""
+    the JSAs: each value is its own evaluation on its own grid, and the
+    values of each ``SWEEP_CHUNK`` are one ``budget_terms_batch`` call, with
+    one delay budget per value for ``crystal_length`` and one for a whole
+    ``filter_fwhm`` sweep (no filter enters it).  The other sweeps are one
+    evaluation.  A value's error names it; of several failing values, the
+    lowest-indexed one's error is raised, the one it raises alone."""
     if not 0 < len(values) <= MAX_SCAN_STEPS:
         raise ConfigError(f"a sweep takes 1 to {MAX_SCAN_STEPS} (MAX_SCAN_STEPS) values, got {len(values)}")
     if None in values and parameter != "filter_fwhm":
         raise ConfigError(f"{parameter} sweep values must be numbers")
 
-    def visibilities(src, error=0.0, weights=None):
-        budget = delay_budget(src, knobs, error)
-        norm_a, norm_b, cross, _ = budget_terms(src, budget, grid_points, grid_span_factor, weights)
+    def visibilities(terms):
+        norm_a, norm_b, cross, _ = terms
         return 2.0 * np.abs(cross) / (norm_a + norm_b)
 
-    def at_value(value, evaluate):
-        # ``evaluate`` of the source at one value; its errors name the value.
-        shown = "none" if value is None else repr(value)
-        return _in_context(f"sweep {parameter} value {shown}",
-                           lambda: evaluate(SWEEP_SOURCES[parameter](source, value)))
+    def context(value):
+        return f"sweep {parameter} value {'none' if value is None else repr(value)}"
 
     if parameter == "compensation_error_fs":
-        return visibilities(source, np.asarray(values, dtype=float))
+        budget = delay_budget(source, knobs, np.asarray(values, dtype=float))
+        return visibilities(budget_terms(source, budget, grid_points, grid_span_factor))
     if parameter == "pump_ratio":
-        weights = [at_value(v, _pump_weights) for v in values]
-        return visibilities(source, weights=np.transpose(weights))
-    return np.concatenate([at_value(v, visibilities) for v in values])
+        weights = [_in_context(context(v), lambda v=v: _pump_weights(SWEEP_SOURCES[parameter](source, v)))
+                   for v in values]
+        return visibilities(budget_terms(source, delay_budget(source, knobs, 0.0), grid_points, grid_span_factor,
+                                         np.transpose(weights)))
+
+    def budget_of(src):
+        if parameter == "filter_fwhm":  # one budget for every value
+            if isinstance(shared, ConfigError):
+                raise shared
+            return shared
+        return delay_budget(src, knobs, 0.0)
+
+    shared = _attempt(lambda: delay_budget(source, knobs, 0.0)) if parameter == "filter_fwhm" else None
+    found = []
+    for start in range(0, len(values), SWEEP_CHUNK):
+        # Each value's source, then its budget, then its terms, stage by
+        # stage up to the first failing value (``_until_error``).
+        chunk = values[start:start + SWEEP_CHUNK]
+        sources = _until_error(lambda value: SWEEP_SOURCES[parameter](source, value), chunk)
+        outcomes = _until_error(budget_of, sources)
+        alive = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, DelayBudget)]
+        for k, terms in zip(alive, budget_terms_batch([(sources[k], outcomes[k]) for k in alive],
+                                                      grid_points, grid_span_factor)):
+            outcomes[k] = terms
+        for value, outcome in zip(chunk, outcomes):
+            if isinstance(outcome, ConfigError):
+                raise _prefixed(context(value), outcome) from None
+        found += map(visibilities, outcomes)
+    return np.concatenate(found)
+
+
+def _attempt(make):
+    """``make()``, or the ConfigError it raises."""
+    try:
+        return make()
+    except ConfigError as error:
+        return error
+
+
+def _until_error(stage, inputs) -> list:
+    """``stage`` of each of ``inputs`` in order, or the ConfigError it
+    raises, up to the first input that is or gives a ConfigError; the
+    inputs after that one are left as they are, as none of them can be the
+    lowest-indexed failure.  A batch collects each value's first error so."""
+    outputs = list(inputs)
+    for k, given in enumerate(outputs):
+        if isinstance(given, ConfigError):
+            break
+        try:
+            outputs[k] = stage(given)
+        except ConfigError as error:
+            outputs[k] = error
+            break
+    return outputs
 
 
 def prepare_bell(source: SourceConfig, target: str, knobs: PhaseKnobs, terms: tuple) -> PhaseKnobs:
@@ -747,17 +845,22 @@ DEFAULT_PLATE = {"material": "quartz", "thickness_mm": 3.0}
 ROOT_SECTIONS = ("pump", "crystals", "compensator", "filters", "scheme", "knobs", "scan")
 
 
+def _prefixed(context: str, error: ConfigError) -> ConfigError:
+    """``error`` prefixed with ``context``, the key path or the sweep value
+    it came from, of the same type, unless its message already starts with
+    that key path."""
+    if str(error).startswith(f"{context}."):
+        return error
+    return type(error)(f"{context}: {error}")
+
+
 def _in_context(context: str, make, **fields):
     """``make(**fields)``; a ConfigError that its own checks raise is raised
-    again, of the same type, prefixed with ``context``: the key path or the
-    sweep value it came from, unless the message already starts with that
-    key path."""
+    again, ``_prefixed`` with ``context``."""
     try:
         return make(**fields)
     except ConfigError as exc:
-        if str(exc).startswith(f"{context}."):
-            raise
-        raise type(exc)(f"{context}: {exc}") from None
+        raise _prefixed(context, exc) from None
 
 
 def _mapping(value, context: str) -> dict:

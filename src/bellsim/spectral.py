@@ -51,6 +51,7 @@ grid is tested against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -237,24 +238,46 @@ class FrequencyGrid:
         return (self.points, self.points)
 
 
+def _gaussian(omega, center, width):
+    """exp(-(omega - center)^2 / width): a Gaussian amplitude, 1 at
+    ``center``, of ``width`` = 4 sigma^2 for an intensity of standard
+    deviation sigma.  Broadcasts, so one call takes a row per pulse or
+    filter."""
+    nu = np.subtract(omega, center, dtype=float)
+    return np.exp(-(nu * nu) / width)
+
+
 def pump_spectrum(pulse: PumpPulse, omega_sum):
     """Pump spectral amplitude at the pair sum frequency; 1 at the center."""
-    nu = np.subtract(omega_sum, pulse.center_angular_frequency, dtype=float)
     sigma = pulse.sigma_omega
-    return np.exp(-(nu * nu) / (4.0 * sigma * sigma))
+    return _gaussian(omega_sum, pulse.center_angular_frequency, 4.0 * sigma * sigma)
+
+
+def _gaussian_terms(filt: SpectralFilter) -> tuple:
+    """(center, width) that ``_gaussian`` takes for a filter: its own for a
+    Gaussian one, else (0, inf), which gives exp(-0) = 1, the amplitude of
+    no filter (a rectangular one's passband then replaces it)."""
+    if filt.shape != "gaussian":
+        return 0.0, math.inf
+    sigma = filt.sigma_intensity_omega
+    return filt.center_angular_frequency, 4.0 * sigma * sigma
+
+
+def _filter_rows(filters, omega) -> np.ndarray:
+    """``filter_amplitude`` of each of ``filters`` on its row of ``omega``
+    (leading axis: one row per filter), from one Gaussian call
+    (``_gaussian_terms``); a rectangular filter's row is then its passband."""
+    terms = np.array([_gaussian_terms(f) for f in filters]).reshape((len(filters), 2) + (1,) * (omega.ndim - 1))
+    rows = _gaussian(omega, terms[:, 0], terms[:, 1])
+    for row, f in enumerate(filters):
+        if f.shape == "rectangular":
+            rows[row] = np.abs(omega[row] - f.center_angular_frequency) <= 0.5 * f.fwhm_omega
+    return rows
 
 
 def filter_amplitude(filt: SpectralFilter, omega):
     """Amplitude transmission in [0, 1] (square root of the intensity curve)."""
-    omega = np.asarray(omega, dtype=float)
-    if filt.shape == "none":
-        return np.ones_like(omega)
-    center = filt.center_angular_frequency
-    if filt.shape == "rectangular":
-        half = 0.5 * filt.fwhm_omega
-        return np.where(np.abs(omega - center) <= half, 1.0, 0.0)
-    sigma = filt.sigma_intensity_omega
-    return np.exp(-((omega - center) ** 2) / (4.0 * sigma * sigma))
+    return _filter_rows((filt,), np.asarray(omega, dtype=float)[None])[0]
 
 
 def phase_matching(spec: PhaseMatchingSpec, nu_s, nu_i):
@@ -357,33 +380,159 @@ def make_grid(
     return grid
 
 
-def _sinc_factors(spec: PhaseMatchingSpec, nu_s, nu_i, f_s, f_i) -> tuple:
-    """(a, b, left, right): the 1-D terms of the half mismatch
-    h = D L / 2 = a(nu_s) + b(nu_i) on two detuning axes, and the rank-2
-    factors left = [a, 1, f_s sin a, f_s cos a] (one row per nu_s) and
-    right = [1, b, f_i cos b, f_i sin b] (one column per nu_i), with the
-    filter amplitudes f folded in, so that h = left[:, :2] @ right[:2] and
-    f_s f_i sin h = left[:, 2:] @ right[2:]."""
-    v_s, v_i = spec.walk_off_fs
-    left, right = np.empty((4, len(nu_s))), np.empty((4, len(nu_i)))
-    a = np.multiply(0.5 * v_s, nu_s, out=left[0])
-    b = np.multiply(0.5 * v_i, nu_i, out=right[1])
-    left[1] = right[0] = 1.0
-    np.sin(a, out=left[2])
-    np.cos(a, out=left[3])
-    np.cos(b, out=right[2])
-    np.sin(b, out=right[3])
-    left[2:] *= f_s
-    right[2:] *= f_i
-    return a, b, left.T, right
-
-
 def _expi(angles) -> np.ndarray:
     """exp(i angles) from one cosine and one sine per angle."""
     out = np.empty(np.shape(angles), dtype=complex)
     np.cos(angles, out=out.real)
     np.sin(angles, out=out.imag)
     return out
+
+
+def _block_rows(points: int) -> int:
+    """Rows per row block of ``_Sampler`` on a grid of ``points`` per axis:
+    one block's work array holds ``ROW_BLOCK_BYTES``."""
+    return min(max(1, ROW_BLOCK_BYTES // (8 * points)), points)
+
+
+class _StackedSetup:
+    """The 1-D set-up of ``_Sampler`` for a batch of evaluations (pulse,
+    specs, f_s, f_i, grid, crop) whose grids share one point count N.  Each
+    quantity is one array with a row per evaluation (per spec for the
+    detunings, sinc factors and series bands), so a batch makes each numpy
+    call once, not once per evaluation: the axes and cell areas, the pump
+    ridge's 2N - 1 samples and the filter amplitudes (one Gaussian call),
+    the border, the crest and its threshold, the per-block column bounds,
+    the sinc factors, the series bands and the cell offsets.  Every element
+    takes the operations it takes alone, so each row is the set-up of its
+    evaluation alone, bit for bit.  ``_Sampler`` takes its row; the batch's
+    samplers share one scratch allocation, so they stream one at a time.
+
+    The rank-2 factors of the half mismatch h = D L / 2 = a(nu_s) + b(nu_i)
+    are left = [a, 1, f_s sin a, f_s cos a] (one row per nu_s) and right =
+    [1, b, f_i cos b, f_i sin b] (one column per nu_i), with the filter
+    amplitudes f folded in, so that h = left[:, :2] @ right[:2] and
+    f_s f_i sin h = left[:, 2:] @ right[2:].  A spec's band bounds, per
+    row, the columns where b lies within 2 ``SINC_SERIES_BELOW`` of -a: b
+    is monotone, so bisection finds them."""
+
+    def __init__(self, pulses, specs, f_s, f_i, grids, crops):
+        n = grids[0].points
+        count = len(grids)
+        j = np.arange(n)
+        # Per evaluation: the (center, width) of the pump and of each filter
+        # (``_gaussian_terms``), then the grid's half span, spacing and centers.
+        scalars = np.array([(p.center_angular_frequency, 4.0 * p.sigma_omega * p.sigma_omega,
+                             *_gaussian_terms(fs), *_gaussian_terms(fi),
+                             g.half_span, g.spacing, g.signal_center, g.idler_center)
+                            for p, fs, fi, g in zip(pulses, f_s, f_i, grids)])
+        gaussians = scalars[:, :6].reshape(count, 3, 2, 1)
+        # One Gaussian call on three rows: the pump ridge's sums w_s + w_i
+        # (down the first column, then along the last row), and the signal
+        # and idler axes, each linspace(-half span, half span, N) + center
+        # (its steps n d less the half span, the last the half span), padded
+        # with the filter's center, where exp takes no slow underflow path.
+        steps = scalars[:, 7:8] * j
+        omega = np.empty((count, 3, 2 * n - 1))
+        axes = omega[:, 1:, :n]
+        base = steps - scalars[:, 6:7]
+        base[:, -1] = scalars[:, 6]
+        np.add(base[:, None, :], scalars[:, 8:, None], out=axes)
+        omega[:, 1:, n:] = gaussians[:, 1:, 0]
+        np.add(axes[:, 0], axes[:, 1, :1], out=omega[:, 0, :n])
+        np.add(axes[:, 0, -1:], axes[:, 1, 1:], out=omega[:, 0, n:])
+        envelope = _gaussian(omega, gaussians[:, :, 0], gaussians[:, :, 1])
+        for row, pair in enumerate(zip(f_s, f_i)):
+            for arm, f in enumerate(pair):
+                if f.shape == "rectangular":
+                    envelope[row, 1 + arm, :n] = (np.abs(axes[row, arm] - f.center_angular_frequency)
+                                                  <= 0.5 * f.fwhm_omega)
+        self.cell_area = [ds * di for ds, di in (axes[:, :, 1] - axes[:, :, 0]).tolist()]
+        self.filters = envelope[:, 1:, :n]
+        fs, fi = self.filters[:, 0], self.filters[:, 1]
+        # Each pump ridge, a Hankel view of its 2N - 1 samples.
+        self.ridge = np.ndarray((count, n, n), buffer=envelope, strides=(envelope.strides[0], 8, 8))
+        self.ridge.flags.writeable = False
+        # The envelope's border: its first and last column, then row; the
+        # larger of the two, as Python's max takes it.
+        ends = slice(None, None, n - 1)
+        columns = (self.ridge[:, :, ends] * fi[:, None, ends]) * fs[:, :, None]
+        rows = (self.ridge[:, ends] * fi[:, None, :]) * fs[:, ends, None]
+        self.border = [max(pair) for pair in zip(columns.reshape(count, -1).max(axis=1).tolist(),
+                                                 rows.reshape(count, -1).max(axis=1).tolist())]
+        # The envelope on the crest j + k = mode of each pump ridge, rounded
+        # as a block rounds it, and the crop threshold it sets.
+        modes = envelope[:, 0].argmax(axis=1)
+        self.crest, self.threshold = [], []
+        for mode, samples, (f_s, f_i), crop in zip(modes.tolist(), envelope[:, 0], self.filters, crops):
+            low, high = max(0, mode - n + 1), min(mode, n - 1)
+            crest = (samples[mode] * f_i[mode - high:mode - low + 1][::-1]) * f_s[low:high + 1]
+            self.crest.append(float(crest.max()))
+            level = CELL_LEVEL * self.crest[-1]
+            self.threshold.append(level if crop and math.isfinite(level) and level > 0.0 else 0.0)
+        # One row of bounds per block: the pump sample nearest the mode
+        # within the block's j + k (the mode clipped into [k + r0, k + r1 - 1]),
+        # times f_i(k) and the block's largest f_s.
+        self.block = block = _block_rows(n)
+        starts = np.arange(0, n, block)
+        self.starts = starts.tolist()
+        index = np.maximum(np.minimum(j + np.minimum(starts + block - 1, n - 1)[:, None], modes[:, None, None]),
+                           j + starts[:, None])
+        bound = envelope[:, 0][np.arange(count)[:, None, None], index]
+        bound *= fi[:, None, :]
+        bound *= np.maximum.reduceat(fs, starts, axis=1)[:, :, None]
+        kept = ~(bound < np.array(self.threshold)[:, None, None])  # a NaN bound keeps its column
+        # Each block's columns [first, last), (0, 0) for a block left out, as
+        # lists per evaluation, then each row's.
+        columns = np.empty((count, 2, len(starts)), dtype=np.intp)
+        kept.argmax(axis=2, out=columns[:, 0])
+        np.multiply(n - kept[:, :, ::-1].argmax(axis=2), kept.any(axis=2), out=columns[:, 1])
+        self.first, self.last = zip(*columns.tolist())
+        columns = np.repeat(columns, block, axis=2)[:, :, :n]
+
+
+        # One row per spec: each evaluation's specs from row spec_start[k].
+        flat = [(row, spec) for row, group in enumerate(specs) for spec in group]
+        self.spec_start = [0, *itertools.accumulate(map(len, specs))]
+        owner = slice(None) if len(flat) == count else [row for row, _ in flat]
+        # Each spec's uniform detunings of both axes from its centers
+        # (``FrequencyGrid.detuning``), then its half walk-offs.
+        terms = np.array([(grids[row].signal_center - spec.signal_center_angular_frequency - grids[row].half_span,
+                           grids[row].idler_center - spec.idler_center_angular_frequency - grids[row].half_span,
+                           *(0.5 * v for v in spec.walk_off_fs)) for row, spec in flat])
+        self.nu = terms[:, :2, None] + steps[owner, None, :]
+        # Each evaluation's first spec's (spec_a's) detunings.
+        self.detunings = self.nu if owner == slice(None) else self.nu[self.spec_start[:-1]]
+        self.left, self.right = left, right = np.ones((2, len(flat), 4, n))
+        a = np.multiply(terms[:, 2:3], self.nu[:, 0], out=left[:, 0])
+        b = np.multiply(terms[:, 3:], self.nu[:, 1], out=right[:, 1])
+        np.sin(a, out=left[:, 2])
+        np.cos(a, out=left[:, 3])
+        np.cos(b, out=right[:, 2])
+        np.sin(b, out=right[:, 3])
+        filters = self.filters[owner, :, None, :]
+        left[:, 2:] *= filters[:, 0]
+        right[:, 2:] *= filters[:, 1]
+        # Each row's candidate columns [lo, hi) of the series, clipped into
+        # its block's.
+        targets = np.subtract.outer((-2.0 * SINC_SERIES_BELOW, 2.0 * SINC_SERIES_BELOW), a)
+        self.bands = np.empty((len(flat), 2, n), dtype=np.intp)
+        for k, falling in enumerate((b[:, -1] < b[:, 0]).tolist()):
+            if falling:
+                self.bands[k] = n - np.searchsorted(b[k, ::-1], targets[::-1, k])
+            else:
+                self.bands[k] = np.searchsorted(b[k], targets[:, k])
+        np.maximum(self.bands, columns[owner, :1], out=self.bands)
+        np.minimum(self.bands, columns[owner, 1:], out=self.bands)
+        # The candidates per block, each evaluation's specs summed.
+        widths = self.bands[:, 1] - self.bands[:, 0]
+        if len(flat) > count:
+            widths = np.add.reduceat(widths, self.spec_start[:-1])
+        self.counts = np.add.reduceat(widths, starts, axis=1).tolist()
+        # A cell (j, k) sits at offsets[j] + k of its block's scratch.
+        self.offsets = (j % block) * (columns[:, 1] - columns[:, 0]) - columns[:, 0]
+        # One allocation, reshaped per block so each block is contiguous:
+        # separate arrays are fresh pages, faulted in on every call.
+        self.scratch = np.empty((2 + max(map(len, specs)), block * n))
 
 
 class _Sampler:
@@ -394,18 +543,20 @@ class _Sampler:
     ``blocks``, in ``ROW_BLOCK_BYTES`` scratch arrays that the next block
     overwrites.  Each spec's norm^2 sums the same squares (numpy's pairwise
     sum, not ``np.vdot``, whose threaded BLAS dot slowed the passes after
-    it).
+    it).  Its 1-D set-up is row ``row`` of a ``_StackedSetup`` given as
+    ``setup`` = (stacked set-up, row), which a batch computes for all its
+    evaluations; by default the set-up of this evaluation alone.
 
     A sampled cell takes no 2-D transcendental call and few passes: the
-    rank-2 products h and f_s f_i sin h of ``_sinc_factors``, one divide,
-    one multiply by the pump ridge, the kernel and its sum (each V^2 and
-    its sum, then the product, when the specs differ).  Both axes share one
-    spacing, so w_s[j] + w_i[k] depends only on j + k and the pump ridge is
-    a Hankel view of its 2N - 1 samples down the first column and along the
-    last row.  Where |h| < ``SINC_SERIES_BELOW`` (h == 0 included) the quotient
-    is replaced by f_s f_i (1 - h^2/6 + h^4/120): b is monotone in k, so a
-    row's such cells lie in one column interval, which bisection on b
-    bounds (with a margin) at construction; only those candidates take the
+    rank-2 products h and f_s f_i sin h of the set-up's factors, one
+    divide, one multiply by the pump ridge, the kernel and its sum (each V^2
+    and its sum, then the product, when the specs differ).  Both axes share
+    one spacing, so w_s[j] + w_i[k] depends only on j + k and the pump ridge
+    is a Hankel view of its 2N - 1 samples down the first column and along
+    the last row.  Where |h| < ``SINC_SERIES_BELOW`` (h == 0 included) the
+    quotient is replaced by f_s f_i (1 - h^2/6 + h^4/120): b is monotone in
+    k, so a row's such cells lie in one column interval, which bisection on
+    b bounds (with a margin) in the set-up; only those candidates take the
     exact test of a + b, the sum the rank-2 product rounds h to.  They are
     listed per run of blocks holding at most one block's cells of them,
     when the run's first block is sampled.
@@ -429,77 +580,37 @@ class _Sampler:
     the crest; then the sampled peak is taken in one pass over the blocks."""
 
     def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
-                 grid: FrequencyGrid, crop: bool = False):
+                 grid: FrequencyGrid, crop: bool = False, setup: tuple | None = None):
+        stack, row = setup or (_StackedSetup((pulse,), (specs,), (f_s,), (f_i,), (grid,), (crop,)), 0)
         self.grid = grid
-        ws, wi = grid.signal_axis, grid.idler_axis
-        self.filter_s = filter_amplitude(f_s, ws)
-        self.filter_i = filter_amplitude(f_i, wi)
-        samples = pump_spectrum(pulse, np.concatenate((ws + wi[0], ws[-1] + wi[1:])))
-        self.ridge = np.ndarray(grid.shape, buffer=samples, strides=samples.strides * 2)
-        self.ridge.flags.writeable = False
+        self.filter_s, self.filter_i = stack.filters[row]
+        self.ridge = stack.ridge[row]
         # With a filter present the sampled envelope must fall off at the
         # border; without one ``make_grid`` tested the pump corners.
         self.bounded = f_s.shape != "none" or f_i.shape != "none"
-        if self.bounded:
-            ends = slice(None, None, grid.points - 1)  # the first and last row or column
-            self.border = float(max(((self.ridge[:, ends] * self.filter_i[ends]) * self.filter_s[:, None]).max(),
-                                    ((self.ridge[ends] * self.filter_i) * self.filter_s[ends, None]).max()))
+        self.border, self.crest, self.threshold = stack.border[row], stack.crest[row], stack.threshold[row]
+        self.cell_area = stack.cell_area[row]
         self.lengths = [spec.crystal_length_mm for spec in specs]
-        self.factors = [_sinc_factors(spec, grid.detuning(0, spec.signal_center_angular_frequency),
-                                      grid.detuning(1, spec.idler_center_angular_frequency),
-                                      self.filter_s, self.filter_i)
-                        for spec in specs]
-        n = grid.points
-        block = min(max(1, ROW_BLOCK_BYTES // (8 * n)), n)
-        starts = np.arange(0, n, block)
-        # The envelope on the crest j + k = mode of the pump ridge, rounded
-        # as a block rounds it.
-        mode = int(samples.argmax())
-        low, high = max(0, mode - n + 1), min(mode, n - 1)
-        crest = (samples[mode] * self.filter_i[mode - high:mode - low + 1][::-1]) * self.filter_s[low:high + 1]
-        self.crest = float(crest.max())
-        level = CELL_LEVEL * self.crest
-        self.threshold = level if crop and math.isfinite(level) and level > 0.0 else 0.0
-        # One row of bounds per block: the pump sample nearest the mode
-        # within the block's j + k (the mode clipped into [k + r0, k + r1 - 1]),
-        # times f_i(k) and the block's largest f_s.
-        k = np.arange(n)
-        bound = samples[np.maximum(np.minimum(k + np.minimum(starts + block - 1, n - 1)[:, None], mode),
-                                   k + starts[:, None])]
-        bound *= self.filter_i
-        bound *= np.maximum.reduceat(self.filter_s, starts)[:, None]
-        kept = ~(bound < self.threshold)  # a NaN bound keeps its column
-        # Each block's columns [first, last), (0, 0) for a block left out.
-        first = kept.argmax(axis=1)
-        last = (n - kept[:, ::-1].argmax(axis=1)) * kept.any(axis=1)
+        rows = range(stack.spec_start[row], stack.spec_start[row + 1])
+        # Per spec (a, b, left, right): the 1-D terms of h and its rank-2 factors.
+        self.factors = [(stack.left[k, 0], stack.right[k, 1], stack.left[k].T, stack.right[k]) for k in rows]
+        self.bands = [stack.bands[k] for k in rows]
+        n, block, last = grid.points, stack.block, stack.last[row]
         self.blocks = [(slice(r0, min(r0 + block, n)), slice(c0, c1))
-                       for r0, c0, c1 in zip(starts.tolist(), first.tolist(), last.tolist()) if c1]
-        # Per spec, each row's candidate columns [lo, hi) of the series,
-        # clipped into its block's: b within 2 SINC_SERIES_BELOW of -a.
-        first, last = np.repeat(first, block)[:n], np.repeat(last, block)[:n]
-        margins = (-2.0 * SINC_SERIES_BELOW, 2.0 * SINC_SERIES_BELOW)
-        self.bands = []
-        for a, b, _, _ in self.factors:
-            rising = not b[-1] < b[0]
-            band = np.searchsorted(b if rising else b[::-1], np.subtract.outer(margins, a))
-            band = band if rising else n - band[::-1]
-            np.maximum(band, first, out=band)
-            self.bands.append(np.minimum(band, last, out=band))
-        counts = np.add.reduceat(sum(hi - lo for lo, hi in self.bands), starts)[last[starts] > 0].tolist()
+                       for r0, c0, c1 in zip(stack.starts, stack.first[row], last) if c1]
         # [blocks, candidates] per run of blocks: a new run starts where the
         # candidates would pass one block's cells (one block may hold more).
         self.runs = []
-        for count in counts:
+        for count, c1 in zip(stack.counts[row], last):
+            if not c1:
+                continue
             if not self.runs or self.runs[-1][1] + count > ROW_BLOCK_BYTES // 8:
                 self.runs.append([0, 0])
             self.runs[-1][0] += 1
             self.runs[-1][1] += count
-        # A cell (j, k) sits at offsets[j] + k of its block's scratch.
-        self.offsets = (k % block) * (last - first) - first
+        self.offsets = stack.offsets[row]
         self.cells = 0
-        # One allocation, reshaped per block so each block is contiguous:
-        # separate arrays are fresh pages, faulted in on every call.
-        self.h, self.kernel, *self.sincs = np.empty((2 + len(specs), block * n))
+        self.h, self.kernel, *self.sincs = stack.scratch[:2 + len(specs)]
         self.norms_sq = np.zeros(len(specs))
 
     def _series_cells(self, factors: tuple, band: np.ndarray, run: list) -> list:
@@ -511,14 +622,15 @@ class _Sampler:
         counts = hi - lo
         ends = counts.cumsum()
         rows = np.arange(run[0][0].start, run[-1][0].stop).repeat(counts)
-        cols = (lo + counts - ends).repeat(counts) + np.arange(rows.size)
+        cols = (hi - ends).repeat(counts) + np.arange(rows.size)
         h = a[rows] + b[cols]
         near = abs(h) < SINC_SERIES_BELOW
         rows, cols, h2 = rows[near], cols[near], h[near] ** 2
         values = 1.0 - h2 / 6.0 * (1.0 - h2 / 20.0)
         values *= self.filter_s[rows] * self.filter_i[cols]
         offsets = self.offsets[rows] + cols
-        cuts = [0, *rows.searchsorted([block[0].start for block in run[1:]]).tolist(), rows.size]
+        cuts = [0, *rows.searchsorted([block[0].start for block in run[1:]]).tolist(), rows.size] if run[1:] \
+            else [0, rows.size]
         return [(offsets[i:j], values[i:j]) if j > i else None for i, j in zip(cuts, cuts[1:])]
 
     def __iter__(self):
@@ -576,7 +688,7 @@ class _Sampler:
                     f"{self.border / max(peak, 1e-300):.3g} of its peak (limit {EDGE_AMPLITUDE_LIMIT}); "
                     "raise scan.grid_span_factor"
                 )
-        norms_sq = [float(n) * self.grid.cell_area for n in self.norms_sq]
+        norms_sq = [float(n) * self.cell_area for n in self.norms_sq]
         for norm_sq, length in zip(norms_sq, self.lengths):
             if not (math.isfinite(norm_sq) and norm_sq > 0.0):
                 raise GridTruncationError(f"joint amplitude norm squared is {norm_sq!r} on this grid for a "
@@ -624,7 +736,7 @@ def kernel_overlaps(
     on ``grid``, with J_a retarded by each (signal, idler) group-delay pair
     as in ``biphoton.apply_envelope_phase`` about spec_a's pair centers;
     never holds an N x N array.  The grid is taken as given, as in
-    ``build_jsa``.
+    ``build_jsa``.  The batch of one of ``kernel_overlaps_batch``.
 
     Each JSA is a real envelope * sinc(h) times the separable phase
     exp(i a(nu_s)) exp(i b(nu_i)), so conj(J_a) J_b is the real kernel
@@ -649,8 +761,83 @@ def kernel_overlaps(
     normalized overlap or norm^2; above ``CELL_LEVEL`` the stream reruns on
     every cell.
     """
-    specs = (spec_a,) if spec_b == spec_a else (spec_a, spec_b)
-    sampler = _Sampler(pulse, specs, f_s, f_i, grid, crop=True)
+    (overlaps,) = kernel_overlaps_batch([(pulse, spec_a, spec_b, f_s, f_i, grid, signal_delays_fs, idler_delays_fs)])
+    if isinstance(overlaps, ConfigError):
+        raise overlaps
+    return overlaps
+
+
+# Floats per grid point of one evaluation's ``_StackedSetup`` and the
+# temporaries that make it (two specs), besides one bound per row block.
+SETUP_FLOATS = 48
+
+
+def _batches(points: list) -> list:
+    """The indices of the evaluations whose grids have ``points`` points per
+    axis, in batches: grouped by point count, in order, and split so that a
+    batch's ``_StackedSetup`` (``SETUP_FLOATS`` and one bound per row block
+    for each grid point) stays within ``ROW_BLOCK_BYTES``."""
+    batches = []
+    for n in dict.fromkeys(points):
+        indices = [index for index, count in enumerate(points) if count == n]
+        size = max(1, ROW_BLOCK_BYTES // (8 * n * (SETUP_FLOATS + -(-n // _block_rows(n)))))
+        batches += [indices[k:k + size] for k in range(0, len(indices), size)]
+    return batches
+
+
+def kernel_overlaps_batch(evaluations) -> list:
+    """``kernel_overlaps`` of each evaluation, a tuple of its arguments, or
+    the ConfigError its stream raises, in order.  The evaluations of one of
+    ``_batches`` take their 1-D set-up from one ``_StackedSetup`` and the
+    phase rows of their one-delay arms from one call; each then streams its
+    own ``_Sampler`` block loop as it would alone, so every result (and
+    error) is the one it gets alone, bit for bit."""
+    results = [None] * len(evaluations)
+    for batch in _batches([evaluation[5].points for evaluation in evaluations]):
+        group = [evaluations[index] for index in batch]
+        pulses, specs_a, specs_b, f_s, f_i, grids, *_ = zip(*group)
+        specs = [(a,) if b == a else (a, b) for a, b in zip(specs_a, specs_b)]
+        stack = _StackedSetup(pulses, specs, f_s, f_i, grids, (True,) * len(group))
+        # Per arm, the distinct delays T with the shift of J_b's phase less
+        # J_a's, 0.5 (v_b - v_a) (v the walk-offs): one value when all are equal.
+        delays = [[_distinct(np.asarray(delays_fs, dtype=float) + 0.5 * (b.walk_off_fs[side] - a.walk_off_fs[side]))
+                   for side, delays_fs in enumerate(arm_delays)] for _, a, b, _, _, _, *arm_delays in group]
+        # (K, phases) per arm: a one-delay arm's row exp(i T nu) on spec_a's
+        # detunings, all from one call (the rows of the other arms unread),
+        # or the factors of K delays.
+        single = np.array([[arm[0] if arm.size == 1 else 0.0 for arm in pair] for pair in delays])
+        rows = _expi(stack.detunings * single[:, :, None])
+        arms = [[(1, rows[row, side]) if arm.size == 1 else (arm.size, _delay_factors(e[5], side, e[1], arm))
+                 for side, arm in enumerate(pair)] for row, (e, pair) in enumerate(zip(group, delays))]
+        for row, (index, evaluation) in enumerate(zip(batch, group)):
+            try:
+                results[index] = _overlaps(stack, row, specs[row], arms[row], *evaluation)
+            except ConfigError as error:
+                results[index] = error
+    return results
+
+
+def _distinct(delays: np.ndarray) -> np.ndarray:
+    """``delays``, or its first alone when all are equal."""
+    return delays[:1] if delays.size > 1 and (delays == delays[0]).all() else delays
+
+
+def _delay_factors(grid: FrequencyGrid, side: int, spec_a: PhaseMatchingSpec, delays: np.ndarray) -> tuple:
+    """exp(i T nu_(m j)) (q, K) and exp(i T d r) (m, K): the factors of an
+    arm's phases exp(i T nu_n) at its K delays T on its uniform axis nu_n =
+    nu_0 + n d about spec_a's center, n = m j + r (``kernel_overlaps``)."""
+    m = math.isqrt(grid.points - 1) + 1
+    q = -(-grid.points // m)
+    center = (spec_a.signal_center_angular_frequency, spec_a.idler_center_angular_frequency)[side]
+    nu = grid.detuning(side, center, q * m)
+    return (_expi(np.multiply.outer(nu[::m], delays)), _expi(np.multiply.outer(grid.spacing * np.arange(m), delays)))
+
+
+def _overlaps(stack, row, specs, arms, pulse, spec_a, spec_b, f_s, f_i, grid, signal_delays_fs, idler_delays_fs):
+    """``kernel_overlaps`` of one evaluation, row ``row`` of ``stack``, from
+    (K, phases) of each arm: its phase row exp(i T nu) (N,) for one delay
+    T, or ``_delay_factors`` for K."""
+    sampler = _Sampler(pulse, specs, f_s, f_i, grid, crop=True, setup=(stack, row))
     n = grid.points
     m = math.isqrt(n - 1) + 1  # column n = m j + r, with j < q and r < m
     q = -(-n // m)
@@ -661,27 +848,12 @@ def kernel_overlaps(
                for spec in (spec_a, spec_b)]
     carrier = 0.5 * sum(v * (a - b) for v, a, b in zip(spec_b.walk_off_fs, *centers))
 
-    def arm(delays_fs, side):
-        # (K, phases) of an arm with K distinct delays T, that shift included
-        # (K = 1 when all are equal), on its uniform axis nu_n = nu_0 + n d:
-        # one row exp(i T nu) (N, 1), or the factors exp(i T nu_(m j)) (q, K)
-        # and exp(i T d r) (m, K).
-        delays = np.asarray(delays_fs, dtype=float) + 0.5 * (spec_b.walk_off_fs[side] - spec_a.walk_off_fs[side])
-        if delays.size and (delays == delays[0]).all():
-            delays = delays[:1]
-        if delays.size == 1:
-            return 1, _expi(np.multiply.outer(grid.detuning(side, centers[0][side]), delays))
-        nu = grid.detuning(side, centers[0][side], q * m)
-        return delays.size, (_expi(np.multiply.outer(nu[::m], delays)),
-                             _expi(np.multiply.outer(grid.spacing * np.arange(m), delays)))
-
-    arms = (arm(signal_delays_fs, 0), arm(idler_delays_fs, 1))
     idler_drives = arms[1][0] < arms[0][0]
     (k_drive, drive), (k_other, other) = arms[::-1] if idler_drives else arms
     if k_drive != 1:  # the driving arm's N x K table, from its factors
         p, r = drive
         drive = (p[:, None] * r).reshape(q * m, k_drive)[:n]
-    drive = drive.view(float)  # N x 2K: cos, sin of each delay's angle per column
+    drive = drive.view(float).reshape(n, 2 * k_drive)  # cos, sin of each delay's angle per column
 
     def stream(sampler):
         # The kernel's product with the driving table: its rows block by
@@ -697,21 +869,22 @@ def kernel_overlaps(
 
     acc, norms = stream(sampler)
     skipped = n ** 2 - sampler.cells
-    if skipped * grid.cell_area * (sampler.threshold / min(norms)) ** 2 > CELL_LEVEL:
+    if skipped * sampler.cell_area * (sampler.threshold / min(norms)) ** 2 > CELL_LEVEL:
         acc, norms = stream(_Sampler(pulse, specs, f_s, f_i, grid))
 
     # Sum acc_n exp(i T nu_n) over the other arm's columns n: with one row a
     # dot product; with factors, sum_j P_j sum_r acc_(m j + r) R_r.
     acc = acc.view(complex)
     if k_other == 1:
-        terms = acc[:n].T @ other[:, 0]
+        terms = acc[:n].T @ other
     else:
         p, r = other
         acc = acc.reshape(q, m, k_drive)
         partial = acc[..., 0] @ r if k_drive == 1 else np.einsum("jrk,rk->jk", acc, r)
         terms = np.einsum("jk,jk->k", partial, p)
-    scale = np.exp(1j * carrier) * grid.cell_area / (norms[0] * norms[-1])
-    return np.broadcast_to(terms, np.shape(signal_delays_fs)) * scale
+    scale = np.exp(1j * carrier) * sampler.cell_area / (norms[0] * norms[-1])
+    shape = np.shape(signal_delays_fs)
+    return (terms if terms.shape == shape else np.broadcast_to(terms, shape)) * scale
 
 
 def _segment_average(beta: float) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bellsim
-from bellsim import biphoton, cli, scenario
+from bellsim import biphoton, cli, scenario, spectral
 from bellsim.cli import main
 from bellsim.polarization import BELL_KINDS
 from bellsim.scenario import SWEEP_PARAMETERS
@@ -196,28 +196,30 @@ class TestSweepCommand:
         assert run(["sweep", "--config", config_file, "--output", tmp_path / "x",
                     "--parameter", "pump_ratio", "--grid", ","]) == 2
 
-    @pytest.mark.parametrize("parameter, grid, streams", [
-        ("compensation_error_fs", "0,-600,1500", 1),
-        ("pump_ratio", "0,0.5,2", 1),
-        ("crystal_length", "1,2,3.4", 3),
-        ("filter_fwhm", "5,20,none", 3),
+    @pytest.mark.parametrize("parameter, grid, streams, solves", [
+        ("compensation_error_fs", "0,-600,1500", 1, 2),
+        ("pump_ratio", "0,0.5,2", 1, 2),
+        ("crystal_length", "1,2,3.4", 3, 6),
+        ("filter_fwhm", "5,20,none", 3, 2),
     ])
-    def test_kernel_streams_and_cut_angle_solves(self, tmp_path, monkeypatch, parameter, grid, streams):
-        # A compensation error moves only b's group delay and a pump ratio
-        # only the weights: one delay budget (two cut-angle solves) and one
-        # kernel stream per sweep.  The other parameters change the JSAs:
-        # one of each per value.
-        calls = {"stream": 0, "solve": 0}
-        stream, solve = scenario.kernel_overlaps, scenario.phase_matching_cut_angle
+    def test_kernel_streams_and_cut_angle_solves(self, tmp_path, monkeypatch, parameter, grid, streams, solves):
+        # Every sweep is one batched evaluation.  A compensation error moves
+        # only b's group delay and a pump ratio only the weights: one delay
+        # budget (two cut-angle solves) and one kernel stream per sweep.  The
+        # other parameters change the JSAs: one stream per value; a crystal
+        # length changes the budget too (one per value), a filter does not.
+        calls = {"batch": 0, "stream": 0, "solve": 0}
+        batch, stream, solve = scenario.budget_terms_batch, spectral._Sampler, scenario.phase_matching_cut_angle
 
         def counted(name, fn):
             return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or fn(*a, **k)
 
-        monkeypatch.setattr(scenario, "kernel_overlaps", counted("stream", stream))
+        monkeypatch.setattr(scenario, "budget_terms_batch", counted("batch", batch))
+        monkeypatch.setattr(spectral, "_Sampler", counted("stream", stream))
         monkeypatch.setattr(scenario, "phase_matching_cut_angle", counted("solve", solve))
         assert run(["sweep", "--config", "default", "--output", tmp_path / "s",
                     "--parameter", parameter, "--grid", grid]) == 0
-        assert calls == {"stream": streams, "solve": 2 * streams}
+        assert calls == {"batch": 1, "stream": streams, "solve": solves}
 
 
 def _rowwise_csv(header, rows) -> bytes:
@@ -292,6 +294,20 @@ class TestFitCommand:
         assert run(["fit", "--input", path, "--output", out]) == 0
         report = read_report(out.with_name("flat.report.txt"))
         assert float(report["visibility_fit"]) < 1e-9
+        assert report["period_degenerate"] == "true"
+
+    def test_rounding_level_fringe_is_degenerate(self, tmp_path):
+        # Rates that vary at ~1e-15 (a few ulps of 1.0): the fitted amplitude
+        # lies below n eps |offset| = 1.4e-14, so no period is claimed.
+        x = np.linspace(0.0, 1600.0, 65)
+        y = 1.0 + 1e-15 * np.cos(2 * np.pi * x / 400.0)
+        assert np.ptp(y) > 0.0
+        path = tmp_path / "rounding.csv"
+        path.write_text("axis_value,rate\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)) + "\n")
+        out = tmp_path / "rounding"
+        assert run(["fit", "--input", path, "--output", out]) == 0
+        report = read_report(out.with_name("rounding.report.txt"))
+        assert float(report["visibility_fit"]) < 1e-14
         assert report["period_degenerate"] == "true"
 
     def test_manifest_keys(self, tmp_path):
@@ -445,8 +461,8 @@ class TestPrepareCommand:
         # prepared state share one evaluation: one stream of the two-crystal
         # kernel.
         calls = []
-        stream = scenario.kernel_overlaps
-        monkeypatch.setattr(scenario, "kernel_overlaps", lambda *a, **k: calls.append(1) or stream(*a, **k))
+        stream = spectral._Sampler
+        monkeypatch.setattr(spectral, "_Sampler", lambda *a, **k: calls.append(1) or stream(*a, **k))
         assert run(["prepare", "--config", "default", "--output", tmp_path / "p",
                     "--target", "phi+"]) == 0
         assert len(calls) == 1
@@ -592,6 +608,16 @@ class TestBadInputExitCodes:
         assert run([*command, "--config", bad, "--output", tmp_path / "x"]) == 2
         assert (f"filters[0].center_nm {center} nm puts the signal filter's band outside the signal grid axis; "
                 "set it near the signal center 730 nm") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", FILTER_COMMANDS)
+    def test_plate_index_out_of_range_names_plate_and_center(self, tmp_path, config_file, capsys, command):
+        # Pairs at 494.12 + 2100 nm: the idler plate's quartz is evaluated
+        # past its 2050 nm range, at the first crystal's idler center.
+        far = tmp_path / "far.yaml"
+        far.write_text(config_file.read_text().replace("730.0", "494.12").replace("885.0", "2100.0"))
+        assert run([*command, "--config", far, "--output", tmp_path / "x"]) == 2
+        assert ("knobs.idler_plate at crystals[0].idler_center_nm: 2100.0 nm outside validity range "
+                "[198.0, 2050.0] nm of material 'quartz'") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", FILTER_COMMANDS)
     def test_mildly_detuned_filter_runs(self, tmp_path, config_file, command):

@@ -185,6 +185,13 @@ class TestBuildAmplitudes:
         with pytest.raises(ConfigError, match=f"^crystal {key} must be positive, got {center}$"):
             replace(source.crystals[0], **{key: center})
 
+    def test_compensator_index_out_of_range_names_element_and_pump(self, source, knobs):
+        # A compensator material valid only above 500 nm, at the 400 nm pump.
+        narrow = replace(source.compensator[1].material, valid_range_nm=(500.0, 2050.0))
+        src = replace(source, compensator=(source.compensator[0], replace(source.compensator[1], material=narrow)))
+        with pytest.raises(ConfigError, match=r"^compensator\[1\] at pump.center_wavelength_nm: 400.0 nm outside"):
+            scenario.delay_budget(src, knobs)
+
     def test_required_compensation_near_quoted_band(self, source, knobs):
         required = scenario.required_compensation_fs(source, knobs)
         assert 1050.0 <= required + 100.0 <= 2050.0  # ~1.37 ps incl. plates
@@ -532,6 +539,48 @@ class TestSweep:
             replace(source, pump_amplitude_ratio=r), knobs, compensation_error_fs=0.0)) for r in ratios]
         assert np.abs(got - expected).max() <= 1e-12
         assert got[0] == 0.0
+
+    @pytest.mark.parametrize("parameter, values", [
+        ("crystal_length", [0.5, 2.0, 3.4, 12.0]),
+        ("filter_fwhm", [3.0, 10.0, 40.0, None]),
+    ])
+    def test_jsa_sweep_matches_per_value_amplitudes(self, source, knobs, parameter, values):
+        got = scenario.sweep(source, knobs, parameter, values)
+        expected = [fringe_visibility(scenario.build_amplitudes(
+            scenario.SWEEP_SOURCES[parameter](source, v), knobs, compensation_error_fs=0.0)) for v in values]
+        assert np.abs(got - expected).max() <= 1e-12
+        assert got.min() > 0.99
+
+    @pytest.mark.parametrize("case", ["default", "unequal_crystals", "rectangular_filters"])
+    @pytest.mark.parametrize("parameter, values", [
+        ("crystal_length", [3.4, 0.5, 12.0, 0.5, 2.0, 3.4, 0.7]),
+        ("filter_fwhm", [None, 3.0, 150.0, 3.0, None, 300.0, 10.0]),
+    ])
+    def test_each_value_reads_the_same_alone_and_in_a_sweep(self, source, knobs, case, parameter, values):
+        # In any order and repeated, on grids of several point counts (150
+        # and 300 nm filters, 0.5 mm crystals between rectangular ones): the
+        # batched evaluation gives each value its lone visibility, bit for bit.
+        src = {"default": source,
+               "unequal_crystals": replace(source, crystals=(source.crystals[0],
+                                                             replace(source.crystals[1], thickness_mm=2.0))),
+               "rectangular_filters": _with_filters(source, "rectangular")}[case]
+        got = scenario.sweep(src, knobs, parameter, values)
+        alone = [scenario.sweep(src, knobs, parameter, [v])[0] for v in values]
+        assert np.array_equal(got, alone)
+
+    @pytest.mark.parametrize("parameter, late, early, late_message", [
+        ("crystal_length", 1e300, -1.0, "joint amplitude norm squared is 0.0"),
+        ("filter_fwhm", 0.5, -1.0, "cannot resolve the idler filter"),
+    ])
+    def test_lowest_failing_value_is_named(self, source, knobs, parameter, late, early, late_message):
+        # ``late`` fails in its stream or grid, ``early`` when its source is
+        # built: whichever comes first in the sweep is the error raised.
+        with pytest.raises(ConfigError) as error:
+            scenario.sweep(source, knobs, parameter, [3.0, late, early])
+        assert str(error.value).startswith(f"sweep {parameter} value {late!r}: ") and late_message in str(error.value)
+        with pytest.raises(ConfigError) as error:
+            scenario.sweep(source, knobs, parameter, [3.0, early, late])
+        assert str(error.value).startswith(f"sweep {parameter} value {early!r}: ")
 
     def test_one_pumped_crystal_has_zero_visibility_at_every_ratio(self, source, knobs):
         horizontal = replace(source, pump=replace(source.pump, polarization_angle_deg=0.0))
