@@ -53,10 +53,13 @@ its crest, so the stream's time follows the envelope's frequency support
 more than the grid (24 % of a default 1024^2 grid, 53 % of 128^2), with a
 rerun on every cell when the skipped cells could move an overlap by more
 than 1e-15.  ``sweep`` takes one row per compensation
-error, or one row weighted per pump ratio, and evaluates once per value only
-the parameters that change the JSAs.  ``prepare_bell`` and
-``effective_polarization_state`` take the terms of one delay row, which the
-caller evaluates with ``budget_terms`` on the grid numerics of its config.
+error, or one row weighted per pump ratio; a crystal-length or filter-width
+sweep, whose values change the JSAs, makes one ``budget_terms_batch`` call
+over every value's (source, budget), each value on its own grid, so the
+stream's 1-D set-up is stacked over the values and paid once per batch.
+``prepare_bell`` and ``effective_polarization_state`` take the terms of one
+delay row, which the caller evaluates with ``budget_terms`` on the grid
+numerics of its config.
 Each config section is read into the one class that holds its defaults.
 ``build_amplitudes`` still assembles the two phased amplitudes explicitly,
 for the tests and the time-domain oracle.
@@ -363,7 +366,8 @@ def _plate_term(source: SourceConfig, arm: str, tilt_deg) -> DelayTerm:
     index error names the plate's key and the key of the center."""
     first = source.crystals[0]
     plate, center_nm = getattr(source, f"{arm}_plate"), getattr(first, f"{arm}_center_nm")
-    check_tilt(tilt_deg)
+    if np.ndim(tilt_deg):  # a scan's tilts, checked before the index evaluation that names the plate
+        check_tilt(tilt_deg)
     return DelayTerm("a", arm, *_in_context(f"knobs.{arm}_plate at crystals[0].{arm}_center_nm", _retardation,
                                             element=plate, polarization=first.pair_polarization(),
                                             wavelength_nm=center_nm, tilt_deg=tilt_deg))

@@ -41,7 +41,14 @@ envelope's frequency support: each block samples only the contiguous
 columns where an O(N) bound of the envelope reaches ``CELL_LEVEL`` of the
 ridge crest's largest value (on the default source, 24 % of a 1024^2
 grid), and it is rerun uncropped if the skipped cells could move an
-overlap by more than ``CELL_LEVEL``.  ``build_jsa`` copies full-width
+overlap by more than ``CELL_LEVEL``.  ``kernel_overlaps_batch`` streams
+many evaluations, each on its own grid: those whose grids share a point
+count take their 1-D set-up (axes, pump and filter samples, border, crest,
+crop bounds, sinc factors, series bands, one-delay phase rows) from one
+``_StackedSetup`` of (evaluations x N) arrays, so a sweep pays each numpy
+call of the set-up once per batch, and each evaluation then streams its
+own ``_Sampler`` block loop, bit for bit as it would alone;
+``kernel_overlaps`` is its batch of one.  ``build_jsa`` copies full-width
 blocks into one real array before it applies the norm and the phase.
 ``kernel_time_support`` bounds, from scalars alone, the delays where that
 overlap can exceed ``SUPPORT_LEVEL`` of its peak.
@@ -263,21 +270,12 @@ def _gaussian_terms(filt: SpectralFilter) -> tuple:
     return filt.center_angular_frequency, 4.0 * sigma * sigma
 
 
-def _filter_rows(filters, omega) -> np.ndarray:
-    """``filter_amplitude`` of each of ``filters`` on its row of ``omega``
-    (leading axis: one row per filter), from one Gaussian call
-    (``_gaussian_terms``); a rectangular filter's row is then its passband."""
-    terms = np.array([_gaussian_terms(f) for f in filters]).reshape((len(filters), 2) + (1,) * (omega.ndim - 1))
-    rows = _gaussian(omega, terms[:, 0], terms[:, 1])
-    for row, f in enumerate(filters):
-        if f.shape == "rectangular":
-            rows[row] = np.abs(omega[row] - f.center_angular_frequency) <= 0.5 * f.fwhm_omega
-    return rows
-
-
 def filter_amplitude(filt: SpectralFilter, omega):
     """Amplitude transmission in [0, 1] (square root of the intensity curve)."""
-    return _filter_rows((filt,), np.asarray(omega, dtype=float)[None])[0]
+    omega = np.asarray(omega, dtype=float)
+    if filt.shape == "rectangular":
+        return np.where(np.abs(omega - filt.center_angular_frequency) <= 0.5 * filt.fwhm_omega, 1.0, 0.0)
+    return _gaussian(omega, *_gaussian_terms(filt))
 
 
 def phase_matching(spec: PhaseMatchingSpec, nu_s, nu_i):
@@ -463,9 +461,9 @@ class _StackedSetup:
         # as a block rounds it, and the crop threshold it sets.
         modes = envelope[:, 0].argmax(axis=1)
         self.crest, self.threshold = [], []
-        for mode, samples, (f_s, f_i), crop in zip(modes.tolist(), envelope[:, 0], self.filters, crops):
+        for mode, samples, (signal, idler), crop in zip(modes.tolist(), envelope[:, 0], self.filters, crops):
             low, high = max(0, mode - n + 1), min(mode, n - 1)
-            crest = (samples[mode] * f_i[mode - high:mode - low + 1][::-1]) * f_s[low:high + 1]
+            crest = (samples[mode] * idler[mode - high:mode - low + 1][::-1]) * signal[low:high + 1]
             self.crest.append(float(crest.max()))
             level = CELL_LEVEL * self.crest[-1]
             self.threshold.append(level if crop and math.isfinite(level) and level > 0.0 else 0.0)
@@ -477,7 +475,7 @@ class _StackedSetup:
         self.starts = starts.tolist()
         index = np.maximum(np.minimum(j + np.minimum(starts + block - 1, n - 1)[:, None], modes[:, None, None]),
                            j + starts[:, None])
-        bound = envelope[:, 0][np.arange(count)[:, None, None], index]
+        bound = envelope.reshape(-1).take(index + np.arange(0, envelope.size, envelope[0].size)[:, None, None])
         bound *= fi[:, None, :]
         bound *= np.maximum.reduceat(fs, starts, axis=1)[:, :, None]
         kept = ~(bound < np.array(self.threshold)[:, None, None])  # a NaN bound keeps its column
@@ -488,7 +486,6 @@ class _StackedSetup:
         np.multiply(n - kept[:, :, ::-1].argmax(axis=2), kept.any(axis=2), out=columns[:, 1])
         self.first, self.last = zip(*columns.tolist())
         columns = np.repeat(columns, block, axis=2)[:, :, :n]
-
 
         # One row per spec: each evaluation's specs from row spec_start[k].
         flat = [(row, spec) for row, group in enumerate(specs) for spec in group]
@@ -768,19 +765,20 @@ def kernel_overlaps(
 
 
 # Floats per grid point of one evaluation's ``_StackedSetup`` and the
-# temporaries that make it (two specs), besides one bound per row block.
-SETUP_FLOATS = 48
+# temporaries that make it (tracemalloc: 37 with one spec, 57 with two),
+# besides about two per row block for its bounds and their indices.
+SETUP_FLOATS = 60
 
 
 def _batches(points: list) -> list:
     """The indices of the evaluations whose grids have ``points`` points per
     axis, in batches: grouped by point count, in order, and split so that a
-    batch's ``_StackedSetup`` (``SETUP_FLOATS`` and one bound per row block
-    for each grid point) stays within ``ROW_BLOCK_BYTES``."""
+    batch's ``_StackedSetup`` (``SETUP_FLOATS`` and two per row block for
+    each grid point) stays within ``ROW_BLOCK_BYTES``."""
     batches = []
     for n in dict.fromkeys(points):
         indices = [index for index, count in enumerate(points) if count == n]
-        size = max(1, ROW_BLOCK_BYTES // (8 * n * (SETUP_FLOATS + -(-n // _block_rows(n)))))
+        size = max(1, ROW_BLOCK_BYTES // (8 * n * (SETUP_FLOATS + 2 * -(-n // _block_rows(n)))))
         batches += [indices[k:k + size] for k in range(0, len(indices), size)]
     return batches
 
