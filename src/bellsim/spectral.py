@@ -393,17 +393,20 @@ def _block_rows(points: int) -> int:
 
 
 class _StackedSetup:
-    """The 1-D set-up of ``_Sampler`` for a batch of evaluations (pulse,
-    specs, f_s, f_i, grid, crop) whose grids share one point count N.  Each
-    quantity is one array with a row per evaluation (per spec for the
-    detunings, sinc factors and series bands), so a batch makes each numpy
-    call once, not once per evaluation: the axes and cell areas, the pump
-    ridge's 2N - 1 samples and the filter amplitudes (one Gaussian call),
-    the border, the crest and its threshold, the per-block column bounds,
-    the sinc factors, the series bands and the cell offsets.  Every element
-    takes the operations it takes alone, so each row is the set-up of its
-    evaluation alone, bit for bit.  ``_Sampler`` takes its row; the batch's
-    samplers share one scratch allocation, so they stream one at a time.
+    """The 1-D set-up of ``_Sampler`` for a batch of evaluations whose grids
+    share one point count N, given as parallel sequences (pulses, specs,
+    f_s, f_i, grids, crops).  The array work is one array with a row per
+    evaluation (per spec for the detunings, sinc factors and series bands),
+    so a batch makes each of those numpy calls once, not once per
+    evaluation: the axes and cell areas, the pump ridge's 2N - 1 samples
+    and the filter amplitudes (one Gaussian call), the sinc factors, the
+    series bands and candidate counts, and the cell offsets.  The border,
+    the crest, the crop threshold and the per-block column bounds take a
+    few calls per evaluation on its rows, which a stacked form does not
+    undercut at one evaluation.  Every element takes the operations it takes
+    alone, so each row is the set-up of its evaluation alone, bit for bit.
+    ``_Sampler`` takes its row; the batch's samplers share one scratch
+    allocation, so they stream one at a time.
 
     The rank-2 factors of the half mismatch h = D L / 2 = a(nu_s) + b(nu_i)
     are left = [a, 1, f_s sin a, f_s cos a] (one row per nu_s) and right =
@@ -446,45 +449,43 @@ class _StackedSetup:
                                                   <= 0.5 * f.fwhm_omega)
         self.cell_area = [ds * di for ds, di in (axes[:, :, 1] - axes[:, :, 0]).tolist()]
         self.filters = envelope[:, 1:, :n]
-        fs, fi = self.filters[:, 0], self.filters[:, 1]
         # Each pump ridge, a Hankel view of its 2N - 1 samples.
         self.ridge = np.ndarray((count, n, n), buffer=envelope, strides=(envelope.strides[0], 8, 8))
         self.ridge.flags.writeable = False
-        # The envelope's border: its first and last column, then row; the
-        # larger of the two, as Python's max takes it.
+        # Per evaluation, from its rows: the envelope's border (its first and
+        # last column, then row; the larger, as Python's max takes it); the
+        # envelope on the crest j + k = mode of the pump ridge, rounded as a
+        # block rounds it, and the crop threshold it sets; and one row of
+        # bounds per block: the pump sample nearest the mode within the
+        # block's j + k (the mode clipped into [k + r0, k + r1 - 1]), times
+        # f_i(k) and the block's largest f_s.  A block's columns [first,
+        # last) are those where its bound reaches the threshold, (0, 0) for a
+        # block left out.
+        self.block = block = _block_rows(n)
+        starts = np.arange(0, n, block)
+        self.starts = starts.tolist()
+        low_rows, high_rows = j + starts[:, None], j + np.minimum(starts + block - 1, n - 1)[:, None]
         ends = slice(None, None, n - 1)
-        columns = (self.ridge[:, :, ends] * fi[:, None, ends]) * fs[:, :, None]
-        rows = (self.ridge[:, ends] * fi[:, None, :]) * fs[:, ends, None]
-        self.border = [max(pair) for pair in zip(columns.reshape(count, -1).max(axis=1).tolist(),
-                                                 rows.reshape(count, -1).max(axis=1).tolist())]
-        # The envelope on the crest j + k = mode of each pump ridge, rounded
-        # as a block rounds it, and the crop threshold it sets.
-        modes = envelope[:, 0].argmax(axis=1)
-        self.crest, self.threshold = [], []
-        for mode, samples, (signal, idler), crop in zip(modes.tolist(), envelope[:, 0], self.filters, crops):
+        self.border, self.crest, self.threshold = [], [], []
+        columns = np.empty((count, 2, len(starts)), dtype=np.intp)
+        for samples, ridge, (signal, idler), crop, (first, last) in zip(envelope[:, 0], self.ridge, self.filters,
+                                                                        crops, columns):
+            self.border.append(float(max(((ridge[:, ends] * idler[ends]) * signal[:, None]).max(),
+                                         ((ridge[ends] * idler) * signal[ends, None]).max())))
+            mode = int(samples.argmax())
             low, high = max(0, mode - n + 1), min(mode, n - 1)
             crest = (samples[mode] * idler[mode - high:mode - low + 1][::-1]) * signal[low:high + 1]
             self.crest.append(float(crest.max()))
             level = CELL_LEVEL * self.crest[-1]
             self.threshold.append(level if crop and math.isfinite(level) and level > 0.0 else 0.0)
-        # One row of bounds per block: the pump sample nearest the mode
-        # within the block's j + k (the mode clipped into [k + r0, k + r1 - 1]),
-        # times f_i(k) and the block's largest f_s.
-        self.block = block = _block_rows(n)
-        starts = np.arange(0, n, block)
-        self.starts = starts.tolist()
-        index = np.maximum(np.minimum(j + np.minimum(starts + block - 1, n - 1)[:, None], modes[:, None, None]),
-                           j + starts[:, None])
-        bound = envelope.reshape(-1).take(index + np.arange(0, envelope.size, envelope[0].size)[:, None, None])
-        bound *= fi[:, None, :]
-        bound *= np.maximum.reduceat(fs, starts, axis=1)[:, :, None]
-        kept = ~(bound < np.array(self.threshold)[:, None, None])  # a NaN bound keeps its column
-        # Each block's columns [first, last), (0, 0) for a block left out, as
-        # lists per evaluation, then each row's.
-        columns = np.empty((count, 2, len(starts)), dtype=np.intp)
-        kept.argmax(axis=2, out=columns[:, 0])
-        np.multiply(n - kept[:, :, ::-1].argmax(axis=2), kept.any(axis=2), out=columns[:, 1])
+            bound = samples[np.maximum(np.minimum(high_rows, mode), low_rows)]
+            bound *= idler
+            bound *= np.maximum.reduceat(signal, starts)[:, None]
+            kept = ~(bound < self.threshold[-1])  # a NaN bound keeps its column
+            kept.argmax(axis=1, out=first)
+            np.multiply(n - kept[:, ::-1].argmax(axis=1), kept.any(axis=1), out=last)
         self.first, self.last = zip(*columns.tolist())
+        # ... and each row's.
         columns = np.repeat(columns, block, axis=2)[:, :, :n]
 
         # One row per spec: each evaluation's specs from row spec_start[k].
@@ -765,20 +766,19 @@ def kernel_overlaps(
 
 
 # Floats per grid point of one evaluation's ``_StackedSetup`` and the
-# temporaries that make it (tracemalloc: 37 with one spec, 57 with two),
-# besides about two per row block for its bounds and their indices.
-SETUP_FLOATS = 60
+# temporaries that make it (tracemalloc: 33 with one spec, 53 with two).
+SETUP_FLOATS = 56
 
 
 def _batches(points: list) -> list:
     """The indices of the evaluations whose grids have ``points`` points per
     axis, in batches: grouped by point count, in order, and split so that a
-    batch's ``_StackedSetup`` (``SETUP_FLOATS`` and two per row block for
-    each grid point) stays within ``ROW_BLOCK_BYTES``."""
+    batch's ``_StackedSetup`` (``SETUP_FLOATS`` per grid point and
+    evaluation) stays within ``ROW_BLOCK_BYTES``."""
     batches = []
     for n in dict.fromkeys(points):
         indices = [index for index, count in enumerate(points) if count == n]
-        size = max(1, ROW_BLOCK_BYTES // (8 * n * (SETUP_FLOATS + 2 * -(-n // _block_rows(n)))))
+        size = max(1, ROW_BLOCK_BYTES // (8 * n * SETUP_FLOATS))
         batches += [indices[k:k + size] for k in range(0, len(indices), size)]
     return batches
 
