@@ -741,14 +741,19 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
         return visibilities(budget_terms(source, delay_budget(source, knobs, 0.0), grid_points, grid_span_factor,
                                          np.transpose(weights)))
 
-    def budget_of(src):
-        if parameter == "filter_fwhm":  # one budget for every value
-            if isinstance(shared, ConfigError):
-                raise shared
-            return shared
-        return delay_budget(src, knobs, 0.0)
+    if parameter == "filter_fwhm":  # no filter enters the budget: one for every value
+        try:
+            shared = delay_budget(source, knobs, 0.0)
+        except ConfigError as error:
+            shared = error
 
-    shared = _attempt(lambda: delay_budget(source, knobs, 0.0)) if parameter == "filter_fwhm" else None
+    def budget_of(src):
+        if parameter != "filter_fwhm":
+            return delay_budget(src, knobs, 0.0)
+        if isinstance(shared, ConfigError):
+            raise shared
+        return shared
+
     found = []
     for start in range(0, len(values), SWEEP_CHUNK):
         # Each value's source, then its budget, then its terms, stage by
@@ -765,14 +770,6 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
                 raise _prefixed(context(value), outcome) from None
         found += map(visibilities, outcomes)
     return np.concatenate(found)
-
-
-def _attempt(make):
-    """``make()``, or the ConfigError it raises."""
-    try:
-        return make()
-    except ConfigError as error:
-        return error
 
 
 def _until_error(stage, inputs) -> list:

@@ -804,8 +804,8 @@ def kernel_overlaps_batch(evaluations) -> list:
         # detunings, all from one call (the rows of the other arms unread),
         # or the factors of K delays.
         single = np.array([[arm[0] if arm.size == 1 else 0.0 for arm in pair] for pair in delays])
-        rows = _expi(stack.detunings * single[:, :, None])
-        arms = [[(1, rows[row, side]) if arm.size == 1 else (arm.size, _delay_factors(e[5], side, e[1], arm))
+        phases = _expi(stack.detunings * single[:, :, None])
+        arms = [[(1, phases[row, side]) if arm.size == 1 else (arm.size, _delay_factors(e[5], side, e[1], arm))
                  for side, arm in enumerate(pair)] for row, (e, pair) in enumerate(zip(group, delays))]
         for row, (index, evaluation) in enumerate(zip(batch, group)):
             try:
