@@ -368,9 +368,10 @@ def _plate_term(source: SourceConfig, arm: str, tilt_deg) -> DelayTerm:
     plate, center_nm = getattr(source, f"{arm}_plate"), getattr(first, f"{arm}_center_nm")
     if np.ndim(tilt_deg):  # a scan's tilts, checked before the index evaluation that names the plate
         check_tilt(tilt_deg)
-    return DelayTerm("a", arm, *_in_context(f"knobs.{arm}_plate at crystals[0].{arm}_center_nm", _retardation,
-                                            element=plate, polarization=first.pair_polarization(),
-                                            wavelength_nm=center_nm, tilt_deg=tilt_deg))
+    try:
+        return DelayTerm("a", arm, *_retardation(plate, first.pair_polarization(), center_nm, tilt_deg))
+    except ConfigError as exc:
+        raise _prefixed(f"knobs.{arm}_plate at crystals[0].{arm}_center_nm", exc) from None
 
 
 def _compensator_term(source: SourceConfig) -> DelayTerm:
@@ -380,9 +381,10 @@ def _compensator_term(source: SourceConfig) -> DelayTerm:
     pol_b_pump = source.crystals[1].pump_polarization()
     group = phase = 0.0
     for k, element in enumerate(source.compensator):
-        element_group, element_phase = _in_context(f"compensator[{k}] at pump.center_wavelength_nm", _retardation,
-                                                   element=element, polarization=pol_b_pump,
-                                                   wavelength_nm=source.pump.center_wavelength_nm)
+        try:
+            element_group, element_phase = _retardation(element, pol_b_pump, source.pump.center_wavelength_nm)
+        except ConfigError as exc:
+            raise _prefixed(f"compensator[{k}] at pump.center_wavelength_nm", exc) from None
         group += element_group
         phase += element_phase
     return DelayTerm("b", "pump", group, phase)

@@ -803,8 +803,9 @@ def kernel_overlaps_batch(evaluations) -> list:
         # (K, phases) per arm: a one-delay arm's row exp(i T nu) on spec_a's
         # detunings, all from one call (the rows of the other arms unread),
         # or the factors of K delays.
-        single = np.array([[arm[0] if arm.size == 1 else 0.0 for arm in pair] for pair in delays])
-        phases = _expi(stack.detunings * single[:, :, None])
+        if any(arm.size == 1 for pair in delays for arm in pair):
+            single = np.array([[arm[0] if arm.size == 1 else 0.0 for arm in pair] for pair in delays])
+            phases = _expi(stack.detunings * single[:, :, None])
         arms = [[(1, phases[row, side]) if arm.size == 1 else (arm.size, _delay_factors(e[5], side, e[1], arm))
                  for side, arm in enumerate(pair)] for row, (e, pair) in enumerate(zip(group, delays))]
         for row, (index, evaluation) in enumerate(zip(batch, group)):
