@@ -42,7 +42,8 @@ sizes the one grid, in one call, for the largest delay inside it, so no
 refinement is spent where no reported number can change.  A scan
 computes each step's pump-knob phase, analyzer angles and plate terms as
 arrays, the plate terms from one dispersion pass per arm.  The other delays
-then go to one ``spectral.kernel_overlaps`` call, which streams the real
+then go to one ``spectral.kernel_overlaps`` stream (the batch of one of
+``spectral.kernel_overlaps_batch``), which streams the real
 two-crystal kernel in cache-sized row blocks, never holds an N x N array,
 and is the only place delays are deduplicated: an arm whose delay no entry
 changes is a single phase row, and an arm with K distinct delays is

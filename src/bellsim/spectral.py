@@ -580,7 +580,6 @@ class _Sampler:
     def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
                  grid: FrequencyGrid, crop: bool = False, setup: tuple | None = None):
         stack, row = setup or (_StackedSetup((pulse,), (specs,), (f_s,), (f_i,), (grid,), (crop,)), 0)
-        self.grid = grid
         self.filter_s, self.filter_i = stack.filters[row]
         self.ridge = stack.ridge[row]
         # With a filter present the sampled envelope must fall off at the
