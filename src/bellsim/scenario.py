@@ -61,6 +61,13 @@ stream's 1-D set-up is stacked over the values and paid once per batch.
 ``prepare_bell`` and ``effective_polarization_state`` take the terms of one
 delay row, which the caller evaluates with ``budget_terms`` on the grid
 numerics of its config.
+A process keeps (``bellsim.memo``) the last ``CONFIG_MEMO_SIZE`` delay
+budgets without their compensation term, keyed on the records they read
+(pump, crystals, knob plates, scheme, cross-dispersion toggle, knob tilts;
+no filter, pump ratio or pump knob), and as many compensator terms, keyed on
+the compensator, crystal 2's axis and the pump wavelength, with read-only
+mappings, so a command derives no budget an earlier command of the process
+derived; ``spectral`` keeps the time supports and stacked set-ups likewise.
 Each config section is read into the one class that holds its defaults.
 ``build_amplitudes`` still assembles the two phased amplitudes explicitly,
 for the tests and the time-domain oracle.
@@ -75,6 +82,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cache, lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +104,7 @@ from .dispersion import (
     YAML_LOADER,
 )
 from .errors import ConfigError, InfeasibleError
+from .memo import Memo
 from .spectral import (
     FILTER_SHAPES,
     MAX_GRID_POINTS,
@@ -131,6 +140,10 @@ NOISE_KINDS = ("none", "poisson")
 SCHEME_KINDS = ("collinear", "mzi")
 
 MAX_SCAN_STEPS = 4096  # scan steps or sweep values: one kernel delay row each
+# Config texts whose parsed config a process keeps (``_parse_text``), and
+# element budgets and compensator terms (``delay_budget``).  A config is a
+# few KB, and a session of commands reads a handful of files.
+CONFIG_MEMO_SIZE = 32
 # Rates are at most 4 (``analyzer_rate``), so rate * mean_counts stays inside
 # the range of numpy's Poisson sampler (lam below ~9.2e18).
 MAX_MEAN_COUNTS = 1.0e18
@@ -331,12 +344,18 @@ def _crossing_terms(source: SourceConfig, theta2: float) -> dict:
     """The crystal crossings' terms, each from ``ray_delays`` over a crystal
     length: a's pairs cross crystal 2 (cut at ``theta2``) as its e-ray,
     rigidly at the pair mean; b's pump crosses crystal 1 as an o-ray.  With
-    cross-dispersion, each arm adds its e-ray less its o-ray group delay."""
+    cross-dispersion, each arm adds its e-ray less its o-ray group delay.  A
+    crossing delay past the float range is an error naming the crystal's
+    thickness."""
     first, second = source.crystals
     length2_nm = second.thickness_mm * MM_TO_NM
     centers = (first.signal_center_nm, first.idler_center_nm)
     (sig_g, sig_p), (idl_g, idl_p) = (ray_delays(second.material, theta2, center, length2_nm) for center in centers)
     pump = ray_delays(first.material, "o", source.pump.center_wavelength_nm, first.thickness_mm * MM_TO_NM)
+    for k, delays in ((1, (sig_g, sig_p, idl_g, idl_p)), (0, pump)):
+        if not all(map(math.isfinite, delays)):
+            raise ConfigError(f"crystals[{k}].thickness_mm: the delay across crystal {k + 1} overflows a float; "
+                              f"got {source.crystals[k].thickness_mm!r} mm")
     terms = {"crossing": DelayTerm("a", "pair", 0.5 * (sig_g + idl_g), 0.5 * (sig_p + idl_p)),
              "pump_crossing": DelayTerm("b", "pump", *pump)}
     if source.cross_dispersion_enabled:
@@ -458,8 +477,35 @@ def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
                  compensation_error_fs=None) -> DelayBudget:
     """The delay budget at the knobs' plate tilts.  A compensation error (fs,
     a number or an array to broadcast over) replaces the compensator elements
-    with an ideal pre-advance of the exact required compensation plus it."""
+    with an ideal pre-advance of the exact required compensation plus it.
+
+    A process keeps the last ``CONFIG_MEMO_SIZE`` budgets without their
+    compensation term (``_element_budget``), by all they read: the pump, the
+    crystals, both knob plates, the scheme, the cross-dispersion toggle and
+    the knobs' two tilts; the filters, the pump ratio and the pump knob do
+    not enter.  It keeps the last ``CONFIG_MEMO_SIZE`` compensator terms by
+    the compensator, crystal 2's axis and the pump wavelength, and evaluates
+    one only without a compensation error."""
     knobs = knobs or PhaseKnobs()
+    key = (source.pump, source.crystals, source.signal_plate, source.idler_plate, source.scheme,
+           source.cross_dispersion_enabled, knobs.signal_tilt_deg, knobs.idler_tilt_deg)
+    budget = _ELEMENT_BUDGETS.get(key, lambda: _element_budget(source, knobs))
+    if compensation_error_fs is None:
+        key = (source.compensator, source.crystals[1].axis_orientation, source.pump.center_wavelength_nm)
+        compensation = _COMPENSATOR_TERMS.get(key, lambda: _compensator_term(source))
+    else:
+        exact = budget.required_compensation_fs + compensation_error_fs
+        compensation = DelayTerm("b", "pump", -exact, -exact)
+    return replace(budget, terms=budget.terms | {"compensation": compensation})
+
+
+_ELEMENT_BUDGETS = Memo(CONFIG_MEMO_SIZE)
+_COMPENSATOR_TERMS = Memo(CONFIG_MEMO_SIZE)
+
+
+def _element_budget(source: SourceConfig, knobs: PhaseKnobs) -> DelayBudget:
+    """The delay budget at the knobs' plate tilts without the compensation
+    term, its terms and carriers read-only mappings, as a process keeps it."""
     first, second = source.crystals
     theta2 = crystal_cut_angle(second, source.pump)
     specs = (phase_matching_spec(first, source.pump), phase_matching_spec(second, source.pump, theta2))
@@ -467,16 +513,10 @@ def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
     terms = {f"{arm}_plate": _plate_term(source, arm, getattr(knobs, f"{arm}_tilt_deg")) for arm in ARMS}
     if source.scheme == "collinear":
         terms |= _crossing_terms(source, theta2)
-    terms = {name: terms[name] for name in TERM_ORDER if name in terms}
     carriers = {"signal": signal_center, "idler": idler_center, "pair": signal_center + idler_center,
                 "pump": source.pump.center_angular_frequency}
-    budget = DelayBudget(terms=terms, carriers=carriers, specs=specs)
-    if compensation_error_fs is None:
-        compensation = _compensator_term(source)
-    else:
-        exact = budget.required_compensation_fs + compensation_error_fs
-        compensation = DelayTerm("b", "pump", -exact, -exact)
-    return replace(budget, terms=terms | {"compensation": compensation})
+    return DelayBudget(terms=MappingProxyType({name: terms[name] for name in TERM_ORDER if name in terms}),
+                       carriers=MappingProxyType(carriers), specs=specs)
 
 
 def required_compensation_fs(source: SourceConfig, knobs: PhaseKnobs | None = None) -> float:
@@ -719,10 +759,11 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
     Only ``crystal_length`` and ``filter_fwhm`` (``None``: no filters) change
     the JSAs: each value is its own evaluation on its own grid, and the
     values of each ``SWEEP_CHUNK`` are one ``budget_terms_batch`` call, with
-    one delay budget per value for ``crystal_length`` and one for a whole
-    ``filter_fwhm`` sweep (no filter enters it).  The other sweeps are one
-    evaluation.  A value's error names it; of several failing values, the
-    lowest-indexed one's error is raised, the one it raises alone."""
+    one delay budget per value (a ``filter_fwhm`` sweep's values share the
+    one ``delay_budget`` keeps, as no filter enters it).  The other sweeps
+    are one evaluation.  A value's error names it; of several failing
+    values, the lowest-indexed one's error is raised, the one it raises
+    alone."""
     if not 0 < len(values) <= MAX_SCAN_STEPS:
         raise ConfigError(f"a sweep takes 1 to {MAX_SCAN_STEPS} (MAX_SCAN_STEPS) values, got {len(values)}")
     if None in values and parameter != "filter_fwhm":
@@ -744,26 +785,13 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
         return visibilities(budget_terms(source, delay_budget(source, knobs, 0.0), grid_points, grid_span_factor,
                                          np.transpose(weights)))
 
-    if parameter == "filter_fwhm":  # no filter enters the budget: one for every value
-        try:
-            shared = delay_budget(source, knobs, 0.0)
-        except ConfigError as error:
-            shared = error
-
-    def budget_of(src):
-        if parameter != "filter_fwhm":
-            return delay_budget(src, knobs, 0.0)
-        if isinstance(shared, ConfigError):
-            raise shared
-        return shared
-
     found = []
     for start in range(0, len(values), SWEEP_CHUNK):
         # Each value's source, then its budget, then its terms, stage by
         # stage up to the first failing value (``_until_error``).
         chunk = values[start:start + SWEEP_CHUNK]
         sources = _until_error(lambda value: SWEEP_SOURCES[parameter](source, value), chunk)
-        outcomes = _until_error(budget_of, sources)
+        outcomes = _until_error(lambda src: delay_budget(src, knobs, 0.0), sources)
         alive = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, DelayBudget)]
         for k, terms in zip(alive, budget_terms_batch([(sources[k], outcomes[k]) for k in alive],
                                                       grid_points, grid_span_factor)):
@@ -1007,11 +1035,6 @@ def parse_config(data: dict) -> ExperimentConfig:
     # Last, so that an error inside a section is reported before a stray root key.
     _check_keys(data, "", ROOT_SECTIONS)
     return config
-
-
-# Config texts whose parsed config a process keeps (``_parse_text``).  A
-# config is a few KB, and a session of commands reads a handful of files.
-CONFIG_MEMO_SIZE = 32
 
 
 @lru_cache(maxsize=CONFIG_MEMO_SIZE)

@@ -48,10 +48,16 @@ crop bounds, sinc factors, series bands, one-delay phase rows) from one
 ``_StackedSetup`` of (evaluations x N) arrays, so a sweep pays each numpy
 call of the set-up once per batch, and each evaluation then streams its
 own ``_Sampler`` block loop, bit for bit as it would alone;
-``kernel_overlaps`` is its batch of one.  ``build_jsa`` copies full-width
-blocks into one real array before it applies the norm and the phase.
+``kernel_overlaps`` is its batch of one.  A process keeps (``bellsim.memo``)
+the last 8 stacked set-ups, at most 4 MiB of their arrays, read-only, keyed
+on the batch's (pulses, specs, filters, grids) and the module constants the
+set-up reads (``CELL_LEVEL``, ``SINC_SERIES_BELOW``, ``ROW_BLOCK_BYTES``);
+the samplers' scratch is allocated per call and never kept.  ``build_jsa``
+copies full-width blocks into one real array before it applies the norm and
+the phase.
 ``kernel_time_support`` bounds, from scalars alone, the delays where that
-overlap can exceed ``SUPPORT_LEVEL`` of its peak.
+overlap can exceed ``SUPPORT_LEVEL`` of its peak; a process keeps the last
+32 bounds, keyed on their arguments and ``SUPPORT_LEVEL``.
 ``phase_matching`` is the direct formula, kept as the reference the sampled
 grid is tested against.
 """
@@ -67,6 +73,7 @@ import numpy as np
 
 from .biphoton import JointSpectralAmplitude
 from .errors import ConfigError, GridTruncationError
+from .memo import Memo
 from .units import (
     C_NM_PER_FS,
     GAUSSIAN_FWHM_OVER_SIGMA,
@@ -406,7 +413,7 @@ class _StackedSetup:
     undercut at one evaluation.  Every element takes the operations it takes
     alone, so each row is the set-up of its evaluation alone, bit for bit.
     ``_Sampler`` takes its row; the batch's samplers share one scratch
-    allocation, so they stream one at a time.
+    allocation (``scratch_shape``), so they stream one at a time.
 
     The rank-2 factors of the half mismatch h = D L / 2 = a(nu_s) + b(nu_i)
     are left = [a, 1, f_s sin a, f_s cos a] (one row per nu_s) and right =
@@ -447,11 +454,10 @@ class _StackedSetup:
                 if f.shape == "rectangular":
                     envelope[row, 1 + arm, :n] = (np.abs(axes[row, arm] - f.center_angular_frequency)
                                                   <= 0.5 * f.fwhm_omega)
-        self.cell_area = [ds * di for ds, di in (axes[:, :, 1] - axes[:, :, 0]).tolist()]
+        self.cell_area = tuple(ds * di for ds, di in (axes[:, :, 1] - axes[:, :, 0]).tolist())
         self.filters = envelope[:, 1:, :n]
         # Each pump ridge, a Hankel view of its 2N - 1 samples.
         self.ridge = np.ndarray((count, n, n), buffer=envelope, strides=(envelope.strides[0], 8, 8))
-        self.ridge.flags.writeable = False
         # Per evaluation, from its rows: the envelope's border (its first and
         # last column, then row; the larger, as Python's max takes it); the
         # envelope on the crest j + k = mode of the pump ridge, rounded as a
@@ -463,7 +469,7 @@ class _StackedSetup:
         # block left out.
         self.block = block = _block_rows(n)
         starts = np.arange(0, n, block)
-        self.starts = starts.tolist()
+        self.starts = tuple(starts.tolist())
         low_rows, high_rows = j + starts[:, None], j + np.minimum(starts + block - 1, n - 1)[:, None]
         ends = slice(None, None, n - 1)
         self.border, self.crest, self.threshold = [], [], []
@@ -484,25 +490,26 @@ class _StackedSetup:
             kept = ~(bound < self.threshold[-1])  # a NaN bound keeps its column
             kept.argmax(axis=1, out=first)
             np.multiply(n - kept[:, ::-1].argmax(axis=1), kept.any(axis=1), out=last)
-        self.first, self.last = zip(*columns.tolist())
+        self.first, self.last = (tuple(map(tuple, side)) for side in zip(*columns.tolist()))
+        self.border, self.crest, self.threshold = map(tuple, (self.border, self.crest, self.threshold))
         # ... and each row's.
         columns = np.repeat(columns, block, axis=2)[:, :, :n]
 
         # One row per spec: each evaluation's specs from row spec_start[k].
         flat = [(row, spec) for row, group in enumerate(specs) for spec in group]
-        self.spec_start = [0, *itertools.accumulate(map(len, specs))]
+        self.spec_start = (0, *itertools.accumulate(map(len, specs)))
         owner = slice(None) if len(flat) == count else [row for row, _ in flat]
         # Each spec's uniform detunings of both axes from its centers
         # (``FrequencyGrid.detuning``), then its half walk-offs.
         terms = np.array([(grids[row].signal_center - spec.signal_center_angular_frequency - grids[row].half_span,
                            grids[row].idler_center - spec.idler_center_angular_frequency - grids[row].half_span,
                            *(0.5 * v for v in spec.walk_off_fs)) for row, spec in flat])
-        self.nu = terms[:, :2, None] + steps[owner, None, :]
+        nu = terms[:, :2, None] + steps[owner, None, :]
         # Each evaluation's first spec's (spec_a's) detunings.
-        self.detunings = self.nu if owner == slice(None) else self.nu[self.spec_start[:-1]]
-        self.left, self.right = left, right = np.ones((2, len(flat), 4, n))
-        a = np.multiply(terms[:, 2:3], self.nu[:, 0], out=left[:, 0])
-        b = np.multiply(terms[:, 3:], self.nu[:, 1], out=right[:, 1])
+        self.detunings = nu if owner == slice(None) else nu[list(self.spec_start[:-1])]
+        self.left, self.right = left, right = factors = np.ones((2, len(flat), 4, n))
+        a = np.multiply(terms[:, 2:3], nu[:, 0], out=left[:, 0])
+        b = np.multiply(terms[:, 3:], nu[:, 1], out=right[:, 1])
         np.sin(a, out=left[:, 2])
         np.cos(a, out=left[:, 3])
         np.cos(b, out=right[:, 2])
@@ -525,12 +532,18 @@ class _StackedSetup:
         widths = self.bands[:, 1] - self.bands[:, 0]
         if len(flat) > count:
             widths = np.add.reduceat(widths, self.spec_start[:-1])
-        self.counts = np.add.reduceat(widths, starts, axis=1).tolist()
+        self.counts = tuple(map(tuple, np.add.reduceat(widths, starts, axis=1).tolist()))
         # A cell (j, k) sits at offsets[j] + k of its block's scratch.
         self.offsets = (j % block) * (columns[:, 1] - columns[:, 0]) - columns[:, 0]
-        # One allocation, reshaped per block so each block is contiguous:
-        # separate arrays are fresh pages, faulted in on every call.
-        self.scratch = np.empty((2 + max(map(len, specs)), block * n))
+        # The shape of the samplers' scratch: one allocation per call, never
+        # held, reshaped per block so each block is contiguous (separate
+        # arrays are fresh pages, faulted in on every call).
+        self.scratch_shape = (2 + max(map(len, specs)), block * n)
+        # Read-only: a process keeps a set-up for later batches (``_SETUPS``).
+        owned = (envelope, self.detunings, factors, self.bands, self.offsets)
+        self.nbytes = sum(array.nbytes for array in owned)
+        for array in (*owned, self.ridge, self.filters, self.left, self.right):
+            array.flags.writeable = False
 
 
 class _Sampler:
@@ -542,8 +555,10 @@ class _Sampler:
     overwrites.  Each spec's norm^2 sums the same squares (numpy's pairwise
     sum, not ``np.vdot``, whose threaded BLAS dot slowed the passes after
     it).  Its 1-D set-up is row ``row`` of a ``_StackedSetup`` given as
-    ``setup`` = (stacked set-up, row), which a batch computes for all its
-    evaluations; by default the set-up of this evaluation alone.
+    ``setup`` = (stacked set-up, row, scratch), which a batch computes for
+    all its evaluations, with a scratch array of the set-up's
+    ``scratch_shape`` that the batch's samplers share; by default the set-up
+    of this evaluation alone and its own scratch.
 
     A sampled cell takes no 2-D transcendental call and few passes: the
     rank-2 products h and f_s f_i sin h of the set-up's factors, one
@@ -579,7 +594,10 @@ class _Sampler:
 
     def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
                  grid: FrequencyGrid, crop: bool = False, setup: tuple | None = None):
-        stack, row = setup or (_StackedSetup((pulse,), (specs,), (f_s,), (f_i,), (grid,), (crop,)), 0)
+        if setup is None:
+            stack = _StackedSetup((pulse,), (specs,), (f_s,), (f_i,), (grid,), (crop,))
+            setup = (stack, 0, np.empty(stack.scratch_shape))
+        stack, row, scratch = setup
         self.filter_s, self.filter_i = stack.filters[row]
         self.ridge = stack.ridge[row]
         # With a filter present the sampled envelope must fall off at the
@@ -607,7 +625,7 @@ class _Sampler:
             self.runs[-1][1] += count
         self.offsets = stack.offsets[row]
         self.cells = 0
-        self.h, self.kernel, *self.sincs = stack.scratch[:2 + len(specs)]
+        self.h, self.kernel, *self.sincs = scratch[:2 + len(specs)]
         self.norms_sq = np.zeros(len(specs))
 
     def _series_cells(self, factors: tuple, band: np.ndarray, run: list) -> list:
@@ -768,6 +786,10 @@ def kernel_overlaps(
 # temporaries that make it (tracemalloc: 33 with one spec, 53 with two).
 SETUP_FLOATS = 56
 
+# The stacked set-ups a process keeps (``kernel_overlaps_batch``): at most 8,
+# holding at most 4 MiB of arrays (~1 MiB for one 4096^2 evaluation).
+_SETUPS = Memo(8, max_bytes=4 * 2 ** 20, nbytes=lambda stack: stack.nbytes)
+
 
 def _batches(points: list) -> list:
     """The indices of the evaluations whose grids have ``points`` points per
@@ -788,13 +810,18 @@ def kernel_overlaps_batch(evaluations) -> list:
     ``_batches`` take their 1-D set-up from one ``_StackedSetup`` and the
     phase rows of their one-delay arms from one call; each then streams its
     own ``_Sampler`` block loop as it would alone, so every result (and
-    error) is the one it gets alone, bit for bit."""
+    error) is the one it gets alone, bit for bit.  A batch whose records and
+    set-up constants an earlier batch of the process had takes that batch's
+    kept ``_StackedSetup`` (``_SETUPS``)."""
     results = [None] * len(evaluations)
     for batch in _batches([evaluation[5].points for evaluation in evaluations]):
         group = [evaluations[index] for index in batch]
         pulses, specs_a, specs_b, f_s, f_i, grids, *_ = zip(*group)
-        specs = [(a,) if b == a else (a, b) for a, b in zip(specs_a, specs_b)]
-        stack = _StackedSetup(pulses, specs, f_s, f_i, grids, (True,) * len(group))
+        specs = tuple((a,) if b == a else (a, b) for a, b in zip(specs_a, specs_b))
+        # The set-up reads these records and module constants, and nothing else.
+        key = (pulses, specs, f_s, f_i, grids, CELL_LEVEL, SINC_SERIES_BELOW, ROW_BLOCK_BYTES)
+        stack = _SETUPS.get(key, lambda: _StackedSetup(pulses, specs, f_s, f_i, grids, (True,) * len(group)))
+        scratch = np.empty(stack.scratch_shape)
         # Per arm, the distinct delays T with the shift of J_b's phase less
         # J_a's, 0.5 (v_b - v_a) (v the walk-offs): one value when all are equal.
         delays = [[_distinct(np.asarray(delays_fs, dtype=float) + 0.5 * (b.walk_off_fs[side] - a.walk_off_fs[side]))
@@ -809,7 +836,7 @@ def kernel_overlaps_batch(evaluations) -> list:
                  for side, arm in enumerate(pair)] for row, (e, pair) in enumerate(zip(group, delays))]
         for row, (index, evaluation) in enumerate(zip(batch, group)):
             try:
-                results[index] = _overlaps(stack, row, specs[row], arms[row], *evaluation)
+                results[index] = _overlaps((stack, row, scratch), specs[row], arms[row], *evaluation)
             except ConfigError as error:
                 results[index] = error
     return results
@@ -831,11 +858,11 @@ def _delay_factors(grid: FrequencyGrid, side: int, spec_a: PhaseMatchingSpec, de
     return (_expi(np.multiply.outer(nu[::m], delays)), _expi(np.multiply.outer(grid.spacing * np.arange(m), delays)))
 
 
-def _overlaps(stack, row, specs, arms, pulse, spec_a, spec_b, f_s, f_i, grid, signal_delays_fs, idler_delays_fs):
-    """``kernel_overlaps`` of one evaluation, row ``row`` of ``stack``, from
-    (K, phases) of each arm: its phase row exp(i T nu) (N,) for one delay
-    T, or ``_delay_factors`` for K."""
-    sampler = _Sampler(pulse, specs, f_s, f_i, grid, crop=True, setup=(stack, row))
+def _overlaps(setup, specs, arms, pulse, spec_a, spec_b, f_s, f_i, grid, signal_delays_fs, idler_delays_fs):
+    """``kernel_overlaps`` of one evaluation, on its ``_Sampler`` ``setup``,
+    from (K, phases) of each arm: its phase row exp(i T nu) (N,) for one
+    delay T, or ``_delay_factors`` for K."""
+    sampler = _Sampler(pulse, specs, f_s, f_i, grid, crop=True, setup=setup)
     n = grid.points
     m = math.isqrt(n - 1) + 1  # column n = m j + r, with j < q and r < m
     q = -(-n // m)
@@ -940,7 +967,18 @@ def kernel_time_support(pulse: PumpPulse, spec_a: PhaseMatchingSpec, spec_b: Pha
     log-concave, so every step stays beyond that distance.  Where a scalar
     overflows or vanishes on the way (a 1e300 fs pulse or mm crystal, a
     1e-300 nm filter), T is infinite too, and the grid and config checks
-    answer."""
+    answer.  A process keeps the last 32 supports by their arguments
+    (``_SUPPORTS``)."""
+    key = (pulse, spec_a, spec_b, f_s, f_i, SUPPORT_LEVEL)
+    return _SUPPORTS.get(key, lambda: _time_support(pulse, spec_a, spec_b, f_s, f_i))
+
+
+_SUPPORTS = Memo(32)
+
+
+def _time_support(pulse: PumpPulse, spec_a: PhaseMatchingSpec, spec_b: PhaseMatchingSpec,
+                  f_s: SpectralFilter, f_i: SpectralFilter) -> tuple:
+    """``kernel_time_support``, computed."""
     unbounded = ((0.0, math.inf), (0.0, math.inf))
     if not f_s.shape == f_i.shape == "gaussian":
         return unbounded

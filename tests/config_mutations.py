@@ -13,8 +13,9 @@ maps "<key path> = <value>: <command>" to the command's exit code, stderr
 and report.  Running it on two checkouts and comparing the two files shows
 every outcome a change moves.  The run is deterministic.  A command that
 raises instead of exiting with its documented code is recorded with its
-exception, and the script then exits 1.  The file name keeps pytest from
-collecting it.
+exception, and one that prints a Python warning with its warnings (each
+also in its stderr); the script then exits 1.  The file name keeps pytest
+from collecting it.
 """
 
 import contextlib
@@ -80,11 +81,6 @@ def edited(data, path: str, value):
     return data
 
 
-def _show_warning(message, category, *_):
-    # Without the source location, which differs between checkouts.
-    print(f"{category.__name__}: {message}", file=sys.stderr)
-
-
 def run(cli, data) -> dict:
     """Each command's outcome on the config ``data``, with the config and
     the outputs in the current directory."""
@@ -93,15 +89,23 @@ def run(cli, data) -> dict:
     outcomes = {}
     for name, argv in COMMANDS.items():
         prefix = Path(name)
-        stderr = io.StringIO()
+        stderr, shown = io.StringIO(), []
+
+        def show_warning(message, category, *_):
+            # Without the source location, which differs between checkouts.
+            shown.append(f"{category.__name__}: {message}")
+            print(shown[-1], file=sys.stderr)
+
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
                 warnings.catch_warnings():
             warnings.simplefilter("always")
-            warnings.showwarning = _show_warning
+            warnings.showwarning = show_warning
             try:
                 outcome = {"exit": cli.main(argv + ["--config", str(config), "--output", str(prefix)])}
             except Exception:  # recorded, and the run exits 1
                 outcome = {"exception": traceback.format_exc().strip().splitlines()[-1]}
+        if shown:  # recorded, and the run exits 1
+            outcome["warnings"] = shown
         report = Path(f"{prefix}.report.txt")
         outcome |= {"stderr": stderr.getvalue(), "report": report.read_text() if report.exists() else None}
         for output in Path().glob(f"{name}.*"):
@@ -129,10 +133,14 @@ def main(argv) -> int:
                     results[f"{path} = {mutation!r}: {name}"] = outcome
         os.chdir(src)
     out.write_text(json.dumps(results, indent=1) + "\n")
-    raised = [key for key, outcome in results.items() if "exception" in outcome]
-    for key in raised:
-        print(f"{key}: {results[key]['exception']}", file=sys.stderr)
-    return 1 if raised else 0
+    problems = []
+    for key, outcome in results.items():
+        problems += [f"{key}: {warning}" for warning in outcome.get("warnings", [])]
+        if "exception" in outcome:
+            problems.append(f"{key}: {outcome['exception']}")
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from bellsim import biphoton, scenario
+from bellsim import biphoton, memo, scenario
 from bellsim.biphoton import AmplitudePair
 from bellsim.spectral import build_jsa, make_grid
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Each test starts with the engine's set-up memos empty, as a fresh
+    process does, so a test that counts a command's work sees all of it."""
+    memo.clear_memos()
 
 
 @pytest.fixture(scope="session")

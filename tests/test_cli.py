@@ -148,6 +148,18 @@ class TestSweepCommand:
         assert len(values) == 5
         assert min(values) > 0.99
 
+    @pytest.mark.parametrize("grid", ["1e308", "1,1e308"])
+    def test_overflowing_crystal_length_prints_only_its_error(self, tmp_path, capsys, grid):
+        # Twice in one process, as Python prints a warning once per source
+        # line: each run's stderr is the one error line, and no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            for _ in range(2):
+                assert run(["sweep", "--config", "default", "--output", tmp_path / "s",
+                            "--parameter", "crystal_length", "--grid", grid]) == 2
+                assert capsys.readouterr().err == ("error: sweep crystal_length value 1e+308: crystals[1].thickness_mm: "
+                                                   "the delay across crystal 2 overflows a float; got 1e+308 mm\n")
+
     def test_filter_sweep_with_none(self, tmp_path, config_file):
         out = tmp_path / "filt"
         code = run(["sweep", "--config", config_file, "--output", out,

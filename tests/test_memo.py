@@ -1,0 +1,187 @@
+"""The per-process memos of the engine's set-up (``bellsim.memo``): a command
+run again in the same process repeats no kept set-up and writes the same
+bytes, in any order of commands; errors are never kept; kept arrays and
+mappings are read-only; and every memo stays within its bounds."""
+
+import gc
+import tracemalloc
+from dataclasses import replace
+
+import pytest
+
+from bellsim import cli, memo, scenario, spectral
+from bellsim.errors import ConfigError
+
+COMMANDS = {
+    "scan": ["scan"],
+    "tilt_scan": ["scan", "--axis", "both_tilts", "--steps", "65"],
+    "prepare": ["prepare", "--target", "psi-"],
+    "crystal_length": ["sweep", "--parameter", "crystal_length", "--grid", "1,2,3.4"],
+    "filter_fwhm": ["sweep", "--parameter", "filter_fwhm", "--grid", "3,10,none"],
+    "compensation_error_fs": ["sweep", "--parameter", "compensation_error_fs", "--grid", "0,-600,1500"],
+    "pump_ratio": ["sweep", "--parameter", "pump_ratio", "--grid", "0.5,1,2"],
+}
+
+
+def run(name, prefix):
+    """Run command ``name`` on the default config; the bytes of its report
+    and of its CSV (``prepare`` writes none)."""
+    assert cli.main(COMMANDS[name] + ["--config", "default", "--output", str(prefix)]) == 0
+    paths = [prefix.with_name(prefix.name + suffix) for suffix in (".report.txt", ".csv")]
+    return [path.read_bytes() for path in paths if name != "prepare" or path.suffix != ".csv"]
+
+
+@pytest.fixture()
+def source(default_config):
+    return default_config.source
+
+
+@pytest.fixture()
+def knobs(default_config):
+    return default_config.knobs
+
+
+class TestRepeatedCommands:
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_second_run_solves_and_stacks_nothing(self, tmp_path, monkeypatch, name):
+        first = run(name, tmp_path / "first")
+        calls = {"solve": 0, "setup": 0}
+
+        def counted(key, fn):
+            return lambda *a, **k: calls.__setitem__(key, calls[key] + 1) or fn(*a, **k)
+
+        monkeypatch.setattr(scenario, "phase_matching_cut_angle", counted("solve", scenario.phase_matching_cut_angle))
+        monkeypatch.setattr(spectral, "_StackedSetup", counted("setup", spectral._StackedSetup))
+        assert run(name, tmp_path / "second") == first
+        assert calls == {"solve": 0, "setup": 0}
+
+    def test_command_order_does_not_change_outputs(self, tmp_path):
+        # Both orders from a cold start, then the first again on the memos
+        # the reverse order left.
+        names = list(COMMANDS)
+        outputs = []
+        for order, cold in ((names, True), (names[::-1], True), (names, False)):
+            if cold:
+                memo.clear_memos()
+            outputs.append({name: run(name, tmp_path / f"{len(outputs)}_{name}") for name in order})
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestErrorsAreNotKept:
+    @staticmethod
+    def _thick_crystal(source):
+        return replace(source, crystals=(source.crystals[0], replace(source.crystals[1], thickness_mm=1e308)))
+
+    @staticmethod
+    def _narrow_compensator(source):
+        # A compensator material valid only above 500 nm, at the 400 nm pump.
+        narrow = replace(source.compensator[1].material, valid_range_nm=(500.0, 2050.0))
+        return replace(source, compensator=(source.compensator[0], replace(source.compensator[1], material=narrow)))
+
+    @pytest.mark.parametrize("failing, message", [
+        ("_thick_crystal", r"^crystals\[1\].thickness_mm: the delay across crystal 2 overflows"),
+        ("_narrow_compensator", r"^compensator\[1\] at pump.center_wavelength_nm: 400.0 nm outside"),
+    ])
+    def test_failing_source_raises_on_every_call(self, source, knobs, failing, message):
+        src = getattr(self, failing)(source)
+        scenario.delay_budget(source, knobs)  # the good source's entries are kept meanwhile
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ConfigError, match=message) as error:
+                scenario.delay_budget(src, knobs)
+            messages.append(str(error.value))
+        assert len(set(messages)) == 1
+
+    def test_failing_stream_raises_on_every_call(self, source, knobs):
+        # At span factor 1 the grid passes ``make_grid``, and its set-up is
+        # kept, but the stream's border check fails on it, on every call.
+        budget = scenario.delay_budget(source, knobs)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="^grid too narrow: envelope magnitude at the border") as error:
+                scenario.budget_terms(source, budget, 128, 1.0)
+            messages.append(str(error.value))
+            assert len(spectral._SETUPS) == 1
+        assert len(set(messages)) == 1
+
+
+class TestKeptValuesAreReadOnly:
+    def test_stacked_setup_arrays(self, source, knobs):
+        scenario.budget_terms(source, scenario.delay_budget(source, knobs), 128, 5.0)
+        ((stack, _),) = spectral._SETUPS._held.values()
+        for name in ("ridge", "filters", "detunings", "left", "right", "bands", "offsets"):
+            array = getattr(stack, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+
+    def test_delay_budget_mappings(self, source, knobs):
+        budget = scenario.delay_budget(source, knobs)
+        kept = scenario.delay_budget(source, knobs, 0.0)
+        for mapping in (budget.carriers, kept.carriers, *(b.terms for b, _ in scenario._ELEMENT_BUDGETS._held.values())):
+            with pytest.raises(TypeError):
+                mapping["pump"] = 0.0
+        # A returned budget's own terms are a fresh dict: changing it changes no later budget.
+        budget.terms["signal_plate"] = budget.terms["idler_plate"]
+        assert scenario.delay_budget(source, knobs).terms["signal_plate"] != budget.terms["signal_plate"]
+
+
+class TestBounds:
+    def test_memos_stay_within_their_bounds(self, source, knobs):
+        # 100 distinct sources: crystal 2's thickness differs, so each
+        # evaluation has two specs; the last 10 sample 4096^2 grids, whose
+        # set-ups (~1 MB each) pass the held-bytes cap before the count.
+        cap = 4 * 2 ** 20
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(100):
+                src = replace(source, crystals=(source.crystals[0],
+                                                replace(source.crystals[1], thickness_mm=2.0 + 0.01 * k)))
+                budget = scenario.delay_budget(src, knobs, 0.0)
+                scenario.budget_terms(src, budget, 4096 if k >= 90 else 128, 5.0)
+            del src, budget
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(scenario._ELEMENT_BUDGETS) == scenario.CONFIG_MEMO_SIZE
+        assert len(spectral._SUPPORTS) == 32
+        assert 0 < len(spectral._SETUPS) < 8
+        assert cap - 2 ** 20 < spectral._SETUPS.held_bytes <= cap
+        # Besides the set-ups' arrays: the budgets, supports, keys and the
+        # grids' cached axes, well under 1 MiB.
+        assert held <= cap + 2 ** 20
+
+    def test_clear_memos_empties_every_memo(self, source, knobs):
+        scenario.budget_terms(source, scenario.delay_budget(source, knobs), 128, 5.0)
+        kept = (scenario._ELEMENT_BUDGETS, scenario._COMPENSATOR_TERMS, spectral._SUPPORTS, spectral._SETUPS)
+        assert all(map(len, kept))
+        memo.clear_memos()
+        assert not any(map(len, kept))
+
+
+def test_memo_evicts_least_recently_used():
+    kept = memo.Memo(2, max_bytes=10, nbytes=len)
+    made = []
+
+    def get(key, value):
+        return kept.get((key,), lambda: made.append(value) or value)
+
+    def keys():
+        return [key for (key,) in kept._held]
+
+    assert get(1, "ab") == "ab"
+    assert get(2, "cd") == "cd"
+    assert get(1, "xx") == "ab"  # kept; 2 is now the oldest
+    assert get(3, "ef") == "ef"
+    assert keys() == [1, 3] and kept.held_bytes == 4
+    assert get(4, "0123456789") == "0123456789"  # 14 bytes with 1 and 3: both go
+    assert keys() == [4] and kept.held_bytes == 10
+    assert get(5, "01234567890") == "01234567890"  # above the cap alone: kept by none
+    assert keys() == [] and kept.held_bytes == 0
+    assert made == ["ab", "cd", "ef", "0123456789", "01234567890"]
+    with pytest.raises(ZeroDivisionError):
+        kept.get((6,), lambda: 1 / 0)
+    assert len(kept) == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from bellsim import biphoton, dispersion, scenario, spectral
+from bellsim import biphoton, dispersion, memo, scenario, spectral
 from bellsim.dispersion import YAML_LOADER, angled_extraordinary_index, phase_matching_cut_angle, refractive_index
 from bellsim.errors import ConfigError, GridTruncationError, InfeasibleError
 from bellsim.fitting import fit_fringe
@@ -328,6 +328,7 @@ class TestScans:
         # Every step's plate terms come from one pass: a per-step loop over
         # the dispersion layer would make these counts grow with the steps.
         def counted_scan(steps):
+            memo.clear_memos()  # each scan counts its work as in a fresh process
             counts = dict.fromkeys(DISPERSION_CALLS, 0)
             for name in DISPERSION_CALLS:
                 def counted(*args, _fn=getattr(dispersion, name), _name=name, **kwargs):
@@ -581,6 +582,16 @@ class TestSweep:
         with pytest.raises(ConfigError) as error:
             scenario.sweep(source, knobs, parameter, [3.0, early, late])
         assert str(error.value).startswith(f"sweep {parameter} value {early!r}: ")
+
+    def test_filter_sweep_budget_error_names_first_value(self, source, knobs):
+        # No filter enters the delay budget: every value's budget fails the
+        # same way, and the first value's error is raised, on every call.
+        narrow = replace(source.signal_plate.material, valid_range_nm=(900.0, 2050.0))
+        src = replace(source, signal_plate=replace(source.signal_plate, material=narrow))
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=r"^sweep filter_fwhm value 3\.0: knobs\.signal_plate at "
+                                                  r"crystals\[0\]\.signal_center_nm: "):
+                scenario.sweep(src, knobs, "filter_fwhm", [3.0, None, 10.0])
 
     def test_one_pumped_crystal_has_zero_visibility_at_every_ratio(self, source, knobs):
         horizontal = replace(source, pump=replace(source.pump, polarization_angle_deg=0.0))
