@@ -53,22 +53,24 @@ columns where a bound of the pump-times-filters envelope reaches 1e-15 of
 its crest, so the stream's time follows the envelope's frequency support
 more than the grid (24 % of a default 1024^2 grid, 53 % of 128^2), with a
 rerun on every cell when the skipped cells could move an overlap by more
-than 1e-15.  ``sweep`` takes one row per compensation
-error, or one row weighted per pump ratio; a crystal-length or filter-width
-sweep, whose values change the JSAs, makes one ``budget_terms_batch`` call
-over every value's (source, budget), each value on its own grid, so the
-stream's 1-D set-up is stacked over the values and paid once per batch.
-``prepare_bell`` and ``effective_polarization_state`` take the terms of one
-delay row, which the caller evaluates with ``budget_terms`` on the grid
-numerics of its config.
+than 1e-15.  ``sweep`` takes one row per compensation error, or one row
+weighted per pump ratio; a crystal-length or filter-width sweep, whose
+values change the JSAs, makes one ``budget_terms_batch`` call per chunk of
+values, each value on its own grid, so the stream's 1-D set-up is stacked
+over the values and paid once per batch.  A batch raises the first error it
+meets; ``sweep`` alone finds the lowest-indexed failing value, by
+evaluating that chunk's values again one at a time.  ``prepare_bell`` and
+``effective_polarization_state`` take the terms of one delay row, which the
+caller evaluates with ``budget_terms`` on the grid numerics of its config.
 A process keeps (``bellsim.memo``) the last ``CONFIG_MEMO_SIZE`` delay
 budgets without their compensation term, keyed on the records they read
 (pump, crystals, knob plates, scheme, cross-dispersion toggle, knob tilts;
 no filter, pump ratio or pump knob), and as many compensator terms, keyed on
 the compensator, crystal 2's axis and the pump wavelength, with read-only
 mappings, so a command derives no budget an earlier command of the process
-derived; ``spectral`` keeps the time supports and stacked set-ups likewise.
-Each config section is read into the one class that holds its defaults.
+derived; ``spectral`` keeps the time supports and stacked set-ups likewise,
+and ``load_config`` the parsed configs.  Each config section is read into
+the one class that holds its defaults.
 ``build_amplitudes`` still assembles the two phased amplitudes explicitly,
 for the tests and the time-domain oracle.
 
@@ -81,7 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import cache, lru_cache
+from functools import cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -140,7 +142,7 @@ NOISE_KINDS = ("none", "poisson")
 SCHEME_KINDS = ("collinear", "mzi")
 
 MAX_SCAN_STEPS = 4096  # scan steps or sweep values: one kernel delay row each
-# Config texts whose parsed config a process keeps (``_parse_text``), and
+# Config texts whose parsed config a process keeps (``load_config``), and
 # element budgets and compensator terms (``delay_budget``).  A config is a
 # few KB, and a session of commands reads a handful of files.
 CONFIG_MEMO_SIZE = 32
@@ -365,46 +367,50 @@ def _crossing_terms(source: SourceConfig, theta2: float) -> dict:
     return terms
 
 
-def _retardation(element: BirefringentElement, polarization: str, wavelength_nm: float, tilt_deg=None):
+def _retardation(element: BirefringentElement, keys: tuple, polarization: str, wavelength_nm: float,
+                 tilt_deg=None):
     """(group, phase) delay, in fs, of the ray polarized ``polarization``
     (H|V) through ``element`` less that of the orthogonal ray, at the
     element's tilt or at ``tilt_deg`` (a number or an array).  A ray is
-    extraordinary when its polarization lies along the element's axis."""
-    rep_e = element_delays(element, "e", wavelength_nm, tilt_deg)
-    rep_o = element_delays(element, "o", wavelength_nm, tilt_deg)
+    extraordinary when its polarization lies along the element's axis.
+    ``keys`` are the config keys of the element and of the wavelength: an
+    index error names both, and a ray delay past the float range names the
+    element's thickness, before the difference could take inf - inf."""
+    try:
+        rep_e, rep_o = (element_delays(element, ray, wavelength_nm, tilt_deg) for ray in "eo")
+    except ConfigError as exc:
+        raise _prefixed(" at ".join(keys), exc) from None
+    e_group, o_group, e_phase, o_phase = delays = (rep_e.group_delay_fs, rep_o.group_delay_fs,
+                                                   rep_e.phase_delay_fs, rep_o.phase_delay_fs)
+    if not np.isfinite(delays).all():
+        raise ConfigError(f"{keys[0]}.thickness_mm: the delay across the element overflows a float; "
+                          f"got {element.thickness_mm!r} mm")
     sign = 1.0 if (polarization == "V") == (element.axis_orientation == "vertical") else -1.0
-    return (
-        sign * (rep_e.group_delay_fs - rep_o.group_delay_fs),
-        sign * (rep_e.phase_delay_fs - rep_o.phase_delay_fs),
-    )
+    return sign * (e_group - o_group), sign * (e_phase - o_phase)
 
 
 def _plate_term(source: SourceConfig, arm: str, tilt_deg) -> DelayTerm:
     """Amplitude a's term of the knob plate of ``arm`` at a tilt (arrays at
     an array of tilts): a's photon's retardation relative to b's, from the
     plate's indices at the arm's center; the tilts only set the path.  An
-    index error names the plate's key and the key of the center."""
+    error names the plate's key (``_retardation``)."""
     first = source.crystals[0]
     plate, center_nm = getattr(source, f"{arm}_plate"), getattr(first, f"{arm}_center_nm")
     if np.ndim(tilt_deg):  # a scan's tilts, checked before the index evaluation that names the plate
         check_tilt(tilt_deg)
-    try:
-        return DelayTerm("a", arm, *_retardation(plate, first.pair_polarization(), center_nm, tilt_deg))
-    except ConfigError as exc:
-        raise _prefixed(f"knobs.{arm}_plate at crystals[0].{arm}_center_nm", exc) from None
+    keys = (f"knobs.{arm}_plate", f"crystals[0].{arm}_center_nm")
+    return DelayTerm("a", arm, *_retardation(plate, keys, first.pair_polarization(), center_nm, tilt_deg))
 
 
 def _compensator_term(source: SourceConfig) -> DelayTerm:
     """Amplitude b's term of the compensator elements: the retardation of
     b's pump component relative to a's, negative for a pre-advance.  An
-    index error names the element's key and the pump wavelength's."""
+    error names the element's key (``_retardation``)."""
     pol_b_pump = source.crystals[1].pump_polarization()
     group = phase = 0.0
     for k, element in enumerate(source.compensator):
-        try:
-            element_group, element_phase = _retardation(element, pol_b_pump, source.pump.center_wavelength_nm)
-        except ConfigError as exc:
-            raise _prefixed(f"compensator[{k}] at pump.center_wavelength_nm", exc) from None
+        keys = (f"compensator[{k}]", "pump.center_wavelength_nm")
+        element_group, element_phase = _retardation(element, keys, pol_b_pump, source.pump.center_wavelength_nm)
         group += element_group
         phase += element_phase
     return DelayTerm("b", "pump", group, phase)
@@ -551,17 +557,15 @@ def budget_terms(source: SourceConfig, budget: DelayBudget, grid_points: int,
                  grid_span_factor: float, weights: tuple | None = None) -> tuple:
     """(|A_a|^2, |A_b|^2, <A_a|A_b> per delay entry, grid points used) of the
     amplitudes the budget makes of both crystals' JSAs: the batch of one of
-    ``budget_terms_batch``, whose ConfigError it raises."""
-    (terms,) = budget_terms_batch([(source, budget)], grid_points, grid_span_factor, weights)
-    if isinstance(terms, ConfigError):
-        raise terms
-    return terms
+    ``budget_terms_batch``."""
+    return budget_terms_batch([(source, budget)], grid_points, grid_span_factor, weights)[0]
 
 
 def budget_terms_batch(evaluations, grid_points: int, grid_span_factor: float,
                        weights: tuple | None = None) -> list:
-    """``budget_terms`` of each (source, budget) evaluation, or the first
-    ConfigError that evaluation raises, in order: the error it raises alone.
+    """``budget_terms`` of each (source, budget) evaluation, in order.  The
+    first ConfigError an evaluation raises is raised (``sweep`` finds the
+    lowest-indexed value at fault).
 
     Every normalized overlap below ``SUPPORT_LEVEL`` is reported as 0.  An
     entry whose (signal, idler) delay lies outside the kernel's time support
@@ -574,42 +578,31 @@ def budget_terms_batch(evaluations, grid_points: int, grid_span_factor: float,
     phases and pump weights (the source's, or ``weights`` (w_a, w_b) arrays)
     are applied to the overlaps.  The JSAs are normalized, so the squared
     norms are the squared weights."""
-    results, streams = [], []
+    scalars, streams = [], []
     for source, budget in evaluations:
-        try:
-            w_a, w_b = _pump_weights(source) if weights is None else weights
-            signal_delay, idler_delay, carrier = budget.delays()
-            signal_delays, idler_delays, envelope_delays = np.atleast_1d(signal_delay, idler_delay,
-                                                                         budget.envelope_delay_fs())
-            if not signal_delays.shape == idler_delays.shape == envelope_delays.shape:
-                signal_delays, idler_delays, envelope_delays = np.broadcast_arrays(signal_delays, idler_delays,
-                                                                                   envelope_delays)
-            (c_s, t_s), (c_i, t_i) = kernel_time_support(source.pump, *budget.specs, *source.filters)
-            # A non-finite delay stays in, for ``make_grid`` to reject.
-            inside = ~((np.abs(signal_delays - c_s) > t_s) | (np.abs(idler_delays - c_i) > t_i))
-            inside |= ~np.isfinite(envelope_delays)
-            grid = make_grid(source.pump, budget.specs[0], source.filters, grid_points, grid_span_factor,
-                             float(np.max(envelope_delays[inside], initial=0.0)))
-        except ConfigError as error:
-            results.append(error)
-            continue
-        results.append((w_a, w_b, carrier, inside, grid))
+        w_a, w_b = _pump_weights(source) if weights is None else weights
+        signal_delay, idler_delay, carrier = budget.delays()
+        signal_delays, idler_delays, envelope_delays = np.atleast_1d(signal_delay, idler_delay,
+                                                                     budget.envelope_delay_fs())
+        if not signal_delays.shape == idler_delays.shape == envelope_delays.shape:
+            signal_delays, idler_delays, envelope_delays = np.broadcast_arrays(signal_delays, idler_delays,
+                                                                               envelope_delays)
+        (c_s, t_s), (c_i, t_i) = kernel_time_support(source.pump, *budget.specs, *source.filters)
+        # A non-finite delay stays in, for ``make_grid`` to reject.
+        inside = ~((np.abs(signal_delays - c_s) > t_s) | (np.abs(idler_delays - c_i) > t_i))
+        inside |= ~np.isfinite(envelope_delays)
+        grid = make_grid(source.pump, budget.specs[0], source.filters, grid_points, grid_span_factor,
+                         float(np.max(envelope_delays[inside], initial=0.0)))
+        scalars.append((w_a, w_b, carrier, inside, grid))
         streams.append((source.pump, *budget.specs, *source.filters, grid,
                         signal_delays[inside], idler_delays[inside]))
-    overlaps_of = iter(kernel_overlaps_batch(streams))
-    for index, result in enumerate(results):
-        if isinstance(result, ConfigError):
-            continue
-        w_a, w_b, carrier, inside, grid = result
-        found = next(overlaps_of)
-        if isinstance(found, ConfigError):
-            results[index] = found
-            continue
+    results = []
+    for (w_a, w_b, carrier, inside, grid), found in zip(scalars, kernel_overlaps_batch(streams)):
         overlaps = np.zeros(inside.shape, dtype=complex)
         overlaps[inside] = found
         overlaps[np.abs(overlaps) < SUPPORT_LEVEL] = 0.0
         cross = w_a * w_b * np.exp(1j * carrier) * overlaps
-        results[index] = (w_a * w_a, w_b * w_b, cross, grid.points)
+        results.append((w_a * w_a, w_b * w_b, cross, grid.points))
     return results
 
 
@@ -763,7 +756,8 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
     one ``delay_budget`` keeps, as no filter enters it).  The other sweeps
     are one evaluation.  A value's error names it; of several failing
     values, the lowest-indexed one's error is raised, the one it raises
-    alone."""
+    alone: when a chunk's batch raises, its values are evaluated again one
+    at a time, in order."""
     if not 0 < len(values) <= MAX_SCAN_STEPS:
         raise ConfigError(f"a sweep takes 1 to {MAX_SCAN_STEPS} (MAX_SCAN_STEPS) values, got {len(values)}")
     if None in values and parameter != "filter_fwhm":
@@ -785,39 +779,23 @@ def sweep(source: SourceConfig, knobs: PhaseKnobs, parameter: str, values,
         return visibilities(budget_terms(source, delay_budget(source, knobs, 0.0), grid_points, grid_span_factor,
                                          np.transpose(weights)))
 
+    def evaluated(chunk):
+        sources = [SWEEP_SOURCES[parameter](source, value) for value in chunk]
+        return budget_terms_batch([(src, delay_budget(src, knobs, 0.0)) for src in sources], grid_points,
+                                  grid_span_factor)
+
     found = []
     for start in range(0, len(values), SWEEP_CHUNK):
-        # Each value's source, then its budget, then its terms, stage by
-        # stage up to the first failing value (``_until_error``).
         chunk = values[start:start + SWEEP_CHUNK]
-        sources = _until_error(lambda value: SWEEP_SOURCES[parameter](source, value), chunk)
-        outcomes = _until_error(lambda src: delay_budget(src, knobs, 0.0), sources)
-        alive = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, DelayBudget)]
-        for k, terms in zip(alive, budget_terms_batch([(sources[k], outcomes[k]) for k in alive],
-                                                      grid_points, grid_span_factor)):
-            outcomes[k] = terms
-        for value, outcome in zip(chunk, outcomes):
-            if isinstance(outcome, ConfigError):
-                raise _prefixed(context(value), outcome) from None
-        found += map(visibilities, outcomes)
-    return np.concatenate(found)
-
-
-def _until_error(stage, inputs) -> list:
-    """``stage`` of each of ``inputs`` in order, or the ConfigError it
-    raises, up to the first input that is or gives a ConfigError; the
-    inputs after that one are left as they are, as none of them can be the
-    lowest-indexed failure.  A batch collects each value's first error so."""
-    outputs = list(inputs)
-    for k, given in enumerate(outputs):
-        if isinstance(given, ConfigError):
-            break
         try:
-            outputs[k] = stage(given)
-        except ConfigError as error:
-            outputs[k] = error
-            break
-    return outputs
+            found += map(visibilities, evaluated(chunk))
+        except ConfigError:
+            # A value reads the same bits alone as in a batch, and no memo
+            # keeps an error: the first value that fails alone raises.
+            for value in chunk:
+                _in_context(context(value), evaluated, chunk=[value])
+            raise
+    return np.concatenate(found)
 
 
 def prepare_bell(source: SourceConfig, target: str, knobs: PhaseKnobs, terms: tuple) -> PhaseKnobs:
@@ -1037,25 +1015,22 @@ def parse_config(data: dict) -> ExperimentConfig:
     return config
 
 
-@lru_cache(maxsize=CONFIG_MEMO_SIZE)
-def _parse_text(text: str) -> ExperimentConfig:
-    """``parse_config`` of the YAML ``text``, once per text: the result is a
-    frozen dataclass of numbers, strings, tuples and shared ``Material``
-    records, so every caller can hold the same one.  An error is raised
-    again on every call, as nothing is kept for it."""
-    return parse_config(yaml.load(text, Loader=YAML_LOADER))
+_CONFIGS = Memo(CONFIG_MEMO_SIZE)
 
 
 def load_config(path) -> ExperimentConfig:
     """Load and validate a scenario config file (YAML).  The file is read on
-    every call; a text read before in this process is not parsed again."""
+    every call; a process keeps the last ``CONFIG_MEMO_SIZE`` parsed configs
+    by text (frozen dataclasses of numbers, strings, tuples and shared
+    ``Material`` records, so every caller can hold the same one), and an
+    invalid text raises again on every call."""
     try:
         with open(path, "r") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return _parse_text(text)
+        return _CONFIGS.get((text,), lambda: parse_config(yaml.load(text, Loader=YAML_LOADER)))
     except yaml.YAMLError as exc:
         # YAML names the positions of a parsed string "<unicode string>".
         detail = str(exc).replace('"<unicode string>"', f'"{path}"')

@@ -47,14 +47,15 @@ count take their 1-D set-up (axes, pump and filter samples, border, crest,
 crop bounds, sinc factors, series bands, one-delay phase rows) from one
 ``_StackedSetup`` of (evaluations x N) arrays, so a sweep pays each numpy
 call of the set-up once per batch, and each evaluation then streams its
-own ``_Sampler`` block loop, bit for bit as it would alone;
-``kernel_overlaps`` is its batch of one.  A process keeps (``bellsim.memo``)
-the last 8 stacked set-ups, at most 4 MiB of their arrays, read-only, keyed
-on the batch's (pulses, specs, filters, grids) and the module constants the
-set-up reads (``CELL_LEVEL``, ``SINC_SERIES_BELOW``, ``ROW_BLOCK_BYTES``);
-the samplers' scratch is allocated per call and never kept.  ``build_jsa``
-copies full-width blocks into one real array before it applies the norm and
-the phase.
+own ``_Sampler`` block loop, bit for bit as it would alone.  The batch
+raises the first error a stream meets (``scenario.sweep`` finds the value
+at fault); ``kernel_overlaps`` is its batch of one.  A process keeps
+(``bellsim.memo``) the last 8 stacked set-ups, at most 4 MiB of their
+arrays, read-only, keyed on the batch's (pulses, specs, filters, grids) and
+the module constants the set-up reads (``CELL_LEVEL``,
+``SINC_SERIES_BELOW``, ``ROW_BLOCK_BYTES``); the samplers' scratch is
+allocated per call and never kept.  ``build_jsa`` copies full-width blocks
+into one real array before it applies the norm and the phase.
 ``kernel_time_support`` bounds, from scalars alone, the delays where that
 overlap can exceed ``SUPPORT_LEVEL`` of its peak; a process keeps the last
 32 bounds, keyed on their arguments and ``SUPPORT_LEVEL``.
@@ -402,10 +403,10 @@ def _block_rows(points: int) -> int:
 class _StackedSetup:
     """The 1-D set-up of ``_Sampler`` for a batch of evaluations whose grids
     share one point count N, given as parallel sequences (pulses, specs,
-    f_s, f_i, grids, crops).  The array work is one array with a row per
-    evaluation (per spec for the detunings, sinc factors and series bands),
-    so a batch makes each of those numpy calls once, not once per
-    evaluation: the axes and cell areas, the pump ridge's 2N - 1 samples
+    f_s, f_i, grids), all cropped or none (``crop``, as in ``_Sampler``).
+    The array work is one array with a row per evaluation (per spec for the
+    detunings, sinc factors and series bands), so a batch makes each of
+    those numpy calls once, not once per evaluation: the axes and cell areas, the pump ridge's 2N - 1 samples
     and the filter amplitudes (one Gaussian call), the sinc factors, the
     series bands and candidate counts, and the cell offsets.  The border,
     the crest, the crop threshold and the per-block column bounds take a
@@ -423,7 +424,7 @@ class _StackedSetup:
     row, the columns where b lies within 2 ``SINC_SERIES_BELOW`` of -a: b
     is monotone, so bisection finds them."""
 
-    def __init__(self, pulses, specs, f_s, f_i, grids, crops):
+    def __init__(self, pulses, specs, f_s, f_i, grids, crop: bool):
         n = grids[0].points
         count = len(grids)
         j = np.arange(n)
@@ -474,8 +475,7 @@ class _StackedSetup:
         ends = slice(None, None, n - 1)
         self.border, self.crest, self.threshold = [], [], []
         columns = np.empty((count, 2, len(starts)), dtype=np.intp)
-        for samples, ridge, (signal, idler), crop, (first, last) in zip(envelope[:, 0], self.ridge, self.filters,
-                                                                        crops, columns):
+        for samples, ridge, (signal, idler), (first, last) in zip(envelope[:, 0], self.ridge, self.filters, columns):
             self.border.append(float(max(((ridge[:, ends] * idler[ends]) * signal[:, None]).max(),
                                          ((ridge[ends] * idler) * signal[ends, None]).max())))
             mode = int(samples.argmax())
@@ -558,7 +558,8 @@ class _Sampler:
     ``setup`` = (stacked set-up, row, scratch), which a batch computes for
     all its evaluations, with a scratch array of the set-up's
     ``scratch_shape`` that the batch's samplers share; by default the set-up
-    of this evaluation alone and its own scratch.
+    of this evaluation alone, cropped as ``crop`` asks (a given set-up
+    decided its crop: a batch's is cropped), and its own scratch.
 
     A sampled cell takes no 2-D transcendental call and few passes: the
     rank-2 products h and f_s f_i sin h of the set-up's factors, one
@@ -595,7 +596,7 @@ class _Sampler:
     def __init__(self, pulse: PumpPulse, specs: tuple, f_s: SpectralFilter, f_i: SpectralFilter,
                  grid: FrequencyGrid, crop: bool = False, setup: tuple | None = None):
         if setup is None:
-            stack = _StackedSetup((pulse,), (specs,), (f_s,), (f_i,), (grid,), (crop,))
+            stack = _StackedSetup((pulse,), (specs,), (f_s,), (f_i,), (grid,), crop)
             setup = (stack, 0, np.empty(stack.scratch_shape))
         stack, row, scratch = setup
         self.filter_s, self.filter_i = stack.filters[row]
@@ -776,10 +777,7 @@ def kernel_overlaps(
     normalized overlap or norm^2; above ``CELL_LEVEL`` the stream reruns on
     every cell.
     """
-    (overlaps,) = kernel_overlaps_batch([(pulse, spec_a, spec_b, f_s, f_i, grid, signal_delays_fs, idler_delays_fs)])
-    if isinstance(overlaps, ConfigError):
-        raise overlaps
-    return overlaps
+    return kernel_overlaps_batch([(pulse, spec_a, spec_b, f_s, f_i, grid, signal_delays_fs, idler_delays_fs)])[0]
 
 
 # Floats per grid point of one evaluation's ``_StackedSetup`` and the
@@ -805,14 +803,15 @@ def _batches(points: list) -> list:
 
 
 def kernel_overlaps_batch(evaluations) -> list:
-    """``kernel_overlaps`` of each evaluation, a tuple of its arguments, or
-    the ConfigError its stream raises, in order.  The evaluations of one of
-    ``_batches`` take their 1-D set-up from one ``_StackedSetup`` and the
-    phase rows of their one-delay arms from one call; each then streams its
-    own ``_Sampler`` block loop as it would alone, so every result (and
-    error) is the one it gets alone, bit for bit.  A batch whose records and
-    set-up constants an earlier batch of the process had takes that batch's
-    kept ``_StackedSetup`` (``_SETUPS``)."""
+    """``kernel_overlaps`` of each evaluation, a tuple of its arguments, in
+    order.  The evaluations of one of ``_batches`` take their 1-D set-up from
+    one cropped ``_StackedSetup`` and the phase rows of their one-delay arms
+    from one call; each then streams its own ``_Sampler`` block loop as it
+    would alone, so every result is the one it gets alone, bit for bit.  The
+    first ConfigError a stream raises is raised; the batches go by point
+    count, so it need not be the lowest-indexed evaluation's.  A batch whose
+    records and set-up constants an earlier batch of the process had takes
+    that batch's kept ``_StackedSetup`` (``_SETUPS``)."""
     results = [None] * len(evaluations)
     for batch in _batches([evaluation[5].points for evaluation in evaluations]):
         group = [evaluations[index] for index in batch]
@@ -820,7 +819,7 @@ def kernel_overlaps_batch(evaluations) -> list:
         specs = tuple((a,) if b == a else (a, b) for a, b in zip(specs_a, specs_b))
         # The set-up reads these records and module constants, and nothing else.
         key = (pulses, specs, f_s, f_i, grids, CELL_LEVEL, SINC_SERIES_BELOW, ROW_BLOCK_BYTES)
-        stack = _SETUPS.get(key, lambda: _StackedSetup(pulses, specs, f_s, f_i, grids, (True,) * len(group)))
+        stack = _SETUPS.get(key, lambda: _StackedSetup(pulses, specs, f_s, f_i, grids, True))
         scratch = np.empty(stack.scratch_shape)
         # Per arm, the distinct delays T with the shift of J_b's phase less
         # J_a's, 0.5 (v_b - v_a) (v the walk-offs): one value when all are equal.
@@ -835,10 +834,7 @@ def kernel_overlaps_batch(evaluations) -> list:
         arms = [[(1, phases[row, side]) if arm.size == 1 else (arm.size, _delay_factors(e[5], side, e[1], arm))
                  for side, arm in enumerate(pair)] for row, (e, pair) in enumerate(zip(group, delays))]
         for row, (index, evaluation) in enumerate(zip(batch, group)):
-            try:
-                results[index] = _overlaps((stack, row, scratch), specs[row], arms[row], *evaluation)
-            except ConfigError as error:
-                results[index] = error
+            results[index] = _overlaps((stack, row, scratch), specs[row], arms[row], *evaluation)
     return results
 
 
@@ -862,7 +858,7 @@ def _overlaps(setup, specs, arms, pulse, spec_a, spec_b, f_s, f_i, grid, signal_
     """``kernel_overlaps`` of one evaluation, on its ``_Sampler`` ``setup``,
     from (K, phases) of each arm: its phase row exp(i T nu) (N,) for one
     delay T, or ``_delay_factors`` for K."""
-    sampler = _Sampler(pulse, specs, f_s, f_i, grid, crop=True, setup=setup)
+    sampler = _Sampler(pulse, specs, f_s, f_i, grid, setup=setup)
     n = grid.points
     m = math.isqrt(n - 1) + 1  # column n = m j + r, with j < q and r < m
     q = -(-n // m)

@@ -4,7 +4,7 @@ default config and keep what each one gives.
 Usage: python tests/config_mutations.py SRC OUT.json
 
 A leaf is a number, string or flag of the default config at its key path
-(``crystals[1].idler_center_nm``); each leaf takes each of the 15 values of
+(``crystals[1].idler_center_nm``); each leaf takes each of the 16 values of
 ``mutations`` in turn, the rest of the config left as it is.  Each edited
 config runs ``COMMANDS`` in one process through ``cli.main``.
 
@@ -41,11 +41,11 @@ COMMANDS = {
 
 # Values every leaf takes: no value, a flag, a string, a list, zero, a
 # negative number, and numbers at and past the limits of a float.
-ABSOLUTE = [None, True, "x", [1.0], 0, -1, 1.0e-300, 1.0e300, math.nan, math.inf]
+ABSOLUTE = [None, True, "x", [1.0], 0, -1, 1.0e-300, 1.0e300, 1.0e308, math.nan, math.inf]
 
 
 def mutations(value) -> list:
-    """The 15 values a leaf holding ``value`` takes: ``ABSOLUTE`` and five
+    """The 16 values a leaf holding ``value`` takes: ``ABSOLUTE`` and five
     near its own (scaled numbers, integers kept integer, edited strings,
     spellings of a flag that YAML reads as strings or numbers)."""
     if isinstance(value, bool):

@@ -631,6 +631,26 @@ class TestBadInputExitCodes:
         assert ("knobs.idler_plate at crystals[0].idler_center_nm: 2100.0 nm outside validity range "
                 "[198.0, 2050.0] nm of material 'quartz'") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, old, key", [
+        pytest.param(command, old, key, id=f"{command[0]}-{key}")
+        for old, key, commands in (("{material: quartz, thickness_mm: 35.352", "compensator[0]", FILTER_COMMANDS[:2]),
+                                   ("signal_plate: {material: quartz, thickness_mm: 3.0", "knobs.signal_plate",
+                                    FILTER_COMMANDS))
+        for command in commands
+    ])
+    def test_overflowing_element_prints_only_its_error(self, tmp_path, config_file, capsys, command, old, key):
+        # Twice in one process, as Python prints a warning once per source
+        # line: each run's stderr is the one error line, naming the element's
+        # thickness.  A sweep replaces the compensator, so only a plate fails it.
+        bad = _edited_config(config_file, tmp_path, old, old.rsplit(" ", 1)[0] + " 1.0e+308")
+        prefix = "sweep crystal_length value 1.0: " if command[0] == "sweep" else ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            for _ in range(2):
+                assert run([*command, "--config", bad, "--output", tmp_path / "x"]) == 2
+                assert capsys.readouterr().err == (f"error: {prefix}{key}.thickness_mm: the delay across the element "
+                                                   "overflows a float; got 1e+308 mm\n")
+
     @pytest.mark.parametrize("command", FILTER_COMMANDS)
     def test_mildly_detuned_filter_runs(self, tmp_path, config_file, command):
         edited = _edited_config(config_file, tmp_path, "{center_nm: 730.0,", "{center_nm: 735.0,")

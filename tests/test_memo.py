@@ -104,6 +104,19 @@ class TestErrorsAreNotKept:
             assert len(spectral._SETUPS) == 1
         assert len(set(messages)) == 1
 
+    def test_invalid_config_text_is_parsed_and_raises_on_every_call(self, tmp_path, monkeypatch):
+        calls = []
+        parse = scenario.parse_config
+        monkeypatch.setattr(scenario, "parse_config", lambda data: calls.append(1) or parse(data))
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(scenario.default_config_path().read_text().replace("thickness_mm: 3.4", "thickness_mm: -1", 1))
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ConfigError, match=r"^crystals\[0\]") as error:
+                scenario.load_config(bad)
+            messages.append(str(error.value))
+        assert len(calls) == 3 and len(set(messages)) == 1 and len(scenario._CONFIGS) == 0
+
 
 class TestKeptValuesAreReadOnly:
     def test_stacked_setup_arrays(self, source, knobs):
@@ -160,6 +173,17 @@ class TestBounds:
         assert all(map(len, kept))
         memo.clear_memos()
         assert not any(map(len, kept))
+
+    def test_cleared_config_text_is_parsed_again(self, monkeypatch):
+        calls = []
+        parse = scenario.parse_config
+        monkeypatch.setattr(scenario, "parse_config", lambda data: calls.append(1) or parse(data))
+        path = scenario.default_config_path()
+        first = scenario.load_config(path)
+        assert scenario.load_config(path) is first and len(calls) == 1
+        memo.clear_memos()
+        assert len(scenario._CONFIGS) == 0
+        assert scenario.load_config(path) == first and len(calls) == 2
 
 
 def test_memo_evicts_least_recently_used():

@@ -583,6 +583,30 @@ class TestSweep:
             scenario.sweep(source, knobs, parameter, [3.0, early, late])
         assert str(error.value).startswith(f"sweep {parameter} value {early!r}: ")
 
+    @pytest.mark.parametrize("values", [[3.4, 2.0, 1.0], [3.4] * 66 + [2.0, 3.4, 1.0]],
+                             ids=["first_chunk", "second_chunk"])
+    def test_lowest_failing_value_is_named_across_point_counts(self, source, knobs, monkeypatch, values):
+        # Lengths 2 and 1 fail in their streams.  Length 2 is sized onto
+        # 256^2 and the others stay on 128^2, so the batch streams the
+        # 128^2 values first and meets length 1's error first; the sweep
+        # names length 2, the lower index (66 in the second chunk).
+        make, overlaps, met = scenario.make_grid, spectral._overlaps, []
+
+        def grid(pump, spec, filters, points, *args):
+            return make(pump, spec, filters, 256 if spec.crystal_length_mm == 2.0 else points, *args)
+
+        def stream(setup, specs, arms, pulse, spec_a, *args):
+            if spec_a.crystal_length_mm in (1.0, 2.0):
+                met.append(spec_a.crystal_length_mm)
+                raise ConfigError(f"the stream of {spec_a.crystal_length_mm} mm fails")
+            return overlaps(setup, specs, arms, pulse, spec_a, *args)
+
+        monkeypatch.setattr(scenario, "make_grid", grid)
+        monkeypatch.setattr(spectral, "_overlaps", stream)
+        with pytest.raises(ConfigError, match=r"^sweep crystal_length value 2\.0: the stream of 2\.0 mm fails$"):
+            scenario.sweep(source, knobs, "crystal_length", values)
+        assert met[0] == 1.0
+
     def test_filter_sweep_budget_error_names_first_value(self, source, knobs):
         # No filter enters the delay budget: every value's budget fails the
         # same way, and the first value's error is raised, on every call.
@@ -945,7 +969,8 @@ def _legacy_budget(source, budget, compensation_error_fs=None) -> LegacyDelayBud
     pol_b_pump = "V" if source.crystals[1].axis_orientation == "vertical" else "H"
     advance_g = advance_p = 0.0
     for element in source.compensator:
-        group, phase = scenario._retardation(element, pol_b_pump, source.pump.center_wavelength_nm)
+        group, phase = scenario._retardation(element, ("compensator", "pump"), pol_b_pump,
+                                             source.pump.center_wavelength_nm)
         advance_g -= group
         advance_p -= phase
     legacy = LegacyDelayBudget(
