@@ -351,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _joined_grid(argv: list) -> list:
-    """``argv`` with each ``--grid VALUE`` joined into ``--grid=VALUE``:
-    argparse takes a separate value that starts with '-' (a negative first
-    value, e.g. -300,0,300) for an option."""
+    """``argv`` with each ``--grid``, ``--start`` or ``--stop`` joined to a
+    next token whose first comma-separated value is a float: argparse takes
+    a separate -4e2 or -300,0,300 (but not -400) for an option."""
     joined = list(argv)
     for k in range(len(joined) - 2, -1, -1):
-        if joined[k] == "--grid":
-            joined[k:k + 2] = [f"--grid={joined[k + 1]}"]
+        if joined[k] in ("--grid", "--start", "--stop") and _is_number(joined[k + 1].split(",")[0]):
+            joined[k:k + 2] = [f"{joined[k]}={joined[k + 1]}"]
     return joined
 
 

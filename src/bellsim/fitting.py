@@ -16,6 +16,7 @@ V = sqrt(a^2 + b^2)/A, P = 1/f, phi = atan2(-b, a), phi in (-pi, pi].
 A fit whose amplitude sqrt(a^2 + b^2) is at most n eps |A| (n points, eps
 float64's machine epsilon), the rounding of the rates themselves, is
 reported with ``period_degenerate``: its period and phase say nothing.
+An axis whose Gram matrix J^T J overflows a float is a DataError.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ def _levenberg_marquardt(x, y, sw, params):
         # Trials overwrite ``jac``, so grad and hessian are taken first.
         jw = jac if sw is None else jac * sw[:, None]
         grad = jw.T @ residual
-        hessian = jw.T @ jw
+        with np.errstate(over="ignore", invalid="ignore"):
+            hessian = jw.T @ jw
+        if not np.isfinite(hessian).all():
+            raise DataError(f"the fit's Gram matrix overflows a float on a scan axis reaching |x| = "
+                            f"{float(np.abs(x).max()):g}; rescale the axis")
         diagonal = hessian.diagonal() + 1e-30
         step = None
         for _ in range(40):

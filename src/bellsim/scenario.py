@@ -63,14 +63,13 @@ evaluating that chunk's values again one at a time.  ``prepare_bell`` and
 ``effective_polarization_state`` take the terms of one delay row, which the
 caller evaluates with ``budget_terms`` on the grid numerics of its config.
 A process keeps (``bellsim.memo``) the last ``CONFIG_MEMO_SIZE`` delay
-budgets without their compensation term, keyed on the records they read
-(pump, crystals, knob plates, scheme, cross-dispersion toggle, knob tilts;
-no filter, pump ratio or pump knob), and as many compensator terms, keyed on
-the compensator, crystal 2's axis and the pump wavelength, with read-only
-mappings, so a command derives no budget an earlier command of the process
-derived; ``spectral`` keeps the time supports and stacked set-ups likewise,
-and ``load_config`` the parsed configs.  Each config section is read into
-the one class that holds its defaults.
+budgets without their compensation term (``_element_budget``, read-only
+mappings) and compensator terms (``_compensator_term``), each by its
+arguments, which are all it reads (no filter, pump ratio or pump knob), so
+a command derives no budget an earlier command of the process derived;
+``spectral`` keeps the time supports and stacked set-ups likewise, and
+``load_config`` the parsed configs.  Each config section is read into the
+one class that holds its defaults.
 ``build_amplitudes`` still assembles the two phased amplitudes explicitly,
 for the tests and the time-domain oracle.
 
@@ -106,7 +105,7 @@ from .dispersion import (
     YAML_LOADER,
 )
 from .errors import ConfigError, InfeasibleError
-from .memo import Memo
+from .memo import kept
 from .spectral import (
     FILTER_SHAPES,
     MAX_GRID_POINTS,
@@ -342,25 +341,25 @@ class DelayTerm(NamedTuple):
     phase: float
 
 
-def _crossing_terms(source: SourceConfig, theta2: float) -> dict:
+def _crossing_terms(pump: PumpPulse, crystals: tuple, cross_dispersion: bool, theta2: float) -> dict:
     """The crystal crossings' terms, each from ``ray_delays`` over a crystal
     length: a's pairs cross crystal 2 (cut at ``theta2``) as its e-ray,
     rigidly at the pair mean; b's pump crosses crystal 1 as an o-ray.  With
     cross-dispersion, each arm adds its e-ray less its o-ray group delay.  A
     crossing delay past the float range is an error naming the crystal's
     thickness."""
-    first, second = source.crystals
+    first, second = crystals
     length2_nm = second.thickness_mm * MM_TO_NM
     centers = (first.signal_center_nm, first.idler_center_nm)
     (sig_g, sig_p), (idl_g, idl_p) = (ray_delays(second.material, theta2, center, length2_nm) for center in centers)
-    pump = ray_delays(first.material, "o", source.pump.center_wavelength_nm, first.thickness_mm * MM_TO_NM)
-    for k, delays in ((1, (sig_g, sig_p, idl_g, idl_p)), (0, pump)):
+    pump_delays = ray_delays(first.material, "o", pump.center_wavelength_nm, first.thickness_mm * MM_TO_NM)
+    for k, delays in ((1, (sig_g, sig_p, idl_g, idl_p)), (0, pump_delays)):
         if not all(map(math.isfinite, delays)):
             raise ConfigError(f"crystals[{k}].thickness_mm: the delay across crystal {k + 1} overflows a float; "
-                              f"got {source.crystals[k].thickness_mm!r} mm")
+                              f"got {crystals[k].thickness_mm!r} mm")
     terms = {"crossing": DelayTerm("a", "pair", 0.5 * (sig_g + idl_g), 0.5 * (sig_p + idl_p)),
-             "pump_crossing": DelayTerm("b", "pump", *pump)}
-    if source.cross_dispersion_enabled:
+             "pump_crossing": DelayTerm("b", "pump", *pump_delays)}
+    if cross_dispersion:
         for arm, e_group, center in zip(ARMS, (sig_g, idl_g), centers):
             o_group = ray_delays(second.material, "o", center, length2_nm)[0]
             terms[f"{arm}_excess"] = DelayTerm("a", arm, e_group - o_group, 0.0)
@@ -389,28 +388,27 @@ def _retardation(element: BirefringentElement, keys: tuple, polarization: str, w
     return sign * (e_group - o_group), sign * (e_phase - o_phase)
 
 
-def _plate_term(source: SourceConfig, arm: str, tilt_deg) -> DelayTerm:
-    """Amplitude a's term of the knob plate of ``arm`` at a tilt (arrays at
-    an array of tilts): a's photon's retardation relative to b's, from the
-    plate's indices at the arm's center; the tilts only set the path.  An
-    error names the plate's key (``_retardation``)."""
-    first = source.crystals[0]
-    plate, center_nm = getattr(source, f"{arm}_plate"), getattr(first, f"{arm}_center_nm")
+def _plate_term(plate: BirefringentElement, first: CrystalConfig, arm: str, tilt_deg) -> DelayTerm:
+    """Amplitude a's term of ``arm``'s knob plate at a tilt (arrays at an
+    array of tilts): a's photon's retardation relative to b's, from the
+    plate's indices at the arm's center of the ``first`` crystal; the tilts
+    only set the path.  An error names the plate's key (``_retardation``)."""
+    center_nm = getattr(first, f"{arm}_center_nm")
     if np.ndim(tilt_deg):  # a scan's tilts, checked before the index evaluation that names the plate
         check_tilt(tilt_deg)
     keys = (f"knobs.{arm}_plate", f"crystals[0].{arm}_center_nm")
     return DelayTerm("a", arm, *_retardation(plate, keys, first.pair_polarization(), center_nm, tilt_deg))
 
 
-def _compensator_term(source: SourceConfig) -> DelayTerm:
+@kept(CONFIG_MEMO_SIZE)
+def _compensator_term(compensator: tuple, pump_polarization: str, pump_nm: float) -> DelayTerm:
     """Amplitude b's term of the compensator elements: the retardation of
-    b's pump component relative to a's, negative for a pre-advance.  An
-    error names the element's key (``_retardation``)."""
-    pol_b_pump = source.crystals[1].pump_polarization()
+    b's pump component, polarized ``pump_polarization``, relative to a's,
+    negative for a pre-advance.  An error names the element's key."""
     group = phase = 0.0
-    for k, element in enumerate(source.compensator):
+    for k, element in enumerate(compensator):
         keys = (f"compensator[{k}]", "pump.center_wavelength_nm")
-        element_group, element_phase = _retardation(element, keys, pol_b_pump, source.pump.center_wavelength_nm)
+        element_group, element_phase = _retardation(element, keys, pump_polarization, pump_nm)
         group += element_group
         phase += element_phase
     return DelayTerm("b", "pump", group, phase)
@@ -489,38 +487,35 @@ def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
     compensation term (``_element_budget``), by all they read: the pump, the
     crystals, both knob plates, the scheme, the cross-dispersion toggle and
     the knobs' two tilts; the filters, the pump ratio and the pump knob do
-    not enter.  It keeps the last ``CONFIG_MEMO_SIZE`` compensator terms by
-    the compensator, crystal 2's axis and the pump wavelength, and evaluates
-    one only without a compensation error."""
+    not enter.  It keeps as many compensator terms (``_compensator_term``),
+    evaluated only without a compensation error."""
     knobs = knobs or PhaseKnobs()
-    key = (source.pump, source.crystals, source.signal_plate, source.idler_plate, source.scheme,
-           source.cross_dispersion_enabled, knobs.signal_tilt_deg, knobs.idler_tilt_deg)
-    budget = _ELEMENT_BUDGETS.get(key, lambda: _element_budget(source, knobs))
+    budget = _element_budget(source.pump, source.crystals, source.signal_plate, source.idler_plate, source.scheme,
+                             source.cross_dispersion_enabled, knobs.signal_tilt_deg, knobs.idler_tilt_deg)
     if compensation_error_fs is None:
-        key = (source.compensator, source.crystals[1].axis_orientation, source.pump.center_wavelength_nm)
-        compensation = _COMPENSATOR_TERMS.get(key, lambda: _compensator_term(source))
+        compensation = _compensator_term(source.compensator, source.crystals[1].pump_polarization(),
+                                         source.pump.center_wavelength_nm)
     else:
         exact = budget.required_compensation_fs + compensation_error_fs
         compensation = DelayTerm("b", "pump", -exact, -exact)
     return replace(budget, terms=budget.terms | {"compensation": compensation})
 
 
-_ELEMENT_BUDGETS = Memo(CONFIG_MEMO_SIZE)
-_COMPENSATOR_TERMS = Memo(CONFIG_MEMO_SIZE)
-
-
-def _element_budget(source: SourceConfig, knobs: PhaseKnobs) -> DelayBudget:
-    """The delay budget at the knobs' plate tilts without the compensation
+@kept(CONFIG_MEMO_SIZE)
+def _element_budget(pump: PumpPulse, crystals: tuple, signal_plate, idler_plate, scheme: str, cross_dispersion: bool,
+                    signal_tilt_deg: float, idler_tilt_deg: float) -> DelayBudget:
+    """The delay budget at the knob plates' tilts without the compensation
     term, its terms and carriers read-only mappings, as a process keeps it."""
-    first, second = source.crystals
-    theta2 = crystal_cut_angle(second, source.pump)
-    specs = (phase_matching_spec(first, source.pump), phase_matching_spec(second, source.pump, theta2))
+    first, second = crystals
+    theta2 = crystal_cut_angle(second, pump)
+    specs = (phase_matching_spec(first, pump), phase_matching_spec(second, pump, theta2))
     signal_center, idler_center = specs[0].signal_center_angular_frequency, specs[0].idler_center_angular_frequency
-    terms = {f"{arm}_plate": _plate_term(source, arm, getattr(knobs, f"{arm}_tilt_deg")) for arm in ARMS}
-    if source.scheme == "collinear":
-        terms |= _crossing_terms(source, theta2)
+    terms = {"signal_plate": _plate_term(signal_plate, first, "signal", signal_tilt_deg),
+             "idler_plate": _plate_term(idler_plate, first, "idler", idler_tilt_deg)}
+    if scheme == "collinear":
+        terms |= _crossing_terms(pump, crystals, cross_dispersion, theta2)
     carriers = {"signal": signal_center, "idler": idler_center, "pair": signal_center + idler_center,
-                "pump": source.pump.center_angular_frequency}
+                "pump": pump.center_angular_frequency}
     return DelayBudget(terms=MappingProxyType({name: terms[name] for name in TERM_ORDER if name in terms}),
                        carriers=MappingProxyType(carriers), specs=specs)
 
@@ -693,8 +688,9 @@ def scan(source: SourceConfig, knobs: PhaseKnobs, settings: ScanSettings, seed: 
     # overlap row for every step.
     scanned_arms = [arm for arm in ARMS if f"{arm}_tilt_deg" in scanned]
     standing = delay_budget(source, knobs, compensation_error_fs)
-    budget = replace(standing, terms=standing.terms | {f"{arm}_plate": _plate_term(source, arm, values)
-                                                       for arm in scanned_arms})
+    budget = replace(standing, terms=standing.terms | {
+        f"{arm}_plate": _plate_term(getattr(source, f"{arm}_plate"), source.crystals[0], arm, values)
+        for arm in scanned_arms})
     norm_a, norm_b, cross, grid_points_used = budget_terms(source, budget, settings.grid_points,
                                                            settings.grid_span_factor)
     norms_sq = _h_and_v(source, norm_a, norm_b)
@@ -1015,9 +1011,6 @@ def parse_config(data: dict) -> ExperimentConfig:
     return config
 
 
-_CONFIGS = Memo(CONFIG_MEMO_SIZE)
-
-
 def load_config(path) -> ExperimentConfig:
     """Load and validate a scenario config file (YAML).  The file is read on
     every call; a process keeps the last ``CONFIG_MEMO_SIZE`` parsed configs
@@ -1030,11 +1023,16 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return _CONFIGS.get((text,), lambda: parse_config(yaml.load(text, Loader=YAML_LOADER)))
+        return _parse_text(text)
     except yaml.YAMLError as exc:
         # YAML names the positions of a parsed string "<unicode string>".
         detail = str(exc).replace('"<unicode string>"', f'"{path}"')
         raise ConfigError(f"config {path} is not valid YAML: {detail}") from exc
+
+
+@kept(CONFIG_MEMO_SIZE)
+def _parse_text(text: str) -> ExperimentConfig:
+    return parse_config(yaml.load(text, Loader=YAML_LOADER))
 
 
 def default_config_path():

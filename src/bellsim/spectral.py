@@ -50,15 +50,15 @@ call of the set-up once per batch, and each evaluation then streams its
 own ``_Sampler`` block loop, bit for bit as it would alone.  The batch
 raises the first error a stream meets (``scenario.sweep`` finds the value
 at fault); ``kernel_overlaps`` is its batch of one.  A process keeps
-(``bellsim.memo``) the last 8 stacked set-ups, at most 4 MiB of their
-arrays, read-only, keyed on the batch's (pulses, specs, filters, grids) and
-the module constants the set-up reads (``CELL_LEVEL``,
-``SINC_SERIES_BELOW``, ``ROW_BLOCK_BYTES``); the samplers' scratch is
+(``bellsim.memo``) the last 4 stacked set-ups (``_stacked_setup``),
+read-only, by the batch's (pulses, specs, filters, grids) and the module
+constants the set-up reads (``CELL_LEVEL``, ``SINC_SERIES_BELOW``,
+``ROW_BLOCK_BYTES``), at most ~3.6 MiB of arrays; the samplers' scratch is
 allocated per call and never kept.  ``build_jsa`` copies full-width blocks
 into one real array before it applies the norm and the phase.
 ``kernel_time_support`` bounds, from scalars alone, the delays where that
 overlap can exceed ``SUPPORT_LEVEL`` of its peak; a process keeps the last
-32 bounds, keyed on their arguments and ``SUPPORT_LEVEL``.
+32 bounds by the arguments of ``_time_support``: its own and the level.
 ``phase_matching`` is the direct formula, kept as the reference the sampled
 grid is tested against.
 """
@@ -74,7 +74,7 @@ import numpy as np
 
 from .biphoton import JointSpectralAmplitude
 from .errors import ConfigError, GridTruncationError
-from .memo import Memo
+from .memo import kept
 from .units import (
     C_NM_PER_FS,
     GAUSSIAN_FWHM_OVER_SIGMA,
@@ -539,10 +539,9 @@ class _StackedSetup:
         # held, reshaped per block so each block is contiguous (separate
         # arrays are fresh pages, faulted in on every call).
         self.scratch_shape = (2 + max(map(len, specs)), block * n)
-        # Read-only: a process keeps a set-up for later batches (``_SETUPS``).
-        owned = (envelope, self.detunings, factors, self.bands, self.offsets)
-        self.nbytes = sum(array.nbytes for array in owned)
-        for array in (*owned, self.ridge, self.filters, self.left, self.right):
+        # Read-only: a process keeps a set-up for later batches (``_stacked_setup``).
+        for array in (envelope, self.detunings, factors, self.bands, self.offsets, self.ridge, self.filters,
+                      self.left, self.right):
             array.flags.writeable = False
 
 
@@ -784,10 +783,6 @@ def kernel_overlaps(
 # temporaries that make it (tracemalloc: 33 with one spec, 53 with two).
 SETUP_FLOATS = 56
 
-# The stacked set-ups a process keeps (``kernel_overlaps_batch``): at most 8,
-# holding at most 4 MiB of arrays (~1 MiB for one 4096^2 evaluation).
-_SETUPS = Memo(8, max_bytes=4 * 2 ** 20, nbytes=lambda stack: stack.nbytes)
-
 
 def _batches(points: list) -> list:
     """The indices of the evaluations whose grids have ``points`` points per
@@ -811,15 +806,13 @@ def kernel_overlaps_batch(evaluations) -> list:
     first ConfigError a stream raises is raised; the batches go by point
     count, so it need not be the lowest-indexed evaluation's.  A batch whose
     records and set-up constants an earlier batch of the process had takes
-    that batch's kept ``_StackedSetup`` (``_SETUPS``)."""
+    that batch's kept ``_StackedSetup`` (``_stacked_setup``)."""
     results = [None] * len(evaluations)
     for batch in _batches([evaluation[5].points for evaluation in evaluations]):
         group = [evaluations[index] for index in batch]
         pulses, specs_a, specs_b, f_s, f_i, grids, *_ = zip(*group)
         specs = tuple((a,) if b == a else (a, b) for a, b in zip(specs_a, specs_b))
-        # The set-up reads these records and module constants, and nothing else.
-        key = (pulses, specs, f_s, f_i, grids, CELL_LEVEL, SINC_SERIES_BELOW, ROW_BLOCK_BYTES)
-        stack = _SETUPS.get(key, lambda: _StackedSetup(pulses, specs, f_s, f_i, grids, True))
+        stack = _stacked_setup(pulses, specs, f_s, f_i, grids, CELL_LEVEL, SINC_SERIES_BELOW, ROW_BLOCK_BYTES)
         scratch = np.empty(stack.scratch_shape)
         # Per arm, the distinct delays T with the shift of J_b's phase less
         # J_a's, 0.5 (v_b - v_a) (v the walk-offs): one value when all are equal.
@@ -836,6 +829,14 @@ def kernel_overlaps_batch(evaluations) -> list:
         for row, (index, evaluation) in enumerate(zip(batch, group)):
             results[index] = _overlaps((stack, row, scratch), specs[row], arms[row], *evaluation)
     return results
+
+
+@kept(4)
+def _stacked_setup(pulses, specs, f_s, f_i, grids, *constants) -> _StackedSetup:
+    """The cropped ``_StackedSetup`` of a batch, kept with the ``constants``
+    it reads: at most ~0.9 MiB (a 4096^2 evaluation with two specs;
+    ``_batches`` bounds a smaller grid's batch), so 4 hold ~3.6 MiB."""
+    return _StackedSetup(pulses, specs, f_s, f_i, grids, True)
 
 
 def _distinct(delays: np.ndarray) -> np.ndarray:
@@ -963,18 +964,15 @@ def kernel_time_support(pulse: PumpPulse, spec_a: PhaseMatchingSpec, spec_b: Pha
     log-concave, so every step stays beyond that distance.  Where a scalar
     overflows or vanishes on the way (a 1e300 fs pulse or mm crystal, a
     1e-300 nm filter), T is infinite too, and the grid and config checks
-    answer.  A process keeps the last 32 supports by their arguments
-    (``_SUPPORTS``)."""
-    key = (pulse, spec_a, spec_b, f_s, f_i, SUPPORT_LEVEL)
-    return _SUPPORTS.get(key, lambda: _time_support(pulse, spec_a, spec_b, f_s, f_i))
+    answer.  A process keeps the last 32 supports by their arguments and
+    ``SUPPORT_LEVEL`` (``_time_support``)."""
+    return _time_support(pulse, spec_a, spec_b, f_s, f_i, SUPPORT_LEVEL)
 
 
-_SUPPORTS = Memo(32)
-
-
+@kept(32)
 def _time_support(pulse: PumpPulse, spec_a: PhaseMatchingSpec, spec_b: PhaseMatchingSpec,
-                  f_s: SpectralFilter, f_i: SpectralFilter) -> tuple:
-    """``kernel_time_support``, computed."""
+                  f_s: SpectralFilter, f_i: SpectralFilter, level: float) -> tuple:
+    """``kernel_time_support`` at the support level ``level``, computed."""
     unbounded = ((0.0, math.inf), (0.0, math.inf))
     if not f_s.shape == f_i.shape == "gaussian":
         return unbounded
@@ -1009,7 +1007,7 @@ def _time_support(pulse: PumpPulse, spec_a: PhaseMatchingSpec, spec_b: PhaseMatc
                - 0.5 * phase_variance)
         if not rho > 0.0:
             return unbounded
-        log_level = math.log(SUPPORT_LEVEL * rho)
+        log_level = math.log(level * rho)
 
         arms = []
         for arm, q in ((0, q_ss), (1, q_ii)):

@@ -1,21 +1,26 @@
 """Run scan, prepare and sweep on every single-leaf edit of the packaged
-default config and keep what each one gives.
+default config, and scan over extreme flag ranges, and keep what each one
+gives.
 
 Usage: python tests/config_mutations.py SRC OUT.json
 
 A leaf is a number, string or flag of the default config at its key path
 (``crystals[1].idler_center_nm``); each leaf takes each of the 16 values of
 ``mutations`` in turn, the rest of the config left as it is.  Each edited
-config runs ``COMMANDS`` in one process through ``cli.main``.
+config runs ``COMMANDS`` in one process through ``cli.main``.  The flag
+family runs ``scan --axis <axis> --start -v --stop v`` on the default
+config for each scan axis and each v of ``FLAG_SPANS``.
 
 SRC is a bellsim checkout (the directory holding ``src/bellsim``); OUT.json
-maps "<key path> = <value>: <command>" to the command's exit code, stderr
-and report.  Running it on two checkouts and comparing the two files shows
-every outcome a change moves.  The run is deterministic.  A command that
-raises instead of exiting with its documented code is recorded with its
-exception, and one that prints a Python warning with its warnings (each
-also in its stderr); the script then exits 1.  The file name keeps pytest
-from collecting it.
+maps "<key path> = <value>: <command>" (and each flag command line) to the
+command's exit code, stderr and report.  Running it on two checkouts and
+comparing the two files shows every outcome a change moves.  The run is
+deterministic.  A command that raises instead of exiting with its
+documented code is recorded with its exception, and one that prints a
+Python warning with its warnings (each also in its stderr); a usage error
+(argparse's ``SystemExit``) is recorded with its exit code, as every
+command here is well formed.  Any of the three makes the script exit 1.
+The file name keeps pytest from collecting it.
 """
 
 import contextlib
@@ -42,6 +47,10 @@ COMMANDS = {
 # Values every leaf takes: no value, a flag, a string, a list, zero, a
 # negative number, and numbers at and past the limits of a float.
 ABSOLUTE = [None, True, "x", [1.0], 0, -1, 1.0e-300, 1.0e300, 1.0e308, math.nan, math.inf]
+
+# Half ranges of the flag family: each scan axis runs --start -v --stop v,
+# the values written as repr writes them (-1e+300 is no plain decimal).
+FLAG_SPANS = [1.0, 1.0e-300, 1.0e300, 1.0e308]
 
 
 def mutations(value) -> list:
@@ -81,37 +90,40 @@ def edited(data, path: str, value):
     return data
 
 
+def run_command(cli, name: str, argv: list) -> dict:
+    """The outcome of ``argv`` on ``config.yaml``, with its outputs under the
+    prefix ``name`` in the current directory, which it leaves empty."""
+    stderr, shown = io.StringIO(), []
+
+    def show_warning(message, category, *_):
+        # Without the source location, which differs between checkouts.
+        shown.append(f"{category.__name__}: {message}")
+        print(shown[-1], file=sys.stderr)
+
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show_warning
+        try:
+            outcome = {"exit": cli.main(argv + ["--config", "config.yaml", "--output", name])}
+        except SystemExit as exc:  # a usage error: recorded, and the run exits 1
+            outcome = {"exit": exc.code, "usage_error": True}
+        except Exception:  # recorded, and the run exits 1
+            outcome = {"exception": traceback.format_exc().strip().splitlines()[-1]}
+    if shown:  # recorded, and the run exits 1
+        outcome["warnings"] = shown
+    report = Path(f"{name}.report.txt")
+    outcome |= {"stderr": stderr.getvalue(), "report": report.read_text() if report.exists() else None}
+    for output in Path().glob(f"{name}.*"):
+        output.unlink()
+    return outcome
+
+
 def run(cli, data) -> dict:
     """Each command's outcome on the config ``data``, with the config and
     the outputs in the current directory."""
-    config = Path("config.yaml")
-    config.write_text(yaml.safe_dump(data, sort_keys=False))
-    outcomes = {}
-    for name, argv in COMMANDS.items():
-        prefix = Path(name)
-        stderr, shown = io.StringIO(), []
-
-        def show_warning(message, category, *_):
-            # Without the source location, which differs between checkouts.
-            shown.append(f"{category.__name__}: {message}")
-            print(shown[-1], file=sys.stderr)
-
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
-                warnings.catch_warnings():
-            warnings.simplefilter("always")
-            warnings.showwarning = show_warning
-            try:
-                outcome = {"exit": cli.main(argv + ["--config", str(config), "--output", str(prefix)])}
-            except Exception:  # recorded, and the run exits 1
-                outcome = {"exception": traceback.format_exc().strip().splitlines()[-1]}
-        if shown:  # recorded, and the run exits 1
-            outcome["warnings"] = shown
-        report = Path(f"{prefix}.report.txt")
-        outcome |= {"stderr": stderr.getvalue(), "report": report.read_text() if report.exists() else None}
-        for output in Path().glob(f"{name}.*"):
-            output.unlink()
-        outcomes[name] = outcome
-    return outcomes
+    Path("config.yaml").write_text(yaml.safe_dump(data, sort_keys=False))
+    return {name: run_command(cli, name, argv) for name, argv in COMMANDS.items()}
 
 
 def main(argv) -> int:
@@ -131,6 +143,11 @@ def main(argv) -> int:
             for mutation in mutations(value):
                 for name, outcome in run(cli, edited(base, path, mutation)).items():
                     results[f"{path} = {mutation!r}: {name}"] = outcome
+        Path("config.yaml").write_text(yaml.safe_dump(base, sort_keys=False))
+        for axis in scenario.SCAN_AXIS_KINDS:
+            for span in FLAG_SPANS:
+                argv = ["scan", "--axis", axis, "--start", repr(-span), "--stop", repr(span)]
+                results[" ".join(argv)] = run_command(cli, "scan", argv)
         os.chdir(src)
     out.write_text(json.dumps(results, indent=1) + "\n")
     problems = []
@@ -138,6 +155,8 @@ def main(argv) -> int:
         problems += [f"{key}: {warning}" for warning in outcome.get("warnings", [])]
         if "exception" in outcome:
             problems.append(f"{key}: {outcome['exception']}")
+        if outcome.get("usage_error"):
+            problems.append(f"{key}: usage error: {outcome['stderr'].strip().splitlines()[-1]}")
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

@@ -55,6 +55,17 @@ class TestScanCommand:
         report = read_report(out.with_name("idler.report.txt"))
         assert float(report["period"]) == pytest.approx(885.0, rel=5e-3)
 
+    def test_negative_range_in_scientific_notation(self, tmp_path, config_file):
+        # argparse would take a separate "-4e2" for an option; "-400" it reads as a number.
+        outputs = []
+        for name, start, stop in (("sci", "-4e2", "4e2"), ("plain", "-400", "400")):
+            out = tmp_path / name
+            assert run(["scan", "--config", config_file, "--output", out, "--axis", "pump_delay",
+                        "--start", start, "--stop", stop]) == 0
+            outputs.append([out.with_name(f"{name}{suffix}").read_bytes() for suffix in (".csv", ".report.txt")])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].startswith(b"axis_value,rate\n-400.0,")
+
     def test_short_scan_writes_csv_then_fails(self, tmp_path, config_file):
         out = tmp_path / "short"
         code = run(["scan", "--config", config_file, "--output", out, "--steps", 4])

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +92,17 @@ class TestDegenerateAndErrors:
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             fit_fringe((np.arange(10.0), np.arange(9.0)))
+
+    @pytest.mark.parametrize("half_span", [1e160, 1e300])
+    def test_overflowing_gram_matrix_names_the_axis(self, half_span):
+        # The frequency column of the Jacobian grows with the axis: its
+        # squares overflow a float, which is an error, not a numpy warning.
+        x = np.linspace(-half_span, half_span, 129)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(f"Gram matrix overflows a float on a scan axis "
+                                                          f"reaching |x| = {half_span:g};")):
+                fit_fringe((x, synth(x, 1.0, 0.9, half_span / 3.0, 0.0)))
 
 
 class TestInvariances:

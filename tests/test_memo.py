@@ -1,7 +1,9 @@
 """The per-process memos of the engine's set-up (``bellsim.memo``): a command
 run again in the same process repeats no kept set-up and writes the same
 bytes, in any order of commands; errors are never kept; kept arrays and
-mappings are read-only; and every memo stays within its bounds."""
+mappings are read-only; every memo stays within its bounds; and
+``clear_memos`` empties every memo.  A memo's contents are read through its
+``cache_info()``."""
 
 import gc
 import tracemalloc
@@ -21,6 +23,11 @@ COMMANDS = {
     "compensation_error_fs": ["sweep", "--parameter", "compensation_error_fs", "--grid", "0,-600,1500"],
     "pump_ratio": ["sweep", "--parameter", "pump_ratio", "--grid", "0.5,1,2"],
 }
+
+
+def held(function) -> int:
+    """The number of results the kept ``function`` holds."""
+    return function.cache_info().currsize
 
 
 def run(name, prefix):
@@ -91,6 +98,8 @@ class TestErrorsAreNotKept:
                 scenario.delay_budget(src, knobs)
             messages.append(str(error.value))
         assert len(set(messages)) == 1
+        # Only the good source's budget and compensator term are kept.
+        assert held(scenario._element_budget) == held(scenario._compensator_term) == 1
 
     def test_failing_stream_raises_on_every_call(self, source, knobs):
         # At span factor 1 the grid passes ``make_grid``, and its set-up is
@@ -101,7 +110,7 @@ class TestErrorsAreNotKept:
             with pytest.raises(ConfigError, match="^grid too narrow: envelope magnitude at the border") as error:
                 scenario.budget_terms(source, budget, 128, 1.0)
             messages.append(str(error.value))
-            assert len(spectral._SETUPS) == 1
+            assert held(spectral._stacked_setup) == 1
         assert len(set(messages)) == 1
 
     def test_invalid_config_text_is_parsed_and_raises_on_every_call(self, tmp_path, monkeypatch):
@@ -115,13 +124,16 @@ class TestErrorsAreNotKept:
             with pytest.raises(ConfigError, match=r"^crystals\[0\]") as error:
                 scenario.load_config(bad)
             messages.append(str(error.value))
-        assert len(calls) == 3 and len(set(messages)) == 1 and len(scenario._CONFIGS) == 0
+        assert len(calls) == 3 and len(set(messages)) == 1 and held(scenario._parse_text) == 0
 
 
 class TestKeptValuesAreReadOnly:
-    def test_stacked_setup_arrays(self, source, knobs):
+    def test_stacked_setup_arrays(self, source, knobs, monkeypatch):
+        made, setup = [], spectral._StackedSetup
+        monkeypatch.setattr(spectral, "_StackedSetup", lambda *args: made.append(setup(*args)) or made[-1])
         scenario.budget_terms(source, scenario.delay_budget(source, knobs), 128, 5.0)
-        ((stack, _),) = spectral._SETUPS._held.values()
+        (stack,) = made
+        assert held(spectral._stacked_setup) == 1
         for name in ("ridge", "filters", "detunings", "left", "right", "bands", "offsets"):
             array = getattr(stack, name)
             assert not array.flags.writeable, name
@@ -131,7 +143,12 @@ class TestKeptValuesAreReadOnly:
     def test_delay_budget_mappings(self, source, knobs):
         budget = scenario.delay_budget(source, knobs)
         kept = scenario.delay_budget(source, knobs, 0.0)
-        for mapping in (budget.carriers, kept.carriers, *(b.terms for b, _ in scenario._ELEMENT_BUDGETS._held.values())):
+        # The kept budget itself: its arguments find it again.
+        element = scenario._element_budget(source.pump, source.crystals, source.signal_plate, source.idler_plate,
+                                           source.scheme, source.cross_dispersion_enabled, knobs.signal_tilt_deg,
+                                           knobs.idler_tilt_deg)
+        assert held(scenario._element_budget) == 1
+        for mapping in (budget.carriers, kept.carriers, element.terms, element.carriers):
             with pytest.raises(TypeError):
                 mapping["pump"] = 0.0
         # A returned budget's own terms are a fresh dict: changing it changes no later budget.
@@ -143,7 +160,7 @@ class TestBounds:
     def test_memos_stay_within_their_bounds(self, source, knobs):
         # 100 distinct sources: crystal 2's thickness differs, so each
         # evaluation has two specs; the last 10 sample 4096^2 grids, whose
-        # set-ups (~1 MB each) pass the held-bytes cap before the count.
+        # set-ups (~0.9 MiB each) are the largest a memo keeps.
         cap = 4 * 2 ** 20
         gc.collect()
         tracemalloc.start()
@@ -156,23 +173,23 @@ class TestBounds:
                 scenario.budget_terms(src, budget, 4096 if k >= 90 else 128, 5.0)
             del src, budget
             gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - before
+            held_bytes = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(scenario._ELEMENT_BUDGETS) == scenario.CONFIG_MEMO_SIZE
-        assert len(spectral._SUPPORTS) == 32
-        assert 0 < len(spectral._SETUPS) < 8
-        assert cap - 2 ** 20 < spectral._SETUPS.held_bytes <= cap
-        # Besides the set-ups' arrays: the budgets, supports, keys and the
-        # grids' cached axes, well under 1 MiB.
-        assert held <= cap + 2 ** 20
+        assert held(scenario._element_budget) == scenario.CONFIG_MEMO_SIZE
+        assert held(spectral._time_support) == 32
+        assert held(spectral._stacked_setup) == 4
+        # The set-ups' arrays within the cap, and besides them: the budgets,
+        # supports, keys and the grids' cached axes, well under 1 MiB.
+        assert held_bytes <= cap + 2 ** 20
 
-    def test_clear_memos_empties_every_memo(self, source, knobs):
-        scenario.budget_terms(source, scenario.delay_budget(source, knobs), 128, 5.0)
-        kept = (scenario._ELEMENT_BUDGETS, scenario._COMPENSATOR_TERMS, spectral._SUPPORTS, spectral._SETUPS)
-        assert all(map(len, kept))
+    def test_clear_memos_empties_every_memo(self, tmp_path):
+        # After one of each command, every registered memo holds a result.
+        for name in COMMANDS:
+            run(name, tmp_path / name)
+        assert len(memo._KEPT) == 5 and all(map(held, memo._KEPT))
         memo.clear_memos()
-        assert not any(map(len, kept))
+        assert not any(map(held, memo._KEPT))
 
     def test_cleared_config_text_is_parsed_again(self, monkeypatch):
         calls = []
@@ -182,30 +199,6 @@ class TestBounds:
         first = scenario.load_config(path)
         assert scenario.load_config(path) is first and len(calls) == 1
         memo.clear_memos()
-        assert len(scenario._CONFIGS) == 0
+        assert held(scenario._parse_text) == 0
         assert scenario.load_config(path) == first and len(calls) == 2
 
-
-def test_memo_evicts_least_recently_used():
-    kept = memo.Memo(2, max_bytes=10, nbytes=len)
-    made = []
-
-    def get(key, value):
-        return kept.get((key,), lambda: made.append(value) or value)
-
-    def keys():
-        return [key for (key,) in kept._held]
-
-    assert get(1, "ab") == "ab"
-    assert get(2, "cd") == "cd"
-    assert get(1, "xx") == "ab"  # kept; 2 is now the oldest
-    assert get(3, "ef") == "ef"
-    assert keys() == [1, 3] and kept.held_bytes == 4
-    assert get(4, "0123456789") == "0123456789"  # 14 bytes with 1 and 3: both go
-    assert keys() == [4] and kept.held_bytes == 10
-    assert get(5, "01234567890") == "01234567890"  # above the cap alone: kept by none
-    assert keys() == [] and kept.held_bytes == 0
-    assert made == ["ab", "cd", "ef", "0123456789", "01234567890"]
-    with pytest.raises(ZeroDivisionError):
-        kept.get((6,), lambda: 1 / 0)
-    assert len(kept) == 0

@@ -832,7 +832,7 @@ class TestPlateTerms:
         # of a vertical-axis plate.
         sign = 1.0 if orientation == "vertical" else -1.0
         tilts = np.array([-35.0, -12.25, 0.0, 0.0, 7.5, 21.0, 44.0])
-        amplitude, axis, group, phase = scenario._plate_term(source, arm, tilts)
+        amplitude, axis, group, phase = scenario._plate_term(plate, source.crystals[0], arm, tilts)
         assert (amplitude, axis) == ("a", arm)
         for k, tilt in enumerate(tilts):
             tilted = replace(plate, tilt_deg=float(tilt))
@@ -844,8 +844,8 @@ class TestPlateTerms:
             assert phase[k] == pytest.approx(want_phase, rel=1e-12)
 
     def test_scalar_tilt_gives_scalar_terms(self, source):
-        _, _, group, phase = scenario._plate_term(source, "idler", 9.0)
-        arrays = scenario._plate_term(source, "idler", np.array([9.0]))
+        _, _, group, phase = scenario._plate_term(source.idler_plate, source.crystals[0], "idler", 9.0)
+        arrays = scenario._plate_term(source.idler_plate, source.crystals[0], "idler", np.array([9.0]))
         assert np.ndim(group) == 0 and np.ndim(phase) == 0
         assert (group, phase) == pytest.approx((arrays.group[0], arrays.phase[0]), rel=1e-15)
 
@@ -1016,7 +1016,7 @@ def _fold_budgets(source, knobs, variant):
     budget = scenario.delay_budget(source, knobs, error)
     if variant == "tilt_arrays":
         budget = replace(budget, terms=budget.terms | {
-            f"{arm}_plate": scenario._plate_term(source, arm, tilts)
+            f"{arm}_plate": scenario._plate_term(getattr(source, f"{arm}_plate"), source.crystals[0], arm, tilts)
             for arm, tilts in zip(scenario.ARMS, (FOLD_TILTS, -FOLD_TILTS[::-1]))})
     return budget, _legacy_budget(source, budget, error)
 
