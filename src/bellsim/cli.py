@@ -8,10 +8,17 @@ is the only file carrying a timestamp.
 Exit codes: 0 success, 2 config error, 3 data error, 4 preparation
 infeasible.
 
-``main`` can run many commands in one process.  It builds the argument
-parser once per process (``build_parser``), and ``scenario.load_config``
-parses each distinct config text once, while still reading the file on
-every command.
+``main`` can run many commands in one process, and each pays only for its
+own work.  The argument parsers are built once per process
+(``build_parser`` and the four command parsers it makes).  When the first
+argument names a command, ``main`` parses the rest with that command's
+parser alone; without a command, or when that parser leaves arguments
+over, the full parser parses the whole argv again, so every usage and
+error message is the one it gives.  The packaged default config's path is
+resolved once per process (``scenario.default_config_path``), and
+``scenario.load_config`` parses each distinct config text once, while
+still reading the file on every command.  The output directory is made
+only when it is missing.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -40,10 +48,18 @@ def _fmt(value) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write one output file; one that cannot be written (a directory, no
-    permission) is a ConfigError naming --output."""
+    """Write one output file, UTF-8 encoded, through its file descriptor
+    alone (a text file object costs more system calls than a report's
+    write); one that cannot be written (a directory, no permission) is a
+    ConfigError naming --output."""
     try:
-        path.write_text(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            data = text.encode()
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError(f"--output: cannot write {path}: {exc}") from None
 
@@ -82,7 +98,8 @@ def _outputs(args, *suffixes) -> list:
     exists; one that cannot be made is a ConfigError naming --output."""
     prefix = Path(args.output)
     try:
-        prefix.parent.mkdir(parents=True, exist_ok=True)
+        if not prefix.parent.is_dir():
+            prefix.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--output: cannot make the directory {prefix.parent}: {exc}") from None
     return [prefix.with_name(prefix.name + suffix) for suffix in suffixes]
@@ -301,11 +318,16 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one argument parser of this process, built on first use; each
     ``parse_args`` call returns a new namespace, so it carries nothing from
     one command to the next."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple:
+    """The full parser and its command parsers by name, built once."""
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Pulsed two-crystal SPDC entanglement source: scans, sweeps, fringe fits.",
@@ -347,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=polarization.BELL_KINDS, required=True)
     p.set_defaults(func=cmd_prepare)
 
-    return parser
+    return parser, sub.choices
 
 
 def _joined_grid(argv: list) -> list:
@@ -362,7 +384,12 @@ def _joined_grid(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_joined_grid(sys.argv[1:] if argv is None else argv))
+    argv = _joined_grid(sys.argv[1:] if argv is None else argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
+    if command is None or extras:
+        args = parser.parse_args(argv)  # its usage and messages, as for any argv
     try:
         return args.func(args)
     except (ConfigError, DataError, InfeasibleError) as exc:

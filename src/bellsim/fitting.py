@@ -16,7 +16,7 @@ V = sqrt(a^2 + b^2)/A, P = 1/f, phi = atan2(-b, a), phi in (-pi, pi].
 A fit whose amplitude sqrt(a^2 + b^2) is at most n eps |A| (n points, eps
 float64's machine epsilon), the rounding of the rates themselves, is
 reported with ``period_degenerate``: its period and phase say nothing.
-An axis whose Gram matrix J^T J overflows a float is a DataError.
+An axis whose span or Gram matrix J^T J overflows a float is a DataError.
 """
 
 from __future__ import annotations
@@ -197,6 +197,11 @@ def fit_fringe(scan, weights=None) -> FitResult:
     x, y = x[order], y[order]
     if x[-1] == x[0]:
         raise DataError(f"scan axis spans zero: every axis value is {float(x[0])!r}")
+    first, last = float(x[0]), float(x[-1])
+    span = last - first
+    if not math.isfinite(span):
+        raise DataError(f"scan axis span overflows a float: the axis runs from {first!r} to {last!r}; "
+                        f"rescale the axis")
     # Unit weights are skipped, not multiplied by: sw is None.
     if weights is None:
         w = sw = None
@@ -214,7 +219,7 @@ def fit_fringe(scan, weights=None) -> FitResult:
         return FitResult(
             offset=offset,
             visibility=0.0,
-            period=float(x[-1] - x[0]),
+            period=span,
             phase_rad=0.0,
             rms_residual=rms,
             converged=True,
@@ -222,7 +227,6 @@ def fit_fringe(scan, weights=None) -> FitResult:
             period_degenerate=True,
         )
 
-    span = float(x[-1] - x[0])
     if span * max(candidates) < 1.5:
         raise InsufficientDataError(
             f"scan spans {span * max(candidates):.3g} fringe periods; need >= 1.5"

@@ -27,8 +27,7 @@ Every element acts to first order, as a group delay plus a phase delay on
 one amplitude and one axis: a ``DelayTerm``, from its rays' delays over
 their paths (``dispersion.ray_delays``).  A ``DelayBudget`` is the list
 of these terms, keyed by element name, with each axis's carrier frequency
-and both crystals' phase-matching specs, so each cut angle is solved once
-per budget.  Each delay quantity (an amplitude's per-arm retardation and
+and both crystals' phase-matching specs.  Each delay quantity (an amplitude's per-arm retardation and
 carrier phase, the delays of a relative to b, the required compensation,
 the grid's envelope delay) is one sum over the terms in their fixed order.
 A compensation error replaces the compensator with an ideal pre-advance of
@@ -66,7 +65,14 @@ A process keeps (``bellsim.memo``) the last ``CONFIG_MEMO_SIZE`` delay
 budgets without their compensation term (``_element_budget``, read-only
 mappings) and compensator terms (``_compensator_term``), each by its
 arguments, which are all it reads (no filter, pump ratio or pump knob), so
-a command derives no budget an earlier command of the process derived;
+a command derives no budget an earlier command of the process derived.
+A budget's length-free parts are kept apart from it, by what they read:
+the cut angles (``_cut_angle``: material, pump and pair centers) and the
+knob-plate terms at scalar tilts (``_kept_plate_term``: the plate, the
+first crystal's centers and pair polarization, the tilt).  No crystal
+thickness enters them, so the values of a crystal-length sweep share them,
+and two crystals of one cut share one solve; ``ray_delays`` still forms
+every n L / c, so each length's crossings keep their bits.
 ``spectral`` keeps the time supports and stacked set-ups likewise, and
 ``load_config`` the parsed configs.  Each config section is read into the
 one class that holds its defaults.
@@ -305,12 +311,10 @@ class FringeScan:
 # Crystal physics derived from the material table
 
 
-def phase_matching_spec(crystal: CrystalConfig, pump: PumpPulse,
-                        cut_angle_rad: float | None = None) -> PhaseMatchingSpec:
+def phase_matching_spec(crystal: CrystalConfig, pump: PumpPulse) -> PhaseMatchingSpec:
     """Inverse group velocities on the phase-matching cut, each a ray's
-    group delay over 1 mm: extraordinary pump, ordinary pair.  A caller that
-    already solved the crystal's cut angle passes it."""
-    theta = crystal_cut_angle(crystal, pump) if cut_angle_rad is None else cut_angle_rad
+    group delay over 1 mm: extraordinary pump, ordinary pair."""
+    theta = crystal_cut_angle(crystal, pump)
     m = crystal.material
     return PhaseMatchingSpec(
         crystal_length_mm=crystal.thickness_mm,
@@ -323,12 +327,15 @@ def phase_matching_spec(crystal: CrystalConfig, pump: PumpPulse,
 
 
 def crystal_cut_angle(crystal: CrystalConfig, pump: PumpPulse) -> float:
-    return phase_matching_cut_angle(
-        crystal.material,
-        pump.center_wavelength_nm,
-        crystal.signal_center_nm,
-        crystal.idler_center_nm,
-    )
+    return _cut_angle(crystal.material, pump.center_wavelength_nm, crystal.signal_center_nm,
+                      crystal.idler_center_nm)
+
+
+@kept(CONFIG_MEMO_SIZE)
+def _cut_angle(material: Material, pump_nm: float, signal_nm: float, idler_nm: float) -> float:
+    """The phase-matching cut angle, by all it reads: no crystal thickness
+    enters, so crystals that differ only in length share one solve."""
+    return phase_matching_cut_angle(material, pump_nm, signal_nm, idler_nm)
 
 
 class DelayTerm(NamedTuple):
@@ -388,16 +395,21 @@ def _retardation(element: BirefringentElement, keys: tuple, polarization: str, w
     return sign * (e_group - o_group), sign * (e_phase - o_phase)
 
 
-def _plate_term(plate: BirefringentElement, first: CrystalConfig, arm: str, tilt_deg) -> DelayTerm:
+def _plate_term(plate: BirefringentElement, arm: str, center_nm: float, polarization: str, tilt_deg) -> DelayTerm:
     """Amplitude a's term of ``arm``'s knob plate at a tilt (arrays at an
-    array of tilts): a's photon's retardation relative to b's, from the
-    plate's indices at the arm's center of the ``first`` crystal; the tilts
-    only set the path.  An error names the plate's key (``_retardation``)."""
-    center_nm = getattr(first, f"{arm}_center_nm")
+    array of tilts): the retardation of a's photon, polarized
+    ``polarization`` at the arm's center ``center_nm`` of the first crystal,
+    relative to b's; the tilts only set the path.  An error names the
+    plate's key (``_retardation``)."""
     if np.ndim(tilt_deg):  # a scan's tilts, checked before the index evaluation that names the plate
         check_tilt(tilt_deg)
     keys = (f"knobs.{arm}_plate", f"crystals[0].{arm}_center_nm")
-    return DelayTerm("a", arm, *_retardation(plate, keys, first.pair_polarization(), center_nm, tilt_deg))
+    return DelayTerm("a", arm, *_retardation(plate, keys, polarization, center_nm, tilt_deg))
+
+
+# A budget's plate term at its scalar tilt, by all it reads: no crystal
+# thickness enters, so a crystal-length sweep's values share it.
+_kept_plate_term = kept(2 * CONFIG_MEMO_SIZE)(_plate_term)
 
 
 @kept(CONFIG_MEMO_SIZE)
@@ -488,7 +500,9 @@ def delay_budget(source: SourceConfig, knobs: PhaseKnobs | None = None,
     crystals, both knob plates, the scheme, the cross-dispersion toggle and
     the knobs' two tilts; the filters, the pump ratio and the pump knob do
     not enter.  It keeps as many compensator terms (``_compensator_term``),
-    evaluated only without a compensation error."""
+    evaluated only without a compensation error.  A budget it derives takes
+    its cut angles and knob-plate terms from their own memos, which no
+    crystal thickness enters."""
     knobs = knobs or PhaseKnobs()
     budget = _element_budget(source.pump, source.crystals, source.signal_plate, source.idler_plate, source.scheme,
                              source.cross_dispersion_enabled, knobs.signal_tilt_deg, knobs.idler_tilt_deg)
@@ -507,13 +521,15 @@ def _element_budget(pump: PumpPulse, crystals: tuple, signal_plate, idler_plate,
     """The delay budget at the knob plates' tilts without the compensation
     term, its terms and carriers read-only mappings, as a process keeps it."""
     first, second = crystals
-    theta2 = crystal_cut_angle(second, pump)
-    specs = (phase_matching_spec(first, pump), phase_matching_spec(second, pump, theta2))
+    specs = (phase_matching_spec(first, pump), phase_matching_spec(second, pump))
     signal_center, idler_center = specs[0].signal_center_angular_frequency, specs[0].idler_center_angular_frequency
-    terms = {"signal_plate": _plate_term(signal_plate, first, "signal", signal_tilt_deg),
-             "idler_plate": _plate_term(idler_plate, first, "idler", idler_tilt_deg)}
+    polarization = first.pair_polarization()
+    terms = {"signal_plate": _kept_plate_term(signal_plate, "signal", first.signal_center_nm, polarization,
+                                              signal_tilt_deg),
+             "idler_plate": _kept_plate_term(idler_plate, "idler", first.idler_center_nm, polarization,
+                                             idler_tilt_deg)}
     if scheme == "collinear":
-        terms |= _crossing_terms(pump, crystals, cross_dispersion, theta2)
+        terms |= _crossing_terms(pump, crystals, cross_dispersion, crystal_cut_angle(second, pump))
     carriers = {"signal": signal_center, "idler": idler_center, "pair": signal_center + idler_center,
                 "pump": pump.center_angular_frequency}
     return DelayBudget(terms=MappingProxyType({name: terms[name] for name in TERM_ORDER if name in terms}),
@@ -688,8 +704,10 @@ def scan(source: SourceConfig, knobs: PhaseKnobs, settings: ScanSettings, seed: 
     # overlap row for every step.
     scanned_arms = [arm for arm in ARMS if f"{arm}_tilt_deg" in scanned]
     standing = delay_budget(source, knobs, compensation_error_fs)
+    first = source.crystals[0]
     budget = replace(standing, terms=standing.terms | {
-        f"{arm}_plate": _plate_term(getattr(source, f"{arm}_plate"), source.crystals[0], arm, values)
+        f"{arm}_plate": _plate_term(getattr(source, f"{arm}_plate"), arm, getattr(first, f"{arm}_center_nm"),
+                                    first.pair_polarization(), values)
         for arm in scanned_arms})
     norm_a, norm_b, cross, grid_points_used = budget_terms(source, budget, settings.grid_points,
                                                            settings.grid_span_factor)
@@ -1035,8 +1053,9 @@ def _parse_text(text: str) -> ExperimentConfig:
     return parse_config(yaml.load(text, Loader=YAML_LOADER))
 
 
+@cache
 def default_config_path():
-    """Path of the packaged default scenario file."""
+    """Path of the packaged default scenario file, resolved once per process."""
     from importlib import resources
 
     return resources.files("bellsim.data").joinpath("default.yaml")

@@ -1,6 +1,6 @@
 """Run scan, prepare and sweep on every single-leaf edit of the packaged
-default config, and scan over extreme flag ranges, and keep what each one
-gives.
+default config, scan over extreme flag ranges and fit fringes on extreme
+axis spans, and keep what each one gives.
 
 Usage: python tests/config_mutations.py SRC OUT.json
 
@@ -9,12 +9,14 @@ A leaf is a number, string or flag of the default config at its key path
 ``mutations`` in turn, the rest of the config left as it is.  Each edited
 config runs ``COMMANDS`` in one process through ``cli.main``.  The flag
 family runs ``scan --axis <axis> --start -v --stop v`` on the default
-config for each scan axis and each v of ``FLAG_SPANS``.
+config for each scan axis and each v of ``FLAG_SPANS``.  The fit family
+writes an exact 2.5-period fringe (visibility 0.5) of 64 points on -v to v
+for each v of ``FLAG_SPANS`` and runs ``fit --input`` on it.
 
 SRC is a bellsim checkout (the directory holding ``src/bellsim``); OUT.json
-maps "<key path> = <value>: <command>" (and each flag command line) to the
-command's exit code, stderr and report.  Running it on two checkouts and
-comparing the two files shows every outcome a change moves.  The run is
+maps "<key path> = <value>: <command>" (and each flag or fit command
+line) to the command's exit code, stderr and report.  Running it on two
+checkouts and comparing the two files shows every outcome a change moves.  The run is
 deterministic.  A command that raises instead of exiting with its
 documented code is recorded with its exception, and one that prints a
 Python warning with its warnings (each also in its stderr); a usage error
@@ -43,6 +45,9 @@ COMMANDS = {
     "prepare": ["prepare", "--target", "phi+"],
     "sweep": ["sweep", "--parameter", "crystal_length", "--grid", "1,3.4"],
 }
+
+# The config flag of every command but fit, which reads no config.
+CONFIG = ["--config", "config.yaml"]
 
 # Values every leaf takes: no value, a flag, a string, a list, zero, a
 # negative number, and numbers at and past the limits of a float.
@@ -91,8 +96,8 @@ def edited(data, path: str, value):
 
 
 def run_command(cli, name: str, argv: list) -> dict:
-    """The outcome of ``argv`` on ``config.yaml``, with its outputs under the
-    prefix ``name`` in the current directory, which it leaves empty."""
+    """The outcome of ``argv``, with its outputs under the prefix ``name`` in
+    the current directory, which it leaves empty."""
     stderr, shown = io.StringIO(), []
 
     def show_warning(message, category, *_):
@@ -105,7 +110,7 @@ def run_command(cli, name: str, argv: list) -> dict:
         warnings.simplefilter("always")
         warnings.showwarning = show_warning
         try:
-            outcome = {"exit": cli.main(argv + ["--config", "config.yaml", "--output", name])}
+            outcome = {"exit": cli.main(argv + ["--output", name])}
         except SystemExit as exc:  # a usage error: recorded, and the run exits 1
             outcome = {"exit": exc.code, "usage_error": True}
         except Exception:  # recorded, and the run exits 1
@@ -123,7 +128,15 @@ def run(cli, data) -> dict:
     """Each command's outcome on the config ``data``, with the config and
     the outputs in the current directory."""
     Path("config.yaml").write_text(yaml.safe_dump(data, sort_keys=False))
-    return {name: run_command(cli, name, argv) for name, argv in COMMANDS.items()}
+    return {name: run_command(cli, name, argv + CONFIG) for name, argv in COMMANDS.items()}
+
+
+def write_fringe(path: str, span: float) -> None:
+    """An exact fringe 1 + 0.5 cos(2.5 pi t) at 64 points x = span t, t from
+    -1 to 1, formed without overflow at any span."""
+    ts = [2.0 * k / 63 - 1.0 for k in range(64)]
+    rows = [f"{span * t!r},{1.0 + 0.5 * math.cos(2.5 * math.pi * t)!r}" for t in ts]
+    Path(path).write_text("\n".join(["axis_value,rate", *rows]) + "\n")
 
 
 def main(argv) -> int:
@@ -147,7 +160,12 @@ def main(argv) -> int:
         for axis in scenario.SCAN_AXIS_KINDS:
             for span in FLAG_SPANS:
                 argv = ["scan", "--axis", axis, "--start", repr(-span), "--stop", repr(span)]
-                results[" ".join(argv)] = run_command(cli, "scan", argv)
+                results[" ".join(argv)] = run_command(cli, "scan", argv + CONFIG)
+        for span in FLAG_SPANS:
+            argv = ["fit", "--input", f"fringe_{span!r}.csv"]
+            write_fringe(argv[-1], span)
+            results[" ".join(argv)] = run_command(cli, "fit", argv)
+            Path(argv[-1]).unlink()
         os.chdir(src)
     out.write_text(json.dumps(results, indent=1) + "\n")
     problems = []

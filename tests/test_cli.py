@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bellsim
-from bellsim import biphoton, cli, scenario, spectral
+from bellsim import biphoton, cli, memo, scenario, spectral
 from bellsim.cli import main
 from bellsim.polarization import BELL_KINDS
 from bellsim.scenario import SWEEP_PARAMETERS
@@ -219,18 +219,35 @@ class TestSweepCommand:
         assert run(["sweep", "--config", config_file, "--output", tmp_path / "x",
                     "--parameter", "pump_ratio", "--grid", ","]) == 2
 
+    def test_crystal_length_sweep_equals_one_value_sweeps(self, tmp_path):
+        # Each one-value sweep starts from empty memos, as a fresh process.
+        def rows(name, grid):
+            out = tmp_path / name
+            assert run(["sweep", "--config", "default", "--output", out, "--parameter", "crystal_length",
+                        "--grid", grid]) == 0
+            return out.with_name(f"{name}.csv").read_bytes().splitlines()[1:]
+
+        grid = ["3.4", "0.5", "5", "1", "2.25"]
+        together = rows("all", ",".join(grid))
+        alone = []
+        for k, value in enumerate(grid):
+            memo.clear_memos()
+            alone += rows(f"one{k}", value)
+        assert together == alone
+
     @pytest.mark.parametrize("parameter, grid, streams, solves", [
-        ("compensation_error_fs", "0,-600,1500", 1, 2),
-        ("pump_ratio", "0,0.5,2", 1, 2),
-        ("crystal_length", "1,2,3.4", 3, 6),
-        ("filter_fwhm", "5,20,none", 3, 2),
+        ("compensation_error_fs", "0,-600,1500", 1, 1),
+        ("pump_ratio", "0,0.5,2", 1, 1),
+        ("crystal_length", "1,2,3.4", 3, 1),
+        ("filter_fwhm", "5,20,none", 3, 1),
     ])
     def test_kernel_streams_and_cut_angle_solves(self, tmp_path, monkeypatch, parameter, grid, streams, solves):
         # Every sweep is one batched evaluation.  A compensation error moves
         # only b's group delay and a pump ratio only the weights: one delay
-        # budget (two cut-angle solves) and one kernel stream per sweep.  The
-        # other parameters change the JSAs: one stream per value; a crystal
-        # length changes the budget too (one per value), a filter does not.
+        # budget and one kernel stream per sweep.  The other parameters
+        # change the JSAs: one stream per value; a crystal length changes the
+        # budget too (one per value), a filter does not.  The default's two
+        # crystals share one cut, and no length enters it: one solve.
         calls = {"batch": 0, "stream": 0, "solve": 0}
         batch, stream, solve = scenario.budget_terms_batch, spectral._Sampler, scenario.phase_matching_cut_angle
 
@@ -492,13 +509,14 @@ class TestPrepareCommand:
 
     def test_one_delay_budget_per_run(self, tmp_path, monkeypatch):
         # The solve, the prepared state and the reported compensation share
-        # one delay budget: one cut-angle solve per crystal.
+        # one delay budget: one cut-angle solve, which the default's two
+        # crystals share.
         calls = []
         solve = scenario.phase_matching_cut_angle
         monkeypatch.setattr(scenario, "phase_matching_cut_angle", lambda *a, **k: calls.append(1) or solve(*a, **k))
         assert run(["prepare", "--config", "default", "--output", tmp_path / "p",
                     "--target", "psi-"]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("target", ["phi+", "psi+", "psi-"])
     def test_uncompensated_is_infeasible(self, tmp_path, config_file, capsys, target):
@@ -940,6 +958,19 @@ class TestBadInputExitCodes:
         assert run(["scan", "--config", bad, "--output", tmp_path / "x"]) == 2
         assert "not valid YAML" in capsys.readouterr().err
 
+    def test_fit_axis_span_past_the_float_range(self, tmp_path, capsys):
+        # A 2.5-period fringe on -1e308 to 1e308: every value is finite, but
+        # the span is not.  The one error line names it; no warning.
+        ts = [2.0 * k / 63 - 1.0 for k in range(64)]
+        rows = "".join(f"{1e308 * t!r},{1.0 + 0.5 * math.cos(2.5 * math.pi * t)!r}\n" for t in ts)
+        (tmp_path / "wide.csv").write_text("axis_value,rate\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["fit", "--input", tmp_path / "wide.csv", "--output", tmp_path / "x"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scan axis span overflows a float: the axis runs from -1e+308 to 1e+308; rescale the axis"]
+        assert not (tmp_path / "x.report.txt").exists()
+
 
 def _frozen_walk(value, path="config"):
     """The key paths under ``value`` that are not a frozen dataclass, a
@@ -1012,6 +1043,71 @@ class TestInProcessReuse:
         assert run(["scan", "--config", config_file, "--output", out]) == 0
         assert len(out.with_name("scan.csv").read_text().splitlines()) == 130
         assert read_report(out.with_name("scan.report.txt"))["steps"] == "129"
+
+
+def _outcome(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``, a usage error's too."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+DISPATCH_ARGVS = {
+    "none": [],
+    "version": ["--version"],
+    "help": ["-h"],
+    "command_help": ["scan", "-h"],
+    "unknown_command": ["scna", "--config", "default", "--output", "{out}"],
+    "bad_axis_choice": ["scan", "--config", "default", "--output", "{out}", "--axis", "sideways"],
+    "missing_output": ["scan", "--config", "default"],
+    "unrecognized_option": ["scan", "--config", "default", "--output", "{out}", "--colour", "blue"],
+    "version_after_command": ["scan", "--version"],
+    "stray_positional": ["prepare", "--config", "default", "--output", "{out}", "--target", "phi+", "stray"],
+    "abbreviation": ["prepare", "--conf", "default", "--output", "{out}", "--target", "phi-"],
+    "bad_seed": ["scan", "--config", "default", "--output", "{out}", "--seed", "x"],
+    "start_without_stop": ["scan", "--config", "default", "--output", "{out}", "--start", "-5"],
+    "missing_fit_input": ["fit", "--input", "{out}.missing.csv", "--output", "{out}"],
+    "sweep_without_grid": ["sweep", "--config", "default", "--output", "{out}", "--parameter", "pump_ratio"],
+    "valid_prepare": ["prepare", "--config", "default", "--output", "{out}", "--target", "psi+"],
+}
+
+
+class TestDispatch:
+    """``main`` parses with the named command's parser alone, and falls back
+    to the full parser: what it gives equals the full parser's path."""
+
+    @pytest.mark.parametrize("name", DISPATCH_ARGVS)
+    def test_same_outcome_as_the_full_parser(self, tmp_path, monkeypatch, capsys, name):
+        argv = [arg.format(out=tmp_path / "x") for arg in DISPATCH_ARGVS[name]]
+        got = _outcome(argv, capsys)
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+        assert got == _outcome(argv, capsys)
+        assert got[0] == (0 if name in ("version", "help", "command_help", "abbreviation", "valid_prepare")
+                          else 3 if name == "missing_fit_input" else 2)
+
+    def test_unrecognized_argument_has_the_full_usage(self, tmp_path, capsys):
+        code, _, err = _outcome(["scan", "--config", "default", "--output", tmp_path / "x", "--colour", "blue"],
+                                capsys)
+        assert code == 2
+        assert err.startswith("usage: bellsim [-h] [--version] ")
+        assert err.endswith("bellsim: error: unrecognized arguments: --colour blue\n")
+
+    def test_default_config_path_resolved_once_per_process(self, tmp_path, monkeypatch):
+        from importlib import resources
+
+        scenario.load_config(scenario.default_config_path())  # the material table is loaded too
+        scenario.default_config_path.cache_clear()
+        calls = []
+        files = resources.files
+        monkeypatch.setattr(resources, "files", lambda package: calls.append(package) or files(package))
+        for target in ("phi+", "psi-"):
+            assert run(["prepare", "--config", "default", "--output", tmp_path / target, "--target", target]) == 0
+            manifest = read_report(tmp_path / f"{target}.manifest.txt")
+            assert manifest["config_path"] == str(scenario.default_config_path())
+        assert calls == ["bellsim.data"]
 
 
 class TestEntryPoint:

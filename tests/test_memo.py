@@ -6,6 +6,7 @@ mappings are read-only; every memo stays within its bounds; and
 ``cache_info()``."""
 
 import gc
+import random
 import tracemalloc
 from dataclasses import replace
 
@@ -72,6 +73,46 @@ class TestRepeatedCommands:
                 memo.clear_memos()
             outputs.append({name: run(name, tmp_path / f"{len(outputs)}_{name}") for name in order})
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _at_length(source, length_mm):
+    return replace(source, crystals=tuple(replace(c, thickness_mm=length_mm) for c in source.crystals))
+
+
+SHARING_VARIANTS = {
+    "default": lambda src, kn: (src, kn),
+    "cross_dispersion": lambda src, kn: (replace(src, cross_dispersion_enabled=True), kn),
+    "tilted_plates": lambda src, kn: (src, replace(kn, signal_tilt_deg=12.5, idler_tilt_deg=-7.0)),
+    "mzi": lambda src, kn: (replace(src, scheme="mzi"), kn),
+}
+
+
+class TestLengthFreeSharing:
+    """A crystal length enters no cut angle and no knob-plate term: the
+    values of a crystal-length sweep share them, and every budget keeps its
+    bits whatever lengths came before."""
+
+    @pytest.mark.parametrize("variant", SHARING_VARIANTS)
+    @pytest.mark.parametrize("compensation_error_fs", [None, 0.0])
+    def test_budgets_after_other_lengths_keep_every_bit(self, source, knobs, variant, compensation_error_fs):
+        src, kn = SHARING_VARIANTS[variant](source, knobs)
+        lengths = (0.5, 1.0, 3.4, 5.0)
+        # repr writes every float exactly: terms, carriers and specs.
+        alone = {}
+        for length in lengths:
+            memo.clear_memos()
+            alone[length] = repr(scenario.delay_budget(_at_length(src, length), kn, compensation_error_fs))
+        memo.clear_memos()
+        for length in (2.0, 7.25, 0.8):
+            scenario.delay_budget(_at_length(src, length), kn, compensation_error_fs)
+        for length in random.Random(variant).sample(lengths, len(lengths)):
+            assert repr(scenario.delay_budget(_at_length(src, length), kn, compensation_error_fs)) == alone[length]
+
+    def test_lengths_share_the_cut_angles_and_plate_terms(self, source, knobs):
+        for length in (0.5, 1.0, 3.4, 5.0):
+            scenario.delay_budget(_at_length(source, length), knobs)
+        assert held(scenario._element_budget) == 4
+        assert held(scenario._cut_angle) == 1 and held(scenario._kept_plate_term) == 2
 
 
 class TestErrorsAreNotKept:
@@ -187,7 +228,7 @@ class TestBounds:
         # After one of each command, every registered memo holds a result.
         for name in COMMANDS:
             run(name, tmp_path / name)
-        assert len(memo._KEPT) == 5 and all(map(held, memo._KEPT))
+        assert len(memo._KEPT) == 7 and all(map(held, memo._KEPT))
         memo.clear_memos()
         assert not any(map(held, memo._KEPT))
 

@@ -505,11 +505,17 @@ class TestInterferenceTerms:
         assert peak < 4.0e6
 
     def test_cut_angles_solved_once_per_crystal(self, source, knobs, monkeypatch):
+        # The default's two crystals share one cut (material, pump and
+        # centers), and no length enters it: crystals of other lengths
+        # solve nothing more.
         calls = []
         solve = scenario.phase_matching_cut_angle
         monkeypatch.setattr(scenario, "phase_matching_cut_angle", lambda *a: calls.append(a) or solve(*a))
         evaluated_terms(source, knobs)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        longer = replace(source, crystals=tuple(replace(c, thickness_mm=5.0) for c in source.crystals))
+        evaluated_terms(longer, knobs)
+        assert len(calls) == 1
 
     def test_infinite_crystal_delay_rejected(self, source, knobs):
         endless = replace(source, crystals=(replace(source.crystals[0], thickness_mm=math.inf),
@@ -832,7 +838,7 @@ class TestPlateTerms:
         # of a vertical-axis plate.
         sign = 1.0 if orientation == "vertical" else -1.0
         tilts = np.array([-35.0, -12.25, 0.0, 0.0, 7.5, 21.0, 44.0])
-        amplitude, axis, group, phase = scenario._plate_term(plate, source.crystals[0], arm, tilts)
+        amplitude, axis, group, phase = scenario._plate_term(plate, arm, center, "V", tilts)
         assert (amplitude, axis) == ("a", arm)
         for k, tilt in enumerate(tilts):
             tilted = replace(plate, tilt_deg=float(tilt))
@@ -844,8 +850,9 @@ class TestPlateTerms:
             assert phase[k] == pytest.approx(want_phase, rel=1e-12)
 
     def test_scalar_tilt_gives_scalar_terms(self, source):
-        _, _, group, phase = scenario._plate_term(source.idler_plate, source.crystals[0], "idler", 9.0)
-        arrays = scenario._plate_term(source.idler_plate, source.crystals[0], "idler", np.array([9.0]))
+        center = source.crystals[0].idler_center_nm
+        _, _, group, phase = scenario._plate_term(source.idler_plate, "idler", center, "V", 9.0)
+        arrays = scenario._plate_term(source.idler_plate, "idler", center, "V", np.array([9.0]))
         assert np.ndim(group) == 0 and np.ndim(phase) == 0
         assert (group, phase) == pytest.approx((arrays.group[0], arrays.phase[0]), rel=1e-15)
 
@@ -1016,7 +1023,9 @@ def _fold_budgets(source, knobs, variant):
     budget = scenario.delay_budget(source, knobs, error)
     if variant == "tilt_arrays":
         budget = replace(budget, terms=budget.terms | {
-            f"{arm}_plate": scenario._plate_term(getattr(source, f"{arm}_plate"), source.crystals[0], arm, tilts)
+            f"{arm}_plate": scenario._plate_term(getattr(source, f"{arm}_plate"), arm,
+                                                 getattr(source.crystals[0], f"{arm}_center_nm"),
+                                                 source.crystals[0].pair_polarization(), tilts)
             for arm, tilts in zip(scenario.ARMS, (FOLD_TILTS, -FOLD_TILTS[::-1]))})
     return budget, _legacy_budget(source, budget, error)
 
