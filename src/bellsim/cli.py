@@ -230,33 +230,59 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def _read_csv(path: Path):
+def _row_fault(line: str):
+    """What is wrong with a data row of a fit CSV, or None: it must hold two
+    comma-separated finite numbers."""
+    parts = line.split(",")
+    if len(parts) != 2:
+        return f"has {len(parts)} fields, expected 2"
     try:
-        text = Path(path).read_text()
+        row = tuple(map(float, parts))
+    except ValueError:
+        return f"is not numeric: {line!r}"
+    if not all(map(math.isfinite, row)):
+        return f"is not finite: {line!r}"
+    return None
+
+
+def _read_csv(path: Path):
+    """The axis and rate columns of a fit CSV: UTF-8 text whose non-blank
+    lines are data rows (``_row_fault``), after a header line 1 in which no
+    field is a number.  Every data field is parsed in one ``np.array(fields,
+    dtype=float)``, which reads a field as ``float`` does; only a file that
+    fails is walked row by row, to name its first bad row."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise DataError(f"{path}: empty file")
-    rows = []
-    for number, line in enumerate(lines, start=1):
-        parts = line.split(",")
-        try:
-            row = tuple(map(float, parts))
-        except ValueError:
-            row = ()
-            if number == 1 and not any(map(_is_number, parts)):
-                continue  # line 1 is a header only if none of its fields is a number
-        if len(parts) != 2:
-            raise DataError(f"{path}: row {number} has {len(parts)} fields, expected 2")
-        if not row:
-            raise DataError(f"{path}: row {number} is not numeric: {line!r}")
-        if not all(map(math.isfinite, row)):
-            raise DataError(f"{path}: row {number} is not finite: {line!r}")
-        rows.append(row)
+    header = not any(map(_is_number, lines[0].split(",")))
+    rows = lines[header:]
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
-    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    fields = ",".join(rows).split(",")
+    try:
+        # 2 n fields and a comma in each of the n rows: two fields a row.
+        if len(fields) != 2 * len(rows) or not all(["," in row for row in rows]):
+            raise ValueError
+        values = np.array(fields, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError
+    except ValueError:
+        for number, line in enumerate(rows, start=1 + header):
+            fault = _row_fault(line)
+            if fault is not None:
+                raise DataError(f"{path}: row {number} {fault}") from None
+        raise
+    axis, rates = values.reshape(-1, 2).T.copy()
+    return axis, rates
 
 
 def cmd_fit(args) -> int:

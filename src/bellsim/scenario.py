@@ -1036,10 +1036,15 @@ def load_config(path) -> ExperimentConfig:
     ``Material`` records, so every caller can hold the same one), and an
     invalid text raises again on every call."""
     try:
-        with open(path, "r") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        # With line ends as a text-mode read gives them.
+        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
     try:
         return _parse_text(text)
     except yaml.YAMLError as exc:

@@ -11,7 +11,11 @@ config runs ``COMMANDS`` in one process through ``cli.main``.  The flag
 family runs ``scan --axis <axis> --start -v --stop v`` on the default
 config for each scan axis and each v of ``FLAG_SPANS``.  The fit family
 writes an exact 2.5-period fringe (visibility 0.5) of 64 points on -v to v
-for each v of ``FLAG_SPANS`` and runs ``fit --input`` on it.
+for each v of ``FLAG_SPANS`` and runs ``fit --input`` on it.  The encoding
+family runs ``COMMANDS`` on the default config with a 0xff byte inside a
+value, and ``fit --input`` on fringe CSVs that start with bytes 0xff 0xfe,
+that end lines in LF, and that end lines in CRLF after a UTF-8 BOM; the
+last must exit 0 with the report of its LF twin.
 
 SRC is a bellsim checkout (the directory holding ``src/bellsim``); OUT.json
 maps "<key path> = <value>: <command>" (and each flag or fit command
@@ -21,7 +25,8 @@ deterministic.  A command that raises instead of exiting with its
 documented code is recorded with its exception, and one that prints a
 Python warning with its warnings (each also in its stderr); a usage error
 (argparse's ``SystemExit``) is recorded with its exit code, as every
-command here is well formed.  Any of the three makes the script exit 1.
+command here is well formed.  Any of the three, or a BOM fringe CSV that
+fits otherwise than its LF twin, makes the script exit 1.
 The file name keeps pytest from collecting it.
 """
 
@@ -139,6 +144,34 @@ def write_fringe(path: str, span: float) -> None:
     Path(path).write_text("\n".join(["axis_value,rate", *rows]) + "\n")
 
 
+# The fit CSVs of the encoding family: a label and the bytes made of the
+# LF fringe file.
+ENCODED_CSVS = {
+    "starting 0xff 0xfe": lambda lf: b"\xff\xfe" + lf,
+    "with LF line ends": lambda lf: lf,
+    "with CRLF line ends after a UTF-8 BOM": lambda lf: b"\xef\xbb\xbf" + lf.replace(b"\n", b"\r\n"),
+}
+
+
+def encoding_family(cli, base) -> dict:
+    """The outcomes of the encoding family.  Its files, config.yaml among
+    them, are written to the current directory and removed after."""
+    results = {}
+    path, value = next((path, value) for path, value in leaves(base) if isinstance(value, str))
+    marked = yaml.safe_dump(edited(base, path, "MARK"), sort_keys=False).encode()
+    Path("config.yaml").write_bytes(marked.replace(b"MARK", value[:1].encode() + b"\xff" + value[1:].encode()))
+    for name, argv in COMMANDS.items():
+        results[f"encoding: {path} holds byte 0xff: {name}"] = run_command(cli, name, argv + CONFIG)
+    Path("config.yaml").unlink()
+    write_fringe("fringe.csv", 1.0)
+    lf = Path("fringe.csv").read_bytes()
+    for label, encode in ENCODED_CSVS.items():
+        Path("fringe.csv").write_bytes(encode(lf))
+        results[f"encoding: fit --input a fringe CSV {label}"] = run_command(cli, "fit", ["fit", "--input", "fringe.csv"])
+    Path("fringe.csv").unlink()
+    return results
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[3], file=sys.stderr)
@@ -166,6 +199,7 @@ def main(argv) -> int:
             write_fringe(argv[-1], span)
             results[" ".join(argv)] = run_command(cli, "fit", argv)
             Path(argv[-1]).unlink()
+        results |= encoding_family(cli, base)
         os.chdir(src)
     out.write_text(json.dumps(results, indent=1) + "\n")
     problems = []
@@ -175,6 +209,9 @@ def main(argv) -> int:
             problems.append(f"{key}: {outcome['exception']}")
         if outcome.get("usage_error"):
             problems.append(f"{key}: usage error: {outcome['stderr'].strip().splitlines()[-1]}")
+    lf, bom = (results[f"encoding: fit --input a fringe CSV {label}"] for label in list(ENCODED_CSVS)[1:])
+    if bom.get("exit") != 0 or bom["report"] != lf["report"]:
+        problems.append("a CRLF fringe CSV after a UTF-8 BOM does not fit as its LF twin does")
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

@@ -972,6 +972,111 @@ class TestBadInputExitCodes:
         assert not (tmp_path / "x.report.txt").exists()
 
 
+# Fit CSV inputs and what ``cli._read_csv`` gives for each: the (axis,
+# rates) rows, or the DataError text after "<path>: ".  The texts are the
+# row-by-row reader's, which the one-parse reader must keep.
+CSV_CASES = {
+    "header": (b"axis_value,rate\n1,2\n3,4\n", [(1.0, 2.0), (3.0, 4.0)]),
+    "no header": (b"1,2\n3,4\n", [(1.0, 2.0), (3.0, 4.0)]),
+    "blank lines": (b"\n\naxis,rate\n\n1,2\n  \n3,4\n\n", [(1.0, 2.0), (3.0, 4.0)]),
+    "CRLF": (b"axis,rate\r\n1,2\r\n3,4\r\n", [(1.0, 2.0), (3.0, 4.0)]),
+    "CR": (b"axis,rate\r1,2\r3,4\r", [(1.0, 2.0), (3.0, 4.0)]),
+    "padded fields": (b"axis , rate\n 1 , 2 \n\t3,4\t\n", [(1.0, 2.0), (3.0, 4.0)]),
+    "underscores": (b"1_0,2\n3,4_5\n", [(10.0, 2.0), (3.0, 45.0)]),
+    "subnormal and signed zero": (b"5e-324,-0.0\n.5,1e-400\n", [(5e-324, -0.0), (0.5, 0.0)]),
+    "UTF-8 BOM before the header": (b"\xef\xbb\xbfaxis,rate\r\n1,2\r\n", [(1.0, 2.0)]),
+    "three-field header": (b"a,b,c\n1,2\n", [(1.0, 2.0)]),
+    "1 field": (b"a,b\n1\n3,4\n", "row 2 has 1 fields, expected 2"),
+    "3 fields": (b"a,b\n1,2\n3,4,5\n", "row 3 has 3 fields, expected 2"),
+    "1 and 3 fields": (b"a,b\n1\n2,3,4\n", "row 2 has 1 fields, expected 2"),
+    "numeric field in line 1": (b"x,1\n3,4\n", "row 1 is not numeric: 'x,1'"),
+    "3 numbers in line 1": (b"1,2,3\n3,4\n", "row 1 has 3 fields, expected 2"),
+    "empty field": (b"1,\n3,4\n", "row 1 is not numeric: '1,'"),
+    "bad later row": (b"a,b\n1,2\n3,4\n5,x\n", "row 4 is not numeric: '5,x'"),
+    "nan": (b"1,2\nnan,4\n", "row 2 is not finite: 'nan,4'"),
+    "inf": (b"1,2\n3,inf\n", "row 2 is not finite: '3,inf'"),
+    "1e400": (b"1,2\n1e400,4\n", "row 2 is not finite: '1e400,4'"),
+    "BOM before a number": (b"\xef\xbb\xbf1,2\n3,4\n", "row 1 is not numeric: '\\ufeff1,2'"),
+    "header only": (b"axis,rate\n", "no data rows after the header"),
+    "empty file": (b"", "empty file"),
+    "blank lines only": (b"\n \n", "empty file"),
+    "not UTF-8": (b"\xff\xfe1,2\n", "not UTF-8 text: invalid start byte at byte offset 0"),
+    "bad byte later": (b"1,2\n3,\xe94\n", "not UTF-8 text: invalid continuation byte at byte offset 6"),
+}
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize("name", CSV_CASES)
+    def test_rows_or_error(self, tmp_path, name):
+        data, expected = CSV_CASES[name]
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        if isinstance(expected, str):
+            with pytest.raises(cli.DataError) as info:
+                cli._read_csv(path)
+            assert str(info.value) == f"{path}: {expected}"
+        else:
+            axis, rates = cli._read_csv(path)
+            want = np.array(expected).T
+            assert axis.tobytes() == want[0].tobytes() and rates.tobytes() == want[1].tobytes()
+            assert axis.flags.c_contiguous and rates.flags.c_contiguous
+
+    def test_every_float_repr_reads_as_float_reads_it(self, tmp_path):
+        rng = np.random.default_rng(33)
+        values = rng.integers(0, 2**64, 2000, dtype=np.uint64).view(float)
+        values = values[np.isfinite(values)]
+        path = tmp_path / "in.csv"
+        path.write_text("".join(f"{v!r},{v:.12e}\n" for v in values.tolist()))
+        axis, rates = cli._read_csv(path)
+        assert axis.tobytes() == values.tobytes()
+        assert rates.tolist() == [float(f"{v:.12e}") for v in values]
+
+
+class TestInputEncoding:
+    def test_fit_csv_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfeaxis,rate\n1,2\n")
+        assert run(["fit", "--input", path, "--output", tmp_path / "x"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: not UTF-8 text: invalid start byte at byte offset 0"]
+
+    def test_config_that_is_not_utf8(self, tmp_path, config_file, capsys):
+        data = config_file.read_bytes()
+        at = data.index(b"BBO") + 1
+        config_file.write_bytes(data[:at] + b"\xff" + data[at:])
+        assert run(["scan", "--config", config_file, "--output", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config {config_file} is not UTF-8 text: invalid start byte at byte offset {at}"]
+
+    def test_crlf_config_parses_as_its_lf_twin(self, tmp_path, config_file):
+        crlf = tmp_path / "crlf.yaml"
+        crlf.write_bytes(config_file.read_bytes().replace(b"\n", b"\r\n"))
+        assert scenario.load_config(crlf) == scenario.load_config(config_file)
+
+    def test_bom_crlf_fit_csv_fits_as_its_lf_twin(self, tmp_path):
+        ts = np.linspace(-1.0, 1.0, 64).tolist()
+        text = "axis_value,rate\n" + "".join(f"{t!r},{1.0 + 0.5 * math.cos(2.5 * math.pi * t)!r}\n" for t in ts)
+        reports = []
+        for data in (text.encode(), b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode()):
+            (tmp_path / "in.csv").write_bytes(data)
+            assert run(["fit", "--input", tmp_path / "in.csv", "--output", tmp_path / "x"]) == 0
+            reports.append((tmp_path / "x.report.txt").read_text())
+        assert reports[0] == reports[1]
+
+
+class TestTinyFitAxis:
+    def test_axis_whose_gram_matrix_underflows_is_data_error(self, tmp_path, capsys):
+        ts = np.linspace(-1.0, 1.0, 129).tolist()
+        rows = "".join(f"{1e-300 * t!r},{1.0 + 0.9 * math.cos(6.0 * math.pi * t)!r}\n" for t in ts)
+        (tmp_path / "tiny.csv").write_text("axis_value,rate\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["fit", "--input", tmp_path / "tiny.csv", "--output", tmp_path / "x"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the fit's Gram matrix underflows a float on a scan axis spanning 2e-300; rescale the axis"]
+        assert not (tmp_path / "x.report.txt").exists()
+
+
 def _frozen_walk(value, path="config"):
     """The key paths under ``value`` that are not a frozen dataclass, a
     tuple or a scalar."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -5,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from bellsim import fitting
 from bellsim.errors import DataError, InsufficientDataError
 from bellsim.fitting import fit_fringe, raw_visibility
+from test_fit_battery import battery_inputs
 
 
 def synth(x, offset, visibility, period, phase):
@@ -103,6 +106,75 @@ class TestDegenerateAndErrors:
             with pytest.raises(DataError, match=re.escape(f"Gram matrix overflows a float on a scan axis "
                                                           f"reaching |x| = {half_span:g};")):
                 fit_fringe((x, synth(x, 1.0, 0.9, half_span / 3.0, 0.0)))
+
+
+class TestTinyAxes:
+    # The damping adds a floor of 1e-30 to each Gram diagonal entry, but
+    # never more than the entry: a tiny axis is damped as a unit axis is.
+    @pytest.mark.parametrize("exponent", [0, -20, -50, -100, -150, -160])
+    def test_exact_fringe_is_recovered(self, exponent):
+        half_span = 10.0 ** exponent
+        x = np.linspace(-half_span, half_span, 129)
+        fit = fit_fringe((x, synth(x, 1.0, 0.9, half_span / 3.0, 0.0)))
+        assert fit.converged
+        assert fit.iterations == 4
+        assert fit.visibility == pytest.approx(0.9, abs=1e-12)
+        assert fit.period == pytest.approx(half_span / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("half_span", [1e-170, 1e-300])
+    def test_underflowing_gram_matrix_names_the_span(self, half_span):
+        # The frequency column is not zero, but its squares underflow to 0.
+        x = np.linspace(-half_span, half_span, 129)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=re.escape(f"Gram matrix underflows a float on a scan axis "
+                                                          f"spanning {2.0 * half_span:g}; rescale the axis")):
+                fit_fringe((x, synth(x, 1.0, 0.9, half_span / 3.0, 0.0)))
+
+
+class TestSolve:
+    def test_singular_solve_retries_at_ten_times_the_damping(self, monkeypatch):
+        matrices = []
+        solve = fitting._solve
+
+        def fail_once(matrix, rhs):
+            matrices.append(matrix.copy())
+            if len(matrices) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(fitting, "_solve", fail_once)
+        x = np.linspace(-800.0, 800.0, 129)
+        fit = fit_fringe((x, synth(x, 1.0, 0.92, 400.0, 0.3)))
+        # Both hold J^T J off the diagonal and h (1 + lam) on it: lam is
+        # 1e-3, then 1e-2.
+        first, second = matrices[:2]
+        assert (first - np.diag(np.diag(first)) == second - np.diag(np.diag(second))).all()
+        assert np.diag(second) / np.diag(first) == pytest.approx(np.full(4, 1.01 / 1.001), rel=1e-12)
+        assert fit.converged
+        assert fit.visibility == pytest.approx(0.92, abs=1e-9)
+
+    def test_solve_equals_numpy_on_damped_battery_systems(self, monkeypatch):
+        systems = []
+        solve = fitting._solve
+
+        def record(matrix, rhs):
+            systems.append((matrix.copy(), rhs.copy()))
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(fitting, "_solve", record)
+        for x, y, weights in itertools.islice(battery_inputs(), 20):
+            fit_fringe((x, y), weights=weights)
+        assert len(systems) > 100
+        for matrix, rhs in systems:
+            assert solve(matrix, rhs).tobytes() == np.linalg.solve(matrix, rhs).tobytes()
+
+    def test_singular_matrix_is_linalg_error(self):
+        matrix = np.eye(4)
+        matrix[:2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+        for solve in (np.linalg.solve, fitting._solve):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                solve(matrix, np.ones(4))
 
 
 class TestInvariances:
