@@ -210,14 +210,19 @@ def cmd_sweep(args) -> int:
 
     csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")
     _write_csv(csv_path, ("parameter_value", "visibility"), (labels, visibilities))
-    _write_kv(report_path, [
-        ("parameter", args.parameter),
-        ("points", len(values)),
-        ("visibility_min", min(visibilities)),
-        ("visibility_max", max(visibilities)),
-        ("reference_mode", bool(args.reference)),
-    ])
-    _write_manifest(manifest_path, args, "sweep", (csv_path, report_path), args.seed)
+    written = [csv_path]
+    # The manifest is written last, naming only the files this run wrote.
+    try:
+        _write_kv(report_path, [
+            ("parameter", args.parameter),
+            ("points", len(values)),
+            ("visibility_min", min(visibilities)),
+            ("visibility_max", max(visibilities)),
+            ("reference_mode", bool(args.reference)),
+        ])
+        written.append(report_path)
+    finally:
+        _write_manifest(manifest_path, args, "sweep", written, args.seed)
     print(f"sweep: wrote {csv_path} ({len(values)} points)")
     return 0
 
@@ -246,11 +251,12 @@ def _row_fault(line: str):
 
 
 def _read_csv(path: Path):
-    """The axis and rate columns of a fit CSV: UTF-8 text whose non-blank
-    lines are data rows (``_row_fault``), after a header line 1 in which no
-    field is a number.  Every data field is parsed in one ``np.array(fields,
-    dtype=float)``, which reads a field as ``float`` does; only a file that
-    fails is walked row by row, to name its first bad row."""
+    """The axis and rate columns of a fit CSV: UTF-8 text, less one leading
+    byte-order mark, whose non-blank lines are data rows (``_row_fault``),
+    after a header line 1 in which no field is a number.  Every data field
+    is parsed in one ``np.array(fields, dtype=float)``, which reads a field
+    as ``float`` does; only a file that fails is walked row by row, to name
+    its first bad row."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -260,7 +266,7 @@ def _read_csv(path: Path):
         text = data.decode()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
-    lines = list(filter(str.strip, text.splitlines()))
+    lines = list(filter(str.strip, text.removeprefix("\ufeff").splitlines()))
     if not lines:
         raise DataError(f"{path}: empty file")
     header = not any(map(_is_number, lines[0].split(",")))

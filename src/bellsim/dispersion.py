@@ -14,18 +14,17 @@ The extraordinary index of a crystal cut at angle theta to its optic axis is
     n_e(theta, L)^-2 = cos^2(theta)/n_o(L)^2 + sin^2(theta)/n_e(L)^2,
 
 with the group index obtained by the chain rule from the principal
-derivatives.  Tilted plates use exact plane-parallel refraction geometry:
-Snell's law with the ordinary index fixes the internal angle, and the e-ray
-is propagated along the same lengthened path with its normal-incidence
-index (flagged as ``e_index_at_normal_incidence`` in
-``GroupDelayReport.approximation``).
+derivatives.
 
 A ray's phase and group index come from one evaluation of the Sellmeier
 fits (``ray_indices``), and its (group, phase) delay over a path from
-``ray_delays`` alone; ``element_delays`` gives it a plate's tilted path.
-The tilt only lengthens the path, so ``element_delays`` and
-``internal_angle_rad`` take a ``tilt_deg`` that broadcasts over an array: a
-whole tilt scan costs the index evaluations of one tilt.
+``ray_delays`` alone.  ``element_delays`` traces both rays of a
+plane-parallel element over one path: Snell's law with the ordinary index
+fixes the internal angle, and both rays cross thickness/cos(angle), the
+thickness at tilt 0.  Approximation: the e ray keeps its normal-incidence
+index on that tilted path.  The tilt only lengthens the path, so
+``tilt_deg`` broadcasts over an array: a whole tilt scan costs the three
+index evaluations of one tilt (n_o for Snell, then each ray's).
 """
 
 from __future__ import annotations
@@ -112,14 +111,6 @@ class BirefringentElement:
         if self.axis_orientation not in ORIENTATIONS:
             raise ConfigError(f"axis_orientation must be {'|'.join(ORIENTATIONS)}, "
                               f"got {self.axis_orientation!r}")
-
-
-@dataclass(frozen=True)
-class GroupDelayReport:
-    phase_delay_fs: float
-    group_delay_fs: float
-    polarization: str
-    approximation: str = "e_index_at_normal_incidence"
 
 
 def _sellmeier_n2_and_derivative(coefficients, wavelength_um: float):
@@ -227,27 +218,18 @@ def phase_matching_cut_angle(
     return math.asin(math.sqrt(sin2))
 
 
-def internal_angle_rad(element: BirefringentElement, wavelength_nm: float, tilt_deg=None):
-    """Internal propagation angle from Snell's law with the ordinary index,
-    at the element's tilt or at ``tilt_deg`` (a number or an array)."""
+def element_delays(element: BirefringentElement, wavelength_nm: float, tilt_deg=None) -> tuple:
+    """((e group, e phase), (o group, o phase)) delays, in fs, of both rays
+    through a (possibly tilted) element, each ray's ``ray_delays`` over the
+    one Snell path.  ``tilt_deg`` replaces the element's tilt and may be an
+    array (checked like the element's): the delays are then arrays of its
+    shape."""
     tilt = element.tilt_deg if tilt_deg is None else tilt_deg
-    n_o = refractive_index(element.material, "o", wavelength_nm)
-    return np.arcsin(np.sin(np.radians(tilt)) / n_o)
-
-
-def element_delays(element: BirefringentElement, pol: str, wavelength_nm: float,
-                   tilt_deg=None) -> GroupDelayReport:
-    """Phase and group delay of one ray through a (possibly tilted) element:
-    its ``ray_delays`` over the path thickness/cos(internal angle), which at
-    tilt 0 is the thickness.  ``tilt_deg`` replaces the element's tilt and
-    may be an array (checked like the element's): the delays are then
-    arrays of its shape, from one evaluation of the indices.
-    """
     if tilt_deg is not None:
         check_tilt(tilt_deg)
-    path_nm = element.thickness_mm * MM_TO_NM / np.cos(internal_angle_rad(element, wavelength_nm, tilt_deg))
-    group, phase = ray_delays(element.material, pol, wavelength_nm, path_nm)
-    return GroupDelayReport(phase_delay_fs=phase, group_delay_fs=group, polarization=pol)
+    n_o = refractive_index(element.material, "o", wavelength_nm)
+    path_nm = element.thickness_mm * MM_TO_NM / np.cos(np.arcsin(np.sin(np.radians(tilt)) / n_o))
+    return tuple(ray_delays(element.material, ray, wavelength_nm, path_nm) for ray in "eo")
 
 
 def _load_records(stream) -> dict:

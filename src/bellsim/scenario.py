@@ -383,11 +383,9 @@ def _retardation(element: BirefringentElement, keys: tuple, polarization: str, w
     index error names both, and a ray delay past the float range names the
     element's thickness, before the difference could take inf - inf."""
     try:
-        rep_e, rep_o = (element_delays(element, ray, wavelength_nm, tilt_deg) for ray in "eo")
+        delays = (e_group, e_phase), (o_group, o_phase) = element_delays(element, wavelength_nm, tilt_deg)
     except ConfigError as exc:
         raise _prefixed(" at ".join(keys), exc) from None
-    e_group, o_group, e_phase, o_phase = delays = (rep_e.group_delay_fs, rep_o.group_delay_fs,
-                                                   rep_e.phase_delay_fs, rep_o.phase_delay_fs)
     if not np.isfinite(delays).all():
         raise ConfigError(f"{keys[0]}.thickness_mm: the delay across the element overflows a float; "
                           f"got {element.thickness_mm!r} mm")

@@ -2,7 +2,7 @@
 default config, scan over extreme flag ranges and fit fringes on extreme
 axis spans, and keep what each one gives.
 
-Usage: python tests/config_mutations.py SRC OUT.json
+Usage: python tests/config_mutations.py SRC OUT.json | --compare A.json B.json
 
 A leaf is a number, string or flag of the default config at its key path
 (``crystals[1].idler_center_nm``); each leaf takes each of the 16 values of
@@ -14,13 +14,16 @@ writes an exact 2.5-period fringe (visibility 0.5) of 64 points on -v to v
 for each v of ``FLAG_SPANS`` and runs ``fit --input`` on it.  The encoding
 family runs ``COMMANDS`` on the default config with a 0xff byte inside a
 value, and ``fit --input`` on fringe CSVs that start with bytes 0xff 0xfe,
-that end lines in LF, and that end lines in CRLF after a UTF-8 BOM; the
-last must exit 0 with the report of its LF twin.
+that end lines in LF, that end lines in CRLF after a UTF-8 BOM, and that
+have no header after a UTF-8 BOM; each BOM file must exit 0 with the report
+of its LF twin.
 
 SRC is a bellsim checkout (the directory holding ``src/bellsim``); OUT.json
 maps "<key path> = <value>: <command>" (and each flag or fit command
 line) to the command's exit code, stderr and report.  Running it on two
-checkouts and comparing the two files shows every outcome a change moves.  The run is
+checkouts and comparing the two files with ``--compare A.json B.json``
+shows every outcome a change moves: it prints each key whose outcome
+differs or that one file alone holds, and exits 1 on any.  The run is
 deterministic.  A command that raises instead of exiting with its
 documented code is recorded with its exception, and one that prints a
 Python warning with its warnings (each also in its stderr); a usage error
@@ -150,6 +153,7 @@ ENCODED_CSVS = {
     "starting 0xff 0xfe": lambda lf: b"\xff\xfe" + lf,
     "with LF line ends": lambda lf: lf,
     "with CRLF line ends after a UTF-8 BOM": lambda lf: b"\xef\xbb\xbf" + lf.replace(b"\n", b"\r\n"),
+    "without its header after a UTF-8 BOM": lambda lf: b"\xef\xbb\xbf" + lf.split(b"\n", 1)[1],
 }
 
 
@@ -172,7 +176,21 @@ def encoding_family(cli, base) -> dict:
     return results
 
 
+def compare(path_a: Path, path_b: Path) -> int:
+    """Print each key whose outcome differs between two result files, or
+    that one file alone holds; 1 on any, else 0."""
+    a, b = (json.loads(path.read_text()) for path in (path_a, path_b))
+    differing = [f"{key}: only in {path_a if key in a else path_b}" for key in sorted(a.keys() ^ b.keys())]
+    differing += [f"{key}: outcome differs" for key in sorted(a.keys() & b.keys()) if a[key] != b[key]]
+    for line in differing:
+        print(line)
+    print(f"{len(a.keys() | b.keys())} keys, {len(differing)} differ")
+    return 1 if differing else 0
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(*(Path(arg) for arg in argv[1:]))
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[3], file=sys.stderr)
         return 2
@@ -209,9 +227,11 @@ def main(argv) -> int:
             problems.append(f"{key}: {outcome['exception']}")
         if outcome.get("usage_error"):
             problems.append(f"{key}: usage error: {outcome['stderr'].strip().splitlines()[-1]}")
-    lf, bom = (results[f"encoding: fit --input a fringe CSV {label}"] for label in list(ENCODED_CSVS)[1:])
-    if bom.get("exit") != 0 or bom["report"] != lf["report"]:
-        problems.append("a CRLF fringe CSV after a UTF-8 BOM does not fit as its LF twin does")
+    lf = results["encoding: fit --input a fringe CSV with LF line ends"]
+    for label in [label for label in ENCODED_CSVS if "BOM" in label]:
+        bom = results[f"encoding: fit --input a fringe CSV {label}"]
+        if bom.get("exit") != 0 or bom["report"] != lf["report"]:
+            problems.append(f"a fringe CSV {label} does not fit as its LF twin does")
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

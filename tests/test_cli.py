@@ -159,6 +159,17 @@ class TestSweepCommand:
         assert len(values) == 5
         assert min(values) > 0.99
 
+    def test_unwritable_report_manifest_names_only_the_csv(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        out.with_name("s.report.txt").mkdir()
+        assert run(["sweep", "--config", "default", "--output", out, "--parameter", "pump_ratio",
+                    "--grid", "1,2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --output: cannot write ")
+        manifest = read_report(out.with_name("s.manifest.txt"))
+        assert manifest["command"] == "sweep"
+        assert manifest["output_paths"] == str(out.with_name("s.csv"))
+
     @pytest.mark.parametrize("grid", ["1e308", "1,1e308"])
     def test_overflowing_crystal_length_prints_only_its_error(self, tmp_path, capsys, grid):
         # Twice in one process, as Python prints a warning once per source
@@ -996,7 +1007,7 @@ CSV_CASES = {
     "nan": (b"1,2\nnan,4\n", "row 2 is not finite: 'nan,4'"),
     "inf": (b"1,2\n3,inf\n", "row 2 is not finite: '3,inf'"),
     "1e400": (b"1,2\n1e400,4\n", "row 2 is not finite: '1e400,4'"),
-    "BOM before a number": (b"\xef\xbb\xbf1,2\n3,4\n", "row 1 is not numeric: '\\ufeff1,2'"),
+    "BOM before a number": (b"\xef\xbb\xbf1,2\n3,4\n", [(1.0, 2.0), (3.0, 4.0)]),
     "header only": (b"axis,rate\n", "no data rows after the header"),
     "empty file": (b"", "empty file"),
     "blank lines only": (b"\n \n", "empty file"),

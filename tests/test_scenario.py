@@ -27,7 +27,6 @@ DISPERSION_CALLS = (
     "angled_extraordinary_index",
     "angled_extraordinary_group_index",
     "phase_matching_cut_angle",
-    "internal_angle_rad",
     "element_delays",
 )
 
@@ -826,6 +825,15 @@ class TestCroppedStream:
         assert np.array_equal(got, full)
 
 
+def _counted_sellmeier(monkeypatch) -> list:
+    """The arguments of each Sellmeier evaluation made after this call."""
+    calls = []
+    evaluate = dispersion._sellmeier_n2_and_derivative
+    monkeypatch.setattr(dispersion, "_sellmeier_n2_and_derivative",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    return calls
+
+
 class TestPlateTerms:
     @pytest.mark.parametrize("arm", ["signal", "idler"])
     @pytest.mark.parametrize("orientation", ["vertical", "horizontal"])
@@ -841,11 +849,10 @@ class TestPlateTerms:
         amplitude, axis, group, phase = scenario._plate_term(plate, arm, center, "V", tilts)
         assert (amplitude, axis) == ("a", arm)
         for k, tilt in enumerate(tilts):
-            tilted = replace(plate, tilt_deg=float(tilt))
-            rep_e = dispersion.element_delays(tilted, "e", center)
-            rep_o = dispersion.element_delays(tilted, "o", center)
-            want_group = sign * (rep_e.group_delay_fs - rep_o.group_delay_fs)
-            want_phase = sign * (rep_e.phase_delay_fs - rep_o.phase_delay_fs)
+            (e_group, e_phase), (o_group, o_phase) = dispersion.element_delays(
+                replace(plate, tilt_deg=float(tilt)), center)
+            want_group = sign * (e_group - o_group)
+            want_phase = sign * (e_phase - o_phase)
             assert group[k] == pytest.approx(want_group, rel=1e-12)
             assert phase[k] == pytest.approx(want_phase, rel=1e-12)
 
@@ -855,6 +862,18 @@ class TestPlateTerms:
         arrays = scenario._plate_term(source.idler_plate, "idler", center, "V", np.array([9.0]))
         assert np.ndim(group) == 0 and np.ndim(phase) == 0
         assert (group, phase) == pytest.approx((arrays.group[0], arrays.phase[0]), rel=1e-15)
+
+    @pytest.mark.parametrize("tilt", [9.0, np.linspace(-30.0, 30.0, 129)])
+    def test_plate_term_makes_three_sellmeier_evaluations(self, source, monkeypatch, tilt):
+        # n_o for Snell's law, then each ray's indices, at one tilt or many.
+        calls = _counted_sellmeier(monkeypatch)
+        scenario._plate_term(source.signal_plate, "signal", source.crystals[0].signal_center_nm, "V", tilt)
+        assert len(calls) == 3
+
+    def test_compensator_element_makes_three_sellmeier_evaluations(self, source, monkeypatch):
+        calls = _counted_sellmeier(monkeypatch)
+        scenario._compensator_term.__wrapped__(source.compensator, "V", source.pump.center_wavelength_nm)
+        assert len(source.compensator) == 3 and len(calls) == 3 * len(source.compensator)
 
     @pytest.mark.parametrize("axis_kind", ["signal_tilt", "idler_tilt", "both_tilts"])
     def test_scanned_tilt_bound_names_the_tilt(self, source, knobs, axis_kind):
