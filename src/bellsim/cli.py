@@ -1,7 +1,9 @@
 """Command-line front end: scan | sweep | fit | prepare.
 
-Each run writes plain-text artifacts next to the --output prefix: a CSV data
-file (where applicable), a flat key = value report, and a run manifest.
+A command computes its results, then writes plain-text files next to the
+--output prefix, whose last part must name a file: a CSV data file (where
+applicable), a flat key = value report, and, last on every exit, a run
+manifest naming only the files written (none when the first cannot be).
 Floats are written with repr so outputs are byte-reproducible; the manifest
 is the only file carrying a timestamp.
 
@@ -24,6 +26,7 @@ only when it is missing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -64,8 +67,8 @@ def _write_text(path: Path, text: str) -> None:
         raise ConfigError(f"--output: cannot write {path}: {exc}") from None
 
 
-def _write_kv(path: Path, items) -> None:
-    _write_text(path, "".join(f"{k} = {_fmt(v)}\n" for k, v in items))
+def _kv_text(items) -> str:
+    return "".join(f"{k} = {_fmt(v)}\n" for k, v in items)
 
 
 def _csv_cells(column) -> list:
@@ -77,10 +80,10 @@ def _csv_cells(column) -> list:
     return [_fmt(v) for v in column]
 
 
-def _write_csv(path: Path, header, columns) -> None:
+def _csv_text(header, columns) -> str:
     lines = [",".join(header)]
     lines += map(",".join, zip(*map(_csv_cells, columns)))
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _resolve_config(arg: str):
@@ -93,27 +96,39 @@ def _load(args):
     return scenario.load_config(_resolve_config(args.config))
 
 
-def _outputs(args, *suffixes) -> list:
-    """The paths of ``--output`` plus each suffix, in a directory that now
-    exists; one that cannot be made is a ConfigError naming --output."""
+@contextlib.contextmanager
+def _outputs(args, command: str, seed):
+    """Yields ``write(suffix, text)``: it writes --output plus the suffix and
+    returns its path.  On every exit the manifest is written last, naming
+    only the files written.  An --output naming no file, or a directory that
+    cannot be made, is a ConfigError naming --output."""
     prefix = Path(args.output)
+    if prefix.name in ("", ".."):
+        raise ConfigError(f"--output: {args.output!r} names no file")
     try:
         if not prefix.parent.is_dir():
             prefix.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--output: cannot make the directory {prefix.parent}: {exc}") from None
-    return [prefix.with_name(prefix.name + suffix) for suffix in suffixes]
+    written = []
 
+    def write(suffix: str, text: str) -> Path:
+        path = prefix.with_name(prefix.name + suffix)
+        _write_text(path, text)
+        written.append(path)
+        return path
 
-def _write_manifest(path: Path, args, command: str, outputs, seed) -> None:
-    _write_kv(path, [
-        ("config_path", _resolve_config(args.config) if hasattr(args, "config") else "-"),
-        ("command", command),
-        ("output_paths", ",".join(map(str, outputs))),
-        ("seed", "none" if seed is None else seed),
-        ("tool_version", __version__),
-        ("timestamp", datetime.now(timezone.utc).isoformat()),
-    ])
+    try:
+        yield write
+    finally:
+        write(".manifest.txt", _kv_text([
+            ("config_path", _resolve_config(args.config) if hasattr(args, "config") else "-"),
+            ("command", command),
+            ("output_paths", ",".join(map(str, written))),
+            ("seed", "none" if seed is None else seed),
+            ("tool_version", __version__),
+            ("timestamp", datetime.now(timezone.utc).isoformat()),
+        ]))
 
 
 def _fit_report_items(fit: fitting.FitResult, v_raw: float):
@@ -155,13 +170,9 @@ def cmd_scan(args) -> int:
         raise ConfigError(f"--seed must be >= 0 for poisson noise, got {seed}")
     result = scenario.scan(cfg.source, cfg.knobs, settings, seed=seed)
 
-    csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")
-    _write_csv(csv_path, ("axis_value", "rate"), (result.axis, result.rates))
-    written = [csv_path]
-
-    # The CSV is written before fitting so short scans still produce data; the
-    # manifest is written last, naming only the files this run wrote.
-    try:
+    with _outputs(args, "scan", seed) as write:
+        # The CSV is written before fitting so short scans still produce data.
+        csv_path = write(".csv", _csv_text(("axis_value", "rate"), (result.axis, result.rates)))
         weights = result.rates * settings.mean_counts if settings.noise == "poisson" else None
         fit = fitting.fit_fringe(result, weights=weights)
         items = [("axis_kind", settings.axis_kind), ("steps", settings.steps)]
@@ -172,10 +183,7 @@ def cmd_scan(args) -> int:
             ("grid_points", result.grid_points),
             ("reference_mode", bool(args.reference)),
         ]
-        _write_kv(report_path, items)
-        written.append(report_path)
-    finally:
-        _write_manifest(manifest_path, args, "scan", written, seed)
+        write(".report.txt", _kv_text(items))
     print(f"scan: wrote {csv_path} (period {fit.period:g}, visibility {fit.visibility:g})")
     return 0
 
@@ -208,21 +216,15 @@ def cmd_sweep(args) -> int:
                                   cfg.scan.grid_points, cfg.scan.grid_span_factor)
     labels = ["none" if value is None else value for value in values]
 
-    csv_path, report_path, manifest_path = _outputs(args, ".csv", ".report.txt", ".manifest.txt")
-    _write_csv(csv_path, ("parameter_value", "visibility"), (labels, visibilities))
-    written = [csv_path]
-    # The manifest is written last, naming only the files this run wrote.
-    try:
-        _write_kv(report_path, [
+    with _outputs(args, "sweep", args.seed) as write:
+        csv_path = write(".csv", _csv_text(("parameter_value", "visibility"), (labels, visibilities)))
+        write(".report.txt", _kv_text([
             ("parameter", args.parameter),
             ("points", len(values)),
             ("visibility_min", min(visibilities)),
             ("visibility_max", max(visibilities)),
             ("reference_mode", bool(args.reference)),
-        ])
-        written.append(report_path)
-    finally:
-        _write_manifest(manifest_path, args, "sweep", written, args.seed)
+        ]))
     print(f"sweep: wrote {csv_path} ({len(values)} points)")
     return 0
 
@@ -295,10 +297,9 @@ def cmd_fit(args) -> int:
     axis, rates = _read_csv(Path(args.input))
     fit = fitting.fit_fringe((axis, rates))
 
-    report_path, manifest_path = _outputs(args, ".report.txt", ".manifest.txt")
-    _write_kv(report_path, [("input", str(args.input)), ("points", axis.size)]
-              + _fit_report_items(fit, fitting.raw_visibility(rates)))
-    _write_manifest(manifest_path, args, "fit", (report_path,), args.seed)
+    with _outputs(args, "fit", args.seed) as write:
+        report_path = write(".report.txt", _kv_text([("input", str(args.input)), ("points", axis.size)]
+                                                    + _fit_report_items(fit, fitting.raw_visibility(rates))))
     print(f"fit: visibility {fit.visibility:g}, period {fit.period:g} -> {report_path}")
     return 0
 
@@ -326,7 +327,6 @@ def cmd_prepare(args) -> int:
         state = polarization.half_wave_plate(state, 1, PHI_TO_PSI_HWP_DEG)
     fid = polarization.fidelity(state, polarization.make_state(target))
 
-    report_path, manifest_path = _outputs(args, ".report.txt", ".manifest.txt")
     items = [
         ("target", target),
         ("pump_delta_x_nm", prepared.pump_delta_x_nm),
@@ -344,8 +344,8 @@ def cmd_prepare(args) -> int:
         ("state_quality", "coherent" if visibility > 0.5 else "incoherent-mixture-equivalent"),
         ("reference_mode", bool(args.reference)),
     ]
-    _write_kv(report_path, items)
-    _write_manifest(manifest_path, args, "prepare", (report_path,), args.seed)
+    with _outputs(args, "prepare", args.seed) as write:
+        report_path = write(".report.txt", _kv_text(items))
     print(f"prepare: {target} fidelity {fid:g}, visibility {visibility:g} -> {report_path}")
     return 0
 

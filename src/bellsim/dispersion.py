@@ -29,6 +29,7 @@ index evaluations of one tilt (n_o for Snell, then each ray's).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -264,24 +265,16 @@ def _load_records(stream) -> dict:
     return table
 
 
-def load_materials(path=None) -> dict:
-    """Load the material table from a YAML file (default: the packaged one)."""
-    if path is None:
-        text = resources.files("bellsim.data").joinpath("materials.yaml").read_text()
-        return _load_records(text)
+def load_materials(path) -> dict:
+    """Load the material table from a YAML file."""
     with open(path, "r") as fh:
         return _load_records(fh)
 
 
-_DEFAULT_TABLE = None
-
-
+@functools.cache
 def _packaged_table() -> dict:
     """The packaged material table, loaded once and cached."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_materials()
-    return _DEFAULT_TABLE
+    return _load_records(resources.files("bellsim.data").joinpath("materials.yaml").read_text())
 
 
 def material_names() -> tuple:

@@ -16,7 +16,11 @@ family runs ``COMMANDS`` on the default config with a 0xff byte inside a
 value, and ``fit --input`` on fringe CSVs that start with bytes 0xff 0xfe,
 that end lines in LF, that end lines in CRLF after a UTF-8 BOM, and that
 have no header after a UTF-8 BOM; each BOM file must exit 0 with the report
-of its LF twin.
+of its LF twin.  The output family runs each command (fit on the LF file)
+with each --output of ``NO_FILE_OUTPUTS``, and with ``--output x`` after
+each of its own files (CSV, report, manifest) is made a directory, each run
+in a new directory; it alone also records whether a manifest was written
+and the ``output_paths`` it names.
 
 SRC is a bellsim checkout (the directory holding ``src/bellsim``); OUT.json
 maps "<key path> = <value>: <command>" (and each flag or fit command
@@ -28,8 +32,11 @@ deterministic.  A command that raises instead of exiting with its
 documented code is recorded with its exception, and one that prints a
 Python warning with its warnings (each also in its stderr); a usage error
 (argparse's ``SystemExit``) is recorded with its exit code, as every
-command here is well formed.  Any of the three, or a BOM fringe CSV that
-fits otherwise than its LF twin, makes the script exit 1.
+command here is well formed.  Any of the three, a BOM fringe CSV that fits
+otherwise than its LF twin, or an output-family run that made its output
+directory (it exits 0, or cannot write one of its files) but left no
+manifest, unless its manifest was the file made a directory, makes the
+script exit 1.
 The file name keeps pytest from collecting it.
 """
 
@@ -39,6 +46,7 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 import traceback
@@ -60,6 +68,9 @@ CONFIG = ["--config", "config.yaml"]
 # Values every leaf takes: no value, a flag, a string, a list, zero, a
 # negative number, and numbers at and past the limits of a float.
 ABSOLUTE = [None, True, "x", [1.0], 0, -1, 1.0e-300, 1.0e300, 1.0e308, math.nan, math.inf]
+
+# The output family's --output values whose last part names no file.
+NO_FILE_OUTPUTS = ["", ".", "/", ".."]
 
 # Half ranges of the flag family: each scan axis runs --start -v --stop v,
 # the values written as repr writes them (-1e+300 is no plain decimal).
@@ -106,6 +117,15 @@ def edited(data, path: str, value):
 def run_command(cli, name: str, argv: list) -> dict:
     """The outcome of ``argv``, with its outputs under the prefix ``name`` in
     the current directory, which it leaves empty."""
+    outcome = command_outcome(cli, name, argv)
+    for output in Path().glob(f"{name}.*"):
+        output.unlink()
+    return outcome
+
+
+def command_outcome(cli, name: str, argv: list) -> dict:
+    """The outcome of ``argv`` with ``--output name``, its outputs left where
+    it wrote them."""
     stderr, shown = io.StringIO(), []
 
     def show_warning(message, category, *_):
@@ -126,9 +146,7 @@ def run_command(cli, name: str, argv: list) -> dict:
     if shown:  # recorded, and the run exits 1
         outcome["warnings"] = shown
     report = Path(f"{name}.report.txt")
-    outcome |= {"stderr": stderr.getvalue(), "report": report.read_text() if report.exists() else None}
-    for output in Path().glob(f"{name}.*"):
-        output.unlink()
+    outcome |= {"stderr": stderr.getvalue(), "report": report.read_text() if report.is_file() else None}
     return outcome
 
 
@@ -176,6 +194,41 @@ def encoding_family(cli, base) -> dict:
     return results
 
 
+def output_family(cli, base) -> dict:
+    """The outcomes of the output family, each with its manifest's
+    ``output_paths`` (None when it left no manifest).  Each run is made in
+    the new directory out/ of the current one, and removed after; the config
+    and fringe they read are written to the current one and removed after."""
+    Path("config.yaml").write_text(yaml.safe_dump(base, sort_keys=False))
+    write_fringe("fringe.csv", 1.0)
+    commands = {name: argv + ["--config", "../config.yaml"] for name, argv in COMMANDS.items()}
+    commands["fit"] = ["fit", "--input", "../fringe.csv"]
+    runs = {}
+    for name, argv in commands.items():
+        for output in NO_FILE_OUTPUTS:
+            runs[f"output: {name} --output {output!r}"] = (argv, output, None)
+        csv = [".csv"] if name in ("scan", "sweep") else []
+        for suffix in csv + [".report.txt", ".manifest.txt"]:
+            runs[f"output: {name} --output 'x' with x{suffix} a directory"] = (argv, "x", "x" + suffix)
+    results = {}
+    for key, (argv, output, blocked) in runs.items():
+        os.mkdir("out")
+        os.chdir("out")
+        if blocked:
+            os.mkdir(blocked)
+        outcome = command_outcome(cli, output, argv)
+        manifest = next((path for path in Path().glob("*.manifest.txt") if path.is_file()), None)
+        lines = manifest.read_text().splitlines() if manifest else []
+        outcome["manifest_output_paths"] = next(
+            (line.partition(" = ")[2] for line in lines if line.startswith("output_paths = ")), None)
+        os.chdir("..")
+        shutil.rmtree("out")
+        results[key] = outcome
+    Path("config.yaml").unlink()
+    Path("fringe.csv").unlink()
+    return results
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     """Print each key whose outcome differs between two result files, or
     that one file alone holds; 1 on any, else 0."""
@@ -218,6 +271,7 @@ def main(argv) -> int:
             results[" ".join(argv)] = run_command(cli, "fit", argv)
             Path(argv[-1]).unlink()
         results |= encoding_family(cli, base)
+        results |= output_family(cli, base)
         os.chdir(src)
     out.write_text(json.dumps(results, indent=1) + "\n")
     problems = []
@@ -227,6 +281,12 @@ def main(argv) -> int:
             problems.append(f"{key}: {outcome['exception']}")
         if outcome.get("usage_error"):
             problems.append(f"{key}: usage error: {outcome['stderr'].strip().splitlines()[-1]}")
+        # A run that exits 0 or cannot write one of its files made its
+        # output directory; the output family alone records its manifest.
+        made_directory = outcome.get("exit") == 0 or "error: --output: cannot write " in outcome["stderr"]
+        if made_directory and outcome.get("manifest_output_paths", "") is None \
+                and not key.endswith(".manifest.txt a directory"):
+            problems.append(f"{key}: made its output directory but left no manifest")
     lf = results["encoding: fit --input a fringe CSV with LF line ends"]
     for label in [label for label in ENCODED_CSVS if "BOM" in label]:
         bom = results[f"encoding: fit --input a fringe CSV {label}"]

@@ -294,11 +294,10 @@ class TestCsvWriter:
         return modest.astype(np.float32), (modest / 3.0).astype(np.float16)
 
     @pytest.mark.parametrize("kind", ["python_floats", "float64", "float32_float16"])
-    def test_float_columns_match_rowwise_writer(self, tmp_path, kind):
+    def test_float_columns_match_rowwise_writer(self, kind):
         columns = self._columns(kind)
-        path = tmp_path / "rows.csv"
-        cli._write_csv(path, ("axis_value", "rate"), columns)
-        assert path.read_bytes() == _rowwise_csv(("axis_value", "rate"), zip(*columns))
+        text = cli._csv_text(("axis_value", "rate"), columns)
+        assert text.encode() == _rowwise_csv(("axis_value", "rate"), zip(*columns))
 
     def test_filter_sweep_with_none_matches_rowwise_writer(self, tmp_path, default_config):
         grid = [5.0, 10.0, 20.0, None]
@@ -956,6 +955,38 @@ class TestBadInputExitCodes:
             args = ["--config", config_file, *self.COMMANDS[command]]
         assert run([command, "--output", out, *args]) == 2
         assert capsys.readouterr().err.startswith("error: --output: cannot ")
+
+    def _argv(self, tmp_path, config_file, command):
+        """The arguments of ``command`` other than --output."""
+        if command != "fit":
+            return [command, "--config", config_file, *self.COMMANDS[command]]
+        rows = "".join(f"{float(a)!r},{1.0 + math.cos(a / 64.0)!r}\n" for a in np.linspace(0.0, 1600.0, 65))
+        (tmp_path / "fringe.csv").write_text("axis_value,rate\n" + rows)
+        return [command, "--input", tmp_path / "fringe.csv"]
+
+    @pytest.mark.parametrize("command", ["scan", "sweep", "fit", "prepare"])
+    @pytest.mark.parametrize("prefix", ["", ".", "/", ".."])
+    def test_output_naming_no_file_writes_nothing(self, tmp_path, config_file, monkeypatch, capsys,
+                                                  command, prefix):
+        argv = self._argv(tmp_path, config_file, command)
+        work = tmp_path / "work" / "here"
+        work.mkdir(parents=True)
+        monkeypatch.chdir(work)
+        before = sorted(tmp_path.rglob("*"))
+        assert run([*argv, "--output", prefix]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --output: {prefix!r} names no file"]
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["scan", "sweep", "fit", "prepare"])
+    def test_unwritable_first_file_leaves_an_empty_manifest(self, tmp_path, config_file, capsys, command):
+        out = tmp_path / "x"
+        out.with_name("x.report.txt" if command in ("fit", "prepare") else "x.csv").mkdir()
+        assert run([*self._argv(tmp_path, config_file, command), "--output", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --output: cannot write ")
+        manifest = read_report(out.with_name("x.manifest.txt"))
+        assert manifest["command"] == command
+        assert manifest["output_paths"] == ""
 
     def test_negative_seed_with_poisson_noise(self, tmp_path, config_file, capsys):
         noisy = _edited_config(config_file, tmp_path, "noise: none", "noise: poisson")
